@@ -14,7 +14,12 @@ details carry all of the accuracy:
   composite Gauss-Legendre down to low order.  Entries whose row node and
   column node share a panel are therefore replaced by product integration:
   the two analytic branches are integrated separately against the panel's
-  Lagrange basis, restoring the fast panel-wise convergence.
+  Lagrange basis, restoring the fast panel-wise convergence.  The panels
+  are equal, so the sub-rules on either side of each row node and the
+  Lagrange basis at their nodes depend only on the node's index within its
+  panel.  They are tabulated once per panel order on the reference panel
+  (``_panel_tables``), mapped onto every panel at once, and all diagonal
+  blocks are formed by a single contraction per lambda.
 
 The Hilbert-Schmidt variant det2 multiplies det(I + S) by exp(-tau) where
 tau is the *analytic* trace of the kernel, never the raw matrix diagonal:
@@ -24,6 +29,7 @@ analytically continued trace is trustworthy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -129,21 +135,19 @@ def default_grid() -> QuadratureGrid:
     return build_grid(DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
 
-def _lu_det(mat: np.ndarray) -> tuple[complex, float]:
-    """Determinant by partial-pivoted LU, with the pivot-ratio condition
-    hint.  A collapsed pivot surfaces as an inf hint, not an exception."""
+def _lu_det(S: np.ndarray) -> tuple[complex, float]:
+    """det(I + S) by partial-pivoted LU, with the pivot-ratio condition
+    hint.  A collapsed pivot surfaces as an inf hint, not an exception.
+    I + S is formed on a copy of S, without a dense identity."""
+    mat = S.copy()
+    mat[np.diag_indices_from(mat)] += 1.0
     lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
     diag = np.diag(lu)
     mags = np.abs(diag)
     hint = float(mags.max() / mags.min()) if mags.min() > 0 else float("inf")
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    value = complex(sign)
-    for d in diag:
-        value *= complex(d)
-    return value, hint
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    value = complex(np.prod(diag))
+    return (-value if swaps % 2 else value), hint
 
 
 def _gl_panels(grid: QuadratureGrid):
@@ -161,14 +165,65 @@ def _gl_panels(grid: QuadratureGrid):
 
 
 def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """L[t, j] = j-th Lagrange basis polynomial of panel_nodes at pts[t]."""
-    L = np.ones((pts.size, panel_nodes.size))
+    """L[..., j] = j-th Lagrange basis polynomial of panel_nodes at pts."""
+    L = np.ones(pts.shape + (panel_nodes.size,))
     for j in range(panel_nodes.size):
         for r in range(panel_nodes.size):
             if r != j:
-                L[:, j] *= ((pts - panel_nodes[r])
-                            / (panel_nodes[j] - panel_nodes[r]))
+                L[..., j] *= ((pts - panel_nodes[r])
+                              / (panel_nodes[j] - panel_nodes[r]))
     return L
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Product-integration rule of the reference panel [-1, 1] of order q.
+
+    Row node t_r splits the panel into a left part [-1, t_r] (side 0) and
+    a right part [t_r, 1] (side 1), each carrying a q-point Gauss rule.
+    Returns the sub-nodes and sub-weights, shape (2, q, q) indexed
+    [side, r, u], and the Lagrange table L[side, r, u, j] of the panel's
+    j-th basis polynomial at those sub-nodes.  Read-only, shared by every
+    grid of this panel order.
+    """
+    t, w = np.polynomial.legendre.leggauss(q)
+    lo = np.stack([np.full(q, -1.0), t])
+    hi = np.stack([t, np.full(q, 1.0)])
+    half = ((hi - lo) / 2.0)[..., None]
+    sub = ((lo + hi) / 2.0)[..., None] + half * t
+    tables = (sub, half * w, _lagrange_at(t, sub))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _panel_rule(grid: QuadratureGrid):
+    """Diagonal-panel product-integration rule of a composite Gauss grid.
+
+    Returns the sub-nodes and sub-weights of every row, shape (2, N, q)
+    indexed [side, row, u] (side 0 integrates from the panel's left edge to
+    the row node, side 1 from the row node to its right edge), with the
+    reference Lagrange table of ``_panel_tables``; None if the grid has no
+    panel layout.
+    """
+    layout = _gl_panels(grid)
+    if layout is None:
+        return None
+    edges, q = layout
+    sub, sub_w, lagrange = _panel_tables(q)
+    mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None, None]
+    rad = ((edges[1:] - edges[:-1]) / 2.0)[:, None, None]
+    N = grid.nodes.size
+    pts = (mid + rad * sub[:, None]).reshape(2, N, q)
+    wts = (rad * sub_w[:, None]).reshape(2, N, q)
+    return pts, wts, lagrange
+
+
+def _set_panel_blocks(A: np.ndarray, blocks: np.ndarray) -> None:
+    """Write blocks (P, b, b) onto the diagonal of A viewed as (P, b, P, b)."""
+    P, b = blocks.shape[:2]
+    idx = np.arange(P)
+    A.reshape(P, b, P, b)[idx, :, idx, :] = blocks
 
 
 def discretize_scalar(problem: ScalarProblem, lam: complex,
@@ -176,28 +231,20 @@ def discretize_scalar(problem: ScalarProblem, lam: complex,
     G = greens.scalar_core_matrix(problem, lam, grid.nodes)
     v = np.asarray(problem.potential(grid.nodes), dtype=complex)
     A = G * (v * grid.weights)[None, :]
-    layout = _gl_panels(grid)
-    if layout is not None:
-        edges, q = layout
-        ref_x, ref_w = np.polynomial.legendre.leggauss(q)
-        for p in range(edges.size - 1):
-            cols = slice(p * q, (p + 1) * q)
-            pn = grid.nodes[cols]
-            for i in range(p * q, (p + 1) * q):
-                x = float(grid.nodes[i])
-                row = np.zeros(q, dtype=complex)
-                for lo, hi, side in ((edges[p], x, "left"),
-                                     (x, edges[p + 1], "right")):
-                    half = (hi - lo) / 2.0
-                    if half <= 0.0:
-                        continue
-                    pts = (lo + hi) / 2.0 + half * ref_x
-                    wts = half * ref_w
-                    vals = greens.scalar_core_branch(problem, lam, x, pts,
-                                                     side)
-                    vsub = np.asarray(problem.potential(pts), dtype=complex)
-                    row += (wts * vals * vsub) @ _lagrange_at(pn, pts)
-                A[i, cols] = row
+    rule = _panel_rule(grid)
+    if rule is not None:
+        pts, wts, lagrange = rule
+        q = pts.shape[-1]
+        x = grid.nodes
+        F = np.stack([greens.scalar_core_branch(problem, lam, x, pts[0],
+                                                "left"),
+                      greens.scalar_core_branch(problem, lam, x, pts[1],
+                                                "right")])
+        vsub = np.asarray(problem.potential(pts.ravel()), dtype=complex)
+        F *= wts * vsub.reshape(pts.shape)
+        blocks = np.einsum("sPru,sruj->Prj", F.reshape(2, -1, q, q),
+                           lagrange)
+        _set_panel_blocks(A, blocks)
     return DiscretizedOperator(matrix=A, grid=grid, kind="scalar", block=1,
                                diagonal_convention="continuous-limit")
 
@@ -319,6 +366,14 @@ def trace_power_scalar(problem: ScalarProblem, lam: complex,
     return 3.0 * total
 
 
+def _weight_samples(system: SystemProblem, xs: np.ndarray) -> np.ndarray:
+    """The folded weight -(R(x) - R_inf) at every point of xs, shape
+    xs.shape + (n, n), from one pass of per-point perturbation calls."""
+    xs = np.asarray(xs, dtype=float)
+    W = np.stack([-system.decaying_part(float(x)) for x in xs.ravel()])
+    return W.reshape(xs.shape + W.shape[1:])
+
+
 class _WeightElements:
     """Matrix elements Pinv[a] W(x) P[:, b] of the folded perturbation,
     sampled with a per-point cache shared across all root combinations."""
@@ -332,8 +387,7 @@ class _WeightElements:
         key = pts.tobytes()
         got = self._cache.get(key)
         if got is None:
-            got = np.stack([-self.system.decaying_part(float(x))
-                            for x in pts])
+            got = _weight_samples(self.system, pts)
             self._cache[key] = got
         return got
 
@@ -410,7 +464,7 @@ def det1(problem: ScalarProblem, lam: complex,
     tau = trace_scalar(problem, lam)
     op = discretize_scalar(problem, lam, grid)
     S = op.matrix
-    raw, hint = _lu_det(np.eye(S.shape[0]) + S)
+    raw, hint = _lu_det(S)
     correction = tau - np.trace(S)
     if _gl_panels(grid) is not None:
         S2 = S @ S
@@ -440,11 +494,8 @@ def _default_basis(system: SystemProblem, lam: complex) -> UnperturbedBasis:
 
 def _bs_weight_integral(system: SystemProblem,
                         grid: QuadratureGrid) -> np.ndarray:
-    n = system.dimension
-    M = np.zeros((n, n), dtype=complex)
-    for x, w in zip(grid.nodes, grid.weights):
-        M -= w * system.decaying_part(float(x))
-    return M
+    return np.einsum("t,tab->ab", grid.weights,
+                     _weight_samples(system, grid.nodes))
 
 
 def trace_system_pair(system: SystemProblem, lam: complex,
@@ -487,10 +538,7 @@ def discretize_system(system: SystemProblem, lam: complex,
     N = xs.size
     n = system.dimension
     k = basis.k
-    Ws = np.empty((N, n, n), dtype=complex)
-    for i, x in enumerate(xs):
-        Ws[i] = -system.decaying_part(float(x))
-    WV = Ws * grid.weights[:, None, None]
+    WV = _weight_samples(system, xs) * grid.weights[:, None, None]
     D = xs[:, None] - xs[None, :]
     lower = D < 0
     upper = D > 0
@@ -504,34 +552,22 @@ def discretize_system(system: SystemProblem, lam: complex,
         vrow = np.einsum("a,jab->jb", basis.Pinv[j, :], WV)
         kernel += np.einsum("ij,a,jb->iajb", E, basis.P[:, j], vrow,
                             optimize=True)
-    proj = basis.projector_minus()
-    for i in range(N):
-        kernel[i, :, i, :] = proj @ WV[i]
-    layout = _gl_panels(grid)
-    if layout is not None:
-        edges, q = layout
-        ref_x, ref_w = np.polynomial.legendre.leggauss(q)
-        for p in range(edges.size - 1):
-            cols = slice(p * q, (p + 1) * q)
-            pn = xs[cols]
-            for i in range(p * q, (p + 1) * q):
-                x = float(xs[i])
-                block_row = np.zeros((q, n, n), dtype=complex)
-                for lo, hi, side in ((edges[p], x, "left"),
-                                     (x, edges[p + 1], "right")):
-                    half = (hi - lo) / 2.0
-                    if half <= 0.0:
-                        continue
-                    pts = (lo + hi) / 2.0 + half * ref_x
-                    wts = half * ref_w
-                    blocks = greens.green_branch_blocks(basis, x, pts, side)
-                    prod = np.empty_like(blocks)
-                    for t, pt in enumerate(pts):
-                        prod[t] = blocks[t] @ (-system.decaying_part(float(pt)))
-                    block_row += np.einsum("t,tab,tj->jab", wts, prod,
-                                           _lagrange_at(pn, pts))
-                kernel[i, :, cols, :] = block_row.transpose(1, 0, 2)
+    idx = np.arange(N)
+    kernel[idx, :, idx, :] = basis.projector_minus() @ WV
     A = kernel.reshape(N * n, N * n)
+    rule = _panel_rule(grid)
+    if rule is not None:
+        pts, wts, lagrange = rule
+        q = pts.shape[-1]
+        blocks = np.stack([greens.green_branch_blocks(basis, xs, pts[0],
+                                                      "left"),
+                           greens.green_branch_blocks(basis, xs, pts[1],
+                                                      "right")])
+        prod = blocks @ _weight_samples(system, pts)
+        prod *= wts[..., None, None]
+        diag = np.einsum("sPruab,sruj->Prajb",
+                         prod.reshape(2, -1, q, q, n, n), lagrange)
+        _set_panel_blocks(A, diag.reshape(-1, q * n, q * n))
     return DiscretizedOperator(matrix=A, grid=grid, kind="system", block=n,
                                diagonal_convention="minus-branch-projector")
 
@@ -551,7 +587,7 @@ def det2(system: SystemProblem, lam: complex, grid: QuadratureGrid,
     tau = trace_system(system, lam, grid, basis)
     op = discretize_system(system, lam, grid, basis)
     S = op.matrix
-    raw, hint = _lu_det(np.eye(S.shape[0]) + S)
+    raw, hint = _lu_det(S)
     correction = -np.trace(S)
     if _gl_panels(grid) is not None:
         S2 = S @ S
@@ -584,14 +620,15 @@ def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
     tau = trace_system(system, lam, grid, basis)
     op = discretize_system(system, lam, grid, basis)
     S = op.matrix
-    raw, hint = _lu_det(np.eye(S.shape[0]) + S)
+    raw, hint = _lu_det(S)
     correction = -np.trace(S)
+    panels = _gl_panels(grid) is not None
+    S2 = S @ S if panels or p > 2 else None
     power = S
     for l in range(2, p):
-        power = power @ S
+        power = S2 if l == 2 else power @ S
         correction += (-1.0) ** l / l * complex(np.trace(power))
-    if _gl_panels(grid) is not None:
-        S2 = S @ S
+    if panels:
         discrete = {2: complex(np.trace(S2)), 3: complex(np.sum(S2 * S.T))}
         for l in range(max(2, p), 4):
             gap = (trace_power_system(system, lam, grid, l, basis)

@@ -255,26 +255,29 @@ def scalar_core_matrix(problem: ScalarProblem, lam: complex,
     return G
 
 
-def scalar_core_branch(problem: ScalarProblem, lam: complex, x: float,
+def scalar_core_branch(problem: ScalarProblem, lam: complex, x,
                        xis: np.ndarray, side: str) -> np.ndarray:
-    """One analytic branch of the Green's-derivative sum at fixed x.
+    """One analytic branch of the Green's-derivative sum.
 
     side "right" is the plus-root branch (valid for xi >= x), "left" the
     minus-root branch (xi <= x); both extend smoothly past the diagonal,
-    which is what diagonal-panel product integration needs.
+    which is what diagonal-panel product integration needs.  x is one row
+    point or an array of them and broadcasts against the trailing axis of
+    xis: x of shape S and xis of shape S + (q,) give values of shape
+    S + (q,).
     """
     roots, coeff = green_data(problem, lam)
     m = problem.deriv_order
     a = np.array(coeff.alpha)
     k = roots.k
-    xis = np.asarray(xis, dtype=float)
-    out = np.zeros(xis.size, dtype=complex)
+    d = np.asarray(x, dtype=float)[..., None] - np.asarray(xis, dtype=float)
+    out = np.zeros(d.shape, dtype=complex)
     if side == "right":
         for j, kap in enumerate(roots.plus):
-            out += a[j] * kap ** m * np.exp(kap * (x - xis))
+            out += a[j] * kap ** m * np.exp(kap * d)
     elif side == "left":
         for j, kap in enumerate(roots.minus):
-            out += a[k + j] * kap ** m * np.exp(kap * (x - xis))
+            out += a[k + j] * kap ** m * np.exp(kap * d)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return out
@@ -375,26 +378,28 @@ def matrix_green(x: float, xi: float, lam: complex,
     return (basis.P[:, k:] * np.exp(km * (x - xi))[None, :]) @ basis.Pinv[k:, :]
 
 
-def green_branch_blocks(basis: UnperturbedBasis, x: float,
+def green_branch_blocks(basis: UnperturbedBasis, x,
                         xis: np.ndarray, side: str) -> np.ndarray:
-    """One analytic branch of the matrix Green's function at fixed x.
+    """One analytic branch of the matrix Green's function.
 
     side "right" gives -Y0-(x) Z0+(xi) (the xi >= x branch), "left" gives
-    +Y0+(x) Z0-(xi); shapes (len(xis), n, n).  Both branches continue
+    +Y0+(x) Z0-(xi).  x broadcasts against the trailing axis of xis as in
+    scalar_core_branch; the blocks add two trailing axes, so a single x
+    with a 1-d xis gives shape (len(xis), n, n).  Both branches continue
     smoothly past the diagonal.
     """
-    xis = np.asarray(xis, dtype=float)
+    d = np.asarray(x, dtype=float)[..., None] - np.asarray(xis, dtype=float)
     n = basis.roots.n
     k = basis.k
-    out = np.zeros((xis.size, n, n), dtype=complex)
+    out = np.zeros(d.shape + (n, n), dtype=complex)
     if side == "right":
         for j, kap in enumerate(basis.roots.plus):
             C = np.outer(basis.P[:, j], basis.Pinv[j, :])
-            out -= np.exp(kap * (x - xis))[:, None, None] * C
+            out -= np.exp(kap * d)[..., None, None] * C
     elif side == "left":
         for j, kap in enumerate(basis.roots.minus):
             C = np.outer(basis.P[:, k + j], basis.Pinv[k + j, :])
-            out += np.exp(kap * (x - xis))[:, None, None] * C
+            out += np.exp(kap * d)[..., None, None] * C
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return out

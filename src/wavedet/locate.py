@@ -199,10 +199,13 @@ def locate_roots(f: Callable[[complex], complex], contour: Contour,
                  interior_resolution: int = 7) -> RootReport:
     """Count zeros inside the contour, then hunt them down.
 
-    Starting points are the local minima of |f| on a coarse interior grid;
-    each is polished by refine_root and near-duplicates are merged.  If
-    fewer distinct roots than the winding number survive (multiple zeros,
-    clustered zeros), the report says so instead of padding the list.
+    Starting points come from a coarse interior grid: first its discrete
+    local minima of |f| (no smaller value among the up to 8 neighbours),
+    then the remaining grid points, each group by ascending |f|; at most
+    max(2 w, 4) of them are tried.  Each is polished by refine_root and
+    near-duplicates are merged.  If fewer distinct roots than the winding
+    number survive (multiple zeros, clustered zeros), the report says so
+    instead of padding the list.
     """
     w = winding_number(f, contour, problem)
     if w == 0:
@@ -213,7 +216,11 @@ def locate_roots(f: Callable[[complex], complex], contour: Contour,
     table = scan(f, complex(a.real + pad_re, a.imag + pad_im),
                  complex(b.real - pad_re, b.imag - pad_im),
                  interior_resolution)
-    table.sort(key=lambda row: abs(row[1]))
+    mags = np.abs([val for _, val in table]).reshape(-1, interior_resolution)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(mags, 1, constant_values=np.inf), (3, 3))
+    local_min = (mags <= windows.min(axis=(-2, -1))).ravel()
+    table = [table[i] for i in np.lexsort((mags.ravel(), ~local_min))]
     roots = []
     for lam, _ in table[:max(2 * w, 4)]:
         try:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedet as wd
-from wavedet import fredholm
+from wavedet import fredholm, greens
 from wavedet.errors import ConfigError, EssentialSpectrum, SignMismatch
 
 
@@ -217,3 +217,132 @@ def test_det2_system_route_matches_scalar_route(grid):
     d1 = wd.det1(gp, lam, grid).value
     r2 = wd.det2(gs, lam, grid)
     assert abs(r2.value * np.exp(r2.trace_used) - d1) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batched diagonal-panel assembly against a per-row reference
+
+
+def _lagrange_rows(panel_nodes, pts):
+    L = np.ones((pts.size, panel_nodes.size))
+    for j, tj in enumerate(panel_nodes):
+        for r, tr in enumerate(panel_nodes):
+            if r != j:
+                L[:, j] *= (pts - tr) / (tj - tr)
+    return L
+
+
+def _reference_panel_blocks(grid, integrand):
+    """Product integration of the diagonal panels one row at a time.
+
+    integrand(x, pts, side) is the left (xi <= x) or right (xi >= x)
+    analytic branch of the kernel at row point x times the weight at pts;
+    returns the rows of every diagonal panel block, indexed
+    [row node, column within the panel, ...].
+    """
+    q = grid.panel_order
+    ref_x, ref_w = np.polynomial.legendre.leggauss(q)
+    panels = grid.nodes.size // q
+    edges = np.linspace(-grid.half_width, grid.half_width, panels + 1)
+    rows = []
+    for p in range(panels):
+        pn = grid.nodes[p * q:(p + 1) * q]
+        for x in pn:
+            row = 0.0
+            for lo, hi, side in ((edges[p], x, "left"),
+                                 (x, edges[p + 1], "right")):
+                half = (hi - lo) / 2.0
+                pts = (lo + hi) / 2.0 + half * ref_x
+                vals = integrand(x, pts, side)
+                row = row + np.einsum("t,t...,tj->j...", half * ref_w, vals,
+                                      _lagrange_rows(pn, pts))
+            rows.append(row)
+    return np.array(rows)
+
+
+def _diagonal_panel_rows(matrix, grid, n):
+    q = grid.panel_order
+    N = grid.nodes.size
+    M = matrix.reshape(N // q, q, n, N // q, q, n)
+    idx = np.arange(N // q)
+    # [panel, row, a, col, b] -> [node, col, a, b]
+    blocks = M[idx, :, :, idx, :, :].transpose(0, 1, 3, 2, 4)
+    return blocks.reshape(N, q, n, n).squeeze()
+
+
+def _scalar_branch(problem, lam):
+    roots, coeff = greens.green_data(problem, lam)
+    a = np.array(coeff.alpha)
+    m = problem.deriv_order
+
+    def branch(x, pts, side):
+        if side == "right":
+            ks, cs = roots.plus, a[:roots.k]
+        else:
+            ks, cs = roots.minus, a[roots.k:]
+        return sum(c * kap ** m * np.exp(kap * (x - pts))
+                   for c, kap in zip(cs, ks))
+    return branch
+
+
+_SECH2 = wd.make_profile("sech2", amplitude=1.0)
+PANEL_PROBLEMS = {
+    "poschl_teller": (wd.builtin_problem("poschl_teller", N=2), 2.0 + 1.0j),
+    "deriv_order_1": (wd.ScalarProblem(order=4, coeffs=(0.0,) * 4,
+                                       profile=_SECH2, deriv_order=1),
+                      3.0 + 1.0j),
+    "complex_coeffs": (wd.ScalarProblem(
+        order=4, coeffs=(1.0 + 0.5j, 0.2, 0.3 - 0.1j, 0.0), profile=_SECH2,
+        deriv_order=2), -2.0 + 2.5j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_PROBLEMS))
+def test_discretize_scalar_matches_per_row_reference(name):
+    problem, lam = PANEL_PROBLEMS[name]
+    g = wd.build_grid(8.0, 40, panel_order=8)
+    got = _diagonal_panel_rows(
+        fredholm.discretize_scalar(problem, lam, g).matrix, g, 1)
+    branch = _scalar_branch(problem, lam)
+    want = _reference_panel_blocks(
+        g, lambda x, pts, side: branch(x, pts, side) * problem.potential(pts))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_discretize_system_matches_per_row_reference(pt_system):
+    lam = 2.0 + 1.0j
+    g = wd.build_grid(8.0, 40, panel_order=8)
+    basis = greens.system_basis(pt_system, lam)
+    k = basis.k
+
+    def integrand(x, pts, side):
+        sel = range(k) if side == "right" else range(k, basis.roots.n)
+        sign = -1.0 if side == "right" else 1.0
+        green = sign * sum(
+            np.exp(basis.roots.all[j] * (x - pts))[:, None, None]
+            * np.outer(basis.P[:, j], basis.Pinv[j, :]) for j in sel)
+        W = np.array([-pt_system.decaying_part(float(t)) for t in pts])
+        return green @ W
+
+    want = _reference_panel_blocks(g, integrand)
+    got = _diagonal_panel_rows(
+        fredholm.discretize_system(pt_system, lam, g, basis).matrix, g, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_discretize_scalar_root_split_once_per_lambda(monkeypatch, pt):
+    calls = []
+    green_data = greens.green_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return green_data(*args, **kwargs)
+
+    monkeypatch.setattr(greens, "green_data", counted)
+    counts = []
+    for n_points in (40, 160):
+        calls.clear()
+        fredholm.discretize_scalar(pt, 2.0 + 1.0j,
+                                   wd.build_grid(8.0, n_points))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3

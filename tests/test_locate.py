@@ -150,3 +150,18 @@ def test_locate_roots_on_determinant(pt, coarse_grid):
 
     empty = Contour(2.0 - 0.5j, 3.0 + 0.5j, samples_per_edge=8)
     assert locate_roots(f, empty, problem=pt).winding == 0
+
+
+def test_locate_roots_finds_both_bound_states():
+    """Both bound states of the N=2 well sit in one rectangle; the seeds
+    must come from separate local minima of |det1|, not all from the
+    deeper one near lambda = 4."""
+    p2 = wd.builtin_problem("poschl_teller", N=2)
+    g = wd.build_grid(20.0, 200)
+    rep = locate_roots(lambda lam: wd.det1(p2, lam, g).value,
+                       Contour(0.5 - 1.0j, 5.0 + 1.0j), problem=p2)
+    assert rep.winding == 2
+    assert not rep.multiplicity_gap
+    found = sorted(rep.roots, key=lambda z: z.real)
+    assert abs(found[0] - 1.0) < 1e-6
+    assert abs(found[1] - 4.0) < 1e-6
