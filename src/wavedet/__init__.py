@@ -12,7 +12,7 @@ operator on the line? -- plus the identities tying them together:
   function E(lambda)/c(lambda) (``evans``);
 * root machinery: winding numbers and Muller refinement over contours
   (``locate``), with problem definitions and spectral classification in
-  ``model`` and the shared kernels in ``greens``.
+  ``model`` and the shared Green's functions and bases in ``greens``.
 
 The ``wavedet`` console script drives everything from JSON configs.
 """
@@ -52,15 +52,11 @@ from .greens import (
     classify_roots,
     alpha_coefficients,
     scalar_green,
-    bs_kernel_scalar,
-    scalar_kernel_matrix,
     unperturbed_bases,
     basis_from_roots,
     system_basis,
     matrix_basis,
     matrix_green,
-    bs_kernel_system,
-    system_kernel_matrix,
 )
 from .fredholm import (
     QuadratureGrid,
@@ -81,7 +77,6 @@ from .evans import (
     EvansResult,
     jost_minus,
     jost_plus,
-    adjoint_jost_plus,
     evans_function,
     transmission_matrix,
     swinton_matrix,

@@ -446,10 +446,9 @@ def cmd_det(run):
                    (f"det{p}", "c")]
 
         def one(lam):
-            return [lam,
-                    fredholm.det1(run.problem, lam, run.grid).value,
-                    fredholm.det2(run.system, lam, run.grid).value,
-                    fredholm.detp(run.system, lam, run.grid, p=p).value]
+            d2, dp = fredholm.det2_detp(run.system, lam, run.grid, p)
+            return [lam, fredholm.det1(run.problem, lam, run.grid).value,
+                    d2.value, dp.value]
 
     return _render(run, columns, run.map(one, lams))
 

@@ -33,7 +33,6 @@ __all__ = [
     "EvansResult",
     "jost_minus",
     "jost_plus",
-    "adjoint_jost_plus",
     "evans_function",
     "transmission_matrix",
     "swinton_matrix",
@@ -74,6 +73,14 @@ class IntegrationParams:
             raise ConfigError("orthogonalize_interval must be positive")
 
 
+def _index_of(xs: np.ndarray, x: float) -> int:
+    """Index of the stored sample point x of an integration run."""
+    i = int(np.argmin(np.abs(xs - x)))
+    if abs(float(xs[i]) - x) > 1e-9:
+        raise ConfigError(f"x={x} is not a stored sample point")
+    return i
+
+
 @dataclass(frozen=True)
 class JostSolution:
     """Scaled samples of a Jost solution along one integration run.
@@ -97,15 +104,9 @@ class JostSolution:
     renorm_log: np.ndarray
     basis: UnperturbedBasis
 
-    def index_of(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.xs - x)))
-        if abs(float(self.xs[i]) - x) > 1e-9:
-            raise ConfigError(f"x={x} is not a stored sample point")
-        return i
-
     def raw_at(self, x: float) -> np.ndarray:
         """Unscaled n x k solution matrix at a stored sample point."""
-        i = self.index_of(x)
+        i = _index_of(self.xs, x)
         scale = self.transform[i] * np.exp(self.renorm_log[i])[None, :]
         return self.values[i] @ scale
 
@@ -130,14 +131,8 @@ class AdjointJost:
     renorm_log: np.ndarray
     basis: UnperturbedBasis
 
-    def index_of(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.xs - x)))
-        if abs(float(self.xs[i]) - x) > 1e-9:
-            raise ConfigError(f"x={x} is not a stored sample point")
-        return i
-
     def raw_at(self, x: float) -> np.ndarray:
-        i = self.index_of(x)
+        i = _index_of(self.xs, x)
         scale = self.transform[i] * np.exp(self.renorm_log[i])[:, None]
         return scale @ self.values[i]
 
@@ -157,14 +152,6 @@ class EvansResult:
     det_transmission: Optional[complex]
     matching_point: float
     truncation_error: float
-
-
-def _as_system(obj) -> SystemProblem:
-    if isinstance(obj, SystemProblem):
-        return obj
-    if isinstance(obj, ScalarProblem):
-        return model.to_system(obj)
-    raise ConfigError("expected a ScalarProblem or SystemProblem")
 
 
 def _side_bases(system: SystemProblem, lam: complex):
@@ -375,7 +362,7 @@ def jost_minus(system, lam: complex, params: Optional[IntegrationParams] = None,
                basis: Optional[UnperturbedBasis] = None,
                sample_points: Sequence[float] = ()) -> JostSolution:
     """Solutions decaying at -infinity, continued from -X to +X."""
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     params = params or IntegrationParams()
     if basis is None:
         basis = _side_bases(sysm, lam)[0]
@@ -387,24 +374,11 @@ def jost_plus(system, lam: complex, params: Optional[IntegrationParams] = None,
               basis: Optional[UnperturbedBasis] = None,
               sample_points: Sequence[float] = ()) -> JostSolution:
     """Solutions decaying at +infinity, continued from +X to -X."""
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     params = params or IntegrationParams()
     if basis is None:
         basis = _side_bases(sysm, lam)[1]
     return _propagate_columns(sysm, lam, basis, "plus", params,
-                              sample_points=sample_points)
-
-
-def adjoint_jost_plus(system, lam: complex,
-                      params: Optional[IntegrationParams] = None,
-                      basis: Optional[UnperturbedBasis] = None,
-                      sample_points: Sequence[float] = ()) -> AdjointJost:
-    """Dual rows normalized to Z0+ at +X, continued down to -X."""
-    sysm = _as_system(system)
-    params = params or IntegrationParams()
-    if basis is None:
-        basis = _side_bases(sysm, lam)[1]
-    return _propagate_adjoint(sysm, lam, basis, params,
                               sample_points=sample_points)
 
 
@@ -418,7 +392,7 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
     against the Fredholm determinant.  For pulse problems the transmission
     matrix is accumulated during the same leftward run.
     """
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     params = params or IntegrationParams()
     x0 = float(matching_point)
     if abs(x0) > params.half_width:
@@ -437,8 +411,8 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
         trans = np.eye(bm.k, dtype=complex) + D_corr
         det_trans = complex(np.linalg.det(trans))
     jp = _propagate_columns(sysm, lam, bp, "plus", params, x_stop=x0)
-    im = jm.index_of(x0)
-    ip = jp.index_of(x0)
+    im = _index_of(jm.xs, x0)
+    ip = _index_of(jp.xs, x0)
     combined = np.concatenate([jm.values[im], jp.values[ip]], axis=1)
     d0 = (np.linalg.det(combined)
           * np.linalg.det(jm.transform[im])
@@ -459,7 +433,7 @@ def transmission_matrix(system, lam: complex,
                         ) -> np.ndarray:
     """I_k plus the accumulated pairing of Z0+ R against the Jost minus
     columns; its determinant equals the Fredholm determinant."""
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     if sysm.is_front:
         raise ConfigError("transmission matrix needs a decaying perturbation")
     params = params or IntegrationParams()
@@ -478,14 +452,14 @@ def swinton_matrix(system, lam: complex,
     depend on the matching point; for decaying perturbations it equals the
     transmission matrix.
     """
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     params = params or IntegrationParams()
     x0 = float(matching_point)
     bm, bp = _side_bases(sysm, lam)
     jm = _propagate_columns(sysm, lam, bm, "minus", params, x_stop=x0)
     adj = _propagate_adjoint(sysm, lam, bp, params, x_stop=x0)
-    im = jm.index_of(x0)
-    ia = adj.index_of(x0)
+    im = _index_of(jm.xs, x0)
+    ia = _index_of(adj.xs, x0)
     inner = adj.values[ia] @ jm.values[im]
     M = adj.transform[ia] @ inner @ jm.transform[im]
     return _scaled_entries(M, adj.renorm_log[ia], jm.renorm_log[im])
@@ -499,7 +473,7 @@ def born_transmission(system, lam: complex, grid=None) -> np.ndarray:
     diagnostic: accurate when the perturbation is small, quadratic cost in
     the coupling otherwise.
     """
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     if sysm.is_front:
         raise ConfigError("weak-coupling route needs a decaying perturbation")
     grid = grid if grid is not None else fredholm.default_grid()
@@ -523,7 +497,7 @@ def gram_determinant(system, lam: complex,
     Converges to det(transmission) as X grows; the truncation gap is the
     same boundary error the Jost runs carry.
     """
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     if sysm.is_front:
         raise ConfigError("pairing limit needs a decaying perturbation")
     params = params or IntegrationParams()

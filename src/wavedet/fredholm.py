@@ -1,37 +1,36 @@
 """Quadrature discretization and regularized determinants.
 
-The integral operators built in :mod:`wavedet.greens` are discretized by a
-Nystrom rule and det(I + S) approximates the Fredholm determinant.  Two
-details carry all of the accuracy:
+The scalar Birman-Schwinger kernel of an order-n problem and the matrix
+kernel of its first-order system are both semi-separable: sums over the
+characteristic roots of rank-one terms
 
-* The matrix is assembled in the similarity frame S_ij = K0(x_i, x_j)
-  W(x_j) w_j (Green's part times weight times quadrature weight).  It has
-  the same determinant and trace powers as the symmetrically weighted form
-  |W|^(1/2) K |W|^(1/2)-style matrix, but every xi-dependence is a smooth
-  branch times the smooth weight, with no square-root kinks.
+    K(x, xi) = sum_j u_j e^(kappa_j (x - xi)) r_j W(xi),
 
-* The kernel is only piecewise smooth across the diagonal, which would drag
-  composite Gauss-Legendre down to low order.  Entries whose row node and
-  column node share a panel are therefore replaced by product integration:
-  the two analytic branches are integrated separately against the panel's
-  Lagrange basis, restoring the fast panel-wise convergence.  The panels
-  are equal, so the sub-rules on either side of each row node and the
-  Lagrange basis at their nodes depend only on the node's index within its
-  panel.  They are tabulated once per panel order on the reference panel
-  (``_panel_tables``), mapped onto every panel at once, and all diagonal
-  blocks are formed by a single contraction per lambda.
+plus roots on x < xi, minus roots on x >= xi.  One private engine over
+such terms (``_Terms``) serves both kernels:
 
-The Hilbert-Schmidt variant det2 multiplies det(I + S) by exp(-tau) where
-tau is the *analytic* trace of the kernel, never the raw matrix diagonal:
-the matrix Green's function jumps across the diagonal, so only the
-analytically continued trace is trustworthy.
+* Nystrom discretization in the similarity frame S_ij = K(x_i, x_j) w_j,
+  with the determinant and trace powers of the symmetrically weighted
+  |W|^(1/2) K |W|^(1/2) form but no square-root kinks in xi.
+* Diagonal-panel product integration: the kernel is only piecewise smooth
+  across the diagonal, so entries whose row and column node share a panel
+  integrate the two analytic branches separately against the panel's
+  Lagrange basis.  The sub-rules depend only on a node's index within its
+  panel; they are tabulated once per panel order (``_panel_tables``) and
+  all diagonal blocks are formed by one contraction per lambda.
+* Exact second and third traces as ordered integrals of the chain
+  elements r_a W(x) u_b (``_trace_power``).
+* Regularized determinants (``_corrected_det``) that compensate the trace
+  defect of det(I + S) with the exact traces.  det1 is order 1, with the
+  analytic trace tau from the interface coefficients; det2 and detp are
+  orders p >= 2 of the matrix kernel.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +50,7 @@ __all__ = [
     "det1",
     "det2",
     "detp",
+    "det2_detp",
     "trace_scalar",
     "trace_system",
     "trace_system_pair",
@@ -85,9 +85,6 @@ class DiscretizedOperator:
 
     matrix: np.ndarray
     grid: QuadratureGrid
-    kind: str                 # scalar | system
-    block: int                # 1 for scalar kernels, n for system kernels
-    diagonal_convention: str
 
 
 @dataclass(frozen=True)
@@ -219,34 +216,109 @@ def _panel_rule(grid: QuadratureGrid):
     return pts, wts, lagrange
 
 
-def _set_panel_blocks(A: np.ndarray, blocks: np.ndarray) -> None:
-    """Write blocks (P, b, b) onto the diagonal of A viewed as (P, b, P, b)."""
-    P, b = blocks.shape[:2]
-    idx = np.arange(P)
-    A.reshape(P, b, P, b)[idx, :, idx, :] = blocks
+@dataclass(frozen=True)
+class _Terms:
+    """Rank-one terms of a semi-separable kernel
+
+        K(x, xi) = sum_j u_j e^(kappa_j (x - xi)) r_j W(xi),
+
+    the first k terms (Re kappa_j > 0) on x < xi, the others on x >= xi.
+    u and r hold the column and row factors u_j, r_j as rows, shape (n, b);
+    weight maps points of shape S to the b x b weights, shape S + (b, b).
+    """
+
+    kappa: np.ndarray
+    k: int
+    u: np.ndarray
+    r: np.ndarray
+    weight: Callable[[np.ndarray], np.ndarray]
+
+    def branch(self, d: np.ndarray, side: int) -> np.ndarray:
+        """K without the weight at offsets d = x - xi, shape
+        d.shape + (b, b), from one branch continued past the diagonal:
+        side 0 the x >= xi terms, side 1 the x < xi terms."""
+        sel = slice(self.k, None) if side == 0 else slice(0, self.k)
+        E = np.exp(d[..., None] * self.kappa[sel])
+        return np.einsum("...j,ja,jb->...ab", E, self.u[sel], self.r[sel])
 
 
-def discretize_scalar(problem: ScalarProblem, lam: complex,
-                      grid: QuadratureGrid) -> DiscretizedOperator:
-    G = greens.scalar_core_matrix(problem, lam, grid.nodes)
-    v = np.asarray(problem.potential(grid.nodes), dtype=complex)
-    A = G * (v * grid.weights)[None, :]
+def _scalar_terms(problem: ScalarProblem, lam: complex) -> _Terms:
+    """u_j = 1, r_j = alpha_j kappa_j^m, W = v; the sign of the m-th
+    derivative is folded in, so det(I + K) is the determinant for every m."""
+    roots, coeff = greens.green_data(problem, lam)
+    kappa = np.array(roots.all)
+    r = np.array(coeff.alpha) * kappa ** problem.deriv_order
+
+    def weight(x):
+        return np.asarray(problem.potential(x), dtype=complex)[..., None, None]
+    return _Terms(kappa, roots.k, np.ones((kappa.size, 1)), r[:, None],
+                  weight)
+
+
+def _system_terms(system: SystemProblem, basis: UnperturbedBasis) -> _Terms:
+    """u_j = -P[:, j] (plus roots) or +P[:, j] (minus roots),
+    r_j = Pinv[j, :], W = -(R - R_inf): the eigenvalue condition reads
+    (I - K0 R) Y = 0, and the folded sign keeps the det(I + .) form."""
+    kappa = np.array(basis.roots.all)
+    sign = np.where(np.arange(kappa.size) < basis.k, -1.0, 1.0)
+    return _Terms(kappa, basis.k, sign[:, None] * basis.P.T, basis.Pinv,
+                  functools.partial(_weight_samples, system))
+
+
+def _node_matrix(terms: _Terms, xs: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """S_ij = K(x_i, x_j) W(x_j) w_j on a node set, node-major
+    (N b, N b); the diagonal takes the x >= xi branch."""
+    N = xs.size
+    b = terms.u.shape[1]
+    rows = np.einsum("jc,tcd->jtd", terms.r,
+                     terms.weight(xs) * weights[:, None, None])
+    D = xs[:, None] - xs[None, :]
+    S = np.zeros((N, b, N, b), dtype=complex)
+    for j, kap in enumerate(terms.kappa):
+        on = D < 0 if j < terms.k else D >= 0
+        E = np.zeros((N, N), dtype=complex)
+        E[on] = np.exp(kap * D[on])
+        S += np.einsum("il,a,lc->ialc", E, terms.u[j], rows[j],
+                       optimize=True)
+    return S.reshape(N * b, N * b)
+
+
+def _discretize(terms: _Terms, grid: QuadratureGrid) -> np.ndarray:
+    """Nystrom matrix of the terms, diagonal panels by product
+    integration on composite Gauss grids."""
+    S = _node_matrix(terms, grid.nodes, grid.weights)
     rule = _panel_rule(grid)
     if rule is not None:
         pts, wts, lagrange = rule
         q = pts.shape[-1]
-        x = grid.nodes
-        F = np.stack([greens.scalar_core_branch(problem, lam, x, pts[0],
-                                                "left"),
-                      greens.scalar_core_branch(problem, lam, x, pts[1],
-                                                "right")])
-        vsub = np.asarray(problem.potential(pts.ravel()), dtype=complex)
-        F *= wts * vsub.reshape(pts.shape)
-        blocks = np.einsum("sPru,sruj->Prj", F.reshape(2, -1, q, q),
-                           lagrange)
-        _set_panel_blocks(A, blocks)
-    return DiscretizedOperator(matrix=A, grid=grid, kind="scalar", block=1,
-                               diagonal_convention="continuous-limit")
+        b = terms.u.shape[1]
+        d = grid.nodes[:, None] - pts
+        prod = np.stack([terms.branch(d[0], 0), terms.branch(d[1], 1)])
+        prod = prod @ terms.weight(pts)
+        prod *= wts[..., None, None]
+        blocks = np.einsum("sPruab,sruj->Prajb",
+                           prod.reshape(2, -1, q, q, b, b), lagrange)
+        P = blocks.shape[0]
+        idx = np.arange(P)
+        S.reshape(P, q, b, P, q, b)[idx, :, :, idx] = blocks
+    return S
+
+
+def discretize_scalar(problem: ScalarProblem, lam: complex,
+                      grid: QuadratureGrid) -> DiscretizedOperator:
+    return DiscretizedOperator(_discretize(_scalar_terms(problem, lam), grid),
+                               grid)
+
+
+def discretize_system(system: SystemProblem, lam: complex,
+                      grid: QuadratureGrid,
+                      basis: Optional[UnperturbedBasis] = None
+                      ) -> DiscretizedOperator:
+    if basis is None:
+        basis = greens.system_basis(system, lam)
+    return DiscretizedOperator(_discretize(_system_terms(system, basis),
+                                           grid), grid)
 
 
 class _Cumulative:
@@ -257,16 +329,14 @@ class _Cumulative:
     right edge; the partial panel is finished with a mapped Gauss rule.
     Used to evaluate the exact second and third operator traces of the
     semi-separable kernel, which exist as iterated one-dimensional
-    integrals of smooth decaying integrands.
+    integrals of smooth decaying integrands; values are kept per point set.
     """
 
     def __init__(self, grid: QuadratureGrid, mu: complex, f):
-        self.grid = grid
         self.mu = mu
         self.f = f
         edges, q = _gl_panels(grid)
         self.edges = edges
-        self.q = q
         self.ref_x, self.ref_w = np.polynomial.legendre.leggauss(q)
         nodes = grid.nodes
         fn = np.asarray(f(nodes), dtype=complex)
@@ -278,9 +348,13 @@ class _Cumulative:
             m[p] = np.sum(grid.weights[s] * fn[s]
                           * np.exp(mu * (nodes[s] - edges[p + 1])))
         self.panel_moment = m
+        self._values: dict = {}
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
+        key = pts.tobytes()
+        if key in self._values:
+            return self._values[key]
         out = np.zeros(pts.size, dtype=complex)
         edges = self.edges
         mu = self.mu
@@ -298,6 +372,7 @@ class _Cumulative:
             fw = fw.reshape(sub.shape)
             out[sel] += np.sum(half * self.ref_w[None, :] * fw
                                * np.exp(mu * (sub - t[:, None])), axis=1)
+        self._values[key] = out
         return out
 
 
@@ -309,61 +384,91 @@ def _chain2(grid: QuadratureGrid, mu: complex, f_first, f_second) -> complex:
     return complex(np.sum(grid.weights * outer * inner))
 
 
-def _chain3(grid: QuadratureGrid, mu1: complex, mu2: complex,
-            f1, f2, f3) -> complex:
+def _chain3(grid: QuadratureGrid, F1: _Cumulative, mu2: complex,
+            f2, f3) -> complex:
     """Ordered triple integral of e^(mu1 (x - s)) e^(mu2 (s - t))
-    f1(x) f2(s) f3(t) over -X <= x < s < t <= X."""
-    F1 = _Cumulative(grid, mu1, f1)
+    f1(x) f2(s) f3(t) over -X <= x < s < t <= X, given the cumulative
+    F1 = _Cumulative(grid, mu1, f1)."""
 
     def mid(x):
         return np.asarray(f2(x), dtype=complex) * F1(np.asarray(x, float))
 
-    F2 = _Cumulative(grid, mu2, mid)
-    outer = np.asarray(f3(grid.nodes), dtype=complex)
-    return complex(np.sum(grid.weights * outer * F2(grid.nodes)))
+    return _chain2(grid, mu2, mid, f3)
 
 
-def trace_power_scalar(problem: ScalarProblem, lam: complex,
-                       grid: QuadratureGrid, power: int) -> complex:
-    """Exact second or third iterated trace of the scalar kernel.
+class _Elements:
+    """Chain elements r_a W(x) u_b, all pairs (a, b) at once per point set,
+    cached so one trace samples the weight once per point set."""
+
+    def __init__(self, terms: _Terms):
+        n, b = terms.u.shape
+        self.weight = terms.weight
+        # r_a W u_b = sum_cd r_ac u_bd W_cd: one product per point set
+        self.pairs = np.einsum("ac,bd->abcd", terms.r,
+                               terms.u).reshape(n, n, b * b)
+        self._cache: dict = {}
+
+    def __call__(self, a: int, b: int):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            key = x.tobytes()
+            got = self._cache.get(key)
+            if got is None:
+                got = self.pairs @ self.weight(x).reshape(x.size, -1).T
+                self._cache[key] = got
+            return got[a, b]
+        return f
+
+
+def _trace_power(terms: _Terms, grid: QuadratureGrid, power: int) -> complex:
+    """Exact second or third iterated trace of the kernel of the terms.
 
     Semi-separability reduces tr(T^power) over the truncated interval to
-    sums of ordered one-dimensional integrals whose exponential rates are
-    differences of plus and minus roots -- smooth decaying integrands, so
-    the composite rule evaluates them to spectral accuracy.  These feed
-    the diagonal-defect compensation of the determinants and give tests an
-    oracle for the regularization-order identities.
+    sums of ordered one-dimensional integrals of chain elements whose
+    exponential rates are differences of plus and minus roots -- smooth
+    decaying integrands, so the composite rule evaluates them to spectral
+    accuracy.  These feed the diagonal-defect compensation of the
+    determinants and give tests an oracle for the regularization-order
+    identities.
     """
     if power not in (2, 3):
         raise ConfigError("iterated traces implemented for powers 2 and 3")
     if _gl_panels(grid) is None:
         raise ConfigError("iterated traces need a composite Gauss grid")
-    roots, coeff = greens.green_data(problem, lam)
-    m = problem.deriv_order
-    a = np.array(coeff.alpha)
-    k = roots.k
-    v = problem.potential
+    e = _Elements(terms)
+    kap = terms.kappa
+    plus = range(terms.k)
+    minus = range(terms.k, kap.size)
     if power == 2:
-        total = 0.0 + 0.0j
-        for j, kp in enumerate(roots.plus):
-            for i, km in enumerate(roots.minus):
-                c = a[j] * kp ** m * a[k + i] * km ** m
-                total += c * _chain2(grid, kp - km, v, v)
-        return 2.0 * total
+        return 2.0 * sum(_chain2(grid, kap[j] - kap[i], e(i, j), e(j, i))
+                         for j in plus for i in minus)
     total = 0.0 + 0.0j
-    for j1, kp1 in enumerate(roots.plus):
-        c1 = a[j1] * kp1 ** m
-        for i3, km3 in enumerate(roots.minus):
-            c3 = a[k + i3] * km3 ** m
-            for j2, kp2 in enumerate(roots.plus):
-                c2 = a[j2] * kp2 ** m
-                total += c1 * c2 * c3 * _chain3(grid, kp1 - km3, kp2 - km3,
-                                                v, v, v)
-            for i2, km2 in enumerate(roots.minus):
-                c2 = a[k + i2] * km2 ** m
-                total += c1 * c2 * c3 * _chain3(grid, kp1 - km3, kp1 - km2,
-                                                v, v, v)
+    for j1 in plus:
+        for i3 in minus:
+            F1 = _Cumulative(grid, kap[j1] - kap[i3], e(i3, j1))
+            for j2 in plus:
+                total += _chain3(grid, F1, kap[j2] - kap[i3],
+                                 e(j1, j2), e(j2, i3))
+            for i2 in minus:
+                total += _chain3(grid, F1, kap[j1] - kap[i2],
+                                 e(i2, i3), e(j1, i2))
     return 3.0 * total
+
+
+def trace_power_scalar(problem: ScalarProblem, lam: complex,
+                       grid: QuadratureGrid, power: int) -> complex:
+    """Exact second or third iterated trace of the scalar kernel."""
+    return _trace_power(_scalar_terms(problem, lam), grid, power)
+
+
+def trace_power_system(system: SystemProblem, lam: complex,
+                       grid: QuadratureGrid, power: int,
+                       basis: Optional[UnperturbedBasis] = None) -> complex:
+    """Exact second or third iterated trace of the matrix kernel; on the
+    companion system of an m = 0 scalar problem it is the scalar result."""
+    if basis is None:
+        basis = greens.system_basis(system, lam)
+    return _trace_power(_system_terms(system, basis), grid, power)
 
 
 def _weight_samples(system: SystemProblem, xs: np.ndarray) -> np.ndarray:
@@ -374,105 +479,50 @@ def _weight_samples(system: SystemProblem, xs: np.ndarray) -> np.ndarray:
     return W.reshape(xs.shape + W.shape[1:])
 
 
-class _WeightElements:
-    """Matrix elements Pinv[a] W(x) P[:, b] of the folded perturbation,
-    sampled with a per-point cache shared across all root combinations."""
+def _corrected_det(S: np.ndarray, exact: dict,
+                   orders: Sequence[int]) -> tuple[list, float]:
+    """det(I + S) regularized to each order p in orders, with the LU
+    condition hint.
 
-    def __init__(self, system: SystemProblem, basis: UnperturbedBasis):
-        self.system = system
-        self.basis = basis
-        self._cache: dict = {}
-
-    def _samples(self, pts: np.ndarray) -> np.ndarray:
-        key = pts.tobytes()
-        got = self._cache.get(key)
-        if got is None:
-            got = _weight_samples(self.system, pts)
-            self._cache[key] = got
-        return got
-
-    def elem(self, a: int, b: int):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            Wv = self._samples(x)
-            return np.einsum("a,tab,b->t", self.basis.Pinv[a, :], Wv,
-                             self.basis.P[:, b])
-        return f
-
-
-def trace_power_system(system: SystemProblem, lam: complex,
-                       grid: QuadratureGrid, power: int,
-                       basis: Optional[UnperturbedBasis] = None) -> complex:
-    """Exact second or third iterated trace of the matrix kernel.
-
-    Same reduction as the scalar version; each branch term of the matrix
-    Green's function is a rank-one P-column/Pinv-row pair, so the iterated
-    traces are chains of scalar weight elements Pinv[a] W(x) P[:, b] with
-    root-difference decay rates.  Reduces to the scalar result on
-    companion systems derived from a scalar problem.
+    The order-p determinant is det(I + T) exp(sum_{l<p} (-1)^l / l tr T^l),
+    here with matrix traces tr S^l, which cancel the trace error of
+    det(I + S) at those orders.  det(I + S) / det(I + T) is
+    exp(sum_l (-1)^(l+1)/l (tr S^l - tr T^l)), dominated by the low orders
+    for a kernel with a diagonal kink, so each order l >= p with a known
+    exact trace exact[l] = tr T^l is compensated.  tr(A B) is
+    sum(A * B.T), so S^2 and S^3 are the only products needed up to l = 6.
     """
-    if power not in (2, 3):
-        raise ConfigError("iterated traces implemented for powers 2 and 3")
-    if _gl_panels(grid) is None:
-        raise ConfigError("iterated traces need a composite Gauss grid")
-    if basis is None:
-        basis = _default_basis(system, lam)
-    k = basis.k
-    n = basis.roots.n
-    elems = _WeightElements(system, basis)
-    plus = range(k)
-    minus = range(k, n)
-    if power == 2:
-        total = 0.0 + 0.0j
-        for j in plus:
-            kp = basis.roots.all[j]
-            for i in minus:
-                km = basis.roots.all[i]
-                total += -_chain2(grid, kp - km, elems.elem(i, j),
-                                  elems.elem(j, i))
-        return 2.0 * total
-    total = 0.0 + 0.0j
-    for j1 in plus:
-        kp1 = basis.roots.all[j1]
-        for i3 in minus:
-            km3 = basis.roots.all[i3]
-            for j2 in plus:
-                kp2 = basis.roots.all[j2]
-                total += _chain3(grid, kp1 - km3, kp2 - km3,
-                                 elems.elem(i3, j1), elems.elem(j1, j2),
-                                 elems.elem(j2, i3))
-            for i2 in minus:
-                km2 = basis.roots.all[i2]
-                total += -_chain3(grid, kp1 - km3, kp1 - km2,
-                                  elems.elem(i3, j1), elems.elem(i2, i3),
-                                  elems.elem(j1, i2))
-    return 3.0 * total
+    raw, hint = _lu_det(S)
+    top = max([p - 1 for p in orders]
+              + [l for l in exact if l >= min(orders)])
+    powers = [None, S]
+    if top >= 2:
+        powers.append(S @ S)
+    if top >= 5:
+        powers.append(powers[2] @ S)
+    t = {1: complex(np.trace(S))}
+    for l in range(2, top + 1):
+        t[l] = complex(np.sum(powers[(l + 1) // 2] * powers[l // 2].T))
+    values = []
+    for p in orders:
+        correction = sum((-1.0) ** l / l * t[l] for l in range(1, p))
+        correction += sum((-1.0) ** (l + 1) / l * (exact[l] - t[l])
+                          for l in exact if l >= p)
+        values.append(raw * np.exp(correction))
+    return values, hint
 
 
 def det1(problem: ScalarProblem, lam: complex,
          grid: QuadratureGrid) -> DeterminantResult:
-    """Fredholm determinant of the scalar kernel.
-
-    The ratio of det(I + S) to the true determinant is exactly
-    exp(sum_l (-1)^(l+1)/l (tr S^l - tr T^l)), and for a kernel with a
-    diagonal kink the low trace orders dominate that defect.  The first
-    three analytic traces are available here -- the first from the
-    interface coefficients, the second and third from the semi-separable
-    structure -- so det(I + S) is reported with those orders compensated,
-    leaving only the rapidly shrinking l >= 4 tail.
-    """
+    """Fredholm determinant of the scalar kernel, with the trace defect
+    of orders 1-3 compensated (order 1 only on grids without panels)."""
     tau = trace_scalar(problem, lam)
-    op = discretize_scalar(problem, lam, grid)
-    S = op.matrix
-    raw, hint = _lu_det(S)
-    correction = tau - np.trace(S)
+    S = discretize_scalar(problem, lam, grid).matrix
+    exact = {1: tau}
     if _gl_panels(grid) is not None:
-        S2 = S @ S
-        t2 = complex(np.trace(S2))
-        t3 = complex(np.sum(S2 * S.T))
-        correction -= (trace_power_scalar(problem, lam, grid, 2) - t2) / 2.0
-        correction += (trace_power_scalar(problem, lam, grid, 3) - t3) / 3.0
-    value = raw * np.exp(correction)
+        for l in (2, 3):
+            exact[l] = trace_power_scalar(problem, lam, grid, l)
+    (value,), hint = _corrected_det(S, exact, (1,))
     return DeterminantResult(value=value, kind="det1", trace_used=tau,
                              grid_signature=grid.signature,
                              condition_hint=hint)
@@ -481,21 +531,8 @@ def det1(problem: ScalarProblem, lam: complex,
 def trace_scalar(problem: ScalarProblem, lam: complex) -> complex:
     """Analytic trace: sum over plus roots of alpha_j kappa_j^m times the
     integral of the potential."""
-    roots, coeff = greens.green_data(problem, lam)
-    a = np.array(coeff.alpha[:roots.k])
-    kp = np.array(roots.plus)
-    return complex(np.sum(a * kp ** problem.deriv_order)
-                   * problem.potential_integral())
-
-
-def _default_basis(system: SystemProblem, lam: complex) -> UnperturbedBasis:
-    return greens.system_basis(system, lam)
-
-
-def _bs_weight_integral(system: SystemProblem,
-                        grid: QuadratureGrid) -> np.ndarray:
-    return np.einsum("t,tab->ab", grid.weights,
-                     _weight_samples(system, grid.nodes))
+    terms = _scalar_terms(problem, lam)
+    return complex(np.sum(terms.r[:terms.k]) * problem.potential_integral())
 
 
 def trace_system_pair(system: SystemProblem, lam: complex,
@@ -509,8 +546,9 @@ def trace_system_pair(system: SystemProblem, lam: complex,
     agree exactly when the integrated diagonal of R vanishes.
     """
     if basis is None:
-        basis = _default_basis(system, lam)
-    M = _bs_weight_integral(system, grid)
+        basis = greens.system_basis(system, lam)
+    M = np.einsum("t,tab->ab", grid.weights,
+                  _weight_samples(system, grid.nodes))
     tau_plus = complex(np.trace(basis.projector_minus() @ M))
     tau_minus = complex(-np.trace(basis.projector_plus() @ M))
     return tau_plus, tau_minus
@@ -528,48 +566,28 @@ def trace_system(system: SystemProblem, lam: complex, grid: QuadratureGrid,
     return tau_plus
 
 
-def discretize_system(system: SystemProblem, lam: complex,
-                      grid: QuadratureGrid,
-                      basis: Optional[UnperturbedBasis] = None
-                      ) -> DiscretizedOperator:
+def _system_dets(system: SystemProblem, lam: complex, grid: QuadratureGrid,
+                 basis: Optional[UnperturbedBasis],
+                 orders: dict) -> list[DeterminantResult]:
+    """Regularized determinants of the matrix kernel, one per kind -> p
+    entry of orders, from one discretization, one LU and one evaluation
+    of each exact trace.  The analytic trace validates the sign
+    conventions and is reported for the det / det2 conversion."""
+    if not all(2 <= p <= 6 for p in orders.values()):
+        raise ConfigError("regularization order must satisfy 2 <= p <= 6")
     if basis is None:
-        basis = _default_basis(system, lam)
-    xs = grid.nodes
-    N = xs.size
-    n = system.dimension
-    k = basis.k
-    WV = _weight_samples(system, xs) * grid.weights[:, None, None]
-    D = xs[:, None] - xs[None, :]
-    lower = D < 0
-    upper = D > 0
-    kernel = np.zeros((N, n, N, n), dtype=complex)
-    for j, kap in enumerate(basis.roots.all):
-        E = np.zeros((N, N), dtype=complex)
-        if j < k:
-            E[lower] = -np.exp(kap * D[lower])
-        else:
-            E[upper] = np.exp(kap * D[upper])
-        vrow = np.einsum("a,jab->jb", basis.Pinv[j, :], WV)
-        kernel += np.einsum("ij,a,jb->iajb", E, basis.P[:, j], vrow,
-                            optimize=True)
-    idx = np.arange(N)
-    kernel[idx, :, idx, :] = basis.projector_minus() @ WV
-    A = kernel.reshape(N * n, N * n)
-    rule = _panel_rule(grid)
-    if rule is not None:
-        pts, wts, lagrange = rule
-        q = pts.shape[-1]
-        blocks = np.stack([greens.green_branch_blocks(basis, xs, pts[0],
-                                                      "left"),
-                           greens.green_branch_blocks(basis, xs, pts[1],
-                                                      "right")])
-        prod = blocks @ _weight_samples(system, pts)
-        prod *= wts[..., None, None]
-        diag = np.einsum("sPruab,sruj->Prajb",
-                         prod.reshape(2, -1, q, q, n, n), lagrange)
-        _set_panel_blocks(A, diag.reshape(-1, q * n, q * n))
-    return DiscretizedOperator(matrix=A, grid=grid, kind="system", block=n,
-                               diagonal_convention="minus-branch-projector")
+        basis = greens.system_basis(system, lam)
+    tau = trace_system(system, lam, grid, basis)
+    S = discretize_system(system, lam, grid, basis).matrix
+    exact = {}
+    if _gl_panels(grid) is not None:
+        for l in range(min(orders.values()), 4):
+            exact[l] = trace_power_system(system, lam, grid, l, basis)
+    values, hint = _corrected_det(S, exact, list(orders.values()))
+    return [DeterminantResult(value=value, kind=kind, trace_used=tau,
+                              grid_signature=grid.signature,
+                              condition_hint=hint)
+            for kind, value in zip(orders, values)]
 
 
 def det2(system: SystemProblem, lam: complex, grid: QuadratureGrid,
@@ -578,65 +596,26 @@ def det2(system: SystemProblem, lam: complex, grid: QuadratureGrid,
 
     The matrix trace in the exponent deliberately mirrors the trace error
     of det(I + S), so the two cancel and the result estimates the
-    regularized determinant to the full panel order.  The analytic trace is
-    still computed: it validates the sign conventions (both choices must
-    agree) and is reported for the det / det2 conversion.
+    regularized determinant to the full panel order.
     """
-    if basis is None:
-        basis = _default_basis(system, lam)
-    tau = trace_system(system, lam, grid, basis)
-    op = discretize_system(system, lam, grid, basis)
-    S = op.matrix
-    raw, hint = _lu_det(S)
-    correction = -np.trace(S)
-    if _gl_panels(grid) is not None:
-        S2 = S @ S
-        t2 = complex(np.trace(S2))
-        t3 = complex(np.sum(S2 * S.T))
-        correction -= (trace_power_system(system, lam, grid, 2, basis)
-                       - t2) / 2.0
-        correction += (trace_power_system(system, lam, grid, 3, basis)
-                       - t3) / 3.0
-    value = raw * np.exp(correction)
-    return DeterminantResult(value=value, kind="det2",
-                             trace_used=tau, grid_signature=grid.signature,
-                             condition_hint=hint)
+    return _system_dets(system, lam, grid, basis, {"det2": 2})[0]
 
 
 def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
          basis: Optional[UnperturbedBasis] = None,
          p: int = 2) -> DeterminantResult:
-    """Order-p regularized determinant.
+    """Order-p regularized determinant
+    det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 6."""
+    return _system_dets(system, lam, grid, basis, {"detp": p})[0]
 
-    det(I + S) times exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)).  All traces
-    are matrix traces: the l = 1 term then cancels the trace error of the
-    determinant factor, and the higher powers are accurate because the
-    kernel smooths its own diagonal defect.
-    """
-    if not 2 <= p <= 6:
-        raise ConfigError("regularization order must satisfy 2 <= p <= 6")
-    if basis is None:
-        basis = _default_basis(system, lam)
-    tau = trace_system(system, lam, grid, basis)
-    op = discretize_system(system, lam, grid, basis)
-    S = op.matrix
-    raw, hint = _lu_det(S)
-    correction = -np.trace(S)
-    panels = _gl_panels(grid) is not None
-    S2 = S @ S if panels or p > 2 else None
-    power = S
-    for l in range(2, p):
-        power = S2 if l == 2 else power @ S
-        correction += (-1.0) ** l / l * complex(np.trace(power))
-    if panels:
-        discrete = {2: complex(np.trace(S2)), 3: complex(np.sum(S2 * S.T))}
-        for l in range(max(2, p), 4):
-            gap = (trace_power_system(system, lam, grid, l, basis)
-                   - discrete[l])
-            correction += (-1.0) ** (l + 1) / l * gap
-    return DeterminantResult(value=raw * np.exp(correction), kind="detp",
-                             trace_used=tau, grid_signature=grid.signature,
-                             condition_hint=hint)
+
+def det2_detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
+              p: int, basis: Optional[UnperturbedBasis] = None
+              ) -> tuple[DeterminantResult, DeterminantResult]:
+    """``det2`` and ``detp`` of one lambda from one discretization, one LU
+    and one evaluation of each exact trace."""
+    return tuple(_system_dets(system, lam, grid, basis,
+                              {"det2": 2, "detp": p}))
 
 
 def series_coefficient(problem: ScalarProblem, lam: complex, order: int,
@@ -644,21 +623,19 @@ def series_coefficient(problem: ScalarProblem, lam: complex, order: int,
     """Leading expansion coefficients of det(I + B) by direct quadrature.
 
     order 1 is the quadrature trace; order 2 the double-integral of the
-    2 x 2 kernel minors.  Deliberately independent of the LU pipeline so it
-    can serve as a cross-check on small-potential problems.
+    2 x 2 kernel minors, both read off the plain node matrix of the
+    kernel (no product integration).  Deliberately independent of the LU
+    pipeline so it can serve as a cross-check on small-potential problems.
     """
     if order not in (1, 2):
         raise ConfigError("series coefficients implemented for orders 1 and 2")
     if grid is None:
         grid = default_grid()
-    G = greens.scalar_kernel_matrix(problem, lam, grid.nodes)
-    w = grid.weights
-    d = np.diag(G)
+    S = _node_matrix(_scalar_terms(problem, lam), grid.nodes, grid.weights)
+    t1 = complex(np.trace(S))
     if order == 1:
-        return complex(np.sum(w * d))
-    t1 = np.sum(w * d)
-    t2 = np.einsum("i,j,ij,ji->", w, w, G, G)
-    return complex(0.5 * (t1 * t1 - t2))
+        return t1
+    return complex(0.5 * (t1 * t1 - np.sum(S * S.T)))
 
 
 def limit_normalization_check(problem: ScalarProblem,

@@ -37,7 +37,7 @@ import numpy as np
 from . import fredholm, greens, model
 from .errors import ConfigError, CountMismatch, IllConditioned
 from .greens import RootSplit, UnperturbedBasis
-from .model import ScalarProblem, SystemProblem
+from .model import SystemProblem
 
 __all__ = [
     "FrontSplit",
@@ -142,21 +142,13 @@ def front_Q(system: SystemProblem, x: float) -> np.ndarray:
     return np.asarray(system.decaying_part(x), dtype=complex)
 
 
-def _as_system(obj) -> SystemProblem:
-    if isinstance(obj, SystemProblem):
-        return obj
-    if isinstance(obj, ScalarProblem):
-        return model.to_system(obj)
-    raise ConfigError("expected a ScalarProblem or SystemProblem")
-
-
 def front_basis(system, lam: complex) -> UnperturbedBasis:
     """Solution basis generated by the reference matrix B(lambda).
 
     For a pulse this is exactly the ordinary basis of the constant part,
     so the front pipeline degenerates to the pulse pipeline identically.
     """
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     if not sysm.is_front:
         return greens.system_basis(sysm, lam)
     A0 = np.asarray(sysm.base_matrix(lam), dtype=complex)
@@ -175,7 +167,7 @@ def reference_system(system) -> SystemProblem:
     computation on it provides an independent check of the determinant
     pipeline.  For a pulse the original system is returned unchanged.
     """
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     if not sysm.is_front:
         return sysm
 
@@ -202,7 +194,7 @@ def front_det2(system, lam: complex, grid=None):
     ``evans_function`` for the front itself when locations matter.
     The quadrature must place a panel edge at x = 0 where Q jumps.
     """
-    sysm = _as_system(system)
+    sysm = model.as_system(system)
     grid = grid if grid is not None else fredholm.default_grid()
     panels = fredholm._gl_panels(grid)
     if panels is not None:

@@ -1,21 +1,21 @@
-"""Characteristic roots, Green's kernels, and their weighted forms.
+"""Characteristic roots, Green's functions and solution bases.
 
 Everything downstream rests on the splitting of the characteristic roots of
 
     kappa^n + a_{n-1} kappa^(n-1) + ... + a_1 kappa + a_0 - lambda = 0
 
 into k roots with positive real part and n-k with negative real part.  The
-scalar Green's function is a two-sided exponential sum over that splitting;
-the matrix Green's function of the companion system is assembled from the
-decaying solution bases and their duals.  The determinant-ready kernels
-weight these Green's functions by the perturbation so that eigenvalues of
-the original problem are exactly the points where det(I + kernel) vanishes.
+scalar Green's function is a two-sided exponential sum over that splitting
+with the interface weights alpha_j; the matrix Green's function of the
+companion system is assembled from the decaying solution bases and their
+duals.  Both are sums of rank-one terms per root, the data from which
+:mod:`wavedet.fredholm` builds its determinant-ready kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,19 +30,11 @@ __all__ = [
     "classify_roots",
     "alpha_coefficients",
     "scalar_green",
-    "bs_kernel_scalar",
-    "scalar_core_matrix",
-    "scalar_core_branch",
-    "scalar_kernel_matrix",
     "unperturbed_bases",
     "basis_from_roots",
     "system_basis",
     "matrix_basis",
     "matrix_green",
-    "green_branch_blocks",
-    "factor_perturbation",
-    "bs_kernel_system",
-    "system_kernel_matrix",
     "green_data",
 ]
 
@@ -194,104 +186,6 @@ def scalar_green(x: float, xi: float, lam: complex, roots: RootSplit,
     return complex(np.sum(a[k:] * np.exp(ks * (x - xi))))
 
 
-def _weight_split(v):
-    """Split v into |v|^(1/2) and v / |v|^(1/2), zero where v vanishes."""
-    v = np.asarray(v, dtype=complex)
-    mag = np.sqrt(np.abs(v))
-    safe = np.where(mag > 0, mag, 1.0)
-    return mag, v / safe
-
-
-def bs_kernel_scalar(x: float, xi: float, lam: complex,
-                     problem: ScalarProblem) -> complex:
-    """Determinant-ready scalar kernel at (x, xi).
-
-    The kernel is |v(x)|^(1/2) times the m-th xi-derivative structure of the
-    Green's function times v(xi)/|v(xi)|^(1/2); the alternating sign of the
-    eigenvalue condition is folded in so that each exponential term simply
-    carries kappa^m and det(I + .) is the reported determinant for every m.
-    """
-    roots, coeff = green_data(problem, lam)
-    m = problem.deriv_order
-    a = np.array(coeff.alpha)
-    k = roots.k
-    if x <= xi:
-        ks = np.array(roots.plus)
-        core = np.sum(a[:k] * ks ** m * np.exp(ks * (x - xi)))
-    else:
-        ks = np.array(roots.minus)
-        core = np.sum(a[k:] * ks ** m * np.exp(ks * (x - xi)))
-    wl, _ = _weight_split(problem.potential(x))
-    _, wr = _weight_split(problem.potential(xi))
-    return complex(wl * core * wr)
-
-
-def scalar_core_matrix(problem: ScalarProblem, lam: complex,
-                       xs: np.ndarray) -> np.ndarray:
-    """Green's-derivative samples on a node set, without potential weights.
-
-    The diagonal is filled with the continuous limit, which both one-sided
-    branches share because of the interface conditions.
-    """
-    roots, coeff = green_data(problem, lam)
-    m = problem.deriv_order
-    a = np.array(coeff.alpha)
-    k = roots.k
-    xs = np.asarray(xs, dtype=float)
-    D = xs[:, None] - xs[None, :]
-    lower = D < 0
-    upper = D > 0
-    G = np.zeros((xs.size, xs.size), dtype=complex)
-    for j, kap in enumerate(roots.plus):
-        E = np.zeros_like(G)
-        E[lower] = np.exp(kap * D[lower])
-        G += a[j] * kap ** m * E
-    for j, kap in enumerate(roots.minus):
-        E = np.zeros_like(G)
-        E[upper] = np.exp(kap * D[upper])
-        G += a[k + j] * kap ** m * E
-    diag = np.sum(a[:k] * np.array(roots.plus) ** m) if k else 0.0
-    np.fill_diagonal(G, diag)
-    return G
-
-
-def scalar_core_branch(problem: ScalarProblem, lam: complex, x,
-                       xis: np.ndarray, side: str) -> np.ndarray:
-    """One analytic branch of the Green's-derivative sum.
-
-    side "right" is the plus-root branch (valid for xi >= x), "left" the
-    minus-root branch (xi <= x); both extend smoothly past the diagonal,
-    which is what diagonal-panel product integration needs.  x is one row
-    point or an array of them and broadcasts against the trailing axis of
-    xis: x of shape S and xis of shape S + (q,) give values of shape
-    S + (q,).
-    """
-    roots, coeff = green_data(problem, lam)
-    m = problem.deriv_order
-    a = np.array(coeff.alpha)
-    k = roots.k
-    d = np.asarray(x, dtype=float)[..., None] - np.asarray(xis, dtype=float)
-    out = np.zeros(d.shape, dtype=complex)
-    if side == "right":
-        for j, kap in enumerate(roots.plus):
-            out += a[j] * kap ** m * np.exp(kap * d)
-    elif side == "left":
-        for j, kap in enumerate(roots.minus):
-            out += a[k + j] * kap ** m * np.exp(kap * d)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return out
-
-
-def scalar_kernel_matrix(problem: ScalarProblem, lam: complex,
-                         xs: np.ndarray) -> np.ndarray:
-    """Vectorized kernel samples on a node set (no quadrature weights)."""
-    G = scalar_core_matrix(problem, lam, xs)
-    v = problem.potential(np.asarray(xs, dtype=float))
-    wl, wr = _weight_split(v)
-    return wl[:, None] * G * wr[None, :]
-
-
 def unperturbed_bases(problem: ScalarProblem, lam: complex) -> UnperturbedBasis:
     """Solution bases of dY/dx = A0(lambda) Y from the root splitting.
 
@@ -376,104 +270,3 @@ def matrix_green(x: float, xi: float, lam: complex,
         return -core
     km = np.array(basis.roots.minus)
     return (basis.P[:, k:] * np.exp(km * (x - xi))[None, :]) @ basis.Pinv[k:, :]
-
-
-def green_branch_blocks(basis: UnperturbedBasis, x,
-                        xis: np.ndarray, side: str) -> np.ndarray:
-    """One analytic branch of the matrix Green's function.
-
-    side "right" gives -Y0-(x) Z0+(xi) (the xi >= x branch), "left" gives
-    +Y0+(x) Z0-(xi).  x broadcasts against the trailing axis of xis as in
-    scalar_core_branch; the blocks add two trailing axes, so a single x
-    with a 1-d xis gives shape (len(xis), n, n).  Both branches continue
-    smoothly past the diagonal.
-    """
-    d = np.asarray(x, dtype=float)[..., None] - np.asarray(xis, dtype=float)
-    n = basis.roots.n
-    k = basis.k
-    out = np.zeros(d.shape + (n, n), dtype=complex)
-    if side == "right":
-        for j, kap in enumerate(basis.roots.plus):
-            C = np.outer(basis.P[:, j], basis.Pinv[j, :])
-            out -= np.exp(kap * d)[..., None, None] * C
-    elif side == "left":
-        for j, kap in enumerate(basis.roots.minus):
-            C = np.outer(basis.P[:, k + j], basis.Pinv[k + j, :])
-            out += np.exp(kap * d)[..., None, None] * C
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return out
-
-
-def factor_perturbation(W: np.ndarray):
-    """Split a weight matrix as W = W_in @ W_out via SVD half powers.
-
-    Zero singular values pass through (pseudo-inverse convention).  The
-    determinant-ready kernel evaluates W_out at the row point and W_in at
-    the column point; the cyclic product W_in W_out = W is what the
-    determinant sees, which reproduces the magnitude/signed-half weighting
-    of the scalar kernel in the rank-one case.
-    """
-    U, s, Vh = np.linalg.svd(np.asarray(W, dtype=complex))
-    root = np.sqrt(s)
-    W_in = U * root[None, :]
-    W_out = root[:, None] * Vh
-    return W_out, W_in
-
-
-def bs_kernel_system(x: float, xi: float, lam: complex,
-                     system: SystemProblem,
-                     basis: UnperturbedBasis) -> np.ndarray:
-    """Determinant-ready matrix kernel at (x, xi).
-
-    The weight is the negative of the decaying part of the perturbation:
-    the eigenvalue condition for dY/dx = (A0 + R) Y reads
-    (I - K0 R) Y = 0, and folding the minus sign into the weight keeps the
-    det(I + .) convention shared with the scalar kernel.  For a problem
-    derived from a scalar one with m = 0 the only nonzero entry of the
-    result is the scalar kernel, in the top-left corner.
-    """
-    W_out, _ = factor_perturbation(-system.decaying_part(x))
-    _, W_in = factor_perturbation(-system.decaying_part(xi))
-    return W_out @ matrix_green(x, xi, lam, basis) @ W_in
-
-
-def system_kernel_matrix(system: SystemProblem, lam: complex,
-                         basis: UnperturbedBasis,
-                         xs: np.ndarray) -> np.ndarray:
-    """Vectorized block kernel on a node set, shape (N*n, N*n), node-major.
-
-    Diagonal blocks use the xi < x branch, whose value on the diagonal is
-    the constant projector Y0+ Z0-.  For bottom-row perturbations the other
-    convention gives the same determinant because the jump discrepancy is
-    annihilated by the weight factors.
-    """
-    del lam
-    xs = np.asarray(xs, dtype=float)
-    N = xs.size
-    n = basis.roots.n
-    k = basis.k
-    outs = np.empty((N, n, n), dtype=complex)
-    ins = np.empty((N, n, n), dtype=complex)
-    for i, x in enumerate(xs):
-        W_out, W_in = factor_perturbation(-system.decaying_part(float(x)))
-        outs[i] = W_out
-        ins[i] = W_in
-    D = xs[:, None] - xs[None, :]
-    lower = D < 0
-    upper = D > 0
-    kernel = np.zeros((N, n, N, n), dtype=complex)
-    kall = basis.roots.all
-    for j, kap in enumerate(kall):
-        E = np.zeros((N, N), dtype=complex)
-        if j < k:
-            E[lower] = -np.exp(kap * D[lower])
-        else:
-            E[upper] = np.exp(kap * D[upper])
-        u = outs @ basis.P[:, j]                             # (N, n)
-        v = np.einsum("a,jab->jb", basis.Pinv[j, :], ins)    # (N, n)
-        kernel += np.einsum("ij,ia,jb->iajb", E, u, v, optimize=True)
-    proj = basis.projector_minus()
-    for i in range(N):
-        kernel[i, :, i, :] = outs[i] @ proj @ ins[i]
-    return kernel.reshape(N * n, N * n)

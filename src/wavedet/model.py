@@ -38,6 +38,7 @@ __all__ = [
     "make_profile",
     "tabulated_profile",
     "to_system",
+    "as_system",
     "essential_spectrum_distance",
     "symbol_curve",
     "classify_point",
@@ -613,3 +614,12 @@ def to_system(problem: ScalarProblem, lam: complex | None = None) -> SystemProbl
     return SystemProblem(dimension=n, base_matrix=base,
                          perturbation=perturbation,
                          r_minus=r_minus, r_plus=r_plus, source=problem)
+
+
+def as_system(obj) -> SystemProblem:
+    """A SystemProblem as is, a ScalarProblem in its first-order form."""
+    if isinstance(obj, SystemProblem):
+        return obj
+    if isinstance(obj, ScalarProblem):
+        return to_system(obj)
+    raise ConfigError("expected a ScalarProblem or SystemProblem")

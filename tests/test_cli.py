@@ -4,7 +4,7 @@ import math
 import pytest
 
 import wavedet
-from wavedet import cli
+from wavedet import cli, fredholm
 
 PT = {"problem": {"name": "poschl_teller"}}
 
@@ -66,6 +66,36 @@ def test_det_json_document(tmp_path, capsys):
     assert abs(rows[1]["det1"]["re"] - 0.5) < 1e-6
     assert abs(rows[0]["det2"]["re"] - math.exp(1.0) / 3.0) < 1e-6
     assert "det3" in rows[0]
+
+
+def test_det_shares_one_system_discretization(tmp_path, capsys,
+                                              monkeypatch):
+    """det2 and det3 of one lambda come from one system discretization
+    and one LU (the other LU is det1's)."""
+    calls = {"discretize_system": 0, "_lu_det": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(fredholm, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fredholm, name, counted)
+    lams = [2.5 + 0.5j, 6.0 - 1.0j]
+    path = write_config(tmp_path,
+                        {"lambdas": [{"re": z.real, "im": z.imag}
+                                     for z in lams], "p": 3},
+                        domain={"quad_points": 200})
+    code, out, err = run_cli(capsys, "det", "--config", path, "--format",
+                             "json", "--threads", "1")
+    assert code == 0
+    assert calls == {"discretize_system": 2, "_lu_det": 4}
+    pt = wavedet.builtin_problem("poschl_teller")
+    sysm = wavedet.to_system(pt)
+    grid = wavedet.build_grid(20.0, 200)
+    for row, lam in zip(json.loads(out)["rows"], lams):
+        for col, want in (("det2", wavedet.det2(sysm, lam, grid)),
+                          ("det3", wavedet.detp(sysm, lam, grid, p=3))):
+            got = complex(row[col]["re"], row[col]["im"])
+            assert abs(got - want.value) <= 1e-13 * abs(want.value)
 
 
 def test_det_empty_lambda_list(tmp_path, capsys):

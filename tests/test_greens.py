@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import wavedet as wd
-from wavedet import greens
+from wavedet import fredholm, greens
 from wavedet.errors import (EssentialSpectrum, IllConditioned,
                             NearMultipleRoots)
 
@@ -131,25 +131,6 @@ def test_scalar_green_derivative_jump(pt):
     assert up - dn == pytest.approx(1.0, abs=1e-4)
 
 
-def test_bs_kernel_scalar_weighting(pt):
-    lam = 4.0
-    roots, coeff = greens.green_data(pt, lam)
-    x, xi = 0.4, -0.9
-    g = wd.scalar_green(x, xi, lam, roots, coeff)
-    v = pt.potential
-    want = np.sqrt(abs(v(x))) * g * v(xi) / np.sqrt(abs(v(xi)))
-    assert wd.bs_kernel_scalar(x, xi, lam, pt) == pytest.approx(want)
-
-
-def test_scalar_kernel_matrix_matches_pointwise(pt):
-    xs = np.linspace(-3, 3, 9)
-    K = wd.scalar_kernel_matrix(pt, 4.0, xs)
-    for i in (0, 4, 8):
-        for j in (1, 5):
-            assert K[i, j] == pytest.approx(
-                wd.bs_kernel_scalar(xs[i], xs[j], 4.0, pt), abs=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # bases and their duals
 
@@ -233,22 +214,17 @@ def test_matrix_green_solves_system(pt):
                            atol=1e-5)
 
 
-def test_factor_perturbation_reconstructs():
-    rng = np.random.default_rng(3)
-    W = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    W_out, W_in = greens.factor_perturbation(W)
-    assert np.allclose(W_in @ W_out, W, atol=1e-12)
-
-
 def test_system_kernel_reduces_to_scalar(pt):
-    """Companion-form kernel carries the scalar kernel in its trace."""
-    xs = np.linspace(-2, 2, 7)
-    lam = 4.0
-    Ks = wd.scalar_kernel_matrix(pt, lam, xs)
-    basis = wd.unperturbed_bases(pt, lam)
+    """For m = 0 the companion-form kernel carries the scalar kernel in
+    the (0, 0) entry of block column 0 and nothing in block column 1."""
+    lam = 2.0 + 1.0j
     sysm = wd.to_system(pt)
-    for i in (1, 3):
-        for j in (2, 5):
-            block = wd.bs_kernel_system(xs[i], xs[j], lam, sysm, basis)
-            assert np.trace(np.atleast_2d(block)).real == pytest.approx(
-                Ks[i, j].real, abs=1e-10)
+    for grid in (wd.build_grid(8.0, 40, panel_order=8),
+                 wd.build_grid(8.0, 41, rule="trapezoid")):
+        N = grid.nodes.size
+        K = fredholm.discretize_system(sysm, lam, grid).matrix
+        K = K.reshape(N, 2, N, 2)
+        Ks = fredholm.discretize_scalar(pt, lam, grid).matrix
+        assert np.max(np.abs(K[:, 0, :, 0] - Ks)) <= 1e-12 * np.max(
+            np.abs(Ks))
+        assert not K[:, :, :, 1].any()
