@@ -8,8 +8,8 @@ command:
                     "m", "asymptotics"} for a custom scalar problem
     domain          {"half_width", "quad_points", "rule", "panel_order"}
     tolerances      {"axis", "det"}
-    evans           {"rtol", "atol", "renorm_threshold",
-                    "orthogonalize_interval"}
+    evans           {"rtol", "renorm_threshold", "orthogonalize_interval"};
+                    rtol is the accuracy target that sets the Magnus step
     matching_point  where the two Jost families are matched
     output          {"format": "csv" | "json", "path": null for stdout}
 
@@ -67,8 +67,8 @@ _COMMAND_KEYS = {
 _DOMAIN_DEFAULTS = {"half_width": 20.0, "quad_points": 400,
                     "rule": "gauss_legendre", "panel_order": 10}
 _TOL_DEFAULTS = {"axis": model.AXIS_TOL, "det": 1e-10}
-_EVANS_DEFAULTS = {"rtol": 1e-10, "atol": 1e-12,
-                   "renorm_threshold": 1e8, "orthogonalize_interval": 1.0}
+_EVANS_DEFAULTS = {"rtol": 1e-10, "renorm_threshold": 1e8,
+                   "orthogonalize_interval": 1.0}
 _OUTPUT_DEFAULTS = {"format": "csv", "path": None}
 
 
@@ -266,7 +266,6 @@ class Run:
         self.params = evans.IntegrationParams(
             half_width=float(self.domain["half_width"]),
             rtol=_as_float(evans_block["rtol"], "evans.rtol"),
-            atol=_as_float(evans_block["atol"], "evans.atol"),
             renorm_threshold=_as_float(evans_block["renorm_threshold"],
                                        "evans.renorm_threshold"),
             orthogonalize_interval=_as_float(

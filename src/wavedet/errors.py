@@ -34,7 +34,7 @@ class SignMismatch(WavedetError):
 
 
 class StiffnessFailure(WavedetError):
-    """The ODE integrator failed to meet its tolerances."""
+    """The Jost propagation produced non-finite values."""
 
 
 class PhaseJump(WavedetError):

@@ -473,10 +473,8 @@ def trace_power_system(system: SystemProblem, lam: complex,
 
 def _weight_samples(system: SystemProblem, xs: np.ndarray) -> np.ndarray:
     """The folded weight -(R(x) - R_inf) at every point of xs, shape
-    xs.shape + (n, n), from one pass of per-point perturbation calls."""
-    xs = np.asarray(xs, dtype=float)
-    W = np.stack([-system.decaying_part(float(x)) for x in xs.ravel()])
-    return W.reshape(xs.shape + W.shape[1:])
+    xs.shape + (n, n), from one array call of the perturbation."""
+    return -system.decaying_part(xs)
 
 
 def _corrected_det(S: np.ndarray, exact: dict,

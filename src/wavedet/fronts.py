@@ -133,8 +133,9 @@ def front_reference(split: FrontSplit) -> FrontReference:
     return FrontReference(B=B, P=basis.P, split=split)
 
 
-def front_Q(system: SystemProblem, x: float) -> np.ndarray:
-    """The recentred potential: R(x) minus the limit of its own half-line.
+def front_Q(system: SystemProblem, x) -> np.ndarray:
+    """The recentred potential: R(x) minus the limit of its own half-line,
+    at a point or an array of points (shape x.shape + (n, n)).
 
     Discontinuous at x = 0 (by R+ - R-) but integrable-decaying in both
     tails, which is what the Hilbert-Schmidt theory needs.

@@ -20,12 +20,12 @@ weightings that need the opposite sign absorb it internally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, EssentialSpectrum, NearMultipleRoots
 
@@ -203,6 +203,7 @@ def tabulated_profile(x: Sequence[float], values: Sequence[float],
         raise ConfigError("tabulated profile needs >= 4 matching samples")
     if not np.all(np.diff(x) > 0):
         raise ConfigError("tabulated profile abscissae must increase")
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(x, values)
 
     def tail(edge_val, prev_val, limit, dx):
@@ -331,13 +332,14 @@ class SystemProblem:
     """First-order system dY/dx = (A0(lambda) + R(x)) Y.
 
     base_matrix maps lambda to the n x n constant part, perturbation maps x
-    to R(x), and (r_minus, r_plus) are the limits of R at -/+ infinity
-    (both zero for pulse problems).
+    (a float or an array of points) to R(x) of shape x.shape + (n, n), and
+    (r_minus, r_plus) are the limits of R at -/+ infinity (both zero for
+    pulse problems).
     """
 
     dimension: int
     base_matrix: Callable[[complex], np.ndarray]
-    perturbation: Callable[[float], np.ndarray]
+    perturbation: Callable[[np.ndarray], np.ndarray]
     r_minus: np.ndarray
     r_plus: np.ndarray
     source: Optional[ScalarProblem] = None
@@ -354,22 +356,27 @@ class SystemProblem:
         return bool(np.abs(self.r_minus).max() > 0
                     or np.abs(self.r_plus).max() > 0)
 
-    def decaying_part(self, x: float) -> np.ndarray:
-        """R(x) minus its limit on the half line containing x."""
-        rinf = self.r_minus if x <= 0 else self.r_plus
+    def decaying_part(self, x) -> np.ndarray:
+        """R(x) minus its limit on the half line containing x (x <= 0 takes
+        R_minus), shape x.shape + (n, n)."""
+        x = np.asarray(x, dtype=float)
+        rinf = np.where((x <= 0)[..., None, None], self.r_minus, self.r_plus)
         return self.perturbation(x) - rinf
 
     def tail_norm(self, half_width: float) -> float:
         """Estimate of the integral of ||R - R_inf|| over |x| > half_width."""
-        xs, ws = np.polynomial.legendre.leggauss(120)
-        total = 0.0
-        for sign in (-1.0, 1.0):
-            a = sign * half_width
-            b = sign * (half_width + 30.0)
-            mid, rad = (a + b) / 2.0, (b - a) / 2.0
-            for xi, wi in zip(mid + rad * xs, rad * ws):
-                total += abs(wi) * np.linalg.norm(self.decaying_part(xi))
-        return float(total)
+        xs, ws = _tail_rule()
+        rad = 15.0
+        offset = half_width + rad
+        pts = np.concatenate([-offset + rad * xs, offset + rad * xs])
+        norms = np.linalg.norm(self.decaying_part(pts), axis=(-2, -1))
+        return float(np.sum(rad * np.tile(ws, 2) * norms))
+
+
+@functools.cache
+def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 120-point Gauss-Legendre rule of tail_norm (read-only)."""
+    return np.polynomial.legendre.leggauss(120)
 
 
 @dataclass(frozen=True)
@@ -599,11 +606,12 @@ def to_system(problem: ScalarProblem, lam: complex | None = None) -> SystemProbl
     def base(lmb: complex) -> np.ndarray:
         return companion_matrix(coeffs, lmb)
 
-    def perturbation(x: float) -> np.ndarray:
-        R = np.zeros((n, n), dtype=complex)
+    def perturbation(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        R = np.zeros(x.shape + (n, n), dtype=complex)
         for i in range(m + 1):
-            R[n - 1, i] = -binom[i] * np.asarray(
-                problem.potential_derivative(x, m - i)).item()
+            R[..., n - 1, i] = -binom[i] * problem.potential_derivative(
+                x, m - i)
         return R
 
     v_lo, v_hi = problem.potential_limits

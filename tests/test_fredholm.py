@@ -133,8 +133,10 @@ def test_trace_sign_mismatch_detected(grid):
         return np.array([[0.0, 1.0], [lam, 0.0]], dtype=complex)
 
     def perturbation(x):
-        return np.array([[1.0 / np.cosh(x) ** 2, 0.0], [0.0, 0.0]],
-                        dtype=complex)
+        x = np.asarray(x, dtype=float)
+        R = np.zeros(x.shape + (2, 2), dtype=complex)
+        R[..., 0, 0] = 1.0 / np.cosh(x) ** 2
+        return R
 
     zero = np.zeros((2, 2), dtype=complex)
     sysm = wd.SystemProblem(dimension=2, base_matrix=base,

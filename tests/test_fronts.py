@@ -128,6 +128,18 @@ def test_determinant_zero_matches_reference_evans(front_system, grid):
     assert abs(z_det - z_ev) < 1e-8
 
 
+def test_reference_pairing_steps_across_the_jump(front_system):
+    """Q jumps at x = 0; a Jost run whose stored points straddle 0 (the
+    minus run to 0.35 has a segment [-0.62, 0.35]) must still step onto
+    0, or det(Swinton) moves by ~1e-3 with the matching point."""
+    ref = fronts.reference_system(front_system)
+    for lam in (2.0, 3.0 + 1.0j):
+        at0 = np.linalg.det(evans.swinton_matrix(ref, lam))
+        off = np.linalg.det(evans.swinton_matrix(ref, lam,
+                                                 matching_point=0.35))
+        assert abs(at0 - off) < 1e-8 * abs(at0)
+
+
 def test_front_spectrum_differs_from_reference(front_system, grid):
     """The original front's eigenvalue sits elsewhere.
 

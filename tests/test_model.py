@@ -221,6 +221,54 @@ def test_to_system_derivative_coupling():
     assert np.allclose(R[:3], 0)
 
 
+def _pointwise_perturbation(prob, x):
+    """R(x) built one point at a time, entry by entry."""
+    n, m = prob.order, prob.deriv_order
+    R = np.zeros((n, n), dtype=complex)
+    for i in range(m + 1):
+        R[n - 1, i] = -math.comb(m, i) * np.asarray(
+            prob.potential_derivative(float(x), m - i)).item()
+    return R
+
+
+_SECH2 = wd.make_profile("sech2", amplitude=1.3, width=0.8)
+_TABLE_X = np.linspace(-8.0, 8.0, 161)
+
+
+@pytest.mark.parametrize("prob", [
+    wd.builtin_problem("poschl_teller", N=2),
+    wd.ScalarProblem(order=3, coeffs=(0.5, 0.0, 0.0), profile=_SECH2,
+                     deriv_order=1),
+    wd.ScalarProblem(order=4, coeffs=(1.0 + 0.5j, -0.3j, 0.2, 0.1 - 0.2j),
+                     profile=_SECH2, deriv_order=2),
+    wd.ScalarProblem(order=4, coeffs=(0.0,) * 4, profile=_SECH2,
+                     deriv_order=1, jacobian=lambda p: p + 0.3 * p ** 2),
+    wd.ScalarProblem(order=2, coeffs=(0.0, 0.0),
+                     profile=wd.tabulated_profile(_TABLE_X,
+                                                  _SECH2(_TABLE_X))),
+    wd.builtin_problem("tanh_front", amplitude=1.5, offset=-2.5, well=8.0),
+], ids=["m0", "m1", "m2_complex", "jacobian", "tabulated", "tanh_front"])
+def test_array_perturbation_matches_pointwise(prob):
+    """One array call of R (and of R - R_inf) equals the per-point
+    matrices, on both sides of 0, at 0 itself and outside a table."""
+    sysm = wd.to_system(prob)
+    xs = np.concatenate([np.linspace(-9.0, 9.0, 37), [0.0, -1e-3, 1e-3]])
+    want = np.stack([_pointwise_perturbation(prob, x) for x in xs])
+    scale = max(1.0, float(np.max(np.abs(want))))
+    got = sysm.perturbation(xs.reshape(4, 10))
+    assert got.shape == (4, 10, prob.order, prob.order)
+    assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-15 * scale
+    limit = np.where((xs <= 0)[:, None, None], sysm.r_minus, sysm.r_plus)
+    assert np.max(np.abs(sysm.decaying_part(xs) - (want - limit))) \
+        <= 1e-15 * scale
+    assert sysm.perturbation(0.7).shape == (prob.order, prob.order)
+    nodes, weights = np.polynomial.legendre.leggauss(120)
+    points = [side * (17.0 + 15.0 * x) for side in (-1.0, 1.0) for x in nodes]
+    tail = sum(15.0 * w * np.linalg.norm(sysm.decaying_part(p))
+               for p, w in zip(points, np.tile(weights, 2)))
+    assert sysm.tail_norm(2.0) == pytest.approx(tail, rel=1e-13)
+
+
 def test_to_system_rejects_essential_lambda(pt):
     with pytest.raises(EssentialSpectrum):
         wd.to_system(pt, lam=-4.0)
