@@ -24,19 +24,16 @@ refused.  Unknown keys anywhere are rejected before any computation runs.
 Complex numbers appear in configs and JSON output as {"re": ..., "im": ...}
 (bare numbers are accepted on input); CSV output splits every complex
 column into re_/im_ pairs.  Both formats embed the resolved configuration
-and the library version, and rows follow the input order regardless of how
-the worker pool schedules them.  Exit codes: 0 success, 2 configuration
-problem, 3 numerical refusal; failures print one JSON error object to
-stderr.
+and the library version, and rows follow the input order.  Exit codes: 0
+success, 2 configuration problem, 3 numerical refusal; failures print one
+JSON error object to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -271,7 +268,6 @@ class Run:
             orthogonalize_interval=_as_float(
                 evans_block["orthogonalize_interval"],
                 "evans.orthogonalize_interval"))
-        self.threads = max(1, os.cpu_count() or 1)
         self.extra = {key: config[key] for key in _COMMAND_KEYS[command]
                       if key in config}
         self.resolved = {
@@ -329,10 +325,7 @@ class Run:
             params=self.params).ratio
 
     def map(self, fn, items):
-        if self.threads <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
+        return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +597,6 @@ def _build_parser():
                         help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="override output.format from the config")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: available cores)")
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="dotted-path config override, repeatable")
@@ -646,10 +637,6 @@ def main(argv=None):
         if args.output is not None:
             run.output["path"] = args.output
             run.resolved["output"]["path"] = args.output
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            run.threads = args.threads
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2

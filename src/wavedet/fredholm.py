@@ -21,9 +21,10 @@ such terms (``_Terms``) serves both kernels:
 * Exact second and third traces as ordered integrals of the chain
   elements r_a W(x) u_b (``_trace_power``).
 * Regularized determinants (``_corrected_det``) that compensate the trace
-  defect of det(I + S) with the exact traces.  det1 is order 1, with the
-  analytic trace tau from the interface coefficients; det2 and detp are
-  orders p >= 2 of the matrix kernel.
+  defect of det(I + S) with the exact traces, in the log domain of one
+  numpy LU (``_lu_det``).  det1 is order 1, with the analytic trace tau
+  from the interface coefficients; det2 and detp are orders p >= 2 of the
+  matrix kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import greens
 from .errors import ConfigError, SignMismatch
@@ -93,7 +93,7 @@ class DeterminantResult:
     kind: str                 # det1 | det2 | detp
     trace_used: Optional[complex]
     grid_signature: tuple
-    condition_hint: float
+    condition_hint: float     # Hadamard ratio of I + S, >= 0, inf if singular
 
 
 def build_grid(half_width: float, n_points: int,
@@ -132,19 +132,24 @@ def default_grid() -> QuadratureGrid:
     return build_grid(DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
 
-def _lu_det(S: np.ndarray) -> tuple[complex, float]:
-    """det(I + S) by partial-pivoted LU, with the pivot-ratio condition
-    hint.  A collapsed pivot surfaces as an inf hint, not an exception.
-    I + S is formed on a copy of S, without a dense identity."""
+def _lu_det(S: np.ndarray) -> tuple[complex, float, float]:
+    """(sign, log|det(I + S)|) and the condition hint, the Hadamard ratio
+    sum_i log ||row_i(I + S)||_2 - log|det(I + S)| (>= 0, inf if singular).
+
+    The LU runs on I + S with unit rows, so the bulk of log|det| is the
+    pairwise sum of the log row norms and the log pivots stay small: no
+    overflow, underflow or summation drift at large N b.  I + S is formed
+    on a copy of S, without a dense identity.
+    """
     mat = S.copy()
     mat[np.diag_indices_from(mat)] += 1.0
-    lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-    diag = np.diag(lu)
-    mags = np.abs(diag)
-    hint = float(mags.max() / mags.min()) if mags.min() > 0 else float("inf")
-    swaps = np.count_nonzero(piv != np.arange(piv.size))
-    value = complex(np.prod(diag))
-    return (-value if swaps % 2 else value), hint
+    norms = np.linalg.norm(mat, axis=1)
+    if not norms.all():
+        return 0j, float("-inf"), float("inf")
+    mat /= norms[:, None]
+    sign, logabs = np.linalg.slogdet(mat)
+    return (complex(sign), float(np.sum(np.log(norms)) + logabs),
+            max(0.0, -float(logabs)))
 
 
 def _gl_panels(grid: QuadratureGrid):
@@ -479,8 +484,8 @@ def _weight_samples(system: SystemProblem, xs: np.ndarray) -> np.ndarray:
 
 def _corrected_det(S: np.ndarray, exact: dict,
                    orders: Sequence[int]) -> tuple[list, float]:
-    """det(I + S) regularized to each order p in orders, with the LU
-    condition hint.
+    """det(I + S) regularized to each order p in orders, with the
+    condition hint of ``_lu_det``.
 
     The order-p determinant is det(I + T) exp(sum_{l<p} (-1)^l / l tr T^l),
     here with matrix traces tr S^l, which cancel the trace error of
@@ -489,8 +494,11 @@ def _corrected_det(S: np.ndarray, exact: dict,
     for a kernel with a diagonal kink, so each order l >= p with a known
     exact trace exact[l] = tr T^l is compensated.  tr(A B) is
     sum(A * B.T), so S^2 and S^3 are the only products needed up to l = 6.
+
+    The correction is added to log|det(I + S)| before exponentiating, so a
+    det(I + S) outside the float64 range still gives every value in range.
     """
-    raw, hint = _lu_det(S)
+    sign, logabs, hint = _lu_det(S)
     top = max([p - 1 for p in orders]
               + [l for l in exact if l >= min(orders)])
     powers = [None, S]
@@ -506,7 +514,7 @@ def _corrected_det(S: np.ndarray, exact: dict,
         correction = sum((-1.0) ** l / l * t[l] for l in range(1, p))
         correction += sum((-1.0) ** (l + 1) / l * (exact[l] - t[l])
                           for l in exact if l >= p)
-        values.append(raw * np.exp(correction))
+        values.append(sign * np.exp(logabs + correction))
     return values, hint
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -85,7 +88,7 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
                                      for z in lams], "p": 3},
                         domain={"quad_points": 200})
     code, out, err = run_cli(capsys, "det", "--config", path, "--format",
-                             "json", "--threads", "1")
+                             "json")
     assert code == 0
     assert calls == {"discretize_system": 2, "_lu_det": 4}
     pt = wavedet.builtin_problem("poschl_teller")
@@ -204,9 +207,21 @@ def test_output_file_and_overrides(tmp_path, capsys):
 def test_identical_runs_are_byte_identical(tmp_path, capsys):
     path = write_config(tmp_path, {"lambdas": [4.0, 9.0, {"re": 2.0,
                                                           "im": 1.0}]})
-    _, first, _ = run_cli(capsys, "det", "--config", path, "--threads", "1")
-    _, second, _ = run_cli(capsys, "det", "--config", path, "--threads", "4")
+    _, first, _ = run_cli(capsys, "det", "--config", path)
+    _, second, _ = run_cli(capsys, "det", "--config", path)
     assert first == second
+
+
+def test_import_loads_no_scipy():
+    """The determinant and Evans routes are numpy-only; scipy is imported
+    lazily, by tabulated profiles alone, so it stays out of start-up."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wavedet.__file__)))
+    code = ("import sys, wavedet, wavedet.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +276,14 @@ def test_essential_spectrum_is_exit_3(tmp_path, capsys):
     obj = err_object(err)
     assert obj["kind"] == "numeric"
     assert obj["type"] == "EssentialSpectrum"
+
+
+def test_removed_threads_flag_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, {"lambdas": [4.0]})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["det", "--config", path, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

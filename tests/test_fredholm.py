@@ -73,7 +73,21 @@ def test_det1_result_fields(pt, grid):
     assert res.kind == "det1"
     assert res.grid_signature == grid.signature
     assert res.trace_used == pytest.approx(-1.0, abs=1e-10)
-    assert np.isfinite(res.condition_hint)
+    assert np.isfinite(res.condition_hint) and res.condition_hint >= 0.0
+    # the Hadamard-ratio hint of det1 and det2 away from eigenvalues
+    pt2 = wd.builtin_problem("poschl_teller", N=2)
+    g200 = wd.build_grid(20.0, 200)
+    for lam in (1.3 + 0.2j, 7.0 + 2.0j):
+        for res in (wd.det1(pt2, lam, g200),
+                    wd.det2(wd.to_system(pt2), lam, g200)):
+            assert np.isfinite(res.condition_hint)
+            assert res.condition_hint >= 0.0
+    # a singular I + S (a zero row, two equal rows) is an inf hint and a
+    # zero value, not an exception
+    for rows in ([[0.0, 0.0], [3.0, 1.5]], [[1.0, 2.0], [1.0, 2.0]]):
+        S = np.array(rows, dtype=complex) - np.eye(2)
+        (value,), hint = fredholm._corrected_det(S, {}, (1,))
+        assert value == 0 and hint == np.inf
 
 
 def test_det1_convergence_per_doubling(pt):
@@ -202,6 +216,19 @@ def test_detp_order_bounds(pt_system, grid):
         wd.detp(pt_system, 4.0, grid, p=1)
     with pytest.raises(ConfigError):
         wd.detp(pt_system, 4.0, grid, p=7)
+
+
+@pytest.mark.parametrize("s, n", [(-0.5, 1200), (1.0, 1100)],
+                         ids=["underflow", "overflow"])
+def test_corrected_det_outside_float_range(s, n):
+    """det(I + S) = (1 + s)^n leaves float64, the order-2 value
+    prod (1 + s_i) e^(-s_i) does not."""
+    assert abs(n * np.log1p(s)) > 745.2   # beyond float64, subnormals too
+    S = np.diag(np.full(n, s)).astype(complex)
+    (value,), hint = fredholm._corrected_det(S, {}, (2,))
+    want = np.exp(n * (np.log1p(s) - s))
+    assert abs(value - want) <= 1e-12 * want
+    assert hint == 0.0
 
 
 def test_limit_normalization_decays(pt, grid):
