@@ -500,8 +500,8 @@ def cmd_locate(run):
                                  function_used=name)
     columns = [("winding", "i"), ("root", "c"), ("abs_value", "f"),
                ("multiplicity_gap", "i")]
-    rows = [[report.winding, root, abs(fn(root)),
-             int(report.multiplicity_gap)] for root in report.roots]
+    rows = [[report.winding, root, value, int(report.multiplicity_gap)]
+            for root, value in zip(report.roots, report.abs_values)]
     if not rows:
         rows = [[report.winding, None, None, int(report.multiplicity_gap)]]
     extras = {"report": {"winding": report.winding,

@@ -19,7 +19,10 @@ such terms (``_Terms``) serves both kernels:
   panel; they are tabulated once per panel order (``_panel_tables``) and
   all diagonal blocks are formed by one contraction per lambda.
 * Exact second and third traces as ordered integrals of the chain
-  elements r_a W(x) u_b (``_trace_power``).
+  elements r_a W(x) u_b (``_traces``), all root pairs in one pass of the
+  contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p.  They read
+  W at the nodes, the panel sub-nodes and their sub-sub-nodes, sampled
+  once per lambda (``_Samples``) and shared with the discretization.
 * Regularized determinants (``_corrected_det``) that compensate the trace
   defect of det(I + S) with the exact traces, in the log domain of one
   numpy LU (``_lu_det``).  det1 is order 1, with the analytic trace tau
@@ -178,47 +181,49 @@ def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _panel_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Product-integration rule of the reference panel [-1, 1] of order q.
+def _panel_tables(q: int) -> tuple[np.ndarray, ...]:
+    """Product-integration and partial-panel rules of the reference panel
+    [-1, 1] of order q.
 
     Row node t_r splits the panel into a left part [-1, t_r] (side 0) and
     a right part [t_r, 1] (side 1), each carrying a q-point Gauss rule.
     Returns the sub-nodes and sub-weights, shape (2, q, q) indexed
-    [side, r, u], and the Lagrange table L[side, r, u, j] of the panel's
-    j-th basis polynomial at those sub-nodes.  Read-only, shared by every
-    grid of this panel order.
+    [side, r, u], the Lagrange table L[side, r, u, j] of the panel's j-th
+    basis polynomial at those sub-nodes, and the Gauss rule of [-1, s]
+    for every side-0 sub-node s, shape (q, q, q).  Read-only, shared by
+    every grid of this panel order.
     """
     t, w = np.polynomial.legendre.leggauss(q)
     lo = np.stack([np.full(q, -1.0), t])
     hi = np.stack([t, np.full(q, 1.0)])
     half = ((hi - lo) / 2.0)[..., None]
     sub = ((lo + hi) / 2.0)[..., None] + half * t
-    tables = (sub, half * w, _lagrange_at(t, sub))
+    half2 = ((sub[0] + 1.0) / 2.0)[..., None]
+    sub2 = ((sub[0] - 1.0) / 2.0)[..., None] + half2 * t
+    tables = (sub, half * w, _lagrange_at(t, sub), sub2, half2 * w)
     for arr in tables:
         arr.flags.writeable = False
     return tables
 
 
 def _panel_rule(grid: QuadratureGrid):
-    """Diagonal-panel product-integration rule of a composite Gauss grid.
-
-    Returns the sub-nodes and sub-weights of every row, shape (2, N, q)
-    indexed [side, row, u] (side 0 integrates from the panel's left edge to
-    the row node, side 1 from the row node to its right edge), with the
-    reference Lagrange table of ``_panel_tables``; None if the grid has no
-    panel layout.
-    """
+    """``_panel_tables`` mapped onto every panel of a composite Gauss
+    grid, None if the grid has no panel layout: pts, wts of shape
+    (2, N, q) indexed [side, row, u], the Lagrange table, and pts2, wts2
+    of shape (N, q, q) indexed [row, u, v]."""
     layout = _gl_panels(grid)
     if layout is None:
         return None
     edges, q = layout
-    sub, sub_w, lagrange = _panel_tables(q)
+    sub, sub_w, lagrange, sub2, sub2_w = _panel_tables(q)
     mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None, None]
     rad = ((edges[1:] - edges[:-1]) / 2.0)[:, None, None]
     N = grid.nodes.size
     pts = (mid + rad * sub[:, None]).reshape(2, N, q)
     wts = (rad * sub_w[:, None]).reshape(2, N, q)
-    return pts, wts, lagrange
+    pts2 = (mid[..., None] + rad[..., None] * sub2).reshape(N, q, q)
+    wts2 = (rad[..., None] * sub2_w).reshape(N, q, q)
+    return pts, wts, lagrange, pts2, wts2
 
 
 @dataclass(frozen=True)
@@ -246,6 +251,12 @@ class _Terms:
         E = np.exp(d[..., None] * self.kappa[sel])
         return np.einsum("...j,ja,jb->...ab", E, self.u[sel], self.r[sel])
 
+    def elements(self, W: np.ndarray, rows: slice = slice(None),
+                 cols: slice = slice(None)) -> np.ndarray:
+        """r_a W(x) u_b at the samples W, shape (a, b) + points."""
+        return np.einsum("ac,...cd,bd->ab...", self.r[rows], W,
+                         self.u[cols])
+
 
 def _scalar_terms(problem: ScalarProblem, lam: complex) -> _Terms:
     """u_j = 1, r_j = alpha_j kappa_j^m, W = v; the sign of the m-th
@@ -267,17 +278,37 @@ def _system_terms(system: SystemProblem, basis: UnperturbedBasis) -> _Terms:
     kappa = np.array(basis.roots.all)
     sign = np.where(np.arange(kappa.size) < basis.k, -1.0, 1.0)
     return _Terms(kappa, basis.k, sign[:, None] * basis.P.T, basis.Pinv,
-                  functools.partial(_weight_samples, system))
+                  lambda x: -system.decaying_part(x))
 
 
-def _node_matrix(terms: _Terms, xs: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-    """S_ij = K(x_i, x_j) W(x_j) w_j on a node set, node-major
-    (N b, N b); the diagonal takes the x >= xi branch."""
-    N = xs.size
-    b = terms.u.shape[1]
-    rows = np.einsum("jc,tcd->jtd", terms.r,
-                     terms.weight(xs) * weights[:, None, None])
+@dataclass(frozen=True)
+class _Samples:
+    """One lambda's W at the nodes, the ``_panel_rule`` sub-nodes (panel)
+    and its sub-sub-nodes (partial, only when traces are wanted)."""
+
+    grid: QuadratureGrid
+    rule: Optional[tuple]
+    nodes: np.ndarray
+    panel: Optional[np.ndarray] = None
+    partial: Optional[np.ndarray] = None
+
+
+def _sample(terms: _Terms, grid: QuadratureGrid,
+            traces: bool = True) -> _Samples:
+    rule = _panel_rule(grid)
+    W = terms.weight(grid.nodes)
+    if rule is None:
+        return _Samples(grid, None, W)
+    return _Samples(grid, rule, W, terms.weight(rule[0]),
+                    terms.weight(rule[3]) if traces else None)
+
+
+def _node_matrix(terms: _Terms, grid: QuadratureGrid,
+                 W: np.ndarray) -> np.ndarray:
+    """S_ij = K(x_i, x_j) W(x_j) w_j on the nodes, node-major (N b, N b),
+    from W at the nodes; the diagonal takes the x >= xi branch."""
+    xs, N, b = grid.nodes, grid.nodes.size, terms.u.shape[1]
+    rows = np.einsum("jc,tcd->jtd", terms.r, W * grid.weights[:, None, None])
     D = xs[:, None] - xs[None, :]
     S = np.zeros((N, b, N, b), dtype=complex)
     for j, kap in enumerate(terms.kappa):
@@ -289,18 +320,18 @@ def _node_matrix(terms: _Terms, xs: np.ndarray,
     return S.reshape(N * b, N * b)
 
 
-def _discretize(terms: _Terms, grid: QuadratureGrid) -> np.ndarray:
+def _discretize(terms: _Terms, samples: _Samples) -> np.ndarray:
     """Nystrom matrix of the terms, diagonal panels by product
     integration on composite Gauss grids."""
-    S = _node_matrix(terms, grid.nodes, grid.weights)
-    rule = _panel_rule(grid)
-    if rule is not None:
-        pts, wts, lagrange = rule
+    grid = samples.grid
+    S = _node_matrix(terms, grid, samples.nodes)
+    if samples.rule is not None:
+        pts, wts, lagrange = samples.rule[:3]
         q = pts.shape[-1]
         b = terms.u.shape[1]
         d = grid.nodes[:, None] - pts
         prod = np.stack([terms.branch(d[0], 0), terms.branch(d[1], 1)])
-        prod = prod @ terms.weight(pts)
+        prod = prod @ samples.panel
         prod *= wts[..., None, None]
         blocks = np.einsum("sPruab,sruj->Prajb",
                            prod.reshape(2, -1, q, q, b, b), lagrange)
@@ -312,8 +343,9 @@ def _discretize(terms: _Terms, grid: QuadratureGrid) -> np.ndarray:
 
 def discretize_scalar(problem: ScalarProblem, lam: complex,
                       grid: QuadratureGrid) -> DiscretizedOperator:
-    return DiscretizedOperator(_discretize(_scalar_terms(problem, lam), grid),
-                               grid)
+    terms = _scalar_terms(problem, lam)
+    S = _discretize(terms, _sample(terms, grid, traces=False))
+    return DiscretizedOperator(S, grid)
 
 
 def discretize_system(system: SystemProblem, lam: complex,
@@ -322,142 +354,84 @@ def discretize_system(system: SystemProblem, lam: complex,
                       ) -> DiscretizedOperator:
     if basis is None:
         basis = greens.system_basis(system, lam)
-    return DiscretizedOperator(_discretize(_system_terms(system, basis),
-                                           grid), grid)
+    terms = _system_terms(system, basis)
+    S = _discretize(terms, _sample(terms, grid, traces=False))
+    return DiscretizedOperator(S, grid)
 
 
-class _Cumulative:
-    """Volterra cumulative F(t) = integral_{-X}^{t} e^(mu (x - t)) f(x) dx.
-
-    Re(mu) > 0, so every exponential is evaluated in decaying shift form.
-    Full panels left of t contribute through moments anchored at their own
-    right edge; the partial panel is finished with a mapped Gauss rule.
-    Used to evaluate the exact second and third operator traces of the
-    semi-separable kernel, which exist as iterated one-dimensional
-    integrals of smooth decaying integrands; values are kept per point set.
+def _cumulative(grid: QuadratureGrid, mu: np.ndarray, f: np.ndarray,
+                levels: Sequence[tuple]) -> list[np.ndarray]:
+    """Volterra cumulatives F_m(t) = integral_{-X}^{t} e^(mu_m (x - t))
+    f_m(x) dx of M chains at once, Re(mu_m) > 0, from f_m at the nodes,
+    shape (M, N).  Each level (t, s, ws, fs) asks for F at the points t,
+    shape (L,), in panel order; s, ws, shape (L, q), is the Gauss rule
+    from the left edge of t's panel to t, and fs is f_m there.  The panel
+    sums C_p anchored at left edges obey C_(p+1) = e^(-mu h_p) C_p + m_p,
+    so every exponential decays.
     """
-
-    def __init__(self, grid: QuadratureGrid, mu: complex, f):
-        self.mu = mu
-        self.f = f
-        edges, q = _gl_panels(grid)
-        self.edges = edges
-        self.ref_x, self.ref_w = np.polynomial.legendre.leggauss(q)
-        nodes = grid.nodes
-        fn = np.asarray(f(nodes), dtype=complex)
-        P = edges.size - 1
-        # moment of panel p anchored at its right edge
-        m = np.empty(P, dtype=complex)
-        for p in range(P):
-            s = slice(p * q, (p + 1) * q)
-            m[p] = np.sum(grid.weights[s] * fn[s]
-                          * np.exp(mu * (nodes[s] - edges[p + 1])))
-        self.panel_moment = m
-        self._values: dict = {}
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        key = pts.tobytes()
-        if key in self._values:
-            return self._values[key]
-        out = np.zeros(pts.size, dtype=complex)
-        edges = self.edges
-        mu = self.mu
-        pidx = np.clip(np.searchsorted(edges, pts, side="right") - 1,
-                       0, edges.size - 2)
-        for p in np.unique(pidx):
-            sel = pidx == p
-            t = pts[sel]
-            if p > 0:
-                E = np.exp(mu * (edges[1:p + 1][None, :] - t[:, None]))
-                out[sel] += E @ self.panel_moment[:p]
-            half = (t - edges[p])[:, None] / 2.0
-            sub = (edges[p] + t)[:, None] / 2.0 + half * self.ref_x[None, :]
-            fw = np.asarray(self.f(sub.ravel()), dtype=complex)
-            fw = fw.reshape(sub.shape)
-            out[sel] += np.sum(half * self.ref_w[None, :] * fw
-                               * np.exp(mu * (sub - t[:, None])), axis=1)
-        self._values[key] = out
-        return out
+    edges = _gl_panels(grid)[0]
+    M, P = mu.size, edges.size - 1
+    x, w = grid.nodes.reshape(P, -1), grid.weights.reshape(P, -1)
+    moments = np.sum(f.reshape(M, P, -1) * w
+                     * np.exp(mu[:, None, None] * (x - edges[1:, None])), -1)
+    decay = np.exp(-mu[:, None] * np.diff(edges))
+    C = np.zeros((M, P), dtype=complex)
+    for p in range(1, P):
+        C[:, p] = decay[:, p - 1] * C[:, p - 1] + moments[:, p - 1]
+    out = []
+    for t, s, ws, fs in levels:
+        per = t.size // P
+        F = np.repeat(C, per, axis=1) * np.exp(
+            mu[:, None] * (np.repeat(edges[:-1], per) - t))
+        out.append(F + np.sum(ws * fs * np.exp(
+            mu[:, None, None] * (s - t[:, None])), axis=-1))
+    return out
 
 
-def _chain2(grid: QuadratureGrid, mu: complex, f_first, f_second) -> complex:
-    """Ordered double integral of e^(mu (x - xi)) f_first(x) f_second(xi)
-    over -X <= x < xi <= X."""
-    inner = _Cumulative(grid, mu, f_first)(grid.nodes)
-    outer = np.asarray(f_second(grid.nodes), dtype=complex)
-    return complex(np.sum(grid.weights * outer * inner))
-
-
-def _chain3(grid: QuadratureGrid, F1: _Cumulative, mu2: complex,
-            f2, f3) -> complex:
-    """Ordered triple integral of e^(mu1 (x - s)) e^(mu2 (s - t))
-    f1(x) f2(s) f3(t) over -X <= x < s < t <= X, given the cumulative
-    F1 = _Cumulative(grid, mu1, f1)."""
-
-    def mid(x):
-        return np.asarray(f2(x), dtype=complex) * F1(np.asarray(x, float))
-
-    return _chain2(grid, mu2, mid, f3)
-
-
-class _Elements:
-    """Chain elements r_a W(x) u_b, all pairs (a, b) at once per point set,
-    cached so one trace samples the weight once per point set."""
-
-    def __init__(self, terms: _Terms):
-        n, b = terms.u.shape
-        self.weight = terms.weight
-        # r_a W u_b = sum_cd r_ac u_bd W_cd: one product per point set
-        self.pairs = np.einsum("ac,bd->abcd", terms.r,
-                               terms.u).reshape(n, n, b * b)
-        self._cache: dict = {}
-
-    def __call__(self, a: int, b: int):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            key = x.tobytes()
-            got = self._cache.get(key)
-            if got is None:
-                got = self.pairs @ self.weight(x).reshape(x.size, -1).T
-                self._cache[key] = got
-            return got[a, b]
-        return f
+def _traces(terms: _Terms, samples: _Samples) -> tuple[complex, complex]:
+    """Exact tr(T^2) and tr(T^3) of the kernel of the terms, as ordered
+    integrals of the chain elements r_a W(x) u_b at rates that are
+    differences of plus and minus roots: smooth decaying integrands, so
+    the composite rule is spectrally accurate.  Chain (j, i), j plus and
+    i minus, has the cumulative F_ji of r_i W u_j at rate
+    kappa_j - kappa_i; tr(T^2) integrates it against r_j W u_i, and
+    tr(T^3) takes one more cumulative of each chain (j, i, c)."""
+    grid, (pts, wts, _, pts2, wts2) = samples.grid, samples.rule
+    kap, k = terms.kappa, terms.k
+    N, q = pts[0].shape
+    E = terms.elements(samples.nodes)
+    Es = terms.elements(samples.panel[0])
+    Ess = terms.elements(samples.partial, slice(k, None), slice(0, k))
+    j, i = np.ogrid[:k, k:kap.size]
+    mu = kap[j] - kap[i]
+    t, s, ws = grid.nodes, pts[0], wts[0]
+    F, Fs = _cumulative(
+        grid, mu.ravel(), E[i, j].reshape(mu.size, N),
+        [(t, s, ws, Es[i, j].reshape(mu.size, N, q)),
+         (s.ravel(), pts2.reshape(-1, q), wts2.reshape(-1, q),
+          Ess[i - k, j].reshape(mu.size, -1, q))])
+    F, Fs = F.reshape(mu.shape + (1, N)), Fs.reshape(mu.shape + (1, N, q))
+    tr2 = 2.0 * np.sum(grid.weights * E[j, i] * F[:, :, 0])
+    # chain (j, i, c): c plus at rate kappa_c - kappa_i with middle
+    # element r_j W u_c and last r_c W u_i; c minus at rate
+    # kappa_j - kappa_c with middle r_c W u_i and last r_j W u_c
+    j, i, c = np.ogrid[:k, k:kap.size, :kap.size]
+    plus = c < k
+    mu = np.where(plus, kap[c] - kap[i], kap[j] - kap[c])
+    mid = np.where(plus, j, c), np.where(plus, c, i)
+    last = np.where(plus, c, j), np.where(plus, i, c)
+    G, = _cumulative(grid, mu.ravel(), (E[mid] * F).reshape(-1, N),
+                     [(t, s, ws, (Es[mid] * Fs).reshape(-1, N, q))])
+    tr3 = 3.0 * np.sum(grid.weights * E[last].reshape(-1, N) * G)
+    return complex(tr2), complex(tr3)
 
 
 def _trace_power(terms: _Terms, grid: QuadratureGrid, power: int) -> complex:
-    """Exact second or third iterated trace of the kernel of the terms.
-
-    Semi-separability reduces tr(T^power) over the truncated interval to
-    sums of ordered one-dimensional integrals of chain elements whose
-    exponential rates are differences of plus and minus roots -- smooth
-    decaying integrands, so the composite rule evaluates them to spectral
-    accuracy.  These feed the diagonal-defect compensation of the
-    determinants and give tests an oracle for the regularization-order
-    identities.
-    """
     if power not in (2, 3):
         raise ConfigError("iterated traces implemented for powers 2 and 3")
     if _gl_panels(grid) is None:
         raise ConfigError("iterated traces need a composite Gauss grid")
-    e = _Elements(terms)
-    kap = terms.kappa
-    plus = range(terms.k)
-    minus = range(terms.k, kap.size)
-    if power == 2:
-        return 2.0 * sum(_chain2(grid, kap[j] - kap[i], e(i, j), e(j, i))
-                         for j in plus for i in minus)
-    total = 0.0 + 0.0j
-    for j1 in plus:
-        for i3 in minus:
-            F1 = _Cumulative(grid, kap[j1] - kap[i3], e(i3, j1))
-            for j2 in plus:
-                total += _chain3(grid, F1, kap[j2] - kap[i3],
-                                 e(j1, j2), e(j2, i3))
-            for i2 in minus:
-                total += _chain3(grid, F1, kap[j1] - kap[i2],
-                                 e(i2, i3), e(j1, i2))
-    return 3.0 * total
+    return _traces(terms, _sample(terms, grid))[power - 2]
 
 
 def trace_power_scalar(problem: ScalarProblem, lam: complex,
@@ -474,12 +448,6 @@ def trace_power_system(system: SystemProblem, lam: complex,
     if basis is None:
         basis = greens.system_basis(system, lam)
     return _trace_power(_system_terms(system, basis), grid, power)
-
-
-def _weight_samples(system: SystemProblem, xs: np.ndarray) -> np.ndarray:
-    """The folded weight -(R(x) - R_inf) at every point of xs, shape
-    xs.shape + (n, n), from one array call of the perturbation."""
-    return -system.decaying_part(xs)
 
 
 def _corrected_det(S: np.ndarray, exact: dict,
@@ -521,14 +489,15 @@ def _corrected_det(S: np.ndarray, exact: dict,
 def det1(problem: ScalarProblem, lam: complex,
          grid: QuadratureGrid) -> DeterminantResult:
     """Fredholm determinant of the scalar kernel, with the trace defect
-    of orders 1-3 compensated (order 1 only on grids without panels)."""
-    tau = trace_scalar(problem, lam)
-    S = discretize_scalar(problem, lam, grid).matrix
+    of orders 1-3 compensated (order 1 only on grids without panels),
+    from one root split and one set of weight samples."""
+    terms = _scalar_terms(problem, lam)
+    tau = complex(np.sum(terms.r[:terms.k]) * problem.potential_integral())
+    samples = _sample(terms, grid)
     exact = {1: tau}
-    if _gl_panels(grid) is not None:
-        for l in (2, 3):
-            exact[l] = trace_power_scalar(problem, lam, grid, l)
-    (value,), hint = _corrected_det(S, exact, (1,))
+    if samples.rule is not None:
+        exact[2], exact[3] = _traces(terms, samples)
+    (value,), hint = _corrected_det(_discretize(terms, samples), exact, (1,))
     return DeterminantResult(value=value, kind="det1", trace_used=tau,
                              grid_signature=grid.signature,
                              condition_hint=hint)
@@ -554,7 +523,7 @@ def trace_system_pair(system: SystemProblem, lam: complex,
     if basis is None:
         basis = greens.system_basis(system, lam)
     M = np.einsum("t,tab->ab", grid.weights,
-                  _weight_samples(system, grid.nodes))
+                  -system.decaying_part(grid.nodes))
     tau_plus = complex(np.trace(basis.projector_minus() @ M))
     tau_minus = complex(-np.trace(basis.projector_plus() @ M))
     return tau_plus, tau_minus
@@ -576,19 +545,19 @@ def _system_dets(system: SystemProblem, lam: complex, grid: QuadratureGrid,
                  basis: Optional[UnperturbedBasis],
                  orders: dict) -> list[DeterminantResult]:
     """Regularized determinants of the matrix kernel, one per kind -> p
-    entry of orders, from one discretization, one LU and one evaluation
-    of each exact trace.  The analytic trace validates the sign
+    entry of orders, from one basis, one discretization, one LU and one
+    pass of the iterated traces.  The analytic trace validates the sign
     conventions and is reported for the det / det2 conversion."""
     if not all(2 <= p <= 6 for p in orders.values()):
         raise ConfigError("regularization order must satisfy 2 <= p <= 6")
     if basis is None:
         basis = greens.system_basis(system, lam)
     tau = trace_system(system, lam, grid, basis)
-    S = discretize_system(system, lam, grid, basis).matrix
     exact = {}
-    if _gl_panels(grid) is not None:
-        for l in range(min(orders.values()), 4):
-            exact[l] = trace_power_system(system, lam, grid, l, basis)
+    if _gl_panels(grid) is not None and min(orders.values()) <= 3:
+        terms = _system_terms(system, basis)
+        exact[2], exact[3] = _traces(terms, _sample(terms, grid))
+    S = discretize_system(system, lam, grid, basis).matrix
     values, hint = _corrected_det(S, exact, list(orders.values()))
     return [DeterminantResult(value=value, kind=kind, trace_used=tau,
                               grid_signature=grid.signature,
@@ -637,7 +606,8 @@ def series_coefficient(problem: ScalarProblem, lam: complex, order: int,
         raise ConfigError("series coefficients implemented for orders 1 and 2")
     if grid is None:
         grid = default_grid()
-    S = _node_matrix(_scalar_terms(problem, lam), grid.nodes, grid.weights)
+    terms = _scalar_terms(problem, lam)
+    S = _node_matrix(terms, grid, terms.weight(grid.nodes))
     t1 = complex(np.trace(S))
     if order == 1:
         return t1

@@ -4,16 +4,19 @@ Any of the equivalent functions (Fredholm determinant, Evans ratio, front
 det2) can be fed to the argument-principle counter: they are analytic off
 the essential spectrum and vanish exactly at eigenvalues.  The winding
 number accumulates the phase around a rectangle with adaptive bisection so
-no step ever jumps by half a turn; root refinement is a plain Muller
-iteration, which needs no derivatives and converges fast on simple zeros.
+no step ever jumps by half a turn; the contour moments of that walk seed
+the roots, with an interior scan as the fallback.  Root refinement is a
+plain Muller iteration, which needs no derivatives and converges fast on
+simple zeros.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
 ]
 
 MAX_BISECTION_DEPTH = 12
+PENCIL_COND_LIMIT = 1e8   # a Hankel pencil this ill-conditioned is singular
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,7 @@ class RootReport:
     roots: tuple
     function_used: str
     multiplicity_gap: bool = False
+    abs_values: tuple = ()    # |f| at each root, from its last polish step
 
 
 def _check_resolvent(problem: Optional[ScalarProblem], lam: complex):
@@ -89,14 +94,15 @@ def _check_resolvent(problem: Optional[ScalarProblem], lam: complex):
             f"contour sample {lam} is {status} for the given problem")
 
 
-def _phase_step(f, za, fa, zb, fb, depth, problem):
-    """Phase increment from za to zb, bisecting until each piece < pi/2."""
+def _phase_step(f, za, fa, zb, fb, depth, problem) -> list:
+    """The samples (z, f(z)) strictly between za and zb, in order, from
+    bisecting until each phase step is below pi/2."""
     if fb == 0 or not np.isfinite(abs(fb)):
         raise PhaseJump(f"evaluator vanished or blew up on the contour "
                         f"at {zb}")
     dphi = cmath.phase(fb / fa)
     if abs(dphi) < 0.5 * math.pi:
-        return dphi
+        return []
     if depth >= MAX_BISECTION_DEPTH:
         raise PhaseJump(
             f"phase still jumps by {dphi:.3f} rad between {za} and {zb} "
@@ -104,8 +110,31 @@ def _phase_step(f, za, fa, zb, fb, depth, problem):
     zm = 0.5 * (za + zb)
     _check_resolvent(problem, zm)
     fm = complex(f(zm))
-    return (_phase_step(f, za, fa, zm, fm, depth + 1, problem)
+    return (_phase_step(f, za, fa, zm, fm, depth + 1, problem) + [(zm, fm)]
             + _phase_step(f, zm, fm, zb, fb, depth + 1, problem))
+
+
+def _walk(f, contour: Contour,
+          problem: Optional[ScalarProblem]) -> tuple[int, list]:
+    """Winding number of f around the contour and the samples (z, f(z))
+    of its walk in contour order, bisection points included, closed."""
+    pts = [complex(z) for z in contour.points()[:-1]]
+    for z in pts:
+        _check_resolvent(problem, z)
+    samples = [(z, complex(f(z))) for z in pts]
+    if any(v == 0 or not np.isfinite(abs(v)) for _, v in samples):
+        raise PhaseJump("evaluator vanished or blew up on the contour")
+    walk = samples[:1]
+    for (za, fa), (zb, fb) in zip(samples, samples[1:] + samples[:1]):
+        walk += _phase_step(f, za, fa, zb, fb, 0, problem) + [(zb, fb)]
+    turns = sum(cmath.phase(fb / fa) for (_, fa), (_, fb)
+                in zip(walk, walk[1:])) / (2.0 * math.pi)
+    nearest = round(turns)
+    if abs(turns - nearest) > 0.1:
+        raise PhaseJump(
+            f"accumulated phase is {turns:.4f} turns, not close to an "
+            f"integer")
+    return int(nearest), walk
 
 
 def winding_number(f: Callable[[complex], complex], contour: Contour,
@@ -117,24 +146,7 @@ def winding_number(f: Callable[[complex], complex], contour: Contour,
     turns of an integer; anything else means the bookkeeping failed and is
     reported as a PhaseJump rather than rounded away.
     """
-    pts = contour.points()
-    for z in pts[:-1]:
-        _check_resolvent(problem, complex(z))
-    vals = [complex(f(complex(z))) for z in pts[:-1]]
-    vals.append(vals[0])
-    if any(v == 0 or not np.isfinite(abs(v)) for v in vals):
-        raise PhaseJump("evaluator vanished or blew up on the contour")
-    total = 0.0
-    for i in range(len(pts) - 1):
-        total += _phase_step(f, complex(pts[i]), vals[i],
-                             complex(pts[i + 1]), vals[i + 1], 0, problem)
-    turns = total / (2.0 * math.pi)
-    nearest = round(turns)
-    if abs(turns - nearest) > 0.1:
-        raise PhaseJump(
-            f"accumulated phase is {turns:.4f} turns, not close to an "
-            f"integer")
-    return int(nearest)
+    return _walk(f, contour, problem)[0]
 
 
 def refine_root(f: Callable[[complex], complex], lam0: complex,
@@ -193,49 +205,90 @@ def scan(f: Callable[[complex], complex], corner_low: complex,
     return out
 
 
+def _moment_seeds(walk: list, contour: Contour, w: int):
+    """The w zeros inside the contour as the eigenvalues of the Hankel
+    pencil H0^-1 H1, (H0)_ij = s_(i+j), (H1)_ij = s_(i+j+1), of the
+    moments s_p = (1/2 pi i) sum_seg zbar_seg^p (log|f_b / f_a| + i dphi)
+    over the walk's segments, z centred and scaled to the rectangle
+    (Delves and Lyness 1967; Kravanja and Van Barel 2000).  No seeds if
+    the pencil is singular or a seed is not finite."""
+    a, b = contour.corner_low, contour.corner_high
+    centre, radius = 0.5 * (a + b), 0.5 * abs(b - a)
+    z, fz = np.array(walk).T
+    z = (z - centre) / radius
+    s = ((0.5 * (z[1:] + z[:-1])) ** np.arange(2 * w)[:, None]
+         @ np.log(fz[1:] / fz[:-1]) / (2j * math.pi))
+    idx = np.add.outer(np.arange(w), np.arange(w))
+    try:
+        if np.linalg.cond(s[idx]) > PENCIL_COND_LIMIT:
+            return ()
+        seeds = np.linalg.eigvals(np.linalg.solve(s[idx], s[idx + 1]))
+    except np.linalg.LinAlgError:
+        return ()
+    return centre + radius * seeds if np.isfinite(seeds).all() else ()
+
+
+def _polish(f, seeds, contour: Contour, w: int) -> list:
+    """(root, |f| there) pairs from polishing the seeds in turn by
+    refine_root, until w distinct interior roots are known."""
+    a, b = contour.corner_low, contour.corner_high
+    roots, values = [], {}
+
+    def recorded(lam):
+        values[lam] = value = complex(f(lam))
+        return value
+    for seed in seeds:
+        try:
+            z = refine_root(recorded, complex(seed))
+        except NoConvergence:
+            continue
+        # the polish stops at |f| < tol * scale, which pins a double zero
+        # only to ~sqrt(tol); polished points closer than that are
+        # indistinguishable from one multiple zero and must merge
+        if (a.real < z.real < b.real and a.imag < z.imag < b.imag
+                and all(abs(z - r) > 1e-5 * max(1.0, abs(z))
+                        for r, _ in roots)):
+            roots.append((complex(z), abs(values[z])))
+        if len(roots) == w:
+            break
+    return roots
+
+
+def _scan_seeds(f, contour: Contour, w: int, interior_resolution: int = 7):
+    """The fallback seeds, scanned only when first asked for: the points of
+    a coarse interior grid, its discrete local minima of |f| (no smaller
+    value among the up to 8 neighbours) first, each group by ascending
+    |f|, at most max(2 w, 4) of them."""
+    pad = 0.05 * (contour.corner_high - contour.corner_low)
+    table = scan(f, contour.corner_low + pad, contour.corner_high - pad,
+                 interior_resolution)
+    mags = np.abs([val for _, val in table]).reshape(-1, interior_resolution)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(mags, 1, constant_values=np.inf), (3, 3))
+    local_min = (mags <= windows.min(axis=(-2, -1))).ravel()
+    for i in np.lexsort((mags.ravel(), ~local_min))[:max(2 * w, 4)]:
+        yield table[i][0]
+
+
 def locate_roots(f: Callable[[complex], complex], contour: Contour,
                  problem: Optional[ScalarProblem] = None,
                  function_used: str = "det1",
                  interior_resolution: int = 7) -> RootReport:
     """Count zeros inside the contour, then hunt them down.
 
-    Starting points come from a coarse interior grid: first its discrete
-    local minima of |f| (no smaller value among the up to 8 neighbours),
-    then the remaining grid points, each group by ascending |f|; at most
-    max(2 w, 4) of them are tried.  Each is polished by refine_root and
-    near-duplicates are merged.  If fewer distinct roots than the winding
-    number survive (multiple zeros, clustered zeros), the report says so
-    instead of padding the list.
+    The contour-moment seeds of the winding walk are polished first; only
+    if they leave fewer than w distinct interior roots (a singular pencil,
+    multiple or clustered zeros, a seed that does not converge) does the
+    interior scan of ``_scan_seeds`` run.  A shortfall is reported, not
+    padded.
     """
-    w = winding_number(f, contour, problem)
+    w, walk = _walk(f, contour, problem)
     if w == 0:
         return RootReport(winding=0, roots=(), function_used=function_used)
-    a, b = contour.corner_low, contour.corner_high
-    pad_re = 0.05 * (b.real - a.real)
-    pad_im = 0.05 * (b.imag - a.imag)
-    table = scan(f, complex(a.real + pad_re, a.imag + pad_im),
-                 complex(b.real - pad_re, b.imag - pad_im),
-                 interior_resolution)
-    mags = np.abs([val for _, val in table]).reshape(-1, interior_resolution)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(mags, 1, constant_values=np.inf), (3, 3))
-    local_min = (mags <= windows.min(axis=(-2, -1))).ravel()
-    table = [table[i] for i in np.lexsort((mags.ravel(), ~local_min))]
-    roots = []
-    for lam, _ in table[:max(2 * w, 4)]:
-        try:
-            z = refine_root(f, lam)
-        except NoConvergence:
-            continue
-        if not (a.real < z.real < b.real and a.imag < z.imag < b.imag):
-            continue
-        # the polish stops at |f| < tol * scale, which pins a double zero
-        # only to ~sqrt(tol); polished points closer than that are
-        # indistinguishable from one multiple zero and must merge
-        if all(abs(z - r) > 1e-5 * max(1.0, abs(z)) for r in roots):
-            roots.append(complex(z))
-        if len(roots) == w:
-            break
-    return RootReport(winding=w, roots=tuple(roots),
+    seeds = _moment_seeds(walk, contour, w) if w > 0 else ()
+    roots = _polish(f, itertools.chain(seeds, _scan_seeds(
+        f, contour, w, interior_resolution)), contour, w)
+    return RootReport(winding=w, roots=tuple(z for z, _ in roots),
                       function_used=function_used,
-                      multiplicity_gap=len(roots) != w)
+                      multiplicity_gap=len(roots) != w,
+                      abs_values=tuple(v for _, v in roots))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import wavedet
-from wavedet import cli, fredholm
+from wavedet import cli, fredholm, locate
 
 PT = {"problem": {"name": "poschl_teller"}}
 
@@ -139,6 +139,44 @@ def test_locate_finds_the_bound_state(tmp_path, capsys):
     root = doc["report"]["roots"][0]
     assert abs(complex(root["re"], root["im"]) - 1.0) < 1e-6
     assert doc["rows"][0]["winding"] == 1
+
+
+def test_locate_reports_abs_value_without_reevaluating(tmp_path, capsys,
+                                                       monkeypatch):
+    """The abs_value column is |det1| from the polish's last evaluation:
+    no det1 call after locate_roots returns."""
+    calls = []
+    det1 = fredholm.det1
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return det1(*args, **kwargs)
+
+    monkeypatch.setattr(fredholm, "det1", counted)
+    locate_roots = locate.locate_roots
+    done = []
+
+    def recorded(*args, **kwargs):
+        report = locate_roots(*args, **kwargs)
+        done.append(len(calls))
+        return report
+
+    monkeypatch.setattr(locate, "locate_roots", recorded)
+    path = write_config(
+        tmp_path,
+        {"rectangle": {"corner_low": {"re": 0.5, "im": -0.5},
+                       "corner_high": {"re": 1.5, "im": 0.5}},
+         "samples_per_edge": 8},
+        domain={"quad_points": 200})
+    code, out, err = run_cli(capsys, "locate", "--config", path,
+                             "--format", "json")
+    assert code == 0
+    assert done == [len(calls)]
+    row = json.loads(out)["rows"][0]
+    pt = wavedet.builtin_problem("poschl_teller")
+    root = complex(row["root"]["re"], row["root"]["im"])
+    value = det1(pt, root, wavedet.build_grid(20.0, 200)).value
+    assert row["abs_value"] == abs(value)
 
 
 def test_scan_walks_the_grid(tmp_path, capsys):

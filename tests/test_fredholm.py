@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedet as wd
-from wavedet import fredholm, greens
+from wavedet import fredholm, fronts, greens
 from wavedet.errors import ConfigError, EssentialSpectrum, SignMismatch
 
 
@@ -375,3 +375,127 @@ def test_discretize_scalar_root_split_once_per_lambda(monkeypatch, pt):
                                    wd.build_grid(8.0, n_points))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3
+
+
+def test_det1_splits_the_roots_once(monkeypatch, pt):
+    """tau, the discretization and both iterated traces of one det1 share
+    one root split."""
+    calls = []
+    green_data = greens.green_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return green_data(*args, **kwargs)
+
+    monkeypatch.setattr(greens, "green_data", counted)
+    g = wd.build_grid(8.0, 40, panel_order=8)
+    for lam in (2.0 + 1.0j, 0.5 - 0.2j):
+        calls.clear()
+        fredholm.det1(pt, lam, g)
+        assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# vectorized iterated traces against the per-panel reference
+
+
+class _PanelCumulative:
+    """F(t) = integral_{-X}^{t} e^(mu (x - t)) f(x) dx, one panel at a
+    time: full panels left of t through moments anchored at their own
+    right edge, the partial panel by a mapped Gauss rule."""
+
+    def __init__(self, grid, mu, f):
+        q = grid.panel_order
+        P = grid.nodes.size // q
+        self.edges = np.linspace(-grid.half_width, grid.half_width, P + 1)
+        self.mu, self.f = mu, f
+        self.ref_x, self.ref_w = np.polynomial.legendre.leggauss(q)
+        fn = f(grid.nodes)
+        self.moment = np.array([
+            np.sum(grid.weights[s] * fn[s]
+                   * np.exp(mu * (grid.nodes[s] - self.edges[p + 1])))
+            for p, s in ((p, slice(p * q, (p + 1) * q)) for p in range(P))])
+
+    def __call__(self, pts):
+        edges, mu = self.edges, self.mu
+        out = np.zeros(pts.size, dtype=complex)
+        pidx = np.clip(np.searchsorted(edges, pts, side="right") - 1,
+                       0, edges.size - 2)
+        for p in np.unique(pidx):
+            sel = pidx == p
+            t = pts[sel]
+            if p > 0:
+                E = np.exp(mu * (edges[1:p + 1][None, :] - t[:, None]))
+                out[sel] += E @ self.moment[:p]
+            half = (t - edges[p])[:, None] / 2.0
+            sub = (edges[p] + t)[:, None] / 2.0 + half * self.ref_x
+            fw = self.f(sub.ravel()).reshape(sub.shape)
+            out[sel] += np.sum(half * self.ref_w * fw
+                               * np.exp(mu * (sub - t[:, None])), axis=1)
+        return out
+
+
+def _panel_traces(terms, grid):
+    """tr T^2 and tr T^3 as sums of ordered chain integrals, one root
+    pair at a time."""
+
+    def e(a, b):
+        return lambda x: np.einsum("c,...cd,d->...", terms.r[a],
+                                   terms.weight(np.asarray(x, float)),
+                                   terms.u[b])
+
+    def chain2(mu, f_first, f_second):
+        inner = _PanelCumulative(grid, mu, f_first)(grid.nodes)
+        return np.sum(grid.weights * f_second(grid.nodes) * inner)
+
+    kap = terms.kappa
+    plus, minus = range(terms.k), range(terms.k, kap.size)
+    tr2 = 2.0 * sum(chain2(kap[j] - kap[i], e(i, j), e(j, i))
+                    for j in plus for i in minus)
+    tr3 = 0.0
+    for j1 in plus:
+        for i3 in minus:
+            F1 = _PanelCumulative(grid, kap[j1] - kap[i3], e(i3, j1))
+            for mu, f2, f3 in (
+                    [(kap[j2] - kap[i3], e(j1, j2), e(j2, i3))
+                     for j2 in plus]
+                    + [(kap[j1] - kap[i2], e(i2, i3), e(j1, i2))
+                       for i2 in minus]):
+                tr3 += chain2(mu, lambda x, f2=f2: f2(x) * F1(x), f3)
+    return complex(tr2), complex(3.0 * tr3)
+
+
+def _trace_cases():
+    cases = [(f"scalar-{name}", problem, lam)
+             for name, (problem, lam) in sorted(PANEL_PROBLEMS.items())]
+    cases.append(("scalar-biharmonic_demo",
+                  wd.builtin_problem("biharmonic_demo"), 3.2 + 1.1j))
+    cases.append(("system-poschl_teller",
+                  wd.to_system(wd.builtin_problem("poschl_teller")),
+                  2.0 + 1.0j))
+    front = wd.to_system(wd.builtin_problem(
+        "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
+    cases.append(("system-tanh_front_reference",
+                  fronts.reference_system(front), 2.0 + 0.5j))
+    return cases
+
+
+@pytest.mark.parametrize("name,problem,lam", _trace_cases(),
+                         ids=[c[0] for c in _trace_cases()])
+def test_trace_power_matches_per_panel_reference(name, problem, lam):
+    """Relative to the larger trace: the m = 1 scalar tr T^3 is zero to
+    quadrature accuracy."""
+    g = wd.build_grid(8.0, 40, panel_order=8)
+    if name.startswith("scalar"):
+        terms = fredholm._scalar_terms(problem, lam)
+        got = [fredholm.trace_power_scalar(problem, lam, g, p)
+               for p in (2, 3)]
+    else:
+        terms = fredholm._system_terms(problem,
+                                       greens.system_basis(problem, lam))
+        got = [fredholm.trace_power_system(problem, lam, g, p)
+               for p in (2, 3)]
+    want = _panel_traces(terms, g)
+    scale = max(abs(w) for w in want)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-13 * scale

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavedet as wd
+from wavedet import locate
 from wavedet.locate import Contour, locate_roots, refine_root, scan, \
     winding_number
 from wavedet.errors import ConfigError, EssentialSpectrum, NoConvergence, \
@@ -165,3 +166,65 @@ def test_locate_roots_finds_both_bound_states():
     found = sorted(rep.roots, key=lambda z: z.real)
     assert abs(found[0] - 1.0) < 1e-6
     assert abs(found[1] - 4.0) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# moment seeds first, the interior scan as the fallback
+
+
+def _p2_det1(nodes=200):
+    p2 = wd.builtin_problem("poschl_teller", N=2)
+    g = wd.build_grid(20.0, nodes)
+    return p2, lambda lam: wd.det1(p2, lam, g).value
+
+
+def test_scan_fallback_finds_both_bound_states():
+    p2, f = _p2_det1()
+    contour = Contour(0.5 - 1.0j, 5.0 + 1.0j)
+    roots = locate._polish(f, locate._scan_seeds(f, contour, 2), contour, 2)
+    found = sorted((z for z, _ in roots), key=lambda z: z.real)
+    assert len(found) == 2
+    assert abs(found[0] - 1.0) < 1e-6
+    assert abs(found[1] - 4.0) < 1e-6
+
+
+def test_double_zero_falls_back_to_the_scan(monkeypatch):
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(locate, "scan", counted)
+    rep = locate_roots(lambda lam: (lam - 1.0) ** 2,
+                       Contour(0.0 - 1.0j, 2.0 + 1.0j))
+    assert scans == [1]
+    assert rep.winding == 2 and len(rep.roots) == 1
+    assert rep.multiplicity_gap
+    assert abs(rep.roots[0] - 1.0) < 1e-6
+
+
+def test_moment_seeds_skip_the_scan(monkeypatch):
+    """On a benchmark-like rectangle around lambda = 1 the moment seeds
+    polish to the root at once: no scan, and at most 12 evaluations
+    beyond the contour walk."""
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the interior scan ran")
+
+    monkeypatch.setattr(locate, "scan", no_scan)
+    p2, det1 = _p2_det1()
+    calls = []
+
+    def f(lam):
+        calls.append(lam)
+        return det1(lam)
+
+    contour = Contour(0.55 - 0.45j, 1.6 + 0.45j, samples_per_edge=6)
+    rep = locate_roots(f, contour, problem=p2)
+    used = len(calls)
+    _, samples = locate._walk(det1, contour, p2)
+    assert rep.winding == 1 and not rep.multiplicity_gap
+    assert abs(rep.roots[0] - 1.0) < 1e-6
+    assert used <= len(samples) - 1 + 12
+    assert rep.abs_values[0] == abs(det1(rep.roots[0]))
