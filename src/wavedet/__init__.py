@@ -81,15 +81,12 @@ from .evans import (
     transmission_matrix,
     swinton_matrix,
     born_transmission,
-    gram_determinant,
     identity_report,
 )
 from .fronts import (
-    FrontSplit,
     FrontReference,
     front_split,
     front_reference,
-    front_Q,
     front_basis,
     front_det2,
     reference_system,

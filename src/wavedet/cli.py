@@ -521,13 +521,8 @@ def cmd_scan(run):
     name, fn = run.target_function()
     if nx < 2 or ny < 2:
         raise ConfigError("scan needs nx, ny >= 2")
-    res = np.linspace(low.real, high.real, nx)
-    ims = np.linspace(low.imag, high.imag, ny)
-    points = [complex(a, b) for b in ims for a in res]
-    values = run.map(fn, points)
-    columns = [("lambda", "c"), (name, "c")]
-    rows = [[pt, val] for pt, val in zip(points, values)]
-    return _render(run, columns, rows)
+    rows = [list(pair) for pair in locate.scan(fn, low, high, nx, ny)]
+    return _render(run, [("lambda", "c"), (name, "c")], rows)
 
 
 def cmd_converge(run):

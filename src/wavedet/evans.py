@@ -11,11 +11,14 @@ squaring.  Exponential growth over the truncated window is stripped on the
 fly: the integrated columns are kept O(1) by periodic QR renormalization,
 every removed factor is logged, and determinant-bearing quantities are
 reassembled from the logs, so the ratio E(lambda)/c(lambda) is free of the
-arbitrary scalings.  The matrix transmission coefficient is accumulated
-alongside the leftward run as the integral of Z0+ R Y-, carried in the
-same Magnus steps as the bottom block of a block lower-triangular
-augmented system; its integrand stays bounded because the dual rows decay
-exactly as fast as the Jost columns grow.
+arbitrary scalings.  One propagator serves every run.  The matrix
+transmission coefficient is the edge pairing D = Z0+(X) Y-(X) of the
+unperturbed dual rows with the Jost minus columns at the right end of the
+window: (Z0+ Y-)' = Z0+ R Y- and Z0+ Y0- = I at -X, so it equals
+I + integral of Z0+ R Y- exactly.  The perturbed dual rows of the Swinton
+pairing are the transposed columns of the adjoint system
+W' = -(A0 + R)^T W, run leftwards from Z0+(X)^T; its step exponents are
+-Omega^T of the plain steps.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .model import ScalarProblem, SystemProblem
 __all__ = [
     "IntegrationParams",
     "JostSolution",
-    "AdjointJost",
     "EvansResult",
     "jost_minus",
     "jost_plus",
@@ -42,7 +44,6 @@ __all__ = [
     "transmission_matrix",
     "swinton_matrix",
     "born_transmission",
-    "gram_determinant",
     "identity_report",
 ]
 
@@ -100,6 +101,8 @@ class JostSolution:
     product reproduces the unperturbed data at the starting boundary
     exactly.  renorm_log - renorm_log[0] is the growth removed during the
     run; its dominant entry approximates (fastest rate) x (distance run).
+    An adjoint run (``swinton_matrix``) holds the transposed dual rows in
+    the same layout.
     """
 
     direction: str
@@ -119,27 +122,6 @@ class JostSolution:
     def growth_log(self) -> np.ndarray:
         """Per-column log of the growth removed over the whole run."""
         return self.renorm_log[-1] - self.renorm_log[0]
-
-
-@dataclass(frozen=True)
-class AdjointJost:
-    """Row solutions of dZ/dx = -Z A, normalized to Z0+ at +X.
-
-    Mirror bookkeeping of JostSolution for row vectors: the raw solution
-    at sample i is (transform[i] * exp(renorm_log[i])[:, None]) @ values[i]
-    with a lower-triangular transform of unit row maxima.
-    """
-
-    xs: np.ndarray
-    values: np.ndarray
-    transform: np.ndarray
-    renorm_log: np.ndarray
-    basis: UnperturbedBasis
-
-    def raw_at(self, x: float) -> np.ndarray:
-        i = _index_of(self.xs, x)
-        scale = self.transform[i] * np.exp(self.renorm_log[i])[:, None]
-        return scale @ self.values[i]
 
 
 @dataclass(frozen=True)
@@ -308,23 +290,13 @@ def _step_edges(bounds: np.ndarray, h: float) -> tuple[np.ndarray, list]:
 
 
 def _step_exponents(system: SystemProblem, A0: np.ndarray,
-                    edges: np.ndarray, coupling=None) -> np.ndarray:
+                    edges: np.ndarray) -> np.ndarray:
     """Magnus exponents of the steps between consecutive edges, with R
-    sampled once at all Gauss points.  coupling(t, R), when given, returns
-    the bottom rows of a block lower-triangular generator
-    [[A0 + R, 0], [coupling, 0]] that carries an integral along."""
+    sampled once at all Gauss points."""
     h = np.diff(edges)
     t = edges[:-1, None] + h[:, None] * _GAUSS3
     R = np.asarray(system.perturbation(t), dtype=complex)
-    G = A0 + R
-    if coupling is not None:
-        C = coupling(t, R)
-        n, k = A0.shape[0], C.shape[-2]
-        aug = np.zeros(G.shape[:2] + (n + k, n + k), dtype=complex)
-        aug[..., :n, :n] = G
-        aug[..., n:, :n] = C
-        G = aug
-    return _magnus_exponent(G, h)
+    return _magnus_exponent(A0 + R, h)
 
 
 def _step_propagators(Omega: np.ndarray, where: str) -> np.ndarray:
@@ -339,49 +311,43 @@ def _propagate_columns(system: SystemProblem, lam: complex,
                        params: IntegrationParams,
                        x_stop: Optional[float] = None,
                        sample_points: Sequence[float] = (),
-                       collect: bool = False):
+                       adjoint: bool = False) -> JostSolution:
     """Continue the decaying column block across the perturbation.
 
     direction "minus" starts at -X from the data Y0-(-X) and runs right;
-    "plus" starts at +X from Y0+(+X) and runs left.  With collect=True
-    (minus direction only) the pairing integral of Z0+ R Y- is advanced in
-    the same Magnus steps, as the bottom block of an augmented state, and
-    returned as the transmission correction D - I.
+    "plus" starts at +X from Y0+(+X) and runs left.  adjoint=True runs
+    the adjoint system W' = -(A0 + R)^T W instead, whose solutions are
+    transposed dual rows: "plus" then starts from Z0+(+X)^T = Pinv[:k]^T
+    at rates -kappa+ ("minus" from Z0-(-X)^T), and every step exponent is
+    -Omega^T, since the sixth-order Magnus exponent of -G^T is -Omega^T
+    term by term.
     """
     n = system.dimension
     k = basis.k
-    if direction == "minus":
-        fam = np.array(basis.roots.plus)
-        cols = np.array(basis.P[:, :k], dtype=complex)
-        x_from = -params.half_width
-        x_default = params.half_width
-    elif direction == "plus":
-        fam = np.array(basis.roots.minus)
-        cols = np.array(basis.P[:, k:], dtype=complex)
-        x_from = params.half_width
-        x_default = -params.half_width
-    else:
+    if direction not in ("minus", "plus"):
         raise ConfigError("direction must be 'minus' or 'plus'")
-    x_to = x_default if x_stop is None else float(x_stop)
+    x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
+    # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
+    # decaying at the same end belong to the other group
+    own = slice(0, k) if (direction == "minus") != adjoint else slice(k, None)
+    kappa = np.array(basis.roots.all)[own]
+    if adjoint:
+        fam, cols = -kappa, np.array(basis.Pinv[own].T, dtype=complex)
+    else:
+        fam, cols = kappa, np.array(basis.P[:, own], dtype=complex)
+    x_to = -x_from if x_stop is None else float(x_stop)
     if abs(x_to) > params.half_width + 1e-9:
         raise ConfigError("stopping point outside the truncated window")
     ncols = cols.shape[1]
     A0 = np.asarray(system.base_matrix(lam), dtype=complex)
-    Zr = basis.Pinv[:k, :]
     bounds = _boundaries(x_from, x_to, _segment_step(params, basis),
                          sample_points)
     edges, ends = _step_edges(bounds, _step_length(system, A0, params))
-    coupling = None
-    if collect:
-        # the pairing integrand e^(-kappa (x - a)) Z0+ R, restarted at the
-        # left end a of every segment
-        seg_start = np.repeat(bounds[:-1], np.diff([0] + ends))
-
-        def coupling(t, R):
-            decay = np.exp(-fam * (t - seg_start[:, None])[..., None])
-            return decay[..., None] * (Zr @ R)
-    E = _step_propagators(_step_exponents(system, A0, edges, coupling),
-                          f"{direction} Jost run")
+    Omega = _step_exponents(system, A0, edges)
+    if adjoint:
+        Omega = -np.swapaxes(Omega, -1, -2)
+    E = _step_propagators(
+        Omega, f"{direction} {'adjoint' if adjoint else 'Jost'} run")
     ns = len(bounds)
     values = np.empty((ns, n, ncols), dtype=complex)
     transforms = np.empty((ns, ncols, ncols), dtype=complex)
@@ -391,19 +357,12 @@ def _propagate_columns(system: SystemProblem, lam: complex,
     T = np.eye(ncols, dtype=complex)
     sig = fam * x_from
     values[0], transforms[0], logs[0] = cur, T, sig
-    D_acc = np.zeros((k, k), dtype=complex) if collect else None
 
     first = 0
     for s, last in enumerate(ends):
-        state = cur
-        if collect:
-            state = np.concatenate([cur, np.zeros((k, ncols), dtype=complex)])
         for step in E[first:last]:
-            state = step @ state
+            cur = step @ cur
         first = last
-        cur = state[:n]
-        if collect:
-            D_acc += _scaled_entries(state[n:] @ T, -fam * bounds[s], sig)
         Q, Rtri = np.linalg.qr(cur)
         C = Rtri @ T
         scal = np.max(np.abs(C), axis=0)
@@ -413,61 +372,24 @@ def _propagate_columns(system: SystemProblem, lam: complex,
         cur = Q
         values[s + 1], transforms[s + 1], logs[s + 1] = cur, T, sig
 
-    jost = JostSolution(direction=direction, xs=bounds, values=values,
+    return JostSolution(direction=direction, xs=bounds, values=values,
                         transform=transforms, renorm_log=logs, basis=basis)
-    return (jost, D_acc) if collect else jost
 
 
-def _propagate_adjoint(system: SystemProblem, lam: complex,
-                       basis: UnperturbedBasis, params: IntegrationParams,
-                       x_stop: Optional[float] = None,
-                       sample_points: Sequence[float] = ()) -> AdjointJost:
-    """Continue the dual rows of the +infinity family leftwards.
+def _pairing(rows: np.ndarray, row_log: np.ndarray, jost: JostSolution,
+             i: int) -> np.ndarray:
+    """rows scaled by exp(row_log) times the raw columns of a Jost run at
+    its sample i, combined in log space by ``_scaled_entries``."""
+    M = rows @ jost.values[i] @ jost.transform[i]
+    return _scaled_entries(M, row_log, jost.renorm_log[i])
 
-    A row solution of dZ/dx = -Z A satisfies Z(x + h) = Z(x) exp(-Omega)
-    when exp(Omega) carries the columns from x to x + h, so each step
-    applies the negated exponent of a leftward column run over the same
-    step.
-    """
-    n = system.dimension
-    k = basis.k
+
+def _edge_transmission(jm: JostSolution) -> np.ndarray:
+    """The transmission matrix D = Z0+(X) Y-(X) at the right end of a
+    minus run over the whole window."""
+    basis = jm.basis
     kp = np.array(basis.roots.plus)
-    x_from = params.half_width
-    x_to = -params.half_width if x_stop is None else float(x_stop)
-    if abs(x_to) > params.half_width + 1e-9:
-        raise ConfigError("stopping point outside the truncated window")
-    A0 = np.asarray(system.base_matrix(lam), dtype=complex)
-    bounds = _boundaries(x_from, x_to, _segment_step(params, basis),
-                         sample_points)
-    edges, ends = _step_edges(bounds, _step_length(system, A0, params))
-    E = _step_propagators(-_step_exponents(system, A0, edges),
-                          "adjoint run")
-    ns = len(bounds)
-    values = np.empty((ns, k, n), dtype=complex)
-    transforms = np.empty((ns, k, k), dtype=complex)
-    logs = np.empty((ns, k), dtype=complex)
-
-    cur = np.array(basis.Pinv[:k, :], dtype=complex)
-    T = np.eye(k, dtype=complex)
-    sig = -kp * x_from
-    values[0], transforms[0], logs[0] = cur, T, sig
-
-    first = 0
-    for s, last in enumerate(ends):
-        for step in E[first:last]:
-            cur = cur @ step
-        first = last
-        Qh, Rh = np.linalg.qr(cur.T)
-        C = T @ Rh.T
-        scal = np.max(np.abs(C), axis=1)
-        scal[scal == 0.0] = 1.0
-        T = C / scal[:, None]
-        sig = sig + np.log(scal)
-        cur = Qh.T.copy()
-        values[s + 1], transforms[s + 1], logs[s + 1] = cur, T, sig
-
-    return AdjointJost(xs=bounds, values=values, transform=transforms,
-                       renorm_log=logs, basis=basis)
+    return _pairing(basis.Pinv[:basis.k], -kp * jm.xs[-1], jm, -1)
 
 
 def jost_minus(system, lam: complex, params: Optional[IntegrationParams] = None,
@@ -501,8 +423,9 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
     The reported ratio E/c divides out both the matching-point drift (both
     determinants pick up the same Abel factor) and the renormalization
     logs, so it is the quantity to compare across matching points and
-    against the Fredholm determinant.  For pulse problems the transmission
-    matrix is accumulated during the same leftward run.
+    against the Fredholm determinant.  For pulse problems the minus run
+    continues to +X, where it yields the transmission matrix as the edge
+    pairing Z0+(X) Y-(X).
     """
     sysm = model.as_system(system)
     params = params or IntegrationParams()
@@ -518,9 +441,9 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
         trans = None
         det_trans = None
     else:
-        jm, D_corr = _propagate_columns(sysm, lam, bm, "minus", params,
-                                        sample_points=(x0,), collect=True)
-        trans = np.eye(bm.k, dtype=complex) + D_corr
+        jm = _propagate_columns(sysm, lam, bm, "minus", params,
+                                sample_points=(x0,))
+        trans = _edge_transmission(jm)
         det_trans = complex(np.linalg.det(trans))
     jp = _propagate_columns(sysm, lam, bp, "plus", params, x_stop=x0)
     im = _index_of(jm.xs, x0)
@@ -543,16 +466,24 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
 def transmission_matrix(system, lam: complex,
                         params: Optional[IntegrationParams] = None
                         ) -> np.ndarray:
-    """I_k plus the accumulated pairing of Z0+ R against the Jost minus
-    columns; its determinant equals the Fredholm determinant."""
+    """The pairing Z0+(X) Y-(X) of the unperturbed dual rows with the Jost
+    minus columns at the right end of the window, which is
+    I_k + integral of Z0+ R Y-; its determinant equals the Fredholm
+    determinant.
+
+    The determinant is exact to rounding, but an entry in the row of a
+    slower rate kappa_i is read off columns dominated by the fastest
+    growth, so it carries rounding of order
+    eps e^((Re kappa_max - Re kappa_i) X); ``swinton_matrix`` gives the
+    entries at the matching point without that loss.
+    """
     sysm = model.as_system(system)
     if sysm.is_front:
         raise ConfigError("transmission matrix needs a decaying perturbation")
     params = params or IntegrationParams()
     basis = greens.system_basis(sysm, lam)
-    _, D_corr = _propagate_columns(sysm, lam, basis, "minus", params,
-                                   collect=True)
-    return np.eye(basis.k, dtype=complex) + D_corr
+    return _edge_transmission(
+        _propagate_columns(sysm, lam, basis, "minus", params))
 
 
 def swinton_matrix(system, lam: complex,
@@ -562,19 +493,19 @@ def swinton_matrix(system, lam: complex,
 
     The product Z+(x) Y-(x) is x-independent, so the result does not
     depend on the matching point; for decaying perturbations it equals the
-    transmission matrix.
+    transmission matrix.  The rows Z+ are the transposed columns of an
+    adjoint run from +X.
     """
     sysm = model.as_system(system)
     params = params or IntegrationParams()
     x0 = float(matching_point)
     bm, bp = _side_bases(sysm, lam)
     jm = _propagate_columns(sysm, lam, bm, "minus", params, x_stop=x0)
-    adj = _propagate_adjoint(sysm, lam, bp, params, x_stop=x0)
-    im = _index_of(jm.xs, x0)
+    adj = _propagate_columns(sysm, lam, bp, "plus", params, x_stop=x0,
+                             adjoint=True)
     ia = _index_of(adj.xs, x0)
-    inner = adj.values[ia] @ jm.values[im]
-    M = adj.transform[ia] @ inner @ jm.transform[im]
-    return _scaled_entries(M, adj.renorm_log[ia], jm.renorm_log[im])
+    rows = (adj.values[ia] @ adj.transform[ia]).T
+    return _pairing(rows, adj.renorm_log[ia], jm, _index_of(jm.xs, x0))
 
 
 def born_transmission(system, lam: complex, grid=None) -> np.ndarray:
@@ -599,27 +530,6 @@ def born_transmission(system, lam: complex, grid=None) -> np.ndarray:
     phase = np.exp((kp[None, :] - kp[:, None]) * x)
     return np.eye(k, dtype=complex) + np.einsum("t,tab->ab", grid.weights,
                                                 core * phase)
-
-
-def gram_determinant(system, lam: complex,
-                     params: Optional[IntegrationParams] = None) -> complex:
-    """det of the unperturbed-dual pairing Z0+(X) Y-(X) at the right edge.
-
-    Converges to det(transmission) as X grows; the truncation gap is the
-    same boundary error the Jost runs carry.
-    """
-    sysm = model.as_system(system)
-    if sysm.is_front:
-        raise ConfigError("pairing limit needs a decaying perturbation")
-    params = params or IntegrationParams()
-    basis = greens.system_basis(sysm, lam)
-    jm = _propagate_columns(sysm, lam, basis, "minus", params)
-    i = len(jm.xs) - 1
-    k = basis.k
-    kp = np.array(basis.roots.plus)
-    M = (basis.Pinv[:k, :] @ jm.values[i]) @ jm.transform[i]
-    G = _scaled_entries(M, -kp * params.half_width, jm.renorm_log[i])
-    return complex(np.linalg.det(G))
 
 
 def identity_report(problem, lam: complex, grid=None,

@@ -21,8 +21,9 @@ such terms (``_Terms``) serves both kernels:
 * Exact second and third traces as ordered integrals of the chain
   elements r_a W(x) u_b (``_traces``), all root pairs in one pass of the
   contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p.  They read
-  W at the nodes, the panel sub-nodes and their sub-sub-nodes, sampled
-  once per lambda (``_Samples``) and shared with the discretization.
+  W at the nodes and the panel sub-nodes, sampled once per lambda
+  (``_Samples``) and shared with the discretization, and at the panel
+  sub-sub-nodes, sampled by the traces alone.
 * Regularized determinants (``_corrected_det``) that compensate the trace
   defect of det(I + S) with the exact traces, in the log domain of one
   numpy LU (``_lu_det``).  det1 is order 1, with the analytic trace tau
@@ -283,24 +284,21 @@ def _system_terms(system: SystemProblem, basis: UnperturbedBasis) -> _Terms:
 
 @dataclass(frozen=True)
 class _Samples:
-    """One lambda's W at the nodes, the ``_panel_rule`` sub-nodes (panel)
-    and its sub-sub-nodes (partial, only when traces are wanted)."""
+    """One lambda's W at the nodes and at the ``_panel_rule`` sub-nodes
+    (panel)."""
 
     grid: QuadratureGrid
     rule: Optional[tuple]
     nodes: np.ndarray
     panel: Optional[np.ndarray] = None
-    partial: Optional[np.ndarray] = None
 
 
-def _sample(terms: _Terms, grid: QuadratureGrid,
-            traces: bool = True) -> _Samples:
+def _sample(terms: _Terms, grid: QuadratureGrid) -> _Samples:
     rule = _panel_rule(grid)
     W = terms.weight(grid.nodes)
     if rule is None:
         return _Samples(grid, None, W)
-    return _Samples(grid, rule, W, terms.weight(rule[0]),
-                    terms.weight(rule[3]) if traces else None)
+    return _Samples(grid, rule, W, terms.weight(rule[0]))
 
 
 def _node_matrix(terms: _Terms, grid: QuadratureGrid,
@@ -313,8 +311,9 @@ def _node_matrix(terms: _Terms, grid: QuadratureGrid,
     S = np.zeros((N, b, N, b), dtype=complex)
     for j, kap in enumerate(terms.kappa):
         on = D < 0 if j < terms.k else D >= 0
-        E = np.zeros((N, N), dtype=complex)
-        E[on] = np.exp(kap * D[on])
+        # exp on this branch's side only, written in place: no gathered
+        # half-size copies, whose freed blocks stay resident in the heap
+        E = np.exp(kap * D, out=np.zeros((N, N), dtype=complex), where=on)
         S += np.einsum("il,a,lc->ialc", E, terms.u[j], rows[j],
                        optimize=True)
     return S.reshape(N * b, N * b)
@@ -344,7 +343,7 @@ def _discretize(terms: _Terms, samples: _Samples) -> np.ndarray:
 def discretize_scalar(problem: ScalarProblem, lam: complex,
                       grid: QuadratureGrid) -> DiscretizedOperator:
     terms = _scalar_terms(problem, lam)
-    S = _discretize(terms, _sample(terms, grid, traces=False))
+    S = _discretize(terms, _sample(terms, grid))
     return DiscretizedOperator(S, grid)
 
 
@@ -355,7 +354,7 @@ def discretize_system(system: SystemProblem, lam: complex,
     if basis is None:
         basis = greens.system_basis(system, lam)
     terms = _system_terms(system, basis)
-    S = _discretize(terms, _sample(terms, grid, traces=False))
+    S = _discretize(terms, _sample(terms, grid))
     return DiscretizedOperator(S, grid)
 
 
@@ -395,13 +394,15 @@ def _traces(terms: _Terms, samples: _Samples) -> tuple[complex, complex]:
     the composite rule is spectrally accurate.  Chain (j, i), j plus and
     i minus, has the cumulative F_ji of r_i W u_j at rate
     kappa_j - kappa_i; tr(T^2) integrates it against r_j W u_i, and
-    tr(T^3) takes one more cumulative of each chain (j, i, c)."""
+    tr(T^3) takes one more cumulative of each chain (j, i, c).  W at the
+    sub-sub-nodes is sampled here, so it is freed before the
+    discretization."""
     grid, (pts, wts, _, pts2, wts2) = samples.grid, samples.rule
     kap, k = terms.kappa, terms.k
     N, q = pts[0].shape
     E = terms.elements(samples.nodes)
     Es = terms.elements(samples.panel[0])
-    Ess = terms.elements(samples.partial, slice(k, None), slice(0, k))
+    Ess = terms.elements(terms.weight(pts2), slice(k, None), slice(0, k))
     j, i = np.ogrid[:k, k:kap.size]
     mu = kap[j] - kap[i]
     t, s, ws = grid.nodes, pts[0], wts[0]
@@ -522,8 +523,13 @@ def trace_system_pair(system: SystemProblem, lam: complex,
     """
     if basis is None:
         basis = greens.system_basis(system, lam)
-    M = np.einsum("t,tab->ab", grid.weights,
-                  -system.decaying_part(grid.nodes))
+    return _trace_pair(basis, grid, -system.decaying_part(grid.nodes))
+
+
+def _trace_pair(basis: UnperturbedBasis, grid: QuadratureGrid,
+                W: np.ndarray) -> tuple[complex, complex]:
+    """``trace_system_pair`` from W = -(R - R_inf) at the nodes."""
+    M = np.einsum("t,tab->ab", grid.weights, W)
     tau_plus = complex(np.trace(basis.projector_minus() @ M))
     tau_minus = complex(-np.trace(basis.projector_plus() @ M))
     return tau_plus, tau_minus
@@ -532,7 +538,11 @@ def trace_system_pair(system: SystemProblem, lam: complex,
 def trace_system(system: SystemProblem, lam: complex, grid: QuadratureGrid,
                  basis: Optional[UnperturbedBasis] = None,
                  tol: float = 1e-8) -> complex:
-    tau_plus, tau_minus = trace_system_pair(system, lam, grid, basis)
+    return _checked_trace(*trace_system_pair(system, lam, grid, basis), tol)
+
+
+def _checked_trace(tau_plus: complex, tau_minus: complex,
+                   tol: float = 1e-8) -> complex:
     scale = max(1.0, abs(tau_plus), abs(tau_minus))
     if abs(tau_plus - tau_minus) > tol * scale:
         raise SignMismatch(
@@ -545,20 +555,22 @@ def _system_dets(system: SystemProblem, lam: complex, grid: QuadratureGrid,
                  basis: Optional[UnperturbedBasis],
                  orders: dict) -> list[DeterminantResult]:
     """Regularized determinants of the matrix kernel, one per kind -> p
-    entry of orders, from one basis, one discretization, one LU and one
-    pass of the iterated traces.  The analytic trace validates the sign
-    conventions and is reported for the det / det2 conversion."""
+    entry of orders, from one basis, one set of weight samples, one
+    discretization, one LU and one pass of the iterated traces.  The
+    analytic trace validates the sign conventions and is reported for the
+    det / det2 conversion."""
     if not all(2 <= p <= 6 for p in orders.values()):
         raise ConfigError("regularization order must satisfy 2 <= p <= 6")
     if basis is None:
         basis = greens.system_basis(system, lam)
-    tau = trace_system(system, lam, grid, basis)
+    terms = _system_terms(system, basis)
+    samples = _sample(terms, grid)
+    tau = _checked_trace(*_trace_pair(basis, grid, samples.nodes))
     exact = {}
-    if _gl_panels(grid) is not None and min(orders.values()) <= 3:
-        terms = _system_terms(system, basis)
-        exact[2], exact[3] = _traces(terms, _sample(terms, grid))
-    S = discretize_system(system, lam, grid, basis).matrix
-    values, hint = _corrected_det(S, exact, list(orders.values()))
+    if samples.rule is not None and min(orders.values()) <= 3:
+        exact[2], exact[3] = _traces(terms, samples)
+    values, hint = _corrected_det(_discretize(terms, samples), exact,
+                                  list(orders.values()))
     return [DeterminantResult(value=value, kind=kind, trace_used=tau,
                               grid_signature=grid.signature,
                               condition_hint=hint)

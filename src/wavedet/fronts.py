@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,40 +39,13 @@ from .greens import RootSplit, UnperturbedBasis
 from .model import SystemProblem
 
 __all__ = [
-    "FrontSplit",
     "FrontReference",
     "front_split",
     "front_reference",
-    "front_Q",
     "front_basis",
     "front_det2",
     "reference_system",
 ]
-
-
-@dataclass(frozen=True)
-class FrontSplit:
-    """Decay rates taken from the two ends of a front.
-
-    kappa_minus: rates with positive real part of the left-end matrix
-    (solutions decaying towards -infinity); tau_plus: rates with negative
-    real part of the right-end matrix (decaying towards +infinity).
-    """
-
-    kappa_minus: tuple
-    tau_plus: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.kappa_minus)
-
-    @property
-    def n(self) -> int:
-        return len(self.kappa_minus) + len(self.tau_plus)
-
-    @property
-    def all(self) -> tuple:
-        return tuple(self.kappa_minus) + tuple(self.tau_plus)
 
 
 @dataclass(frozen=True)
@@ -82,7 +54,7 @@ class FrontReference:
 
     B: np.ndarray
     P: np.ndarray
-    split: FrontSplit
+    split: RootSplit
 
 
 def _end_matrix(a, lam: complex) -> np.ndarray:
@@ -93,12 +65,16 @@ def _end_matrix(a, lam: complex) -> np.ndarray:
     return A
 
 
-def front_split(a_minus, a_plus, lam: complex) -> FrontSplit:
+def front_split(a_minus, a_plus, lam: complex) -> RootSplit:
     """Split the two end matrices into the rates the front kernel keeps.
 
     Each argument is a constant n x n matrix or a callable lambda ->
     matrix.  The number of unstable rates on the left must match the
-    number on the right so the combined list spans n dimensions.
+    number on the right so the combined list spans n dimensions.  The
+    kept rates come back as a RootSplit: plus holds kappa-, the rates of
+    the left-end matrix with positive real part (solutions decaying
+    towards -infinity), minus holds tau+, the rates of the right-end
+    matrix with negative real part (decaying towards +infinity).
     """
     Am = _end_matrix(a_minus, lam)
     Ap = _end_matrix(a_plus, lam)
@@ -109,10 +85,10 @@ def front_split(a_minus, a_plus, lam: complex) -> FrontSplit:
     if bm.k != bp.k:
         raise CountMismatch(
             f"unstable counts differ between the ends: {bm.k} vs {bp.k}")
-    return FrontSplit(kappa_minus=bm.roots.plus, tau_plus=bp.roots.minus)
+    return RootSplit(plus=bm.roots.plus, minus=bp.roots.minus)
 
 
-def front_reference(split: FrontSplit) -> FrontReference:
+def front_reference(split: RootSplit) -> FrontReference:
     """Constant matrix with the prescribed mixed spectrum.
 
     B = P diag(kappa-_1..kappa-_k, tau+_{k+1}..tau+_n) P^-1 with P the
@@ -126,21 +102,9 @@ def front_reference(split: FrontSplit) -> FrontReference:
             if abs(roots[i] - roots[j]) < 1e-12 * max(1.0, abs(roots[i])):
                 raise IllConditioned(
                     f"coincident front rates {roots[i]} and {roots[j]}")
-    basis = greens.basis_from_roots(
-        RootSplit(plus=tuple(split.kappa_minus),
-                  minus=tuple(split.tau_plus)))
+    basis = greens.basis_from_roots(split)
     B = basis.P @ (roots[:, None] * basis.Pinv)
     return FrontReference(B=B, P=basis.P, split=split)
-
-
-def front_Q(system: SystemProblem, x) -> np.ndarray:
-    """The recentred potential: R(x) minus the limit of its own half-line,
-    at a point or an array of points (shape x.shape + (n, n)).
-
-    Discontinuous at x = 0 (by R+ - R-) but integrable-decaying in both
-    tails, which is what the Hilbert-Schmidt theory needs.
-    """
-    return np.asarray(system.decaying_part(x), dtype=complex)
 
 
 def front_basis(system, lam: complex) -> UnperturbedBasis:
@@ -153,20 +117,20 @@ def front_basis(system, lam: complex) -> UnperturbedBasis:
     if not sysm.is_front:
         return greens.system_basis(sysm, lam)
     A0 = np.asarray(sysm.base_matrix(lam), dtype=complex)
-    split = front_split(A0 + sysm.r_minus, A0 + sysm.r_plus, lam)
     return greens.basis_from_roots(
-        RootSplit(plus=tuple(split.kappa_minus),
-                  minus=tuple(split.tau_plus)))
+        front_split(A0 + sysm.r_minus, A0 + sysm.r_plus, lam))
 
 
 def reference_system(system) -> SystemProblem:
     """Pulse-type problem the front determinant actually represents.
 
-    Base matrix B(lambda) from ``front_reference``, perturbation Q from
-    ``front_Q``, zero asymptotic limits.  ``front_det2`` of the original
-    front equals ``fredholm.det2`` of this system, and an Evans
-    computation on it provides an independent check of the determinant
-    pipeline.  For a pulse the original system is returned unchanged.
+    Base matrix B(lambda) from ``front_reference``, perturbation the
+    recentred Q = ``SystemProblem.decaying_part`` (discontinuous at x = 0
+    by R+ - R-, integrable in both tails), zero asymptotic limits.
+    ``front_det2`` of the original front equals ``fredholm.det2`` of this
+    system, and an Evans computation on it provides an independent check
+    of the determinant pipeline.  For a pulse the original system is
+    returned unchanged.
     """
     sysm = model.as_system(system)
     if not sysm.is_front:
@@ -180,7 +144,7 @@ def reference_system(system) -> SystemProblem:
     n = sysm.dimension
     zero = np.zeros((n, n), dtype=complex)
     return SystemProblem(dimension=n, base_matrix=base,
-                         perturbation=lambda x: front_Q(sysm, x),
+                         perturbation=sysm.decaying_part,
                          r_minus=zero, r_plus=zero)
 
 

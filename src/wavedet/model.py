@@ -511,6 +511,11 @@ def make_profile(kind: str, **params) -> WaveProfile:
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
+# builtin order-2 problems with zero coefficients over a ``make_profile`` kind
+_PULSE_PROFILES = {"sech_pulse": "sech", "gaussian_pulse": "gaussian",
+                   "tanh_front": "tanh_front"}
+
+
 def builtin_problem(name: str, **params) -> ScalarProblem:
     """Catalog of ready-made problems used throughout the test battery."""
     if name == "poschl_teller":
@@ -521,33 +526,10 @@ def builtin_problem(name: str, **params) -> ScalarProblem:
         prof = _sech2_profile("poschl_teller", float(N * (N + 1)), 1.0,
                               {"N": N})
         return ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof)
-    if name == "sech_pulse":
-        amplitude = float(params.pop("amplitude", 1.0))
-        width = float(params.pop("width", 1.0))
-        _reject_extra(name, params)
-        _require_positive(width, "width")
-        prof = _sech_profile(amplitude, width,
-                             {"amplitude": amplitude, "width": width})
-        return ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof)
-    if name == "gaussian_pulse":
-        amplitude = float(params.pop("amplitude", 1.0))
-        width = float(params.pop("width", 1.0))
-        _reject_extra(name, params)
-        _require_positive(width, "width")
-        prof = _gaussian_profile(amplitude, width,
-                                 {"amplitude": amplitude, "width": width})
-        return ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof)
-    if name == "tanh_front":
-        amplitude = float(params.pop("amplitude", 1.0))
-        offset = float(params.pop("offset", 0.0))
-        well = float(params.pop("well", 0.0))
-        width = float(params.pop("width", 1.0))
-        _reject_extra(name, params)
-        _require_positive(width, "width")
-        prof = _tanh_front_profile(amplitude, offset, well, width,
-                                   {"amplitude": amplitude, "offset": offset,
-                                    "well": well, "width": width})
-        return ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof)
+    if name in _PULSE_PROFILES:
+        return ScalarProblem(order=2, coeffs=(0.0, 0.0),
+                             profile=make_profile(_PULSE_PROFILES[name],
+                                                  **params))
     if name == "biharmonic_demo":
         amplitude = float(params.pop("amplitude", 1.0))
         _reject_extra(name, params)

@@ -74,14 +74,17 @@ def test_det_json_document(tmp_path, capsys):
 def test_det_shares_one_system_discretization(tmp_path, capsys,
                                               monkeypatch):
     """det2 and det3 of one lambda come from one system discretization
-    and one LU (the other LU is det1's)."""
-    calls = {"discretize_system": 0, "_lu_det": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(fredholm, name), _name=name,
+    and one LU (the other discretization and LU are det1's), and R - R_inf
+    is sampled once per point set: nodes, panel sub-nodes and their
+    sub-sub-nodes."""
+    calls = {"_discretize": 0, "_lu_det": 0, "decaying_part": 0}
+    for owner, name in ((fredholm, "_discretize"), (fredholm, "_lu_det"),
+                        (wavedet.SystemProblem, "decaying_part")):
+        def counted(*args, _fn=getattr(owner, name), _name=name,
                     **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(fredholm, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     lams = [2.5 + 0.5j, 6.0 - 1.0j]
     path = write_config(tmp_path,
                         {"lambdas": [{"re": z.real, "im": z.imag}
@@ -90,7 +93,7 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     code, out, err = run_cli(capsys, "det", "--config", path, "--format",
                              "json")
     assert code == 0
-    assert calls == {"discretize_system": 2, "_lu_det": 4}
+    assert calls == {"_discretize": 4, "_lu_det": 4, "decaying_part": 6}
     pt = wavedet.builtin_problem("poschl_teller")
     sysm = wavedet.to_system(pt)
     grid = wavedet.build_grid(20.0, 200)

@@ -119,7 +119,7 @@ def test_matching_point_outside_window(pt_system):
 def test_zero_perturbation_is_trivial():
     flat = wd.to_system(wd.builtin_problem("sech_pulse", amplitude=0.0))
     res = wd.evans_function(flat, 3.0)
-    assert res.det_transmission == 1.0 + 0.0j
+    assert abs(res.det_transmission - 1.0) <= 1e-13
     assert abs(res.ratio - 1.0) < 1e-8
 
 
@@ -132,22 +132,65 @@ def test_truncation_error_reported(pt_system):
 # transmission routes
 
 
-def test_swinton_matches_transmission(pt_system):
-    sw = evans.swinton_matrix(pt_system, 4.0)
-    tm = evans.transmission_matrix(pt_system, 4.0)
-    assert sw.shape == tm.shape == (1, 1)
-    assert abs(np.linalg.det(sw) - np.linalg.det(tm)) < 1e-8
+@pytest.fixture(scope="module")
+def bh_system():
+    return wd.to_system(wd.builtin_problem("biharmonic_demo"))
 
 
-def test_swinton_matching_point_invariance(pt_system):
-    s0 = evans.swinton_matrix(pt_system, 4.0, matching_point=0.0)
-    s1 = evans.swinton_matrix(pt_system, 4.0, matching_point=-2.0)
-    assert abs(s0[0, 0] - s1[0, 0]) < 1e-8
+def test_swinton_matches_transmission(pt_system, bh_system):
+    # k = 1 (Poschl-Teller) and k = 2 dual rows (fourth order)
+    for sysm, lam, k in ((pt_system, 4.0, 1), (bh_system, 3.0 + 2.0j, 2)):
+        sw = evans.swinton_matrix(sysm, lam)
+        tm = evans.transmission_matrix(sysm, lam)
+        assert sw.shape == tm.shape == (k, k)
+        assert abs(np.linalg.det(sw) - np.linalg.det(tm)) < 1e-8
+
+
+def test_swinton_matching_point_invariance(pt_system, bh_system):
+    for sysm, lam in ((pt_system, 4.0), (bh_system, 3.0 + 2.0j)):
+        s0 = evans.swinton_matrix(sysm, lam, matching_point=0.0)
+        s1 = evans.swinton_matrix(sysm, lam, matching_point=-2.0)
+        assert np.max(np.abs(s0 - s1)) < 1e-8
 
 
 def test_gram_determinant_limit(pt_system):
-    gd = evans.gram_determinant(pt_system, 4.0)
+    # the edge pairing Z0+(X) Y-(X) is the transmission matrix
+    gd = np.linalg.det(evans.transmission_matrix(pt_system, 4.0))
     assert abs(gd - 1.0 / 3.0) < 1e-6
+
+
+def test_adjoint_runs_pair_to_a_constant(bh_system):
+    """Z(x) Y(x) is x-independent for a row solution Z of the adjoint
+    system and a column solution Y, in both directions: the dual rows of
+    Z0- run right from -X against the Y+ columns run left from +X."""
+    lam = 3.0 + 2.0j
+    basis = wd.system_basis(bh_system, lam)
+    params = evans.IntegrationParams()
+    pts = (0.0, -2.0)
+    zm = evans._propagate_columns(bh_system, lam, basis, "minus", params,
+                                  sample_points=pts, adjoint=True)
+    yp = evans._propagate_columns(bh_system, lam, basis, "plus", params,
+                                  sample_points=pts)
+    pairs = [zm.raw_at(x).T @ yp.raw_at(x) for x in pts]
+    assert pairs[0].shape == (2, 2)
+    assert np.max(np.abs(pairs[0] - pairs[1])) <= 1e-10 * np.max(
+        np.abs(pairs[0]))
+
+
+@pytest.mark.parametrize("lam", [3.0 + 2.0j, 2.0 - 3.5j])
+def test_evans_routes_match_det1_on_wide_windows(lam):
+    """det D, E/c and det(Swinton) hold det1 as the window widens: the
+    growth ratio e^((Re kappa_1 - Re kappa_2) X) of the two Jost columns
+    (e^(1.16 X) at 3 + 2i) must not leak into any route."""
+    bi = wd.builtin_problem("biharmonic_demo", amplitude=3.0)
+    bs = wd.to_system(bi)
+    for X in (20.0, 25.0, 30.0):
+        params = evans.IntegrationParams(half_width=X)
+        d1 = wd.det1(bi, lam, wd.build_grid(X, 1600)).value
+        res = wd.evans_function(bs, lam, params=params)
+        sw = np.linalg.det(evans.swinton_matrix(bs, lam, params=params))
+        for value in (res.det_transmission, res.ratio, sw):
+            assert abs(value - d1) <= 1e-9 * abs(d1)
 
 
 def test_born_transmission_matches_pointwise_sum():

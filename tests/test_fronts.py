@@ -24,8 +24,8 @@ def front_system():
 def test_front_split_keeps_mixed_rates():
     sp = fronts.front_split(AM, AP, 0.0)
     assert sp.k == 1 and sp.n == 2
-    assert np.allclose(sp.kappa_minus, [2.0])
-    assert np.allclose(sp.tau_plus, [-1.0])
+    assert np.allclose(sp.plus, [2.0])
+    assert np.allclose(sp.minus, [-1.0])
     assert np.allclose(sp.all, [2.0, -1.0])
 
 
@@ -55,17 +55,17 @@ def test_front_reference_from_profile(front_system):
 
 
 def test_front_reference_rejects_coincident_rates():
-    sp = fronts.FrontSplit(kappa_minus=(1.0 + 0j,), tau_plus=(1.0 + 0j,))
+    sp = wd.RootSplit(plus=(1.0 + 0j,), minus=(1.0 + 0j,))
     with pytest.raises(IllConditioned):
         fronts.front_reference(sp)
 
 
 def test_recentred_potential_jump_and_decay(front_system):
-    jump = (fronts.front_Q(front_system, 0.0)
-            - fronts.front_Q(front_system, 1e-12))
+    Q = front_system.decaying_part
+    jump = Q(0.0) - Q(1e-12)
     assert np.allclose(jump, front_system.r_plus - front_system.r_minus)
-    assert np.max(np.abs(fronts.front_Q(front_system, 18.0))) < 1e-12
-    assert np.max(np.abs(fronts.front_Q(front_system, -18.0))) < 1e-12
+    assert np.max(np.abs(Q(18.0))) < 1e-12
+    assert np.max(np.abs(Q(-18.0))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
