@@ -24,11 +24,22 @@ such terms (``_Terms``) serves both kernels:
   W at the nodes and the panel sub-nodes, sampled once per lambda
   (``_Samples``) and shared with the discretization, and at the panel
   sub-sub-nodes, sampled by the traces alone.
+* The Nystrom matrix in quasiseparable form (``_blocks``): diagonal
+  blocks of panel_order nodes on every grid (the product-integration
+  panels on composite Gauss grids), the plus terms above them and the
+  minus terms below as generators anchored at the block edges, and the
+  contractive transitions e^(-kappa h) between blocks.  log det(I + S) is
+  a block Schur sweep (``_sweep``) with one small numpy LU per block, and
+  tr S, tr S^2, tr S^3 come from a left and a right sweep over the same
+  generators (``_block_traces``): the dense N b x N b matrix is not formed.
 * Regularized determinants (``_corrected_det``) that compensate the trace
-  defect of det(I + S) with the exact traces, in the log domain of one
-  numpy LU (``_lu_det``).  det1 is order 1, with the analytic trace tau
-  from the interface coefficients; det2 and detp are orders p >= 2 of the
-  matrix kernel.
+  defect of det(I + S) with the exact traces, in the log domain.  det1 is
+  order 1, with the analytic trace tau from the interface coefficients;
+  det2 and detp are orders p >= 2 of the matrix kernel.  The dense matrix
+  (``_discretize``), one LU of I + S (``_lu_det``) and its powers are the
+  single fallback (``_regularized``), for orders that need tr S^4 or
+  tr S^5 (detp with p = 5, 6) and for sweeps whose growth exceeds
+  ``_MAX_GROWTH``.
 """
 
 from __future__ import annotations
@@ -97,7 +108,9 @@ class DeterminantResult:
     kind: str                 # det1 | det2 | detp
     trace_used: Optional[complex]
     grid_signature: tuple
-    condition_hint: float     # Hadamard ratio of I + S, >= 0, inf if singular
+    # sum of the Hadamard ratios of the Schur blocks of I + S (of I + S
+    # itself on the dense fallback), >= 0, inf if singular
+    condition_hint: float
 
 
 def build_grid(half_width: float, n_points: int,
@@ -108,8 +121,12 @@ def build_grid(half_width: float, n_points: int,
     gauss_legendre: ceil(N / panel_order) equal panels with panel_order
     points each (the node count is rounded up to a full panel).
     trapezoid: N equally spaced nodes including the endpoints.
+    On either rule panel_order >= 1 is also the block size of the
+    determinant sweep.
     """
     X = float(half_width)
+    if panel_order < 1:
+        raise ConfigError("panel_order must be at least 1")
     if not X > 0:
         raise ConfigError("half_width must be positive")
     if n_points < 4:
@@ -319,22 +336,27 @@ def _node_matrix(terms: _Terms, grid: QuadratureGrid,
     return S.reshape(N * b, N * b)
 
 
+def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
+    """Diagonal-panel blocks of a composite Gauss grid by product
+    integration, shape (P, q, b, q, b)."""
+    pts, wts, lagrange = samples.rule[:3]
+    q = pts.shape[-1]
+    b = terms.u.shape[1]
+    d = samples.grid.nodes[:, None] - pts
+    prod = np.stack([terms.branch(d[0], 0), terms.branch(d[1], 1)])
+    prod = prod @ samples.panel
+    prod *= wts[..., None, None]
+    return np.einsum("sPruab,sruj->Prajb",
+                     prod.reshape(2, -1, q, q, b, b), lagrange)
+
+
 def _discretize(terms: _Terms, samples: _Samples) -> np.ndarray:
     """Nystrom matrix of the terms, diagonal panels by product
     integration on composite Gauss grids."""
-    grid = samples.grid
-    S = _node_matrix(terms, grid, samples.nodes)
+    S = _node_matrix(terms, samples.grid, samples.nodes)
     if samples.rule is not None:
-        pts, wts, lagrange = samples.rule[:3]
-        q = pts.shape[-1]
-        b = terms.u.shape[1]
-        d = grid.nodes[:, None] - pts
-        prod = np.stack([terms.branch(d[0], 0), terms.branch(d[1], 1)])
-        prod = prod @ samples.panel
-        prod *= wts[..., None, None]
-        blocks = np.einsum("sPruab,sruj->Prajb",
-                           prod.reshape(2, -1, q, q, b, b), lagrange)
-        P = blocks.shape[0]
+        blocks = _panel_blocks(terms, samples)
+        P, q, b = blocks.shape[:3]
         idx = np.arange(P)
         S.reshape(P, q, b, P, q, b)[idx, :, :, idx] = blocks
     return S
@@ -451,25 +473,166 @@ def trace_power_system(system: SystemProblem, lam: complex,
     return _trace_power(_system_terms(system, basis), grid, power)
 
 
-def _corrected_det(S: np.ndarray, exact: dict,
-                   orders: Sequence[int]) -> tuple[list, float]:
-    """det(I + S) regularized to each order p in orders, with the
-    condition hint of ``_lu_det``.
+@dataclass(frozen=True)
+class _Blocks:
+    """S in quasiseparable form over P blocks of q nodes, m = q b rows each
+    (a short last block is padded with zero rows and columns):
 
-    The order-p determinant is det(I + T) exp(sum_{l<p} (-1)^l / l tr T^l),
-    here with matrix traces tr S^l, which cancel the trace error of
-    det(I + S) at those orders.  det(I + S) / det(I + T) is
-    exp(sum_l (-1)^(l+1)/l (tr S^l - tr T^l)), dominated by the low orders
-    for a kernel with a diagonal kink, so each order l >= p with a known
-    exact trace exact[l] = tr T^l is compensated.  tr(A B) is
-    sum(A * B.T), so S^2 and S^3 are the only products needed up to l = 6.
+        S_ps = diag[p]                       p = s
+             = gp[p] Phi_ps hp[s]            p < s, Phi_ps = prod ep[t]
+             = gm[p] Psi_ps hm[s]            p > s, Psi_ps = prod em[t]
 
-    The correction is added to log|det(I + S)| before exponentiating, so a
-    det(I + S) outside the float64 range still gives every value in range.
+    over the blocks t strictly between p and s.  With e_p the left edge of
+    block p, gp = u_j e^(kappa_j (x - e_(p+1))), hp = e^(kappa_j (e_p - xi))
+    r_j W w for the plus roots, gm = u_j e^(kappa_j (x - e_p)),
+    hm = e^(kappa_j (e_(p+1) - xi)) r_j W w for the minus roots, and the
+    transitions ep = e^(-kappa_j h_p), em = e^(kappa_j h_p) over the block
+    widths h_p: every exponential is at most 1.  Shapes: diag (P, m, m),
+    gp (P, m, k), hp (P, k, m), gm (P, m, n - k), hm (P, n - k, m),
+    ep (P, k), em (P, n - k).
     """
-    sign, logabs, hint = _lu_det(S)
-    top = max([p - 1 for p in orders]
-              + [l for l in exact if l >= min(orders)])
+
+    diag: np.ndarray
+    gp: np.ndarray
+    hp: np.ndarray
+    gm: np.ndarray
+    hm: np.ndarray
+    ep: np.ndarray
+    em: np.ndarray
+
+
+def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
+    """Generators of the Nystrom matrix of ``_discretize`` on blocks of
+    ``panel_order`` ascending nodes, without forming it.  The diagonal
+    blocks are the product-integration panels on composite Gauss grids and
+    node entries otherwise; block edges are the outer nodes and the
+    midpoints between neighbouring blocks."""
+    grid = samples.grid
+    x, q, k = grid.nodes, grid.panel_order, terms.k
+    N, n, b = x.size, terms.kappa.size, terms.u.shape[1]
+    P = -(-N // q)
+    cut = np.arange(1, P) * q
+    edges = np.concatenate([x[:1], (x[cut - 1] + x[cut]) / 2.0, x[-1:]])
+    xs = np.pad(x, (0, P * q - N), mode="edge").reshape(P, q)
+    valid = (np.arange(P * q) < N).reshape(P, q)
+    rows = np.einsum("jc,tcd->jtd", terms.r,
+                     samples.nodes * grid.weights[:, None, None])
+    rows = np.pad(rows, ((0, 0), (0, P * q - N), (0, 0))).reshape(n, P, q, b)
+    kap = terms.kappa
+    left, right = edges[:-1, None, None], edges[1:, None, None]
+    e_gp = np.exp(kap[:k] * (xs[..., None] - right)) * valid[..., None]
+    e_gm = np.exp(kap[k:] * (xs[..., None] - left)) * valid[..., None]
+    e_hp = np.exp(kap[:k] * (left - xs[..., None]))
+    e_hm = np.exp(kap[k:] * (right - xs[..., None]))
+    gp = np.einsum("pij,ja->piaj", e_gp, terms.u[:k]).reshape(P, q * b, k)
+    gm = np.einsum("pij,ja->piaj", e_gm, terms.u[k:]).reshape(P, q * b, -1)
+    hp = np.einsum("plj,jplc->pjlc", e_hp, rows[:k]).reshape(P, k, q * b)
+    hm = np.einsum("plj,jplc->pjlc", e_hm, rows[k:]).reshape(P, -1, q * b)
+    h = np.diff(edges)[:, None]
+    if samples.rule is not None:
+        diag = _panel_blocks(terms, samples)
+    else:
+        d = (xs[:, :, None] - xs[:, None, :])[..., None]
+        on = np.where(np.arange(n) < k, d < 0, d >= 0)
+        on &= valid[:, :, None, None]
+        E = np.exp(d * kap, out=np.zeros(on.shape, dtype=complex), where=on)
+        diag = np.einsum("pilj,ja,jplc->pialc", E, terms.u, rows)
+    return _Blocks(diag.reshape(P, q * b, q * b), gp, hp, gm, hm,
+                   np.exp(-kap[:k] * h), np.exp(kap[k:] * h))
+
+
+# A sweep whose elimination term G M H outgrows I + D by more than this
+# factor leaves the determinant to the dense LU.  Without pivoting across
+# blocks a nearly singular leading block is cancelled later in lost
+# digits: the measured relative error of the sweep is about eps * growth.
+_MAX_GROWTH = 100.0
+
+
+def _sweep(blocks: _Blocks) -> tuple[complex, float, float, float]:
+    """(sign, log|det(I + S)|) by block elimination in block order (the
+    quasiseparable elimination of Eidelman and Gohberg), the condition
+    hint and the growth.
+
+    The Schur complement of the leading blocks is I + D_p - gm_p M_p hp_p
+    on block p, with the (n - k) x k coupling
+
+        M_(p+1) = em M ep + (em M hp - hm) A_p^-1 (gm M ep - gp),
+
+    A_p the Schur block of p.  log|det(I + S)| sums the log|det A_p| of
+    the row-scaled Schur blocks, each a numpy LU with partial pivoting;
+    the hint sums their Hadamard ratios (>= 0, inf if a block is
+    singular).  The growth is max ||gm M hp|| / ||I + D_p|| over the
+    blocks; it is inf where a singular Schur block stops the sweep.
+    """
+    P, m = blocks.diag.shape[:2]
+    i_plus_d = blocks.diag + np.eye(m)
+    schur = np.empty_like(i_plus_d)
+    M = np.zeros((blocks.em.shape[1], blocks.ep.shape[1]), dtype=complex)
+    for p in range(P):
+        GM = blocks.gm[p] @ M
+        schur[p] = i_plus_d[p] - GM @ blocks.hp[p]
+        if M.size and p < P - 1:
+            try:
+                X = np.linalg.solve(schur[p], GM * blocks.ep[p]
+                                    - blocks.gp[p])
+            except np.linalg.LinAlgError:
+                return 0j, float("-inf"), float("inf"), float("inf")
+            em = blocks.em[p][:, None]
+            M = em * M * blocks.ep[p] + (em * (M @ blocks.hp[p])
+                                         - blocks.hm[p]) @ X
+    growth = float(np.max(np.linalg.norm(i_plus_d - schur, axis=(1, 2))
+                          / np.linalg.norm(i_plus_d, axis=(1, 2))))
+    norms = np.linalg.norm(schur, axis=2)
+    if not norms.all():
+        return 0j, float("-inf"), float("inf"), growth
+    sign, logabs = np.linalg.slogdet(schur / norms[..., None])
+    return (complex(np.prod(sign)), float(np.sum(np.log(norms))
+                                          + np.sum(logabs)),
+            float(np.sum(np.maximum(0.0, -logabs))), growth)
+
+
+def _block_traces(blocks: _Blocks, top: int) -> dict:
+    """tr S^l for l = 1 .. top <= 3 from the generators.
+
+    With S = D + U + L (block diagonal, upper, lower), tr S^2 is
+    sum tr D_p^2 + 2 tr(U L), and tr S^3 is sum tr D_p^3 + 3 tr(D (U L +
+    L U)) + 3 tr(U U L + U L L).  The off-block parts of the diagonal
+    blocks of S^2 are gp_p R_p hm_p + gm_p L_p hp_p, from the left sweep
+    L_(p+1) = em L_p ep + hm_p gp_p and the right sweep
+    R_(p-1) = ep R_p em + hp_p gm_p; the triple products pass through one
+    middle block each.
+    """
+    D, gp, hp, gm, hm, ep, em = (blocks.diag, blocks.gp, blocks.hp,
+                                 blocks.gm, blocks.hm, blocks.ep, blocks.em)
+    t = {1: complex(np.trace(D, axis1=1, axis2=2).sum())}
+    if top < 2:
+        return t
+    P = D.shape[0]
+    DT = D.transpose(0, 2, 1)
+    decay = em[:, :, None] * ep[:, None, :]
+    alpha, beta = hm @ gp, hp @ gm
+    L = np.zeros_like(alpha)
+    for p in range(1, P):
+        L[p] = decay[p - 1] * L[p - 1] + alpha[p - 1]
+    t[2] = complex(np.sum(D * DT) + 2.0 * np.einsum("pji,pij->", beta, L))
+    if top < 3:
+        return t
+    R = np.zeros_like(beta)
+    for p in range(P - 1, 0, -1):
+        R[p - 1] = decay[p].T * R[p] + beta[p]
+    tr_d3 = np.sum((D @ D) * DT)
+    tr_do = (np.einsum("pji,pij->", hm @ D @ gp, R)
+             + np.einsum("pij,pji->", hp @ D @ gm, L))
+    tr_uul = (np.einsum("pjc,pci,pi,pij->", hp @ gp, R, em, L)
+              + np.einsum("pj,pji,pic,pcj->", ep, R, hm @ gm, L))
+    t[3] = complex(tr_d3 + 3.0 * tr_do + 3.0 * tr_uul)
+    return t
+
+
+def _matrix_traces(S: np.ndarray, top: int) -> dict:
+    """tr S^l for l = 1 .. top of the dense matrix; tr(A B) is
+    sum(A * B.T), so S^2 and S^3 are the only products needed up to
+    l = 6."""
     powers = [None, S]
     if top >= 2:
         powers.append(S @ S)
@@ -478,13 +641,52 @@ def _corrected_det(S: np.ndarray, exact: dict,
     t = {1: complex(np.trace(S))}
     for l in range(2, top + 1):
         t[l] = complex(np.sum(powers[(l + 1) // 2] * powers[l // 2].T))
+    return t
+
+
+def _corrected_det(sign: complex, logabs: float, t: dict, exact: dict,
+                   orders: Sequence[int]) -> list:
+    """det(I + S) = sign e^logabs regularized to each order p in orders,
+    from the matrix traces t[l] = tr S^l.
+
+    The order-p determinant is det(I + T) exp(sum_{l<p} (-1)^l / l tr T^l),
+    here with matrix traces tr S^l, which cancel the trace error of
+    det(I + S) at those orders.  det(I + S) / det(I + T) is
+    exp(sum_l (-1)^(l+1)/l (tr S^l - tr T^l)), dominated by the low orders
+    for a kernel with a diagonal kink, so each order l >= p with a known
+    exact trace exact[l] = tr T^l is compensated.
+
+    The correction is added to log|det(I + S)| before exponentiating, so a
+    det(I + S) outside the float64 range still gives every value in range.
+    """
     values = []
     for p in orders:
         correction = sum((-1.0) ** l / l * t[l] for l in range(1, p))
         correction += sum((-1.0) ** (l + 1) / l * (exact[l] - t[l])
                           for l in exact if l >= p)
         values.append(sign * np.exp(logabs + correction))
-    return values, hint
+    return values
+
+
+def _regularized(terms: _Terms, samples: _Samples, exact: dict,
+                 orders: Sequence[int]) -> tuple[list, float]:
+    """``_corrected_det`` of the Nystrom matrix of the terms and the
+    condition hint: from the block sweep and the generator traces, or from
+    the dense matrix (``_discretize``, ``_lu_det`` and its powers) when
+    the orders need tr S^4 or beyond, or the sweep outgrows
+    ``_MAX_GROWTH``."""
+    top = max([p - 1 for p in orders]
+              + [l for l in exact if l >= min(orders)])
+    if top <= 3:
+        blocks = _blocks(terms, samples)
+        sign, logabs, hint, growth = _sweep(blocks)
+        if growth <= _MAX_GROWTH:
+            return _corrected_det(sign, logabs, _block_traces(blocks, top),
+                                  exact, orders), hint
+    S = _discretize(terms, samples)
+    sign, logabs, hint = _lu_det(S)
+    return _corrected_det(sign, logabs, _matrix_traces(S, top), exact,
+                          orders), hint
 
 
 def det1(problem: ScalarProblem, lam: complex,
@@ -498,7 +700,7 @@ def det1(problem: ScalarProblem, lam: complex,
     exact = {1: tau}
     if samples.rule is not None:
         exact[2], exact[3] = _traces(terms, samples)
-    (value,), hint = _corrected_det(_discretize(terms, samples), exact, (1,))
+    (value,), hint = _regularized(terms, samples, exact, (1,))
     return DeterminantResult(value=value, kind="det1", trace_used=tau,
                              grid_signature=grid.signature,
                              condition_hint=hint)
@@ -569,8 +771,7 @@ def _system_dets(system: SystemProblem, lam: complex, grid: QuadratureGrid,
     exact = {}
     if samples.rule is not None and min(orders.values()) <= 3:
         exact[2], exact[3] = _traces(terms, samples)
-    values, hint = _corrected_det(_discretize(terms, samples), exact,
-                                  list(orders.values()))
+    values, hint = _regularized(terms, samples, exact, list(orders.values()))
     return [DeterminantResult(value=value, kind=kind, trace_used=tau,
                               grid_signature=grid.signature,
                               condition_hint=hint)

@@ -73,12 +73,14 @@ def test_det_json_document(tmp_path, capsys):
 
 def test_det_shares_one_system_discretization(tmp_path, capsys,
                                               monkeypatch):
-    """det2 and det3 of one lambda come from one system discretization
-    and one LU (the other discretization and LU are det1's), and R - R_inf
-    is sampled once per point set: nodes, panel sub-nodes and their
-    sub-sub-nodes."""
-    calls = {"_discretize": 0, "_lu_det": 0, "decaying_part": 0}
-    for owner, name in ((fredholm, "_discretize"), (fredholm, "_lu_det"),
+    """det2 and det3 of one lambda come from one set of system generators
+    and one block sweep (the other generators and sweep are det1's), no
+    dense matrix is assembled, and R - R_inf is sampled once per point
+    set: nodes, panel sub-nodes and their sub-sub-nodes."""
+    calls = {"_blocks": 0, "_sweep": 0, "_discretize": 0,
+             "decaying_part": 0}
+    for owner, name in ((fredholm, "_blocks"), (fredholm, "_sweep"),
+                        (fredholm, "_discretize"),
                         (wavedet.SystemProblem, "decaying_part")):
         def counted(*args, _fn=getattr(owner, name), _name=name,
                     **kwargs):
@@ -93,7 +95,8 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     code, out, err = run_cli(capsys, "det", "--config", path, "--format",
                              "json")
     assert code == 0
-    assert calls == {"_discretize": 4, "_lu_det": 4, "decaying_part": 6}
+    assert calls == {"_blocks": 4, "_sweep": 4, "_discretize": 0,
+                     "decaying_part": 6}
     pt = wavedet.builtin_problem("poschl_teller")
     sysm = wavedet.to_system(pt)
     grid = wavedet.build_grid(20.0, 200)
@@ -325,6 +328,17 @@ def test_removed_threads_flag_is_usage_error(tmp_path, capsys):
         cli.main(["det", "--config", path, "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_nonpositive_panel_order_is_exit_2(tmp_path, capsys, order):
+    path = write_config(tmp_path, {"lambdas": [4.0]},
+                        domain={"panel_order": order})
+    code, out, err = run_cli(capsys, "det", "--config", path)
+    assert code == 2 and out == ""
+    obj = err_object(err)
+    assert obj["kind"] == "config"
+    assert "panel_order" in obj["message"]
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +47,10 @@ def test_grid_validation():
         wd.build_grid(10.0, 3)
     with pytest.raises(ConfigError):
         wd.build_grid(10.0, 100, rule="simpson")
+    for rule in ("gauss_legendre", "trapezoid"):
+        for order in (0, -3):
+            with pytest.raises(ConfigError, match="panel_order"):
+                wd.build_grid(10.0, 100, rule=rule, panel_order=order)
 
 
 @given(n=st.integers(10, 300), x=st.floats(5.0, 30.0))
@@ -52,6 +58,32 @@ def test_grid_weight_sum_is_interval_length(n, x):
     g = wd.build_grid(x, n)
     assert np.sum(g.weights) == pytest.approx(2.0 * x)
     assert np.all(np.abs(g.nodes) <= x)
+
+
+# ---------------------------------------------------------------------------
+# structured determinant entry
+
+
+def _block_diagonal(diag):
+    """``_Blocks`` of the block-diagonal matrix with blocks diag, (P, m, m):
+    no plus or minus generators."""
+    P, m = diag.shape[:2]
+    none = np.zeros((P, m, 0), dtype=complex)
+    return fredholm._Blocks(diag, none, none.transpose(0, 2, 1), none,
+                            none.transpose(0, 2, 1), np.zeros((P, 0)),
+                            np.zeros((P, 0)))
+
+
+def _structured(blocks, orders, exact=None):
+    """Regularized determinants and hint from the block sweep and the
+    generator traces."""
+    exact = exact or {}
+    top = max([p - 1 for p in orders] + [l for l in exact if l >= min(orders)])
+    sign, logabs, hint, growth = fredholm._sweep(blocks)
+    values = fredholm._corrected_det(sign, logabs,
+                                     fredholm._block_traces(blocks, top),
+                                     exact, orders)
+    return values, hint
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +114,14 @@ def test_det1_result_fields(pt, grid):
                     wd.det2(wd.to_system(pt2), lam, g200)):
             assert np.isfinite(res.condition_hint)
             assert res.condition_hint >= 0.0
-    # a singular I + S (a zero row, two equal rows) is an inf hint and a
-    # zero value, not an exception
+    # a singular I + S (a zero row, two equal rows, in the first, middle
+    # or last block) is an inf hint and a zero value, not an exception
     for rows in ([[0.0, 0.0], [3.0, 1.5]], [[1.0, 2.0], [1.0, 2.0]]):
-        S = np.array(rows, dtype=complex) - np.eye(2)
-        (value,), hint = fredholm._corrected_det(S, {}, (1,))
-        assert value == 0 and hint == np.inf
+        for at in range(3):
+            diag = np.tile(np.diag([0.5, -0.25]).astype(complex), (3, 1, 1))
+            diag[at] = np.array(rows) - np.eye(2)
+            (value,), hint = _structured(_block_diagonal(diag), (1,))
+            assert value == 0 and hint == np.inf
 
 
 def test_det1_convergence_per_doubling(pt):
@@ -224,8 +258,8 @@ def test_corrected_det_outside_float_range(s, n):
     """det(I + S) = (1 + s)^n leaves float64, the order-2 value
     prod (1 + s_i) e^(-s_i) does not."""
     assert abs(n * np.log1p(s)) > 745.2   # beyond float64, subnormals too
-    S = np.diag(np.full(n, s)).astype(complex)
-    (value,), hint = fredholm._corrected_det(S, {}, (2,))
+    diag = np.tile(np.diag(np.full(10, s)).astype(complex), (n // 10, 1, 1))
+    (value,), hint = _structured(_block_diagonal(diag), (2,))
     want = np.exp(n * (np.log1p(s) - s))
     assert abs(value - want) <= 1e-12 * want
     assert hint == 0.0
@@ -499,3 +533,217 @@ def test_trace_power_matches_per_panel_reference(name, problem, lam):
     scale = max(abs(w) for w in want)
     for a, b in zip(got, want):
         assert abs(a - b) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# structured determinants and traces against the dense matrix
+
+
+def _dense_reference(terms, grid, exact, orders):
+    """Regularized determinants and hint by the dense path: the assembled
+    Nystrom matrix, one LU of I + S and the matrix traces of S and S @ S."""
+    S = fredholm._discretize(terms, fredholm._sample(terms, grid))
+    sign, logabs, hint = fredholm._lu_det(S)
+    top = max([p - 1 for p in orders] + [l for l in exact if l >= min(orders)])
+    powers = [None, S]
+    if top >= 2:
+        powers.append(S @ S)
+    if top >= 5:
+        powers.append(powers[2] @ S)
+    t = {1: complex(np.trace(S))}
+    for l in range(2, top + 1):
+        t[l] = complex(np.sum(powers[(l + 1) // 2] * powers[l // 2].T))
+    values = []
+    for p in orders:
+        correction = sum((-1.0) ** l / l * t[l] for l in range(1, p))
+        correction += sum((-1.0) ** (l + 1) / l * (exact[l] - t[l])
+                          for l in exact if l >= p)
+        values.append(sign * np.exp(logabs + correction))
+    return values, hint
+
+
+def _exact_traces(terms, grid):
+    if fredholm._gl_panels(grid) is None:
+        return {}
+    tr2, tr3 = fredholm._traces(terms, fredholm._sample(terms, grid))
+    return {2: tr2, 3: tr3}
+
+
+def _dense_det1(problem, lam, grid):
+    terms = fredholm._scalar_terms(problem, lam)
+    exact = {1: wd.trace_scalar(problem, lam), **_exact_traces(terms, grid)}
+    return _dense_reference(terms, grid, exact, (1,))[0][0]
+
+
+def _dense_system(system, lam, grid, orders, basis=None):
+    basis = basis if basis is not None else greens.system_basis(system, lam)
+    terms = fredholm._system_terms(system, basis)
+    exact = _exact_traces(terms, grid) if min(orders) <= 3 else {}
+    return _dense_reference(terms, grid, exact, orders)[0]
+
+
+def _oracle_grids():
+    gauss = wd.build_grid(20.0, 200)
+    return {
+        "gauss": gauss,
+        "trapezoid": wd.build_grid(20.0, 201, rule="trapezoid"),
+        # 200 = 28 * 7 + 4: no panel layout, a short last block
+        "short_block": fredholm.QuadratureGrid(
+            gauss.half_width, gauss.nodes, gauss.weights, gauss.rule, 7),
+    }
+
+
+_BATTERY_LAMBDAS = [2.5, 4.0, 9.0, 0.5 + 1.5j, 2.0 + 1.0j, 3.0 - 2.0j,
+                    1.5 + 0.5j, 6.0 + 2.0j, 5.0 - 1.0j, 0.8 - 0.6j]
+_BATTERY = ("poschl_teller", "gaussian_pulse")
+
+
+def _close(got, want, rtol=1e-12):
+    return abs(got - want) <= rtol * abs(want)
+
+
+@pytest.mark.parametrize("grid_name", sorted(_oracle_grids()))
+def test_structured_det1_matches_dense(grid_name):
+    g = _oracle_grids()[grid_name]
+    cases = [(wd.builtin_problem(name), lam)
+             for name in _BATTERY for lam in _BATTERY_LAMBDAS]
+    cases += list(PANEL_PROBLEMS.values())
+    cases.append((wd.builtin_problem("biharmonic_demo"), 3.2 + 1.1j))
+    for problem, lam in cases:
+        got = wd.det1(problem, lam, g).value
+        assert _close(got, _dense_det1(problem, lam, g)), (problem, lam)
+
+
+@pytest.mark.parametrize("grid_name", sorted(_oracle_grids()))
+def test_structured_det2_det3_match_dense(grid_name):
+    g = _oracle_grids()[grid_name]
+    cases = [(wd.to_system(wd.builtin_problem(name)), lam)
+             for name in _BATTERY for lam in _BATTERY_LAMBDAS]
+    bh = wd.to_system(wd.builtin_problem("biharmonic_demo"))
+    cases += [(bh, 3.2 + 1.1j), (bh, -1.0 + 2.0j)]
+    for system, lam in cases:
+        d2, d3 = fredholm.det2_detp(system, lam, g, 3)
+        want = _dense_system(system, lam, g, (2, 3))
+        assert _close(d2.value, want[0]) and _close(d3.value, want[1]), lam
+
+
+@pytest.mark.parametrize("grid_name", sorted(_oracle_grids()))
+def test_structured_front_det2_matches_dense(grid_name):
+    g = _oracle_grids()[grid_name]
+    front = wd.to_system(wd.builtin_problem(
+        "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
+    for lam in (2.0 + 0.5j, 3.3, 6.0 - 1.0j):
+        got = fronts.front_det2(front, lam, g).value
+        want, = _dense_system(front, lam, g, (2,),
+                              basis=fronts.front_basis(front, lam))
+        assert _close(got, want), lam
+
+
+@st.composite
+def _random_terms(draw):
+    """Random semi-separable terms, k of n roots plus, with a complex
+    b x b weight, on a Gauss or trapezoid grid whose blocks may be panels,
+    node blocks, or node blocks with a short last block."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    b = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kappa = (np.where(np.arange(n) < k, 1.0, -1.0) * rng.uniform(0.3, 3.0, n)
+             + 1j * rng.uniform(-2.0, 2.0, n))
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    u, r, A = cnormal(n, b), cnormal(n, b), cnormal(b, b)
+    centre = rng.uniform(-2.0, 2.0)
+
+    def weight(x):
+        x = np.asarray(x, dtype=float)[..., None, None]
+        return A * np.exp(-(x - centre) ** 2) * (1.0 + 0.5j * np.sin(x))
+
+    rule = draw(st.sampled_from(["gauss_legendre", "trapezoid"]))
+    grid = wd.build_grid(6.0, draw(st.integers(20, 60)), rule=rule,
+                         panel_order=draw(st.integers(2, 8)))
+    blocks = draw(st.integers(1, 9))
+    if rule == "trapezoid" or grid.nodes.size % blocks:
+        grid = dataclasses.replace(grid, panel_order=blocks)
+    return fredholm._Terms(kappa, k, u, r, weight), grid
+
+
+@given(case=_random_terms())
+def test_structured_logdet_and_traces_match_dense(case):
+    terms, grid = case
+    samples = fredholm._sample(terms, grid)
+    S = fredholm._discretize(terms, samples)
+    blocks = fredholm._blocks(terms, samples)
+    sign, logabs, hint = fredholm._lu_det(S)
+    got_sign, got_logabs, got_hint, growth = fredholm._sweep(blocks)
+    assert got_hint >= 0.0
+    if growth <= fredholm._MAX_GROWTH:
+        assert abs(got_logabs - logabs) <= 1e-12 * max(1.0, abs(logabs))
+        assert abs(got_sign - sign) <= 1e-12
+    got, want = (fredholm._block_traces(blocks, 3),
+                 fredholm._matrix_traces(S, 3))
+    scale = 1.0 + np.linalg.norm(S)
+    for l in (1, 2, 3):
+        assert abs(got[l] - want[l]) <= 1e-12 * scale ** l
+
+
+def test_growth_fallback_is_the_dense_path(monkeypatch):
+    """With no growth allowed every sweep falls back, and the values are
+    the dense path's, bit for bit."""
+    monkeypatch.setattr(fredholm, "_MAX_GROWTH", 0.0)
+    pt2 = wd.builtin_problem("poschl_teller", N=2)
+    sysm = wd.to_system(pt2)
+    for g in _oracle_grids().values():
+        for lam in (2.0 + 1.0j, 6.0 - 1.5j):
+            assert wd.det1(pt2, lam, g).value == _dense_det1(pt2, lam, g)
+            want = _dense_system(sysm, lam, g, (2, 4))
+            assert wd.det2(sysm, lam, g).value == want[0]
+            assert wd.detp(sysm, lam, g, p=4).value == want[1]
+
+
+def test_default_path_assembles_no_dense_matrix(monkeypatch, pt):
+    """Up to p = 4 the determinants never build the node matrix; p = 5
+    needs tr S^4 and takes the dense path, and so does the series
+    coefficient."""
+    calls = {"_node_matrix": 0, "_discretize": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(fredholm, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(fredholm, name, counted)
+    pt2 = wd.builtin_problem("poschl_teller", N=2)
+    sysm = wd.to_system(pt2)
+    for g in _oracle_grids().values():
+        for lam in (2.0 + 1.0j, 3.0, 6.0 - 1.5j):
+            wd.det1(pt2, lam, g)
+            wd.det2(sysm, lam, g)
+            fredholm.det2_detp(sysm, lam, g, 3)
+            wd.detp(sysm, lam, g, p=4)
+    assert calls == {"_node_matrix": 0, "_discretize": 0}
+    wd.detp(sysm, 2.0 + 1.0j, wd.build_grid(20.0, 200), p=5)
+    assert calls == {"_node_matrix": 1, "_discretize": 1}
+    wd.series_coefficient(pt, 4.0, order=2, grid=wd.build_grid(20.0, 200))
+    assert calls == {"_node_matrix": 2, "_discretize": 1}
+
+
+def test_half_line_eigenvalue_takes_the_dense_path():
+    """At lambda = 5/2 the N = 2 Poschl-Teller kernel cut off at x = 0, a
+    block edge of these grids, is singular: the leading blocks of I + S
+    are singular and the sweep's growth explodes.  The determinant then
+    comes from the dense LU, unchanged, and keeps its closed form."""
+    pt2 = wd.builtin_problem("poschl_teller", N=2)
+    sysm = wd.to_system(pt2)
+    s = np.sqrt(2.5)
+    closed = (s - 1.0) * (s - 2.0) / ((s + 1.0) * (s + 2.0))
+    for n in (200, 400):
+        g = wd.build_grid(20.0, n)
+        terms = fredholm._scalar_terms(pt2, 2.5)
+        blocks = fredholm._blocks(terms, fredholm._sample(terms, g))
+        assert fredholm._sweep(blocks)[3] > 1e5 * fredholm._MAX_GROWTH
+        got = wd.det1(pt2, 2.5, g).value
+        assert got == _dense_det1(pt2, 2.5, g)
+        assert abs(got - closed) < 1e-6
+        assert wd.det2(sysm, 2.5, g).value == _dense_system(
+            sysm, 2.5, g, (2,))[0]
