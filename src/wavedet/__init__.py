@@ -78,6 +78,7 @@ from .evans import (
     jost_minus,
     jost_plus,
     evans_function,
+    evans_and_swinton,
     transmission_matrix,
     swinton_matrix,
     born_transmission,

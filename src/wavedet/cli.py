@@ -434,13 +434,17 @@ def cmd_det(run):
         def one(lam):
             return [lam, fronts.front_det2(run.system, lam, run.grid).value]
     else:
-        columns = [("lambda", "c"), ("det1", "c"), ("det2", "c"),
-                   (f"det{p}", "c")]
+        columns = [("lambda", "c"), ("det1", "c"), ("det2", "c")]
+        if p != 2:
+            columns.append((f"det{p}", "c"))
 
         def one(lam):
-            d2, dp = fredholm.det2_detp(run.system, lam, run.grid, p)
-            return [lam, fredholm.det1(run.problem, lam, run.grid).value,
-                    d2.value, dp.value]
+            if p == 2:
+                dets = [fredholm.det2(run.system, lam, run.grid)]
+            else:
+                dets = fredholm.det2_detp(run.system, lam, run.grid, p)
+            return ([lam, fredholm.det1(run.problem, lam, run.grid).value]
+                    + [d.value for d in dets])
 
     return _render(run, columns, run.map(one, lams))
 
@@ -456,16 +460,18 @@ def cmd_evans(run):
     columns.append(("truncation_error", "f"))
 
     def one(lam):
-        res = evans.evans_function(run.system, lam,
-                                   matching_point=run.matching_point,
-                                   params=run.params)
-        row = [lam, res.evans, res.c_lambda, res.ratio]
-        if not is_front:
-            sw = evans.swinton_matrix(run.system, lam, params=run.params,
-                                      matching_point=run.matching_point)
-            row += [res.det_transmission, complex(np.linalg.det(sw))]
-        row.append(res.truncation_error)
-        return row
+        if is_front:
+            res = evans.evans_function(run.system, lam,
+                                       matching_point=run.matching_point,
+                                       params=run.params)
+            dets = []
+        else:
+            res, sw = evans.evans_and_swinton(
+                run.system, lam, matching_point=run.matching_point,
+                params=run.params)
+            dets = [res.det_transmission, complex(np.linalg.det(sw))]
+        return ([lam, res.evans, res.c_lambda, res.ratio] + dets
+                + [res.truncation_error])
 
     return _render(run, columns, run.map(one, lams))
 

@@ -5,11 +5,13 @@ the support of the perturbation by a fixed-step sixth-order Magnus
 integrator: the system Y' = (A0 + R(x)) Y is linear, so each step is the
 matrix exponential of a commutator combination of the generator at three
 Gauss points (Blanes, Casas & Ros, BIT 40 (2000); Malham & Niesen,
-Math. Comp. 77 (2008)).  R is sampled once per run at all Gauss points and
+Math. Comp. 77 (2008)).  R is sampled once per run at all Gauss points,
 all step exponentials of a run are formed in one batched scaling and
-squaring.  Exponential growth over the truncated window is stripped on the
-fly: the integrated columns are kept O(1) by periodic QR renormalization,
-every removed factor is logged, and determinant-bearing quantities are
+squaring, and the steps between two stored points are multiplied out
+pairwise, in batched rounds, to one matrix per segment.  Exponential
+growth over the truncated window is stripped on the fly: the integrated
+columns are kept O(1) by a QR renormalization after every segment, every
+removed factor is logged, and determinant-bearing quantities are
 reassembled from the logs, so the ratio E(lambda)/c(lambda) is free of the
 arbitrary scalings.  One propagator serves every run.  The matrix
 transmission coefficient is the edge pairing D = Z0+(X) Y-(X) of the
@@ -18,7 +20,11 @@ window: (Z0+ Y-)' = Z0+ R Y- and Z0+ Y0- = I at -X, so it equals
 I + integral of Z0+ R Y- exactly.  The perturbed dual rows of the Swinton
 pairing are the transposed columns of the adjoint system
 W' = -(A0 + R)^T W, run leftwards from Z0+(X)^T; its step exponents are
--Omega^T of the plain steps.
+-Omega^T of the plain steps.  So one lambda of a pulse takes three runs:
+the minus run over the whole window, sampled at the matching point, serves
+E, the transmission matrix and the Swinton pairing; the plus run stops at
+the matching point, and the adjoint run reuses its exponents, with the
+propagators of both from one batched exponential.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "jost_minus",
     "jost_plus",
     "evans_function",
+    "evans_and_swinton",
     "transmission_matrix",
     "swinton_matrix",
     "born_transmission",
@@ -306,6 +313,98 @@ def _step_propagators(Omega: np.ndarray, where: str) -> np.ndarray:
     return E
 
 
+def _segment_products(E: np.ndarray, ends: Sequence[int]) -> np.ndarray:
+    """Product of the step propagators of every segment, later steps on
+    the left, for a stack of runs E of shape (..., steps, d, d).
+
+    The segments are padded with identities to a common length, and
+    neighbouring factors are multiplied pairwise in one batched matmul
+    per round until one matrix per segment is left.
+    """
+    ends = np.asarray(ends)
+    starts = np.concatenate(([0], ends[:-1]))
+    counts = ends - starts
+    j = np.arange(int(counts.max()))
+    idx = np.where(j < counts[:, None], starts[:, None] + j, E.shape[-3])
+    d = E.shape[-1]
+    ident = np.broadcast_to(np.eye(d, dtype=E.dtype),
+                            E.shape[:-3] + (1, d, d))
+    X = np.concatenate([E, ident], axis=-3)[..., idx, :, :]
+    while X.shape[-3] > 1:
+        m = X.shape[-3] // 2
+        pairs = X[..., 1:2 * m:2, :, :] @ X[..., 0:2 * m:2, :, :]
+        X = np.concatenate([pairs, X[..., 2 * m:, :, :]], axis=-3)
+    return X[..., 0, :, :]
+
+
+def _sweep(basis: UnperturbedBasis, direction: str, adjoint: bool,
+           x_from: float, bounds: np.ndarray,
+           products: np.ndarray) -> JostSolution:
+    """Apply the segment products to the starting block of a run, with a
+    QR renormalization after every segment."""
+    k = basis.k
+    # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
+    # decaying at the same end belong to the other group
+    own = slice(0, k) if (direction == "minus") != adjoint else slice(k, None)
+    kappa = np.array(basis.roots.all)[own]
+    if adjoint:
+        fam, cols = -kappa, np.array(basis.Pinv[own].T, dtype=complex)
+    else:
+        fam, cols = kappa, np.array(basis.P[:, own], dtype=complex)
+    ns, ncols = len(bounds), cols.shape[1]
+    values = np.empty((ns,) + cols.shape, dtype=complex)
+    transforms = np.empty((ns, ncols, ncols), dtype=complex)
+    logs = np.empty((ns, ncols), dtype=complex)
+
+    cur = cols
+    T = np.eye(ncols, dtype=complex)
+    sig = fam * x_from
+    values[0], transforms[0], logs[0] = cur, T, sig
+    for s, P in enumerate(products):
+        Q, Rtri = np.linalg.qr(P @ cur)
+        C = Rtri @ T
+        scal = np.max(np.abs(C), axis=0)
+        scal[scal == 0.0] = 1.0
+        T = C / scal[None, :]
+        sig = sig + np.log(scal)
+        cur = Q
+        values[s + 1], transforms[s + 1], logs[s + 1] = cur, T, sig
+
+    return JostSolution(direction=direction, xs=bounds, values=values,
+                        transform=transforms, renorm_log=logs, basis=basis)
+
+
+def _propagate_runs(system: SystemProblem, lam: complex,
+                    basis: UnperturbedBasis, direction: str,
+                    params: IntegrationParams,
+                    x_stop: Optional[float] = None,
+                    sample_points: Sequence[float] = (),
+                    adjoints: Sequence[bool] = (False,)
+                    ) -> list[JostSolution]:
+    """One run per entry of adjoints (see ``_propagate_columns``), all on
+    the same bounds, step edges and Magnus exponents Omega; an adjoint
+    run takes -Omega^T, and the step propagators of all the runs come
+    from one batched exponential."""
+    if direction not in ("minus", "plus"):
+        raise ConfigError("direction must be 'minus' or 'plus'")
+    x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
+    x_to = -x_from if x_stop is None else float(x_stop)
+    if abs(x_to) > params.half_width + 1e-9:
+        raise ConfigError("stopping point outside the truncated window")
+    A0 = np.asarray(system.base_matrix(lam), dtype=complex)
+    bounds = _boundaries(x_from, x_to, _segment_step(params, basis),
+                         sample_points)
+    edges, ends = _step_edges(bounds, _step_length(system, A0, params))
+    Omega = _step_exponents(system, A0, edges)
+    E = _step_propagators(
+        np.stack([-np.swapaxes(Omega, -1, -2) if adj else Omega
+                  for adj in adjoints]),
+        f"{direction} " + " and ".join("adjoint" if adj else "Jost"
+                                       for adj in adjoints) + " run")
+    return [_sweep(basis, direction, adj, x_from, bounds, P)
+            for adj, P in zip(adjoints, _segment_products(E, ends))]
+
+
 def _propagate_columns(system: SystemProblem, lam: complex,
                        basis: UnperturbedBasis, direction: str,
                        params: IntegrationParams,
@@ -320,60 +419,13 @@ def _propagate_columns(system: SystemProblem, lam: complex,
     transposed dual rows: "plus" then starts from Z0+(+X)^T = Pinv[:k]^T
     at rates -kappa+ ("minus" from Z0-(-X)^T), and every step exponent is
     -Omega^T, since the sixth-order Magnus exponent of -G^T is -Omega^T
-    term by term.
+    term by term; ``_propagate_runs`` makes a plain run and its adjoint
+    from one set of exponents.  The steps between two stored points are
+    multiplied out to one matrix (``_segment_products``), which is
+    applied to the block before its QR renormalization.
     """
-    n = system.dimension
-    k = basis.k
-    if direction not in ("minus", "plus"):
-        raise ConfigError("direction must be 'minus' or 'plus'")
-    x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
-    # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
-    # decaying at the same end belong to the other group
-    own = slice(0, k) if (direction == "minus") != adjoint else slice(k, None)
-    kappa = np.array(basis.roots.all)[own]
-    if adjoint:
-        fam, cols = -kappa, np.array(basis.Pinv[own].T, dtype=complex)
-    else:
-        fam, cols = kappa, np.array(basis.P[:, own], dtype=complex)
-    x_to = -x_from if x_stop is None else float(x_stop)
-    if abs(x_to) > params.half_width + 1e-9:
-        raise ConfigError("stopping point outside the truncated window")
-    ncols = cols.shape[1]
-    A0 = np.asarray(system.base_matrix(lam), dtype=complex)
-    bounds = _boundaries(x_from, x_to, _segment_step(params, basis),
-                         sample_points)
-    edges, ends = _step_edges(bounds, _step_length(system, A0, params))
-    Omega = _step_exponents(system, A0, edges)
-    if adjoint:
-        Omega = -np.swapaxes(Omega, -1, -2)
-    E = _step_propagators(
-        Omega, f"{direction} {'adjoint' if adjoint else 'Jost'} run")
-    ns = len(bounds)
-    values = np.empty((ns, n, ncols), dtype=complex)
-    transforms = np.empty((ns, ncols, ncols), dtype=complex)
-    logs = np.empty((ns, ncols), dtype=complex)
-
-    cur = cols
-    T = np.eye(ncols, dtype=complex)
-    sig = fam * x_from
-    values[0], transforms[0], logs[0] = cur, T, sig
-
-    first = 0
-    for s, last in enumerate(ends):
-        for step in E[first:last]:
-            cur = step @ cur
-        first = last
-        Q, Rtri = np.linalg.qr(cur)
-        C = Rtri @ T
-        scal = np.max(np.abs(C), axis=0)
-        scal[scal == 0.0] = 1.0
-        T = C / scal[None, :]
-        sig = sig + np.log(scal)
-        cur = Q
-        values[s + 1], transforms[s + 1], logs[s + 1] = cur, T, sig
-
-    return JostSolution(direction=direction, xs=bounds, values=values,
-                        transform=transforms, renorm_log=logs, basis=basis)
+    return _propagate_runs(system, lam, basis, direction, params, x_stop,
+                           sample_points, (adjoint,))[0]
 
 
 def _pairing(rows: np.ndarray, row_log: np.ndarray, jost: JostSolution,
@@ -416,16 +468,16 @@ def jost_plus(system, lam: complex, params: Optional[IntegrationParams] = None,
                               sample_points=sample_points)
 
 
-def evans_function(system, lam: complex, matching_point: float = 0.0,
-                   params: Optional[IntegrationParams] = None) -> EvansResult:
-    """E(lambda) = det[Y- Y+] at the matching point, with its normalizer.
+def _jost_routes(system, lam: complex, matching_point: float,
+                 params: Optional[IntegrationParams], swinton: bool
+                 ) -> tuple[EvansResult, Optional[np.ndarray]]:
+    """E/c, the edge transmission matrix and (with swinton) the Swinton
+    pairing of one lambda.
 
-    The reported ratio E/c divides out both the matching-point drift (both
-    determinants pick up the same Abel factor) and the renormalization
-    logs, so it is the quantity to compare across matching points and
-    against the Fredholm determinant.  For pulse problems the minus run
-    continues to +X, where it yields the transmission matrix as the edge
-    pairing Z0+(X) Y-(X).
+    A pulse's minus run goes over the whole window and is sampled at the
+    matching point x0: it serves E, the transmission matrix and the
+    pairing.  A front's minus run stops at x0.  The plus run goes from +X
+    to x0, and the adjoint run of the pairing shares its exponents.
     """
     sysm = model.as_system(system)
     params = params or IntegrationParams()
@@ -433,9 +485,6 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
     if abs(x0) > params.half_width:
         raise ConfigError("matching point outside the truncated window")
     bm, bp = _side_bases(sysm, lam)
-    n = sysm.dimension
-    if bm.k + (n - bp.k) != n:
-        raise CountMismatch("Jost blocks do not fill out an n x n matrix")
     if sysm.is_front:
         jm = _propagate_columns(sysm, lam, bm, "minus", params, x_stop=x0)
         trans = None
@@ -445,7 +494,9 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
                                 sample_points=(x0,))
         trans = _edge_transmission(jm)
         det_trans = complex(np.linalg.det(trans))
-    jp = _propagate_columns(sysm, lam, bp, "plus", params, x_stop=x0)
+    runs = _propagate_runs(sysm, lam, bp, "plus", params, x_stop=x0,
+                           adjoints=(False, True) if swinton else (False,))
+    jp = runs[0]
     im = _index_of(jm.xs, x0)
     ip = _index_of(jp.xs, x0)
     combined = np.concatenate([jm.values[im], jp.values[ip]], axis=1)
@@ -457,10 +508,38 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
     cmat = np.concatenate([bm.y_minus(x0), bp.y_plus(x0)], axis=1)
     c_lam = complex(np.linalg.det(cmat))
     ratio = _exp_scaled(d0 / c_lam, ssum)
-    return EvansResult(evans=evans, c_lambda=c_lam, ratio=ratio,
-                       transmission=trans, det_transmission=det_trans,
-                       matching_point=x0,
-                       truncation_error=sysm.tail_norm(params.half_width))
+    result = EvansResult(evans=evans, c_lambda=c_lam, ratio=ratio,
+                         transmission=trans, det_transmission=det_trans,
+                         matching_point=x0,
+                         truncation_error=sysm.tail_norm(params.half_width))
+    if not swinton:
+        return result, None
+    adj = runs[1]
+    rows = (adj.values[ip] @ adj.transform[ip]).T
+    return result, _pairing(rows, adj.renorm_log[ip], jm, im)
+
+
+def evans_function(system, lam: complex, matching_point: float = 0.0,
+                   params: Optional[IntegrationParams] = None) -> EvansResult:
+    """E(lambda) = det[Y- Y+] at the matching point, with its normalizer.
+
+    The reported ratio E/c divides out both the matching-point drift (both
+    determinants pick up the same Abel factor) and the renormalization
+    logs, so it is the quantity to compare across matching points and
+    against the Fredholm determinant.  For pulse problems the minus run
+    continues to +X, where it yields the transmission matrix as the edge
+    pairing Z0+(X) Y-(X).
+    """
+    return _jost_routes(system, lam, matching_point, params, False)[0]
+
+
+def evans_and_swinton(system, lam: complex, matching_point: float = 0.0,
+                      params: Optional[IntegrationParams] = None
+                      ) -> tuple[EvansResult, np.ndarray]:
+    """``evans_function`` and ``swinton_matrix`` of one lambda from three
+    runs: one minus run, one plus run and the adjoint run on the plus
+    run's exponents."""
+    return _jost_routes(system, lam, matching_point, params, True)
 
 
 def transmission_matrix(system, lam: complex,
@@ -494,18 +573,10 @@ def swinton_matrix(system, lam: complex,
     The product Z+(x) Y-(x) is x-independent, so the result does not
     depend on the matching point; for decaying perturbations it equals the
     transmission matrix.  The rows Z+ are the transposed columns of an
-    adjoint run from +X.
+    adjoint run from +X to the matching point, which reuses the step
+    exponents of the plus run of ``evans_and_swinton`` as -Omega^T.
     """
-    sysm = model.as_system(system)
-    params = params or IntegrationParams()
-    x0 = float(matching_point)
-    bm, bp = _side_bases(sysm, lam)
-    jm = _propagate_columns(sysm, lam, bm, "minus", params, x_stop=x0)
-    adj = _propagate_columns(sysm, lam, bp, "plus", params, x_stop=x0,
-                             adjoint=True)
-    ia = _index_of(adj.xs, x0)
-    rows = (adj.values[ia] @ adj.transform[ia]).T
-    return _pairing(rows, adj.renorm_log[ia], jm, _index_of(jm.xs, x0))
+    return evans_and_swinton(system, lam, matching_point, params)[1]
 
 
 def born_transmission(system, lam: complex, grid=None) -> np.ndarray:

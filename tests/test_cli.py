@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wavedet
-from wavedet import cli, fredholm, locate
+from wavedet import cli, evans, fredholm, locate
 
 PT = {"problem": {"name": "poschl_teller"}}
 
@@ -105,6 +106,112 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
                           ("det3", wavedet.detp(sysm, lam, grid, p=3))):
             got = complex(row[col]["re"], row[col]["im"])
             assert abs(got - want.value) <= 1e-13 * abs(want.value)
+
+
+def test_det_p2_writes_det2_once(tmp_path, capsys):
+    """p = 2 has no separate order-p column; p = 3 keeps det1, det2 and
+    det3 from the library calls, bit for bit."""
+    lams = [4.0, 2.5 + 0.5j]
+    grid = wavedet.build_grid(20.0, 200)
+    pt = wavedet.builtin_problem("poschl_teller")
+    sysm = wavedet.to_system(pt)
+    for p, want_header in (
+            (2, ["re_lambda", "im_lambda", "re_det1", "im_det1",
+                 "re_det2", "im_det2"]),
+            (3, ["re_lambda", "im_lambda", "re_det1", "im_det1",
+                 "re_det2", "im_det2", "re_det3", "im_det3"])):
+        path = write_config(tmp_path,
+                            {"lambdas": [{"re": z.real, "im": z.imag}
+                                         for z in map(complex, lams)],
+                             "p": p},
+                            domain={"quad_points": 200})
+        code, out, err = run_cli(capsys, "det", "--config", path)
+        assert code == 0 and err == ""
+        header, rows = csv_rows(out)
+        assert header == want_header
+        for row, lam in zip(rows, lams):
+            want = [wavedet.det1(pt, lam, grid),
+                    wavedet.det2(sysm, lam, grid)]
+            if p == 3:
+                want.append(wavedet.detp(sysm, lam, grid, p=3))
+            for name, d in zip(("det1", "det2", "det3"), want):
+                assert complex(float(row[f"re_{name}"]),
+                               float(row[f"im_{name}"])) == d.value
+        code, out, err = run_cli(capsys, "det", "--config", path,
+                                 "--format", "json")
+        keys = set(json.loads(out)["rows"][0])
+        assert keys == {"lambda", "det1", "det2"} | (
+            {"det3"} if p == 3 else set())
+
+
+def _count_step_exponents(monkeypatch):
+    calls = []
+    step_exponents = evans._step_exponents
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step_exponents(*args, **kwargs)
+    monkeypatch.setattr(evans, "_step_exponents", counted)
+    return calls
+
+
+def test_evans_pulse_rows(tmp_path, capsys, monkeypatch):
+    """E, c, E/c, det D and det(Swinton) per lambda from one minus run
+    and one plus run with its adjoint: two sets of step exponents."""
+    lams = [3.0 + 2.0j, -2.0 + 1.5j]
+    path = write_config(tmp_path,
+                        {"problem": {"name": "biharmonic_demo"},
+                         "lambdas": [{"re": z.real, "im": z.imag}
+                                     for z in lams]})
+    calls = _count_step_exponents(monkeypatch)
+    code, out, err = run_cli(capsys, "evans", "--config", path)
+    assert code == 0 and err == ""
+    assert len(calls) == 2 * len(lams)
+    header, rows = csv_rows(out)
+    assert header == ["re_lambda", "im_lambda", "re_evans", "im_evans",
+                      "re_c_lambda", "im_c_lambda", "re_ratio", "im_ratio",
+                      "re_det_transmission", "im_det_transmission",
+                      "re_swinton", "im_swinton", "truncation_error"]
+    bs = wavedet.to_system(wavedet.builtin_problem("biharmonic_demo"))
+    for row, lam in zip(rows, lams):
+        res = evans.evans_function(bs, lam)
+        want = {"evans": res.evans, "c_lambda": res.c_lambda,
+                "ratio": res.ratio,
+                "det_transmission": res.det_transmission,
+                "swinton": np.linalg.det(evans.swinton_matrix(bs, lam))}
+        for name, value in want.items():
+            got = complex(float(row[f"re_{name}"]), float(row[f"im_{name}"]))
+            assert abs(got - value) <= 1e-12 * abs(value)
+        assert float(row["truncation_error"]) == res.truncation_error
+    _, again, _ = run_cli(capsys, "evans", "--config", path)
+    assert again == out
+
+
+def test_evans_front_rows(tmp_path, capsys, monkeypatch):
+    """A front has no transmission columns and no adjoint run."""
+    cfg = {"problem": {"order": 2, "coeffs": [0.0, 0.0],
+                       "profile": {"kind": "tanh_front",
+                                   "params": {"amplitude": 1.5,
+                                              "offset": -2.5,
+                                              "well": 8.0}},
+                       "asymptotics": {"v_minus": -4.0, "v_plus": -1.0}},
+           "lambdas": [2.0, 3.0], "matching_point": 0.37}
+    path = tmp_path / "front.json"
+    path.write_text(json.dumps(cfg))
+    calls = _count_step_exponents(monkeypatch)
+    code, out, err = run_cli(capsys, "evans", "--config", str(path))
+    assert code == 0 and err == ""
+    assert len(calls) == 2 * 2
+    header, rows = csv_rows(out)
+    assert header == ["re_lambda", "im_lambda", "re_evans", "im_evans",
+                      "re_c_lambda", "im_c_lambda", "re_ratio", "im_ratio",
+                      "truncation_error"]
+    front = wavedet.to_system(wavedet.builtin_problem(
+        "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
+    for row, lam in zip(rows, (2.0, 3.0)):
+        want = evans.evans_function(front, lam, matching_point=0.37).ratio
+        got = complex(float(row["re_ratio"]), float(row["im_ratio"]))
+        assert got == want
 
 
 def test_det_empty_lambda_list(tmp_path, capsys):

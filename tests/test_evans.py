@@ -177,6 +177,142 @@ def test_adjoint_runs_pair_to_a_constant(bh_system):
         np.abs(pairs[0]))
 
 
+def _stepwise(system, lam, basis, direction, params, run, x_stop=None,
+              sample_points=(), adjoint=False):
+    """Reference propagation: each step propagator applied to the block in
+    turn, with the QR renormalization of every segment.  It starts from
+    the first sample of the run under test (the unperturbed data) and
+    returns the run's samples and the steps per segment."""
+    x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
+    x_to = -x_from if x_stop is None else x_stop
+    A0 = system.base_matrix(lam)
+    bounds = evans._boundaries(x_from, x_to,
+                               evans._segment_step(params, basis),
+                               sample_points)
+    edges, ends = evans._step_edges(
+        bounds, evans._step_length(system, A0, params))
+    Omega = evans._step_exponents(system, A0, edges)
+    if adjoint:
+        Omega = -np.swapaxes(Omega, -1, -2)
+    E = evans._expm(Omega)
+    cur, sig = run.values[0], run.renorm_log[0]
+    T = np.eye(cur.shape[1], dtype=complex)
+    values, transforms, logs = [cur], [T], [sig]
+    first = 0
+    for last in ends:
+        for step in E[first:last]:
+            cur = step @ cur
+        first = last
+        Q, Rtri = np.linalg.qr(cur)
+        C = Rtri @ T
+        scal = np.max(np.abs(C), axis=0)
+        T = C / scal[None, :]
+        sig = sig + np.log(scal)
+        cur = Q
+        values.append(cur)
+        transforms.append(T)
+        logs.append(sig)
+    steps = np.diff(np.concatenate(([0], ends)))
+    return bounds, np.array(values), np.array(transforms), np.array(logs), \
+        steps
+
+
+def _front_system():
+    return wd.to_system(wd.builtin_problem("tanh_front", amplitude=1.5,
+                                           offset=-2.5, well=8.0))
+
+
+@pytest.mark.parametrize("case,lam,entries", [
+    ("poschl_teller", 1.3 + 0.2j, True),
+    ("front", 2.0 + 1.0j, True),
+    ("biharmonic", -16.0, True),
+    ("biharmonic", 3.0 + 2.0j, False),
+])
+def test_segment_products_match_stepwise_propagation(case, lam, entries):
+    """One product of the step propagators per segment, padded with
+    identities on ragged segments, reproduces the step-by-step run.
+
+    The spanned subspace and the determinant scale det(T) exp(sum log)
+    always agree.  The samples themselves are compared where they are
+    well conditioned: one column, or two growing at one rate (biharmonic
+    at -16).  At 3 + 2i the adjoint columns grow at rates 1.36 and 0.20,
+    so their individual entries carry rounding times e^(1.16 distance):
+    a relative change of 1e-16 in the start of the stepwise run alone
+    moves them by about 4e-6."""
+    params = evans.IntegrationParams()
+    if case == "poschl_teller":
+        sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
+        direction, kwargs = "minus", {"sample_points": (0.37,)}
+    elif case == "front":
+        # the plus run to -2.5 is cut at x = 0, where R jumps
+        sysm = _front_system()
+        direction, kwargs = "plus", {"x_stop": -2.5}
+    else:
+        sysm = wd.to_system(wd.builtin_problem("biharmonic_demo"))
+        direction = "plus"
+        kwargs = {"sample_points": (0.37, -2.0), "adjoint": True}
+    bm, bp = evans._side_bases(sysm, lam)
+    basis = bm if direction == "minus" else bp
+    run = evans._propagate_columns(sysm, lam, basis, direction, params,
+                                   **kwargs)
+    xs, values, transforms, logs, steps = _stepwise(
+        sysm, lam, basis, direction, params, run, **kwargs)
+    assert len(set(steps)) > 1   # ragged segments
+    assert np.array_equal(run.xs, xs)
+
+    def projector(V):
+        return V @ np.conj(np.swapaxes(V, -1, -2))
+
+    assert np.max(np.abs(projector(run.values) - projector(values))) <= 1e-12
+    scale = (np.linalg.det(run.transform) / np.linalg.det(transforms)
+             * np.exp(run.renorm_log.sum(-1) - logs.sum(-1)))
+    assert np.max(np.abs(scale - 1.0)) <= 1e-12
+    if entries:
+        assert np.max(np.abs(run.values - values)) <= 1e-12
+        assert np.max(np.abs(run.transform - transforms)) <= 1e-12
+        assert np.max(np.abs(run.renorm_log - logs)) <= 1e-12 * np.max(
+            np.abs(logs))
+
+
+def test_adjoint_run_shares_the_plus_exponents(bh_system):
+    """The plus run and its adjoint from one set of exponents and one
+    batched exponential equal the two standalone runs."""
+    lam = 3.0 + 2.0j
+    basis = wd.system_basis(bh_system, lam)
+    params = evans.IntegrationParams()
+    shared = evans._propagate_runs(bh_system, lam, basis, "plus", params,
+                                   x_stop=0.37, adjoints=(False, True))
+    for run, adjoint in zip(shared, (False, True)):
+        alone = evans._propagate_columns(bh_system, lam, basis, "plus",
+                                         params, x_stop=0.37,
+                                         adjoint=adjoint)
+        assert np.array_equal(run.xs, alone.xs)
+        for got, want in ((run.values, alone.values),
+                          (run.transform, alone.transform),
+                          (run.renorm_log, alone.renorm_log)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(
+                np.abs(want))
+
+
+def test_evans_and_swinton_match_the_single_routes(bh_system):
+    """The Swinton pairing is read off E/c's own minus run, so it matches
+    E/c to rounding at any matching point.  A separate minus run to 0.37
+    would differ from it by the Magnus step error: 2.2e-10 relative on
+    Poschl-Teller N=2 at 1.3 + 0.2i."""
+    pt2 = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
+    for sysm, lam in ((bh_system, 3.0 + 2.0j), (pt2, 1.3 + 0.2j)):
+        for x0 in (0.0, 0.37):
+            res, sw = evans.evans_and_swinton(sysm, lam, matching_point=x0)
+            alone = wd.evans_function(sysm, lam, matching_point=x0)
+            assert res.c_lambda == alone.c_lambda
+            for got, want in ((res.ratio, alone.ratio),
+                              (res.det_transmission,
+                               alone.det_transmission)):
+                assert abs(got - want) <= 1e-13 * abs(want)
+            assert abs(np.linalg.det(sw) - res.ratio) <= 1e-12 * abs(
+                res.ratio)
+
+
 @pytest.mark.parametrize("lam", [3.0 + 2.0j, 2.0 - 3.5j])
 def test_evans_routes_match_det1_on_wide_windows(lam):
     """det D, E/c and det(Swinton) hold det1 as the window widens: the
