@@ -426,6 +426,7 @@ def cmd_roots(run):
 def cmd_det(run):
     """det1 / det2 / detp per lambda (front problems: the front det2)."""
     p = _as_int(run.extra.get("p", 3), "p")
+    fredholm._check_order(p)
     run.resolved["p"] = p
     lams = run.lambdas()
     if run.system.is_front:
@@ -439,12 +440,9 @@ def cmd_det(run):
             columns.append((f"det{p}", "c"))
 
         def one(lam):
-            if p == 2:
-                dets = [fredholm.det2(run.system, lam, run.grid)]
-            else:
-                dets = fredholm.det2_detp(run.system, lam, run.grid, p)
+            dets = fredholm.det2_detp(run.system, lam, run.grid, p)
             return ([lam, fredholm.det1(run.problem, lam, run.grid).value]
-                    + [d.value for d in dets])
+                    + [d.value for d in dets[:len(columns) - 2]])
 
     return _render(run, columns, run.map(one, lams))
 

@@ -29,17 +29,16 @@ such terms (``_Terms``) serves both kernels:
   panels on composite Gauss grids), the plus terms above them and the
   minus terms below as generators anchored at the block edges, and the
   contractive transitions e^(-kappa h) between blocks.  log det(I + S) is
-  a block Schur sweep (``_sweep``) with one small numpy LU per block, and
-  tr S, tr S^2, tr S^3 come from a left and a right sweep over the same
-  generators (``_block_traces``): the dense N b x N b matrix is not formed.
+  one orthogonal elimination on the generators, backward stable without
+  pivoting, with one small numpy QR per block (``_sweep``; Chandrasekaran
+  et al., SIAM J. Matrix Anal. Appl. 27 (2005); Eidelman and Gohberg,
+  IEOT 34 (1999)), and tr S, tr S^2, tr S^3 come from a left and a right
+  sweep over the same generators (``_block_traces``): the dense
+  N b x N b matrix is never formed.
 * Regularized determinants (``_corrected_det``) that compensate the trace
   defect of det(I + S) with the exact traces, in the log domain.  det1 is
   order 1, with the analytic trace tau from the interface coefficients;
-  det2 and detp are orders p >= 2 of the matrix kernel.  The dense matrix
-  (``_discretize``), one LU of I + S (``_lu_det``) and its powers are the
-  single fallback (``_regularized``), for orders that need tr S^4 or
-  tr S^5 (detp with p = 5, 6) and for sweeps whose growth exceeds
-  ``_MAX_GROWTH``.
+  det2 and detp are orders 2 <= p <= 4 of the matrix kernel.
 """
 
 from __future__ import annotations
@@ -57,11 +56,8 @@ from .model import ScalarProblem, SystemProblem
 
 __all__ = [
     "QuadratureGrid",
-    "DiscretizedOperator",
     "DeterminantResult",
     "build_grid",
-    "discretize_scalar",
-    "discretize_system",
     "det1",
     "det2",
     "detp",
@@ -94,22 +90,14 @@ class QuadratureGrid:
         return (self.half_width, int(self.nodes.size), self.rule)
 
 
-@dataclass
-class DiscretizedOperator:
-    """Weighted kernel matrix ready for determinant evaluation."""
-
-    matrix: np.ndarray
-    grid: QuadratureGrid
-
-
 @dataclass(frozen=True)
 class DeterminantResult:
     value: complex
     kind: str                 # det1 | det2 | detp
     trace_used: Optional[complex]
     grid_signature: tuple
-    # sum of the Hadamard ratios of the Schur blocks of I + S (of I + S
-    # itself on the dense fallback), >= 0, inf if singular
+    # sum of the column Hadamard ratios log(||R[:i+1, i]|| / |R_ii|) of the
+    # QR sweep's triangular factor, >= 0, inf if singular
     condition_hint: float
 
 
@@ -151,26 +139,6 @@ def build_grid(half_width: float, n_points: int,
 
 def default_grid() -> QuadratureGrid:
     return build_grid(DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
-
-
-def _lu_det(S: np.ndarray) -> tuple[complex, float, float]:
-    """(sign, log|det(I + S)|) and the condition hint, the Hadamard ratio
-    sum_i log ||row_i(I + S)||_2 - log|det(I + S)| (>= 0, inf if singular).
-
-    The LU runs on I + S with unit rows, so the bulk of log|det| is the
-    pairwise sum of the log row norms and the log pivots stay small: no
-    overflow, underflow or summation drift at large N b.  I + S is formed
-    on a copy of S, without a dense identity.
-    """
-    mat = S.copy()
-    mat[np.diag_indices_from(mat)] += 1.0
-    norms = np.linalg.norm(mat, axis=1)
-    if not norms.all():
-        return 0j, float("-inf"), float("inf")
-    mat /= norms[:, None]
-    sign, logabs = np.linalg.slogdet(mat)
-    return (complex(sign), float(np.sum(np.log(norms)) + logabs),
-            max(0.0, -float(logabs)))
 
 
 def _gl_panels(grid: QuadratureGrid):
@@ -350,36 +318,6 @@ def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
                      prod.reshape(2, -1, q, q, b, b), lagrange)
 
 
-def _discretize(terms: _Terms, samples: _Samples) -> np.ndarray:
-    """Nystrom matrix of the terms, diagonal panels by product
-    integration on composite Gauss grids."""
-    S = _node_matrix(terms, samples.grid, samples.nodes)
-    if samples.rule is not None:
-        blocks = _panel_blocks(terms, samples)
-        P, q, b = blocks.shape[:3]
-        idx = np.arange(P)
-        S.reshape(P, q, b, P, q, b)[idx, :, :, idx] = blocks
-    return S
-
-
-def discretize_scalar(problem: ScalarProblem, lam: complex,
-                      grid: QuadratureGrid) -> DiscretizedOperator:
-    terms = _scalar_terms(problem, lam)
-    S = _discretize(terms, _sample(terms, grid))
-    return DiscretizedOperator(S, grid)
-
-
-def discretize_system(system: SystemProblem, lam: complex,
-                      grid: QuadratureGrid,
-                      basis: Optional[UnperturbedBasis] = None
-                      ) -> DiscretizedOperator:
-    if basis is None:
-        basis = greens.system_basis(system, lam)
-    terms = _system_terms(system, basis)
-    S = _discretize(terms, _sample(terms, grid))
-    return DiscretizedOperator(S, grid)
-
-
 def _cumulative(grid: QuadratureGrid, mu: np.ndarray, f: np.ndarray,
                 levels: Sequence[tuple]) -> list[np.ndarray]:
     """Volterra cumulatives F_m(t) = integral_{-X}^{t} e^(mu_m (x - t))
@@ -417,8 +355,8 @@ def _traces(terms: _Terms, samples: _Samples) -> tuple[complex, complex]:
     i minus, has the cumulative F_ji of r_i W u_j at rate
     kappa_j - kappa_i; tr(T^2) integrates it against r_j W u_i, and
     tr(T^3) takes one more cumulative of each chain (j, i, c).  W at the
-    sub-sub-nodes is sampled here, so it is freed before the
-    discretization."""
+    sub-sub-nodes is sampled here, so it is freed before the block
+    generators are formed."""
     grid, (pts, wts, _, pts2, wts2) = samples.grid, samples.rule
     kap, k = terms.kappa, terms.k
     N, q = pts[0].shape
@@ -502,7 +440,7 @@ class _Blocks:
 
 
 def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
-    """Generators of the Nystrom matrix of ``_discretize`` on blocks of
+    """Generators of the Nystrom matrix of the terms on blocks of
     ``panel_order`` ascending nodes, without forming it.  The diagonal
     blocks are the product-integration panels on composite Gauss grids and
     node entries otherwise; block edges are the outer nodes and the
@@ -541,58 +479,63 @@ def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
                    np.exp(-kap[:k] * h), np.exp(kap[k:] * h))
 
 
-# A sweep whose elimination term G M H outgrows I + D by more than this
-# factor leaves the determinant to the dense LU.  Without pivoting across
-# blocks a nearly singular leading block is cancelled later in lost
-# digits: the measured relative error of the sweep is about eps * growth.
-_MAX_GROWTH = 100.0
-
-
-def _sweep(blocks: _Blocks) -> tuple[complex, float, float, float]:
-    """(sign, log|det(I + S)|) by block elimination in block order (the
-    quasiseparable elimination of Eidelman and Gohberg), the condition
-    hint and the growth.
-
-    The Schur complement of the leading blocks is I + D_p - gm_p M_p hp_p
-    on block p, with the (n - k) x k coupling
-
-        M_(p+1) = em M ep + (em M hp - hm) A_p^-1 (gm M ep - gp),
-
-    A_p the Schur block of p.  log|det(I + S)| sums the log|det A_p| of
-    the row-scaled Schur blocks, each a numpy LU with partial pivoting;
-    the hint sums their Hadamard ratios (>= 0, inf if a block is
-    singular).  The growth is max ||gm M hp|| / ||I + D_p|| over the
-    blocks; it is inf where a singular Schur block stops the sweep.
+def _sweep(blocks: _Blocks) -> tuple[complex, float, float]:
+    """(sign, log|det(I + S)|) and the condition hint by Householder QR of
+    a block-bidiagonal embedding of S.  Block p has the unknowns
+    (z_p, x_p, y_p), y_p = ep_(p+1) y_(p+1) + hp_(p+1) x_(p+1) and
+    z_(p+1) = em_p z_p + hm_p x_p, whose unit triangular block keeps
+    det(I + S).  Step p is one QR of the (M + l) x 2M stack of the rows
+    that reach block column p, M = q b + n; its last l = n - k rows carry
+    on.  The sign multiplies the pivot phases and the (unitary) reflector
+    determinants 1 - tau ||v||^2 = -tau / conj(tau).  The hint sums the
+    column Hadamard ratios log(||R[:i+1, i]|| / |R_ii|) (>= 0, inf on a
+    zero pivot, where the determinant is 0).
     """
+    if blocks.em.shape[1] > blocks.ep.shape[1]:
+        # det(I + S^T): its l = k rows mix fewer blocks, none if k = 0
+        T = functools.partial(np.swapaxes, axis1=1, axis2=2)
+        blocks = _Blocks(T(blocks.diag), T(blocks.hm), T(blocks.gm),
+                         T(blocks.hp), T(blocks.gp), blocks.em, blocks.ep)
     P, m = blocks.diag.shape[:2]
-    i_plus_d = blocks.diag + np.eye(m)
-    schur = np.empty_like(i_plus_d)
-    M = np.zeros((blocks.em.shape[1], blocks.ep.shape[1]), dtype=complex)
+    k, l = blocks.ep.shape[1], blocks.em.shape[1]
+    M = m + k + l
+    # stacks[p]: rows carried (l), x_p (m), y_p (k), z_(p+1) (l); columns
+    # (z, x, y) of block p, then of block p + 1 (a unit z_P at the end)
+    stacks = np.zeros((P, M + l, 2 * M), dtype=complex)
+    x, y = slice(l, l + m), slice(l + m, M)
+    stacks[0, :l, :l] = np.eye(l)
+    stacks[:, x, :l] = blocks.gm
+    stacks[:, x, x] = blocks.diag + np.eye(m)
+    stacks[:, x, y] = blocks.gp
+    stacks[:, l + m:, l + m:M + l] = np.eye(k + l)
+    stacks[:-1, y, M + l:M + l + m] = -blocks.hp[1:]
+    stacks[:-1, y, M + l + m:] = -blocks.ep[1:, :, None] * np.eye(k)
+    stacks[:-1, M:, :l] = -blocks.em[:-1, :, None] * np.eye(l)
+    stacks[:-1, M:, x] = -blocks.hm[:-1]
+    # numpy's raw QR is transposed: raw[p, c, r] is R[r, c] for r <= c and
+    # the reflector vectors below the diagonal of R
+    raw = np.empty((P, 2 * M, M + l), dtype=complex)
+    tau = np.empty((P, M + l), dtype=complex)
+    carried = np.triu(np.ones((l, M), dtype=bool))
     for p in range(P):
-        GM = blocks.gm[p] @ M
-        schur[p] = i_plus_d[p] - GM @ blocks.hp[p]
-        if M.size and p < P - 1:
-            try:
-                X = np.linalg.solve(schur[p], GM * blocks.ep[p]
-                                    - blocks.gp[p])
-            except np.linalg.LinAlgError:
-                return 0j, float("-inf"), float("inf"), float("inf")
-            em = blocks.em[p][:, None]
-            M = em * M * blocks.ep[p] + (em * (M @ blocks.hp[p])
-                                         - blocks.hm[p]) @ X
-    growth = float(np.max(np.linalg.norm(i_plus_d - schur, axis=(1, 2))
-                          / np.linalg.norm(i_plus_d, axis=(1, 2))))
-    norms = np.linalg.norm(schur, axis=2)
-    if not norms.all():
-        return 0j, float("-inf"), float("inf"), growth
-    sign, logabs = np.linalg.slogdet(schur / norms[..., None])
-    return (complex(np.prod(sign)), float(np.sum(np.log(norms))
-                                          + np.sum(logabs)),
-            float(np.sum(np.maximum(0.0, -logabs))), growth)
+        if p:
+            stacks[p, :l, :M] = raw[p - 1, M:, M:].T * carried
+        raw[p], tau[p] = np.linalg.qr(stacks[p], mode="raw")
+    d = raw[:, np.arange(M), np.arange(M)]
+    pivots = np.abs(d)
+    if not pivots.all():
+        return 0j, float("-inf"), float("inf")
+    tau = tau[tau != 0]     # tau = 0 is the identity
+    sign = np.prod(d / pivots) * np.prod(-tau / tau.conj())
+    columns = np.sum(np.abs(np.tril(raw[:, :M])) ** 2, axis=-1)
+    columns[1:] += np.sum(np.abs(raw[:-1, M:, :M]) ** 2, axis=-1)
+    hint = np.sum(np.log(np.maximum(1.0, np.sqrt(columns) / pivots)))
+    return (complex(sign / abs(sign)), float(np.sum(np.log(pivots))),
+            float(hint))
 
 
-def _block_traces(blocks: _Blocks, top: int) -> dict:
-    """tr S^l for l = 1 .. top <= 3 from the generators.
+def _block_traces(blocks: _Blocks) -> dict:
+    """tr S^l for l = 1, 2, 3 from the generators.
 
     With S = D + U + L (block diagonal, upper, lower), tr S^2 is
     sum tr D_p^2 + 2 tr(U L), and tr S^3 is sum tr D_p^3 + 3 tr(D (U L +
@@ -605,8 +548,6 @@ def _block_traces(blocks: _Blocks, top: int) -> dict:
     D, gp, hp, gm, hm, ep, em = (blocks.diag, blocks.gp, blocks.hp,
                                  blocks.gm, blocks.hm, blocks.ep, blocks.em)
     t = {1: complex(np.trace(D, axis1=1, axis2=2).sum())}
-    if top < 2:
-        return t
     P = D.shape[0]
     DT = D.transpose(0, 2, 1)
     decay = em[:, :, None] * ep[:, None, :]
@@ -615,8 +556,6 @@ def _block_traces(blocks: _Blocks, top: int) -> dict:
     for p in range(1, P):
         L[p] = decay[p - 1] * L[p - 1] + alpha[p - 1]
     t[2] = complex(np.sum(D * DT) + 2.0 * np.einsum("pji,pij->", beta, L))
-    if top < 3:
-        return t
     R = np.zeros_like(beta)
     for p in range(P - 1, 0, -1):
         R[p - 1] = decay[p].T * R[p] + beta[p]
@@ -626,21 +565,6 @@ def _block_traces(blocks: _Blocks, top: int) -> dict:
     tr_uul = (np.einsum("pjc,pci,pi,pij->", hp @ gp, R, em, L)
               + np.einsum("pj,pji,pic,pcj->", ep, R, hm @ gm, L))
     t[3] = complex(tr_d3 + 3.0 * tr_do + 3.0 * tr_uul)
-    return t
-
-
-def _matrix_traces(S: np.ndarray, top: int) -> dict:
-    """tr S^l for l = 1 .. top of the dense matrix; tr(A B) is
-    sum(A * B.T), so S^2 and S^3 are the only products needed up to
-    l = 6."""
-    powers = [None, S]
-    if top >= 2:
-        powers.append(S @ S)
-    if top >= 5:
-        powers.append(powers[2] @ S)
-    t = {1: complex(np.trace(S))}
-    for l in range(2, top + 1):
-        t[l] = complex(np.sum(powers[(l + 1) // 2] * powers[l // 2].T))
     return t
 
 
@@ -671,21 +595,10 @@ def _corrected_det(sign: complex, logabs: float, t: dict, exact: dict,
 def _regularized(terms: _Terms, samples: _Samples, exact: dict,
                  orders: Sequence[int]) -> tuple[list, float]:
     """``_corrected_det`` of the Nystrom matrix of the terms and the
-    condition hint: from the block sweep and the generator traces, or from
-    the dense matrix (``_discretize``, ``_lu_det`` and its powers) when
-    the orders need tr S^4 or beyond, or the sweep outgrows
-    ``_MAX_GROWTH``."""
-    top = max([p - 1 for p in orders]
-              + [l for l in exact if l >= min(orders)])
-    if top <= 3:
-        blocks = _blocks(terms, samples)
-        sign, logabs, hint, growth = _sweep(blocks)
-        if growth <= _MAX_GROWTH:
-            return _corrected_det(sign, logabs, _block_traces(blocks, top),
-                                  exact, orders), hint
-    S = _discretize(terms, samples)
-    sign, logabs, hint = _lu_det(S)
-    return _corrected_det(sign, logabs, _matrix_traces(S, top), exact,
+    condition hint, from the QR sweep and the generator traces."""
+    blocks = _blocks(terms, samples)
+    sign, logabs, hint = _sweep(blocks)
+    return _corrected_det(sign, logabs, _block_traces(blocks), exact,
                           orders), hint
 
 
@@ -753,16 +666,20 @@ def _checked_trace(tau_plus: complex, tau_minus: complex,
     return tau_plus
 
 
+def _check_order(*orders: int) -> None:
+    if not all(2 <= p <= 4 for p in orders):
+        raise ConfigError("regularization order must satisfy 2 <= p <= 4")
+
+
 def _system_dets(system: SystemProblem, lam: complex, grid: QuadratureGrid,
                  basis: Optional[UnperturbedBasis],
                  orders: dict) -> list[DeterminantResult]:
     """Regularized determinants of the matrix kernel, one per kind -> p
-    entry of orders, from one basis, one set of weight samples, one
-    discretization, one LU and one pass of the iterated traces.  The
-    analytic trace validates the sign conventions and is reported for the
-    det / det2 conversion."""
-    if not all(2 <= p <= 6 for p in orders.values()):
-        raise ConfigError("regularization order must satisfy 2 <= p <= 6")
+    entry of orders, from one basis, one set of weight samples, one set
+    of block generators, one QR sweep and one pass of the iterated
+    traces.  The analytic trace validates the sign conventions and is
+    reported for the det / det2 conversion."""
+    _check_order(*orders.values())
     if basis is None:
         basis = greens.system_basis(system, lam)
     terms = _system_terms(system, basis)
@@ -793,15 +710,15 @@ def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
          basis: Optional[UnperturbedBasis] = None,
          p: int = 2) -> DeterminantResult:
     """Order-p regularized determinant
-    det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 6."""
+    det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 4."""
     return _system_dets(system, lam, grid, basis, {"detp": p})[0]
 
 
 def det2_detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
               p: int, basis: Optional[UnperturbedBasis] = None
               ) -> tuple[DeterminantResult, DeterminantResult]:
-    """``det2`` and ``detp`` of one lambda from one discretization, one LU
-    and one evaluation of each exact trace."""
+    """``det2`` and ``detp`` of one lambda from one set of block
+    generators, one QR sweep and one evaluation of each exact trace."""
     return tuple(_system_dets(system, lam, grid, basis,
                               {"det2": 2, "detp": p}))
 
@@ -812,8 +729,9 @@ def series_coefficient(problem: ScalarProblem, lam: complex, order: int,
 
     order 1 is the quadrature trace; order 2 the double-integral of the
     2 x 2 kernel minors, both read off the plain node matrix of the
-    kernel (no product integration).  Deliberately independent of the LU
-    pipeline so it can serve as a cross-check on small-potential problems.
+    kernel (no product integration).  Deliberately independent of the
+    determinant pipeline so it can serve as a cross-check on
+    small-potential problems.
     """
     if order not in (1, 2):
         raise ConfigError("series coefficients implemented for orders 1 and 2")

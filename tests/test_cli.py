@@ -78,10 +78,10 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     and one block sweep (the other generators and sweep are det1's), no
     dense matrix is assembled, and R - R_inf is sampled once per point
     set: nodes, panel sub-nodes and their sub-sub-nodes."""
-    calls = {"_blocks": 0, "_sweep": 0, "_discretize": 0,
+    calls = {"_blocks": 0, "_sweep": 0, "_node_matrix": 0,
              "decaying_part": 0}
     for owner, name in ((fredholm, "_blocks"), (fredholm, "_sweep"),
-                        (fredholm, "_discretize"),
+                        (fredholm, "_node_matrix"),
                         (wavedet.SystemProblem, "decaying_part")):
         def counted(*args, _fn=getattr(owner, name), _name=name,
                     **kwargs):
@@ -96,7 +96,7 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     code, out, err = run_cli(capsys, "det", "--config", path, "--format",
                              "json")
     assert code == 0
-    assert calls == {"_blocks": 4, "_sweep": 4, "_discretize": 0,
+    assert calls == {"_blocks": 4, "_sweep": 4, "_node_matrix": 0,
                      "decaying_part": 6}
     pt = wavedet.builtin_problem("poschl_teller")
     sysm = wavedet.to_system(pt)
@@ -446,6 +446,23 @@ def test_nonpositive_panel_order_is_exit_2(tmp_path, capsys, order):
     obj = err_object(err)
     assert obj["kind"] == "config"
     assert "panel_order" in obj["message"]
+
+
+@pytest.mark.parametrize("problem,p", [
+    ({"name": "tanh_front",
+      "params": {"amplitude": 1.5, "offset": -2.5, "well": 8.0}}, 9),
+    ({"name": "poschl_teller"}, 5)], ids=["front_p9", "poschl_teller_p5"])
+def test_det_order_out_of_range_is_exit_2(tmp_path, capsys, monkeypatch,
+                                          problem, p):
+    """p is checked once, before any lambda, for every problem."""
+    monkeypatch.setattr(fredholm, "_blocks", None)
+    path = write_config(tmp_path, {"problem": problem, "lambdas": [2.0, 3.0],
+                                   "p": p})
+    code, out, err = run_cli(capsys, "det", "--config", path)
+    assert code == 2 and out == ""
+    obj = err_object(err)
+    assert obj["kind"] == "config"
+    assert "2 <= p <= 4" in obj["message"]
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

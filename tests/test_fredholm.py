@@ -74,15 +74,13 @@ def _block_diagonal(diag):
                             np.zeros((P, 0)))
 
 
-def _structured(blocks, orders, exact=None):
-    """Regularized determinants and hint from the block sweep and the
-    generator traces."""
-    exact = exact or {}
-    top = max([p - 1 for p in orders] + [l for l in exact if l >= min(orders)])
-    sign, logabs, hint, growth = fredholm._sweep(blocks)
+def _structured(blocks, orders):
+    """Regularized determinants, without exact traces, and hint from the
+    QR sweep and the generator traces."""
+    sign, logabs, hint = fredholm._sweep(blocks)
     values = fredholm._corrected_det(sign, logabs,
-                                     fredholm._block_traces(blocks, top),
-                                     exact, orders)
+                                     fredholm._block_traces(blocks), {},
+                                     orders)
     return values, hint
 
 
@@ -249,6 +247,8 @@ def test_detp_order_bounds(pt_system, grid):
     with pytest.raises(ConfigError):
         wd.detp(pt_system, 4.0, grid, p=1)
     with pytest.raises(ConfigError):
+        wd.detp(pt_system, 4.0, grid, p=5)
+    with pytest.raises(ConfigError):
         wd.detp(pt_system, 4.0, grid, p=7)
 
 
@@ -365,7 +365,7 @@ def test_discretize_scalar_matches_per_row_reference(name):
     problem, lam = PANEL_PROBLEMS[name]
     g = wd.build_grid(8.0, 40, panel_order=8)
     got = _diagonal_panel_rows(
-        fredholm.discretize_scalar(problem, lam, g).matrix, g, 1)
+        _dense_matrix(fredholm._scalar_terms(problem, lam), g), g, 1)
     branch = _scalar_branch(problem, lam)
     want = _reference_panel_blocks(
         g, lambda x, pts, side: branch(x, pts, side) * problem.potential(pts))
@@ -389,11 +389,13 @@ def test_discretize_system_matches_per_row_reference(pt_system):
 
     want = _reference_panel_blocks(g, integrand)
     got = _diagonal_panel_rows(
-        fredholm.discretize_system(pt_system, lam, g, basis).matrix, g, 2)
+        _dense_matrix(fredholm._system_terms(pt_system, basis), g), g, 2)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_discretize_scalar_root_split_once_per_lambda(monkeypatch, pt):
+    """The root splits of det1's discretization do not grow with the
+    grid."""
     calls = []
     green_data = greens.green_data
 
@@ -405,8 +407,7 @@ def test_discretize_scalar_root_split_once_per_lambda(monkeypatch, pt):
     counts = []
     for n_points in (40, 160):
         calls.clear()
-        fredholm.discretize_scalar(pt, 2.0 + 1.0j,
-                                   wd.build_grid(8.0, n_points))
+        fredholm.det1(pt, 2.0 + 1.0j, wd.build_grid(8.0, n_points))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3
 
@@ -539,27 +540,46 @@ def test_trace_power_matches_per_panel_reference(name, problem, lam):
 # structured determinants and traces against the dense matrix
 
 
+def _dense_matrix(terms, grid):
+    """The Nystrom matrix S, assembled: the node matrix, with the diagonal
+    panels by product integration on composite Gauss grids."""
+    samples = fredholm._sample(terms, grid)
+    S = fredholm._node_matrix(terms, grid, samples.nodes)
+    if samples.rule is not None:
+        blocks = fredholm._panel_blocks(terms, samples)
+        P, q, b = blocks.shape[:3]
+        idx = np.arange(P)
+        S.reshape(P, q, b, P, q, b)[idx, :, :, idx] = blocks
+    return S
+
+
+def _dense_logdet(S):
+    """(sign, log|det(I + S)|) by numpy's LU of I + S with unit rows."""
+    mat = S + np.eye(len(S))
+    norms = np.linalg.norm(mat, axis=1)
+    sign, logabs = np.linalg.slogdet(mat / norms[:, None])
+    return complex(sign), float(logabs + np.sum(np.log(norms)))
+
+
+def _dense_traces(S):
+    """tr S^l for l = 1, 2, 3; tr(A B) is sum(A * B.T)."""
+    return {1: complex(np.trace(S)), 2: complex(np.sum(S * S.T)),
+            3: complex(np.sum((S @ S) * S.T))}
+
+
 def _dense_reference(terms, grid, exact, orders):
-    """Regularized determinants and hint by the dense path: the assembled
-    Nystrom matrix, one LU of I + S and the matrix traces of S and S @ S."""
-    S = fredholm._discretize(terms, fredholm._sample(terms, grid))
-    sign, logabs, hint = fredholm._lu_det(S)
-    top = max([p - 1 for p in orders] + [l for l in exact if l >= min(orders)])
-    powers = [None, S]
-    if top >= 2:
-        powers.append(S @ S)
-    if top >= 5:
-        powers.append(powers[2] @ S)
-    t = {1: complex(np.trace(S))}
-    for l in range(2, top + 1):
-        t[l] = complex(np.sum(powers[(l + 1) // 2] * powers[l // 2].T))
+    """Regularized determinants from the assembled Nystrom matrix, one LU
+    of I + S and the matrix traces of S and S @ S."""
+    S = _dense_matrix(terms, grid)
+    sign, logabs = _dense_logdet(S)
+    t = _dense_traces(S)
     values = []
     for p in orders:
         correction = sum((-1.0) ** l / l * t[l] for l in range(1, p))
         correction += sum((-1.0) ** (l + 1) / l * (exact[l] - t[l])
                           for l in exact if l >= p)
         values.append(sign * np.exp(logabs + correction))
-    return values, hint
+    return values
 
 
 def _exact_traces(terms, grid):
@@ -572,14 +592,14 @@ def _exact_traces(terms, grid):
 def _dense_det1(problem, lam, grid):
     terms = fredholm._scalar_terms(problem, lam)
     exact = {1: wd.trace_scalar(problem, lam), **_exact_traces(terms, grid)}
-    return _dense_reference(terms, grid, exact, (1,))[0][0]
+    return _dense_reference(terms, grid, exact, (1,))[0]
 
 
 def _dense_system(system, lam, grid, orders, basis=None):
     basis = basis if basis is not None else greens.system_basis(system, lam)
     terms = fredholm._system_terms(system, basis)
     exact = _exact_traces(terms, grid) if min(orders) <= 3 else {}
-    return _dense_reference(terms, grid, exact, orders)[0]
+    return _dense_reference(terms, grid, exact, orders)
 
 
 def _oracle_grids():
@@ -639,15 +659,10 @@ def test_structured_front_det2_matches_dense(grid_name):
         assert _close(got, want), lam
 
 
-@st.composite
-def _random_terms(draw):
+def _seeded_terms(n, k, b, seed):
     """Random semi-separable terms, k of n roots plus, with a complex
-    b x b weight, on a Gauss or trapezoid grid whose blocks may be panels,
-    node blocks, or node blocks with a short last block."""
-    n = draw(st.integers(1, 4))
-    k = draw(st.integers(0, n))
-    b = draw(st.integers(1, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b x b weight."""
+    rng = np.random.default_rng(seed)
     kappa = (np.where(np.arange(n) < k, 1.0, -1.0) * rng.uniform(0.3, 3.0, n)
              + 1j * rng.uniform(-2.0, 2.0, n))
 
@@ -660,59 +675,66 @@ def _random_terms(draw):
     def weight(x):
         x = np.asarray(x, dtype=float)[..., None, None]
         return A * np.exp(-(x - centre) ** 2) * (1.0 + 0.5j * np.sin(x))
+    return fredholm._Terms(kappa, k, u, r, weight)
 
+
+@st.composite
+def _random_terms(draw):
+    """``_seeded_terms`` on a Gauss or trapezoid grid whose blocks may be
+    panels, node blocks, or node blocks with a short last block."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    b = draw(st.integers(1, 2))
+    terms = _seeded_terms(n, k, b, draw(st.integers(0, 2 ** 32 - 1)))
     rule = draw(st.sampled_from(["gauss_legendre", "trapezoid"]))
     grid = wd.build_grid(6.0, draw(st.integers(20, 60)), rule=rule,
                          panel_order=draw(st.integers(2, 8)))
     blocks = draw(st.integers(1, 9))
     if rule == "trapezoid" or grid.nodes.size % blocks:
         grid = dataclasses.replace(grid, panel_order=blocks)
-    return fredholm._Terms(kappa, k, u, r, weight), grid
+    return terms, grid
 
 
 @given(case=_random_terms())
 def test_structured_logdet_and_traces_match_dense(case):
     terms, grid = case
-    samples = fredholm._sample(terms, grid)
-    S = fredholm._discretize(terms, samples)
-    blocks = fredholm._blocks(terms, samples)
-    sign, logabs, hint = fredholm._lu_det(S)
-    got_sign, got_logabs, got_hint, growth = fredholm._sweep(blocks)
+    S = _dense_matrix(terms, grid)
+    blocks = fredholm._blocks(terms, fredholm._sample(terms, grid))
+    sign, logabs = _dense_logdet(S)
+    got_sign, got_logabs, got_hint = fredholm._sweep(blocks)
     assert got_hint >= 0.0
-    if growth <= fredholm._MAX_GROWTH:
-        assert abs(got_logabs - logabs) <= 1e-12 * max(1.0, abs(logabs))
-        assert abs(got_sign - sign) <= 1e-12
-    got, want = (fredholm._block_traces(blocks, 3),
-                 fredholm._matrix_traces(S, 3))
+    assert abs(got_logabs - logabs) <= 1e-12 * max(1.0, abs(logabs))
+    assert abs(got_sign - sign) <= 1e-12
+    got, want = fredholm._block_traces(blocks), _dense_traces(S)
     scale = 1.0 + np.linalg.norm(S)
     for l in (1, 2, 3):
         assert abs(got[l] - want[l]) <= 1e-12 * scale ** l
 
 
-def test_growth_fallback_is_the_dense_path(monkeypatch):
-    """With no growth allowed every sweep falls back, and the values are
-    the dense path's, bit for bit."""
-    monkeypatch.setattr(fredholm, "_MAX_GROWTH", 0.0)
-    pt2 = wd.builtin_problem("poschl_teller", N=2)
-    sysm = wd.to_system(pt2)
-    for g in _oracle_grids().values():
-        for lam in (2.0 + 1.0j, 6.0 - 1.5j):
-            assert wd.det1(pt2, lam, g).value == _dense_det1(pt2, lam, g)
-            want = _dense_system(sysm, lam, g, (2, 4))
-            assert wd.det2(sysm, lam, g).value == want[0]
-            assert wd.detp(sysm, lam, g, p=4).value == want[1]
+def test_minus_only_kernel_is_the_block_product():
+    """With only minus roots S is block lower triangular, and det(I + S)
+    is the product of the det(I + D_p) of its diagonal blocks.  The
+    off-diagonal blocks of this draw alone make cond(I + S) about 1e8; a
+    sweep that mixed rows across blocks would lose about eps cond."""
+    terms = _seeded_terms(2, 0, 2, 2627013787)
+    grid = dataclasses.replace(wd.build_grid(6.0, 60, rule="trapezoid"),
+                               panel_order=5)
+    blocks = fredholm._blocks(terms, fredholm._sample(terms, grid))
+    S = _dense_matrix(terms, grid)
+    assert np.linalg.cond(S + np.eye(len(S))) > 1e7
+    signs, logs = np.linalg.slogdet(blocks.diag + np.eye(10))
+    sign, logabs, _ = fredholm._sweep(blocks)
+    assert abs(logabs - np.sum(logs)) <= 1e-12 * max(1.0, abs(logabs))
+    assert abs(sign - np.prod(signs)) <= 1e-12
 
 
 def test_default_path_assembles_no_dense_matrix(monkeypatch, pt):
-    """Up to p = 4 the determinants never build the node matrix; p = 5
-    needs tr S^4 and takes the dense path, and so does the series
-    coefficient."""
-    calls = {"_node_matrix": 0, "_discretize": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(fredholm, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(fredholm, name, counted)
+    """The determinants never build the node matrix, p = 5 is refused,
+    and the series coefficient reads the node matrix."""
+    calls = []
+    node_matrix = fredholm._node_matrix
+    monkeypatch.setattr(fredholm, "_node_matrix",
+                        lambda *args: calls.append(1) or node_matrix(*args))
     pt2 = wd.builtin_problem("poschl_teller", N=2)
     sysm = wd.to_system(pt2)
     for g in _oracle_grids().values():
@@ -721,29 +743,32 @@ def test_default_path_assembles_no_dense_matrix(monkeypatch, pt):
             wd.det2(sysm, lam, g)
             fredholm.det2_detp(sysm, lam, g, 3)
             wd.detp(sysm, lam, g, p=4)
-    assert calls == {"_node_matrix": 0, "_discretize": 0}
-    wd.detp(sysm, 2.0 + 1.0j, wd.build_grid(20.0, 200), p=5)
-    assert calls == {"_node_matrix": 1, "_discretize": 1}
+    with pytest.raises(ConfigError):
+        wd.detp(sysm, 2.0 + 1.0j, wd.build_grid(20.0, 200), p=5)
+    assert not calls
     wd.series_coefficient(pt, 4.0, order=2, grid=wd.build_grid(20.0, 200))
-    assert calls == {"_node_matrix": 2, "_discretize": 1}
+    assert len(calls) == 1
 
 
-def test_half_line_eigenvalue_takes_the_dense_path():
+def test_half_line_eigenvalue_needs_no_dense_matrix(monkeypatch):
     """At lambda = 5/2 the N = 2 Poschl-Teller kernel cut off at x = 0, a
-    block edge of these grids, is singular: the leading blocks of I + S
-    are singular and the sweep's growth explodes.  The determinant then
-    comes from the dense LU, unchanged, and keeps its closed form."""
+    block edge of these grids, is singular: a leading block of I + S is
+    singular, and an elimination without pivoting across blocks grows by
+    2e7 at 200 nodes and 1e15 at 800.  The QR sweep keeps det1 and det2 at
+    the dense value and the closed form without forming the node
+    matrix."""
     pt2 = wd.builtin_problem("poschl_teller", N=2)
     sysm = wd.to_system(pt2)
     s = np.sqrt(2.5)
     closed = (s - 1.0) * (s - 2.0) / ((s + 1.0) * (s + 2.0))
-    for n in (200, 400):
+    for n in (200, 800):
         g = wd.build_grid(20.0, n)
-        terms = fredholm._scalar_terms(pt2, 2.5)
-        blocks = fredholm._blocks(terms, fredholm._sample(terms, g))
-        assert fredholm._sweep(blocks)[3] > 1e5 * fredholm._MAX_GROWTH
-        got = wd.det1(pt2, 2.5, g).value
-        assert got == _dense_det1(pt2, 2.5, g)
-        assert abs(got - closed) < 1e-6
-        assert wd.det2(sysm, 2.5, g).value == _dense_system(
-            sysm, 2.5, g, (2,))[0]
+        want1 = _dense_det1(pt2, 2.5, g)
+        want2 = _dense_system(sysm, 2.5, g, (2,))[0]
+        with monkeypatch.context() as m:
+            m.setattr(fredholm, "_node_matrix", None)
+            d1 = wd.det1(pt2, 2.5, g).value
+            d2 = wd.det2(sysm, 2.5, g)
+        assert _close(d1, want1) and _close(d2.value, want2)
+        assert abs(d1 - closed) < 1e-6
+        assert abs(d2.value * np.exp(d2.trace_used) - closed) < 1e-6

@@ -7,6 +7,8 @@ from wavedet import fredholm, greens
 from wavedet.errors import (EssentialSpectrum, IllConditioned,
                             NearMultipleRoots)
 
+from test_fredholm import _dense_matrix
+
 
 def _free_problem(order=2):
     prof = wd.make_profile("sech2", amplitude=2.0)
@@ -222,9 +224,9 @@ def test_system_kernel_reduces_to_scalar(pt):
     for grid in (wd.build_grid(8.0, 40, panel_order=8),
                  wd.build_grid(8.0, 41, rule="trapezoid")):
         N = grid.nodes.size
-        K = fredholm.discretize_system(sysm, lam, grid).matrix
-        K = K.reshape(N, 2, N, 2)
-        Ks = fredholm.discretize_scalar(pt, lam, grid).matrix
+        K = _dense_matrix(fredholm._system_terms(
+            sysm, greens.system_basis(sysm, lam)), grid).reshape(N, 2, N, 2)
+        Ks = _dense_matrix(fredholm._scalar_terms(pt, lam), grid)
         assert np.max(np.abs(K[:, 0, :, 0] - Ks)) <= 1e-12 * np.max(
             np.abs(Ks))
         assert not K[:, :, :, 1].any()
