@@ -302,21 +302,24 @@ class Run:
         return low, high
 
     def target_function(self):
-        """The map lambda -> value that locate / scan walk."""
+        """The map lambda -> value that locate / scan walk; the Fredholm
+        determinants are ``locate.Batched``, evaluated a list at a time."""
         name = self.extra.get("function", "det1")
         if name not in ("det1", "det2", "front_det2", "evans"):
             raise ConfigError("function must be det1, det2, front_det2 or "
                               "evans")
         self.resolved["function"] = name
         if name == "det1":
-            return name, lambda lam: fredholm.det1(self.problem, lam,
-                                                   self.grid).value
+            return name, locate.Batched(lambda lams: [
+                res.value for res in fredholm.det1_many(self.problem, lams,
+                                                        self.grid)])
         if name == "det2":
             if self.system.is_front:
                 return name, lambda lam: fronts.front_det2(
                     self.system, lam, self.grid).value
-            return name, lambda lam: fredholm.det2(self.system, lam,
-                                                   self.grid).value
+            return name, locate.Batched(lambda lams: [
+                res.value for res in fredholm.det2_many(self.system, lams,
+                                                        self.grid)])
         if name == "front_det2":
             return name, lambda lam: fronts.front_det2(self.system, lam,
                                                        self.grid).value
@@ -424,7 +427,8 @@ def cmd_roots(run):
 
 
 def cmd_det(run):
-    """det1 / det2 / detp per lambda (front problems: the front det2)."""
+    """det1 / det2 / detp per lambda (front problems: the front det2); the
+    Fredholm columns come from one batched call each."""
     p = _as_int(run.extra.get("p", 3), "p")
     fredholm._check_order(p)
     run.resolved["p"] = p
@@ -434,17 +438,15 @@ def cmd_det(run):
 
         def one(lam):
             return [lam, fronts.front_det2(run.system, lam, run.grid).value]
-    else:
-        columns = [("lambda", "c"), ("det1", "c"), ("det2", "c")]
-        if p != 2:
-            columns.append((f"det{p}", "c"))
-
-        def one(lam):
-            dets = fredholm.det2_detp(run.system, lam, run.grid, p)
-            return ([lam, fredholm.det1(run.problem, lam, run.grid).value]
-                    + [d.value for d in dets[:len(columns) - 2]])
-
-    return _render(run, columns, run.map(one, lams))
+        return _render(run, columns, run.map(one, lams))
+    columns = [("lambda", "c"), ("det1", "c"), ("det2", "c")]
+    if p != 2:
+        columns.append((f"det{p}", "c"))
+    dets = fredholm.det2_detp_many(run.system, lams, run.grid, p)
+    det1 = fredholm.det1_many(run.problem, lams, run.grid)
+    rows = [[lam, d1.value] + [d.value for d in ds[:len(columns) - 2]]
+            for lam, d1, ds in zip(lams, det1, dets)]
+    return _render(run, columns, rows)
 
 
 def cmd_evans(run):

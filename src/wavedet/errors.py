@@ -5,6 +5,14 @@ instead of returning a value, and the CLI maps these onto exit code 3.
 """
 
 
+def raise_first(refusals) -> None:
+    """Raise the first refusal of a list over lambdas (None where a lambda
+    was not refused), so a batch fails like its first failing lambda."""
+    for refusal in refusals:
+        if refusal is not None:
+            raise refusal
+
+
 class WavedetError(Exception):
     """Base class for all library errors."""
 

@@ -7,7 +7,8 @@ characteristic roots of rank-one terms
     K(x, xi) = sum_j u_j e^(kappa_j (x - xi)) r_j W(xi),
 
 plus roots on x < xi, minus roots on x >= xi.  One private engine over
-such terms (``_Terms``) serves both kernels:
+such terms (``_Terms``) serves both kernels, with lambda as the leading
+batch axis of every layer:
 
 * Nystrom discretization in the similarity frame S_ij = K(x_i, x_j) w_j,
   with the determinant and trace powers of the symmetrically weighted
@@ -15,30 +16,43 @@ such terms (``_Terms``) serves both kernels:
 * Diagonal-panel product integration: the kernel is only piecewise smooth
   across the diagonal, so entries whose row and column node share a panel
   integrate the two analytic branches separately against the panel's
-  Lagrange basis.  The sub-rules depend only on a node's index within its
-  panel; they are tabulated once per panel order (``_panel_tables``) and
-  all diagonal blocks are formed by one contraction per lambda.
+  Lagrange basis.  The panels of a composite Gauss grid are equal, so the
+  sub-rules and every offset inside a panel depend only on a node's index
+  within its panel: they are tabulated over one reference panel
+  (``_panel_tables``), and so are the branch exponentials.
 * Exact second and third traces as ordered integrals of the chain
   elements r_a W(x) u_b (``_traces``), all root pairs in one pass of the
-  contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p.  They read
-  W at the nodes and the panel sub-nodes, sampled once per lambda
-  (``_Samples``) and shared with the discretization, and at the panel
-  sub-sub-nodes, sampled by the traces alone.
+  contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p, with the
+  exponentials tabulated per panel.  W does not depend on lambda: it is
+  sampled once per call at the nodes and the panel sub-nodes
+  (``_Samples``), shared with the discretization, and at the panel
+  sub-sub-nodes (``_subsub``), where it is contracted against the table
+  before the lambda's r_a, u_b are applied, so no chain element is
+  formed there.
 * The Nystrom matrix in quasiseparable form (``_blocks``): diagonal
   blocks of panel_order nodes on every grid (the product-integration
   panels on composite Gauss grids), the plus terms above them and the
   minus terms below as generators anchored at the block edges, and the
   contractive transitions e^(-kappa h) between blocks.  log det(I + S) is
   one orthogonal elimination on the generators, backward stable without
-  pivoting, with one small numpy QR per block (``_sweep``; Chandrasekaran
-  et al., SIAM J. Matrix Anal. Appl. 27 (2005); Eidelman and Gohberg,
-  IEOT 34 (1999)), and tr S, tr S^2, tr S^3 come from a left and a right
-  sweep over the same generators (``_block_traces``): the dense
-  N b x N b matrix is never formed.
+  pivoting, with one small stacked numpy QR per block (``_sweep``;
+  Chandrasekaran et al., SIAM J. Matrix Anal. Appl. 27 (2005); Eidelman
+  and Gohberg, IEOT 34 (1999)), and tr S, tr S^2, tr S^3 come from a left
+  and a right sweep over the same generators (``_block_traces``): the
+  dense N b x N b matrix is never formed.
 * Regularized determinants (``_corrected_det``) that compensate the trace
   defect of det(I + S) with the exact traces, in the log domain.  det1 is
   order 1, with the analytic trace tau from the interface coefficients;
   det2 and detp are orders 2 <= p <= 4 of the matrix kernel.
+
+``det1_many``, ``det2_many`` and ``det2_detp_many`` evaluate a list of
+lambdas from one stacked root split.  The lambdas are grouped by their
+plus-root count k, and a refused lambda raises the typed error of the
+first one in input order.  Each group goes through the engine
+(``_regularized``) in slices of at most _SLICE_BUDGET // (N b^2)
+lambdas, so the working set does not grow with the list.  ``det1``,
+``det2``, ``detp``, ``det2_detp`` and ``trace_power_*`` are batches of
+one.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import greens
-from .errors import ConfigError, SignMismatch
+from .errors import ConfigError, SignMismatch, raise_first
 from .greens import UnperturbedBasis
 from .model import ScalarProblem, SystemProblem
 
@@ -59,9 +73,12 @@ __all__ = [
     "DeterminantResult",
     "build_grid",
     "det1",
+    "det1_many",
     "det2",
+    "det2_many",
     "detp",
     "det2_detp",
+    "det2_detp_many",
     "trace_scalar",
     "trace_system",
     "trace_system_pair",
@@ -75,6 +92,9 @@ __all__ = [
 DEFAULT_HALF_WIDTH = 20.0
 DEFAULT_POINTS = 400
 DEFAULT_PANEL_ORDER = 10
+# lambdas x N b^2 of one engine slice: 8 lambdas of a 200-node scalar
+# kernel, one of an 800-node 2 x 2 system
+_SLICE_BUDGET = 1600
 
 
 @dataclass(frozen=True)
@@ -166,18 +186,22 @@ def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return L
 
 
+
+
 @functools.lru_cache(maxsize=None)
 def _panel_tables(q: int) -> tuple[np.ndarray, ...]:
     """Product-integration and partial-panel rules of the reference panel
     [-1, 1] of order q.
 
-    Row node t_r splits the panel into a left part [-1, t_r] (side 0) and
-    a right part [t_r, 1] (side 1), each carrying a q-point Gauss rule.
-    Returns the sub-nodes and sub-weights, shape (2, q, q) indexed
-    [side, r, u], the Lagrange table L[side, r, u, j] of the panel's j-th
-    basis polynomial at those sub-nodes, and the Gauss rule of [-1, s]
-    for every side-0 sub-node s, shape (q, q, q).  Read-only, shared by
-    every grid of this panel order.
+    Returns its Gauss rule t, w, shape (q,).  Row node t_r splits the panel
+    into a left part [-1, t_r] (side 0) and a right part [t_r, 1] (side
+    1), each carrying a q-point Gauss rule: the sub-nodes and sub-weights,
+    shape (2, q, q) indexed [side, r, u], and the Lagrange table
+    L[side, r, u, j] of the panel's j-th basis polynomial at those
+    sub-nodes.  Last, the Gauss rule of [-1, s] for every side-0 sub-node
+    s, shape (q, q, q) indexed [r, u, v].  Read-only, shared by every grid
+    of this panel order: the panels of a grid are equal, so every offset
+    inside a panel is one of these times the half panel width.
     """
     t, w = np.polynomial.legendre.leggauss(q)
     lo = np.stack([np.full(q, -1.0), t])
@@ -186,219 +210,307 @@ def _panel_tables(q: int) -> tuple[np.ndarray, ...]:
     sub = ((lo + hi) / 2.0)[..., None] + half * t
     half2 = ((sub[0] + 1.0) / 2.0)[..., None]
     sub2 = ((sub[0] - 1.0) / 2.0)[..., None] + half2 * t
-    tables = (sub, half * w, _lagrange_at(t, sub), sub2, half2 * w)
+    tables = (t, w, sub, half * w, _lagrange_at(t, sub), sub2, half2 * w)
     for arr in tables:
         arr.flags.writeable = False
     return tables
 
 
-def _panel_rule(grid: QuadratureGrid):
-    """``_panel_tables`` mapped onto every panel of a composite Gauss
-    grid, None if the grid has no panel layout: pts, wts of shape
-    (2, N, q) indexed [side, row, u], the Lagrange table, and pts2, wts2
-    of shape (N, q, q) indexed [row, u, v]."""
-    layout = _gl_panels(grid)
-    if layout is None:
-        return None
-    edges, q = layout
-    sub, sub_w, lagrange, sub2, sub2_w = _panel_tables(q)
-    mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None, None]
-    rad = ((edges[1:] - edges[:-1]) / 2.0)[:, None, None]
-    N = grid.nodes.size
-    pts = (mid + rad * sub[:, None]).reshape(2, N, q)
-    wts = (rad * sub_w[:, None]).reshape(2, N, q)
-    pts2 = (mid[..., None] + rad[..., None] * sub2).reshape(N, q, q)
-    wts2 = (rad[..., None] * sub2_w).reshape(N, q, q)
-    return pts, wts, lagrange, pts2, wts2
-
-
 @dataclass(frozen=True)
 class _Terms:
-    """Rank-one terms of a semi-separable kernel
+    """Rank-one terms of the semi-separable kernels of L lambdas that
+    share the plus-root count k,
 
         K(x, xi) = sum_j u_j e^(kappa_j (x - xi)) r_j W(xi),
 
     the first k terms (Re kappa_j > 0) on x < xi, the others on x >= xi.
-    u and r hold the column and row factors u_j, r_j as rows, shape (n, b);
-    weight maps points of shape S to the b x b weights, shape S + (b, b).
+    kappa has shape (L, n); u and r hold the column and row factors u_j,
+    r_j as rows, shape (L, n, b).  The weight W is the same for every
+    lambda and lives in ``_Samples``.
     """
 
     kappa: np.ndarray
     k: int
     u: np.ndarray
     r: np.ndarray
-    weight: Callable[[np.ndarray], np.ndarray]
+
+    def take(self, sel) -> "_Terms":
+        return _Terms(self.kappa[sel], self.k, self.u[sel], self.r[sel])
 
     def branch(self, d: np.ndarray, side: int) -> np.ndarray:
         """K without the weight at offsets d = x - xi, shape
-        d.shape + (b, b), from one branch continued past the diagonal:
-        side 0 the x >= xi terms, side 1 the x < xi terms."""
+        (L,) + d.shape + (b, b), from one branch continued past the
+        diagonal: side 0 the x >= xi terms, side 1 the x < xi terms."""
         sel = slice(self.k, None) if side == 0 else slice(0, self.k)
-        E = np.exp(d[..., None] * self.kappa[sel])
-        return np.einsum("...j,ja,jb->...ab", E, self.u[sel], self.r[sel])
+        kap = self.kappa[:, sel]
+        E = np.exp(d[..., None] * kap.reshape(kap.shape[:1] + (1,) * d.ndim
+                                              + kap.shape[1:]))
+        return np.einsum("l...j,lja,ljb->l...ab", E, self.u[:, sel],
+                         self.r[:, sel])
 
-    def elements(self, W: np.ndarray, rows: slice = slice(None),
-                 cols: slice = slice(None)) -> np.ndarray:
-        """r_a W(x) u_b at the samples W, shape (a, b) + points."""
-        return np.einsum("ac,...cd,bd->ab...", self.r[rows], W,
-                         self.u[cols])
+    def elements(self, W: np.ndarray) -> np.ndarray:
+        """r_a W(x) u_b at the samples W, shape (L, a, b) + points."""
+        return np.einsum("lac,...cd,lbd->lab...", self.r, W, self.u)
 
 
-def _scalar_terms(problem: ScalarProblem, lam: complex) -> _Terms:
-    """u_j = 1, r_j = alpha_j kappa_j^m, W = v; the sign of the m-th
-    derivative is folded in, so det(I + K) is the determinant for every m."""
-    roots, coeff = greens.green_data(problem, lam)
-    kappa = np.array(roots.all)
-    r = np.array(coeff.alpha) * kappa ** problem.deriv_order
+def _groups(kappa: np.ndarray, k: np.ndarray, u: np.ndarray,
+            r: np.ndarray) -> list[tuple[np.ndarray, _Terms]]:
+    """The terms of L lambdas grouped by k: (indices of the group's
+    lambdas, their terms), by ascending k."""
+    return [(idx, _Terms(kappa[idx], int(kk), u[idx], r[idx]))
+            for kk in np.unique(k) for idx in [np.flatnonzero(k == kk)]]
 
+
+def _scalar_weight(problem: ScalarProblem) -> Callable:
+    """W = v as 1 x 1 matrices, shape x.shape + (1, 1)."""
     def weight(x):
         return np.asarray(problem.potential(x), dtype=complex)[..., None, None]
-    return _Terms(kappa, roots.k, np.ones((kappa.size, 1)), r[:, None],
-                  weight)
+    return weight
 
 
-def _system_terms(system: SystemProblem, basis: UnperturbedBasis) -> _Terms:
-    """u_j = -P[:, j] (plus roots) or +P[:, j] (minus roots),
-    r_j = Pinv[j, :], W = -(R - R_inf): the eigenvalue condition reads
-    (I - K0 R) Y = 0, and the folded sign keeps the det(I + .) form."""
-    kappa = np.array(basis.roots.all)
-    sign = np.where(np.arange(kappa.size) < basis.k, -1.0, 1.0)
-    return _Terms(kappa, basis.k, sign[:, None] * basis.P.T, basis.Pinv,
-                  lambda x: -system.decaying_part(x))
+def _scalar_terms(problem: ScalarProblem, lams) -> list:
+    """``_groups`` of the scalar kernels: u_j = 1, r_j = alpha_j kappa_j^m,
+    W = v; the sign of the m-th derivative is folded in, so det(I + K) is
+    the determinant for every m.  One stacked root split; a refused lambda
+    raises the error of the first one in input order."""
+    kappa, k, alpha, refusals = greens.green_arrays(problem, lams)
+    raise_first(refusals)
+    r = alpha * kappa ** problem.deriv_order
+    return _groups(kappa, k, np.ones(kappa.shape + (1,)), r[..., None])
+
+
+def _analytic_traces(problem: ScalarProblem, groups: list,
+                     L: int) -> np.ndarray:
+    """Analytic traces tau of L lambdas: sum over the plus roots of
+    alpha_j kappa_j^m times the integral of the potential."""
+    tau = np.empty(L, dtype=complex)
+    for idx, terms in groups:
+        tau[idx] = (np.sum(terms.r[:, :terms.k, 0], axis=1)
+                    * problem.potential_integral())
+    return tau
+
+
+def _system_weight(system: SystemProblem) -> Callable:
+    """W = -(R - R_inf), shape x.shape + (n, n)."""
+    return lambda x: -system.decaying_part(x)
+
+
+def _system_terms(kappa: np.ndarray, k: np.ndarray, P: np.ndarray,
+                  Pinv: np.ndarray) -> list:
+    """``_groups`` of the matrix kernels: u_j = -P[:, j] (plus roots) or
+    +P[:, j] (minus roots), r_j = Pinv[j, :], W = -(R - R_inf): the
+    eigenvalue condition reads (I - K0 R) Y = 0, and the folded sign keeps
+    the det(I + .) form."""
+    sign = np.where(np.arange(kappa.shape[1]) < k[:, None], -1.0, 1.0)
+    return _groups(kappa, k, sign[..., None] * P.swapaxes(1, 2), Pinv)
 
 
 @dataclass(frozen=True)
 class _Samples:
-    """One lambda's W at the nodes and at the ``_panel_rule`` sub-nodes
-    (panel)."""
+    """The weight W and its samples, the same for every lambda: at the
+    nodes, shape (N, b, b), and on composite Gauss grids the half width
+    rad of the equal panels and W at the ``_panel_tables`` sub-nodes of
+    every panel, shape (2, q, q, P, b, b) indexed [side, r, u, panel]."""
 
     grid: QuadratureGrid
-    rule: Optional[tuple]
+    weight: Callable[[np.ndarray], np.ndarray]
     nodes: np.ndarray
+    rad: Optional[float] = None
     panel: Optional[np.ndarray] = None
 
 
-def _sample(terms: _Terms, grid: QuadratureGrid) -> _Samples:
-    rule = _panel_rule(grid)
-    W = terms.weight(grid.nodes)
-    if rule is None:
-        return _Samples(grid, None, W)
-    return _Samples(grid, rule, W, terms.weight(rule[0]))
+def _panel_points(grid: QuadratureGrid, ref: np.ndarray) -> np.ndarray:
+    """Reference-panel points ref mapped onto every panel of a composite
+    Gauss grid, shape ref.shape + (P,)."""
+    edges = _gl_panels(grid)[0]
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    rad = (edges[1:] - edges[:-1]) / 2.0
+    return mid + rad * ref[..., None]
+
+
+def _sample(weight: Callable, grid: QuadratureGrid) -> _Samples:
+    W = weight(grid.nodes)
+    layout = _gl_panels(grid)
+    if layout is None:
+        return _Samples(grid, weight, W)
+    edges, q = layout
+    return _Samples(grid, weight, W, grid.half_width / (edges.size - 1),
+                    weight(_panel_points(grid, _panel_tables(q)[2])))
+
+
+def _subsub(samples: _Samples) -> np.ndarray:
+    """W at the sub-sub-nodes of ``_panel_tables``, shape (q, q, q, P, b, b)
+    indexed [r, u, v, panel]; read by the traces alone."""
+    sub2 = _panel_tables(samples.grid.panel_order)[5]
+    return samples.weight(_panel_points(samples.grid, sub2))
 
 
 def _node_matrix(terms: _Terms, grid: QuadratureGrid,
                  W: np.ndarray) -> np.ndarray:
-    """S_ij = K(x_i, x_j) W(x_j) w_j on the nodes, node-major (N b, N b),
-    from W at the nodes; the diagonal takes the x >= xi branch."""
-    xs, N, b = grid.nodes, grid.nodes.size, terms.u.shape[1]
-    rows = np.einsum("jc,tcd->jtd", terms.r, W * grid.weights[:, None, None])
+    """S_ij = K(x_i, x_j) W(x_j) w_j on the nodes, node-major, shape
+    (L, N b, N b), from W at the nodes; the diagonal takes the x >= xi
+    branch."""
+    xs, N = grid.nodes, grid.nodes.size
+    L, n, b = terms.u.shape
+    rows = np.einsum("ljc,tcd->ljtd", terms.r,
+                     W * grid.weights[:, None, None])
     D = xs[:, None] - xs[None, :]
-    S = np.zeros((N, b, N, b), dtype=complex)
-    for j, kap in enumerate(terms.kappa):
+    S = np.zeros((L, N, b, N, b), dtype=complex)
+    for j in range(n):
         on = D < 0 if j < terms.k else D >= 0
         # exp on this branch's side only, written in place: no gathered
         # half-size copies, whose freed blocks stay resident in the heap
-        E = np.exp(kap * D, out=np.zeros((N, N), dtype=complex), where=on)
-        S += np.einsum("il,a,lc->ialc", E, terms.u[j], rows[j],
+        E = np.exp(terms.kappa[:, j, None, None] * D,
+                   out=np.zeros((L, N, N), dtype=complex), where=on)
+        S += np.einsum("xil,xa,xlc->xialc", E, terms.u[:, j], rows[:, j],
                        optimize=True)
-    return S.reshape(N * b, N * b)
+    return S.reshape(L, N * b, N * b)
 
 
 def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
     """Diagonal-panel blocks of a composite Gauss grid by product
-    integration, shape (P, q, b, q, b)."""
-    pts, wts, lagrange = samples.rule[:3]
-    q = pts.shape[-1]
-    b = terms.u.shape[1]
-    d = samples.grid.nodes[:, None] - pts
-    prod = np.stack([terms.branch(d[0], 0), terms.branch(d[1], 1)])
-    prod = prod @ samples.panel
-    prod *= wts[..., None, None]
-    return np.einsum("sPruab,sruj->Prajb",
-                     prod.reshape(2, -1, q, q, b, b), lagrange)
+    integration, shape (L, P, q, b, q, b).  The offsets between a node and
+    the sub-nodes of its panel are the same in every panel, so the branch
+    exponentials are taken over one reference panel."""
+    t, _, sub, sub_w, lagrange = _panel_tables(samples.grid.panel_order)[:5]
+    rad = samples.rad
+    d = rad * (t[:, None] - sub)
+    branch = np.stack([terms.branch(d[0], 0), terms.branch(d[1], 1)], 1)
+    branch *= (rad * sub_w)[..., None, None]
+    # branch with the Lagrange table first: a small intermediate, and a
+    # contraction order that does not depend on the number of lambdas
+    return np.einsum("lsruab,sruPbc,sruj->lPrajc", branch, samples.panel,
+                     lagrange, optimize=["einsum_path", (0, 2), (0, 1)])
 
 
-def _cumulative(grid: QuadratureGrid, mu: np.ndarray, f: np.ndarray,
+def _cumulative(rad: float, mu: np.ndarray, f: np.ndarray,
                 levels: Sequence[tuple]) -> list[np.ndarray]:
     """Volterra cumulatives F_m(t) = integral_{-X}^{t} e^(mu_m (x - t))
-    f_m(x) dx of M chains at once, Re(mu_m) > 0, from f_m at the nodes,
-    shape (M, N).  Each level (t, s, ws, fs) asks for F at the points t,
-    shape (L,), in panel order; s, ws, shape (L, q), is the Gauss rule
-    from the left edge of t's panel to t, and fs is f_m there.  The panel
-    sums C_p anchored at left edges obey C_(p+1) = e^(-mu h_p) C_p + m_p,
-    so every exponential decays.
+    f_m(x) dx of M chains of L lambdas at once, Re(mu) > 0, mu of shape
+    (L, M), on equal panels of half width rad, from f at the nodes, shape
+    (L, M, q, P) indexed [node within panel, panel].  Each level
+    (anchor, partial) asks for F at points given by their offsets anchor
+    = e_p - t from their panel's left edge, the same in every panel, and
+    partial, shape (L, M) + anchor.shape + (P,), the integral from e_p to
+    t, which is completed in place and returned.  The panel sums C_p
+    anchored at left edges obey C_(p+1) = e^(-2 mu rad) C_p + m_p, so
+    every exponential decays.
     """
-    edges = _gl_panels(grid)[0]
-    M, P = mu.size, edges.size - 1
-    x, w = grid.nodes.reshape(P, -1), grid.weights.reshape(P, -1)
-    moments = np.sum(f.reshape(M, P, -1) * w
-                     * np.exp(mu[:, None, None] * (x - edges[1:, None])), -1)
-    decay = np.exp(-mu[:, None] * np.diff(edges))
-    C = np.zeros((M, P), dtype=complex)
+    L, M, q, P = f.shape
+    t, w = _panel_tables(q)[:2]
+    moments = np.einsum("lmip,lmi->lmp", f,
+                        rad * w * np.exp(mu[..., None] * (rad * (t - 1.0))))
+    decay = np.exp(-2.0 * rad * mu)
+    C = np.zeros((L, M, P), dtype=complex)
     for p in range(1, P):
-        C[:, p] = decay[:, p - 1] * C[:, p - 1] + moments[:, p - 1]
+        C[..., p] = decay * C[..., p - 1] + moments[..., p - 1]
     out = []
-    for t, s, ws, fs in levels:
-        per = t.size // P
-        F = np.repeat(C, per, axis=1) * np.exp(
-            mu[:, None] * (np.repeat(edges[:-1], per) - t))
-        out.append(F + np.sum(ws * fs * np.exp(
-            mu[:, None, None] * (s - t[:, None])), axis=-1))
+    for anchor, partial in levels:
+        lift = (1,) * anchor.ndim
+        grow = np.exp(mu.reshape(L, M, *lift) * anchor)
+        partial += grow[..., None] * C.reshape(L, M, *lift, P)
+        out.append(partial)
     return out
 
 
-def _traces(terms: _Terms, samples: _Samples) -> tuple[complex, complex]:
-    """Exact tr(T^2) and tr(T^3) of the kernel of the terms, as ordered
-    integrals of the chain elements r_a W(x) u_b at rates that are
-    differences of plus and minus roots: smooth decaying integrands, so
-    the composite rule is spectrally accurate.  Chain (j, i), j plus and
-    i minus, has the cumulative F_ji of r_i W u_j at rate
-    kappa_j - kappa_i; tr(T^2) integrates it against r_j W u_i, and
-    tr(T^3) takes one more cumulative of each chain (j, i, c).  W at the
-    sub-sub-nodes is sampled here, so it is freed before the block
-    generators are formed."""
-    grid, (pts, wts, _, pts2, wts2) = samples.grid, samples.rule
-    kap, k = terms.kappa, terms.k
-    N, q = pts[0].shape
-    E = terms.elements(samples.nodes)
-    Es = terms.elements(samples.panel[0])
-    Ess = terms.elements(terms.weight(pts2), slice(k, None), slice(0, k))
-    j, i = np.ogrid[:k, k:kap.size]
-    mu = kap[j] - kap[i]
-    t, s, ws = grid.nodes, pts[0], wts[0]
-    F, Fs = _cumulative(
-        grid, mu.ravel(), E[i, j].reshape(mu.size, N),
-        [(t, s, ws, Es[i, j].reshape(mu.size, N, q)),
-         (s.ravel(), pts2.reshape(-1, q), wts2.reshape(-1, q),
-          Ess[i - k, j].reshape(mu.size, -1, q))])
-    F, Fs = F.reshape(mu.shape + (1, N)), Fs.reshape(mu.shape + (1, N, q))
-    tr2 = 2.0 * np.sum(grid.weights * E[j, i] * F[:, :, 0])
+def _traces(terms: _Terms, samples: _Samples,
+            subsub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tr(T^2) and tr(T^3) of the kernels of the terms, shape (L,)
+    each, as ordered integrals of the chain elements r_a W(x) u_b at rates
+    that are differences of plus and minus roots: smooth decaying
+    integrands, so the composite rule is spectrally accurate.  Chain
+    (j, i), j plus and i minus, has the cumulative F_ji of r_i W u_j at
+    rate kappa_j - kappa_i; tr(T^2) integrates it against r_j W u_i, and
+    tr(T^3) takes one more cumulative of each chain (j, i, c).
+
+    The offsets inside a panel are the same in every panel, so every
+    exponential is tabulated over one reference panel.  Off the nodes the
+    chain elements are never formed: each partial-panel integral contracts
+    the lambda-free samples of W against the table and the lambda's r_a,
+    u_b in one pass, at the sub-sub-nodes (subsub, ``_subsub``) the table
+    first."""
+    grid, rad = samples.grid, samples.rad
+    t, _, sub, sub_w, _, sub2, sub2_w = _panel_tables(grid.panel_order)
+    kap, r, u, k = terms.kappa, terms.r, terms.u, terms.k
+    L, n, b = u.shape
+    q = t.size
+    P = grid.nodes.size // q
+    wts = grid.weights.reshape(P, q).T
+    E = terms.elements(samples.nodes).reshape(L, n, n, P, q).swapaxes(-1, -2)
+    Ws = samples.panel[0]
+    nodes, subs = -rad * (t + 1.0), -rad * (sub[0] + 1.0)
+
+    def rule(mu):
+        """The partial-panel rule from e_p to each node times the
+        exponential, shape mu.shape + (q, q) indexed [node, u]."""
+        return rad * sub_w[0] * np.exp(mu[..., None, None]
+                                       * (rad * (sub[0] - t[:, None])))
+
+    def subsub_partial(mu):
+        """The partial-panel integrals from e_p to each sub-node, shape
+        mu.shape + (q, q, P): the sub-sub-node rule times the exponential,
+        shape (q, q, L, M, q) indexed [node, u, lambda, chain, v], against
+        the samples, then the factors of the chains.  Lambda is a batch
+        axis of the matmul, so no lambda's sums depend on the others."""
+        lift = (slice(None), slice(None), None, None)
+        T = (rad * (sub2 - sub[0][..., None]))[lift] * mu.reshape(L, -1, 1)
+        np.exp(T, out=T)
+        T *= (rad * sub2_w)[lift]
+        G = T @ subsub.reshape(q, q, 1, q, -1)
+        del T
+        return np.einsum("xuljipef,lie,ljf->ljixup",
+                         G.reshape(q, q, *mu.shape, P, b, b), r[:, k:],
+                         u[:, :k])
+
+    j, i = np.ogrid[:k, k:n]
+    mu = kap[:, j] - kap[:, i]
+    F, Fs = _cumulative(rad, mu.reshape(L, -1), E[:, i, j].reshape(
+        L, -1, q, P), [
+        (nodes, np.einsum("ljixu,lie,xupef,ljf->ljixp", rule(mu), r[:, k:],
+                          Ws, u[:, :k]).reshape(L, -1, q, P)),
+        (subs, subsub_partial(mu).reshape(L, -1, q, q, P))])
+    tr2 = 2.0 * _row_sums(E[:, j, i].reshape(L, -1, q, P) * F * wts)
     # chain (j, i, c): c plus at rate kappa_c - kappa_i with middle
     # element r_j W u_c and last r_c W u_i; c minus at rate
     # kappa_j - kappa_c with middle r_c W u_i and last r_j W u_c
-    j, i, c = np.ogrid[:k, k:kap.size, :kap.size]
+    j, i, c = np.ogrid[:k, k:n, :n]
     plus = c < k
-    mu = np.where(plus, kap[c] - kap[i], kap[j] - kap[c])
+    mu = np.where(plus, kap[:, c] - kap[:, i], kap[:, j] - kap[:, c])
     mid = np.where(plus, j, c), np.where(plus, c, i)
     last = np.where(plus, c, j), np.where(plus, i, c)
-    G, = _cumulative(grid, mu.ravel(), (E[mid] * F).reshape(-1, N),
-                     [(t, s, ws, (Es[mid] * Fs).reshape(-1, N, q))])
-    tr3 = 3.0 * np.sum(grid.weights * E[last].reshape(-1, N) * G)
-    return complex(tr2), complex(tr3)
+    F = F.reshape(L, k, n - k, 1, q, P)
+    Fs = Fs.reshape(L, k, n - k, q, q, P)
+    G, = _cumulative(rad, mu.reshape(L, -1), (E[:, mid[0], mid[1]] * F
+                                              ).reshape(L, -1, q, P), [
+        (nodes, np.einsum("ljicxu,ljixup,ljice,xupef,ljicf->ljicxp",
+                          rule(mu), Fs, r[:, mid[0]], Ws, u[:, mid[1]]
+                          ).reshape(L, -1, q, P))])
+    tr3 = 3.0 * _row_sums(E[:, last[0], last[1]].reshape(L, -1, q, P) * G
+                          * wts)
+    return tr2, tr3
 
 
-def _trace_power(terms: _Terms, grid: QuadratureGrid, power: int) -> complex:
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each lambda's entries, shape (L,): one pairwise sum per
+    row, the same for a lambda whatever the batch around it."""
+    return np.sum(a.reshape(len(a), -1), axis=1)
+
+
+def _trace_power(terms: _Terms, weight: Callable, grid: QuadratureGrid,
+                 power: int) -> complex:
     if power not in (2, 3):
         raise ConfigError("iterated traces implemented for powers 2 and 3")
     if _gl_panels(grid) is None:
         raise ConfigError("iterated traces need a composite Gauss grid")
-    return _traces(terms, _sample(terms, grid))[power - 2]
+    samples = _sample(weight, grid)
+    return complex(_traces(terms, samples, _subsub(samples))[power - 2][0])
 
 
 def trace_power_scalar(problem: ScalarProblem, lam: complex,
                        grid: QuadratureGrid, power: int) -> complex:
     """Exact second or third iterated trace of the scalar kernel."""
-    return _trace_power(_scalar_terms(problem, lam), grid, power)
+    (_, terms), = _scalar_terms(problem, [lam])
+    return _trace_power(terms, _scalar_weight(problem), grid, power)
 
 
 def trace_power_system(system: SystemProblem, lam: complex,
@@ -408,13 +520,16 @@ def trace_power_system(system: SystemProblem, lam: complex,
     companion system of an m = 0 scalar problem it is the scalar result."""
     if basis is None:
         basis = greens.system_basis(system, lam)
-    return _trace_power(_system_terms(system, basis), grid, power)
+    (_, terms), = _system_terms(*greens.basis_arrays([basis],
+                                                     system.dimension))
+    return _trace_power(terms, _system_weight(system), grid, power)
 
 
 @dataclass(frozen=True)
 class _Blocks:
-    """S in quasiseparable form over P blocks of q nodes, m = q b rows each
-    (a short last block is padded with zero rows and columns):
+    """S of L lambdas in quasiseparable form over P blocks of q nodes,
+    m = q b rows each (a short last block is padded with zero rows and
+    columns):
 
         S_ps = diag[p]                       p = s
              = gp[p] Phi_ps hp[s]            p < s, Phi_ps = prod ep[t]
@@ -425,9 +540,9 @@ class _Blocks:
     r_j W w for the plus roots, gm = u_j e^(kappa_j (x - e_p)),
     hm = e^(kappa_j (e_(p+1) - xi)) r_j W w for the minus roots, and the
     transitions ep = e^(-kappa_j h_p), em = e^(kappa_j h_p) over the block
-    widths h_p: every exponential is at most 1.  Shapes: diag (P, m, m),
-    gp (P, m, k), hp (P, k, m), gm (P, m, n - k), hm (P, n - k, m),
-    ep (P, k), em (P, n - k).
+    widths h_p: every exponential is at most 1.  Shapes: diag (L, P, m, m),
+    gp (L, P, m, k), hp (L, P, k, m), gm (L, P, m, n - k),
+    hm (L, P, n - k, m), ep (L, P, k), em (L, P, n - k).
     """
 
     diag: np.ndarray
@@ -440,102 +555,129 @@ class _Blocks:
 
 
 def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
-    """Generators of the Nystrom matrix of the terms on blocks of
-    ``panel_order`` ascending nodes, without forming it.  The diagonal
+    """Generators of the Nystrom matrices of the terms on blocks of
+    ``panel_order`` ascending nodes, without forming them.  The diagonal
     blocks are the product-integration panels on composite Gauss grids and
     node entries otherwise; block edges are the outer nodes and the
     midpoints between neighbouring blocks."""
     grid = samples.grid
     x, q, k = grid.nodes, grid.panel_order, terms.k
-    N, n, b = x.size, terms.kappa.size, terms.u.shape[1]
+    N = x.size
+    L, n, b = terms.u.shape
     P = -(-N // q)
     cut = np.arange(1, P) * q
     edges = np.concatenate([x[:1], (x[cut - 1] + x[cut]) / 2.0, x[-1:]])
     xs = np.pad(x, (0, P * q - N), mode="edge").reshape(P, q)
     valid = (np.arange(P * q) < N).reshape(P, q)
-    rows = np.einsum("jc,tcd->jtd", terms.r,
+    rows = np.einsum("ljc,tcd->ljtd", terms.r,
                      samples.nodes * grid.weights[:, None, None])
-    rows = np.pad(rows, ((0, 0), (0, P * q - N), (0, 0))).reshape(n, P, q, b)
-    kap = terms.kappa
+    rows = np.pad(rows, ((0, 0), (0, 0), (0, P * q - N), (0, 0)))
+    rows = rows.reshape(L, n, P, q, b)
+    kap = terms.kappa[:, None, None, :]
     left, right = edges[:-1, None, None], edges[1:, None, None]
-    e_gp = np.exp(kap[:k] * (xs[..., None] - right)) * valid[..., None]
-    e_gm = np.exp(kap[k:] * (xs[..., None] - left)) * valid[..., None]
-    e_hp = np.exp(kap[:k] * (left - xs[..., None]))
-    e_hm = np.exp(kap[k:] * (right - xs[..., None]))
-    gp = np.einsum("pij,ja->piaj", e_gp, terms.u[:k]).reshape(P, q * b, k)
-    gm = np.einsum("pij,ja->piaj", e_gm, terms.u[k:]).reshape(P, q * b, -1)
-    hp = np.einsum("plj,jplc->pjlc", e_hp, rows[:k]).reshape(P, k, q * b)
-    hm = np.einsum("plj,jplc->pjlc", e_hm, rows[k:]).reshape(P, -1, q * b)
+    e_gp = np.exp(kap[..., :k] * (xs[..., None] - right)) * valid[..., None]
+    e_gm = np.exp(kap[..., k:] * (xs[..., None] - left)) * valid[..., None]
+    e_hp = np.exp(kap[..., :k] * (left - xs[..., None]))
+    e_hm = np.exp(kap[..., k:] * (right - xs[..., None]))
+    gp = np.einsum("lpij,lja->lpiaj", e_gp, terms.u[:, :k])
+    gm = np.einsum("lpij,lja->lpiaj", e_gm, terms.u[:, k:])
+    hp = np.einsum("lpij,ljpic->lpjic", e_hp, rows[:, :k])
+    hm = np.einsum("lpij,ljpic->lpjic", e_hm, rows[:, k:])
     h = np.diff(edges)[:, None]
-    if samples.rule is not None:
+    if samples.panel is not None:
         diag = _panel_blocks(terms, samples)
     else:
         d = (xs[:, :, None] - xs[:, None, :])[..., None]
         on = np.where(np.arange(n) < k, d < 0, d >= 0)
         on &= valid[:, :, None, None]
-        E = np.exp(d * kap, out=np.zeros(on.shape, dtype=complex), where=on)
-        diag = np.einsum("pilj,ja,jplc->pialc", E, terms.u, rows)
-    return _Blocks(diag.reshape(P, q * b, q * b), gp, hp, gm, hm,
-                   np.exp(-kap[:k] * h), np.exp(kap[k:] * h))
+        E = np.exp(d * kap[:, :, None], out=np.zeros((L,) + on.shape,
+                                                     dtype=complex),
+                   where=on)
+        diag = np.einsum("xpicj,xja,xjpcd->xpiacd", E, terms.u, rows)
+    return _Blocks(diag.reshape(L, P, q * b, q * b),
+                   gp.reshape(L, P, q * b, k), hp.reshape(L, P, k, q * b),
+                   gm.reshape(L, P, q * b, n - k),
+                   hm.reshape(L, P, n - k, q * b),
+                   np.exp(-terms.kappa[:, None, :k] * h),
+                   np.exp(terms.kappa[:, None, k:] * h))
 
 
-def _sweep(blocks: _Blocks) -> tuple[complex, float, float]:
-    """(sign, log|det(I + S)|) and the condition hint by Householder QR of
-    a block-bidiagonal embedding of S.  Block p has the unknowns
-    (z_p, x_p, y_p), y_p = ep_(p+1) y_(p+1) + hp_(p+1) x_(p+1) and
-    z_(p+1) = em_p z_p + hm_p x_p, whose unit triangular block keeps
-    det(I + S).  Step p is one QR of the (M + l) x 2M stack of the rows
-    that reach block column p, M = q b + n; its last l = n - k rows carry
-    on.  The sign multiplies the pivot phases and the (unitary) reflector
-    determinants 1 - tau ||v||^2 = -tau / conj(tau).  The hint sums the
-    column Hadamard ratios log(||R[:i+1, i]|| / |R_ii|) (>= 0, inf on a
-    zero pivot, where the determinant is 0).
+def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per lambda the sign and log|det(I + S)| and the condition hint, shape
+    (L,) each, by Householder QR of a block-bidiagonal embedding of S.
+    Block p has the unknowns (z_p, x_p, y_p), y_p = ep_(p+1) y_(p+1) +
+    hp_(p+1) x_(p+1) and z_(p+1) = em_p z_p + hm_p x_p, whose unit
+    triangular block keeps det(I + S).  Step p is one stacked QR over the
+    lambdas of the (M + l) x 2M stack of the rows that reach block column
+    p, M = q b + n; its last l = n - k rows carry on.  The sign multiplies
+    the pivot phases and the (unitary) reflector determinants
+    1 - tau ||v||^2 = -tau / conj(tau).  The hint sums the column Hadamard
+    ratios log(||R[:i+1, i]|| / |R_ii|) (>= 0); a zero pivot gives the
+    sign 0, log|det| -inf and the hint inf.
     """
-    if blocks.em.shape[1] > blocks.ep.shape[1]:
+    if blocks.em.shape[-1] > blocks.ep.shape[-1]:
         # det(I + S^T): its l = k rows mix fewer blocks, none if k = 0
-        T = functools.partial(np.swapaxes, axis1=1, axis2=2)
+        T = functools.partial(np.swapaxes, axis1=-1, axis2=-2)
         blocks = _Blocks(T(blocks.diag), T(blocks.hm), T(blocks.gm),
                          T(blocks.hp), T(blocks.gp), blocks.em, blocks.ep)
-    P, m = blocks.diag.shape[:2]
-    k, l = blocks.ep.shape[1], blocks.em.shape[1]
+    L, P, m = blocks.diag.shape[:3]
+    k, l = blocks.ep.shape[-1], blocks.em.shape[-1]
     M = m + k + l
-    # stacks[p]: rows carried (l), x_p (m), y_p (k), z_(p+1) (l); columns
-    # (z, x, y) of block p, then of block p + 1 (a unit z_P at the end)
-    stacks = np.zeros((P, M + l, 2 * M), dtype=complex)
+    # stacks[:, p]: rows carried (l), x_p (m), y_p (k), z_(p+1) (l);
+    # columns (z, x, y) of block p, then of block p + 1 (a unit z_P at the
+    # end)
+    stacks = np.zeros((L, P, M + l, 2 * M), dtype=complex)
     x, y = slice(l, l + m), slice(l + m, M)
-    stacks[0, :l, :l] = np.eye(l)
-    stacks[:, x, :l] = blocks.gm
-    stacks[:, x, x] = blocks.diag + np.eye(m)
-    stacks[:, x, y] = blocks.gp
-    stacks[:, l + m:, l + m:M + l] = np.eye(k + l)
-    stacks[:-1, y, M + l:M + l + m] = -blocks.hp[1:]
-    stacks[:-1, y, M + l + m:] = -blocks.ep[1:, :, None] * np.eye(k)
-    stacks[:-1, M:, :l] = -blocks.em[:-1, :, None] * np.eye(l)
-    stacks[:-1, M:, x] = -blocks.hm[:-1]
-    # numpy's raw QR is transposed: raw[p, c, r] is R[r, c] for r <= c and
-    # the reflector vectors below the diagonal of R
-    raw = np.empty((P, 2 * M, M + l), dtype=complex)
-    tau = np.empty((P, M + l), dtype=complex)
+    stacks[:, 0, :l, :l] = np.eye(l)
+    stacks[:, :, x, :l] = blocks.gm
+    stacks[:, :, x, x] = blocks.diag
+    diagonal = np.arange(l, l + m)
+    stacks[:, :, diagonal, diagonal] += 1.0
+    stacks[:, :, x, y] = blocks.gp
+    stacks[:, :, l + m:, l + m:M + l] = np.eye(k + l)
+    stacks[:, :-1, y, M + l:M + l + m] = -blocks.hp[:, 1:]
+    stacks[:, :-1, y, M + l + m:] = -blocks.ep[:, 1:, :, None] * np.eye(k)
+    stacks[:, :-1, M:, :l] = -blocks.em[:, :-1, :, None] * np.eye(l)
+    stacks[:, :-1, M:, x] = -blocks.hm[:, :-1]
+    # numpy's raw QR is transposed: raw[..., c, r] is R[r, c] for r <= c
+    # and the reflector vectors below the diagonal of R.  Step p's output
+    # overwrites its own stack, which it has consumed.
+    raw = stacks.reshape(L, P, 2 * M, M + l)
+    tau = np.empty((L, P, M + l), dtype=complex)
     carried = np.triu(np.ones((l, M), dtype=bool))
     for p in range(P):
         if p:
-            stacks[p, :l, :M] = raw[p - 1, M:, M:].T * carried
-        raw[p], tau[p] = np.linalg.qr(stacks[p], mode="raw")
-    d = raw[:, np.arange(M), np.arange(M)]
+            carry = raw[:, p - 1, M:, M:].swapaxes(-1, -2)
+            stacks[:, p, :l, :M] = carry * carried
+        raw[:, p], tau[:, p] = np.linalg.qr(stacks[:, p], mode="raw")
+    d = raw[..., np.arange(M), np.arange(M)].reshape(L, -1)
     pivots = np.abs(d)
-    if not pivots.all():
-        return 0j, float("-inf"), float("inf")
-    tau = tau[tau != 0]     # tau = 0 is the identity
-    sign = np.prod(d / pivots) * np.prod(-tau / tau.conj())
-    columns = np.sum(np.abs(np.tril(raw[:, :M])) ** 2, axis=-1)
-    columns[1:] += np.sum(np.abs(raw[:-1, M:, :M]) ** 2, axis=-1)
-    hint = np.sum(np.log(np.maximum(1.0, np.sqrt(columns) / pivots)))
-    return (complex(sign / abs(sign)), float(np.sum(np.log(pivots))),
-            float(hint))
+    regular = pivots.all(axis=1)
+    pivots[~regular] = 1.0      # placeholders; these rows are overwritten
+    tau = tau.reshape(L, -1)
+    unit = tau == 0             # tau = 0 is the identity
+    reflectors = -tau / np.where(unit, 1.0, tau).conj()
+    reflectors[unit] = 1.0
+    sign = np.prod(d / pivots, axis=1) * np.prod(reflectors, axis=1)
+    sign[~regular] = 1.0
+    # |R[r, c]|^2 summed over r <= c, from the real view of raw: no
+    # temporary of its size
+    parts = raw.view(float)
+    upper = np.repeat(np.tril(np.ones((M, M + l))), 2, axis=1)
+    columns = np.einsum("lpcr,lpcr,cr->lpc", parts[:, :, :M],
+                        parts[:, :, :M], upper)
+    below = parts[:, :-1, M:, :2 * M]
+    columns[:, 1:] += np.einsum("lpcr,lpcr->lpc", below, below)
+    hint = np.sum(np.log(np.maximum(1.0, np.sqrt(columns.reshape(L, -1))
+                                    / pivots)), axis=1)
+    logabs = np.sum(np.log(pivots), axis=1)
+    return (np.where(regular, sign / np.abs(sign), 0.0),
+            np.where(regular, logabs, -np.inf),
+            np.where(regular, hint, np.inf))
 
 
 def _block_traces(blocks: _Blocks) -> dict:
-    """tr S^l for l = 1, 2, 3 from the generators.
+    """tr S^l for l = 1, 2, 3 from the generators, shape (L,) each.
 
     With S = D + U + L (block diagonal, upper, lower), tr S^2 is
     sum tr D_p^2 + 2 tr(U L), and tr S^3 is sum tr D_p^3 + 3 tr(D (U L +
@@ -547,31 +689,33 @@ def _block_traces(blocks: _Blocks) -> dict:
     """
     D, gp, hp, gm, hm, ep, em = (blocks.diag, blocks.gp, blocks.hp,
                                  blocks.gm, blocks.hm, blocks.ep, blocks.em)
-    t = {1: complex(np.trace(D, axis1=1, axis2=2).sum())}
-    P = D.shape[0]
-    DT = D.transpose(0, 2, 1)
-    decay = em[:, :, None] * ep[:, None, :]
+    t = {1: _row_sums(np.trace(D, axis1=-2, axis2=-1))}
+    P = D.shape[1]
+    DT = D.swapaxes(-1, -2)
+    decay = em[..., :, None] * ep[..., None, :]
     alpha, beta = hm @ gp, hp @ gm
     L = np.zeros_like(alpha)
     for p in range(1, P):
-        L[p] = decay[p - 1] * L[p - 1] + alpha[p - 1]
-    t[2] = complex(np.sum(D * DT) + 2.0 * np.einsum("pji,pij->", beta, L))
+        L[:, p] = decay[:, p - 1] * L[:, p - 1] + alpha[:, p - 1]
+    t[2] = _row_sums(D * DT) + 2.0 * _row_sums(beta.swapaxes(-1, -2) * L)
     R = np.zeros_like(beta)
     for p in range(P - 1, 0, -1):
-        R[p - 1] = decay[p].T * R[p] + beta[p]
-    tr_d3 = np.sum((D @ D) * DT)
-    tr_do = (np.einsum("pji,pij->", hm @ D @ gp, R)
-             + np.einsum("pij,pji->", hp @ D @ gm, L))
-    tr_uul = (np.einsum("pjc,pci,pi,pij->", hp @ gp, R, em, L)
-              + np.einsum("pj,pji,pic,pcj->", ep, R, hm @ gm, L))
-    t[3] = complex(tr_d3 + 3.0 * tr_do + 3.0 * tr_uul)
+        R[:, p - 1] = decay[:, p].swapaxes(-1, -2) * R[:, p] + beta[:, p]
+    LT = L.swapaxes(-1, -2)
+    tr_d3 = _row_sums((D @ D) * DT)
+    tr_do = (_row_sums((hm @ D @ gp).swapaxes(-1, -2) * R)
+             + _row_sums((hp @ D @ gm) * LT))
+    tr_uul = (_row_sums((hp @ gp @ R * em[..., None, :]) * LT)
+              + _row_sums((ep[..., None] * R @ (hm @ gm)) * LT))
+    t[3] = tr_d3 + 3.0 * tr_do + 3.0 * tr_uul
     return t
 
 
-def _corrected_det(sign: complex, logabs: float, t: dict, exact: dict,
-                   orders: Sequence[int]) -> list:
+def _corrected_det(sign: np.ndarray, logabs: np.ndarray, t: dict,
+                   exact: dict, orders: Sequence[int]) -> list:
     """det(I + S) = sign e^logabs regularized to each order p in orders,
-    from the matrix traces t[l] = tr S^l.
+    from the matrix traces t[l] = tr S^l; every argument holds one entry
+    per lambda.
 
     The order-p determinant is det(I + T) exp(sum_{l<p} (-1)^l / l tr T^l),
     here with matrix traces tr S^l, which cancel the trace error of
@@ -592,38 +736,71 @@ def _corrected_det(sign: complex, logabs: float, t: dict, exact: dict,
     return values
 
 
-def _regularized(terms: _Terms, samples: _Samples, exact: dict,
-                 orders: Sequence[int]) -> tuple[list, float]:
-    """``_corrected_det`` of the Nystrom matrix of the terms and the
-    condition hint, from the QR sweep and the generator traces."""
-    blocks = _blocks(terms, samples)
-    sign, logabs, hint = _sweep(blocks)
-    return _corrected_det(sign, logabs, _block_traces(blocks), exact,
-                          orders), hint
+def _regularized(groups: list, samples: _Samples, exact: dict,
+                 orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``_corrected_det`` of the Nystrom matrix of every lambda of the
+    groups, shape (len(orders), L), and the condition hints, shape (L,).
+    exact holds known exact traces, shape (L,) each; on composite Gauss
+    grids with an order <= 3, tr T^2 and tr T^3 join them.
+
+    Each k-group goes through the engine in slices of at most
+    _SLICE_BUDGET // (N b^2) lambdas, so the working set does not grow
+    with the batch: first the traces of every slice, while W at the
+    sub-sub-nodes is held, then the generators and one sweep per slice."""
+    L = sum(idx.size for idx, _ in groups)
+    N, b = samples.nodes.shape[:2]
+    width = max(1, _SLICE_BUDGET // (N * b * b))
+    parts = [(idx[s:s + width], terms.take(slice(s, s + width)))
+             for idx, terms in groups for s in range(0, idx.size, width)]
+    exact = dict(exact)
+    if L and samples.panel is not None and min(orders) <= 3:
+        subsub = _subsub(samples)
+        exact[2], exact[3] = np.empty((2, L), dtype=complex)
+        for idx, terms in parts:
+            exact[2][idx], exact[3][idx] = _traces(terms, samples, subsub)
+        del subsub
+    values = np.empty((len(orders), L), dtype=complex)
+    hints = np.empty(L)
+    for idx, terms in parts:
+        blocks = _blocks(terms, samples)
+        sign, logabs, hints[idx] = _sweep(blocks)
+        values[:, idx] = _corrected_det(
+            sign, logabs, _block_traces(blocks),
+            {l: trace[idx] for l, trace in exact.items()}, orders)
+        del blocks      # before the next slice's are built
+    return values, hints
+
+
+def det1_many(problem: ScalarProblem, lams: Sequence[complex],
+              grid: QuadratureGrid) -> list[DeterminantResult]:
+    """``det1`` of every lambda, in input order, from one stacked root
+    split and one set of weight samples.  A refused lambda raises the
+    typed error of the first one in input order."""
+    groups = _scalar_terms(problem, lams)
+    tau = _analytic_traces(problem, groups, len(lams))
+    samples = _sample(_scalar_weight(problem), grid)
+    (values,), hints = _regularized(groups, samples, {1: tau}, (1,))
+    return [DeterminantResult(value=complex(value), kind="det1",
+                              trace_used=complex(trace),
+                              grid_signature=grid.signature,
+                              condition_hint=float(hint))
+            for value, trace, hint in zip(values, tau, hints)]
 
 
 def det1(problem: ScalarProblem, lam: complex,
          grid: QuadratureGrid) -> DeterminantResult:
     """Fredholm determinant of the scalar kernel, with the trace defect
     of orders 1-3 compensated (order 1 only on grids without panels),
-    from one root split and one set of weight samples."""
-    terms = _scalar_terms(problem, lam)
-    tau = complex(np.sum(terms.r[:terms.k]) * problem.potential_integral())
-    samples = _sample(terms, grid)
-    exact = {1: tau}
-    if samples.rule is not None:
-        exact[2], exact[3] = _traces(terms, samples)
-    (value,), hint = _regularized(terms, samples, exact, (1,))
-    return DeterminantResult(value=value, kind="det1", trace_used=tau,
-                             grid_signature=grid.signature,
-                             condition_hint=hint)
+    from one root split and one set of weight samples: ``det1_many`` of
+    one lambda."""
+    return det1_many(problem, [lam], grid)[0]
 
 
 def trace_scalar(problem: ScalarProblem, lam: complex) -> complex:
     """Analytic trace: sum over plus roots of alpha_j kappa_j^m times the
     integral of the potential."""
-    terms = _scalar_terms(problem, lam)
-    return complex(np.sum(terms.r[:terms.k]) * problem.potential_integral())
+    groups = _scalar_terms(problem, [lam])
+    return complex(_analytic_traces(problem, groups, 1)[0])
 
 
 def trace_system_pair(system: SystemProblem, lam: complex,
@@ -638,32 +815,40 @@ def trace_system_pair(system: SystemProblem, lam: complex,
     """
     if basis is None:
         basis = greens.system_basis(system, lam)
-    return _trace_pair(basis, grid, -system.decaying_part(grid.nodes))
+    _, k, P, Pinv = greens.basis_arrays([basis], system.dimension)
+    tau_plus, tau_minus = _trace_pairs(P, Pinv, k, grid,
+                                       _system_weight(system)(grid.nodes))
+    return complex(tau_plus[0]), complex(tau_minus[0])
 
 
-def _trace_pair(basis: UnperturbedBasis, grid: QuadratureGrid,
-                W: np.ndarray) -> tuple[complex, complex]:
-    """``trace_system_pair`` from W = -(R - R_inf) at the nodes."""
+def _trace_pairs(P: np.ndarray, Pinv: np.ndarray, k: np.ndarray,
+                 grid: QuadratureGrid, W: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``trace_system_pair`` of L bases (P, Pinv, k) from W = -(R - R_inf)
+    at the nodes, shape (L,) each."""
     M = np.einsum("t,tab->ab", grid.weights, W)
-    tau_plus = complex(np.trace(basis.projector_minus() @ M))
-    tau_minus = complex(-np.trace(basis.projector_plus() @ M))
+    minus = (np.arange(P.shape[-1]) >= k[:, None])[..., None]
+    tau_plus = np.trace(P @ (minus * Pinv) @ M, axis1=1, axis2=2)
+    tau_minus = -np.trace(P @ (~minus * Pinv) @ M, axis1=1, axis2=2)
     return tau_plus, tau_minus
 
 
 def trace_system(system: SystemProblem, lam: complex, grid: QuadratureGrid,
                  basis: Optional[UnperturbedBasis] = None,
                  tol: float = 1e-8) -> complex:
-    return _checked_trace(*trace_system_pair(system, lam, grid, basis), tol)
+    tau_plus, tau_minus = trace_system_pair(system, lam, grid, basis)
+    raise_first([_sign_mismatch(tau_plus, tau_minus, tol)])
+    return tau_plus
 
 
-def _checked_trace(tau_plus: complex, tau_minus: complex,
-                   tol: float = 1e-8) -> complex:
+def _sign_mismatch(tau_plus: complex, tau_minus: complex,
+                   tol: float = 1e-8) -> Optional[SignMismatch]:
     scale = max(1.0, abs(tau_plus), abs(tau_minus))
     if abs(tau_plus - tau_minus) > tol * scale:
-        raise SignMismatch(
+        return SignMismatch(
             f"trace sign choices disagree: {tau_plus} vs {tau_minus}; "
             "the perturbation has nonvanishing integrated diagonal")
-    return tau_plus
+    return None
 
 
 def _check_order(*orders: int) -> None:
@@ -671,28 +856,35 @@ def _check_order(*orders: int) -> None:
         raise ConfigError("regularization order must satisfy 2 <= p <= 4")
 
 
-def _system_dets(system: SystemProblem, lam: complex, grid: QuadratureGrid,
-                 basis: Optional[UnperturbedBasis],
-                 orders: dict) -> list[DeterminantResult]:
-    """Regularized determinants of the matrix kernel, one per kind -> p
-    entry of orders, from one basis, one set of weight samples, one set
-    of block generators, one QR sweep and one pass of the iterated
+def _system_dets(system: SystemProblem, lams: Sequence[complex],
+                 grid: QuadratureGrid,
+                 bases: Optional[Sequence[UnperturbedBasis]],
+                 orders: dict) -> list[list[DeterminantResult]]:
+    """Regularized determinants of the matrix kernel of every lambda, one
+    per kind -> p entry of orders, from one stacked root split (or the
+    given bases), one set of weight samples, and per slice of lambdas one
+    set of block generators, one QR sweep and one pass of the iterated
     traces.  The analytic trace validates the sign conventions and is
-    reported for the det / det2 conversion."""
+    reported for the det / det2 conversion.  A refused lambda raises the
+    typed error of the first one in input order."""
     _check_order(*orders.values())
-    if basis is None:
-        basis = greens.system_basis(system, lam)
-    terms = _system_terms(system, basis)
-    samples = _sample(terms, grid)
-    tau = _checked_trace(*_trace_pair(basis, grid, samples.nodes))
-    exact = {}
-    if samples.rule is not None and min(orders.values()) <= 3:
-        exact[2], exact[3] = _traces(terms, samples)
-    values, hint = _regularized(terms, samples, exact, list(orders.values()))
-    return [DeterminantResult(value=value, kind=kind, trace_used=tau,
-                              grid_signature=grid.signature,
-                              condition_hint=hint)
-            for kind, value in zip(orders, values)]
+    if bases is None:
+        kappa, k, P, Pinv, refusals = greens.system_bases(system, lams)
+    else:
+        kappa, k, P, Pinv = greens.basis_arrays(bases, system.dimension)
+        refusals = [None] * len(bases)
+    samples = _sample(_system_weight(system), grid)
+    tau, tau_minus = _trace_pairs(P, Pinv, k, grid, samples.nodes)
+    raise_first([refusal if refusal is not None else _sign_mismatch(a, b)
+                 for refusal, a, b in zip(refusals, tau, tau_minus)])
+    values, hints = _regularized(_system_terms(kappa, k, P, Pinv), samples,
+                                 {}, list(orders.values()))
+    return [[DeterminantResult(value=complex(value), kind=kind,
+                               trace_used=complex(trace),
+                               grid_signature=grid.signature,
+                               condition_hint=float(hint))
+             for kind, value in zip(orders, column)]
+            for column, trace, hint in zip(values.T, tau, hints)]
 
 
 def det2(system: SystemProblem, lam: complex, grid: QuadratureGrid,
@@ -703,7 +895,16 @@ def det2(system: SystemProblem, lam: complex, grid: QuadratureGrid,
     of det(I + S), so the two cancel and the result estimates the
     regularized determinant to the full panel order.
     """
-    return _system_dets(system, lam, grid, basis, {"det2": 2})[0]
+    return _system_dets(system, [lam], grid,
+                        None if basis is None else [basis],
+                        {"det2": 2})[0][0]
+
+
+def det2_many(system: SystemProblem, lams: Sequence[complex],
+              grid: QuadratureGrid) -> list[DeterminantResult]:
+    """``det2`` of every lambda, in input order."""
+    return [row[0] for row in _system_dets(system, lams, grid, None,
+                                           {"det2": 2})]
 
 
 def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
@@ -711,7 +912,9 @@ def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
          p: int = 2) -> DeterminantResult:
     """Order-p regularized determinant
     det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 4."""
-    return _system_dets(system, lam, grid, basis, {"detp": p})[0]
+    return _system_dets(system, [lam], grid,
+                        None if basis is None else [basis],
+                        {"detp": p})[0][0]
 
 
 def det2_detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
@@ -719,8 +922,17 @@ def det2_detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
               ) -> tuple[DeterminantResult, DeterminantResult]:
     """``det2`` and ``detp`` of one lambda from one set of block
     generators, one QR sweep and one evaluation of each exact trace."""
-    return tuple(_system_dets(system, lam, grid, basis,
-                              {"det2": 2, "detp": p}))
+    return tuple(_system_dets(system, [lam], grid,
+                              None if basis is None else [basis],
+                              {"det2": 2, "detp": p})[0])
+
+
+def det2_detp_many(system: SystemProblem, lams: Sequence[complex],
+                   grid: QuadratureGrid, p: int
+                   ) -> list[tuple[DeterminantResult, DeterminantResult]]:
+    """``det2_detp`` of every lambda, in input order."""
+    return [tuple(row) for row in _system_dets(system, lams, grid, None,
+                                               {"det2": 2, "detp": p})]
 
 
 def series_coefficient(problem: ScalarProblem, lam: complex, order: int,
@@ -737,8 +949,8 @@ def series_coefficient(problem: ScalarProblem, lam: complex, order: int,
         raise ConfigError("series coefficients implemented for orders 1 and 2")
     if grid is None:
         grid = default_grid()
-    terms = _scalar_terms(problem, lam)
-    S = _node_matrix(terms, grid, terms.weight(grid.nodes))
+    (_, terms), = _scalar_terms(problem, [lam])
+    S = _node_matrix(terms, grid, _scalar_weight(problem)(grid.nodes))[0]
     t1 = complex(np.trace(S))
     if order == 1:
         return t1
@@ -752,10 +964,7 @@ def limit_normalization_check(problem: ScalarProblem,
     """|det1 - 1| along the positive real axis; the caller asserts decay."""
     if grid is None:
         grid = default_grid()
-    out = []
-    for lam in lambdas:
-        lam = complex(lam)
-        if abs(lam.imag) > 0 or lam.real <= 0:
-            raise ConfigError("normalization check expects positive real lambda")
-        out.append(abs(det1(problem, lam, grid).value - 1.0))
-    return out
+    lams = [complex(lam) for lam in lambdas]
+    if any(abs(lam.imag) > 0 or lam.real <= 0 for lam in lams):
+        raise ConfigError("normalization check expects positive real lambda")
+    return [abs(res.value - 1.0) for res in det1_many(problem, lams, grid)]

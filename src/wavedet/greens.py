@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .errors import EssentialSpectrum, IllConditioned, NearMultipleRoots
+from .errors import (EssentialSpectrum, IllConditioned, NearMultipleRoots,
+                     raise_first)
 from .model import ScalarProblem, SystemProblem
 
 __all__ = [
@@ -36,6 +37,9 @@ __all__ = [
     "matrix_basis",
     "matrix_green",
     "green_data",
+    "green_arrays",
+    "system_bases",
+    "basis_arrays",
 ]
 
 COND_LIMIT = 1e12
@@ -117,27 +121,64 @@ class UnperturbedBasis:
         return self.P[:, self.k:] @ self.Pinv[self.k:, :]
 
 
-def _sorted_group(roots):
-    return tuple(sorted(roots, key=lambda r: (r.real, r.imag)))
+def _split(problem: ScalarProblem, lams, axis_tol: float,
+           sep_tol: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Stacked root split of every lambda: kappa (L, n), each row its plus
+    roots then its minus roots, each group by ascending real part, then
+    ascending imaginary part; the plus-root counts k (L,); and per lambda
+    its refusal (EssentialSpectrum, NearMultipleRoots), None if clean."""
+    roots = model.char_roots(problem.coeffs,
+                             np.asarray(lams, dtype=complex).reshape(-1))
+    on_axis, coincide = model._degeneracy(roots, axis_tol, sep_tol)
+    order = np.lexsort((roots.imag, roots.real, roots.real <= 0), axis=-1)
+    kappa = np.take_along_axis(roots, order, axis=-1)
+    refusals = [
+        EssentialSpectrum(f"lambda={lam} has a characteristic root on the "
+                          "imaginary axis") if axis else
+        NearMultipleRoots(f"characteristic roots at lambda={lam} nearly "
+                          "coincide") if close else None
+        for lam, axis, close in zip(lams, on_axis, coincide)]
+    return kappa, np.count_nonzero(roots.real > 0, axis=-1), refusals
+
+
+def _solved(M: np.ndarray, rhs: np.ndarray, what: str,
+            refusals: list) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of the stacked systems M X = rhs (rhs broadcast) and the
+    condition numbers; an IllConditioned refusal joins refusals (in place)
+    for each matrix beyond COND_LIMIT, whose X is left zero."""
+    cond = np.linalg.cond(M) if len(M) else np.zeros(0)
+    X = np.zeros(M.shape[:-1] + rhs.shape[-1:], dtype=complex)
+    for i, c in enumerate(cond):
+        if refusals[i] is None and c > COND_LIMIT:
+            refusals[i] = IllConditioned(
+                f"{what} condition {c:.3g} exceeds {COND_LIMIT:.0e}")
+    ok = np.array([r is None for r in refusals], dtype=bool)
+    X[ok] = np.linalg.solve(M[ok], np.broadcast_to(rhs, M[ok].shape[:-1]
+                                                   + rhs.shape[-1:]))
+    return X, cond
+
+
+def _interface_weights(kappa: np.ndarray, k: np.ndarray, refusals: list
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """alpha (L, n) and the interface condition numbers (L,) of the
+    ``alpha_coefficients`` systems of L root splits."""
+    n = kappa.shape[-1]
+    signs = np.where(np.arange(n) < k[:, None], 1.0, -1.0)
+    M = kappa[:, None, :] ** np.arange(n)[:, None] * signs[:, None, :]
+    rhs = np.zeros((n, 1), dtype=complex)
+    rhs[-1] = -1.0
+    alpha, cond = _solved(M, rhs, "interface system", refusals)
+    return alpha[..., 0], cond
 
 
 def classify_roots(problem: ScalarProblem, lam: complex,
                    axis_tol: float = model.AXIS_TOL,
                    sep_tol: float = model.SEP_TOL) -> RootSplit:
     """Split the characteristic roots at lambda, refusing degenerate cases."""
-    roots = model.char_roots(problem.coeffs, lam)
-    scale = max(float(np.max(np.abs(roots))), 1e-12)
-    if float(np.min(np.abs(roots.real))) <= axis_tol * scale:
-        raise EssentialSpectrum(
-            f"lambda={lam} has a characteristic root on the imaginary axis")
-    dist = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(dist, np.inf)
-    if float(dist.min()) < sep_tol * scale:
-        raise NearMultipleRoots(
-            f"characteristic roots at lambda={lam} nearly coincide")
-    plus = _sorted_group(complex(r) for r in roots if r.real > 0)
-    minus = _sorted_group(complex(r) for r in roots if r.real < 0)
-    return RootSplit(plus=plus, minus=minus)
+    kappa, k, refusals = _split(problem, [lam], axis_tol, sep_tol)
+    raise_first(refusals)
+    roots = [complex(z) for z in kappa[0]]
+    return RootSplit(plus=tuple(roots[:k[0]]), minus=tuple(roots[k[0]:]))
 
 
 def alpha_coefficients(roots: RootSplit) -> GreenCoefficients:
@@ -148,24 +189,28 @@ def alpha_coefficients(roots: RootSplit) -> GreenCoefficients:
     matrix column for a plus root kappa is (1, kappa, ..., kappa^(n-1)), for
     a minus root the negative of that, and the right side is -e_{n-1}.
     """
-    n = roots.n
-    kall = np.array(roots.all)
-    signs = np.array([1.0] * roots.k + [-1.0] * (n - roots.k))
-    M = (kall[None, :] ** np.arange(n)[:, None]) * signs[None, :]
-    cond = float(np.linalg.cond(M))
-    if cond > COND_LIMIT:
-        raise IllConditioned(
-            f"interface system condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    rhs = np.zeros(n, dtype=complex)
-    rhs[-1] = -1.0
-    alpha = np.linalg.solve(M, rhs)
-    return GreenCoefficients(alpha=tuple(alpha), condition=cond)
+    refusals = [None]
+    alpha, cond = _interface_weights(np.array([roots.all]),
+                                     np.array([roots.k]), refusals)
+    raise_first(refusals)
+    return GreenCoefficients(alpha=tuple(alpha[0]), condition=float(cond[0]))
 
 
 def green_data(problem: ScalarProblem, lam: complex,
                axis_tol: float = model.AXIS_TOL):
     roots = classify_roots(problem, lam, axis_tol)
     return roots, alpha_coefficients(roots)
+
+
+def green_arrays(problem: ScalarProblem, lams,
+                 axis_tol: float = model.AXIS_TOL) -> tuple:
+    """``green_data`` of every lambda as arrays, from one stacked root
+    split: kappa (L, n) with each row's plus roots first, k (L,), alpha
+    (L, n), and per lambda its refusal or None, in the order
+    ``green_data`` raises them."""
+    kappa, k, refusals = _split(problem, lams, axis_tol, model.SEP_TOL)
+    alpha, _ = _interface_weights(kappa, k, refusals)
+    return kappa, k, alpha, refusals
 
 
 def scalar_green(x: float, xi: float, lam: complex, roots: RootSplit,
@@ -210,12 +255,11 @@ def basis_from_roots(roots: RootSplit,
     if P is None:
         P = kall[None, :] ** np.arange(n)[:, None]
     P = np.asarray(P, dtype=complex)
-    cond = float(np.linalg.cond(P))
-    if cond > COND_LIMIT:
-        raise IllConditioned(
-            f"basis matrix condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    Pinv = np.linalg.solve(P, np.eye(n, dtype=complex))
-    return UnperturbedBasis(roots=roots, P=P, Pinv=Pinv)
+    refusals = [None]
+    Pinv, _ = _solved(P[None], np.eye(n, dtype=complex), "basis matrix",
+                      refusals)
+    raise_first(refusals)
+    return UnperturbedBasis(roots=roots, P=P, Pinv=Pinv[0])
 
 
 def system_basis(system: SystemProblem, lam: complex) -> UnperturbedBasis:
@@ -230,6 +274,44 @@ def system_basis(system: SystemProblem, lam: complex) -> UnperturbedBasis:
     if system.source is not None:
         return basis_from_roots(classify_roots(system.source, lam))
     return matrix_basis(system.base_matrix(lam))
+
+
+def system_bases(system: SystemProblem, lams) -> tuple:
+    """``system_basis`` of every lambda as arrays, kappa (L, n), k (L,), P
+    and Pinv (L, n, n), and per lambda its refusal or None: one stacked
+    root split for a scalar-derived system, one eigensplit per lambda
+    otherwise."""
+    if system.source is not None:
+        kappa, k, refusals = _split(system.source, lams, model.AXIS_TOL,
+                                    model.SEP_TOL)
+        P = kappa[:, None, :] ** np.arange(kappa.shape[-1])[:, None]
+        Pinv, _ = _solved(P, np.eye(kappa.shape[-1], dtype=complex),
+                          "basis matrix", refusals)
+        return kappa, k, P, Pinv, refusals
+    bases, refusals = [], []
+    for lam in lams:
+        try:
+            bases.append(matrix_basis(system.base_matrix(lam)))
+            refusals.append(None)
+        except (EssentialSpectrum, IllConditioned) as exc:
+            bases.append(None)
+            refusals.append(exc)
+    return (*basis_arrays(bases, system.dimension), refusals)
+
+
+def basis_arrays(bases, n: int) -> tuple:
+    """kappa (L, n), k (L,), P and Pinv (L, n, n) of a list of bases,
+    zeros in place of a None."""
+    L = len(bases)
+    kappa = np.zeros((L, n), dtype=complex)
+    k = np.zeros(L, dtype=int)
+    P = np.zeros((L, n, n), dtype=complex)
+    Pinv = np.zeros((L, n, n), dtype=complex)
+    for i, basis in enumerate(bases):
+        if basis is not None:
+            kappa[i], k[i] = basis.roots.all, basis.k
+            P[i], Pinv[i] = basis.P, basis.Pinv
+    return kappa, k, P, Pinv
 
 
 def matrix_basis(A: np.ndarray) -> UnperturbedBasis:

@@ -8,6 +8,12 @@ no step ever jumps by half a turn; the contour moments of that walk seed
 the roots, with an interior scan as the fallback.  Root refinement is a
 plain Muller iteration, which needs no derivatives and converges fast on
 simple zeros.
+
+An evaluator is a callable on one lambda.  It may also carry
+``many(lams)``, the values at a list of lambdas from one call (a
+``Batched`` evaluator does); the contour samples of the first pass of the
+walk, the starting triple of each Muller run and the scan then take one
+call each instead of one per lambda.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .errors import ConfigError, EssentialSpectrum, NoConvergence, PhaseJump
 from .model import ScalarProblem
 
 __all__ = [
+    "Batched",
     "Contour",
     "RootReport",
     "winding_number",
@@ -85,13 +92,33 @@ class RootReport:
     abs_values: tuple = ()    # |f| at each root, from its last polish step
 
 
-def _check_resolvent(problem: Optional[ScalarProblem], lam: complex):
+class Batched:
+    """An evaluator from a function of a list of lambdas: many(lams) is
+    that function, and a call on one lambda evaluates [lam]."""
+
+    def __init__(self, many: Callable[[list], list]):
+        self.many = many
+
+    def __call__(self, lam: complex) -> complex:
+        return self.many([lam])[0]
+
+
+def _values(f, lams: list) -> list:
+    """f at every lambda: one ``f.many`` call when f carries it, one call
+    per lambda otherwise."""
+    many = getattr(f, "many", None)
+    values = many(lams) if many is not None else [f(lam) for lam in lams]
+    return [complex(value) for value in values]
+
+
+def _check_resolvent(problem: Optional[ScalarProblem], lams: list):
     if problem is None:
         return
-    status = model.classify_point(problem, lam).domain_status
-    if status != "resolvent":
-        raise EssentialSpectrum(
-            f"contour sample {lam} is {status} for the given problem")
+    for point in model.classify_points(problem, lams):
+        if point.domain_status != "resolvent":
+            raise EssentialSpectrum(f"contour sample {point.lam} is "
+                                    f"{point.domain_status} for the given "
+                                    "problem")
 
 
 def _phase_step(f, za, fa, zb, fb, depth, problem) -> list:
@@ -108,7 +135,7 @@ def _phase_step(f, za, fa, zb, fb, depth, problem) -> list:
             f"phase still jumps by {dphi:.3f} rad between {za} and {zb} "
             f"after {depth} bisections - a zero may sit on the contour")
     zm = 0.5 * (za + zb)
-    _check_resolvent(problem, zm)
+    _check_resolvent(problem, [zm])
     fm = complex(f(zm))
     return (_phase_step(f, za, fa, zm, fm, depth + 1, problem) + [(zm, fm)]
             + _phase_step(f, zm, fm, zb, fb, depth + 1, problem))
@@ -119,9 +146,8 @@ def _walk(f, contour: Contour,
     """Winding number of f around the contour and the samples (z, f(z))
     of its walk in contour order, bisection points included, closed."""
     pts = [complex(z) for z in contour.points()[:-1]]
-    for z in pts:
-        _check_resolvent(problem, z)
-    samples = [(z, complex(f(z))) for z in pts]
+    _check_resolvent(problem, pts)
+    samples = list(zip(pts, _values(f, pts)))
     if any(v == 0 or not np.isfinite(abs(v)) for _, v in samples):
         raise PhaseJump("evaluator vanished or blew up on the contour")
     walk = samples[:1]
@@ -159,7 +185,7 @@ def refine_root(f: Callable[[complex], complex], lam0: complex,
     """
     h = 1e-3 * max(1.0, abs(lam0))
     z0, z1, z2 = lam0 - h, lam0 + h, complex(lam0)
-    f0, f1, f2 = complex(f(z0)), complex(f(z1)), complex(f(z2))
+    f0, f1, f2 = _values(f, [z0, z1, z2])
     scale = max(1.0, abs(f2))
     for _ in range(max_iter):
         if abs(f2) < tol * scale:
@@ -197,12 +223,8 @@ def scan(f: Callable[[complex], complex], corner_low: complex,
         raise ConfigError("scan needs at least a 1 x 1 grid")
     res = np.linspace(corner_low.real, corner_high.real, nx)
     ims = np.linspace(corner_low.imag, corner_high.imag, ny)
-    out = []
-    for im in ims:
-        for re in res:
-            lam = complex(re, im)
-            out.append((lam, complex(f(lam))))
-    return out
+    lams = [complex(re, im) for im in ims for re in res]
+    return list(zip(lams, _values(f, lams)))
 
 
 def _moment_seeds(walk: list, contour: Contour, w: int):
@@ -234,9 +256,11 @@ def _polish(f, seeds, contour: Contour, w: int) -> list:
     a, b = contour.corner_low, contour.corner_high
     roots, values = [], {}
 
-    def recorded(lam):
-        values[lam] = value = complex(f(lam))
-        return value
+    def record(lams):
+        out = _values(f, lams)
+        values.update(zip(lams, out))
+        return out
+    recorded = Batched(record)
     for seed in seeds:
         try:
             z = refine_root(recorded, complex(seed))

@@ -42,6 +42,7 @@ __all__ = [
     "essential_spectrum_distance",
     "symbol_curve",
     "classify_point",
+    "classify_points",
     "char_roots",
 ]
 
@@ -391,35 +392,70 @@ class SpectralPoint:
 # characteristic roots and the essential spectrum
 
 
-def char_roots(coeffs: Sequence[complex], lam: complex) -> np.ndarray:
-    """Roots of kappa^n + a_{n-1} kappa^(n-1) + ... + a_0 - lambda, via the
-    companion eigenvalue route plus one Newton polish step."""
-    a = [complex(c) for c in coeffs]
-    n = len(a)
-    poly = np.array([1.0 + 0j] + [a[n - 1 - i] for i in range(n)])
-    poly[-1] -= lam
-    roots = np.roots(poly)
-    dpoly = np.polyder(poly)
-    vals = np.polyval(poly, roots)
-    dvals = np.polyval(dpoly, roots)
+def _polyval(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """numpy.polyval by Horner's rule, with one polynomial per lambda:
+    poly has shape S + (n + 1,) (or (n + 1,)), x shape S + (n,)."""
+    y = np.zeros_like(x)
+    for pv in np.moveaxis(poly, -1, 0):
+        y = y * x + np.asarray(pv)[..., None]
+    return y
+
+
+def char_roots(coeffs: Sequence[complex], lam) -> np.ndarray:
+    """Roots of kappa^n + a_{n-1} kappa^(n-1) + ... + a_0 - lambda, shape
+    lam.shape + (n,) for a scalar or an array of lambdas: one stacked
+    eigenvalue call on the companion matrices (``numpy.roots``' form), then
+    one vectorized Newton polish step."""
+    a = np.array([complex(c) for c in coeffs])
+    n = a.size
+    lam = np.asarray(lam, dtype=complex)
+    poly = np.empty(lam.shape + (n + 1,), dtype=complex)
+    poly[..., 0] = 1.0
+    poly[..., 1:] = a[::-1]
+    poly[..., -1] -= lam
+    companion = np.zeros(lam.shape + (n, n), dtype=complex)
+    companion[..., 0, :] = -poly[..., 1:]
+    companion[..., np.arange(1, n), np.arange(n - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    vals = _polyval(poly, roots)
+    # the derivative drops the constant a_0 - lambda: one for every lambda
+    dvals = _polyval(np.polyder(np.concatenate([[1.0], a[::-1]])), roots)
     ok = np.abs(dvals) > 1e-14 * np.maximum(1.0, np.abs(vals))
-    roots[ok] = roots[ok] - vals[ok] / dvals[ok]
-    return roots
+    return roots - np.divide(vals, dvals, out=np.zeros_like(vals), where=ok)
+
+
+def _degeneracy(roots: np.ndarray, axis_tol: float,
+                sep_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the leading axes of stacked roots (..., n): a root within
+    axis_tol of the imaginary axis, and two roots within sep_tol of each
+    other, both relative to the largest root."""
+    scale = np.maximum(np.max(np.abs(roots), axis=-1), 1e-12)
+    on_axis = np.min(np.abs(roots.real), axis=-1) <= axis_tol * scale
+    dist = np.abs(roots[..., :, None] - roots[..., None, :])
+    n = roots.shape[-1]
+    dist[..., np.arange(n), np.arange(n)] = np.inf
+    coincide = np.min(dist, axis=(-2, -1)) < sep_tol * scale
+    return on_axis, coincide
+
+
+def classify_points(problem: ScalarProblem, lams: Sequence[complex],
+                    axis_tol: float = AXIS_TOL,
+                    sep_tol: float = SEP_TOL) -> list[SpectralPoint]:
+    """``classify_point`` of every lambda, from one stacked root call."""
+    lams = [complex(lam) for lam in lams]
+    on_axis, coincide = _degeneracy(char_roots(problem.coeffs, lams),
+                                    axis_tol, sep_tol)
+    return [SpectralPoint(lam=lam, domain_status=(
+                "essential" if axis else
+                "indeterminate" if close else "resolvent"))
+            for lam, axis, close in zip(lams, on_axis, coincide)]
 
 
 def classify_point(problem: ScalarProblem, lam: complex,
                    axis_tol: float = AXIS_TOL,
                    sep_tol: float = SEP_TOL) -> SpectralPoint:
     """Classify lambda by the real parts and separation of its roots."""
-    roots = char_roots(problem.coeffs, lam)
-    scale = max(float(np.max(np.abs(roots))), 1e-12)
-    if float(np.min(np.abs(roots.real))) <= axis_tol * scale:
-        status = "essential"
-    else:
-        d = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(d, np.inf)
-        status = "indeterminate" if float(d.min()) < sep_tol * scale else "resolvent"
-    return SpectralPoint(lam=complex(lam), domain_status=status)
+    return classify_points(problem, [lam], axis_tol, sep_tol)[0]
 
 
 def symbol_curve(problem: ScalarProblem, zeta) -> np.ndarray:

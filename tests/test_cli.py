@@ -74,10 +74,11 @@ def test_det_json_document(tmp_path, capsys):
 
 def test_det_shares_one_system_discretization(tmp_path, capsys,
                                               monkeypatch):
-    """det2 and det3 of one lambda come from one set of system generators
-    and one block sweep (the other generators and sweep are det1's), no
-    dense matrix is assembled, and R - R_inf is sampled once per point
-    set: nodes, panel sub-nodes and their sub-sub-nodes."""
+    """det2 and det3 of both lambdas come from one set of system
+    generators and one block sweep (the other generators and sweep are
+    det1's), no dense matrix is assembled, and R - R_inf is sampled once
+    per point set and command: nodes, panel sub-nodes and their
+    sub-sub-nodes."""
     calls = {"_blocks": 0, "_sweep": 0, "_node_matrix": 0,
              "decaying_part": 0}
     for owner, name in ((fredholm, "_blocks"), (fredholm, "_sweep"),
@@ -96,8 +97,8 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     code, out, err = run_cli(capsys, "det", "--config", path, "--format",
                              "json")
     assert code == 0
-    assert calls == {"_blocks": 4, "_sweep": 4, "_node_matrix": 0,
-                     "decaying_part": 6}
+    assert calls == {"_blocks": 2, "_sweep": 2, "_node_matrix": 0,
+                     "decaying_part": 3}
     pt = wavedet.builtin_problem("poschl_teller")
     sysm = wavedet.to_system(pt)
     grid = wavedet.build_grid(20.0, 200)
@@ -257,15 +258,15 @@ def test_locate_finds_the_bound_state(tmp_path, capsys):
 def test_locate_reports_abs_value_without_reevaluating(tmp_path, capsys,
                                                        monkeypatch):
     """The abs_value column is |det1| from the polish's last evaluation:
-    no det1 call after locate_roots returns."""
+    no batched det1 call after locate_roots returns."""
     calls = []
-    det1 = fredholm.det1
+    det1, det1_many = fredholm.det1, fredholm.det1_many
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return det1(*args, **kwargs)
+        return det1_many(*args, **kwargs)
 
-    monkeypatch.setattr(fredholm, "det1", counted)
+    monkeypatch.setattr(fredholm, "det1_many", counted)
     locate_roots = locate.locate_roots
     done = []
 
@@ -284,7 +285,7 @@ def test_locate_reports_abs_value_without_reevaluating(tmp_path, capsys,
     code, out, err = run_cli(capsys, "locate", "--config", path,
                              "--format", "json")
     assert code == 0
-    assert done == [len(calls)]
+    assert done == [len(calls)] and calls
     row = json.loads(out)["rows"][0]
     pt = wavedet.builtin_problem("poschl_teller")
     root = complex(row["root"]["re"], row["root"]["im"])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedet as wd
-from wavedet import fredholm, fronts, greens
-from wavedet.errors import ConfigError, EssentialSpectrum, SignMismatch
+from wavedet import fredholm, fronts, greens, model
+from wavedet.errors import (ConfigError, EssentialSpectrum, NearMultipleRoots,
+                            SignMismatch)
 
 
 def _pt_exact(lam):
@@ -65,23 +66,38 @@ def test_grid_weight_sum_is_interval_length(n, x):
 
 
 def _block_diagonal(diag):
-    """``_Blocks`` of the block-diagonal matrix with blocks diag, (P, m, m):
-    no plus or minus generators."""
+    """``_Blocks`` of one lambda's block-diagonal matrix with blocks diag,
+    (P, m, m): no plus or minus generators."""
     P, m = diag.shape[:2]
-    none = np.zeros((P, m, 0), dtype=complex)
-    return fredholm._Blocks(diag, none, none.transpose(0, 2, 1), none,
-                            none.transpose(0, 2, 1), np.zeros((P, 0)),
-                            np.zeros((P, 0)))
+    none = np.zeros((1, P, m, 0), dtype=complex)
+    return fredholm._Blocks(diag[None], none, none.swapaxes(-1, -2), none,
+                            none.swapaxes(-1, -2), np.zeros((1, P, 0)),
+                            np.zeros((1, P, 0)))
 
 
 def _structured(blocks, orders):
-    """Regularized determinants, without exact traces, and hint from the
-    QR sweep and the generator traces."""
+    """Regularized determinants, without exact traces, and hint of the
+    one lambda of the blocks from the QR sweep and the generator traces."""
     sign, logabs, hint = fredholm._sweep(blocks)
     values = fredholm._corrected_det(sign, logabs,
                                      fredholm._block_traces(blocks), {},
                                      orders)
-    return values, hint
+    return [value[0] for value in values], hint[0]
+
+
+def _kernel(problem, lam):
+    """The kernel terms of one lambda, a batch of one, and the weight W
+    of a scalar problem or a system."""
+    if isinstance(problem, wd.SystemProblem):
+        return _system_kernel(problem, greens.system_basis(problem, lam))
+    (_, terms), = fredholm._scalar_terms(problem, [lam])
+    return terms, fredholm._scalar_weight(problem)
+
+
+def _system_kernel(system, basis):
+    (_, terms), = fredholm._system_terms(
+        *greens.basis_arrays([basis], system.dimension))
+    return terms, fredholm._system_weight(system)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +380,7 @@ PANEL_PROBLEMS = {
 def test_discretize_scalar_matches_per_row_reference(name):
     problem, lam = PANEL_PROBLEMS[name]
     g = wd.build_grid(8.0, 40, panel_order=8)
-    got = _diagonal_panel_rows(
-        _dense_matrix(fredholm._scalar_terms(problem, lam), g), g, 1)
+    got = _diagonal_panel_rows(_dense_matrix(_kernel(problem, lam), g), g, 1)
     branch = _scalar_branch(problem, lam)
     want = _reference_panel_blocks(
         g, lambda x, pts, side: branch(x, pts, side) * problem.potential(pts))
@@ -389,45 +404,49 @@ def test_discretize_system_matches_per_row_reference(pt_system):
 
     want = _reference_panel_blocks(g, integrand)
     got = _diagonal_panel_rows(
-        _dense_matrix(fredholm._system_terms(pt_system, basis), g), g, 2)
+        _dense_matrix(_system_kernel(pt_system, basis), g), g, 2)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _count_root_splits(monkeypatch):
+    """The lambdas of every characteristic-root call, one entry per
+    lambda."""
+    calls = []
+    char_roots = model.char_roots
+
+    def counted(coeffs, lam):
+        calls.extend(np.ravel(lam))
+        return char_roots(coeffs, lam)
+
+    monkeypatch.setattr(model, "char_roots", counted)
+    return calls
 
 
 def test_discretize_scalar_root_split_once_per_lambda(monkeypatch, pt):
     """The root splits of det1's discretization do not grow with the
-    grid."""
-    calls = []
-    green_data = greens.green_data
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return green_data(*args, **kwargs)
-
-    monkeypatch.setattr(greens, "green_data", counted)
+    grid: one per lambda."""
+    calls = _count_root_splits(monkeypatch)
     counts = []
     for n_points in (40, 160):
         calls.clear()
         fredholm.det1(pt, 2.0 + 1.0j, wd.build_grid(8.0, n_points))
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 3
+    assert counts[0] == counts[1] == 1
 
 
 def test_det1_splits_the_roots_once(monkeypatch, pt):
     """tau, the discretization and both iterated traces of one det1 share
-    one root split."""
-    calls = []
-    green_data = greens.green_data
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return green_data(*args, **kwargs)
-
-    monkeypatch.setattr(greens, "green_data", counted)
+    one root split, and a batch splits each lambda once."""
+    calls = _count_root_splits(monkeypatch)
     g = wd.build_grid(8.0, 40, panel_order=8)
     for lam in (2.0 + 1.0j, 0.5 - 0.2j):
         calls.clear()
         fredholm.det1(pt, lam, g)
-        assert len(calls) == 1
+        assert calls == [lam]
+    calls.clear()
+    lams = [2.0 + 1.0j, 0.5 - 0.2j, 3.0 + 0.1j]
+    fredholm.det1_many(pt, lams, g)
+    assert calls == lams
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +489,21 @@ class _PanelCumulative:
         return out
 
 
-def _panel_traces(terms, grid):
-    """tr T^2 and tr T^3 as sums of ordered chain integrals, one root
-    pair at a time."""
+def _panel_traces(kernel, grid):
+    """tr T^2 and tr T^3 of one lambda's kernel as sums of ordered chain
+    integrals, one root pair at a time."""
+    terms, weight = kernel
 
     def e(a, b):
-        return lambda x: np.einsum("c,...cd,d->...", terms.r[a],
-                                   terms.weight(np.asarray(x, float)),
-                                   terms.u[b])
+        return lambda x: np.einsum("c,...cd,d->...", terms.r[0, a],
+                                   weight(np.asarray(x, float)),
+                                   terms.u[0, b])
 
     def chain2(mu, f_first, f_second):
         inner = _PanelCumulative(grid, mu, f_first)(grid.nodes)
         return np.sum(grid.weights * f_second(grid.nodes) * inner)
 
-    kap = terms.kappa
+    kap = terms.kappa[0]
     plus, minus = range(terms.k), range(terms.k, kap.size)
     tr2 = 2.0 * sum(chain2(kap[j] - kap[i], e(i, j), e(j, i))
                     for j in plus for i in minus)
@@ -522,15 +542,12 @@ def test_trace_power_matches_per_panel_reference(name, problem, lam):
     quadrature accuracy."""
     g = wd.build_grid(8.0, 40, panel_order=8)
     if name.startswith("scalar"):
-        terms = fredholm._scalar_terms(problem, lam)
         got = [fredholm.trace_power_scalar(problem, lam, g, p)
                for p in (2, 3)]
     else:
-        terms = fredholm._system_terms(problem,
-                                       greens.system_basis(problem, lam))
         got = [fredholm.trace_power_system(problem, lam, g, p)
                for p in (2, 3)]
-    want = _panel_traces(terms, g)
+    want = _panel_traces(_kernel(problem, lam), g)
     scale = max(abs(w) for w in want)
     for a, b in zip(got, want):
         assert abs(a - b) <= 1e-13 * scale
@@ -540,13 +557,15 @@ def test_trace_power_matches_per_panel_reference(name, problem, lam):
 # structured determinants and traces against the dense matrix
 
 
-def _dense_matrix(terms, grid):
-    """The Nystrom matrix S, assembled: the node matrix, with the diagonal
-    panels by product integration on composite Gauss grids."""
-    samples = fredholm._sample(terms, grid)
-    S = fredholm._node_matrix(terms, grid, samples.nodes)
-    if samples.rule is not None:
-        blocks = fredholm._panel_blocks(terms, samples)
+def _dense_matrix(kernel, grid):
+    """The Nystrom matrix S of one lambda's kernel (terms, weight),
+    assembled: the node matrix, with the diagonal panels by product
+    integration on composite Gauss grids."""
+    terms, weight = kernel
+    samples = fredholm._sample(weight, grid)
+    S = fredholm._node_matrix(terms, grid, samples.nodes)[0]
+    if samples.panel is not None:
+        blocks = fredholm._panel_blocks(terms, samples)[0]
         P, q, b = blocks.shape[:3]
         idx = np.arange(P)
         S.reshape(P, q, b, P, q, b)[idx, :, :, idx] = blocks
@@ -567,10 +586,10 @@ def _dense_traces(S):
             3: complex(np.sum((S @ S) * S.T))}
 
 
-def _dense_reference(terms, grid, exact, orders):
+def _dense_reference(kernel, grid, exact, orders):
     """Regularized determinants from the assembled Nystrom matrix, one LU
     of I + S and the matrix traces of S and S @ S."""
-    S = _dense_matrix(terms, grid)
+    S = _dense_matrix(kernel, grid)
     sign, logabs = _dense_logdet(S)
     t = _dense_traces(S)
     values = []
@@ -582,24 +601,27 @@ def _dense_reference(terms, grid, exact, orders):
     return values
 
 
-def _exact_traces(terms, grid):
+def _exact_traces(kernel, grid):
     if fredholm._gl_panels(grid) is None:
         return {}
-    tr2, tr3 = fredholm._traces(terms, fredholm._sample(terms, grid))
-    return {2: tr2, 3: tr3}
+    terms, weight = kernel
+    samples = fredholm._sample(weight, grid)
+    tr2, tr3 = fredholm._traces(terms, samples, fredholm._subsub(samples))
+    return {2: tr2[0], 3: tr3[0]}
 
 
 def _dense_det1(problem, lam, grid):
-    terms = fredholm._scalar_terms(problem, lam)
-    exact = {1: wd.trace_scalar(problem, lam), **_exact_traces(terms, grid)}
-    return _dense_reference(terms, grid, exact, (1,))[0]
+    kernel = _kernel(problem, lam)
+    exact = {1: wd.trace_scalar(problem, lam),
+             **_exact_traces(kernel, grid)}
+    return _dense_reference(kernel, grid, exact, (1,))[0]
 
 
 def _dense_system(system, lam, grid, orders, basis=None):
     basis = basis if basis is not None else greens.system_basis(system, lam)
-    terms = fredholm._system_terms(system, basis)
-    exact = _exact_traces(terms, grid) if min(orders) <= 3 else {}
-    return _dense_reference(terms, grid, exact, orders)
+    kernel = _system_kernel(system, basis)
+    exact = _exact_traces(kernel, grid) if min(orders) <= 3 else {}
+    return _dense_reference(kernel, grid, exact, orders)
 
 
 def _oracle_grids():
@@ -660,8 +682,8 @@ def test_structured_front_det2_matches_dense(grid_name):
 
 
 def _seeded_terms(n, k, b, seed):
-    """Random semi-separable terms, k of n roots plus, with a complex
-    b x b weight."""
+    """Random semi-separable terms of one lambda, k of n roots plus, and a
+    complex b x b weight."""
     rng = np.random.default_rng(seed)
     kappa = (np.where(np.arange(n) < k, 1.0, -1.0) * rng.uniform(0.3, 3.0, n)
              + 1j * rng.uniform(-2.0, 2.0, n))
@@ -675,7 +697,7 @@ def _seeded_terms(n, k, b, seed):
     def weight(x):
         x = np.asarray(x, dtype=float)[..., None, None]
         return A * np.exp(-(x - centre) ** 2) * (1.0 + 0.5j * np.sin(x))
-    return fredholm._Terms(kappa, k, u, r, weight)
+    return fredholm._Terms(kappa[None], k, u[None], r[None]), weight
 
 
 @st.composite
@@ -697,18 +719,19 @@ def _random_terms(draw):
 
 @given(case=_random_terms())
 def test_structured_logdet_and_traces_match_dense(case):
-    terms, grid = case
-    S = _dense_matrix(terms, grid)
-    blocks = fredholm._blocks(terms, fredholm._sample(terms, grid))
+    kernel, grid = case
+    terms, weight = kernel
+    S = _dense_matrix(kernel, grid)
+    blocks = fredholm._blocks(terms, fredholm._sample(weight, grid))
     sign, logabs = _dense_logdet(S)
-    got_sign, got_logabs, got_hint = fredholm._sweep(blocks)
+    (got_sign,), (got_logabs,), (got_hint,) = fredholm._sweep(blocks)
     assert got_hint >= 0.0
     assert abs(got_logabs - logabs) <= 1e-12 * max(1.0, abs(logabs))
     assert abs(got_sign - sign) <= 1e-12
     got, want = fredholm._block_traces(blocks), _dense_traces(S)
     scale = 1.0 + np.linalg.norm(S)
     for l in (1, 2, 3):
-        assert abs(got[l] - want[l]) <= 1e-12 * scale ** l
+        assert abs(got[l][0] - want[l]) <= 1e-12 * scale ** l
 
 
 def test_minus_only_kernel_is_the_block_product():
@@ -716,14 +739,15 @@ def test_minus_only_kernel_is_the_block_product():
     is the product of the det(I + D_p) of its diagonal blocks.  The
     off-diagonal blocks of this draw alone make cond(I + S) about 1e8; a
     sweep that mixed rows across blocks would lose about eps cond."""
-    terms = _seeded_terms(2, 0, 2, 2627013787)
+    kernel = _seeded_terms(2, 0, 2, 2627013787)
+    terms, weight = kernel
     grid = dataclasses.replace(wd.build_grid(6.0, 60, rule="trapezoid"),
                                panel_order=5)
-    blocks = fredholm._blocks(terms, fredholm._sample(terms, grid))
-    S = _dense_matrix(terms, grid)
+    blocks = fredholm._blocks(terms, fredholm._sample(weight, grid))
+    S = _dense_matrix(kernel, grid)
     assert np.linalg.cond(S + np.eye(len(S))) > 1e7
-    signs, logs = np.linalg.slogdet(blocks.diag + np.eye(10))
-    sign, logabs, _ = fredholm._sweep(blocks)
+    signs, logs = np.linalg.slogdet(blocks.diag[0] + np.eye(10))
+    (sign,), (logabs,), _ = fredholm._sweep(blocks)
     assert abs(logabs - np.sum(logs)) <= 1e-12 * max(1.0, abs(logabs))
     assert abs(sign - np.prod(signs)) <= 1e-12
 
@@ -772,3 +796,191 @@ def test_half_line_eigenvalue_needs_no_dense_matrix(monkeypatch):
         assert _close(d1, want1) and _close(d2.value, want2)
         assert abs(d1 - closed) < 1e-6
         assert abs(d2.value * np.exp(d2.trace_used) - closed) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# lambda batches against one lambda at a time
+
+
+_BATCH_LAMBDAS = [2.0 + 1.0j, 0.5 + 1.5j, 6.0 - 1.0j, 3.0 + 0.4j, 1.5 + 0.5j,
+                  9.0 - 2.0j, 0.8 - 0.6j, 4.4 - 0.3j, 2.5 + 0.5j, 7.0 + 2.0j]
+# drift 2 kappa: k = 0 at -0.5 and -0.3 + 0.2i, k = 1 elsewhere
+_DRIFT = wd.ScalarProblem(order=2, coeffs=(0.0, 2.0), profile=_SECH2)
+_DRIFT_LAMBDAS = [3.0, -0.5, 2.0 + 1.0j, -0.3 + 0.2j, 6.0 - 1.0j]
+
+
+def _assert_rows_agree(batch, singles):
+    """Rows of a batch against the same lambdas run one at a time, to
+    1e-14 relative, in input order."""
+    assert len(batch) == len(singles)
+    for got, want in zip(batch, singles):
+        for a, b in zip(got, want):
+            assert a.kind == b.kind
+            assert abs(a.value - b.value) <= 1e-14 * abs(b.value)
+            assert abs(a.trace_used - b.trace_used) <= 1e-14 * max(
+                1.0, abs(b.trace_used))
+
+
+@pytest.mark.parametrize("grid_name", sorted(_oracle_grids()))
+def test_det1_batch_matches_one_lambda_at_a_time(grid_name):
+    """Ten lambdas are two slices at 200 nodes; the drift problem's list
+    spans k = 0 and k = 1."""
+    g = _oracle_grids()[grid_name]
+    cases = [(wd.builtin_problem("poschl_teller", N=2), _BATCH_LAMBDAS),
+             (PANEL_PROBLEMS["deriv_order_1"][0], _BATCH_LAMBDAS),
+             (PANEL_PROBLEMS["complex_coeffs"][0], _BATCH_LAMBDAS),
+             (_DRIFT, _DRIFT_LAMBDAS)]
+    for problem, lams in cases:
+        batch = fredholm.det1_many(problem, lams, g)
+        _assert_rows_agree([[res] for res in batch],
+                           [[wd.det1(problem, lam, g)] for lam in lams])
+
+
+@pytest.mark.parametrize("grid_name", sorted(_oracle_grids()))
+def test_system_batch_matches_one_lambda_at_a_time(grid_name):
+    """det2, det3 and det4 of the matrix kernel, two lambdas per slice at
+    200 nodes."""
+    g = _oracle_grids()[grid_name]
+    cases = [(wd.to_system(wd.builtin_problem("poschl_teller")),
+              _BATCH_LAMBDAS[:5]),
+             (wd.to_system(wd.builtin_problem("biharmonic_demo")),
+              [3.2 + 1.1j, -1.0 + 2.0j, 2.0 + 1.0j]),
+             (wd.to_system(_DRIFT), _DRIFT_LAMBDAS)]
+    for system, lams in cases:
+        for p in (3, 4):
+            _assert_rows_agree(
+                fredholm.det2_detp_many(system, lams, g, p),
+                [fredholm.det2_detp(system, lam, g, p) for lam in lams])
+        _assert_rows_agree([[res] for res in fredholm.det2_many(system, lams,
+                                                                g)],
+                           [[wd.det2(system, lam, g)] for lam in lams])
+
+
+def test_batch_refuses_like_its_first_failing_lambda():
+    """kappa^2 + 2 kappa + 1 - lambda has a double root at lambda = 0 and
+    a root on the imaginary axis at lambda = 1: a batch raises the error
+    of whichever comes first."""
+    double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=_SECH2)
+    system = wd.to_system(double)
+    g = wd.build_grid(20.0, 200)
+    for lams, error in (([3.0, 1.0, 0.0], EssentialSpectrum),
+                        ([3.0, 0.0, 1.0], NearMultipleRoots)):
+        with pytest.raises(error):
+            fredholm.det1_many(double, lams, g)
+        with pytest.raises(error):
+            fredholm.det2_many(system, lams, g)
+    assert fredholm.det1_many(double, [], g) == []
+
+
+def test_batch_working_set_stays_flat():
+    """det1 at the 24 contour samples of the first locate_pt2 benchmark
+    rectangle (seed 1) at 200 nodes.  The lambdas run in slices, so the
+    traced peak over all 24 is that of the first 8, and a slice of 8
+    costs at most 2.5 times one lambda: W is sampled once, and no
+    temporary holds the chain elements at the sub-sub-nodes."""
+    import tracemalloc
+
+    pt2 = wd.builtin_problem("poschl_teller", N=2)
+    g = wd.build_grid(20.0, 200)
+    contour = wd.locate.Contour(0.5790706033274334 - 0.47768660426233894j,
+                                1.6378919824672669 + 0.49829306386281425j,
+                                samples_per_edge=6)
+    lams = [complex(z) for z in contour.points()[:-1]]
+
+    def peak(lams):
+        tracemalloc.start()
+        try:
+            fredholm.det1_many(pt2, lams, g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(lams)      # caches and lazy imports
+    assert len(lams) == 24
+    all24, first8, one = peak(lams), peak(lams[:8]), peak(lams[:1])
+    assert all24 <= 1.2 * first8
+    assert all24 <= 2.5 * one
+
+
+# the parent's exact traces: one lambda, W at the sub-sub-nodes sampled
+# inside, chain elements formed at every level
+
+
+def _reference_panel_rule(grid):
+    edges, q = fredholm._gl_panels(grid)
+    t, _, sub, sub_w, _, sub2, sub2_w = fredholm._panel_tables(q)
+    mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None, None]
+    rad = ((edges[1:] - edges[:-1]) / 2.0)[:, None, None]
+    N = grid.nodes.size
+    pts = (mid + rad * sub[:, None]).reshape(2, N, q)
+    wts = (rad * sub_w[:, None]).reshape(2, N, q)
+    pts2 = (mid[..., None] + rad[..., None] * sub2).reshape(N, q, q)
+    wts2 = (rad[..., None] * sub2_w).reshape(N, q, q)
+    return pts, wts, pts2, wts2
+
+
+def _reference_cumulative(grid, mu, f, levels):
+    edges = fredholm._gl_panels(grid)[0]
+    M, P = mu.size, edges.size - 1
+    x, w = grid.nodes.reshape(P, -1), grid.weights.reshape(P, -1)
+    moments = np.sum(f.reshape(M, P, -1) * w
+                     * np.exp(mu[:, None, None] * (x - edges[1:, None])), -1)
+    decay = np.exp(-mu[:, None] * np.diff(edges))
+    C = np.zeros((M, P), dtype=complex)
+    for p in range(1, P):
+        C[:, p] = decay[:, p - 1] * C[:, p - 1] + moments[:, p - 1]
+    out = []
+    for t, s, ws, fs in levels:
+        per = t.size // P
+        F = np.repeat(C, per, axis=1) * np.exp(
+            mu[:, None] * (np.repeat(edges[:-1], per) - t))
+        out.append(F + np.sum(ws * fs * np.exp(
+            mu[:, None, None] * (s - t[:, None])), axis=-1))
+    return out
+
+
+def _reference_traces(kernel, grid):
+    terms, weight = kernel
+    kap, k, r, u = terms.kappa[0], terms.k, terms.r[0], terms.u[0]
+    pts, wts, pts2, wts2 = _reference_panel_rule(grid)
+    N, q = pts[0].shape
+
+    def elements(W, rows=slice(None), cols=slice(None)):
+        return np.einsum("ac,...cd,bd->ab...", r[rows], W, u[cols])
+
+    E = elements(weight(grid.nodes))
+    Es = elements(weight(pts[0]))
+    Ess = elements(weight(pts2), slice(k, None), slice(0, k))
+    j, i = np.ogrid[:k, k:kap.size]
+    mu = kap[j] - kap[i]
+    t, s, ws = grid.nodes, pts[0], wts[0]
+    F, Fs = _reference_cumulative(
+        grid, mu.ravel(), E[i, j].reshape(mu.size, N),
+        [(t, s, ws, Es[i, j].reshape(mu.size, N, q)),
+         (s.ravel(), pts2.reshape(-1, q), wts2.reshape(-1, q),
+          Ess[i - k, j].reshape(mu.size, -1, q))])
+    F, Fs = F.reshape(mu.shape + (1, N)), Fs.reshape(mu.shape + (1, N, q))
+    tr2 = 2.0 * np.sum(grid.weights * E[j, i] * F[:, :, 0])
+    j, i, c = np.ogrid[:k, k:kap.size, :kap.size]
+    plus = c < k
+    mu = np.where(plus, kap[c] - kap[i], kap[j] - kap[c])
+    mid = np.where(plus, j, c), np.where(plus, c, i)
+    last = np.where(plus, c, j), np.where(plus, i, c)
+    G, = _reference_cumulative(grid, mu.ravel(), (E[mid] * F).reshape(-1, N),
+                               [(t, s, ws, (Es[mid] * Fs).reshape(-1, N, q))])
+    tr3 = 3.0 * np.sum(grid.weights * E[last].reshape(-1, N) * G)
+    return complex(tr2), complex(tr3)
+
+
+@pytest.mark.parametrize("name,problem,lam", _trace_cases(),
+                         ids=[c[0] for c in _trace_cases()])
+def test_lean_traces_match_the_chain_element_traces(name, problem, lam):
+    """The tabulated, contract-first traces against the chain-element
+    formulation on absolute offsets, relative to the larger trace."""
+    for g in (wd.build_grid(8.0, 40, panel_order=8), wd.build_grid(20.0, 200)):
+        kernel = _kernel(problem, lam)
+        want = _reference_traces(kernel, g)
+        got = _exact_traces(kernel, g)
+        scale = max(abs(w) for w in want)
+        assert abs(got[2] - want[0]) <= 1e-14 * scale
+        assert abs(got[3] - want[1]) <= 1e-14 * scale

@@ -7,7 +7,7 @@ from wavedet import fredholm, greens
 from wavedet.errors import (EssentialSpectrum, IllConditioned,
                             NearMultipleRoots)
 
-from test_fredholm import _dense_matrix
+from test_fredholm import _dense_matrix, _kernel
 
 
 def _free_problem(order=2):
@@ -34,6 +34,28 @@ def test_classify_roots_refusals(pt):
     double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=prof)
     with pytest.raises(NearMultipleRoots):
         wd.classify_roots(double, 0.0)
+
+
+def test_stacked_split_refuses_like_the_single_split(pt):
+    """Each lambda of one stacked split carries the refusal the single
+    split raises, a root on the imaginary axis or a double root, and the
+    others its roots and kernel weights."""
+    double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=pt.profile)
+    for problem, lams in ((pt, [4.0, -1.0, 2.0 + 1.0j]),
+                          (double, [3.0, 0.0, 1.0, 1.0 + 1e-13j])):
+        kappa, k, alpha, refusals = greens.green_arrays(problem, lams)
+        for lam, kap, kk, a, refusal in zip(lams, kappa, k, alpha,
+                                            refusals):
+            try:
+                roots, coeff = greens.green_data(problem, lam)
+            except (EssentialSpectrum, NearMultipleRoots,
+                    IllConditioned) as exc:
+                assert type(refusal) is type(exc) and str(refusal) == str(exc)
+                continue
+            assert refusal is None
+            assert kk == roots.k and np.array_equal(kap, roots.all)
+            assert np.allclose(a, coeff.alpha, rtol=1e-14, atol=0.0)
+        assert any(refusals) and not all(refusals)
 
 
 def test_root_groups_are_sorted():
@@ -224,9 +246,8 @@ def test_system_kernel_reduces_to_scalar(pt):
     for grid in (wd.build_grid(8.0, 40, panel_order=8),
                  wd.build_grid(8.0, 41, rule="trapezoid")):
         N = grid.nodes.size
-        K = _dense_matrix(fredholm._system_terms(
-            sysm, greens.system_basis(sysm, lam)), grid).reshape(N, 2, N, 2)
-        Ks = _dense_matrix(fredholm._scalar_terms(pt, lam), grid)
+        K = _dense_matrix(_kernel(sysm, lam), grid).reshape(N, 2, N, 2)
+        Ks = _dense_matrix(_kernel(pt, lam), grid)
         assert np.max(np.abs(K[:, 0, :, 0] - Ks)) <= 1e-12 * np.max(
             np.abs(Ks))
         assert not K[:, :, :, 1].any()

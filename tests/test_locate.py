@@ -228,3 +228,29 @@ def test_moment_seeds_skip_the_scan(monkeypatch):
     assert abs(rep.roots[0] - 1.0) < 1e-6
     assert used <= len(samples) - 1 + 12
     assert rep.abs_values[0] == abs(det1(rep.roots[0]))
+
+
+def test_batched_evaluator_takes_lists():
+    """A Batched evaluator gets the first pass of the walk, each Muller
+    starting triple and the scan as one list each, the remaining points
+    one at a time, and gives the plain evaluator's report."""
+    p2, det1 = _p2_det1()
+    lists = []
+
+    def many(lams):
+        lists.append(len(lams))
+        return [det1(lam) for lam in lams]
+
+    f = locate.Batched(many)
+    contour = Contour(0.55 - 0.45j, 1.6 + 0.45j, samples_per_edge=6)
+    assert locate_roots(f, contour, problem=p2) == locate_roots(
+        det1, contour, problem=p2)
+    assert lists[0] == 24 and lists[1] == 3 and set(lists[2:]) == {1}
+    lists.clear()
+    assert scan(f, 0.5 - 0.5j, 1.5 + 0.5j, 3, 2) == scan(
+        det1, 0.5 - 0.5j, 1.5 + 0.5j, 3, 2)
+    assert lists == [6]
+    lists.clear()
+    seeds = list(locate._scan_seeds(f, contour, 1))
+    assert lists == [49] and seeds == list(locate._scan_seeds(det1, contour,
+                                                              1))

@@ -153,6 +153,42 @@ def test_char_roots_satisfy_polynomial(lam, a0, a1):
         assert abs(val) < 1e-8 * max(1.0, abs(r) ** 2)
 
 
+def _reference_roots(coeffs, lam):
+    """numpy.roots of one lambda's polynomial plus one Newton step."""
+    a = [complex(c) for c in coeffs]
+    poly = np.array([1.0 + 0j] + a[::-1])
+    poly[-1] -= lam
+    roots = np.roots(poly)
+    vals = np.polyval(poly, roots)
+    dvals = np.polyval(np.polyder(poly), roots)
+    ok = np.abs(dvals) > 1e-14 * np.maximum(1.0, np.abs(vals))
+    roots[ok] = roots[ok] - vals[ok] / dvals[ok]
+    return roots
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stacked_roots_match_per_lambda_roots(n):
+    rng = np.random.default_rng(n)
+    coeffs = tuple(rng.normal(size=n) + 1j * rng.normal(size=n))
+    lams = 3.0 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+    stacked = wd.char_roots(coeffs, lams)
+    assert stacked.shape == (3, 4, n)
+    for lam, got in zip(lams.ravel(), stacked.reshape(-1, n)):
+        want = _reference_roots(coeffs, lam)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(wd.char_roots(coeffs, lam), got)
+
+
+def test_classify_points_match_classify_point(pt):
+    double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=pt.profile)
+    lams = [4.0, -1.0, 0.0, 2.0 + 1.0j, 1.0]
+    for problem in (pt, double):
+        points = model.classify_points(problem, lams)
+        assert points == [wd.classify_point(problem, lam) for lam in lams]
+    assert [p.domain_status for p in points] == [
+        "resolvent", "resolvent", "indeterminate", "resolvent", "essential"]
+
+
 def test_classify_point_statuses(pt):
     assert wd.classify_point(pt, 4.0).domain_status == "resolvent"
     assert wd.classify_point(pt, -1.0).domain_status == "essential"
