@@ -313,19 +313,17 @@ class Run:
             return name, locate.Batched(lambda lams: [
                 res.value for res in fredholm.det1_many(self.problem, lams,
                                                         self.grid)])
+        if name == "front_det2" or (name == "det2" and self.system.is_front):
+            return name, lambda lam: fronts.front_det2(self.system, lam,
+                                                       self.grid).value
         if name == "det2":
-            if self.system.is_front:
-                return name, lambda lam: fronts.front_det2(
-                    self.system, lam, self.grid).value
             return name, locate.Batched(lambda lams: [
                 res.value for res in fredholm.det2_many(self.system, lams,
                                                         self.grid)])
-        if name == "front_det2":
-            return name, lambda lam: fronts.front_det2(self.system, lam,
-                                                       self.grid).value
-        return name, lambda lam: evans.evans_function(
-            self.system, lam, matching_point=self.matching_point,
-            params=self.params).ratio
+        return name, locate.Batched(lambda lams: [
+            res.ratio for res in evans.evans_function_many(
+                self.system, lams, matching_point=self.matching_point,
+                params=self.params)])
 
     def map(self, fn, items):
         return [fn(item) for item in items]
@@ -450,30 +448,24 @@ def cmd_det(run):
 
 
 def cmd_evans(run):
-    """E, c, E/c and, for decaying perturbations, the transmission dets."""
+    """E, c, E/c and, for decaying perturbations, the transmission dets,
+    from one batched call over the lambda rows."""
     lams = run.lambdas()
-    is_front = run.system.is_front
     columns = [("lambda", "c"), ("evans", "c"), ("c_lambda", "c"),
                ("ratio", "c")]
-    if not is_front:
+    kwargs = {"matching_point": run.matching_point, "params": run.params}
+    if run.system.is_front:
+        pairs = [(res, None) for res in evans.evans_function_many(
+            run.system, lams, **kwargs)]
+    else:
         columns += [("det_transmission", "c"), ("swinton", "c")]
+        pairs = evans.evans_and_swinton_many(run.system, lams, **kwargs)
     columns.append(("truncation_error", "f"))
-
-    def one(lam):
-        if is_front:
-            res = evans.evans_function(run.system, lam,
-                                       matching_point=run.matching_point,
-                                       params=run.params)
-            dets = []
-        else:
-            res, sw = evans.evans_and_swinton(
-                run.system, lam, matching_point=run.matching_point,
-                params=run.params)
-            dets = [res.det_transmission, complex(np.linalg.det(sw))]
-        return ([lam, res.evans, res.c_lambda, res.ratio] + dets
-                + [res.truncation_error])
-
-    return _render(run, columns, run.map(one, lams))
+    rows = [[lam, res.evans, res.c_lambda, res.ratio]
+            + ([] if sw is None else [res.det_transmission,
+                                      complex(np.linalg.det(sw))])
+            + [res.truncation_error] for lam, (res, sw) in zip(lams, pairs)]
+    return _render(run, columns, rows)
 
 
 def cmd_compare(run):

@@ -5,26 +5,21 @@ the support of the perturbation by a fixed-step sixth-order Magnus
 integrator: the system Y' = (A0 + R(x)) Y is linear, so each step is the
 matrix exponential of a commutator combination of the generator at three
 Gauss points (Blanes, Casas & Ros, BIT 40 (2000); Malham & Niesen,
-Math. Comp. 77 (2008)).  R is sampled once per run at all Gauss points,
-all step exponentials of a run are formed in one batched scaling and
-squaring, and the steps between two stored points are multiplied out
-pairwise, in batched rounds, to one matrix per segment.  Exponential
-growth over the truncated window is stripped on the fly: the integrated
-columns are kept O(1) by a QR renormalization after every segment, every
-removed factor is logged, and determinant-bearing quantities are
-reassembled from the logs, so the ratio E(lambda)/c(lambda) is free of the
-arbitrary scalings.  One propagator serves every run.  The matrix
-transmission coefficient is the edge pairing D = Z0+(X) Y-(X) of the
-unperturbed dual rows with the Jost minus columns at the right end of the
-window: (Z0+ Y-)' = Z0+ R Y- and Z0+ Y0- = I at -X, so it equals
+Math. Comp. 77 (2008)).  R is sampled once per run, the step exponentials
+of a run come from one batched Pade approximant of the least degree its
+largest step needs (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)), and
+the steps between two stored points are multiplied out pairwise to one
+matrix per segment.  Growth is stripped on the fly: the columns are kept
+O(1) by a QR renormalization after every segment, every removed factor is
+logged, and E(lambda)/c(lambda) is reassembled from the logs.  The runs
+of a slice of lambdas share one sweep of stacked QRs.  The transmission
+matrix is the edge pairing D = Z0+(X) Y-(X), which equals
 I + integral of Z0+ R Y- exactly.  The perturbed dual rows of the Swinton
 pairing are the transposed columns of the adjoint system
-W' = -(A0 + R)^T W, run leftwards from Z0+(X)^T; its step exponents are
--Omega^T of the plain steps.  So one lambda of a pulse takes three runs:
-the minus run over the whole window, sampled at the matching point, serves
-E, the transmission matrix and the Swinton pairing; the plus run stops at
-the matching point, and the adjoint run reuses its exponents, with the
-propagators of both from one batched exponential.
+W' = -(A0 + R)^T W, run leftwards from Z0+(X)^T; its step propagators
+exp(-Omega^T) come from the plus run's Pade pair.  So a pulse takes three
+runs per lambda: the minus run over the whole window serves E, D and the
+Swinton pairing; the plus run and its adjoint stop at the matching point.
 """
 
 from __future__ import annotations
@@ -47,7 +42,9 @@ __all__ = [
     "jost_minus",
     "jost_plus",
     "evans_function",
+    "evans_function_many",
     "evans_and_swinton",
+    "evans_and_swinton_many",
     "transmission_matrix",
     "swinton_matrix",
     "born_transmission",
@@ -170,22 +167,15 @@ def _segment_step(params: IntegrationParams, basis: UnperturbedBasis) -> float:
 def _boundaries(x_from: float, x_to: float, step: float,
                 extra: Sequence[float] = ()) -> np.ndarray:
     lo, hi = min(x_from, x_to), max(x_from, x_to)
-    span = hi - lo
-    n_seg = max(1, int(math.ceil(span / step - 1e-12)))
-    pts = list(np.linspace(lo, hi, n_seg + 1))
-    for e in extra:
-        e = float(e)
-        if not (lo - 1e-9 <= e <= hi + 1e-9):
-            raise ConfigError(f"sample point {e} outside the run [{lo}, {hi}]")
-        pts.append(e)
-    pts.sort()
-    merged = [pts[0]]
-    for p in pts[1:]:
-        if p - merged[-1] > 1e-10:
-            merged.append(p)
-    merged[0], merged[-1] = lo, hi
-    out = np.array(merged)
-    return out if x_from <= x_to else out[::-1].copy()
+    extra = np.asarray(extra, dtype=float)
+    bad = extra[(extra < lo - 1e-9) | (extra > hi + 1e-9)]
+    if bad.size:
+        raise ConfigError(f"sample point {bad[0]} outside the run [{lo}, {hi}]")
+    n_seg = max(1, int(math.ceil((hi - lo) / step - 1e-12)))
+    pts = np.sort(np.concatenate([np.linspace(lo, hi, n_seg + 1), extra]))
+    pts = pts[np.concatenate(([True], np.diff(pts) > 1e-10))]
+    pts[0], pts[-1] = lo, hi
+    return pts if x_from <= x_to else pts[::-1].copy()
 
 
 def _scaled_entries(M: np.ndarray, row_exp: np.ndarray,
@@ -212,37 +202,42 @@ def _exp_scaled(value: complex, expo: complex) -> complex:
 
 _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 
-# degree-13 Pade coefficients and the 1-norm up to which they need no
-# scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# the Pade degrees m of exp tried in turn, the 1-norm theta_m up to which
+# each needs no scaling, and its coefficients b_j = (2m - j)! / (j! (m - j)!)
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+_PADE = {m: [float(math.factorial(2 * m - j) // math.factorial(j)
+                   // math.factorial(m - j)) for j in range(m + 1)]
+         for m in _THETA}
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp of every matrix of a stack (..., d, d) at once: scaling and
-    squaring around the degree-13 Pade approximant, each matrix scaled
-    by its own power of two."""
+def _expm(A: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """exp of every matrix of a stack (..., d, d) at once, from the Pade
+    approximant r_m = (V - U)^-1 (V + U) of the least degree m in 3, 5, 7,
+    9 whose theta_m bounds the largest 1-norm of the stack.  Above
+    theta_9 it is degree 13, each matrix scaled by its own power of two
+    and squared back.
+
+    With adjoint the result is the pair [exp(A), exp(-A^T)], shape
+    (2,) + A.shape: U is odd in A and V even, so r_m(-A^T) is
+    ((V + U)^-1 (V - U))^T, one more solve on the same U and V."""
     A = np.asarray(A, dtype=complex)
     norm = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
-    s = np.maximum(0, np.ceil(np.log2(np.maximum(norm, 1e-300) / _THETA13)))
-    s = s.astype(int)
+    m = next((m for m in (3, 5, 7, 9) if np.all(norm <= _THETA[m])), 13)
+    s = np.ceil(np.log2(norm / _THETA[13] + 1e-300)).clip(0).astype(int)
     A = A / (2.0 ** s)[..., None, None]
-    b = _PADE13
-    ident = np.eye(A.shape[-1], dtype=complex)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    powers = [np.eye(A.shape[-1], dtype=complex), A @ A]
+    while len(powers) <= m // 2:
+        powers.append(powers[-1] @ powers[1])
+    U = A @ sum(_PADE[m][2 * j + 1] * P for j, P in enumerate(powers))
+    V = sum(_PADE[m][2 * j] * P for j, P in enumerate(powers))
     X = np.linalg.solve(V - U, V + U)
+    if adjoint:
+        X = np.stack([X, np.swapaxes(np.linalg.solve(V + U, V - U), -1, -2)])
     for j in range(int(s.max(initial=0))):
         sq = s > j
-        X[sq] = X[sq] @ X[sq]
+        X[..., sq, :, :] = X[..., sq, :, :] @ X[..., sq, :, :]
     return X
 
 
@@ -280,20 +275,21 @@ def _step_length(system: SystemProblem, A0: np.ndarray,
     return theta / (float(np.max(np.abs(roots))) + 1.0)
 
 
-def _step_edges(bounds: np.ndarray, h: float) -> tuple[np.ndarray, list]:
+def _step_edges(bounds: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Edges of the Magnus steps of a run and, per segment, the index of
     its last edge.  Each segment between consecutive stored points is cut
     at x = 0 (where a front's recentred perturbation jumps) and split
-    into equal steps of at most h."""
-    edges = [float(bounds[0])]
-    ends = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        cuts = [a, 0.0, b] if min(a, b) < 0.0 < max(a, b) else [a, b]
-        for p, q in zip(cuts[:-1], cuts[1:]):
-            m = max(1, int(math.ceil(abs(q - p) / h - 1e-12)))
-            edges.extend(np.linspace(p, q, m + 1)[1:])
-        ends.append(len(edges) - 1)
-    return np.array(edges), ends
+    into equal steps of at most h, placed as np.linspace places them."""
+    cut = np.flatnonzero(np.sign(bounds[:-1]) * np.sign(bounds[1:]) < 0.0)
+    pts = np.insert(bounds, cut + 1, 0.0)
+    p, q = pts[:-1], pts[1:]
+    m = np.maximum(1, np.ceil(np.abs(q - p) / h - 1e-12)).astype(int)
+    last = np.cumsum(m)
+    piece = np.repeat(np.arange(m.size), m)
+    j = np.arange(1.0, last[-1] + 1.0) - np.repeat(last - m, m)
+    edges = np.concatenate(([bounds[0]], j * ((q - p) / m)[piece] + p[piece]))
+    edges[last] = q
+    return edges, np.delete(last, cut + np.arange(cut.size))
 
 
 def _step_exponents(system: SystemProblem, A0: np.ndarray,
@@ -304,13 +300,6 @@ def _step_exponents(system: SystemProblem, A0: np.ndarray,
     t = edges[:-1, None] + h[:, None] * _GAUSS3
     R = np.asarray(system.perturbation(t), dtype=complex)
     return _magnus_exponent(A0 + R, h)
-
-
-def _step_propagators(Omega: np.ndarray, where: str) -> np.ndarray:
-    E = _expm(Omega)
-    if not np.all(np.isfinite(E)):
-        raise StiffnessFailure(f"non-finite step propagator in the {where}")
-    return E
 
 
 def _segment_products(E: np.ndarray, ends: Sequence[int]) -> np.ndarray:
@@ -337,54 +326,17 @@ def _segment_products(E: np.ndarray, ends: Sequence[int]) -> np.ndarray:
     return X[..., 0, :, :]
 
 
-def _sweep(basis: UnperturbedBasis, direction: str, adjoint: bool,
-           x_from: float, bounds: np.ndarray,
-           products: np.ndarray) -> JostSolution:
-    """Apply the segment products to the starting block of a run, with a
-    QR renormalization after every segment."""
-    k = basis.k
-    # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
-    # decaying at the same end belong to the other group
-    own = slice(0, k) if (direction == "minus") != adjoint else slice(k, None)
-    kappa = np.array(basis.roots.all)[own]
-    if adjoint:
-        fam, cols = -kappa, np.array(basis.Pinv[own].T, dtype=complex)
-    else:
-        fam, cols = kappa, np.array(basis.P[:, own], dtype=complex)
-    ns, ncols = len(bounds), cols.shape[1]
-    values = np.empty((ns,) + cols.shape, dtype=complex)
-    transforms = np.empty((ns, ncols, ncols), dtype=complex)
-    logs = np.empty((ns, ncols), dtype=complex)
-
-    cur = cols
-    T = np.eye(ncols, dtype=complex)
-    sig = fam * x_from
-    values[0], transforms[0], logs[0] = cur, T, sig
-    for s, P in enumerate(products):
-        Q, Rtri = np.linalg.qr(P @ cur)
-        C = Rtri @ T
-        scal = np.max(np.abs(C), axis=0)
-        scal[scal == 0.0] = 1.0
-        T = C / scal[None, :]
-        sig = sig + np.log(scal)
-        cur = Q
-        values[s + 1], transforms[s + 1], logs[s + 1] = cur, T, sig
-
-    return JostSolution(direction=direction, xs=bounds, values=values,
-                        transform=transforms, renorm_log=logs, basis=basis)
-
-
-def _propagate_runs(system: SystemProblem, lam: complex,
-                    basis: UnperturbedBasis, direction: str,
-                    params: IntegrationParams,
-                    x_stop: Optional[float] = None,
-                    sample_points: Sequence[float] = (),
-                    adjoints: Sequence[bool] = (False,)
-                    ) -> list[JostSolution]:
-    """One run per entry of adjoints (see ``_propagate_columns``), all on
-    the same bounds, step edges and Magnus exponents Omega; an adjoint
-    run takes -Omega^T, and the step propagators of all the runs come
-    from one batched exponential."""
+def _segment_runs(system: SystemProblem, lam: complex,
+                  basis: UnperturbedBasis, direction: str,
+                  params: IntegrationParams,
+                  x_stop: Optional[float] = None,
+                  sample_points: Sequence[float] = (),
+                  adjoints: Sequence[bool] = (False,)) -> list[tuple]:
+    """One run per entry of adjoints (see ``_propagate_columns``) as the
+    tuple (direction, basis, bounds, starting block, its logs, segment
+    products) that ``_sweep`` takes.  The runs share the bounds, step
+    edges and Magnus exponents Omega, and the exponentials exp(-Omega^T)
+    of an adjoint run are the second half of the Pade pair of ``_expm``."""
     if direction not in ("minus", "plus"):
         raise ConfigError("direction must be 'minus' or 'plus'")
     x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
@@ -395,14 +347,57 @@ def _propagate_runs(system: SystemProblem, lam: complex,
     bounds = _boundaries(x_from, x_to, _segment_step(params, basis),
                          sample_points)
     edges, ends = _step_edges(bounds, _step_length(system, A0, params))
-    Omega = _step_exponents(system, A0, edges)
-    E = _step_propagators(
-        np.stack([-np.swapaxes(Omega, -1, -2) if adj else Omega
-                  for adj in adjoints]),
-        f"{direction} " + " and ".join("adjoint" if adj else "Jost"
-                                       for adj in adjoints) + " run")
-    return [_sweep(basis, direction, adj, x_from, bounds, P)
-            for adj, P in zip(adjoints, _segment_products(E, ends))]
+    E = _expm(_step_exponents(system, A0, edges), any(adjoints))
+    if not np.all(np.isfinite(E)):
+        raise StiffnessFailure(
+            f"non-finite step propagator in the {direction} run")
+    products = _segment_products(E if any(adjoints) else E[None], ends)
+    kappa = np.array(basis.roots.all)
+    runs = []
+    for adjoint in adjoints:
+        # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
+        # decaying at the same end belong to the other group
+        own = (slice(0, basis.k) if (direction == "minus") != adjoint
+               else slice(basis.k, None))
+        cols = basis.Pinv[own].T if adjoint else basis.P[:, own]
+        fam = -kappa[own] if adjoint else kappa[own]
+        runs.append((direction, basis, bounds, np.array(cols, dtype=complex),
+                     fam * x_from, products[int(adjoint)]))
+    return runs
+
+
+def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
+    """Apply the segment products of every run of ``_segment_runs`` to its
+    starting block, with a QR renormalization after every segment.  Runs of
+    one block shape share one stacked ``np.linalg.qr`` per segment; shorter
+    runs are padded with identity segments, whose samples are dropped."""
+    out: list = [None] * len(runs)
+    for shape in sorted({run[3].shape for run in runs}):
+        group = [i for i, run in enumerate(runs) if run[3].shape == shape]
+        counts = [len(runs[i][5]) for i in group]
+        (n, c), G = shape, len(group)
+        products = np.tile(np.eye(n, dtype=complex), (max(counts), G, 1, 1))
+        for g, i in enumerate(group):
+            products[:counts[g], g] = runs[i][5]
+        cur = np.stack([runs[i][3] for i in group])
+        T = np.tile(np.eye(c, dtype=complex), (G, 1, 1))
+        sig = np.stack([runs[i][4] for i in group])
+        steps = [(cur, T, sig)]
+        for P in products:
+            Q, Rtri = np.linalg.qr(P @ cur)
+            C = Rtri @ T
+            scal = np.max(np.abs(C), axis=-2)
+            scal[scal == 0.0] = 1.0
+            cur, T, sig = Q, C / scal[:, None, :], sig + np.log(scal)
+            steps.append((cur, T, sig))
+        values, transforms, logs = (np.stack(x, axis=1) for x in zip(*steps))
+        for g, i in enumerate(group):
+            keep = slice(counts[g] + 1)
+            out[i] = JostSolution(direction=runs[i][0], xs=runs[i][2],
+                                  values=values[g, keep],
+                                  transform=transforms[g, keep],
+                                  renorm_log=logs[g, keep], basis=runs[i][1])
+    return out
 
 
 def _propagate_columns(system: SystemProblem, lam: complex,
@@ -415,17 +410,13 @@ def _propagate_columns(system: SystemProblem, lam: complex,
 
     direction "minus" starts at -X from the data Y0-(-X) and runs right;
     "plus" starts at +X from Y0+(+X) and runs left.  adjoint=True runs
-    the adjoint system W' = -(A0 + R)^T W instead, whose solutions are
-    transposed dual rows: "plus" then starts from Z0+(+X)^T = Pinv[:k]^T
-    at rates -kappa+ ("minus" from Z0-(-X)^T), and every step exponent is
-    -Omega^T, since the sixth-order Magnus exponent of -G^T is -Omega^T
-    term by term; ``_propagate_runs`` makes a plain run and its adjoint
-    from one set of exponents.  The steps between two stored points are
-    multiplied out to one matrix (``_segment_products``), which is
-    applied to the block before its QR renormalization.
+    the adjoint system instead: "plus" then starts from Z0+(+X)^T =
+    Pinv[:k]^T at rates -kappa+ ("minus" from Z0-(-X)^T), and every step
+    exponent is -Omega^T, the sixth-order Magnus exponent of -G^T term by
+    term.  A ``_sweep`` of one run.
     """
-    return _propagate_runs(system, lam, basis, direction, params, x_stop,
-                           sample_points, (adjoint,))[0]
+    return _sweep(_segment_runs(system, lam, basis, direction, params,
+                                x_stop, sample_points, (adjoint,)))[0]
 
 
 def _pairing(rows: np.ndarray, row_log: np.ndarray, jost: JostSolution,
@@ -449,10 +440,8 @@ def jost_minus(system, lam: complex, params: Optional[IntegrationParams] = None,
                sample_points: Sequence[float] = ()) -> JostSolution:
     """Solutions decaying at -infinity, continued from -X to +X."""
     sysm = model.as_system(system)
-    params = params or IntegrationParams()
-    if basis is None:
-        basis = _side_bases(sysm, lam)[0]
-    return _propagate_columns(sysm, lam, basis, "minus", params,
+    return _propagate_columns(sysm, lam, basis or _side_bases(sysm, lam)[0],
+                              "minus", params or IntegrationParams(),
                               sample_points=sample_points)
 
 
@@ -461,62 +450,84 @@ def jost_plus(system, lam: complex, params: Optional[IntegrationParams] = None,
               sample_points: Sequence[float] = ()) -> JostSolution:
     """Solutions decaying at +infinity, continued from +X to -X."""
     sysm = model.as_system(system)
-    params = params or IntegrationParams()
-    if basis is None:
-        basis = _side_bases(sysm, lam)[1]
-    return _propagate_columns(sysm, lam, basis, "plus", params,
+    return _propagate_columns(sysm, lam, basis or _side_bases(sysm, lam)[1],
+                              "plus", params or IntegrationParams(),
                               sample_points=sample_points)
 
 
-def _jost_routes(system, lam: complex, matching_point: float,
-                 params: Optional[IntegrationParams], swinton: bool
-                 ) -> tuple[EvansResult, Optional[np.ndarray]]:
-    """E/c, the edge transmission matrix and (with swinton) the Swinton
-    pairing of one lambda.
+# lambdas whose Jost runs share one QR sweep: their segment products and
+# samples are held together, so the working set stays flat in the length
+# of the lambda list
+_SWEEP_SLICE = 8
 
-    A pulse's minus run goes over the whole window and is sampled at the
-    matching point x0: it serves E, the transmission matrix and the
-    pairing.  A front's minus run stops at x0.  The plus run goes from +X
-    to x0, and the adjoint run of the pairing shares its exponents.
-    """
+
+def _jost_routes(system, lams: Sequence[complex], matching_point: float,
+                 params: Optional[IntegrationParams], swinton: bool
+                 ) -> list[tuple[EvansResult, Optional[np.ndarray]]]:
+    """E/c, the edge transmission matrix and (with swinton) the Swinton
+    pairing of every lambda, in input order.  A pulse's minus run goes over
+    the whole window and is sampled at the matching point x0; a front's
+    stops there.  The plus run and the adjoint run of the pairing go from
+    +X to x0.  A refused lambda raises before a later one is started."""
     sysm = model.as_system(system)
     params = params or IntegrationParams()
     x0 = float(matching_point)
     if abs(x0) > params.half_width:
         raise ConfigError("matching point outside the truncated window")
-    bm, bp = _side_bases(sysm, lam)
-    if sysm.is_front:
-        jm = _propagate_columns(sysm, lam, bm, "minus", params, x_stop=x0)
-        trans = None
-        det_trans = None
-    else:
-        jm = _propagate_columns(sysm, lam, bm, "minus", params,
-                                sample_points=(x0,))
-        trans = _edge_transmission(jm)
-        det_trans = complex(np.linalg.det(trans))
-    runs = _propagate_runs(sysm, lam, bp, "plus", params, x_stop=x0,
-                           adjoints=(False, True) if swinton else (False,))
-    jp = runs[0]
-    im = _index_of(jm.xs, x0)
-    ip = _index_of(jp.xs, x0)
-    combined = np.concatenate([jm.values[im], jp.values[ip]], axis=1)
-    d0 = (np.linalg.det(combined)
-          * np.linalg.det(jm.transform[im])
-          * np.linalg.det(jp.transform[ip]))
-    ssum = jm.renorm_log[im].sum() + jp.renorm_log[ip].sum()
-    evans = _exp_scaled(d0, ssum)
-    cmat = np.concatenate([bm.y_minus(x0), bp.y_plus(x0)], axis=1)
-    c_lam = complex(np.linalg.det(cmat))
-    ratio = _exp_scaled(d0 / c_lam, ssum)
-    result = EvansResult(evans=evans, c_lambda=c_lam, ratio=ratio,
-                         transmission=trans, det_transmission=det_trans,
-                         matching_point=x0,
-                         truncation_error=sysm.tail_norm(params.half_width))
-    if not swinton:
-        return result, None
-    adj = runs[1]
-    rows = (adj.values[ip] @ adj.transform[ip]).T
-    return result, _pairing(rows, adj.renorm_log[ip], jm, im)
+    minus = {"x_stop": x0} if sysm.is_front else {"sample_points": (x0,)}
+    truncation = sysm.tail_norm(params.half_width)
+    out = []
+    for start in range(0, len(lams), _SWEEP_SLICE):
+        runs = []
+        for lam in lams[start:start + _SWEEP_SLICE]:
+            bm, bp = _side_bases(sysm, lam)
+            runs += _segment_runs(sysm, lam, bm, "minus", params, **minus)
+            runs += _segment_runs(sysm, lam, bp, "plus", params, x_stop=x0,
+                                  adjoints=(False, True)[:1 + swinton])
+        sols = _sweep(runs)
+        for r in range(0, len(sols), 2 + swinton):
+            jm, jp, *adj = sols[r:r + 2 + swinton]
+            trans = None if sysm.is_front else _edge_transmission(jm)
+            im = _index_of(jm.xs, x0)
+            ip = _index_of(jp.xs, x0)
+            combined = np.concatenate([jm.values[im], jp.values[ip]], axis=1)
+            d0 = (np.linalg.det(combined)
+                  * np.linalg.det(jm.transform[im])
+                  * np.linalg.det(jp.transform[ip]))
+            ssum = jm.renorm_log[im].sum() + jp.renorm_log[ip].sum()
+            c_lam = complex(np.linalg.det(np.concatenate(
+                [jm.basis.y_minus(x0), jp.basis.y_plus(x0)], axis=1)))
+            result = EvansResult(
+                evans=_exp_scaled(d0, ssum), c_lambda=c_lam,
+                ratio=_exp_scaled(d0 / c_lam, ssum), transmission=trans,
+                det_transmission=(None if trans is None
+                                  else complex(np.linalg.det(trans))),
+                matching_point=x0, truncation_error=truncation)
+            pairing = None
+            if adj:     # the Swinton rows at x0 pair with the minus run
+                rows = (adj[0].values[ip] @ adj[0].transform[ip]).T
+                pairing = _pairing(rows, adj[0].renorm_log[ip], jm, im)
+            out.append((result, pairing))
+        del runs, sols, jm, jp, adj     # before the next slice's are built
+    return out
+
+
+def evans_function_many(system, lams: Sequence[complex],
+                        matching_point: float = 0.0,
+                        params: Optional[IntegrationParams] = None
+                        ) -> list[EvansResult]:
+    """``evans_function`` of every lambda, in input order; a refused lambda
+    raises the typed error of the first one in input order."""
+    return [res for res, _ in _jost_routes(system, lams, matching_point,
+                                           params, False)]
+
+
+def evans_and_swinton_many(system, lams: Sequence[complex],
+                           matching_point: float = 0.0,
+                           params: Optional[IntegrationParams] = None
+                           ) -> list[tuple[EvansResult, np.ndarray]]:
+    """``evans_and_swinton`` of every lambda, as ``evans_function_many``."""
+    return _jost_routes(system, lams, matching_point, params, True)
 
 
 def evans_function(system, lam: complex, matching_point: float = 0.0,
@@ -528,9 +539,9 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
     logs, so it is the quantity to compare across matching points and
     against the Fredholm determinant.  For pulse problems the minus run
     continues to +X, where it yields the transmission matrix as the edge
-    pairing Z0+(X) Y-(X).
+    pairing Z0+(X) Y-(X).  ``evans_function_many`` of one lambda.
     """
-    return _jost_routes(system, lam, matching_point, params, False)[0]
+    return evans_function_many(system, [lam], matching_point, params)[0]
 
 
 def evans_and_swinton(system, lam: complex, matching_point: float = 0.0,
@@ -539,7 +550,7 @@ def evans_and_swinton(system, lam: complex, matching_point: float = 0.0,
     """``evans_function`` and ``swinton_matrix`` of one lambda from three
     runs: one minus run, one plus run and the adjoint run on the plus
     run's exponents."""
-    return _jost_routes(system, lam, matching_point, params, True)
+    return evans_and_swinton_many(system, [lam], matching_point, params)[0]
 
 
 def transmission_matrix(system, lam: complex,
@@ -558,10 +569,7 @@ def transmission_matrix(system, lam: complex,
     sysm = model.as_system(system)
     if sysm.is_front:
         raise ConfigError("transmission matrix needs a decaying perturbation")
-    params = params or IntegrationParams()
-    basis = greens.system_basis(sysm, lam)
-    return _edge_transmission(
-        _propagate_columns(sysm, lam, basis, "minus", params))
+    return _edge_transmission(jost_minus(sysm, lam, params))
 
 
 def swinton_matrix(system, lam: complex,

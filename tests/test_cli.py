@@ -9,6 +9,7 @@ import pytest
 
 import wavedet
 from wavedet import cli, evans, fredholm, locate
+from wavedet.errors import WavedetError
 
 PT = {"problem": {"name": "poschl_teller"}}
 
@@ -213,6 +214,141 @@ def test_evans_front_rows(tmp_path, capsys, monkeypatch):
         want = evans.evans_function(front, lam, matching_point=0.37).ratio
         got = complex(float(row["re_ratio"]), float(row["im_ratio"]))
         assert got == want
+
+
+def _pairs(lams):
+    return [{"re": z.real, "im": z.imag} for z in map(complex, lams)]
+
+
+_FRONT = {"order": 2, "coeffs": [0.0, 0.0],
+          "profile": {"kind": "tanh_front",
+                      "params": {"amplitude": 1.5, "offset": -2.5,
+                                 "well": 8.0}},
+          "asymptotics": {"v_minus": -4.0, "v_plus": -1.0}}
+
+# biharmonic lambdas with different Magnus step and segment counts (the low
+# renorm_threshold shortens the segments of the fast-growing ones), an
+# order-3 problem, whose minus and plus blocks differ in width (k = 1 or 2
+# of 3 columns), and a front matched at 0.37
+_BATCHES = {
+    "biharmonic": ({"problem": {"name": "biharmonic_demo"},
+                    "evans": {"renorm_threshold": 100.0}},
+                   [3.0 + 2.0j, -2.0 + 1.5j, -300.0 + 40.0j, 0.5 - 1.0j,
+                    60.0 - 90.0j]),
+    "order3": ({"problem": {"order": 3, "coeffs": [0.5, 0.0, 0.0],
+                            "profile": {"kind": "sech2",
+                                        "params": {"amplitude": 1.0,
+                                                   "width": 1.0}}}},
+               [2.0 + 1.0j, -1.0 + 2.0j, 3.0 - 1.0j]),
+    "front": ({"problem": _FRONT, "matching_point": 0.37},
+              [2.0, 3.0, 2.0 + 1.0j]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCHES))
+def test_evans_batch_rows_equal_batches_of_one(case, tmp_path, capsys,
+                                               monkeypatch):
+    """The rows of a list of lambdas are those of each lambda alone, byte
+    for byte, also when the list spans several sweep slices."""
+    cfg, lams = _BATCHES[case]
+
+    def rows(lams, name):
+        path = tmp_path / name
+        path.write_text(json.dumps(dict(cfg, lambdas=_pairs(lams))))
+        code, out, err = run_cli(capsys, "evans", "--config", str(path))
+        assert code == 0 and err == ""
+        return out.split("\n")[3:-1]
+
+    batch = rows(lams, "batch.json")
+    assert len(batch) == len(lams)
+    assert batch == [row for i, lam in enumerate(lams)
+                     for row in rows([lam], f"one{i}.json")]
+    monkeypatch.setattr(evans, "_SWEEP_SLICE", 2)
+    assert rows(lams, "sliced.json") == batch
+    if case == "biharmonic":
+        sysm = wavedet.to_system(wavedet.builtin_problem("biharmonic_demo"))
+        params = evans.IntegrationParams(renorm_threshold=100.0)
+        runs = [evans._segment_runs(sysm, lam,
+                                    wavedet.system_basis(sysm, lam),
+                                    "minus", params)[0] for lam in lams]
+        assert len({len(run[5]) for run in runs}) > 2
+        assert len({evans._step_length(sysm, sysm.base_matrix(lam), params)
+                    for lam in lams}) == len(lams)
+
+
+def test_evans_batch_refusal_matches_the_loop(tmp_path, capsys):
+    """A second lambda on the essential spectrum exits 3 with the error
+    that the per-lambda loop raises first."""
+    lams = [3.0 + 2.0j, 2.0 + 0.0j, -2.0 + 1.5j]
+    path = write_config(tmp_path, {"problem": {"name": "biharmonic_demo"},
+                                   "lambdas": _pairs(lams)})
+    code, out, err = run_cli(capsys, "evans", "--config", path)
+    bs = wavedet.to_system(wavedet.builtin_problem("biharmonic_demo"))
+    want = None
+    for lam in lams:
+        try:
+            evans.evans_and_swinton(bs, lam)
+        except WavedetError as exc:
+            want = {"error": {"kind": "numeric", "type": type(exc).__name__,
+                              "message": str(exc)}}
+            break
+    assert want["error"]["type"] == "EssentialSpectrum"
+    assert code == 3 and out == ""
+    assert json.loads(err) == want
+
+
+def test_evans_batches_the_qr_sweep(tmp_path, capsys, monkeypatch):
+    """Four biharmonic lambdas: two sets of step exponents per lambda, one
+    sweep, and one stacked QR per segment of the longest run (40 unit
+    segments over [-20, 20]), where a sweep per run made 320 single QRs."""
+    lams = [3.0 + 2.0j, -2.0 + 1.5j, -4.0 - 1.0j, 1.0 - 3.5j]
+    calls = {"_step_exponents": 0, "_sweep": 0, "qr": 0}
+    for owner, name in ((evans, "_step_exponents"), (evans, "_sweep"),
+                        (np.linalg, "qr")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    path = write_config(tmp_path, {"problem": {"name": "biharmonic_demo"},
+                                   "lambdas": _pairs(lams)})
+    code, out, err = run_cli(capsys, "evans", "--config", path)
+    assert code == 0
+    assert calls == {"_step_exponents": 8, "_sweep": 1, "qr": 40}
+
+
+def test_locate_evans_batched_matches_the_loop(tmp_path, capsys,
+                                               monkeypatch):
+    """locate on the Evans ratio evaluates the contour as lists and finds
+    the winding and root of the per-lambda evaluator."""
+    sizes = []
+    many = evans.evans_function_many
+
+    def counted(system, lams, *args, **kwargs):
+        sizes.append(len(lams))
+        return many(system, lams, *args, **kwargs)
+    monkeypatch.setattr(evans, "evans_function_many", counted)
+    low, high = 0.55 - 0.45j, 1.6 + 0.45j
+    path = write_config(tmp_path, {
+        "problem": {"name": "poschl_teller", "params": {"N": 2}},
+        "rectangle": {"corner_low": _pairs([low])[0],
+                      "corner_high": _pairs([high])[0]},
+        "samples_per_edge": 6, "function": "evans"})
+    code, out, err = run_cli(capsys, "locate", "--config", path,
+                             "--format", "json")
+    assert code == 0
+    assert max(sizes) == 24
+    report = json.loads(out)["report"]
+    pt2 = wavedet.builtin_problem("poschl_teller", N=2)
+    sysm = wavedet.to_system(pt2)
+    want = locate.locate_roots(
+        lambda lam: evans.evans_function(sysm, lam).ratio,
+        locate.Contour(low, high, samples_per_edge=6), problem=pt2,
+        function_used="evans")
+    assert report["winding"] == want.winding == 1
+    got = [complex(r["re"], r["im"]) for r in report["roots"]]
+    assert len(got) == len(want.roots) == 1
+    assert abs(got[0] - want.roots[0]) <= 1e-12 * abs(want.roots[0])
+    assert abs(got[0] - 1.0) < 1e-6
 
 
 def test_det_empty_lambda_list(tmp_path, capsys):

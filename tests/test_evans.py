@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import wavedet as wd
 from wavedet import evans
-from wavedet.errors import ConfigError
+from wavedet.errors import ConfigError, StiffnessFailure
 
 
 # ---------------------------------------------------------------------------
@@ -45,18 +47,120 @@ def test_jost_rejects_unsampled_point(pt_system):
 # the Magnus propagators
 
 
-@pytest.mark.parametrize("dim", [4, 6])
-def test_batched_exponential_matches_scipy(dim):
+# the largest 1-norm of a stack selects the Pade degree: just below
+# theta_m for m = 3, 5, 7, 9, then degree 13 unscaled (ids 4 and 6) and
+# degree 13 with each matrix scaled and squared back
+_EXPM_CASES = [pytest.param(dim, top, degree, id=f"{dim}{label}")
+               for dim in (4, 6)
+               for label, top, degree in (("", 5.0, 13), ("-m3", 0.014, 3),
+                                          ("-m5", 0.25, 5), ("-m7", 0.9, 7),
+                                          ("-m9", 2.0, 9),
+                                          ("-m13-scaled", 40.0, 13))]
+
+
+@pytest.mark.parametrize("dim,top,degree", _EXPM_CASES)
+def test_batched_exponential_matches_scipy(dim, top, degree, monkeypatch):
+    """exp(A) and the paired exp(-A^T) from the same U and V, each from
+    the Pade degree the stack's largest norm selects."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(dim)
-    norms = np.geomspace(1e-3, 5.0, 24)
+    norms = np.geomspace(1e-3 * top, top, 24)
     A = (rng.standard_normal((norms.size, dim, dim))
          + 1j * rng.standard_normal((norms.size, dim, dim)))
     A *= (norms / np.linalg.norm(A, ord=1, axis=(1, 2)))[:, None, None]
-    got = evans._expm(A)
-    for g, a in zip(got, A):
-        want = scipy_linalg.expm(a)
-        assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
+    used = set()
+
+    class Recorded(dict):
+        def __getitem__(self, m):
+            used.add(m)
+            return dict.__getitem__(self, m)
+
+    monkeypatch.setattr(evans, "_PADE", Recorded(evans._PADE))
+    got, got_adjoint = evans._expm(A, adjoint=True)
+    assert used == {degree}
+    assert np.array_equal(evans._expm(A), got)
+    for g, ga, a in zip(got, got_adjoint, A):
+        for value, want in ((g, scipy_linalg.expm(a)),
+                            (ga, scipy_linalg.expm(-a.T))):
+            assert np.linalg.norm(value - want) <= 1e-13 * np.linalg.norm(
+                want)
+
+
+def test_non_finite_adjoint_propagator_is_refused(bh_system, monkeypatch):
+    """exp(Omega) can stay finite where exp(-Omega^T) overflows; the
+    finiteness check covers both halves of the Pade pair."""
+    def steep(system, A0, edges):
+        Omega = np.zeros((edges.size - 1, 4, 4), dtype=complex)
+        Omega[:, 0, 0] = -800.0
+        return Omega
+
+    monkeypatch.setattr(evans, "_step_exponents", steep)
+    lam = 3.0 + 2.0j
+    basis = wd.system_basis(bh_system, lam)
+    params = evans.IntegrationParams()
+    plain, = evans._segment_runs(bh_system, lam, basis, "plus", params,
+                                 x_stop=0.37)
+    assert np.all(np.isfinite(plain[5]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StiffnessFailure, match="plus run"):
+        evans._segment_runs(bh_system, lam, basis, "plus", params,
+                            x_stop=0.37, adjoints=(False, True))
+
+
+def _reference_boundaries(x_from, x_to, step, extra=()):
+    """Stored points of a run, merged one by one."""
+    lo, hi = min(x_from, x_to), max(x_from, x_to)
+    n_seg = max(1, int(math.ceil((hi - lo) / step - 1e-12)))
+    pts = list(np.linspace(lo, hi, n_seg + 1))
+    for e in extra:
+        if not (lo - 1e-9 <= float(e) <= hi + 1e-9):
+            raise ConfigError(f"sample point {float(e)} outside the run "
+                              f"[{lo}, {hi}]")
+        pts.append(float(e))
+    pts.sort()
+    merged = [pts[0]]
+    for p in pts[1:]:
+        if p - merged[-1] > 1e-10:
+            merged.append(p)
+    merged[0], merged[-1] = lo, hi
+    out = np.array(merged)
+    return out if x_from <= x_to else out[::-1].copy()
+
+
+def _reference_step_edges(bounds, h):
+    """Step edges of a run, one np.linspace per piece of a segment."""
+    edges = [float(bounds[0])]
+    ends = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        cuts = [a, 0.0, b] if min(a, b) < 0.0 < max(a, b) else [a, b]
+        for p, q in zip(cuts[:-1], cuts[1:]):
+            m = max(1, int(math.ceil(abs(q - p) / h - 1e-12)))
+            edges.extend(np.linspace(p, q, m + 1)[1:])
+        ends.append(len(edges) - 1)
+    return np.array(edges), ends
+
+
+@pytest.mark.parametrize("x_from,x_to,step,extra,h", [
+    # pulse minus run over the window with the matching point stored
+    (-20.0, 20.0, 1.0, (0.37,), 0.0625),
+    # front plus run crossing 0 between stored points
+    (20.0, -2.5, 0.96, (), 0.0731),
+    # uneven segments: two sample points, a step that does not divide
+    (20.0, -7.3, 0.77, (0.37, -2.0), 0.0519),
+    (-20.0, 3.3, 2.3, (-1e-3, 1e-11), 0.2),
+])
+def test_step_edges_match_the_loop(x_from, x_to, step, extra, h):
+    """The vectorized boundaries and step edges reproduce the per-segment
+    loops bit for bit, including the cut at x = 0."""
+    bounds = evans._boundaries(x_from, x_to, step, extra)
+    assert np.array_equal(bounds,
+                          _reference_boundaries(x_from, x_to, step, extra))
+    edges, ends = evans._step_edges(bounds, h)
+    want_edges, want_ends = _reference_step_edges(bounds, h)
+    assert np.array_equal(edges, want_edges)
+    assert list(ends) == want_ends
+    with pytest.raises(ConfigError, match="outside the run"):
+        evans._boundaries(x_from, x_to, step, (25.0,))
 
 
 def test_evans_ratio_is_sixth_order_in_the_step(pt_system):
@@ -276,12 +380,13 @@ def test_segment_products_match_stepwise_propagation(case, lam, entries):
 
 def test_adjoint_run_shares_the_plus_exponents(bh_system):
     """The plus run and its adjoint from one set of exponents and one
-    batched exponential equal the two standalone runs."""
+    Pade pair, swept together, equal the two standalone runs."""
     lam = 3.0 + 2.0j
     basis = wd.system_basis(bh_system, lam)
     params = evans.IntegrationParams()
-    shared = evans._propagate_runs(bh_system, lam, basis, "plus", params,
-                                   x_stop=0.37, adjoints=(False, True))
+    shared = evans._sweep(evans._segment_runs(
+        bh_system, lam, basis, "plus", params, x_stop=0.37,
+        adjoints=(False, True)))
     for run, adjoint in zip(shared, (False, True)):
         alone = evans._propagate_columns(bh_system, lam, basis, "plus",
                                          params, x_stop=0.37,
@@ -398,6 +503,28 @@ def test_fourth_order_two_column_pipeline():
     assert abs(res.ratio - d1) < 1e-6
     other = wd.evans_function(bs, lam, matching_point=1.0)
     assert abs(res.ratio - other.ratio) < 1e-8 * abs(res.ratio)
+
+
+def test_batch_working_set_is_flat(pt_system):
+    """The Jost runs go through the QR sweep _SWEEP_SLICE lambdas at a
+    time and each slice is released before the next, so 64 lambdas peak
+    within 10% of 8; what grows is the list of results."""
+    import tracemalloc
+
+    lams = [complex(3.0 + np.cos(t), 2.0 + np.sin(t))
+            for t in np.linspace(0.0, 6.0, 64)]
+
+    def peak(lams):
+        tracemalloc.start()
+        try:
+            evans.evans_and_swinton_many(pt_system, lams)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert evans._SWEEP_SLICE <= 8
+    peak(lams[:8])      # caches and lazy imports
+    assert peak(lams) <= 1.1 * peak(lams[:8])
 
 
 # ---------------------------------------------------------------------------
