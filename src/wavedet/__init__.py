@@ -19,84 +19,60 @@ The ``wavedet`` console script drives everything from JSON configs.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    WavedetError,
-    ConfigError,
-    EssentialSpectrum,
-    NearMultipleRoots,
-    IllConditioned,
-    SignMismatch,
-    StiffnessFailure,
-    PhaseJump,
-    NoConvergence,
-    CountMismatch,
-)
-from .model import (
-    WaveProfile,
-    ScalarProblem,
-    SystemProblem,
-    SpectralPoint,
-    builtin_problem,
-    make_profile,
-    tabulated_profile,
-    to_system,
-    essential_spectrum_distance,
-    symbol_curve,
-    classify_point,
-    char_roots,
-)
-from .greens import (
-    RootSplit,
-    GreenCoefficients,
-    UnperturbedBasis,
-    classify_roots,
-    alpha_coefficients,
-    scalar_green,
-    unperturbed_bases,
-    basis_from_roots,
-    system_basis,
-    matrix_basis,
-    matrix_green,
-)
-from .fredholm import (
-    QuadratureGrid,
-    DeterminantResult,
-    build_grid,
-    default_grid,
-    det1,
-    det2,
-    detp,
-    trace_scalar,
-    trace_system,
-    series_coefficient,
-    limit_normalization_check,
-)
-from .evans import (
-    IntegrationParams,
-    JostSolution,
-    EvansResult,
-    jost_minus,
-    jost_plus,
-    evans_function,
-    evans_and_swinton,
-    transmission_matrix,
-    swinton_matrix,
-    born_transmission,
-    identity_report,
-)
-from .fronts import (
-    FrontReference,
-    front_split,
-    front_reference,
-    front_basis,
-    front_det2,
-    reference_system,
-)
-from .locate import (
-    Contour,
-    RootReport,
-    winding_number,
-    refine_root,
-    scan,
-    locate_roots,
-)
+from importlib import import_module as _import_module
+
+# public name -> the submodule that defines it.  The names and the
+# submodules resolve on first access (PEP 562), so ``import wavedet``
+# loads no submodule and a command loads only its own route.
+_HOMES = {
+    **dict.fromkeys((
+        "WavedetError", "ConfigError", "EssentialSpectrum",
+        "NearMultipleRoots", "IllConditioned", "SignMismatch",
+        "StiffnessFailure", "PhaseJump", "NoConvergence", "CountMismatch"),
+        "errors"),
+    **dict.fromkeys((
+        "WaveProfile", "ScalarProblem", "SystemProblem", "SpectralPoint",
+        "builtin_problem", "make_profile", "tabulated_profile", "to_system",
+        "essential_spectrum_distance", "symbol_curve", "classify_point",
+        "char_roots", "QuadratureGrid", "build_grid", "default_grid",
+        "IntegrationParams"), "model"),
+    **dict.fromkeys((
+        "RootSplit", "GreenCoefficients", "UnperturbedBasis",
+        "classify_roots", "alpha_coefficients", "scalar_green",
+        "unperturbed_bases", "basis_from_roots", "system_basis",
+        "matrix_basis", "matrix_green"), "greens"),
+    **dict.fromkeys((
+        "DeterminantResult", "det1", "det2", "detp", "trace_scalar",
+        "trace_system", "series_coefficient", "limit_normalization_check"),
+        "fredholm"),
+    **dict.fromkeys((
+        "JostSolution", "EvansResult", "jost_minus", "jost_plus",
+        "evans_function", "evans_and_swinton", "transmission_matrix",
+        "swinton_matrix", "born_transmission", "identity_report"), "evans"),
+    **dict.fromkeys((
+        "FrontReference", "front_split", "front_reference", "front_basis",
+        "front_det2", "reference_system"), "fronts"),
+    **dict.fromkeys((
+        "Contour", "RootReport", "winding_number", "refine_root", "scan",
+        "locate_roots"), "locate"),
+}
+_SUBMODULES = ("errors", "model", "greens", "fredholm", "evans", "fronts",
+               "locate")
+__all__ = sorted([*_HOMES, *_SUBMODULES])
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    helpers = {"__all__", "__getattr__", "__dir__", "_import_module",
+               "_HOMES", "_SUBMODULES"}
+    return sorted((globals().keys() - helpers) | _HOMES.keys()
+                  | set(_SUBMODULES))

@@ -32,13 +32,14 @@ JSON error object to stderr.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from . import evans, fredholm, fronts, greens, locate, model
+from . import model
 from .errors import ConfigError, WavedetError
 
 __all__ = ["main"]
@@ -61,12 +62,32 @@ _COMMAND_KEYS = {
     "converge": ("lambda", "quantity", "n_list", "x_list"),
 }
 
+# the modules that each command's handler runs.  ``main`` loads them right
+# after the arguments are parsed: outside the handler's work, and before
+# the config is read, so their compilation does not sit on its heap.  The
+# route modules that a config selects are loaded by ``Run``.  A handler
+# still imports what it calls, which is a no-op once loaded.
+_ROUTES = {
+    "roots": ("greens",),
+    "det": ("fredholm",),
+    "evans": ("evans",),
+    "compare": ("evans", "fredholm"),
+    "locate": ("fredholm", "locate"),
+    "scan": ("fredholm", "locate"),
+    "converge": ("fredholm",),
+}
+
 _DOMAIN_DEFAULTS = {"half_width": 20.0, "quad_points": 400,
                     "rule": "gauss_legendre", "panel_order": 10}
 _TOL_DEFAULTS = {"axis": model.AXIS_TOL, "det": 1e-10}
 _EVANS_DEFAULTS = {"rtol": 1e-10, "renorm_threshold": 1e8,
                    "orthogonalize_interval": 1.0}
 _OUTPUT_DEFAULTS = {"format": "csv", "path": None}
+
+
+def _load(*names):
+    for name in names:
+        importlib.import_module(f"{__package__}.{name}")
 
 
 def _check_keys(block, allowed, path):
@@ -255,12 +276,12 @@ class Run:
                               "output")
         if self.output["format"] not in ("csv", "json"):
             raise ConfigError("output.format must be 'csv' or 'json'")
-        self.grid = fredholm.build_grid(
+        self.grid = model.build_grid(
             _as_float(self.domain["half_width"], "domain.half_width"),
             _as_int(self.domain["quad_points"], "domain.quad_points"),
             self.domain["rule"],
             _as_int(self.domain["panel_order"], "domain.panel_order"))
-        self.params = evans.IntegrationParams(
+        self.params = model.IntegrationParams(
             half_width=float(self.domain["half_width"]),
             rtol=_as_float(evans_block["rtol"], "evans.rtol"),
             renorm_threshold=_as_float(evans_block["renorm_threshold"],
@@ -270,6 +291,12 @@ class Run:
                 "evans.orthogonalize_interval"))
         self.extra = {key: config[key] for key in _COMMAND_KEYS[command]
                       if key in config}
+        # the route modules that the config selects: a front's Fredholm
+        # determinant is fronts.front_det2
+        if self.system.is_front and "fredholm" in _ROUTES[command]:
+            _load("fronts")
+        if self.extra.get("function") == "evans":
+            _load("evans")
         self.resolved = {
             "command": command,
             "problem": problem_echo,
@@ -304,26 +331,30 @@ class Run:
     def target_function(self):
         """The map lambda -> value that locate / scan walk; the Fredholm
         determinants are ``locate.Batched``, evaluated a list at a time."""
+        from . import locate
         name = self.extra.get("function", "det1")
         if name not in ("det1", "det2", "front_det2", "evans"):
             raise ConfigError("function must be det1, det2, front_det2 or "
                               "evans")
         self.resolved["function"] = name
+        if name == "evans":
+            from . import evans
+            return name, locate.Batched(lambda lams: [
+                res.ratio for res in evans.evans_function_many(
+                    self.system, lams, matching_point=self.matching_point,
+                    params=self.params)])
+        from . import fredholm
         if name == "det1":
             return name, locate.Batched(lambda lams: [
                 res.value for res in fredholm.det1_many(self.problem, lams,
                                                         self.grid)])
-        if name == "front_det2" or (name == "det2" and self.system.is_front):
+        if name == "front_det2" or self.system.is_front:
+            from . import fronts
             return name, lambda lam: fronts.front_det2(self.system, lam,
                                                        self.grid).value
-        if name == "det2":
-            return name, locate.Batched(lambda lams: [
-                res.value for res in fredholm.det2_many(self.system, lams,
-                                                        self.grid)])
         return name, locate.Batched(lambda lams: [
-            res.ratio for res in evans.evans_function_many(
-                self.system, lams, matching_point=self.matching_point,
-                params=self.params)])
+            res.value for res in fredholm.det2_many(self.system, lams,
+                                                    self.grid)])
 
     def map(self, fn, items):
         return [fn(item) for item in items]
@@ -399,6 +430,7 @@ def _render(run, columns, rows, extras=None):
 
 def cmd_roots(run):
     """Characteristic roots, kernel weights, and the interface residuals."""
+    from . import greens
     lams = run.lambdas()
     n = run.problem.order
 
@@ -427,11 +459,13 @@ def cmd_roots(run):
 def cmd_det(run):
     """det1 / det2 / detp per lambda (front problems: the front det2); the
     Fredholm columns come from one batched call each."""
+    from . import fredholm
     p = _as_int(run.extra.get("p", 3), "p")
     fredholm._check_order(p)
     run.resolved["p"] = p
     lams = run.lambdas()
     if run.system.is_front:
+        from . import fronts
         columns = [("lambda", "c"), ("det2", "c")]
 
         def one(lam):
@@ -450,6 +484,7 @@ def cmd_det(run):
 def cmd_evans(run):
     """E, c, E/c and, for decaying perturbations, the transmission dets,
     from one batched call over the lambda rows."""
+    from . import evans
     lams = run.lambdas()
     columns = [("lambda", "c"), ("evans", "c"), ("c_lambda", "c"),
                ("ratio", "c")]
@@ -470,6 +505,7 @@ def cmd_evans(run):
 
 def cmd_compare(run):
     """Scalar determinant, transmission determinant, Evans ratio, det2."""
+    from . import evans
     lams = run.lambdas()
     columns = [("lambda", "c"), ("det1", "c"), ("det_transmission", "c"),
                ("evans_ratio", "c"), ("det2_product", "c"),
@@ -486,6 +522,7 @@ def cmd_compare(run):
 
 def cmd_locate(run):
     """Winding number of the chosen function plus refined interior roots."""
+    from . import locate
     low, high = run.rectangle()
     samples = _as_int(run.extra.get("samples_per_edge", 16),
                       "samples_per_edge")
@@ -511,6 +548,7 @@ def cmd_locate(run):
 
 def cmd_scan(run):
     """Grid samples of the chosen function over a rectangle."""
+    from . import locate
     low, high = run.rectangle()
     nx = _as_int(run.extra.get("nx", 7), "nx")
     ny = _as_int(run.extra.get("ny", nx), "ny")
@@ -525,6 +563,7 @@ def cmd_scan(run):
 
 def cmd_converge(run):
     """Self-convergence sweeps: halve the node spacing, widen the window."""
+    from . import fredholm
     lam = _as_complex(run.extra.get("lambda", 4.0), "lambda")
     quantity = run.extra.get("quantity", "det1")
     if quantity not in ("det1", "det2"):
@@ -546,10 +585,11 @@ def cmd_converge(run):
     def value(n_points, half_width):
         key = (n_points, half_width)
         if key not in cache:
-            grid = fredholm.build_grid(half_width, n_points, rule, porder)
+            grid = model.build_grid(half_width, n_points, rule, porder)
             if quantity == "det1":
                 cache[key] = fredholm.det1(run.problem, lam, grid).value
             elif run.system.is_front:
+                from . import fronts
                 cache[key] = fronts.front_det2(run.system, lam, grid).value
             else:
                 cache[key] = fredholm.det2(run.system, lam, grid).value
@@ -620,6 +660,7 @@ def _emit_error(kind, exc):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    _load(*_ROUTES[args.command])
     try:
         config = _load_config(args.config)
         _apply_overrides(config, args.override)

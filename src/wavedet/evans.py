@@ -30,10 +30,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import fredholm, greens, model
+from . import greens, model
 from .errors import ConfigError, CountMismatch, StiffnessFailure
 from .greens import UnperturbedBasis
-from .model import ScalarProblem, SystemProblem
+# IntegrationParams lives in model, so a command validates it before
+# loading this module; it is re-exported here under its old name
+from .model import IntegrationParams, ScalarProblem, SystemProblem
 
 __all__ = [
     "IntegrationParams",
@@ -50,37 +52,6 @@ __all__ = [
     "born_transmission",
     "identity_report",
 ]
-
-
-@dataclass(frozen=True)
-class IntegrationParams:
-    """Knobs for the Jost integrations.
-
-    half_width is the truncation X shared with the quadrature grids.  rtol
-    is the accuracy target that sets the Magnus step: h = theta /
-    (max |kappa| + 1) over the characteristic roots of both ends, with
-    theta = 0.15 (rtol / 1e-10)^(1/6) for the sixth-order local error.
-    renorm_threshold caps the growth allowed between renormalizations (the
-    segment length shrinks when the fastest characteristic rate would
-    exceed it), and orthogonalize_interval is the largest x-distance
-    between the QR sweeps that keep multi-column solutions from collapsing
-    onto the fastest-growing mode.
-    """
-
-    half_width: float = 20.0
-    rtol: float = 1e-10
-    renorm_threshold: float = 1e8
-    orthogonalize_interval: float = 1.0
-
-    def __post_init__(self):
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ConfigError("half_width must be positive and finite")
-        if not (0.0 < self.rtol < 1e-2):
-            raise ConfigError("rtol out of range (0, 1e-2)")
-        if self.renorm_threshold < 1e2:
-            raise ConfigError("renorm_threshold too small to be useful")
-        if self.orthogonalize_interval <= 0:
-            raise ConfigError("orthogonalize_interval must be positive")
 
 
 def _index_of(xs: np.ndarray, x: float) -> int:
@@ -328,15 +299,16 @@ def _segment_products(E: np.ndarray, ends: Sequence[int]) -> np.ndarray:
 
 def _segment_runs(system: SystemProblem, lam: complex,
                   basis: UnperturbedBasis, direction: str,
-                  params: IntegrationParams,
+                  params: IntegrationParams, h: float,
                   x_stop: Optional[float] = None,
                   sample_points: Sequence[float] = (),
                   adjoints: Sequence[bool] = (False,)) -> list[tuple]:
     """One run per entry of adjoints (see ``_propagate_columns``) as the
     tuple (direction, basis, bounds, starting block, its logs, segment
-    products) that ``_sweep`` takes.  The runs share the bounds, step
-    edges and Magnus exponents Omega, and the exponentials exp(-Omega^T)
-    of an adjoint run are the second half of the Pade pair of ``_expm``."""
+    products) that ``_sweep`` takes, with Magnus steps of at most h
+    (``_step_length``).  The runs share the bounds, step edges and Magnus
+    exponents Omega, and the exponentials exp(-Omega^T) of an adjoint run
+    are the second half of the Pade pair of ``_expm``."""
     if direction not in ("minus", "plus"):
         raise ConfigError("direction must be 'minus' or 'plus'")
     x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
@@ -346,7 +318,7 @@ def _segment_runs(system: SystemProblem, lam: complex,
     A0 = np.asarray(system.base_matrix(lam), dtype=complex)
     bounds = _boundaries(x_from, x_to, _segment_step(params, basis),
                          sample_points)
-    edges, ends = _step_edges(bounds, _step_length(system, A0, params))
+    edges, ends = _step_edges(bounds, h)
     E = _expm(_step_exponents(system, A0, edges), any(adjoints))
     if not np.all(np.isfinite(E)):
         raise StiffnessFailure(
@@ -415,7 +387,8 @@ def _propagate_columns(system: SystemProblem, lam: complex,
     exponent is -Omega^T, the sixth-order Magnus exponent of -G^T term by
     term.  A ``_sweep`` of one run.
     """
-    return _sweep(_segment_runs(system, lam, basis, direction, params,
+    h = _step_length(system, system.base_matrix(lam), params)
+    return _sweep(_segment_runs(system, lam, basis, direction, params, h,
                                 x_stop, sample_points, (adjoint,)))[0]
 
 
@@ -481,8 +454,10 @@ def _jost_routes(system, lams: Sequence[complex], matching_point: float,
         runs = []
         for lam in lams[start:start + _SWEEP_SLICE]:
             bm, bp = _side_bases(sysm, lam)
-            runs += _segment_runs(sysm, lam, bm, "minus", params, **minus)
-            runs += _segment_runs(sysm, lam, bp, "plus", params, x_stop=x0,
+            # one step for the runs of a lambda, from both end matrices
+            h = _step_length(sysm, sysm.base_matrix(lam), params)
+            runs += _segment_runs(sysm, lam, bm, "minus", params, h, **minus)
+            runs += _segment_runs(sysm, lam, bp, "plus", params, h, x_stop=x0,
                                   adjoints=(False, True)[:1 + swinton])
         sols = _sweep(runs)
         for r in range(0, len(sols), 2 + swinton):
@@ -601,7 +576,7 @@ def born_transmission(system, lam: complex, grid=None) -> np.ndarray:
     sysm = model.as_system(system)
     if sysm.is_front:
         raise ConfigError("weak-coupling route needs a decaying perturbation")
-    grid = grid if grid is not None else fredholm.default_grid()
+    grid = grid if grid is not None else model.default_grid()
     basis = greens.system_basis(sysm, lam)
     k = basis.k
     kp = np.array(basis.roots.plus)
@@ -623,6 +598,7 @@ def identity_report(problem, lam: complex, grid=None,
     estimate of the combined quadrature, integration, and truncation
     error.
     """
+    from . import fredholm
     if isinstance(problem, SystemProblem):
         if problem.source is None or problem.is_front:
             raise ConfigError("identity report needs a scalar-derived pulse")
@@ -633,7 +609,7 @@ def identity_report(problem, lam: complex, grid=None,
         scalar, sysm = problem, model.to_system(problem)
     else:
         raise ConfigError("expected a ScalarProblem or SystemProblem")
-    grid = grid if grid is not None else fredholm.default_grid()
+    grid = grid if grid is not None else model.default_grid()
     d_val = fredholm.det1(scalar, lam, grid).value
     er = evans_function(sysm, lam, params=params)
     d2 = fredholm.det2(sysm, lam, grid)

@@ -66,7 +66,10 @@ import numpy as np
 from . import greens
 from .errors import ConfigError, SignMismatch, raise_first
 from .greens import UnperturbedBasis
-from .model import ScalarProblem, SystemProblem
+# the grid lives in model, so a command validates it before loading this
+# module; it is re-exported here under its old names
+from .model import (QuadratureGrid, ScalarProblem, SystemProblem, build_grid,
+                    default_grid)
 
 __all__ = [
     "QuadratureGrid",
@@ -89,25 +92,9 @@ __all__ = [
     "default_grid",
 ]
 
-DEFAULT_HALF_WIDTH = 20.0
-DEFAULT_POINTS = 400
-DEFAULT_PANEL_ORDER = 10
 # lambdas x N b^2 of one engine slice: 8 lambdas of a 200-node scalar
 # kernel, one of an 800-node 2 x 2 system
 _SLICE_BUDGET = 1600
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    half_width: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    rule: str
-    panel_order: int = DEFAULT_PANEL_ORDER
-
-    @property
-    def signature(self) -> tuple:
-        return (self.half_width, int(self.nodes.size), self.rule)
 
 
 @dataclass(frozen=True)
@@ -119,46 +106,6 @@ class DeterminantResult:
     # sum of the column Hadamard ratios log(||R[:i+1, i]|| / |R_ii|) of the
     # QR sweep's triangular factor, >= 0, inf if singular
     condition_hint: float
-
-
-def build_grid(half_width: float, n_points: int,
-               rule: str = "gauss_legendre",
-               panel_order: int = DEFAULT_PANEL_ORDER) -> QuadratureGrid:
-    """Quadrature rule on [-X, X] with total weight 2X.
-
-    gauss_legendre: ceil(N / panel_order) equal panels with panel_order
-    points each (the node count is rounded up to a full panel).
-    trapezoid: N equally spaced nodes including the endpoints.
-    On either rule panel_order >= 1 is also the block size of the
-    determinant sweep.
-    """
-    X = float(half_width)
-    if panel_order < 1:
-        raise ConfigError("panel_order must be at least 1")
-    if not X > 0:
-        raise ConfigError("half_width must be positive")
-    if n_points < 4:
-        raise ConfigError("need at least 4 quadrature points")
-    if rule == "trapezoid":
-        nodes = np.linspace(-X, X, n_points)
-        h = 2.0 * X / (n_points - 1)
-        weights = np.full(n_points, h)
-        weights[0] = weights[-1] = h / 2.0
-        return QuadratureGrid(X, nodes, weights, rule, panel_order)
-    if rule != "gauss_legendre":
-        raise ConfigError(f"unknown quadrature rule {rule!r}")
-    panels = -(-n_points // panel_order)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(panel_order)
-    edges = np.linspace(-X, X, panels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    rad = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + rad[:, None] * ref_x[None, :]).ravel()
-    weights = (rad[:, None] * ref_w[None, :]).ravel()
-    return QuadratureGrid(X, nodes, weights, rule, panel_order)
-
-
-def default_grid() -> QuadratureGrid:
-    return build_grid(DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
 
 
 def _gl_panels(grid: QuadratureGrid):
@@ -256,9 +203,11 @@ class _Terms:
 def _groups(kappa: np.ndarray, k: np.ndarray, u: np.ndarray,
             r: np.ndarray) -> list[tuple[np.ndarray, _Terms]]:
     """The terms of L lambdas grouped by k: (indices of the group's
-    lambdas, their terms), by ascending k."""
-    return [(idx, _Terms(kappa[idx], int(kk), u[idx], r[idx]))
-            for kk in np.unique(k) for idx in [np.flatnonzero(k == kk)]]
+    lambdas, their terms), by ascending k.  The k are collected by a set,
+    not np.unique, whose first call imports numpy.ma."""
+    return [(idx, _Terms(kappa[idx], kk, u[idx], r[idx]))
+            for kk in sorted(set(k.tolist()))
+            for idx in [np.flatnonzero(k == kk)]]
 
 
 def _scalar_weight(problem: ScalarProblem) -> Callable:

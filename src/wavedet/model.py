@@ -16,6 +16,10 @@ perturbation in its bottom row.  R here is the *physical* perturbation: the
 first-order system above is literally equivalent to L u = lambda u, which
 pins its bottom-row entries to -C(m,i) (d/dx)^(m-i) v.  Kernel-side
 weightings that need the opposite sign absorb it internally.
+
+The truncation window is shared by both pipelines, so its quadrature grid
+(``build_grid``) and the Jost integration parameters (``IntegrationParams``)
+live here too: a command validates both without loading either route.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ __all__ = [
     "classify_point",
     "classify_points",
     "char_roots",
+    "QuadratureGrid",
+    "build_grid",
+    "default_grid",
+    "IntegrationParams",
 ]
 
 AXIS_TOL = 1e-8
@@ -649,3 +657,95 @@ def as_system(obj) -> SystemProblem:
     if isinstance(obj, ScalarProblem):
         return to_system(obj)
     raise ConfigError("expected a ScalarProblem or SystemProblem")
+
+
+# ---------------------------------------------------------------------------
+# the truncation window: quadrature grids and Jost integration parameters
+
+DEFAULT_HALF_WIDTH = 20.0
+DEFAULT_POINTS = 400
+DEFAULT_PANEL_ORDER = 10
+
+
+@dataclass(frozen=True)
+class QuadratureGrid:
+    half_width: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    rule: str
+    panel_order: int = DEFAULT_PANEL_ORDER
+
+    @property
+    def signature(self) -> tuple:
+        return (self.half_width, int(self.nodes.size), self.rule)
+
+
+def build_grid(half_width: float, n_points: int,
+               rule: str = "gauss_legendre",
+               panel_order: int = DEFAULT_PANEL_ORDER) -> QuadratureGrid:
+    """Quadrature rule on [-X, X] with total weight 2X.
+
+    gauss_legendre: ceil(N / panel_order) equal panels with panel_order
+    points each (the node count is rounded up to a full panel).
+    trapezoid: N equally spaced nodes including the endpoints.
+    On either rule panel_order >= 1 is also the block size of the
+    determinant sweep.
+    """
+    X = float(half_width)
+    if panel_order < 1:
+        raise ConfigError("panel_order must be at least 1")
+    if not X > 0:
+        raise ConfigError("half_width must be positive")
+    if n_points < 4:
+        raise ConfigError("need at least 4 quadrature points")
+    if rule == "trapezoid":
+        nodes = np.linspace(-X, X, n_points)
+        h = 2.0 * X / (n_points - 1)
+        weights = np.full(n_points, h)
+        weights[0] = weights[-1] = h / 2.0
+        return QuadratureGrid(X, nodes, weights, rule, panel_order)
+    if rule != "gauss_legendre":
+        raise ConfigError(f"unknown quadrature rule {rule!r}")
+    panels = -(-n_points // panel_order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(panel_order)
+    edges = np.linspace(-X, X, panels + 1)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    rad = (edges[1:] - edges[:-1]) / 2.0
+    nodes = (mid[:, None] + rad[:, None] * ref_x[None, :]).ravel()
+    weights = (rad[:, None] * ref_w[None, :]).ravel()
+    return QuadratureGrid(X, nodes, weights, rule, panel_order)
+
+
+def default_grid() -> QuadratureGrid:
+    return build_grid(DEFAULT_HALF_WIDTH, DEFAULT_POINTS)
+
+
+@dataclass(frozen=True)
+class IntegrationParams:
+    """Knobs for the Jost integrations.
+
+    half_width is the truncation X shared with the quadrature grids.  rtol
+    is the accuracy target that sets the Magnus step: h = theta /
+    (max |kappa| + 1) over the characteristic roots of both ends, with
+    theta = 0.15 (rtol / 1e-10)^(1/6) for the sixth-order local error.
+    renorm_threshold caps the growth allowed between renormalizations (the
+    segment length shrinks when the fastest characteristic rate would
+    exceed it), and orthogonalize_interval is the largest x-distance
+    between the QR sweeps that keep multi-column solutions from collapsing
+    onto the fastest-growing mode.
+    """
+
+    half_width: float = 20.0
+    rtol: float = 1e-10
+    renorm_threshold: float = 1e8
+    orthogonalize_interval: float = 1.0
+
+    def __post_init__(self):
+        if not (self.half_width > 0 and math.isfinite(self.half_width)):
+            raise ConfigError("half_width must be positive and finite")
+        if not (0.0 < self.rtol < 1e-2):
+            raise ConfigError("rtol out of range (0, 1e-2)")
+        if self.renorm_threshold < 1e2:
+            raise ConfigError("renorm_threshold too small to be useful")
+        if self.orthogonalize_interval <= 0:
+            raise ConfigError("orthogonalize_interval must be positive")

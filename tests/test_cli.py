@@ -268,12 +268,14 @@ def test_evans_batch_rows_equal_batches_of_one(case, tmp_path, capsys,
     if case == "biharmonic":
         sysm = wavedet.to_system(wavedet.builtin_problem("biharmonic_demo"))
         params = evans.IntegrationParams(renorm_threshold=100.0)
+        steps = [evans._step_length(sysm, sysm.base_matrix(lam), params)
+                 for lam in lams]
         runs = [evans._segment_runs(sysm, lam,
                                     wavedet.system_basis(sysm, lam),
-                                    "minus", params)[0] for lam in lams]
+                                    "minus", params, h)[0]
+                for lam, h in zip(lams, steps)]
         assert len({len(run[5]) for run in runs}) > 2
-        assert len({evans._step_length(sysm, sysm.base_matrix(lam), params)
-                    for lam in lams}) == len(lams)
+        assert len(set(steps)) == len(lams)
 
 
 def test_evans_batch_refusal_matches_the_loop(tmp_path, capsys):
@@ -298,13 +300,14 @@ def test_evans_batch_refusal_matches_the_loop(tmp_path, capsys):
 
 
 def test_evans_batches_the_qr_sweep(tmp_path, capsys, monkeypatch):
-    """Four biharmonic lambdas: two sets of step exponents per lambda, one
-    sweep, and one stacked QR per segment of the longest run (40 unit
-    segments over [-20, 20]), where a sweep per run made 320 single QRs."""
+    """Four biharmonic lambdas: one step length and two sets of step
+    exponents per lambda, one sweep, and one stacked QR per segment of the
+    longest run (40 unit segments over [-20, 20]), where a sweep per run
+    made 320 single QRs."""
     lams = [3.0 + 2.0j, -2.0 + 1.5j, -4.0 - 1.0j, 1.0 - 3.5j]
-    calls = {"_step_exponents": 0, "_sweep": 0, "qr": 0}
-    for owner, name in ((evans, "_step_exponents"), (evans, "_sweep"),
-                        (np.linalg, "qr")):
+    calls = {"_step_length": 0, "_step_exponents": 0, "_sweep": 0, "qr": 0}
+    for owner, name in ((evans, "_step_length"), (evans, "_step_exponents"),
+                        (evans, "_sweep"), (np.linalg, "qr")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -313,7 +316,8 @@ def test_evans_batches_the_qr_sweep(tmp_path, capsys, monkeypatch):
                                    "lambdas": _pairs(lams)})
     code, out, err = run_cli(capsys, "evans", "--config", path)
     assert code == 0
-    assert calls == {"_step_exponents": 8, "_sweep": 1, "qr": 40}
+    assert calls == {"_step_length": 4, "_step_exponents": 8, "_sweep": 1,
+                     "qr": 40}
 
 
 def test_locate_evans_batched_matches_the_loop(tmp_path, capsys,
@@ -512,6 +516,110 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def _fresh_python(code, *args):
+    """stdout of code run by a new interpreter that imports this package."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wavedet.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+_RECTANGLE = {"corner_low": {"re": 3.1, "im": -0.5},
+              "corner_high": {"re": 4.9, "im": 0.5}}
+# command -> (config, its route modules, the wavedet submodules that its
+# process must not load)
+_STARTUP = {
+    "det": ({"problem": {"name": "poschl_teller"}, "lambdas": [4.0],
+             "domain": {"quad_points": 40}},
+            {"fredholm"}, {"evans", "locate", "fronts"}),
+    "evans": ({"problem": {"name": "biharmonic_demo"},
+               "lambdas": [{"re": 3.0, "im": 2.0}]},
+              {"evans"}, {"fredholm", "locate", "fronts"}),
+    "locate": ({"problem": {"name": "poschl_teller"}, "rectangle": _RECTANGLE,
+                "samples_per_edge": 6, "domain": {"quad_points": 100}},
+               {"fredholm", "locate"}, {"evans", "fronts"}),
+}
+
+
+@pytest.mark.parametrize("command", [None] + sorted(_STARTUP))
+def test_commands_load_only_their_route(command, tmp_path):
+    """A bare import loads no submodule but, at most, errors; a command
+    loads its own route modules, and neither numpy.ma (which np.unique
+    pulls in on numpy 2.x) nor scipy."""
+    code = ("import sys, wavedet\n"
+            "if sys.argv[1:]:\n"
+            "    from wavedet import cli\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted(sys.modules)))")
+    args = ()
+    if command is not None:
+        config = _STARTUP[command][0]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = (command, "--config", str(path), "--output",
+                str(tmp_path / "out.csv"))
+    loaded = set(_fresh_python(code, *args).split())
+    assert "numpy.ma" not in loaded
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    ours = {m.split(".", 1)[1] for m in loaded if m.startswith("wavedet.")}
+    if command is None:
+        assert ours <= {"errors"}
+    else:
+        _, route, unused = _STARTUP[command]
+        assert route <= ours and not ours & unused
+
+
+# dir(wavedet) of the package that imported every submodule eagerly
+_PUBLIC_DIR = [
+    "ConfigError", "Contour", "CountMismatch", "DeterminantResult",
+    "EssentialSpectrum", "EvansResult", "FrontReference",
+    "GreenCoefficients", "IllConditioned", "IntegrationParams",
+    "JostSolution", "NearMultipleRoots", "NoConvergence", "PhaseJump",
+    "QuadratureGrid", "RootReport", "RootSplit", "ScalarProblem",
+    "SignMismatch", "SpectralPoint", "StiffnessFailure", "SystemProblem",
+    "UnperturbedBasis", "WaveProfile", "WavedetError", "__builtins__",
+    "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+    "__package__", "__path__", "__spec__", "__version__",
+    "alpha_coefficients", "basis_from_roots", "born_transmission",
+    "build_grid", "builtin_problem", "char_roots", "classify_point",
+    "classify_roots", "default_grid", "det1", "det2", "detp", "errors",
+    "essential_spectrum_distance", "evans", "evans_and_swinton",
+    "evans_function", "fredholm", "front_basis", "front_det2",
+    "front_reference", "front_split", "fronts", "greens", "identity_report",
+    "jost_minus", "jost_plus", "limit_normalization_check", "locate",
+    "locate_roots", "make_profile", "matrix_basis", "matrix_green", "model",
+    "reference_system", "refine_root", "scalar_green", "scan",
+    "series_coefficient", "swinton_matrix", "symbol_curve", "system_basis",
+    "tabulated_profile", "to_system", "trace_scalar", "trace_system",
+    "transmission_matrix", "unperturbed_bases", "winding_number"]
+
+
+def test_lazy_package_keeps_its_public_api():
+    """dir(wavedet) is unchanged, every public name is the object of its
+    home module, submodules resolve without an import, and the grid and
+    parameters keep their old homes' names."""
+    fresh = ("import json, wavedet as wd\n"
+             "wd.locate.Contour(corner_low=0j, corner_high=1 + 1j)\n"
+             "print(json.dumps(dir(wd)))")
+    assert json.loads(_fresh_python(fresh)) == _PUBLIC_DIR
+    assert [n for n in dir(wavedet) if n != "cli"] == _PUBLIC_DIR
+    for name in _PUBLIC_DIR:
+        if name.startswith("__"):
+            continue
+        obj = getattr(wavedet, name)
+        if name in {"errors", "evans", "fredholm", "fronts", "greens",
+                    "locate", "model"}:
+            assert obj is sys.modules[f"wavedet.{name}"]
+        else:
+            assert getattr(sys.modules[obj.__module__], name) is obj
+    assert fredholm.build_grid is wavedet.model.build_grid
+    assert fredholm.QuadratureGrid is wavedet.model.QuadratureGrid
+    assert fredholm.default_grid is wavedet.model.default_grid
+    assert evans.IntegrationParams is wavedet.model.IntegrationParams
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wavedet.no_such_name
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -600,6 +708,35 @@ def test_det_order_out_of_range_is_exit_2(tmp_path, capsys, monkeypatch,
     obj = err_object(err)
     assert obj["kind"] == "config"
     assert "2 <= p <= 4" in obj["message"]
+
+
+_COMMAND_CONFIGS = {
+    "roots": {"lambdas": [4.0]}, "det": {"lambdas": [4.0]},
+    "evans": {"lambdas": [4.0]}, "compare": {"lambdas": [4.0]},
+    "locate": {"rectangle": _RECTANGLE}, "scan": {"rectangle": _RECTANGLE},
+    "converge": {}}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_CONFIGS))
+@pytest.mark.parametrize("override,message", [
+    ("domain.quad_points=2", "need at least 4 quadrature points"),
+    ("evans.rtol=0.5", "rtol out of range (0, 1e-2)")],
+    ids=["quad_points", "rtol"])
+def test_bad_grid_or_params_is_exit_2_before_any_lambda(
+        tmp_path, capsys, monkeypatch, command, override, message):
+    """Every command validates the grid and the Jost parameters with its
+    config, whichever route it runs, so its handler never starts."""
+    def no_handler(run):
+        raise AssertionError("handler entered")
+    monkeypatch.setitem(cli._HANDLERS, command, no_handler)
+    path = write_config(tmp_path, _COMMAND_CONFIGS[command])
+    code, out, err = run_cli(capsys, command, "--config", path,
+                             "--override", override)
+    assert code == 2 and out == ""
+    assert err == json.dumps({"error": {"kind": "config",
+                                        "message": message,
+                                        "type": "ConfigError"}},
+                             sort_keys=True) + "\n"
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

@@ -98,12 +98,13 @@ def test_non_finite_adjoint_propagator_is_refused(bh_system, monkeypatch):
     lam = 3.0 + 2.0j
     basis = wd.system_basis(bh_system, lam)
     params = evans.IntegrationParams()
-    plain, = evans._segment_runs(bh_system, lam, basis, "plus", params,
+    h = evans._step_length(bh_system, bh_system.base_matrix(lam), params)
+    plain, = evans._segment_runs(bh_system, lam, basis, "plus", params, h,
                                  x_stop=0.37)
     assert np.all(np.isfinite(plain[5]))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(StiffnessFailure, match="plus run"):
-        evans._segment_runs(bh_system, lam, basis, "plus", params,
+        evans._segment_runs(bh_system, lam, basis, "plus", params, h,
                             x_stop=0.37, adjoints=(False, True))
 
 
@@ -384,8 +385,9 @@ def test_adjoint_run_shares_the_plus_exponents(bh_system):
     lam = 3.0 + 2.0j
     basis = wd.system_basis(bh_system, lam)
     params = evans.IntegrationParams()
+    h = evans._step_length(bh_system, bh_system.base_matrix(lam), params)
     shared = evans._sweep(evans._segment_runs(
-        bh_system, lam, basis, "plus", params, x_stop=0.37,
+        bh_system, lam, basis, "plus", params, h, x_stop=0.37,
         adjoints=(False, True)))
     for run, adjoint in zip(shared, (False, True)):
         alone = evans._propagate_columns(bh_system, lam, basis, "plus",
