@@ -8,7 +8,15 @@ characteristic roots of rank-one terms
 
 plus roots on x < xi, minus roots on x >= xi.  One private engine over
 such terms (``_Terms``) serves both kernels, with lambda as the leading
-batch axis of every layer:
+batch axis of every layer.  The system weight W = -(R - R_inf) is n x n
+but vanishes outside the columns ``SystemProblem.column_support``, the
+first c = m + 1 for a first-order form: W = W_c E with E the constant
+c x n column selector, so the Nystrom matrix is S = A (I_N (x) E).  By
+Sylvester's identity det(I + A B) = det(I + B A), and tr (A B)^l =
+tr (B A)^l (Gohberg, Goldberg and Krupnik, Traces and Determinants of
+Linear Operators, Birkhauser 2000), the engine runs on the terms with
+u_j[cols], of length c, and the n x c samples W_c: N c unknowns instead
+of N n.  A general system has c = n, the scalar kernel c = n = 1.
 
 * Nystrom discretization in the similarity frame S_ij = K(x_i, x_j) w_j,
   with the determinant and trace powers of the symmetrically weighted
@@ -39,7 +47,7 @@ batch axis of every layer:
   Chandrasekaran et al., SIAM J. Matrix Anal. Appl. 27 (2005); Eidelman
   and Gohberg, IEOT 34 (1999)), and tr S, tr S^2, tr S^3 come from a left
   and a right sweep over the same generators (``_block_traces``): the
-  dense N b x N b matrix is never formed.
+  dense N c x N c matrix is never formed.
 * Regularized determinants (``_corrected_det``) that compensate the trace
   defect of det(I + S) with the exact traces, in the log domain.  det1 is
   order 1, with the analytic trace tau from the interface coefficients;
@@ -49,7 +57,7 @@ batch axis of every layer:
 lambdas from one stacked root split.  The lambdas are grouped by their
 plus-root count k, and a refused lambda raises the typed error of the
 first one in input order.  Each group goes through the engine
-(``_regularized``) in slices of at most _SLICE_BUDGET // (N b^2)
+(``_regularized``) in slices of at most _SLICE_BUDGET // (N c^2)
 lambdas, so the working set does not grow with the list.  ``det1``,
 ``det2``, ``detp``, ``det2_detp`` and ``trace_power_*`` are batches of
 one.
@@ -92,8 +100,8 @@ __all__ = [
     "default_grid",
 ]
 
-# lambdas x N b^2 of one engine slice: 8 lambdas of a 200-node scalar
-# kernel, one of an 800-node 2 x 2 system
+# lambdas x N c^2 of one engine slice: 8 lambdas of a 200-node scalar
+# kernel, two of an 800-node m = 0 system (c = 1)
 _SLICE_BUDGET = 1600
 
 
@@ -133,8 +141,6 @@ def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return L
 
 
-
-
 @functools.lru_cache(maxsize=None)
 def _panel_tables(q: int) -> tuple[np.ndarray, ...]:
     """Product-integration and partial-panel rules of the reference panel
@@ -172,8 +178,9 @@ class _Terms:
 
     the first k terms (Re kappa_j > 0) on x < xi, the others on x >= xi.
     kappa has shape (L, n); u and r hold the column and row factors u_j,
-    r_j as rows, shape (L, n, b).  The weight W is the same for every
-    lambda and lives in ``_Samples``.
+    r_j as rows, shapes (L, n, c) and (L, n, b).  The weight W, b x c, is
+    the same for every lambda and lives in ``_Samples``; c = b = 1 for the
+    scalar kernel, b = n and c the column support for the matrix kernel.
     """
 
     kappa: np.ndarray
@@ -186,7 +193,7 @@ class _Terms:
 
     def branch(self, d: np.ndarray, side: int) -> np.ndarray:
         """K without the weight at offsets d = x - xi, shape
-        (L,) + d.shape + (b, b), from one branch continued past the
+        (L,) + d.shape + (c, b), from one branch continued past the
         diagonal: side 0 the x >= xi terms, side 1 the x < xi terms."""
         sel = slice(self.k, None) if side == 0 else slice(0, self.k)
         kap = self.kappa[:, sel]
@@ -240,26 +247,33 @@ def _analytic_traces(problem: ScalarProblem, groups: list,
 
 
 def _system_weight(system: SystemProblem) -> Callable:
-    """W = -(R - R_inf), shape x.shape + (n, n)."""
-    return lambda x: -system.decaying_part(x)
+    """W_c = -(R - R_inf) on the column support, shape x.shape + (n, c)."""
+    cols = system.column_support
+
+    def weight(x):
+        # negated in place: the n x n samples are the one array formed
+        W = system.decaying_part(x)[..., cols]
+        return np.negative(W, out=W)
+    return weight
 
 
 def _system_terms(kappa: np.ndarray, k: np.ndarray, P: np.ndarray,
-                  Pinv: np.ndarray) -> list:
-    """``_groups`` of the matrix kernels: u_j = -P[:, j] (plus roots) or
-    +P[:, j] (minus roots), r_j = Pinv[j, :], W = -(R - R_inf): the
-    eigenvalue condition reads (I - K0 R) Y = 0, and the folded sign keeps
-    the det(I + .) form."""
+                  Pinv: np.ndarray, cols: slice) -> list:
+    """``_groups`` of the matrix kernels on the columns cols: u_j =
+    -P[cols, j] (plus roots) or +P[cols, j] (minus roots), r_j =
+    Pinv[j, :], W = -(R - R_inf)[:, cols]: the eigenvalue condition reads
+    (I - K0 R) Y = 0, and the folded sign keeps the det(I + .) form."""
     sign = np.where(np.arange(kappa.shape[1]) < k[:, None], -1.0, 1.0)
-    return _groups(kappa, k, sign[..., None] * P.swapaxes(1, 2), Pinv)
+    return _groups(kappa, k, sign[..., None] * P.swapaxes(1, 2)[..., cols],
+                   Pinv)
 
 
 @dataclass(frozen=True)
 class _Samples:
     """The weight W and its samples, the same for every lambda: at the
-    nodes, shape (N, b, b), and on composite Gauss grids the half width
+    nodes, shape (N, b, c), and on composite Gauss grids the half width
     rad of the equal panels and W at the ``_panel_tables`` sub-nodes of
-    every panel, shape (2, q, q, P, b, b) indexed [side, r, u, panel]."""
+    every panel, shape (2, q, q, P, b, c) indexed [side, r, u, panel]."""
 
     grid: QuadratureGrid
     weight: Callable[[np.ndarray], np.ndarray]
@@ -288,7 +302,7 @@ def _sample(weight: Callable, grid: QuadratureGrid) -> _Samples:
 
 
 def _subsub(samples: _Samples) -> np.ndarray:
-    """W at the sub-sub-nodes of ``_panel_tables``, shape (q, q, q, P, b, b)
+    """W at the sub-sub-nodes of ``_panel_tables``, shape (q, q, q, P, b, c)
     indexed [r, u, v, panel]; read by the traces alone."""
     sub2 = _panel_tables(samples.grid.panel_order)[5]
     return samples.weight(_panel_points(samples.grid, sub2))
@@ -297,14 +311,14 @@ def _subsub(samples: _Samples) -> np.ndarray:
 def _node_matrix(terms: _Terms, grid: QuadratureGrid,
                  W: np.ndarray) -> np.ndarray:
     """S_ij = K(x_i, x_j) W(x_j) w_j on the nodes, node-major, shape
-    (L, N b, N b), from W at the nodes; the diagonal takes the x >= xi
+    (L, N c, N c), from W at the nodes; the diagonal takes the x >= xi
     branch."""
     xs, N = grid.nodes, grid.nodes.size
-    L, n, b = terms.u.shape
+    L, n, c = terms.u.shape
     rows = np.einsum("ljc,tcd->ljtd", terms.r,
                      W * grid.weights[:, None, None])
     D = xs[:, None] - xs[None, :]
-    S = np.zeros((L, N, b, N, b), dtype=complex)
+    S = np.zeros((L, N, c, N, c), dtype=complex)
     for j in range(n):
         on = D < 0 if j < terms.k else D >= 0
         # exp on this branch's side only, written in place: no gathered
@@ -313,12 +327,12 @@ def _node_matrix(terms: _Terms, grid: QuadratureGrid,
                    out=np.zeros((L, N, N), dtype=complex), where=on)
         S += np.einsum("xil,xa,xlc->xialc", E, terms.u[:, j], rows[:, j],
                        optimize=True)
-    return S.reshape(L, N * b, N * b)
+    return S.reshape(L, N * c, N * c)
 
 
 def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
     """Diagonal-panel blocks of a composite Gauss grid by product
-    integration, shape (L, P, q, b, q, b).  The offsets between a node and
+    integration, shape (L, P, q, c, q, c).  The offsets between a node and
     the sub-nodes of its panel are the same in every panel, so the branch
     exponentials are taken over one reference panel."""
     t, _, sub, sub_w, lagrange = _panel_tables(samples.grid.panel_order)[:5]
@@ -381,7 +395,7 @@ def _traces(terms: _Terms, samples: _Samples,
     grid, rad = samples.grid, samples.rad
     t, _, sub, sub_w, _, sub2, sub2_w = _panel_tables(grid.panel_order)
     kap, r, u, k = terms.kappa, terms.r, terms.u, terms.k
-    L, n, b = u.shape
+    L, n = kap.shape
     q = t.size
     P = grid.nodes.size // q
     wts = grid.weights.reshape(P, q).T
@@ -408,8 +422,8 @@ def _traces(terms: _Terms, samples: _Samples,
         G = T @ subsub.reshape(q, q, 1, q, -1)
         del T
         return np.einsum("xuljipef,lie,ljf->ljixup",
-                         G.reshape(q, q, *mu.shape, P, b, b), r[:, k:],
-                         u[:, :k])
+                         G.reshape(q, q, *mu.shape, P, *subsub.shape[-2:]),
+                         r[:, k:], u[:, :k])
 
     j, i = np.ogrid[:k, k:n]
     mu = kap[:, j] - kap[:, i]
@@ -470,14 +484,15 @@ def trace_power_system(system: SystemProblem, lam: complex,
     if basis is None:
         basis = greens.system_basis(system, lam)
     (_, terms), = _system_terms(*greens.basis_arrays([basis],
-                                                     system.dimension))
+                                                     system.dimension),
+                                system.column_support)
     return _trace_power(terms, _system_weight(system), grid, power)
 
 
 @dataclass(frozen=True)
 class _Blocks:
     """S of L lambdas in quasiseparable form over P blocks of q nodes,
-    m = q b rows each (a short last block is padded with zero rows and
+    m = q c rows each (a short last block is padded with zero rows and
     columns):
 
         S_ps = diag[p]                       p = s
@@ -512,7 +527,7 @@ def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
     grid = samples.grid
     x, q, k = grid.nodes, grid.panel_order, terms.k
     N = x.size
-    L, n, b = terms.u.shape
+    L, n, c = terms.u.shape
     P = -(-N // q)
     cut = np.arange(1, P) * q
     edges = np.concatenate([x[:1], (x[cut - 1] + x[cut]) / 2.0, x[-1:]])
@@ -521,7 +536,7 @@ def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
     rows = np.einsum("ljc,tcd->ljtd", terms.r,
                      samples.nodes * grid.weights[:, None, None])
     rows = np.pad(rows, ((0, 0), (0, 0), (0, P * q - N), (0, 0)))
-    rows = rows.reshape(L, n, P, q, b)
+    rows = rows.reshape(L, n, P, q, c)
     kap = terms.kappa[:, None, None, :]
     left, right = edges[:-1, None, None], edges[1:, None, None]
     e_gp = np.exp(kap[..., :k] * (xs[..., None] - right)) * valid[..., None]
@@ -543,10 +558,10 @@ def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
                                                      dtype=complex),
                    where=on)
         diag = np.einsum("xpicj,xja,xjpcd->xpiacd", E, terms.u, rows)
-    return _Blocks(diag.reshape(L, P, q * b, q * b),
-                   gp.reshape(L, P, q * b, k), hp.reshape(L, P, k, q * b),
-                   gm.reshape(L, P, q * b, n - k),
-                   hm.reshape(L, P, n - k, q * b),
+    return _Blocks(diag.reshape(L, P, q * c, q * c),
+                   gp.reshape(L, P, q * c, k), hp.reshape(L, P, k, q * c),
+                   gm.reshape(L, P, q * c, n - k),
+                   hm.reshape(L, P, n - k, q * c),
                    np.exp(-terms.kappa[:, None, :k] * h),
                    np.exp(terms.kappa[:, None, k:] * h))
 
@@ -558,7 +573,7 @@ def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hp_(p+1) x_(p+1) and z_(p+1) = em_p z_p + hm_p x_p, whose unit
     triangular block keeps det(I + S).  Step p is one stacked QR over the
     lambdas of the (M + l) x 2M stack of the rows that reach block column
-    p, M = q b + n; its last l = n - k rows carry on.  The sign multiplies
+    p, M = q c + n; its last l = n - k rows carry on.  The sign multiplies
     the pivot phases and the (unitary) reflector determinants
     1 - tau ||v||^2 = -tau / conj(tau).  The hint sums the column Hadamard
     ratios log(||R[:i+1, i]|| / |R_ii|) (>= 0); a zero pivot gives the
@@ -693,12 +708,12 @@ def _regularized(groups: list, samples: _Samples, exact: dict,
     grids with an order <= 3, tr T^2 and tr T^3 join them.
 
     Each k-group goes through the engine in slices of at most
-    _SLICE_BUDGET // (N b^2) lambdas, so the working set does not grow
+    _SLICE_BUDGET // (N c^2) lambdas, so the working set does not grow
     with the batch: first the traces of every slice, while W at the
     sub-sub-nodes is held, then the generators and one sweep per slice."""
     L = sum(idx.size for idx, _ in groups)
-    N, b = samples.nodes.shape[:2]
-    width = max(1, _SLICE_BUDGET // (N * b * b))
+    N, c = samples.nodes.shape[0], samples.nodes.shape[-1]
+    width = max(1, _SLICE_BUDGET // (N * c * c))
     parts = [(idx[s:s + width], terms.take(slice(s, s + width)))
              for idx, terms in groups for s in range(0, idx.size, width)]
     exact = dict(exact)
@@ -766,19 +781,22 @@ def trace_system_pair(system: SystemProblem, lam: complex,
         basis = greens.system_basis(system, lam)
     _, k, P, Pinv = greens.basis_arrays([basis], system.dimension)
     tau_plus, tau_minus = _trace_pairs(P, Pinv, k, grid,
-                                       _system_weight(system)(grid.nodes))
+                                       _system_weight(system)(grid.nodes),
+                                       system.column_support)
     return complex(tau_plus[0]), complex(tau_minus[0])
 
 
 def _trace_pairs(P: np.ndarray, Pinv: np.ndarray, k: np.ndarray,
-                 grid: QuadratureGrid, W: np.ndarray
+                 grid: QuadratureGrid, W: np.ndarray, cols: slice
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``trace_system_pair`` of L bases (P, Pinv, k) from W = -(R - R_inf)
-    at the nodes, shape (L,) each."""
+    """``trace_system_pair`` of L bases (P, Pinv, k) from W_c = -(R -
+    R_inf)[:, cols] at the nodes, shape (L,) each: tr(X M) with M = M_c E
+    is tr(X[cols, :] M_c)."""
     M = np.einsum("t,tab->ab", grid.weights, W)
     minus = (np.arange(P.shape[-1]) >= k[:, None])[..., None]
-    tau_plus = np.trace(P @ (minus * Pinv) @ M, axis1=1, axis2=2)
-    tau_minus = -np.trace(P @ (~minus * Pinv) @ M, axis1=1, axis2=2)
+    tau_plus = np.trace((P[:, cols] @ (minus * Pinv)) @ M, axis1=1, axis2=2)
+    tau_minus = -np.trace((P[:, cols] @ (~minus * Pinv)) @ M, axis1=1,
+                          axis2=2)
     return tau_plus, tau_minus
 
 
@@ -822,12 +840,13 @@ def _system_dets(system: SystemProblem, lams: Sequence[complex],
     else:
         kappa, k, P, Pinv = greens.basis_arrays(bases, system.dimension)
         refusals = [None] * len(bases)
+    cols = system.column_support
     samples = _sample(_system_weight(system), grid)
-    tau, tau_minus = _trace_pairs(P, Pinv, k, grid, samples.nodes)
+    tau, tau_minus = _trace_pairs(P, Pinv, k, grid, samples.nodes, cols)
     raise_first([refusal if refusal is not None else _sign_mismatch(a, b)
                  for refusal, a, b in zip(refusals, tau, tau_minus)])
-    values, hints = _regularized(_system_terms(kappa, k, P, Pinv), samples,
-                                 {}, list(orders.values()))
+    values, hints = _regularized(_system_terms(kappa, k, P, Pinv, cols),
+                                 samples, {}, list(orders.values()))
     return [[DeterminantResult(value=complex(value), kind=kind,
                                trace_used=complex(trace),
                                grid_signature=grid.signature,

@@ -341,9 +341,10 @@ class SystemProblem:
     """First-order system dY/dx = (A0(lambda) + R(x)) Y.
 
     base_matrix maps lambda to the n x n constant part, perturbation maps x
-    (a float or an array of points) to R(x) of shape x.shape + (n, n), and
-    (r_minus, r_plus) are the limits of R at -/+ infinity (both zero for
-    pulse problems).
+    (a float or an array of points) to a new array R(x) of shape
+    x.shape + (n, n), and (r_minus, r_plus) are the limits of R at -/+
+    infinity (both zero for pulse problems).  source is the scalar problem
+    of a first-order form built by ``to_system``.
     """
 
     dimension: int
@@ -365,12 +366,26 @@ class SystemProblem:
         return bool(np.abs(self.r_minus).max() > 0
                     or np.abs(self.r_plus).max() > 0)
 
+    @property
+    def column_support(self) -> slice:
+        """The columns outside which R - R_inf vanishes: the first m + 1 of
+        a ``to_system`` form (its bottom row couples u..u^(m)), all n
+        otherwise."""
+        if self.source is None:
+            return slice(0, self.dimension)
+        return slice(0, self.source.deriv_order + 1)
+
     def decaying_part(self, x) -> np.ndarray:
         """R(x) minus its limit on the half line containing x (x <= 0 takes
-        R_minus), shape x.shape + (n, n)."""
+        R_minus), shape x.shape + (n, n).  The limits are subtracted in
+        place, and not at all for a pulse."""
         x = np.asarray(x, dtype=float)
-        rinf = np.where((x <= 0)[..., None, None], self.r_minus, self.r_plus)
-        return self.perturbation(x) - rinf
+        R = np.asarray(self.perturbation(x), dtype=complex)
+        if self.is_front:
+            left = (x <= 0)[..., None, None]
+            np.subtract(R, self.r_minus, out=R, where=left)
+            np.subtract(R, self.r_plus, out=R, where=~left)
+        return R
 
     def tail_norm(self, half_width: float) -> float:
         """Estimate of the integral of ||R - R_inf|| over |x| > half_width."""

@@ -95,9 +95,10 @@ def _kernel(problem, lam):
 
 
 def _system_kernel(system, basis):
+    """The unreduced matrix kernel: all n columns, W = -(R - R_inf)."""
     (_, terms), = fredholm._system_terms(
-        *greens.basis_arrays([basis], system.dimension))
-    return terms, fredholm._system_weight(system)
+        *greens.basis_arrays([basis], system.dimension), slice(None))
+    return terms, lambda x: -system.decaying_part(x)
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +657,47 @@ def test_structured_det1_matches_dense(grid_name):
         assert _close(got, _dense_det1(problem, lam, g)), (problem, lam)
 
 
+def _full_weight_system():
+    """A 2 x 2 system with no scalar source and a complex R - R_inf that
+    fills every column (c = n); its diagonal integrates to zero, so the
+    analytic trace passes the sign check."""
+    def base(lam):
+        return np.array([[0.0, 1.0], [lam, 0.0]], dtype=complex)
+
+    def perturbation(x):
+        x = np.asarray(x, dtype=float)
+        s = 1.0 / np.cosh(x)
+        R = np.empty(x.shape + (2, 2), dtype=complex)
+        R[..., 0, 0] = (0.4 + 0.3j) * s ** 2
+        R[..., 1, 1] = -R[..., 0, 0]
+        R[..., 0, 1] = (0.5 - 0.2j) * s ** 2 * (1.0 + 0.5 * np.tanh(x))
+        R[..., 1, 0] = -1.5 * s
+        return R
+
+    zero = np.zeros((2, 2), dtype=complex)
+    return wd.SystemProblem(dimension=2, base_matrix=base,
+                            perturbation=perturbation, r_minus=zero,
+                            r_plus=zero)
+
+
 @pytest.mark.parametrize("grid_name", sorted(_oracle_grids()))
 def test_structured_det2_det3_match_dense(grid_name):
+    """The engine runs on the column support of R - R_inf (c = 1 for the
+    battery, c = 2 and 3 for the order-4 m = 1 and m = 2 problems, c = n
+    for the general system) against the dense n-column Nystrom matrix."""
     g = _oracle_grids()[grid_name]
     cases = [(wd.to_system(wd.builtin_problem(name)), lam)
              for name in _BATTERY for lam in _BATTERY_LAMBDAS]
     bh = wd.to_system(wd.builtin_problem("biharmonic_demo"))
     cases += [(bh, 3.2 + 1.1j), (bh, -1.0 + 2.0j)]
+    order4 = [(wd.to_system(problem), lam)
+              for problem, lam in (PANEL_PROBLEMS["deriv_order_1"],
+                                   PANEL_PROBLEMS["complex_coeffs"])]
+    assert [s.column_support.stop for s, _ in order4] == [2, 3]
+    cases += order4
+    full = _full_weight_system()
+    assert full.column_support == slice(0, 2)
+    cases += [(full, 2.0 + 1.0j), (full, 5.0 - 1.5j)]
     for system, lam in cases:
         d2, d3 = fredholm.det2_detp(system, lam, g, 3)
         want = _dense_system(system, lam, g, (2, 3))
@@ -900,6 +935,28 @@ def test_batch_working_set_stays_flat():
     all24, first8, one = peak(lams), peak(lams[:8]), peak(lams[:1])
     assert all24 <= 1.2 * first8
     assert all24 <= 2.5 * one
+
+
+def test_system_det_working_set_is_bounded():
+    """det2 and det3 of poschl_teller N=2 at 800 nodes, two lambdas in one
+    slice (c = 1).  R - R_inf has its limits subtracted in place, and W is
+    the negated column view of that one 2 x 2 sample at the 80,000
+    sub-sub-nodes (4.9 MiB), so the traced peak is 7.7 MiB; with the
+    limits subtracted by a broadcast np.where it was 12.6 MiB.  The bound
+    leaves a 16% margin over 7.7 MiB."""
+    import tracemalloc
+
+    sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
+    g = wd.build_grid(20.0, 800)
+    lams = [6.2 + 1.3j, 7.7 - 0.8j]
+    fredholm.det2_detp_many(sysm, lams, g, 3)      # caches, lazy imports
+    tracemalloc.start()
+    try:
+        fredholm.det2_detp_many(sysm, lams, g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0 * 2 ** 20
 
 
 # the parent's exact traces: one lambda, W at the sub-sub-nodes sampled

@@ -305,6 +305,23 @@ def test_array_perturbation_matches_pointwise(prob):
     assert sysm.tail_norm(2.0) == pytest.approx(tail, rel=1e-13)
 
 
+@pytest.mark.parametrize("name", ["poschl_teller", "tanh_front"])
+def test_decaying_part_is_the_broadcast_difference_bit_for_bit(name):
+    """R - R_inf, with the limits subtracted in place (and not at all for
+    a pulse), is R(x) - where(x <= 0, R_minus, R_plus) bit for bit, on
+    both sides of 0, at 0 itself and at scalar points."""
+    sysm = wd.to_system(wd.builtin_problem(name))
+    grid = np.concatenate([np.linspace(-9.0, 9.0, 37), [0.0, -0.0, 1e-3]])
+    for x in (grid.reshape(4, 10), 0.0, -0.7, 2.5):
+        x = np.asarray(x, dtype=float)
+        limit = np.where((x <= 0)[..., None, None], sysm.r_minus,
+                         sysm.r_plus)
+        want = sysm.perturbation(x) - limit
+        got = sysm.decaying_part(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_to_system_rejects_essential_lambda(pt):
     with pytest.raises(EssentialSpectrum):
         wd.to_system(pt, lam=-4.0)
