@@ -7,7 +7,6 @@ command:
                     {"order", "coeffs", "profile": {"kind", "params"},
                     "m", "asymptotics"} for a custom scalar problem
     domain          {"half_width", "quad_points", "rule", "panel_order"}
-    tolerances      {"axis", "det"}
     evans           {"rtol", "renorm_threshold", "orthogonalize_interval"};
                     rtol is the accuracy target that sets the Magnus step
     matching_point  where the two Jost families are matched
@@ -49,8 +48,7 @@ __all__ = ["main"]
 # config plumbing
 
 
-_COMMON_KEYS = ("problem", "domain", "tolerances", "evans",
-                "matching_point", "output")
+_COMMON_KEYS = ("problem", "domain", "evans", "matching_point", "output")
 
 _COMMAND_KEYS = {
     "roots": ("lambdas",),
@@ -79,7 +77,6 @@ _ROUTES = {
 
 _DOMAIN_DEFAULTS = {"half_width": 20.0, "quad_points": 400,
                     "rule": "gauss_legendre", "panel_order": 10}
-_TOL_DEFAULTS = {"axis": model.AXIS_TOL, "det": 1e-10}
 _EVANS_DEFAULTS = {"rtol": 1e-10, "renorm_threshold": 1e8,
                    "orthogonalize_interval": 1.0}
 _OUTPUT_DEFAULTS = {"format": "csv", "path": None}
@@ -266,8 +263,6 @@ class Run:
         self.system = model.to_system(self.problem)
         self.domain = _merged(_DOMAIN_DEFAULTS, config.get("domain", {}),
                               "domain")
-        self.tolerances = _merged(_TOL_DEFAULTS, config.get("tolerances", {}),
-                                  "tolerances")
         evans_block = _merged(_EVANS_DEFAULTS, config.get("evans", {}),
                               "evans")
         self.matching_point = _as_float(config.get("matching_point", 0.0),
@@ -291,17 +286,13 @@ class Run:
                 "evans.orthogonalize_interval"))
         self.extra = {key: config[key] for key in _COMMAND_KEYS[command]
                       if key in config}
-        # the route modules that the config selects: a front's Fredholm
-        # determinant is fronts.front_det2
-        if self.system.is_front and "fredholm" in _ROUTES[command]:
-            _load("fronts")
+        # the route module that the config selects
         if self.extra.get("function") == "evans":
             _load("evans")
         self.resolved = {
             "command": command,
             "problem": problem_echo,
             "domain": dict(self.domain),
-            "tolerances": dict(self.tolerances),
             "evans": dict(evans_block),
             "matching_point": self.matching_point,
             "output": dict(self.output),
@@ -348,10 +339,7 @@ class Run:
             return name, locate.Batched(lambda lams: [
                 res.value for res in fredholm.det1_many(self.problem, lams,
                                                         self.grid)])
-        if name == "front_det2" or self.system.is_front:
-            from . import fronts
-            return name, lambda lam: fronts.front_det2(self.system, lam,
-                                                       self.grid).value
+        # front_det2 is det2 under its own name, for a front as for a pulse
         return name, locate.Batched(lambda lams: [
             res.value for res in fredholm.det2_many(self.system, lams,
                                                     self.grid)])
@@ -457,7 +445,7 @@ def cmd_roots(run):
 
 
 def cmd_det(run):
-    """det1 / det2 / detp per lambda (front problems: the front det2); the
+    """det1 / det2 / detp per lambda (front problems: det2 alone); the
     Fredholm columns come from one batched call each."""
     from . import fredholm
     p = _as_int(run.extra.get("p", 3), "p")
@@ -465,12 +453,9 @@ def cmd_det(run):
     run.resolved["p"] = p
     lams = run.lambdas()
     if run.system.is_front:
-        from . import fronts
-        columns = [("lambda", "c"), ("det2", "c")]
-
-        def one(lam):
-            return [lam, fronts.front_det2(run.system, lam, run.grid).value]
-        return _render(run, columns, run.map(one, lams))
+        rows = [[lam, d2.value] for lam, d2 in
+                zip(lams, fredholm.det2_many(run.system, lams, run.grid))]
+        return _render(run, [("lambda", "c"), ("det2", "c")], rows)
     columns = [("lambda", "c"), ("det1", "c"), ("det2", "c")]
     if p != 2:
         columns.append((f"det{p}", "c"))
@@ -588,9 +573,6 @@ def cmd_converge(run):
             grid = model.build_grid(half_width, n_points, rule, porder)
             if quantity == "det1":
                 cache[key] = fredholm.det1(run.problem, lam, grid).value
-            elif run.system.is_front:
-                from . import fronts
-                cache[key] = fronts.front_det2(run.system, lam, grid).value
             else:
                 cache[key] = fredholm.det2(run.system, lam, grid).value
         return cache[key]

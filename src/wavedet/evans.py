@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import greens, model
-from .errors import ConfigError, CountMismatch, StiffnessFailure
+from .errors import ConfigError, StiffnessFailure
 from .greens import UnperturbedBasis
 # IntegrationParams lives in model, so a command validates it before
 # loading this module; it is re-exported here under its old name
@@ -121,12 +121,8 @@ def _side_bases(system: SystemProblem, lam: complex):
     if not system.is_front:
         b = greens.system_basis(system, lam)
         return b, b
-    bm = greens.matrix_basis(system.base_matrix(lam) + system.r_minus)
-    bp = greens.matrix_basis(system.base_matrix(lam) + system.r_plus)
-    if bm.k != bp.k:
-        raise CountMismatch(
-            f"unstable dimensions differ between the ends: {bm.k} vs {bp.k}")
-    return bm, bp
+    A0 = system.base_matrix(lam)
+    return greens.end_bases(A0 + system.r_minus, A0 + system.r_plus)
 
 
 def _segment_step(params: IntegrationParams, basis: UnperturbedBasis) -> float:

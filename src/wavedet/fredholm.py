@@ -73,7 +73,6 @@ import numpy as np
 
 from . import greens
 from .errors import ConfigError, SignMismatch, raise_first
-from .greens import UnperturbedBasis
 # the grid lives in model, so a command validates it before loading this
 # module; it is re-exported here under its old names
 from .model import (QuadratureGrid, ScalarProblem, SystemProblem, build_grid,
@@ -477,15 +476,12 @@ def trace_power_scalar(problem: ScalarProblem, lam: complex,
 
 
 def trace_power_system(system: SystemProblem, lam: complex,
-                       grid: QuadratureGrid, power: int,
-                       basis: Optional[UnperturbedBasis] = None) -> complex:
+                       grid: QuadratureGrid, power: int) -> complex:
     """Exact second or third iterated trace of the matrix kernel; on the
     companion system of an m = 0 scalar problem it is the scalar result."""
-    if basis is None:
-        basis = greens.system_basis(system, lam)
-    (_, terms), = _system_terms(*greens.basis_arrays([basis],
-                                                     system.dimension),
-                                system.column_support)
+    *basis, refusals = greens.system_bases(system, [lam])
+    raise_first(refusals)
+    (_, terms), = _system_terms(*basis, system.column_support)
     return _trace_power(terms, _system_weight(system), grid, power)
 
 
@@ -768,18 +764,15 @@ def trace_scalar(problem: ScalarProblem, lam: complex) -> complex:
 
 
 def trace_system_pair(system: SystemProblem, lam: complex,
-                      grid: QuadratureGrid,
-                      basis: Optional[UnperturbedBasis] = None
-                      ) -> tuple[complex, complex]:
+                      grid: QuadratureGrid) -> tuple[complex, complex]:
     """Both sign choices of the analytic system trace.
 
     The kernel diagonal from the xi < x side is the constant projector
     Y0+ Z0-, from the other side Y0- Z0+ with opposite sign; both traces
     agree exactly when the integrated diagonal of R vanishes.
     """
-    if basis is None:
-        basis = greens.system_basis(system, lam)
-    _, k, P, Pinv = greens.basis_arrays([basis], system.dimension)
+    _, k, P, Pinv, refusals = greens.system_bases(system, [lam])
+    raise_first(refusals)
     tau_plus, tau_minus = _trace_pairs(P, Pinv, k, grid,
                                        _system_weight(system)(grid.nodes),
                                        system.column_support)
@@ -801,9 +794,8 @@ def _trace_pairs(P: np.ndarray, Pinv: np.ndarray, k: np.ndarray,
 
 
 def trace_system(system: SystemProblem, lam: complex, grid: QuadratureGrid,
-                 basis: Optional[UnperturbedBasis] = None,
                  tol: float = 1e-8) -> complex:
-    tau_plus, tau_minus = trace_system_pair(system, lam, grid, basis)
+    tau_plus, tau_minus = trace_system_pair(system, lam, grid)
     raise_first([_sign_mismatch(tau_plus, tau_minus, tol)])
     return tau_plus
 
@@ -825,21 +817,23 @@ def _check_order(*orders: int) -> None:
 
 def _system_dets(system: SystemProblem, lams: Sequence[complex],
                  grid: QuadratureGrid,
-                 bases: Optional[Sequence[UnperturbedBasis]],
                  orders: dict) -> list[list[DeterminantResult]]:
     """Regularized determinants of the matrix kernel of every lambda, one
-    per kind -> p entry of orders, from one stacked root split (or the
-    given bases), one set of weight samples, and per slice of lambdas one
-    set of block generators, one QR sweep and one pass of the iterated
-    traces.  The analytic trace validates the sign conventions and is
-    reported for the det / det2 conversion.  A refused lambda raises the
-    typed error of the first one in input order."""
+    per kind -> p entry of orders, from the bases of ``greens.system_bases``,
+    one set of weight samples, and per slice of lambdas one set of block
+    generators, one QR sweep and one pass of the iterated traces.  The
+    analytic trace validates the sign conventions and is reported for the
+    det / det2 conversion.  A front's weight jumps at x = 0, so a
+    composite Gauss grid must put a panel edge there.  A refused lambda
+    raises the typed error of the first one in input order."""
     _check_order(*orders.values())
-    if bases is None:
-        kappa, k, P, Pinv, refusals = greens.system_bases(system, lams)
-    else:
-        kappa, k, P, Pinv = greens.basis_arrays(bases, system.dimension)
-        refusals = [None] * len(bases)
+    panels = _gl_panels(grid)
+    if (system.is_front and panels is not None
+            and float(np.min(np.abs(panels[0]))) > 1e-9):
+        raise ConfigError("front quadrature needs a panel edge at x = 0; "
+                          "use a node count divisible into an even panel "
+                          "split")
+    kappa, k, P, Pinv, refusals = greens.system_bases(system, lams)
     cols = system.column_support
     samples = _sample(_system_weight(system), grid)
     tau, tau_minus = _trace_pairs(P, Pinv, k, grid, samples.nodes, cols)
@@ -855,43 +849,36 @@ def _system_dets(system: SystemProblem, lams: Sequence[complex],
             for column, trace, hint in zip(values.T, tau, hints)]
 
 
-def det2(system: SystemProblem, lam: complex, grid: QuadratureGrid,
-         basis: Optional[UnperturbedBasis] = None) -> DeterminantResult:
+def det2(system: SystemProblem, lam: complex,
+         grid: QuadratureGrid) -> DeterminantResult:
     """Hilbert-Schmidt regularized determinant det(I + S) exp(-tr S).
 
     The matrix trace in the exponent deliberately mirrors the trace error
     of det(I + S), so the two cancel and the result estimates the
     regularized determinant to the full panel order.
     """
-    return _system_dets(system, [lam], grid,
-                        None if basis is None else [basis],
-                        {"det2": 2})[0][0]
+    return _system_dets(system, [lam], grid, {"det2": 2})[0][0]
 
 
 def det2_many(system: SystemProblem, lams: Sequence[complex],
               grid: QuadratureGrid) -> list[DeterminantResult]:
     """``det2`` of every lambda, in input order."""
-    return [row[0] for row in _system_dets(system, lams, grid, None,
+    return [row[0] for row in _system_dets(system, lams, grid,
                                            {"det2": 2})]
 
 
 def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
-         basis: Optional[UnperturbedBasis] = None,
          p: int = 2) -> DeterminantResult:
     """Order-p regularized determinant
     det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 4."""
-    return _system_dets(system, [lam], grid,
-                        None if basis is None else [basis],
-                        {"detp": p})[0][0]
+    return _system_dets(system, [lam], grid, {"detp": p})[0][0]
 
 
 def det2_detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
-              p: int, basis: Optional[UnperturbedBasis] = None
-              ) -> tuple[DeterminantResult, DeterminantResult]:
+              p: int) -> tuple[DeterminantResult, DeterminantResult]:
     """``det2`` and ``detp`` of one lambda from one set of block
     generators, one QR sweep and one evaluation of each exact trace."""
     return tuple(_system_dets(system, [lam], grid,
-                              None if basis is None else [basis],
                               {"det2": 2, "detp": p})[0])
 
 
@@ -899,7 +886,7 @@ def det2_detp_many(system: SystemProblem, lams: Sequence[complex],
                    grid: QuadratureGrid, p: int
                    ) -> list[tuple[DeterminantResult, DeterminantResult]]:
     """``det2_detp`` of every lambda, in input order."""
-    return [tuple(row) for row in _system_dets(system, lams, grid, None,
+    return [tuple(row) for row in _system_dets(system, lams, grid,
                                                {"det2": 2, "detp": p})]
 
 

@@ -1,12 +1,12 @@
-"""Problems whose ends differ: reference matrix, surrogate kernel, det2.
+"""Problems whose ends differ: the reference matrix and its system.
 
 When the perturbation has two distinct limits R- and R+, the constant part
 alone no longer describes either end, and the Green's kernel of the actual
-asymptotic operators is awkward to assemble.  The workaround implemented
-here replaces both ends by a single reference matrix B(lambda) built to
-have exactly the decay structure the kernel needs: its eigenvalues are the
-unstable rates of the left end together with the stable rates of the right
-end.  Pairing the B-generated kernel with the recentred potential
+asymptotic operators is awkward to assemble.  The workaround replaces both
+ends by a single reference matrix B(lambda) built to have exactly the
+decay structure the kernel needs: its eigenvalues are the unstable rates
+of the left end together with the stable rates of the right end.  Pairing
+the B-generated kernel with the recentred potential
 
     Q(x) = R(x) - R-   (x <= 0),      R(x) - R+   (x > 0)
 
@@ -15,6 +15,13 @@ det2 of a concrete pulse-type problem: dY/dx = (B(lambda) + Q(x)) Y,
 exposed here as ``reference_system``.  Everything proved for decaying
 perturbations applies to that problem verbatim, so its determinant can be
 cross-checked against an Evans computation on the same reference system.
+
+The kernel basis of a front is decided with every other system's, in
+``greens.system_bases``, so ``fredholm.det2`` and its batched and traced
+relatives already run on B's kernel: ``front_basis`` is
+``greens.system_basis``, and ``front_det2`` is ``fredholm.det2``
+relabelled.  This module adds the split of explicit end matrices, B
+itself and the reference problem.
 
 What the reference spectrum says about the original front is a subtler
 matter.  In the pulse limit (both limits zero) B reduces to the constant
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fredholm, greens, model
-from .errors import ConfigError, CountMismatch, IllConditioned
+from .errors import ConfigError, IllConditioned
 from .greens import RootSplit, UnperturbedBasis
 from .model import SystemProblem
 
@@ -80,11 +87,7 @@ def front_split(a_minus, a_plus, lam: complex) -> RootSplit:
     Ap = _end_matrix(a_plus, lam)
     if Am.shape != Ap.shape:
         raise ConfigError("end matrices must have matching dimensions")
-    bm = greens.matrix_basis(Am)
-    bp = greens.matrix_basis(Ap)
-    if bm.k != bp.k:
-        raise CountMismatch(
-            f"unstable counts differ between the ends: {bm.k} vs {bp.k}")
+    bm, bp = greens.end_bases(Am, Ap)
     return RootSplit(plus=bm.roots.plus, minus=bp.roots.minus)
 
 
@@ -108,17 +111,9 @@ def front_reference(split: RootSplit) -> FrontReference:
 
 
 def front_basis(system, lam: complex) -> UnperturbedBasis:
-    """Solution basis generated by the reference matrix B(lambda).
-
-    For a pulse this is exactly the ordinary basis of the constant part,
-    so the front pipeline degenerates to the pulse pipeline identically.
-    """
-    sysm = model.as_system(system)
-    if not sysm.is_front:
-        return greens.system_basis(sysm, lam)
-    A0 = np.asarray(sysm.base_matrix(lam), dtype=complex)
-    return greens.basis_from_roots(
-        front_split(A0 + sysm.r_minus, A0 + sysm.r_plus, lam))
+    """``greens.system_basis``: for a front the basis generated by the
+    reference matrix B(lambda), for a pulse that of the constant part."""
+    return greens.system_basis(model.as_system(system), lam)
 
 
 def reference_system(system) -> SystemProblem:
@@ -127,19 +122,17 @@ def reference_system(system) -> SystemProblem:
     Base matrix B(lambda) from ``front_reference``, perturbation the
     recentred Q = ``SystemProblem.decaying_part`` (discontinuous at x = 0
     by R+ - R-, integrable in both tails), zero asymptotic limits.
-    ``front_det2`` of the original front equals ``fredholm.det2`` of this
-    system, and an Evans computation on it provides an independent check
-    of the determinant pipeline.  For a pulse the original system is
-    returned unchanged.
+    ``fredholm.det2`` (and so ``front_det2``) of the original front equals
+    ``fredholm.det2`` of this system to rounding, and an Evans computation
+    on it provides an independent check of the determinant pipeline.
+    For a pulse the original system is returned unchanged.
     """
     sysm = model.as_system(system)
     if not sysm.is_front:
         return sysm
 
     def base(lam: complex) -> np.ndarray:
-        A0 = np.asarray(sysm.base_matrix(lam), dtype=complex)
-        split = front_split(A0 + sysm.r_minus, A0 + sysm.r_plus, lam)
-        return front_reference(split).B
+        return front_reference(greens.system_basis(sysm, lam).roots).B
 
     n = sysm.dimension
     zero = np.zeros((n, n), dtype=complex)
@@ -149,25 +142,18 @@ def reference_system(system) -> SystemProblem:
 
 
 def front_det2(system, lam: complex, grid=None):
-    """Regularized determinant of the B-kernel paired with Q.
+    """``fredholm.det2`` of the front's system, of kind "front_det2": the
+    regularized determinant of the B-kernel paired with Q.
 
     Zeros are eigenvalues of ``reference_system(system)`` -- checked
     against an Evans computation on that system they agree to quadrature
     accuracy.  For a genuine front these need not coincide with the
     original problem's eigenvalues (they do in the pulse limit), so treat
     this as a determinant for the reference problem, and fall back on
-    ``evans_function`` for the front itself when locations matter.
-    The quadrature must place a panel edge at x = 0 where Q jumps.
+    ``evans_function`` for the front itself when locations matter.  A
+    composite Gauss grid must place a panel edge at x = 0, where Q jumps;
+    ``fredholm.det2`` refuses one that does not.
     """
-    sysm = model.as_system(system)
-    grid = grid if grid is not None else fredholm.default_grid()
-    panels = fredholm._gl_panels(grid)
-    if panels is not None:
-        edges = panels[0]
-        if float(np.min(np.abs(edges))) > 1e-9:
-            raise ConfigError(
-                "front quadrature needs a panel edge at x = 0; "
-                "use a node count divisible into an even panel split")
-    basis = front_basis(sysm, lam)
-    res = fredholm.det2(sysm, lam, grid, basis=basis)
+    res = fredholm.det2(model.as_system(system), lam,
+                        grid if grid is not None else fredholm.default_grid())
     return dataclasses.replace(res, kind="front_det2")

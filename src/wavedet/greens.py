@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .errors import (EssentialSpectrum, IllConditioned, NearMultipleRoots,
-                     raise_first)
+from .errors import (CountMismatch, EssentialSpectrum, IllConditioned,
+                     NearMultipleRoots, WavedetError, raise_first)
 from .model import ScalarProblem, SystemProblem
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "green_data",
     "green_arrays",
     "system_bases",
-    "basis_arrays",
+    "end_bases",
 ]
 
 COND_LIMIT = 1e12
@@ -263,55 +263,69 @@ def basis_from_roots(roots: RootSplit,
 
 
 def system_basis(system: SystemProblem, lam: complex) -> UnperturbedBasis:
-    """Decaying-solution basis for a system's constant part at lambda.
-
-    Scalar-derived systems reuse the characteristic-root machinery so the
-    root ordering (and hence every downstream sign convention) matches the
-    scalar path exactly.  Generic systems fall back on a dense eigensplit
-    of A0(lambda), rejecting points where an eigenvalue sits on the
-    imaginary axis.
-    """
-    if system.source is not None:
-        return basis_from_roots(classify_roots(system.source, lam))
-    return matrix_basis(system.base_matrix(lam))
+    """The kernel basis of a system at lambda: ``system_bases`` of one
+    lambda, raising its refusal."""
+    kappa, k, P, Pinv, refusals = system_bases(system, [lam])
+    raise_first(refusals)
+    roots = tuple(complex(z) for z in kappa[0])
+    return UnperturbedBasis(roots=RootSplit(plus=roots[:k[0]],
+                                            minus=roots[k[0]:]),
+                            P=P[0], Pinv=Pinv[0])
 
 
 def system_bases(system: SystemProblem, lams) -> tuple:
-    """``system_basis`` of every lambda as arrays, kappa (L, n), k (L,), P
-    and Pinv (L, n, n), and per lambda its refusal or None: one stacked
-    root split for a scalar-derived system, one eigensplit per lambda
-    otherwise."""
-    if system.source is not None:
+    """The kernel basis of every lambda as arrays, kappa (L, n), k (L,), P
+    and Pinv (L, n, n), and per lambda its refusal or None (zeros in its
+    place).  The one place that decides a system's basis:
+
+    * a scalar-derived pulse: the constant part's characteristic roots,
+      from one stacked root split, so the root ordering (and every
+      downstream sign convention) matches the scalar path exactly;
+    * a general pulse: a dense eigensplit of A0(lambda);
+    * a front: the reference split, the left end's plus rates with the
+      right end's minus rates (``end_bases``), in the Vandermonde frame
+      of the reference matrix B(lambda) of ``fronts.front_reference``.
+    """
+    n, front = system.dimension, system.is_front
+    if system.source is not None and not front:
         kappa, k, refusals = _split(system.source, lams, model.AXIS_TOL,
                                     model.SEP_TOL)
-        P = kappa[:, None, :] ** np.arange(kappa.shape[-1])[:, None]
-        Pinv, _ = _solved(P, np.eye(kappa.shape[-1], dtype=complex),
-                          "basis matrix", refusals)
+        P = kappa[:, None, :] ** np.arange(n)[:, None]
+        Pinv, _ = _solved(P, np.eye(n, dtype=complex), "basis matrix",
+                          refusals)
         return kappa, k, P, Pinv, refusals
-    bases, refusals = [], []
-    for lam in lams:
-        try:
-            bases.append(matrix_basis(system.base_matrix(lam)))
-            refusals.append(None)
-        except (EssentialSpectrum, IllConditioned) as exc:
-            bases.append(None)
-            refusals.append(exc)
-    return (*basis_arrays(bases, system.dimension), refusals)
-
-
-def basis_arrays(bases, n: int) -> tuple:
-    """kappa (L, n), k (L,), P and Pinv (L, n, n) of a list of bases,
-    zeros in place of a None."""
-    L = len(bases)
+    L = len(lams)
     kappa = np.zeros((L, n), dtype=complex)
     k = np.zeros(L, dtype=int)
     P = np.zeros((L, n, n), dtype=complex)
     Pinv = np.zeros((L, n, n), dtype=complex)
-    for i, basis in enumerate(bases):
-        if basis is not None:
-            kappa[i], k[i] = basis.roots.all, basis.k
-            P[i], Pinv[i] = basis.P, basis.Pinv
-    return kappa, k, P, Pinv
+    refusals = [None] * L
+    for i, lam in enumerate(lams):
+        A0 = system.base_matrix(lam)
+        try:
+            if front:
+                bm, bp = end_bases(A0 + system.r_minus, A0 + system.r_plus)
+                basis = basis_from_roots(RootSplit(plus=bm.roots.plus,
+                                                   minus=bp.roots.minus))
+            else:
+                basis = matrix_basis(A0)
+        except WavedetError as exc:
+            refusals[i] = exc
+            continue
+        kappa[i], k[i] = basis.roots.all, basis.k
+        P[i], Pinv[i] = basis.P, basis.Pinv
+    return kappa, k, P, Pinv, refusals
+
+
+def end_bases(A_minus: np.ndarray, A_plus: np.ndarray
+              ) -> tuple[UnperturbedBasis, UnperturbedBasis]:
+    """``matrix_basis`` of the two end matrices of a front, refused when
+    they disagree about how many rates have positive real part."""
+    bm, bp = matrix_basis(A_minus), matrix_basis(A_plus)
+    if bm.k != bp.k:
+        raise CountMismatch(
+            f"unstable counts differ between the ends: {bm.k} vs {bp.k}")
+    return bm, bp
 
 
 def matrix_basis(A: np.ndarray) -> UnperturbedBasis:

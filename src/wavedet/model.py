@@ -451,8 +451,9 @@ def _degeneracy(roots: np.ndarray, axis_tol: float,
                 sep_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Masks over the leading axes of stacked roots (..., n): a root within
     axis_tol of the imaginary axis, and two roots within sep_tol of each
-    other, both relative to the largest root."""
-    scale = np.maximum(np.max(np.abs(roots), axis=-1), 1e-12)
+    other, both relative to the largest root and absolute below 1, so a
+    double root at 0 just off the essential spectrum is refused here."""
+    scale = np.maximum(np.max(np.abs(roots), axis=-1), 1.0)
     on_axis = np.min(np.abs(roots.real), axis=-1) <= axis_tol * scale
     dist = np.abs(roots[..., :, None] - roots[..., None, :])
     n = roots.shape[-1]

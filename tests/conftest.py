@@ -7,6 +7,9 @@ settings.register_profile(
     "numerics",
     deadline=None,
     max_examples=25,
+    # a falsifying draw prints a @reproduce_failure blob that replays it,
+    # also where a strategy draws a closure that the report cannot show
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("numerics")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wavedet
-from wavedet import cli, evans, fredholm, locate
+from wavedet import cli, evans, fredholm, fronts, locate
 from wavedet.errors import WavedetError
 
 PT = {"problem": {"name": "poschl_teller"}}
@@ -479,6 +479,59 @@ def test_front_determinant_via_cli(tmp_path, capsys):
     assert abs(float(rows[0]["re_det2"]) - (-0.5187858769)) < 1e-8
 
 
+def test_front_locate_and_scan_walk_batched_det2(tmp_path, capsys,
+                                                 monkeypatch):
+    """On a front, locate and scan evaluate det2 as lists through
+    det2_many, and their rows are those of the per-lambda front_det2."""
+    sizes = []
+    many = fredholm.det2_many
+
+    def counted(system, lams, grid):
+        sizes.append(len(lams))
+        return many(system, lams, grid)
+    monkeypatch.setattr(fredholm, "det2_many", counted)
+    low, high = 3.1 - 0.3j, 3.6 + 0.3j
+    rectangle = {"corner_low": _pairs([low])[0],
+                 "corner_high": _pairs([high])[0]}
+    front = wavedet.to_system(wavedet.builtin_problem(
+        "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
+    grid = wavedet.build_grid(20.0, 200)
+
+    def front_det2(lam):
+        return fronts.front_det2(front, lam, grid).value
+
+    base = {"problem": _FRONT, "rectangle": rectangle, "function": "det2"}
+    path = write_config(tmp_path, dict(base, samples_per_edge=6),
+                        domain={"quad_points": 200})
+    code, out, err = run_cli(capsys, "locate", "--config", path,
+                             "--format", "json")
+    assert code == 0 and err == ""
+    assert max(sizes) == 24
+    doc = json.loads(out)
+    want = locate.locate_roots(
+        front_det2, locate.Contour(low, high, samples_per_edge=6),
+        function_used="det2")
+    assert doc["report"]["winding"] == want.winding == 1
+    got = [complex(r["re"], r["im"]) for r in doc["report"]["roots"]]
+    assert got == list(want.roots)
+    assert [row["abs_value"] for row in doc["rows"]] == list(want.abs_values)
+    assert abs(got[0] - 3.3279883217) < 1e-6
+
+    sizes.clear()
+    path = write_config(tmp_path, dict(base, nx=3, ny=2), name="scan.json",
+                        domain={"quad_points": 200})
+    code, out, err = run_cli(capsys, "scan", "--config", path,
+                             "--format", "json")
+    assert code == 0 and err == ""
+    assert sizes == [6]
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 6
+    for row in rows:
+        lam = complex(row["lambda"]["re"], row["lambda"]["im"])
+        got = complex(row["det2"]["re"], row["det2"]["im"])
+        assert got == front_det2(lam)
+
+
 def test_output_file_and_overrides(tmp_path, capsys):
     path = write_config(tmp_path, {"lambdas": [4.0]})
     dest = tmp_path / "out.csv"
@@ -569,6 +622,26 @@ def test_commands_load_only_their_route(command, tmp_path):
         assert route <= ours and not ours & unused
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("det", {"lambdas": [2.0]}),
+    ("locate", {"rectangle": {"corner_low": {"re": 3.1, "im": -0.3},
+                              "corner_high": {"re": 3.6, "im": 0.3}},
+                "samples_per_edge": 6, "function": "det2"})])
+def test_front_commands_load_no_fronts_module(command, extra, tmp_path):
+    """A front's Fredholm values take its kernel basis from greens, so its
+    commands load the pulse route and not the fronts module."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": _FRONT, "domain":
+                                {"quad_points": 100}, **extra}))
+    code = ("import sys\n"
+            "from wavedet import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted(sys.modules)))")
+    loaded = _fresh_python(code, command, "--config", str(path), "--output",
+                           str(tmp_path / "out.csv")).split()
+    assert "wavedet.fredholm" in loaded and "wavedet.fronts" not in loaded
+
+
 # dir(wavedet) of the package that imported every submodule eagerly
 _PUBLIC_DIR = [
     "ConfigError", "Contour", "CountMismatch", "DeterminantResult",
@@ -636,6 +709,18 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     obj = err_object(err)
     assert obj["kind"] == "config"
     assert "rectangles" in obj["message"]
+
+
+def test_tolerances_block_is_exit_2(tmp_path, capsys):
+    """Nothing reads a tolerances block, so a config that sets one is
+    refused rather than silently ignored."""
+    path = write_config(tmp_path, {"lambdas": [4.0],
+                                   "tolerances": {"axis": 1e-6}})
+    code, out, err = run_cli(capsys, "det", "--config", path)
+    assert code == 2 and out == ""
+    obj = err_object(err)
+    assert obj["kind"] == "config"
+    assert obj["message"] == "unknown config key config.tolerances"
 
 
 def test_wrong_asymptotics_is_exit_2(tmp_path, capsys):

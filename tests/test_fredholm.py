@@ -89,15 +89,17 @@ def _kernel(problem, lam):
     """The kernel terms of one lambda, a batch of one, and the weight W
     of a scalar problem or a system."""
     if isinstance(problem, wd.SystemProblem):
-        return _system_kernel(problem, greens.system_basis(problem, lam))
+        return _system_kernel(problem, lam)
     (_, terms), = fredholm._scalar_terms(problem, [lam])
     return terms, fredholm._scalar_weight(problem)
 
 
-def _system_kernel(system, basis):
-    """The unreduced matrix kernel: all n columns, W = -(R - R_inf)."""
-    (_, terms), = fredholm._system_terms(
-        *greens.basis_arrays([basis], system.dimension), slice(None))
+def _system_kernel(system, lam):
+    """The unreduced matrix kernel of one lambda: all n columns, W = -(R -
+    R_inf)."""
+    *basis, refusals = greens.system_bases(system, [lam])
+    assert refusals == [None]
+    (_, terms), = fredholm._system_terms(*basis, slice(None))
     return terms, lambda x: -system.decaying_part(x)
 
 
@@ -405,7 +407,7 @@ def test_discretize_system_matches_per_row_reference(pt_system):
 
     want = _reference_panel_blocks(g, integrand)
     got = _diagonal_panel_rows(
-        _dense_matrix(_system_kernel(pt_system, basis), g), g, 2)
+        _dense_matrix(_system_kernel(pt_system, lam), g), g, 2)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -618,9 +620,8 @@ def _dense_det1(problem, lam, grid):
     return _dense_reference(kernel, grid, exact, (1,))[0]
 
 
-def _dense_system(system, lam, grid, orders, basis=None):
-    basis = basis if basis is not None else greens.system_basis(system, lam)
-    kernel = _system_kernel(system, basis)
+def _dense_system(system, lam, grid, orders):
+    kernel = _system_kernel(system, lam)
     exact = _exact_traces(kernel, grid) if min(orders) <= 3 else {}
     return _dense_reference(kernel, grid, exact, orders)
 
@@ -711,8 +712,7 @@ def test_structured_front_det2_matches_dense(grid_name):
         "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
     for lam in (2.0 + 0.5j, 3.3, 6.0 - 1.0j):
         got = fronts.front_det2(front, lam, g).value
-        want, = _dense_system(front, lam, g, (2,),
-                              basis=fronts.front_basis(front, lam))
+        want, = _dense_system(front, lam, g, (2,))
         assert _close(got, want), lam
 
 

@@ -52,6 +52,9 @@ def test_front_reference_from_profile(front_system):
                             A0 + front_system.r_plus, 0.0)
     B = fronts.front_reference(sp).B
     assert np.max(np.abs(B - B_EXPECTED)) < 1e-12
+    # the system's kernel basis is this split, not the constant part's
+    assert wd.system_basis(front_system, 0.0).roots == sp
+    assert fronts.front_basis(front_system, 0.0).roots == sp
 
 
 def test_front_reference_rejects_coincident_rates():
@@ -83,18 +86,32 @@ def test_front_det2_frozen_values(front_system, grid):
 
 
 def test_front_det2_is_reference_system_det2(front_system, grid):
+    """front_det2 is det2 of the front, whose kernel is the reference
+    system's: the public det2, det2_many and trace_system of the front
+    give its value and trace bit for bit."""
     ref = fronts.reference_system(front_system)
     assert not ref.is_front
-    for lam in (2.0, 3.0 + 0.25j):
-        a = fronts.front_det2(front_system, lam, grid).value
+    lams = (2.0, 3.0 + 0.25j, 2.0 + 1.0j)
+    many = fredholm.det2_many(front_system, lams, grid)
+    for lam, batched in zip(lams, many):
+        res = fronts.front_det2(front_system, lam, grid)
         b = fredholm.det2(ref, lam, grid).value
-        assert abs(a - b) < 1e-12
+        assert abs(res.value - b) < 1e-12
+        assert fredholm.det2(front_system, lam, grid).value == res.value
+        assert batched.value == res.value
+        assert batched.trace_used == res.trace_used
+        assert (fredholm.trace_system(front_system, lam, grid)
+                == res.trace_used)
 
 
 def test_front_det2_needs_panel_edge_at_zero(front_system):
     lopsided = wd.build_grid(20.0, 50)  # 5 panels, edges miss the origin
     with pytest.raises(ConfigError):
         fronts.front_det2(front_system, 2.0, lopsided)
+    with pytest.raises(ConfigError):
+        fredholm.det2(front_system, 2.0, lopsided)
+    with pytest.raises(ConfigError):
+        fredholm.det2_many(front_system, [2.0, 3.0], lopsided)
 
 
 def test_pulse_degeneration_is_exact(pt_system, grid):

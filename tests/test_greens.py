@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import wavedet as wd
 from wavedet import fredholm, greens
@@ -87,7 +87,13 @@ coeff_strategy = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 lam_strategy = st.builds(complex, st.floats(0.5, 8.0), st.floats(-3.0, 3.0))
 
 
+# a double root at 0, +-4.6e-17(1 + i), 4.3e-33 off the essential spectrum
+# (-inf, 1]: refused as EssentialSpectrum, not left to the interface solve
+EDGE_DRAW = {"ab": (1.0, 0.0), "lam": complex(1.0, 4.3e-33)}
+
+
 @given(ab=coeff_strategy, lam=lam_strategy)
+@example(**EDGE_DRAW)
 def test_alpha_interface_identities(ab, lam):
     """Continuity rows vanish, the top row jumps by exactly minus one."""
     p = wd.ScalarProblem(order=2, coeffs=tuple(map(complex, ab)),
@@ -131,6 +137,7 @@ def test_scalar_green_matches_closed_form():
 
 
 @given(ab=coeff_strategy, lam=lam_strategy, x=st.floats(-4.0, 4.0))
+@example(**EDGE_DRAW, x=0.0)
 def test_scalar_green_continuous_at_diagonal(ab, lam, x):
     p = wd.ScalarProblem(order=2, coeffs=tuple(map(complex, ab)),
                          profile=_free_problem().profile)
