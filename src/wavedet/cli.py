@@ -445,24 +445,23 @@ def cmd_roots(run):
 
 
 def cmd_det(run):
-    """det1 / det2 / detp per lambda (front problems: det2 alone); the
+    """det1 / det2 / detp per lambda (front problems: no det1); the
     Fredholm columns come from one batched call each."""
     from . import fredholm
     p = _as_int(run.extra.get("p", 3), "p")
     fredholm._check_order(p)
     run.resolved["p"] = p
     lams = run.lambdas()
-    if run.system.is_front:
-        rows = [[lam, d2.value] for lam, d2 in
-                zip(lams, fredholm.det2_many(run.system, lams, run.grid))]
-        return _render(run, [("lambda", "c"), ("det2", "c")], rows)
-    columns = [("lambda", "c"), ("det1", "c"), ("det2", "c")]
+    columns = [("lambda", "c"), ("det2", "c")]
     if p != 2:
         columns.append((f"det{p}", "c"))
-    dets = fredholm.det2_detp_many(run.system, lams, run.grid, p)
-    det1 = fredholm.det1_many(run.problem, lams, run.grid)
-    rows = [[lam, d1.value] + [d.value for d in ds[:len(columns) - 2]]
-            for lam, d1, ds in zip(lams, det1, dets)]
+    rows = [[lam] + [d.value for d in ds[:len(columns) - 1]] for lam, ds in
+            zip(lams, fredholm.det2_detp_many(run.system, lams, run.grid, p))]
+    if not run.system.is_front:
+        columns.insert(1, ("det1", "c"))
+        for row, d1 in zip(rows, fredholm.det1_many(run.problem, lams,
+                                                    run.grid)):
+            row.insert(1, d1.value)
     return _render(run, columns, rows)
 
 

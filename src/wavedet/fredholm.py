@@ -245,8 +245,16 @@ def _analytic_traces(problem: ScalarProblem, groups: list,
     return tau
 
 
-def _system_weight(system: SystemProblem) -> Callable:
-    """W_c = -(R - R_inf) on the column support, shape x.shape + (n, c)."""
+def _system_weight(system: SystemProblem, grid: QuadratureGrid) -> Callable:
+    """W_c = -(R - R_inf) on the column support, shape x.shape + (n, c), to
+    be integrated on grid.  A front's W jumps at x = 0, so a composite
+    Gauss grid must put a panel edge there."""
+    panels = _gl_panels(grid)
+    if (system.is_front and panels is not None
+            and float(np.min(np.abs(panels[0]))) > 1e-9):
+        raise ConfigError("front quadrature needs a panel edge at x = 0; "
+                          "use a node count divisible into an even panel "
+                          "split")
     cols = system.column_support
 
     def weight(x):
@@ -482,7 +490,7 @@ def trace_power_system(system: SystemProblem, lam: complex,
     *basis, refusals = greens.system_bases(system, [lam])
     raise_first(refusals)
     (_, terms), = _system_terms(*basis, system.column_support)
-    return _trace_power(terms, _system_weight(system), grid, power)
+    return _trace_power(terms, _system_weight(system, grid), grid, power)
 
 
 @dataclass(frozen=True)
@@ -773,8 +781,8 @@ def trace_system_pair(system: SystemProblem, lam: complex,
     """
     _, k, P, Pinv, refusals = greens.system_bases(system, [lam])
     raise_first(refusals)
-    tau_plus, tau_minus = _trace_pairs(P, Pinv, k, grid,
-                                       _system_weight(system)(grid.nodes),
+    W = _system_weight(system, grid)(grid.nodes)
+    tau_plus, tau_minus = _trace_pairs(P, Pinv, k, grid, W,
                                        system.column_support)
     return complex(tau_plus[0]), complex(tau_minus[0])
 
@@ -823,19 +831,12 @@ def _system_dets(system: SystemProblem, lams: Sequence[complex],
     one set of weight samples, and per slice of lambdas one set of block
     generators, one QR sweep and one pass of the iterated traces.  The
     analytic trace validates the sign conventions and is reported for the
-    det / det2 conversion.  A front's weight jumps at x = 0, so a
-    composite Gauss grid must put a panel edge there.  A refused lambda
-    raises the typed error of the first one in input order."""
+    det / det2 conversion.  A refused lambda raises the typed error of the
+    first one in input order."""
     _check_order(*orders.values())
-    panels = _gl_panels(grid)
-    if (system.is_front and panels is not None
-            and float(np.min(np.abs(panels[0]))) > 1e-9):
-        raise ConfigError("front quadrature needs a panel edge at x = 0; "
-                          "use a node count divisible into an even panel "
-                          "split")
     kappa, k, P, Pinv, refusals = greens.system_bases(system, lams)
     cols = system.column_support
-    samples = _sample(_system_weight(system), grid)
+    samples = _sample(_system_weight(system, grid), grid)
     tau, tau_minus = _trace_pairs(P, Pinv, k, grid, samples.nodes, cols)
     raise_first([refusal if refusal is not None else _sign_mismatch(a, b)
                  for refusal, a, b in zip(refusals, tau, tau_minus)])

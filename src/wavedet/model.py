@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EssentialSpectrum, NearMultipleRoots
+from .errors import ConfigError
 
 __all__ = [
     "WaveProfile",
@@ -67,7 +68,9 @@ class WaveProfile:
     """A wave profile phi with enough structure for both pipelines.
 
     ``fn`` evaluates phi on scalars or arrays; ``deriv`` evaluates the
-    order-l derivative.  ``limits`` holds (phi(-inf), phi(+inf)); both are 0
+    order-l derivative, exact at every order for the built-in kinds
+    (polynomials in tanh and sech, Hermite functions) and the spline's for
+    a tabulated profile.  ``limits`` holds (phi(-inf), phi(+inf)); both are 0
     for pulses.  ``l1_norm`` is the integral of |phi| (inf for fronts) and
     ``exact_integral`` the signed integral of phi when a closed form exists.
     """
@@ -93,113 +96,61 @@ class WaveProfile:
         return max(abs(self.limits[0]), abs(self.limits[1])) > 0.0
 
 
-def _fd_derivative(f2, x, order, h=1e-3):
-    # central differences stacked on the analytic second derivative;
-    # only exercised for derivative orders >= 3
-    if order == 2:
-        return f2(x)
-    return (_fd_derivative(f2, x + h, order - 1, h)
-            - _fd_derivative(f2, x - h, order - 1, h)) / (2.0 * h)
+def _tanh_sech(terms: dict, w: float, x: np.ndarray,
+               order: int) -> np.ndarray:
+    """The order-th derivative of the sum of c t^i s^j over terms
+    {(i, j): c}, with t = tanh(x / w) and s = sech(x / w), by the rule
+    d(t^i s^j)/dx = (i t^(i-1) s^(j+2) - j t^(i+1) s^j) / w.  Each product
+    is formed left to right and the terms are added in order, so the
+    order-0 value rounds as the written c + a t + q s s does."""
+    for _ in range(order):
+        d = {}
+        for (i, j), c in terms.items():
+            for key, f in (((i - 1, j + 2), i), ((i + 1, j), -j)):
+                if f:
+                    d[key] = d.get(key, 0.0) + f * c / w
+        terms = d
+    if not terms:
+        return np.zeros_like(x)
+    s = 1.0 / np.cosh(x / w)
+    t = np.tanh(x / w) if any(i for i, _ in terms) else None
+    values = [functools.reduce(operator.mul, [t] * i + [s] * j, c)
+              for (i, j), c in terms.items()]
+    return sum(values[1:], values[0])
 
 
-def _profile_from_table(kind, params, f0, f1, f2, limits, l1, exact):
-    def deriv(x, order):
-        if order == 1:
-            return f1(x)
-        if order == 2:
-            return f2(x)
-        return _fd_derivative(f2, x, order)
-
-    return WaveProfile(kind=kind, params=params, fn=f0, deriv=deriv,
-                       limits=limits, l1_norm=l1, exact_integral=exact)
+def _gaussian(a: float, w: float, x: np.ndarray, order: int) -> np.ndarray:
+    """The order-th derivative of a e^(-u^2), u = x / w:
+    a (-1/w)^order H_order(u) e^(-u^2) with the Hermite polynomial H."""
+    u = x / w
+    hermite = np.polynomial.hermite.hermval(u, [0.0] * order + [1.0])
+    return a * (-1.0 / w) ** order * hermite * np.exp(-(u ** 2))
 
 
-def _sech2_profile(kind, amplitude, width, params):
+def _builtin_profile(kind: str, label: str, params: dict, amplitude: float,
+                     width: float, offset: float = 0.0,
+                     well: float = 0.0) -> WaveProfile:
+    """The ``make_profile`` kind named label, params echoed as given:
+    derivatives of every order in closed form."""
     a, w = amplitude, width
-
-    def f0(x):
-        s = 1.0 / np.cosh(x / w)
-        return a * s * s
-
-    def f1(x):
-        s = 1.0 / np.cosh(x / w)
-        t = np.tanh(x / w)
-        return -2.0 * a / w * s * s * t
-
-    def f2(x):
-        s2 = 1.0 / np.cosh(x / w) ** 2
-        t = np.tanh(x / w)
-        return 2.0 * a / w ** 2 * s2 * (2.0 * t * t - s2)
-
-    l1 = abs(a) * 2.0 * abs(w)
-    return _profile_from_table(kind, params, f0, f1, f2, (0.0, 0.0),
-                               l1, a * 2.0 * w)
-
-
-def _sech_profile(amplitude, width, params):
-    a, w = amplitude, width
-
-    def f0(x):
-        return a / np.cosh(x / w)
-
-    def f1(x):
-        s = 1.0 / np.cosh(x / w)
-        return -a / w * s * np.tanh(x / w)
-
-    def f2(x):
-        s = 1.0 / np.cosh(x / w)
-        t = np.tanh(x / w)
-        return a / w ** 2 * s * (t * t - s * s)
-
-    l1 = abs(a) * math.pi * abs(w)
-    return _profile_from_table("sech_pulse", params, f0, f1, f2, (0.0, 0.0),
-                               l1, a * math.pi * w)
-
-
-def _gaussian_profile(amplitude, width, params):
-    a, w = amplitude, width
-
-    def f0(x):
-        return a * np.exp(-((x / w) ** 2))
-
-    def f1(x):
-        return -2.0 * x / w ** 2 * f0(x)
-
-    def f2(x):
-        return (-2.0 / w ** 2 + 4.0 * x ** 2 / w ** 4) * f0(x)
-
-    l1 = abs(a) * abs(w) * math.sqrt(math.pi)
-    return _profile_from_table("gaussian_pulse", params, f0, f1, f2,
-                               (0.0, 0.0), l1, a * w * math.sqrt(math.pi))
-
-
-def _tanh_front_profile(amplitude, offset, well, width, params):
-    a, c, q, w = amplitude, offset, well, width
-
-    def f0(x):
-        s = 1.0 / np.cosh(x / w)
-        return c + a * np.tanh(x / w) + q * s * s
-
-    def f1(x):
-        s2 = 1.0 / np.cosh(x / w) ** 2
-        t = np.tanh(x / w)
-        return a / w * s2 - 2.0 * q / w * s2 * t
-
-    def f2(x):
-        s2 = 1.0 / np.cosh(x / w) ** 2
-        t = np.tanh(x / w)
-        return (-2.0 * a / w ** 2 * s2 * t
-                + 2.0 * q / w ** 2 * s2 * (2.0 * t * t - s2))
-
-    limits = (c - a, c + a)
-    if limits == (0.0, 0.0):
-        l1 = abs(q) * 2.0 * abs(w)
-        exact = q * 2.0 * w
+    if kind == "gaussian":
+        deriv = functools.partial(_gaussian, a, w)
+        exact = a * w * math.sqrt(math.pi)
     else:
-        l1 = math.inf
+        terms, exact = {
+            "sech2": ({(0, 2): a}, a * 2.0 * w),
+            "sech": ({(0, 1): a}, a * math.pi * w),
+            "tanh_front": ({(0, 0): offset, (1, 0): a, (0, 2): well},
+                           well * 2.0 * w)}[kind]
+        deriv = functools.partial(_tanh_sech, terms, w)
+    limits = (offset - a, offset + a) if kind == "tanh_front" else (0.0, 0.0)
+    if limits != (0.0, 0.0):
         exact = None
-    return _profile_from_table("tanh_front", params, f0, f1, f2, limits,
-                               l1, exact)
+    return WaveProfile(kind=label, params=params,
+                       fn=functools.partial(deriv, order=0), deriv=deriv,
+                       limits=limits,
+                       l1_norm=math.inf if exact is None else abs(exact),
+                       exact_integral=exact)
 
 
 def tabulated_profile(x: Sequence[float], values: Sequence[float],
@@ -303,11 +254,14 @@ class ScalarProblem:
         return phi if self.jacobian is None else self.jacobian(phi)
 
     def potential_derivative(self, x, order: int):
+        """v^(order)(x): the profile's own derivative without a jacobian
+        (exact at every order for the built-in profiles).  With a jacobian
+        it is nested central differences with h = 1e-3, off by about 5e-6
+        at order 2, 2e-5 at 3 and 3e-4 at 4 on sech^2 over [-3, 3]."""
         if order == 0:
             return self.potential(x)
         if self.jacobian is None:
             return self.profile.derivative(x, order)
-        # no symbolic algebra on V: nested central differences
         h = 1e-3
         return (self.potential_derivative(np.asarray(x) + h, order - 1)
                 - self.potential_derivative(np.asarray(x) - h, order - 1)) / (2 * h)
@@ -535,40 +489,27 @@ def essential_spectrum_distance(problem: ScalarProblem, lam: complex) -> float:
 # builtins and the first-order form
 
 
+# the built-in profile kinds: their labels and their parameter defaults, in
+# the order they are read
+_PROFILE_KINDS = {
+    "sech2": ("sech2", {"amplitude": 1.0, "width": 1.0}),
+    "sech": ("sech_pulse", {"amplitude": 1.0, "width": 1.0}),
+    "gaussian": ("gaussian_pulse", {"amplitude": 1.0, "width": 1.0}),
+    "tanh_front": ("tanh_front", {"amplitude": 1.0, "offset": 0.0,
+                                  "well": 0.0, "width": 1.0}),
+}
+
+
 def make_profile(kind: str, **params) -> WaveProfile:
     """Profile factory keyed the way configuration files spell it."""
-    if kind == "sech2":
-        amplitude = float(params.pop("amplitude", 1.0))
-        width = float(params.pop("width", 1.0))
-        _reject_extra(kind, params)
-        _require_positive(width, "width")
-        return _sech2_profile("sech2", amplitude, width,
-                              {"amplitude": amplitude, "width": width})
-    if kind == "sech":
-        amplitude = float(params.pop("amplitude", 1.0))
-        width = float(params.pop("width", 1.0))
-        _reject_extra(kind, params)
-        _require_positive(width, "width")
-        return _sech_profile(amplitude, width,
-                             {"amplitude": amplitude, "width": width})
-    if kind == "gaussian":
-        amplitude = float(params.pop("amplitude", 1.0))
-        width = float(params.pop("width", 1.0))
-        _reject_extra(kind, params)
-        _require_positive(width, "width")
-        return _gaussian_profile(amplitude, width,
-                                 {"amplitude": amplitude, "width": width})
-    if kind == "tanh_front":
-        amplitude = float(params.pop("amplitude", 1.0))
-        offset = float(params.pop("offset", 0.0))
-        well = float(params.pop("well", 0.0))
-        width = float(params.pop("width", 1.0))
-        _reject_extra(kind, params)
-        _require_positive(width, "width")
-        return _tanh_front_profile(amplitude, offset, well, width,
-                                   {"amplitude": amplitude, "offset": offset,
-                                    "well": well, "width": width})
-    raise ConfigError(f"unknown profile kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _PROFILE_KINDS:
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    label, defaults = _PROFILE_KINDS[kind]
+    values = {name: float(params.pop(name, default))
+              for name, default in defaults.items()}
+    _reject_extra(kind, params)
+    _require_positive(values["width"], "width")
+    return _builtin_profile(kind, label, values, **values)
 
 
 # builtin order-2 problems with zero coefficients over a ``make_profile`` kind
@@ -583,8 +524,8 @@ def builtin_problem(name: str, **params) -> ScalarProblem:
         _reject_extra(name, params)
         if not isinstance(N, int) or N < 1:
             raise ConfigError("poschl_teller needs integer N >= 1")
-        prof = _sech2_profile("poschl_teller", float(N * (N + 1)), 1.0,
-                              {"N": N})
+        prof = _builtin_profile("sech2", "poschl_teller", {"N": N},
+                                float(N * (N + 1)), 1.0)
         return ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof)
     if name in _PULSE_PROFILES:
         return ScalarProblem(order=2, coeffs=(0.0, 0.0),
@@ -593,8 +534,8 @@ def builtin_problem(name: str, **params) -> ScalarProblem:
     if name == "biharmonic_demo":
         amplitude = float(params.pop("amplitude", 1.0))
         _reject_extra(name, params)
-        prof = _sech2_profile("biharmonic_demo", amplitude, 1.0,
-                              {"amplitude": amplitude})
+        prof = _builtin_profile("sech2", "biharmonic_demo",
+                                {"amplitude": amplitude}, amplitude, 1.0)
         return ScalarProblem(order=4, coeffs=(0.0, 0.0, 0.0, 0.0),
                              profile=prof)
     raise ConfigError(f"unknown builtin problem {name!r}")
@@ -623,26 +564,16 @@ def companion_matrix(coeffs: Sequence[complex], lam: complex) -> np.ndarray:
     return A
 
 
-def to_system(problem: ScalarProblem, lam: complex | None = None) -> SystemProblem:
+def to_system(problem: ScalarProblem) -> SystemProblem:
     """First-order form of a scalar problem.
 
     The bottom row of R collects the Leibniz expansion of d^m/dx^m (v u):
     R[n-1][i] = -C(m, i) v^(m-i)(x) for i = 0..m, so that
-    dY/dx = (A0 + R) Y is equivalent to L u = lambda u.  The optional
-    lambda argument is only classified for early error reporting.
+    dY/dx = (A0 + R) Y is equivalent to L u = lambda u.
     """
     n = problem.order
     m = problem.deriv_order
     coeffs = problem.coeffs
-    if lam is not None:
-        status = classify_point(problem, lam).domain_status
-        if status == "essential":
-            raise EssentialSpectrum(
-                f"lambda={lam} touches the essential spectrum of the "
-                "constant part")
-        if status == "indeterminate":
-            raise NearMultipleRoots(
-                f"characteristic roots at lambda={lam} nearly coincide")
     binom = [math.comb(m, i) for i in range(m + 1)]
 
     def base(lmb: complex) -> np.ndarray:

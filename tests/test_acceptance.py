@@ -325,3 +325,26 @@ def test_self_convergence_and_analyticity(pt):
     _report("self-convergence and analyticity", ok,
             f"doubling ratio {gap_coarse / gap_fine:.0f}x, window drift "
             f"{width_gap:.1e}, Cauchy-Riemann residual {cr:.1e}")
+
+
+# ---------------------------------------------------------------------------
+# 12: the routes agree on high orders with derivative coupling
+
+
+@pytest.mark.parametrize("order,m", [(5, 3), (6, 4)])
+def test_routes_agree_with_derivative_coupling(order, m):
+    """v^(1)..v^(m) enter the first-order form's bottom row, so det2 and
+    E/c see every derivative of the sech^2 profile that det1 never does."""
+    prob = wd.ScalarProblem(order=order, coeffs=(1.0,) + (0.0,) * (order - 1),
+                            profile=wd.make_profile("sech2", amplitude=4.0),
+                            deriv_order=m)
+    sysm = wd.to_system(prob)
+    lam = 2.0 + 1.0j
+    grid = wd.build_grid(20.0, 800)
+    d1 = wd.det1(prob, lam, grid).value
+    r2 = wd.det2(sysm, lam, grid)
+    det2_gap = abs(r2.value * np.exp(r2.trace_used) - d1) / abs(d1)
+    evans_gap = abs(wd.evans_function(sysm, lam).ratio - d1) / abs(d1)
+    _report(f"det2 and E/c = det1 at order {order}, m = {m}",
+            det2_gap <= 1e-9 and evans_gap <= 1e-5,
+            f"det2 gap {det2_gap:.1e}, E/c gap {evans_gap:.1e}")

@@ -475,8 +475,20 @@ def test_front_determinant_via_cli(tmp_path, capsys):
     code, out, err = run_cli(capsys, "det", "--config", str(path))
     assert code == 0
     header, rows = csv_rows(out)
-    assert header == ["re_lambda", "im_lambda", "re_det2", "im_det2"]
+    assert header == ["re_lambda", "im_lambda", "re_det2", "im_det2",
+                      "re_det3", "im_det3"]
     assert abs(float(rows[0]["re_det2"]) - (-0.5187858769)) < 1e-8
+    # the requested p is a column on a front too
+    path.write_text(json.dumps(dict(cfg, p=4)))
+    code, out, err = run_cli(capsys, "det", "--config", str(path))
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert header[-2:] == ["re_det4", "im_det4"]
+    front = wavedet.to_system(wavedet.builtin_problem(
+        "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
+    _, d4 = fredholm.det2_detp(front, 2.0, wavedet.default_grid(), 4)
+    assert complex(float(rows[0]["re_det4"]),
+                   float(rows[0]["im_det4"])) == d4.value
 
 
 def test_front_locate_and_scan_walk_batched_det2(tmp_path, capsys,

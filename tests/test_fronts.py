@@ -112,6 +112,14 @@ def test_front_det2_needs_panel_edge_at_zero(front_system):
         fredholm.det2(front_system, 2.0, lopsided)
     with pytest.raises(ConfigError):
         fredholm.det2_many(front_system, [2.0, 3.0], lopsided)
+    with pytest.raises(ConfigError):
+        fredholm.trace_system(front_system, 2.0 + 1.0j, lopsided)
+    with pytest.raises(ConfigError):
+        fredholm.trace_system_pair(front_system, 2.0 + 1.0j, lopsided)
+    for power in (2, 3):
+        with pytest.raises(ConfigError):
+            fredholm.trace_power_system(front_system, 2.0 + 1.0j, lopsided,
+                                        power)
 
 
 def test_pulse_degeneration_is_exact(pt_system, grid):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedet as wd
-from wavedet.errors import ConfigError, EssentialSpectrum
+from wavedet.errors import ConfigError
 from wavedet import model
 
 
@@ -33,6 +33,16 @@ def test_pulse_profile_exact_integrals(kind, params, integral):
     assert prof.limits == (0.0, 0.0)
 
 
+def _sympy_profile(kind, x, amplitude, width, offset=0.0, well=0.0):
+    """The closed form of a ``make_profile`` kind in sympy."""
+    import sympy
+    u = x / width
+    t, s = sympy.tanh(u), sympy.sech(u)
+    return {"sech2": amplitude * s ** 2, "sech": amplitude * s,
+            "gaussian": amplitude * sympy.exp(-u ** 2),
+            "tanh_front": offset + amplitude * t + well * s ** 2}[kind]
+
+
 @pytest.mark.parametrize("kind,params", [
     ("sech2", {"amplitude": 2.0, "width": 1.0}),
     ("sech", {"amplitude": -1.0, "width": 0.7}),
@@ -40,7 +50,10 @@ def test_pulse_profile_exact_integrals(kind, params, integral):
     ("tanh_front", {"amplitude": 1.5, "offset": -2.5, "well": 8.0, "width": 1.0}),
 ])
 def test_profile_derivatives_match_finite_differences(kind, params):
-    """Hand-coded first and second derivatives against central differences."""
+    """First and second derivatives against central differences, and
+    orders 0-6 against sympy's derivatives of the closed form."""
+    import mpmath
+    import sympy
     prof = wd.make_profile(kind, **params)
     xs = np.linspace(-3.0, 3.0, 11)
     h = 1e-5
@@ -48,6 +61,15 @@ def test_profile_derivatives_match_finite_differences(kind, params):
     d2 = (prof(xs + h) - 2 * prof(xs) + prof(xs - h)) / h**2
     assert np.allclose(prof.derivative(xs, 1), d1, atol=1e-8)
     assert np.allclose(prof.derivative(xs, 2), d2, atol=1e-4)
+    x = sympy.Symbol("x")
+    expr = _sympy_profile(kind, x, **params)
+    for order in range(7):
+        exact = sympy.lambdify(x, sympy.diff(expr, x, order), "mpmath")
+        with mpmath.workdps(30):
+            ref = np.array([float(exact(mpmath.mpf(t))) for t in xs])
+        got = prof.derivative(xs, order)
+        assert np.all(np.abs(got - ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref))), order
 
 
 def test_tanh_front_limits():
@@ -61,6 +83,8 @@ def test_tanh_front_limits():
 def test_make_profile_rejects_unknown():
     with pytest.raises(ConfigError):
         wd.make_profile("bump")
+    with pytest.raises(ConfigError):
+        wd.make_profile(["sech2"])  # a config file can give any JSON value
     with pytest.raises(ConfigError):
         wd.make_profile("sech2", amplitude=1.0, radius=2.0)
     with pytest.raises(ConfigError):
@@ -320,11 +344,6 @@ def test_decaying_part_is_the_broadcast_difference_bit_for_bit(name):
         got = sysm.decaying_part(x)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-def test_to_system_rejects_essential_lambda(pt):
-    with pytest.raises(EssentialSpectrum):
-        wd.to_system(pt, lam=-4.0)
 
 
 @given(x=st.floats(-15.0, 15.0))
