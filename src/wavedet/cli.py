@@ -8,7 +8,8 @@ command:
                     "m", "asymptotics"} for a custom scalar problem
     domain          {"half_width", "quad_points", "rule", "panel_order"}
     evans           {"rtol", "renorm_threshold", "orthogonalize_interval"};
-                    rtol is the accuracy target that sets the Magnus step
+                    rtol is the accuracy target of E/c that sizes the
+                    Magnus steps from their own error estimate
     matching_point  where the two Jost families are matched
     output          {"format": "csv" | "json", "path": null for stdout}
 

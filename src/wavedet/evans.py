@@ -1,25 +1,29 @@
 """Evans function by direct integration of the first-order system.
 
 The solutions decaying at -infinity (and at +infinity) are continued across
-the support of the perturbation by a fixed-step sixth-order Magnus
-integrator: the system Y' = (A0 + R(x)) Y is linear, so each step is the
-matrix exponential of a commutator combination of the generator at three
-Gauss points (Blanes, Casas & Ros, BIT 40 (2000); Malham & Niesen,
-Math. Comp. 77 (2008)).  R is sampled once per run, the step exponentials
-of a run come from one batched Pade approximant of the least degree its
-largest step needs (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)), and
-the steps between two stored points are multiplied out pairwise to one
-matrix per segment.  Growth is stripped on the fly: the columns are kept
-O(1) by a QR renormalization after every segment, every removed factor is
-logged, and E(lambda)/c(lambda) is reassembled from the logs.  The runs
-of a slice of lambdas share one sweep of stacked QRs.  The transmission
-matrix is the edge pairing D = Z0+(X) Y-(X), which equals
+the support of the perturbation by a sixth-order Magnus integrator: the
+system Y' = (A0 + R(x)) Y is linear, so each step is the matrix exponential
+of a commutator combination of the generator at three Gauss points
+(Blanes, Casas & Ros, BIT 40 (2000); Malham & Niesen, Math. Comp. 77
+(2008)).  The steps of a lambda are sized by the integrator's own error: a
+pilot sets one step over every piece of the grid of stored points against
+two half steps, and the Richardson estimate of their gap gives each piece
+the steps that meet rtol (Blanes, Casas, Oteo & Ros, Phys. Rep. 470
+(2009), section 5).  Each step exponential comes from a Pade approximant of
+the least degree its own norm needs (Higham, SIAM J. Matrix Anal. Appl. 26
+(2005)), and the steps between two stored points are multiplied out
+pairwise to one matrix per segment.  Growth is stripped on the fly: the
+columns are kept O(1) by a QR renormalization after every segment, every
+removed factor is logged, and E(lambda)/c(lambda) is reassembled from the
+logs.  The runs of a slice of lambdas share one sweep of stacked QRs.  The
+transmission matrix is the edge pairing D = Z0+(X) Y-(X), which equals
 I + integral of Z0+ R Y- exactly.  The perturbed dual rows of the Swinton
 pairing are the transposed columns of the adjoint system
-W' = -(A0 + R)^T W, run leftwards from Z0+(X)^T; its step propagators
-exp(-Omega^T) come from the plus run's Pade pair.  So a pulse takes three
-runs per lambda: the minus run over the whole window serves E, D and the
-Swinton pairing; the plus run and its adjoint stop at the matching point.
+W' = -(A0 + R)^T W, run leftwards from Z0+(X)^T.  So a pulse takes three
+runs per lambda on one set of exponents Omega: the minus run over the whole
+window takes exp(Omega) and serves E, D and the Swinton pairing; the plus
+run takes exp(-Omega) and its adjoint exp(Omega)^T, and both stop at the
+matching point.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import greens, model
-from .errors import ConfigError, StiffnessFailure
+from .errors import ConfigError, StiffnessFailure, WavedetError
 from .greens import UnperturbedBasis
 # IntegrationParams lives in model, so a command validates it before
 # loading this module; it is re-exported here under its old name
@@ -99,7 +103,7 @@ class JostSolution:
         return self.renorm_log[-1] - self.renorm_log[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvansResult:
     """E(lambda), its normalizer c(lambda), and the transmission data.
 
@@ -125,24 +129,26 @@ def _side_bases(system: SystemProblem, lam: complex):
     return greens.end_bases(A0 + system.r_minus, A0 + system.r_plus)
 
 
-def _segment_step(params: IntegrationParams, basis: UnperturbedBasis) -> float:
-    rate = max(abs(r.real) for r in basis.roots.all) + 1.0
+def _segment_step(params: IntegrationParams,
+                  *bases: UnperturbedBasis) -> float:
+    rate = max(abs(r.real) for b in bases for r in b.roots.all) + 1.0
     return min(params.orthogonalize_interval,
                math.log(params.renorm_threshold) / (2.0 * rate))
 
 
-def _boundaries(x_from: float, x_to: float, step: float,
+def _boundaries(half_width: float, step: float,
                 extra: Sequence[float] = ()) -> np.ndarray:
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
+    """Stored points of the window [-X, X], ascending: equal segments of
+    at most step, the extra points merged in.  A run stores a part."""
     extra = np.asarray(extra, dtype=float)
-    bad = extra[(extra < lo - 1e-9) | (extra > hi + 1e-9)]
-    if bad.size:
-        raise ConfigError(f"sample point {bad[0]} outside the run [{lo}, {hi}]")
-    n_seg = max(1, int(math.ceil((hi - lo) / step - 1e-12)))
-    pts = np.sort(np.concatenate([np.linspace(lo, hi, n_seg + 1), extra]))
+    if np.any(np.abs(extra) > half_width + 1e-9):
+        raise ConfigError(f"sample point outside the window {extra}")
+    n_seg = max(1, int(math.ceil(2.0 * half_width / step - 1e-12)))
+    pts = np.sort(np.concatenate([
+        np.linspace(-half_width, half_width, n_seg + 1), extra]))
     pts = pts[np.concatenate(([True], np.diff(pts) > 1e-10))]
-    pts[0], pts[-1] = lo, hi
-    return pts if x_from <= x_to else pts[::-1].copy()
+    pts[0], pts[-1] = -half_width, half_width
+    return pts
 
 
 def _scaled_entries(M: np.ndarray, row_exp: np.ndarray,
@@ -179,33 +185,42 @@ _PADE = {m: [float(math.factorial(2 * m - j) // math.factorial(j)
          for m in _THETA}
 
 
+def _norm1(A: np.ndarray) -> np.ndarray:
+    return np.max(np.sum(np.abs(A), axis=-2), axis=-1)
+
+
 def _expm(A: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """exp of every matrix of a stack (..., d, d) at once, from the Pade
+    """exp of every matrix of a stack (..., d, d), each from the Pade
     approximant r_m = (V - U)^-1 (V + U) of the least degree m in 3, 5, 7,
-    9 whose theta_m bounds the largest 1-norm of the stack.  Above
-    theta_9 it is degree 13, each matrix scaled by its own power of two
-    and squared back.
+    9 whose theta_m bounds its own 1-norm; the matrices of one degree go
+    through together.  Above theta_9 it is degree 13, each matrix scaled
+    by its own power of two and squared back.
 
     With adjoint the result is the pair [exp(A), exp(-A^T)], shape
     (2,) + A.shape: U is odd in A and V even, so r_m(-A^T) is
     ((V + U)^-1 (V - U))^T, one more solve on the same U and V."""
     A = np.asarray(A, dtype=complex)
-    norm = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
-    m = next((m for m in (3, 5, 7, 9) if np.all(norm <= _THETA[m])), 13)
+    norm = _norm1(A)
+    degree = np.select([norm <= _THETA[m] for m in (3, 5, 7, 9)],
+                       [3, 5, 7, 9], 13)
     s = np.ceil(np.log2(norm / _THETA[13] + 1e-300)).clip(0).astype(int)
     A = A / (2.0 ** s)[..., None, None]
-    powers = [np.eye(A.shape[-1], dtype=complex), A @ A]
-    while len(powers) <= m // 2:
-        powers.append(powers[-1] @ powers[1])
-    U = A @ sum(_PADE[m][2 * j + 1] * P for j, P in enumerate(powers))
-    V = sum(_PADE[m][2 * j] * P for j, P in enumerate(powers))
-    X = np.linalg.solve(V - U, V + U)
-    if adjoint:
-        X = np.stack([X, np.swapaxes(np.linalg.solve(V + U, V - U), -1, -2)])
+    X = np.empty((1 + adjoint,) + A.shape, dtype=complex)
+    for m in set(degree.ravel().tolist()):
+        group = degree == m
+        B = A[group]
+        powers = [np.eye(A.shape[-1], dtype=complex), B @ B]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ powers[1])
+        U = B @ sum(_PADE[m][2 * j + 1] * P for j, P in enumerate(powers))
+        V = sum(_PADE[m][2 * j] * P for j, P in enumerate(powers))
+        X[0][group] = np.linalg.solve(V - U, V + U)
+        if adjoint:
+            X[1][group] = np.swapaxes(np.linalg.solve(V + U, V - U), -1, -2)
     for j in range(int(s.max(initial=0))):
         sq = s > j
-        X[..., sq, :, :] = X[..., sq, :, :] @ X[..., sq, :, :]
-    return X
+        X[:, sq] = X[:, sq] @ X[:, sq]
+    return X if adjoint else X[0]
 
 
 def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -232,110 +247,100 @@ def _magnus_exponent(G: np.ndarray, h: np.ndarray) -> np.ndarray:
     return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
 
 
-def _step_length(system: SystemProblem, A0: np.ndarray,
-                 params: IntegrationParams) -> float:
-    """Magnus step theta / (max |kappa| + 1) over the roots of both end
-    matrices, with theta set by rtol for the sixth-order local error."""
-    roots = np.concatenate([np.linalg.eigvals(A0 + system.r_minus),
-                            np.linalg.eigvals(A0 + system.r_plus)])
-    theta = 0.15 * (params.rtol / 1e-10) ** (1.0 / 6.0)
-    return theta / (float(np.max(np.abs(roots))) + 1.0)
-
-
-def _step_edges(bounds: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of the Magnus steps of a run and, per segment, the index of
-    its last edge.  Each segment between consecutive stored points is cut
-    at x = 0 (where a front's recentred perturbation jumps) and split
-    into equal steps of at most h, placed as np.linspace places them."""
-    cut = np.flatnonzero(np.sign(bounds[:-1]) * np.sign(bounds[1:]) < 0.0)
-    pts = np.insert(bounds, cut + 1, 0.0)
-    p, q = pts[:-1], pts[1:]
-    m = np.maximum(1, np.ceil(np.abs(q - p) / h - 1e-12)).astype(int)
-    last = np.cumsum(m)
-    piece = np.repeat(np.arange(m.size), m)
-    j = np.arange(1.0, last[-1] + 1.0) - np.repeat(last - m, m)
-    edges = np.concatenate(([bounds[0]], j * ((q - p) / m)[piece] + p[piece]))
-    edges[last] = q
-    return edges, np.delete(last, cut + np.arange(cut.size))
-
-
-def _step_exponents(system: SystemProblem, A0: np.ndarray,
-                    edges: np.ndarray) -> np.ndarray:
-    """Magnus exponents of the steps between consecutive edges, with R
+def _step_exponents(system: SystemProblem, A0: np.ndarray, x: np.ndarray,
+                    h: np.ndarray) -> np.ndarray:
+    """Magnus exponents of the steps from x of signed lengths h, with R
     sampled once at all Gauss points."""
-    h = np.diff(edges)
-    t = edges[:-1, None] + h[:, None] * _GAUSS3
+    t = x[:, None] + h[:, None] * _GAUSS3
     R = np.asarray(system.perturbation(t), dtype=complex)
     return _magnus_exponent(A0 + R, h)
 
 
-def _segment_products(E: np.ndarray, ends: Sequence[int]) -> np.ndarray:
-    """Product of the step propagators of every segment, later steps on
-    the left, for a stack of runs E of shape (..., steps, d, d).
+# the share of rtol the steps aim at: the local estimates miss some error
+_SAFETY = 0.5
 
-    The segments are padded with identities to a common length, and
-    neighbouring factors are multiplied pairwise in one batched matmul
-    per round until one matrix per segment is left.
+
+def _window_steps(system: SystemProblem, lam: complex,
+                  params: IntegrationParams,
+                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Magnus steps over the ascending stored points bounds, as pairs
+    [exp(Omega), exp(-Omega^T)] (2, steps, d, d), and the index of the
+    first step after every stored point.
+
+    Every segment is cut at x = 0 (where a front's recentred perturbation
+    jumps).  On every piece of length L a pilot sets one step against two
+    half steps: their relative 1-norm gap g is 63/64 of the full step's
+    error C L^7.  Steps of C h^7 add up to the share L / 2X of _SAFETY *
+    rtol when the piece takes m = (128 X g / (63 _SAFETY rtol L))^(1/6) of
+    them, rounded up; a piece that needs two or fewer takes the pilot's.
     """
-    ends = np.asarray(ends)
-    starts = np.concatenate(([0], ends[:-1]))
-    counts = ends - starts
-    j = np.arange(int(counts.max()))
-    idx = np.where(j < counts[:, None], starts[:, None] + j, E.shape[-3])
-    d = E.shape[-1]
-    ident = np.broadcast_to(np.eye(d, dtype=E.dtype),
-                            E.shape[:-3] + (1, d, d))
-    X = np.concatenate([E, ident], axis=-3)[..., idx, :, :]
-    while X.shape[-3] > 1:
-        m = X.shape[-3] // 2
-        pairs = X[..., 1:2 * m:2, :, :] @ X[..., 0:2 * m:2, :, :]
-        X = np.concatenate([pairs, X[..., 2 * m:, :, :]], axis=-3)
-    return X[..., 0, :, :]
-
-
-def _segment_runs(system: SystemProblem, lam: complex,
-                  basis: UnperturbedBasis, direction: str,
-                  params: IntegrationParams, h: float,
-                  x_stop: Optional[float] = None,
-                  sample_points: Sequence[float] = (),
-                  adjoints: Sequence[bool] = (False,)) -> list[tuple]:
-    """One run per entry of adjoints (see ``_propagate_columns``) as the
-    tuple (direction, basis, bounds, starting block, its logs, segment
-    products) that ``_sweep`` takes, with Magnus steps of at most h
-    (``_step_length``).  The runs share the bounds, step edges and Magnus
-    exponents Omega, and the exponentials exp(-Omega^T) of an adjoint run
-    are the second half of the Pade pair of ``_expm``."""
-    if direction not in ("minus", "plus"):
-        raise ConfigError("direction must be 'minus' or 'plus'")
-    x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
-    x_to = -x_from if x_stop is None else float(x_stop)
-    if abs(x_to) > params.half_width + 1e-9:
-        raise ConfigError("stopping point outside the truncated window")
     A0 = np.asarray(system.base_matrix(lam), dtype=complex)
-    bounds = _boundaries(x_from, x_to, _segment_step(params, basis),
-                         sample_points)
-    edges, ends = _step_edges(bounds, h)
-    E = _expm(_step_exponents(system, A0, edges), any(adjoints))
-    if not np.all(np.isfinite(E)):
-        raise StiffnessFailure(
-            f"non-finite step propagator in the {direction} run")
-    products = _segment_products(E if any(adjoints) else E[None], ends)
-    kappa = np.array(basis.roots.all)
-    runs = []
-    for adjoint in adjoints:
-        # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
-        # decaying at the same end belong to the other group
-        own = (slice(0, basis.k) if (direction == "minus") != adjoint
-               else slice(basis.k, None))
-        cols = basis.Pinv[own].T if adjoint else basis.P[:, own]
-        fam = -kappa[own] if adjoint else kappa[own]
-        runs.append((direction, basis, bounds, np.array(cols, dtype=complex),
-                     fam * x_from, products[int(adjoint)]))
-    return runs
+    cut = np.flatnonzero(np.sign(bounds[:-1]) * np.sign(bounds[1:]) < 0.0)
+    pts = np.insert(bounds, cut + 1, 0.0)
+    x, L, n = pts[:-1], np.diff(pts), pts.size - 1
+    pilot = _expm(_step_exponents(system, A0,
+                                  np.concatenate([x, x, x + L / 2]),
+                                  np.concatenate([L, L / 2, L / 2])), True)
+    halves = pilot[0, 2 * n:] @ pilot[0, n:2 * n]
+    gap = _norm1(pilot[0, :n] - halves) / _norm1(halves)
+    if not np.all(np.isfinite(gap)):
+        raise StiffnessFailure(f"non-finite Magnus step estimate at {lam}")
+    m = np.ceil((128.0 * params.half_width * gap
+                 / (63.0 * _SAFETY * params.rtol * L)) ** (1.0 / 6.0) - 1e-12)
+    count = np.where(m > 2, m, 2).astype(int)
+    piece = np.repeat(np.arange(n), count)
+    j = np.arange(piece.size) - np.repeat(np.cumsum(count) - count, count)
+    own = count[piece] > 2
+    h = L[piece[own]] / count[piece[own]]
+    steps = np.empty((2, piece.size) + A0.shape, dtype=complex)
+    steps[:, own] = _expm(_step_exponents(
+        system, A0, x[piece[own]] + j[own] * h, h), True)
+    steps[:, ~own] = pilot[:, (1 + j[~own]) * n + piece[~own]]
+    if not np.all(np.isfinite(steps)):
+        raise StiffnessFailure(f"non-finite step propagator at {lam}")
+    ends = np.delete(np.cumsum(count), cut + np.arange(cut.size))
+    return steps, np.concatenate(([0], ends))
+
+
+def _segment_products(E: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Product of the steps E (..., steps, d, d) of every segment, given
+    its number of steps, later steps on the left: neighbouring factors of
+    a segment are multiplied pairwise, one batched matmul per round."""
+    while np.any(counts > 1):
+        j = np.arange(E.shape[-3]) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+        first = j % 2 == 0
+        paired = first & (j + 1 < np.repeat(counts, counts))
+        i = np.flatnonzero(paired)
+        X = E[..., first, :, :]
+        X[..., paired[first], :, :] = E[..., i + 1, :, :] @ E[..., i, :, :]
+        E, counts = X, (counts + 1) // 2
+    return E
+
+
+def _leftward(products: np.ndarray) -> np.ndarray:
+    """A leftward run's segment products, in its order, from the other
+    half of the pair's rightward ones: a Gauss-Magnus step reversed has the
+    exponent -Omega term by term (a1, a3, C1 odd, a2, C2 even)."""
+    return np.swapaxes(products[::-1], -1, -2)
+
+
+def _run(direction: str, basis: UnperturbedBasis, xs: np.ndarray,
+         products: np.ndarray, adjoint: bool = False) -> tuple:
+    """The tuple that ``_sweep`` takes for a run from xs[0] (see
+    ``_propagate_columns``)."""
+    # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
+    # decaying at the same end belong to the other group
+    own = (slice(0, basis.k) if (direction == "minus") != adjoint
+           else slice(basis.k, None))
+    kappa = np.array(basis.roots.all)[own]
+    cols = basis.Pinv[own].T if adjoint else basis.P[:, own]
+    return (direction, basis, xs, np.array(cols, dtype=complex),
+            (-kappa if adjoint else kappa) * xs[0], products)
 
 
 def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
-    """Apply the segment products of every run of ``_segment_runs`` to its
+    """Apply the segment products of every run of ``_run`` to its
     starting block, with a QR renormalization after every segment.  Runs of
     one block shape share one stacked ``np.linalg.qr`` per segment; shorter
     runs are padded with identity segments, whose samples are dropped."""
@@ -383,9 +388,21 @@ def _propagate_columns(system: SystemProblem, lam: complex,
     exponent is -Omega^T, the sixth-order Magnus exponent of -G^T term by
     term.  A ``_sweep`` of one run.
     """
-    h = _step_length(system, system.base_matrix(lam), params)
-    return _sweep(_segment_runs(system, lam, basis, direction, params, h,
-                                x_stop, sample_points, (adjoint,)))[0]
+    if direction not in ("minus", "plus"):
+        raise ConfigError("direction must be 'minus' or 'plus'")
+    X = params.half_width
+    x_to = (X if direction == "minus" else -X) if x_stop is None \
+        else float(x_stop)
+    bounds = _boundaries(X, _segment_step(params, basis),
+                         (*sample_points, x_to))
+    j = _index_of(bounds, x_to)
+    bounds = bounds[:j + 1] if direction == "minus" else bounds[j:]
+    steps, at = _window_steps(system, lam, params, bounds)
+    products = _segment_products(steps, np.diff(at))[
+        int((direction == "plus") != adjoint)]
+    if direction == "plus":
+        bounds, products = bounds[::-1], _leftward(products)
+    return _sweep([_run(direction, basis, bounds, products, adjoint)])[0]
 
 
 def _pairing(rows: np.ndarray, row_log: np.ndarray, jost: JostSolution,
@@ -424,6 +441,28 @@ def jost_plus(system, lam: complex, params: Optional[IntegrationParams] = None,
                               sample_points=sample_points)
 
 
+def _lambda_runs(system: SystemProblem, lam: complex,
+                 params: IntegrationParams, x0: float, swinton: bool,
+                 bm: UnperturbedBasis, bp: UnperturbedBasis) -> list[tuple]:
+    """The minus run, the plus run and (with swinton) the plus run's
+    adjoint of one lambda, on one grid of stored points over the window
+    with x0 among them and one set of Magnus steps.  A pulse's minus run
+    spans the window, a front's stops at x0; the other two go from +X to
+    x0 on exp(-Omega) and on the transposed exp(Omega)."""
+    bounds = _boundaries(params.half_width, _segment_step(params, bm, bp),
+                         (x0,))
+    j = _index_of(bounds, x0)
+    steps, at = _window_steps(system, lam, params, bounds)
+    right, left = _segment_products(steps, np.diff(at))
+    stop = j if system.is_front else len(right)
+    runs = [_run("minus", bm, bounds[:stop + 1], right[:stop]),
+            _run("plus", bp, bounds[j:][::-1], _leftward(left[j:]))]
+    if swinton:
+        runs.append(_run("plus", bp, bounds[j:][::-1], _leftward(right[j:]),
+                         adjoint=True))
+    return runs
+
+
 # lambdas whose Jost runs share one QR sweep: their segment products and
 # samples are held together, so the working set stays flat in the length
 # of the lambda list
@@ -434,27 +473,26 @@ def _jost_routes(system, lams: Sequence[complex], matching_point: float,
                  params: Optional[IntegrationParams], swinton: bool
                  ) -> list[tuple[EvansResult, Optional[np.ndarray]]]:
     """E/c, the edge transmission matrix and (with swinton) the Swinton
-    pairing of every lambda, in input order.  A pulse's minus run goes over
-    the whole window and is sampled at the matching point x0; a front's
-    stops there.  The plus run and the adjoint run of the pairing go from
-    +X to x0.  A refused lambda raises before a later one is started."""
+    pairing of every lambda, in input order, from ``_lambda_runs``.  A
+    refused lambda raises before a later one is started."""
     sysm = model.as_system(system)
     params = params or IntegrationParams()
     x0 = float(matching_point)
     if abs(x0) > params.half_width:
         raise ConfigError("matching point outside the truncated window")
-    minus = {"x_stop": x0} if sysm.is_front else {"sample_points": (x0,)}
     truncation = sysm.tail_norm(params.half_width)
     out = []
     for start in range(0, len(lams), _SWEEP_SLICE):
         runs = []
-        for lam in lams[start:start + _SWEEP_SLICE]:
-            bm, bp = _side_bases(sysm, lam)
-            # one step for the runs of a lambda, from both end matrices
-            h = _step_length(sysm, sysm.base_matrix(lam), params)
-            runs += _segment_runs(sysm, lam, bm, "minus", params, h, **minus)
-            runs += _segment_runs(sysm, lam, bp, "plus", params, h, x_stop=x0,
-                                  adjoints=(False, True)[:1 + swinton])
+        some = lams[start:start + _SWEEP_SLICE]
+        # a pulse's bases come from one stacked root split, refused in turn
+        shared = ([None] * len(some) if sysm.is_front
+                  else greens.system_basis_list(sysm, some))
+        for lam, b in zip(some, shared):
+            if isinstance(b, WavedetError):
+                raise b
+            bm, bp = _side_bases(sysm, lam) if b is None else (b, b)
+            runs += _lambda_runs(sysm, lam, params, x0, swinton, bm, bp)
         sols = _sweep(runs)
         for r in range(0, len(sols), 2 + swinton):
             jm, jp, *adj = sols[r:r + 2 + swinton]
@@ -519,8 +557,8 @@ def evans_and_swinton(system, lam: complex, matching_point: float = 0.0,
                       params: Optional[IntegrationParams] = None
                       ) -> tuple[EvansResult, np.ndarray]:
     """``evans_function`` and ``swinton_matrix`` of one lambda from three
-    runs: one minus run, one plus run and the adjoint run on the plus
-    run's exponents."""
+    runs on one set of step exponents: one minus run, one plus run and
+    the plus run's adjoint."""
     return evans_and_swinton_many(system, [lam], matching_point, params)[0]
 
 
@@ -551,12 +589,13 @@ def swinton_matrix(system, lam: complex,
     The product Z+(x) Y-(x) is x-independent, so the result does not
     depend on the matching point; for decaying perturbations it equals the
     transmission matrix.  The rows Z+ are the transposed columns of an
-    adjoint run from +X to the matching point, which reuses the step
-    exponents of the plus run of ``evans_and_swinton`` as -Omega^T.
+    adjoint run from +X to the matching point on the transposed exp(Omega)
+    of the minus run's steps (``_lambda_runs``).
 
     Only the determinant is accurate to rounding: the off-diagonal entries
-    are off by about 3e-6 of the largest on ``biharmonic_demo`` at 3+2i,
-    as the adjoint run's slower columns pick up its faster ones' rounding.
+    differ from the transmission matrix's by about 6e-7 of the largest on
+    ``biharmonic_demo`` at 3+2i, as the adjoint run's slower columns pick up
+    its faster ones' rounding.
     """
     return evans_and_swinton(system, lam, matching_point, params)[1]
 

@@ -34,6 +34,7 @@ __all__ = [
     "unperturbed_bases",
     "basis_from_roots",
     "system_basis",
+    "system_basis_list",
     "matrix_basis",
     "matrix_green",
     "green_data",
@@ -263,14 +264,25 @@ def basis_from_roots(roots: RootSplit,
 
 
 def system_basis(system: SystemProblem, lam: complex) -> UnperturbedBasis:
-    """The kernel basis of a system at lambda: ``system_bases`` of one
+    """The kernel basis of a system at lambda: ``system_basis_list`` of one
     lambda, raising its refusal."""
-    kappa, k, P, Pinv, refusals = system_bases(system, [lam])
-    raise_first(refusals)
-    roots = tuple(complex(z) for z in kappa[0])
-    return UnperturbedBasis(roots=RootSplit(plus=roots[:k[0]],
-                                            minus=roots[k[0]:]),
-                            P=P[0], Pinv=Pinv[0])
+    basis, = system_basis_list(system, [lam])
+    if isinstance(basis, WavedetError):
+        raise basis
+    return basis
+
+
+def system_basis_list(system: SystemProblem, lams) -> list:
+    """The kernel basis of every lambda from one ``system_bases`` call,
+    with a refused lambda's error in place of its basis."""
+    kappa, k, P, Pinv, refusals = system_bases(system, lams)
+    out = []
+    for i, refusal in enumerate(refusals):
+        roots = tuple(complex(z) for z in kappa[i])
+        out.append(refusal or UnperturbedBasis(
+            roots=RootSplit(plus=roots[:k[i]], minus=roots[k[i]:]),
+            P=P[i], Pinv=Pinv[i]))
+    return out
 
 
 def system_bases(system: SystemProblem, lams) -> tuple:

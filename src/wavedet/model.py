@@ -505,7 +505,7 @@ def make_profile(kind: str, **params) -> WaveProfile:
     if not isinstance(kind, str) or kind not in _PROFILE_KINDS:
         raise ConfigError(f"unknown profile kind {kind!r}")
     label, defaults = _PROFILE_KINDS[kind]
-    values = {name: float(params.pop(name, default))
+    values = {name: _number(params.pop(name, default), f"{kind} {name}")
               for name, default in defaults.items()}
     _reject_extra(kind, params)
     _require_positive(values["width"], "width")
@@ -519,6 +519,8 @@ _PULSE_PROFILES = {"sech_pulse": "sech", "gaussian_pulse": "gaussian",
 
 def builtin_problem(name: str, **params) -> ScalarProblem:
     """Catalog of ready-made problems used throughout the test battery."""
+    if not isinstance(name, str):
+        raise ConfigError(f"unknown builtin problem {name!r}")
     if name == "poschl_teller":
         N = params.pop("N", 1)
         _reject_extra(name, params)
@@ -532,7 +534,8 @@ def builtin_problem(name: str, **params) -> ScalarProblem:
                              profile=make_profile(_PULSE_PROFILES[name],
                                                   **params))
     if name == "biharmonic_demo":
-        amplitude = float(params.pop("amplitude", 1.0))
+        amplitude = _number(params.pop("amplitude", 1.0),
+                            "biharmonic_demo amplitude")
         _reject_extra(name, params)
         prof = _builtin_profile("sech2", "biharmonic_demo",
                                 {"amplitude": amplitude}, amplitude, 1.0)
@@ -544,6 +547,13 @@ def builtin_problem(name: str, **params) -> ScalarProblem:
 def _reject_extra(name, params):
     if params:
         raise ConfigError(f"unknown parameters for {name}: {sorted(params)}")
+
+
+def _number(value, label) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{label} must be a number, not {value!r}") from None
 
 
 def _require_positive(value, label):
@@ -672,14 +682,14 @@ class IntegrationParams:
     """Knobs for the Jost integrations.
 
     half_width is the truncation X shared with the quadrature grids.  rtol
-    is the accuracy target that sets the Magnus step: h = theta /
-    (max |kappa| + 1) over the characteristic roots of both ends, with
-    theta = 0.15 (rtol / 1e-10)^(1/6) for the sixth-order local error.
-    renorm_threshold caps the growth allowed between renormalizations (the
-    segment length shrinks when the fastest characteristic rate would
-    exceed it), and orthogonalize_interval is the largest x-distance
-    between the QR sweeps that keep multi-column solutions from collapsing
-    onto the fastest-growing mode.
+    is the accuracy target of E/c that sizes the Magnus steps: every piece
+    between stored points takes the steps whose sixth-order local errors,
+    estimated by one step against two half steps, add up to its share of
+    rtol over the window [-X, X].  renorm_threshold caps the growth allowed
+    between renormalizations (the segment length shrinks when the fastest
+    characteristic rate would exceed it), and orthogonalize_interval is the
+    largest x-distance between the QR sweeps that keep multi-column
+    solutions from collapsing onto the fastest-growing mode.
     """
 
     half_width: float = 20.0

@@ -348,3 +348,57 @@ def test_routes_agree_with_derivative_coupling(order, m):
     _report(f"det2 and E/c = det1 at order {order}, m = {m}",
             det2_gap <= 1e-9 and evans_gap <= 1e-5,
             f"det2 gap {det2_gap:.1e}, E/c gap {evans_gap:.1e}")
+
+
+# ---------------------------------------------------------------------------
+# 13: E/c meets its rtol, from steps sized by the integrator's own error
+
+
+def _closed_form_pt2(lam):
+    s = np.sqrt(complex(lam))
+    if s.real < 0:
+        s = -s
+    return (s - 1.0) * (s - 2.0) / ((s + 1.0) * (s + 2.0))
+
+
+def test_evans_ratio_meets_rtol_on_the_closed_form():
+    """Poschl-Teller N = 2 at 1.3 + 0.2i against the reflectionless
+    determinant prod (s - j) / (s + j)."""
+    lam = 1.3 + 0.2j
+    sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
+    rtol = evans.IntegrationParams().rtol
+    want = _closed_form_pt2(lam)
+    gap = abs(wd.evans_function(sysm, lam).ratio - want) / abs(want)
+    _report("E/c within rtol of the closed form (N = 2, 1.3+0.2i)",
+            gap <= rtol, f"gap {gap:.1e}, rtol {rtol:.0e}")
+
+
+def test_evans_ratio_meets_rtol_with_derivative_coupling():
+    """Order 6, m = 4 (the problem of test_routes_agree_with_derivative_
+    coupling) against det1 at 1600 nodes, which moves 5e-12 from 800."""
+    prob = wd.ScalarProblem(order=6, coeffs=(1.0,) + (0.0,) * 5,
+                            profile=wd.make_profile("sech2", amplitude=4.0),
+                            deriv_order=4)
+    lam = 2.0 + 1.0j
+    rtol = evans.IntegrationParams().rtol
+    d1 = wd.det1(prob, lam, wd.build_grid(20.0, 1600)).value
+    gap = abs(wd.evans_function(wd.to_system(prob), lam).ratio - d1) / abs(d1)
+    _report("E/c within rtol of det1 at order 6, m = 4", gap <= rtol,
+            f"gap {gap:.1e}, rtol {rtol:.0e}")
+
+
+def test_evans_step_count_is_bounded(monkeypatch):
+    """biharmonic_demo at 3+2i: the Magnus exponents of one
+    evans_function, the pilot's included, against the 960 of one uniform
+    step per lambda."""
+    count = []
+    magnus = evans._magnus_exponent
+
+    def counted(G, h):
+        count.append(len(h))
+        return magnus(G, h)
+    monkeypatch.setattr(evans, "_magnus_exponent", counted)
+    wd.evans_function(wd.to_system(wd.builtin_problem("biharmonic_demo")),
+                      3.0 + 2.0j)
+    _report("Magnus exponents per evans_function (biharmonic, 3+2i)",
+            sum(count) <= 500, f"{sum(count)} in {len(count)} calls")

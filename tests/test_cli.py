@@ -159,7 +159,8 @@ def _count_step_exponents(monkeypatch):
 
 def test_evans_pulse_rows(tmp_path, capsys, monkeypatch):
     """E, c, E/c, det D and det(Swinton) per lambda from one minus run
-    and one plus run with its adjoint: two sets of step exponents."""
+    and one plus run with its adjoint on one grid of Magnus steps: two
+    sets of step exponents, the pilot's and the sized steps'."""
     lams = [3.0 + 2.0j, -2.0 + 1.5j]
     path = write_config(tmp_path,
                         {"problem": {"name": "biharmonic_demo"},
@@ -268,12 +269,17 @@ def test_evans_batch_rows_equal_batches_of_one(case, tmp_path, capsys,
     if case == "biharmonic":
         sysm = wavedet.to_system(wavedet.builtin_problem("biharmonic_demo"))
         params = evans.IntegrationParams(renorm_threshold=100.0)
-        steps = [evans._step_length(sysm, sysm.base_matrix(lam), params)
-                 for lam in lams]
-        runs = [evans._segment_runs(sysm, lam,
-                                    wavedet.system_basis(sysm, lam),
-                                    "minus", params, h)[0]
-                for lam, h in zip(lams, steps)]
+        steps = []
+        window_steps = evans._window_steps
+
+        def counted(*args):
+            pairs, at = window_steps(*args)
+            steps.append(at[-1])
+            return pairs, at
+        monkeypatch.setattr(evans, "_window_steps", counted)
+        runs = [evans._lambda_runs(sysm, lam, params, 0.0, False,
+                                   *evans._side_bases(sysm, lam))[0]
+                for lam in lams]
         assert len({len(run[5]) for run in runs}) > 2
         assert len(set(steps)) == len(lams)
 
@@ -300,13 +306,13 @@ def test_evans_batch_refusal_matches_the_loop(tmp_path, capsys):
 
 
 def test_evans_batches_the_qr_sweep(tmp_path, capsys, monkeypatch):
-    """Four biharmonic lambdas: one step length and two sets of step
-    exponents per lambda, one sweep, and one stacked QR per segment of the
-    longest run (40 unit segments over [-20, 20]), where a sweep per run
-    made 320 single QRs."""
+    """Four biharmonic lambdas: one grid of Magnus steps and two sets of
+    step exponents (the pilot's and the sized steps') per lambda, one
+    sweep, and one stacked QR per segment of the longest run (40 unit
+    segments over [-20, 20]), where a sweep per run made 320 single QRs."""
     lams = [3.0 + 2.0j, -2.0 + 1.5j, -4.0 - 1.0j, 1.0 - 3.5j]
-    calls = {"_step_length": 0, "_step_exponents": 0, "_sweep": 0, "qr": 0}
-    for owner, name in ((evans, "_step_length"), (evans, "_step_exponents"),
+    calls = {"_window_steps": 0, "_step_exponents": 0, "_sweep": 0, "qr": 0}
+    for owner, name in ((evans, "_window_steps"), (evans, "_step_exponents"),
                         (evans, "_sweep"), (np.linalg, "qr")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -316,7 +322,7 @@ def test_evans_batches_the_qr_sweep(tmp_path, capsys, monkeypatch):
                                    "lambdas": _pairs(lams)})
     code, out, err = run_cli(capsys, "evans", "--config", path)
     assert code == 0
-    assert calls == {"_step_length": 4, "_step_exponents": 8, "_sweep": 1,
+    assert calls == {"_window_steps": 4, "_step_exponents": 8, "_sweep": 1,
                      "qr": 40}
 
 
@@ -721,6 +727,23 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     obj = err_object(err)
     assert obj["kind"] == "config"
     assert "rectangles" in obj["message"]
+
+
+@pytest.mark.parametrize("problem,message", [
+    ({"name": ["x"]}, "unknown builtin problem ['x']"),
+    ({"name": "sech_pulse", "params": {"width": "wide"}},
+     "sech width must be a number, not 'wide'"),
+    ({"name": "biharmonic_demo", "params": {"amplitude": [1.0]}},
+     "biharmonic_demo amplitude must be a number, not [1.0]"),
+], ids=["name-list", "profile-param", "biharmonic-amplitude"])
+def test_malformed_problem_is_exit_2(problem, message, tmp_path, capsys):
+    """A problem name or profile parameter of the wrong type is a config
+    error, not a traceback."""
+    path = write_config(tmp_path, {"problem": problem, "lambdas": [4.0]})
+    code, out, err = run_cli(capsys, "det", "--config", path)
+    assert code == 2 and out == ""
+    obj = err_object(err)
+    assert obj["kind"] == "config" and obj["message"] == message
 
 
 def test_tolerances_block_is_exit_2(tmp_path, capsys):

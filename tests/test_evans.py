@@ -47,9 +47,9 @@ def test_jost_rejects_unsampled_point(pt_system):
 # the Magnus propagators
 
 
-# the largest 1-norm of a stack selects the Pade degree: just below
-# theta_m for m = 3, 5, 7, 9, then degree 13 unscaled (ids 4 and 6) and
-# degree 13 with each matrix scaled and squared back
+# the stacks' norms run up to just below theta_m for m = 3, 5, 7, 9, then
+# to degree 13 unscaled (ids 4 and 6) and degree 13 with the largest
+# matrices scaled and squared back
 _EXPM_CASES = [pytest.param(dim, top, degree, id=f"{dim}{label}")
                for dim in (4, 6)
                for label, top, degree in (("", 5.0, 13), ("-m3", 0.014, 3),
@@ -58,10 +58,14 @@ _EXPM_CASES = [pytest.param(dim, top, degree, id=f"{dim}{label}")
                                           ("-m13-scaled", 40.0, 13))]
 
 
+def _least_degree(norm):
+    return min([m for m in (3, 5, 7, 9) if norm <= evans._THETA[m]] + [13])
+
+
 @pytest.mark.parametrize("dim,top,degree", _EXPM_CASES)
 def test_batched_exponential_matches_scipy(dim, top, degree, monkeypatch):
-    """exp(A) and the paired exp(-A^T) from the same U and V, each from
-    the Pade degree the stack's largest norm selects."""
+    """exp(A) and the paired exp(-A^T) from the same U and V, each matrix
+    from the Pade degree its own norm selects."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(dim)
     norms = np.geomspace(1e-3 * top, top, 24)
@@ -77,7 +81,8 @@ def test_batched_exponential_matches_scipy(dim, top, degree, monkeypatch):
 
     monkeypatch.setattr(evans, "_PADE", Recorded(evans._PADE))
     got, got_adjoint = evans._expm(A, adjoint=True)
-    assert used == {degree}
+    assert max(used) == degree
+    assert used == {_least_degree(norm) for norm in norms}
     assert np.array_equal(evans._expm(A), got)
     for g, ga, a in zip(got, got_adjoint, A):
         for value, want in ((g, scipy_linalg.expm(a)),
@@ -86,88 +91,164 @@ def test_batched_exponential_matches_scipy(dim, top, degree, monkeypatch):
                 want)
 
 
+def test_exponential_of_a_mixed_stack_is_that_of_each_matrix():
+    """Norms below theta_3 and above theta_13 in one stack: every matrix
+    gets the degree and scaling it gets alone, on both halves of the
+    pair, so long tail steps do not raise the degree of short ones."""
+    rng = np.random.default_rng(5)
+    norms = np.array([1e-3, 40.0, 1e-2, 300.0, 1e-6, 8.0])
+    assert norms.min() < evans._THETA[3] and norms.max() > evans._THETA[13]
+    A = (rng.standard_normal((norms.size, 4, 4))
+         + 1j * rng.standard_normal((norms.size, 4, 4)))
+    A *= (norms / np.linalg.norm(A, ord=1, axis=(1, 2)))[:, None, None]
+    got = evans._expm(A, adjoint=True)
+    for i in range(norms.size):
+        alone = evans._expm(A[i:i + 1], adjoint=True)[:, 0]
+        for half in (0, 1):
+            assert np.linalg.norm(got[half, i] - alone[half]) <= \
+                1e-15 * np.linalg.norm(alone[half])
+
+
+def _flat_steps(diagonal):
+    """A stand-in for ``_step_exponents`` whose every exponent is
+    diag(diagonal, 0, 0, 0)."""
+    def steps(system, A0, x, h):
+        Omega = np.zeros((x.size, 4, 4), dtype=complex)
+        Omega[:, 0, 0] = diagonal
+        return Omega
+    return steps
+
+
 def test_non_finite_adjoint_propagator_is_refused(bh_system, monkeypatch):
     """exp(Omega) can stay finite where exp(-Omega^T) overflows; the
     finiteness check covers both halves of the Pade pair."""
-    def steep(system, A0, edges):
-        Omega = np.zeros((edges.size - 1, 4, 4), dtype=complex)
-        Omega[:, 0, 0] = -800.0
-        return Omega
-
+    steep = _flat_steps(-800.0)
+    assert np.all(np.isfinite(evans._expm(steep(None, None, np.zeros(3),
+                                                None))))
     monkeypatch.setattr(evans, "_step_exponents", steep)
-    lam = 3.0 + 2.0j
-    basis = wd.system_basis(bh_system, lam)
-    params = evans.IntegrationParams()
-    h = evans._step_length(bh_system, bh_system.base_matrix(lam), params)
-    plain, = evans._segment_runs(bh_system, lam, basis, "plus", params, h,
-                                 x_stop=0.37)
-    assert np.all(np.isfinite(plain[5]))
+    bounds = evans._boundaries(20.0, 1.0, (0.37,))
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(StiffnessFailure, match="plus run"):
-        evans._segment_runs(bh_system, lam, basis, "plus", params, h,
-                            x_stop=0.37, adjoints=(False, True))
+            pytest.raises(StiffnessFailure, match="step propagator"):
+        evans._window_steps(bh_system, 3.0 + 2.0j, evans.IntegrationParams(),
+                            bounds)
 
 
-def _reference_boundaries(x_from, x_to, step, extra=()):
-    """Stored points of a run, merged one by one."""
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    n_seg = max(1, int(math.ceil((hi - lo) / step - 1e-12)))
-    pts = list(np.linspace(lo, hi, n_seg + 1))
-    for e in extra:
-        if not (lo - 1e-9 <= float(e) <= hi + 1e-9):
-            raise ConfigError(f"sample point {float(e)} outside the run "
-                              f"[{lo}, {hi}]")
-        pts.append(float(e))
+def test_non_finite_step_estimate_is_refused(bh_system, monkeypatch):
+    """A pilot that is not finite refuses the lambda before any step is
+    sized from it."""
+    monkeypatch.setattr(evans, "_step_exponents", _flat_steps(np.nan))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(StiffnessFailure, match="step estimate"):
+        evans.evans_function(bh_system, 3.0 + 2.0j)
+
+
+def _reference_boundaries(half_width, step, extra=()):
+    """Stored points of the window, merged one by one."""
+    n_seg = max(1, int(math.ceil(2.0 * half_width / step - 1e-12)))
+    pts = list(np.linspace(-half_width, half_width, n_seg + 1))
+    pts += [float(e) for e in extra]
     pts.sort()
     merged = [pts[0]]
     for p in pts[1:]:
         if p - merged[-1] > 1e-10:
             merged.append(p)
-    merged[0], merged[-1] = lo, hi
-    out = np.array(merged)
-    return out if x_from <= x_to else out[::-1].copy()
+    merged[0], merged[-1] = -half_width, half_width
+    return np.array(merged)
 
 
-def _reference_step_edges(bounds, h):
-    """Step edges of a run, one np.linspace per piece of a segment."""
-    edges = [float(bounds[0])]
-    ends = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        cuts = [a, 0.0, b] if min(a, b) < 0.0 < max(a, b) else [a, b]
-        for p, q in zip(cuts[:-1], cuts[1:]):
-            m = max(1, int(math.ceil(abs(q - p) / h - 1e-12)))
-            edges.extend(np.linspace(p, q, m + 1)[1:])
-        ends.append(len(edges) - 1)
-    return np.array(edges), ends
-
-
-@pytest.mark.parametrize("x_from,x_to,step,extra,h", [
-    # pulse minus run over the window with the matching point stored
-    (-20.0, 20.0, 1.0, (0.37,), 0.0625),
-    # front plus run crossing 0 between stored points
-    (20.0, -2.5, 0.96, (), 0.0731),
-    # uneven segments: two sample points, a step that does not divide
-    (20.0, -7.3, 0.77, (0.37, -2.0), 0.0519),
-    (-20.0, 3.3, 2.3, (-1e-3, 1e-11), 0.2),
+@pytest.mark.parametrize("half_width,step,extra", [
+    (20.0, 1.0, (0.37,)),
+    (20.0, 0.96, (-2.5,)),
+    # uneven segments: sample points, a step that does not divide
+    (20.0, 0.77, (0.37, -2.0, -7.3)),
+    (20.0, 2.3, (-1e-3, 1e-11, 3.3)),
 ])
-def test_step_edges_match_the_loop(x_from, x_to, step, extra, h):
-    """The vectorized boundaries and step edges reproduce the per-segment
-    loops bit for bit, including the cut at x = 0."""
-    bounds = evans._boundaries(x_from, x_to, step, extra)
-    assert np.array_equal(bounds,
-                          _reference_boundaries(x_from, x_to, step, extra))
-    edges, ends = evans._step_edges(bounds, h)
-    want_edges, want_ends = _reference_step_edges(bounds, h)
-    assert np.array_equal(edges, want_edges)
-    assert list(ends) == want_ends
-    with pytest.raises(ConfigError, match="outside the run"):
-        evans._boundaries(x_from, x_to, step, (25.0,))
+def test_boundaries_match_the_loop(half_width, step, extra):
+    """The vectorized stored points of the window reproduce the merge
+    loop bit for bit; a point outside the window is refused."""
+    assert np.array_equal(evans._boundaries(half_width, step, extra),
+                          _reference_boundaries(half_width, step, extra))
+    with pytest.raises(ConfigError, match="outside the window"):
+        evans._boundaries(half_width, step, (25.0,))
+
+
+def _reference_window_steps(system, lam, params, bounds):
+    """The Magnus steps piece by piece: each piece cut at x = 0, its pilot
+    of one step and two half steps alone, then the two half steps or m
+    equal steps of its own.  Returns the pairs [exp(Omega), exp(-Omega)],
+    the first step after every stored point, and each step's start and
+    length."""
+    A0 = system.base_matrix(lam)
+
+    def pair(x, h):
+        Omega = evans._step_exponents(system, A0, np.array([x]),
+                                      np.array([h]))
+        return evans._expm(Omega, adjoint=True)[:, 0]
+
+    steps, at, edges = [], [0], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        for p, q in ([(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]):
+            L = q - p
+            first, second = pair(p, L / 2), pair(p + L / 2, L / 2)
+            two = second[0] @ first[0]
+            gap = (np.abs(pair(p, L)[0] - two).sum(0).max()
+                   / np.abs(two).sum(0).max())
+            m = math.ceil((128.0 * params.half_width * gap
+                           / (63.0 * evans._SAFETY * params.rtol * L))
+                          ** (1.0 / 6.0) - 1e-12)
+            if m <= 2:
+                steps += [first, second]
+                edges += [(p, L / 2), (p + L / 2, L / 2)]
+            else:
+                edges += [(p + i * (L / m), L / m) for i in range(m)]
+                steps += [pair(x, h) for x, h in edges[-m:]]
+        at.append(len(steps))
+    return np.stack(steps, axis=1), at, np.array(edges).T
+
+
+@pytest.mark.parametrize("case,lam,rtol,extra", [
+    ("poschl_teller", 1.3 + 0.2j, 1e-10, (0.37,)),
+    ("biharmonic_demo", 3.0 + 2.0j, 1e-6, ()),
+    # 49 segments: one of them straddles 0 and is cut there
+    ("front", 2.0 + 1.0j, 1e-12, (-2.5,)),
+])
+def test_window_steps_match_the_loop(case, lam, rtol, extra):
+    """The batched pilot, step sizing and step layout reproduce the loop
+    over pieces, with pieces of two pilot half steps and pieces of their
+    own steps on every case."""
+    sysm = (_front_system() if case == "front"
+            else wd.to_system(wd.builtin_problem(case)))
+    params = evans.IntegrationParams(rtol=rtol)
+    bounds = evans._boundaries(20.0, 0.82 if case == "front" else 1.0, extra)
+    steps, at = evans._window_steps(sysm, lam, params, bounds)
+    want, want_at, _ = _reference_window_steps(sysm, lam, params, bounds)
+    assert list(at) == want_at
+    counts = np.diff(at)
+    assert counts.min() == 2 and counts.max() > 2
+    assert np.max(np.abs(steps - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_plus_steps_are_the_minus_steps_reversed(bh_system):
+    """exp(-Omega) of a step, the transposed second half of its pair,
+    equals the propagator of the same step taken leftwards from its own
+    Magnus exponent: the Gauss-Magnus step is symmetric, so the plus run
+    needs no exponents of its own."""
+    lam = 3.0 + 2.0j
+    params = evans.IntegrationParams()
+    bounds = evans._boundaries(20.0, 1.0, (0.37,))
+    steps, _ = evans._window_steps(bh_system, lam, params, bounds)
+    _, _, (x, h) = _reference_window_steps(bh_system, lam, params, bounds)
+    own = evans._expm(evans._step_exponents(
+        bh_system, bh_system.base_matrix(lam), x + h, -h))
+    scale = np.linalg.norm(own, axis=(1, 2))
+    inverse = np.swapaxes(steps[1], -1, -2)
+    assert np.max(np.linalg.norm(inverse - own, axis=(1, 2))
+                  / scale) <= 1e-12
 
 
 def test_evans_ratio_is_sixth_order_in_the_step(pt_system):
-    """Dividing rtol by 2^6 halves the Magnus step, so the change in E/c
-    shrinks by about 2^6; the starting rtol makes the step counts per
-    unit segment exactly 4, 8 and 16."""
+    """Dividing rtol by 2^6 halves the Magnus step of every piece that
+    takes steps of its own, so the change in E/c shrinks by about 2^6."""
     lam = 4.0 + 1.0j
     ratios = [wd.evans_function(pt_system, lam,
                                 params=evans.IntegrationParams(rtol=rtol)
@@ -214,6 +295,15 @@ def test_abel_drift_cancels_in_ratio():
     assert b.evans / a.evans == pytest.approx(drift, abs=1e-9)
     assert b.c_lambda / a.c_lambda == pytest.approx(drift, abs=1e-9)
     assert abs(a.ratio - b.ratio) < 1e-8 * abs(a.ratio)
+
+
+def test_matching_point_at_the_window_edge(pt_system):
+    """Matched at +X the plus run has no segment, at -X the minus run
+    stops where it starts; E/c is the same."""
+    a = wd.evans_function(pt_system, 2.0 + 1.0j).ratio
+    for x0 in (20.0, -20.0):
+        b = wd.evans_function(pt_system, 2.0 + 1.0j, matching_point=x0).ratio
+        assert abs(a - b) < 1e-8 * abs(a)
 
 
 def test_matching_point_outside_window(pt_system):
@@ -288,18 +378,20 @@ def _stepwise(system, lam, basis, direction, params, run, x_stop=None,
     turn, with the QR renormalization of every segment.  It starts from
     the first sample of the run under test (the unperturbed data) and
     returns the run's samples and the steps per segment."""
-    x_from = params.half_width * (-1.0 if direction == "minus" else 1.0)
-    x_to = -x_from if x_stop is None else x_stop
-    A0 = system.base_matrix(lam)
-    bounds = evans._boundaries(x_from, x_to,
-                               evans._segment_step(params, basis),
-                               sample_points)
-    edges, ends = evans._step_edges(
-        bounds, evans._step_length(system, A0, params))
-    Omega = evans._step_exponents(system, A0, edges)
-    if adjoint:
-        Omega = -np.swapaxes(Omega, -1, -2)
-    E = evans._expm(Omega)
+    X = params.half_width
+    x_to = (X if direction == "minus" else -X) if x_stop is None else x_stop
+    bounds = evans._boundaries(X, evans._segment_step(params, basis),
+                               (*sample_points, x_to))
+    j = evans._index_of(bounds, x_to)
+    bounds = bounds[:j + 1] if direction == "minus" else bounds[j:]
+    steps, at = evans._window_steps(system, lam, params, bounds)
+    # a rightward step takes exp(Omega), or exp(-Omega^T) on the adjoint
+    # system; a leftward step, whose exponent is -Omega, their transposes
+    E = steps[int((direction == "plus") != adjoint)]
+    ends = at[1:]
+    if direction == "plus":
+        bounds, E = bounds[::-1], np.swapaxes(E[::-1], -1, -2)
+        ends = at[-1] - at[-2::-1]
     cur, sig = run.values[0], run.renorm_log[0]
     T = np.eye(cur.shape[1], dtype=complex)
     values, transforms, logs = [cur], [T], [sig]
@@ -380,32 +472,34 @@ def test_segment_products_match_stepwise_propagation(case, lam, entries):
 
 
 def test_adjoint_run_shares_the_plus_exponents(bh_system):
-    """The plus run and its adjoint from one set of exponents and one
-    Pade pair, swept together, equal the two standalone runs."""
+    """The minus run, the plus run on exp(-Omega) and its adjoint run on
+    the transposed exp(Omega) of one set of exponents, swept together,
+    equal the three runs built alone."""
     lam = 3.0 + 2.0j
     basis = wd.system_basis(bh_system, lam)
     params = evans.IntegrationParams()
-    h = evans._step_length(bh_system, bh_system.base_matrix(lam), params)
-    shared = evans._sweep(evans._segment_runs(
-        bh_system, lam, basis, "plus", params, h, x_stop=0.37,
-        adjoints=(False, True)))
-    for run, adjoint in zip(shared, (False, True)):
-        alone = evans._propagate_columns(bh_system, lam, basis, "plus",
-                                         params, x_stop=0.37,
-                                         adjoint=adjoint)
-        assert np.array_equal(run.xs, alone.xs)
-        for got, want in ((run.values, alone.values),
-                          (run.transform, alone.transform),
-                          (run.renorm_log, alone.renorm_log)):
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(
-                np.abs(want))
+    shared = evans._sweep(evans._lambda_runs(bh_system, lam, params, 0.37,
+                                             True, basis, basis))
+    alone = [evans._propagate_columns(bh_system, lam, basis, "minus",
+                                      params, sample_points=(0.37,))]
+    alone += [evans._propagate_columns(bh_system, lam, basis, "plus",
+                                       params, x_stop=0.37, adjoint=adjoint)
+              for adjoint in (False, True)]
+    for run, want in zip(shared, alone):
+        assert np.array_equal(run.xs, want.xs)
+        for got, value in ((run.values, want.values),
+                           (run.transform, want.transform),
+                           (run.renorm_log, want.renorm_log)):
+            assert np.max(np.abs(got - value)) <= 1e-14 * np.max(
+                np.abs(value))
 
 
 def test_evans_and_swinton_match_the_single_routes(bh_system):
     """The Swinton pairing is read off E/c's own minus run, so it matches
     E/c to rounding at any matching point.  A separate minus run to 0.37
-    would differ from it by the Magnus step error: 2.2e-10 relative on
-    Poschl-Teller N=2 at 1.3 + 0.2i."""
+    stores the same grid and takes the same steps up to there, so on
+    Poschl-Teller N=2 at 1.3 + 0.2i its sample at 0.37 is the same to the
+    last bit."""
     pt2 = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
     for sysm, lam in ((bh_system, 3.0 + 2.0j), (pt2, 1.3 + 0.2j)):
         for x0 in (0.0, 0.37):
