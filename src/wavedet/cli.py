@@ -446,24 +446,20 @@ def cmd_roots(run):
 
 
 def cmd_det(run):
-    """det1 / det2 / detp per lambda (front problems: no det1); the
-    Fredholm columns come from one batched call each."""
+    """det1 / det2 / detp per lambda (front problems: no det1), from one
+    batched ``fredholm.determinants_many`` call."""
     from . import fredholm
     p = _as_int(run.extra.get("p", 3), "p")
     fredholm._check_order(p)
     run.resolved["p"] = p
     lams = run.lambdas()
-    columns = [("lambda", "c"), ("det2", "c")]
-    if p != 2:
-        columns.append((f"det{p}", "c"))
-    rows = [[lam] + [d.value for d in ds[:len(columns) - 1]] for lam, ds in
-            zip(lams, fredholm.det2_detp_many(run.system, lams, run.grid, p))]
+    kinds = {"det2": 2, f"det{p}": p}      # p = 2: one column
     if not run.system.is_front:
-        columns.insert(1, ("det1", "c"))
-        for row, d1 in zip(rows, fredholm.det1_many(run.problem, lams,
-                                                    run.grid)):
-            row.insert(1, d1.value)
-    return _render(run, columns, rows)
+        kinds = {"det1": 1, **kinds}
+    rows = [[lam] + [d.value for d in ds] for lam, ds in zip(
+        lams, fredholm.determinants_many(run.system, lams, run.grid, kinds))]
+    return _render(run, [("lambda", "c")] + [(kind, "c") for kind in kinds],
+                   rows)
 
 
 def cmd_evans(run):

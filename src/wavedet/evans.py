@@ -543,10 +543,13 @@ def evans_function(system, lam: complex, matching_point: float = 0.0,
                    params: Optional[IntegrationParams] = None) -> EvansResult:
     """E(lambda) = det[Y- Y+] at the matching point, with its normalizer.
 
-    The reported ratio E/c divides out both the matching-point drift (both
-    determinants pick up the same Abel factor) and the renormalization
-    logs, so it is the quantity to compare across matching points and
-    against the Fredholm determinant.  For pulse problems the minus run
+    The reported ratio E/c divides out the renormalization logs and, for
+    a pulse, the matching-point drift (both determinants pick up the same
+    Abel factor), so a pulse's E/c is the quantity to compare across
+    matching points and against the Fredholm determinant.  On a front,
+    c(lambda) pairs the left end's y- with the right end's y+, which solve
+    different constant systems, so E/c moves with the matching point;
+    its zeros, those of E, do not.  For pulse problems the minus run
     continues to +X, where it yields the transmission matrix as the edge
     pairing Z0+(X) Y-(X).  ``evans_function_many`` of one lambda.
     """
@@ -627,7 +630,8 @@ def born_transmission(system, lam: complex, grid=None) -> np.ndarray:
 def identity_report(problem, lam: complex, grid=None,
                     params: Optional[IntegrationParams] = None) -> dict:
     """Evaluate d, det D, E/c, and the trace-corrected det2 product at one
-    lambda and report the largest pairwise gap.
+    lambda and report the largest pairwise gap; d and det2 come from one
+    ``fredholm.determinants_many`` call.
 
     All four numbers are equal in exact arithmetic; the gap is a live
     estimate of the combined quadrature, integration, and truncation
@@ -637,22 +641,22 @@ def identity_report(problem, lam: complex, grid=None,
     if isinstance(problem, SystemProblem):
         if problem.source is None or problem.is_front:
             raise ConfigError("identity report needs a scalar-derived pulse")
-        scalar, sysm = problem.source, problem
+        sysm = problem
     elif isinstance(problem, ScalarProblem):
         if problem.profile.is_front:
             raise ConfigError("identity report needs a pulse profile")
-        scalar, sysm = problem, model.to_system(problem)
+        sysm = model.to_system(problem)
     else:
         raise ConfigError("expected a ScalarProblem or SystemProblem")
     grid = grid if grid is not None else model.default_grid()
-    d_val = fredholm.det1(scalar, lam, grid).value
+    d1, d2 = fredholm.determinants_many(sysm, [lam], grid,
+                                        {"det1": 1, "det2": 2})[0]
     er = evans_function(sysm, lam, params=params)
-    d2 = fredholm.det2(sysm, lam, grid)
     product = _exp_scaled(d2.value, d2.trace_used)
-    vals = [d_val, er.det_transmission, er.ratio, product]
+    vals = [d1.value, er.det_transmission, er.ratio, product]
     gap = max(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
     return {
-        "d": d_val,
+        "d": d1.value,
         "det_transmission": er.det_transmission,
         "evans_ratio": er.ratio,
         "det2_product": product,

@@ -18,6 +18,13 @@ Linear Operators, Birkhauser 2000), the engine runs on the terms with
 u_j[cols], of length c, and the n x c samples W_c: N c unknowns instead
 of N n.  A general system has c = n, the scalar kernel c = n = 1.
 
+For a ``to_system`` pulse with m = 0 that reduced kernel (c = 1) is the
+scalar one, u_j r_j W = -+Pinv[j, n-1] v = alpha_j v, so det1, det2 and
+detp are one Fredholm determinant with different trace factors, det2 =
+det1 e^(-tr K) (Simon, Adv. Math. 24, 1977): ``determinants_many`` reads
+them all off one engine pass on the scalar terms (b = 1, not n).  For
+m >= 1 the two kernels are different discretizations; each keeps its own.
+
 * Nystrom discretization in the similarity frame S_ij = K(x_i, x_j) w_j,
   with the determinant and trace powers of the symmetrically weighted
   |W|^(1/2) K |W|^(1/2) form but no square-root kinks in xi.
@@ -53,12 +60,13 @@ of N n.  A general system has c = n, the scalar kernel c = n = 1.
   order 1, with the analytic trace tau from the interface coefficients;
   det2 and detp are orders 2 <= p <= 4 of the matrix kernel.
 
-``det1_many``, ``det2_many`` and ``det2_detp_many`` evaluate a list of
-lambdas from one stacked root split.  The lambdas are grouped by their
-plus-root count k, and a refused lambda raises the typed error of the
-first one in input order.  Each group goes through the engine
-(``_regularized``) in slices of at most _SLICE_BUDGET // (N c^2)
-lambdas, so the working set does not grow with the list.  ``det1``,
+``det1_many``, ``det2_many``, ``det2_detp_many`` and
+``determinants_many`` evaluate a list of lambdas from one stacked root
+split.  The lambdas are grouped by their plus-root count k, and a
+refused lambda raises the typed error of the first one in input order.
+Each group goes through the engine (``_regularized``) in slices of at
+most _SLICE_BUDGET // (N c^2) lambdas, so the working set does not grow
+with the list.  ``det1``,
 ``det2``, ``detp``, ``det2_detp`` and ``trace_power_*`` are batches of
 one.
 """
@@ -89,6 +97,7 @@ __all__ = [
     "detp",
     "det2_detp",
     "det2_detp_many",
+    "determinants_many",
     "trace_scalar",
     "trace_system",
     "trace_system_pair",
@@ -100,7 +109,7 @@ __all__ = [
 ]
 
 # lambdas x N c^2 of one engine slice: 8 lambdas of a 200-node scalar
-# kernel, two of an 800-node m = 0 system (c = 1)
+# kernel, two of an 800-node one such as an m = 0 system's
 _SLICE_BUDGET = 1600
 
 
@@ -823,31 +832,51 @@ def _check_order(*orders: int) -> None:
         raise ConfigError("regularization order must satisfy 2 <= p <= 4")
 
 
-def _system_dets(system: SystemProblem, lams: Sequence[complex],
-                 grid: QuadratureGrid,
-                 orders: dict) -> list[list[DeterminantResult]]:
-    """Regularized determinants of the matrix kernel of every lambda, one
-    per kind -> p entry of orders, from the bases of ``greens.system_bases``,
-    one set of weight samples, and per slice of lambdas one set of block
-    generators, one QR sweep and one pass of the iterated traces.  The
-    analytic trace validates the sign conventions and is reported for the
-    det / det2 conversion.  A refused lambda raises the typed error of the
-    first one in input order."""
-    _check_order(*orders.values())
+def determinants_many(system: SystemProblem, lams: Sequence[complex],
+                      grid: QuadratureGrid,
+                      orders: dict) -> list[list[DeterminantResult]]:
+    """Regularized determinants of every lambda, one per kind -> p entry
+    of orders: "det1" -> 1 is ``det1`` of system.source, any other kind
+    the order-p determinant of the matrix kernel, reported with the
+    analytic system trace, which validates the sign conventions.  A
+    refused lambda raises the typed error of the first one in input
+    order, the system's before the scalar's.  An m = 0 form runs every
+    order on the scalar terms, its reduced kernel (module docstring), and
+    samples W at the nodes alone; otherwise the system orders and det1
+    take one engine pass each."""
+    _check_order(*(p for kind, p in orders.items() if kind != "det1"))
     kappa, k, P, Pinv, refusals = greens.system_bases(system, lams)
     cols = system.column_support
-    samples = _sample(_system_weight(system, grid), grid)
-    tau, tau_minus = _trace_pairs(P, Pinv, k, grid, samples.nodes, cols)
+    source, weight = system.source, _system_weight(system, grid)
+    shared = (source is not None and source.deriv_order == 0
+              and not system.is_front)
+    samples = None if shared else _sample(weight, grid)
+    tau, tau_minus = _trace_pairs(P, Pinv, k, grid, weight(grid.nodes)
+                                  if shared else samples.nodes, cols)
     raise_first([refusal if refusal is not None else _sign_mismatch(a, b)
                  for refusal, a, b in zip(refusals, tau, tau_minus)])
-    values, hints = _regularized(_system_terms(kappa, k, P, Pinv, cols),
-                                 samples, {}, list(orders.values()))
-    return [[DeterminantResult(value=complex(value), kind=kind,
-                               trace_used=complex(trace),
+    matrix = [] if shared else [p for p in orders.values() if p > 1]
+    scalar = [p for p in orders.values() if shared or p == 1]
+    runs = []
+    if matrix:
+        runs.append((_system_terms(kappa, k, P, Pinv, cols), samples, {},
+                     matrix))
+    if scalar:
+        groups = _scalar_terms(source, lams)
+        exact = ({1: _analytic_traces(source, groups, len(lams))}
+                 if 1 in scalar else {})
+        runs.append((groups, _sample(_scalar_weight(source), grid), exact,
+                     scalar))
+    out = {}
+    for groups, samp, exact, ps in runs:
+        values, hints = _regularized(groups, samp, exact, ps)
+        out.update({p: (value, exact[1] if p == 1 else tau, hints)
+                    for p, value in zip(ps, values)})
+    return [[DeterminantResult(value=complex(out[p][0][i]), kind=kind,
+                               trace_used=complex(out[p][1][i]),
                                grid_signature=grid.signature,
-                               condition_hint=float(hint))
-             for kind, value in zip(orders, column)]
-            for column, trace, hint in zip(values.T, tau, hints)]
+                               condition_hint=float(out[p][2][i]))
+             for kind, p in orders.items()] for i in range(len(lams))]
 
 
 def det2(system: SystemProblem, lam: complex,
@@ -858,37 +887,37 @@ def det2(system: SystemProblem, lam: complex,
     of det(I + S), so the two cancel and the result estimates the
     regularized determinant to the full panel order.
     """
-    return _system_dets(system, [lam], grid, {"det2": 2})[0][0]
+    return determinants_many(system, [lam], grid, {"det2": 2})[0][0]
 
 
 def det2_many(system: SystemProblem, lams: Sequence[complex],
               grid: QuadratureGrid) -> list[DeterminantResult]:
     """``det2`` of every lambda, in input order."""
-    return [row[0] for row in _system_dets(system, lams, grid,
-                                           {"det2": 2})]
+    return [row[0] for row in determinants_many(system, lams, grid,
+                                                {"det2": 2})]
 
 
 def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
          p: int = 2) -> DeterminantResult:
     """Order-p regularized determinant
     det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 4."""
-    return _system_dets(system, [lam], grid, {"detp": p})[0][0]
+    return determinants_many(system, [lam], grid, {"detp": p})[0][0]
 
 
 def det2_detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
               p: int) -> tuple[DeterminantResult, DeterminantResult]:
     """``det2`` and ``detp`` of one lambda from one set of block
     generators, one QR sweep and one evaluation of each exact trace."""
-    return tuple(_system_dets(system, [lam], grid,
-                              {"det2": 2, "detp": p})[0])
+    return tuple(determinants_many(system, [lam], grid,
+                                   {"det2": 2, "detp": p})[0])
 
 
 def det2_detp_many(system: SystemProblem, lams: Sequence[complex],
                    grid: QuadratureGrid, p: int
                    ) -> list[tuple[DeterminantResult, DeterminantResult]]:
     """``det2_detp`` of every lambda, in input order."""
-    return [tuple(row) for row in _system_dets(system, lams, grid,
-                                               {"det2": 2, "detp": p})]
+    return [tuple(row) for row in determinants_many(
+        system, lams, grid, {"det2": 2, "detp": p})]
 
 
 def series_coefficient(problem: ScalarProblem, lam: complex, order: int,

@@ -342,19 +342,13 @@ class SystemProblem:
         return R
 
     def tail_norm(self, half_width: float) -> float:
-        """Estimate of the integral of ||R - R_inf|| over |x| > half_width."""
-        xs, ws = _tail_rule()
-        rad = 15.0
-        offset = half_width + rad
-        pts = np.concatenate([-offset + rad * xs, offset + rad * xs])
+        """Estimate of the integral of ||R - R_inf|| over |x| > half_width:
+        12 panels of the 10-point Gauss rule on each tail of length 30."""
+        rule = build_grid(15.0, 120, panel_order=10)
+        offset = half_width + 15.0
+        pts = np.concatenate([rule.nodes - offset, rule.nodes + offset])
         norms = np.linalg.norm(self.decaying_part(pts), axis=(-2, -1))
-        return float(np.sum(rad * np.tile(ws, 2) * norms))
-
-
-@functools.cache
-def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 120-point Gauss-Legendre rule of tail_norm (read-only)."""
-    return np.polynomial.legendre.leggauss(120)
+        return float(np.sum(np.tile(rule.weights, 2) * norms))
 
 
 @dataclass(frozen=True)

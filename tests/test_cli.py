@@ -75,11 +75,10 @@ def test_det_json_document(tmp_path, capsys):
 
 def test_det_shares_one_system_discretization(tmp_path, capsys,
                                               monkeypatch):
-    """det2 and det3 of both lambdas come from one set of system
-    generators and one block sweep (the other generators and sweep are
-    det1's), no dense matrix is assembled, and R - R_inf is sampled once
-    per point set and command: nodes, panel sub-nodes and their
-    sub-sub-nodes."""
+    """det1, det2 and det3 of both lambdas of an m = 0 form come from one
+    set of generators and one block sweep on the scalar terms, no dense
+    matrix is assembled, and R - R_inf is sampled once, at the nodes, for
+    the analytic system trace and its sign check."""
     calls = {"_blocks": 0, "_sweep": 0, "_node_matrix": 0,
              "decaying_part": 0}
     for owner, name in ((fredholm, "_blocks"), (fredholm, "_sweep"),
@@ -98,16 +97,53 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     code, out, err = run_cli(capsys, "det", "--config", path, "--format",
                              "json")
     assert code == 0
-    assert calls == {"_blocks": 2, "_sweep": 2, "_node_matrix": 0,
-                     "decaying_part": 3}
+    assert calls == {"_blocks": 1, "_sweep": 1, "_node_matrix": 0,
+                     "decaying_part": 1}
     pt = wavedet.builtin_problem("poschl_teller")
     sysm = wavedet.to_system(pt)
     grid = wavedet.build_grid(20.0, 200)
     for row, lam in zip(json.loads(out)["rows"], lams):
-        for col, want in (("det2", wavedet.det2(sysm, lam, grid)),
+        for col, want in (("det1", wavedet.det1(pt, lam, grid)),
+                          ("det2", wavedet.det2(sysm, lam, grid)),
                           ("det3", wavedet.detp(sysm, lam, grid, p=3))):
             got = complex(row[col]["re"], row[col]["im"])
             assert abs(got - want.value) <= 1e-13 * abs(want.value)
+
+
+@pytest.mark.parametrize("name, lambdas, bad", [
+    ("poschl_teller", [4.0, -1.0, 2.0 + 1.0j], "(-1+0j)"),
+    ("biharmonic_demo", [-1.0 + 1.0j, 3.0], "(3+0j)")])
+def test_det_refuses_like_its_first_failing_lambda(tmp_path, capsys, name,
+                                                   lambdas, bad):
+    """A lambda on the essential spectrum anywhere in the list exits 3 with
+    its typed error, and no row is printed."""
+    path = write_config(tmp_path, {
+        "problem": {"name": name},
+        "lambdas": [{"re": z.real, "im": z.imag} for z in map(complex,
+                                                             lambdas)]},
+        domain={"quad_points": 200})
+    code, out, err = run_cli(capsys, "det", "--config", path)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": {
+        "kind": "numeric", "type": "EssentialSpectrum",
+        "message": f"lambda={bad} has a characteristic root on the "
+                   "imaginary axis"}}
+
+
+def test_compare_rows_are_frozen(tmp_path, capsys):
+    """compare on Poschl-Teller N=1 at 200 nodes, with det1 and det2 from
+    one engine call, prints the rows of the two separate calls byte for
+    byte."""
+    path = write_config(tmp_path, {"lambdas": [4.0, {"re": 2.5, "im": 0.5}]},
+                        domain={"quad_points": 200})
+    code, out, err = run_cli(capsys, "compare", "--config", path)
+    assert code == 0 and err == ""
+    assert out.strip().split("\n")[3:] == [
+        "4.0,0.0,0.3333333340977716,0.0,0.3333333333328206,0.0,"
+        "0.3333333333328215,0.0,0.3333333341003478,0.0,7.675272084561868e-10",
+        "2.5,0.5,0.2303279960233245,0.04677489357388784,0.2303279954675542,"
+        "0.046774893472056184,0.23032799546755092,0.046774893472055525,"
+        "0.23032799602558804,0.046774893574118744,5.67293860428153e-10"]
 
 
 def test_det_p2_writes_det2_once(tmp_path, capsys):

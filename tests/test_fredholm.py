@@ -939,11 +939,11 @@ def test_batch_working_set_stays_flat():
 
 def test_system_det_working_set_is_bounded():
     """det2 and det3 of poschl_teller N=2 at 800 nodes, two lambdas in one
-    slice (c = 1).  R - R_inf has its limits subtracted in place, and W is
-    the negated column view of that one 2 x 2 sample at the 80,000
-    sub-sub-nodes (4.9 MiB), so the traced peak is 7.7 MiB; with the
-    limits subtracted by a broadcast np.where it was 12.6 MiB.  The bound
-    leaves a 16% margin over 7.7 MiB."""
+    slice (c = 1).  The m = 0 form runs on the scalar terms, so R - R_inf
+    is sampled at the nodes alone and v at the 80,000 sub-sub-nodes is
+    1.2 MiB: the traced peak is 2.75 MiB.  With the system terms, which
+    sample the 2 x 2 R there (4.9 MiB), it was 7.7 MiB.  The bound leaves
+    a 27% margin over 2.75 MiB."""
     import tracemalloc
 
     sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
@@ -956,7 +956,82 @@ def test_system_det_working_set_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9.0 * 2 ** 20
+    assert peak <= 3.5 * 2 ** 20
+
+
+def _matrix_dets(system, lams, grid, orders):
+    """The order-p determinants of the matrix kernel from the system
+    terms, W = -(R - R_inf) on the column support at every point set: the
+    engine as it runs for m >= 1, and for m = 0 before it took the scalar
+    terms.  Values (len(orders), L), hints (L,)."""
+    kappa, k, P, Pinv, refusals = greens.system_bases(system, lams)
+    assert refusals == [None] * len(lams)
+    samples = fredholm._sample(fredholm._system_weight(system, grid), grid)
+    return fredholm._regularized(
+        fredholm._system_terms(kappa, k, P, Pinv, system.column_support),
+        samples, {}, orders)
+
+
+_M0_PULSES = {"poschl_teller": [2.5 + 0.5j, 6.0 - 1.0j],
+              "biharmonic_demo": [-1.0 + 1.0j, 3.0 + 2.0j],
+              "sech_pulse": [2.0 + 1.0j, -0.3 + 0.2j],
+              "gaussian_pulse": [2.0 + 1.0j, 0.5 + 0.5j]}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_M0_PULSES))
+def test_m0_form_reads_every_order_off_one_sweep(monkeypatch, name, p):
+    """An m = 0 form's det1, det2 and detp of two lambdas at 800 nodes come
+    from one sweep of the scalar terms: det1 is ``det1_many`` bit for bit,
+    det2 and detp are the system terms' values to 1e-14, and the reported
+    system trace is unchanged."""
+    problem = wd.builtin_problem(name)
+    system = wd.to_system(problem)
+    g = wd.build_grid(20.0, 800)
+    lams = _M0_PULSES[name]
+    sweeps = []
+    sweep = fredholm._sweep
+    monkeypatch.setattr(fredholm, "_sweep",
+                        lambda blocks: sweeps.append(1) or sweep(blocks))
+    rows = fredholm.determinants_many(system, lams, g,
+                                      {"det1": 1, "det2": 2, "detp": p})
+    assert len(sweeps) == 1
+    monkeypatch.undo()
+    (want2, wantp), _ = _matrix_dets(system, lams, g, (2, p))
+    for (d1, d2, dp), one, lam, v2, vp in zip(
+            rows, fredholm.det1_many(problem, lams, g), lams, want2, wantp):
+        assert (d1.kind, d2.kind, dp.kind) == ("det1", "det2", "detp")
+        assert (d1.value, d1.trace_used, d1.condition_hint) == (
+            one.value, one.trace_used, one.condition_hint)
+        assert abs(d2.value - v2) <= 1e-14 * abs(v2)
+        assert abs(dp.value - vp) <= 1e-14 * abs(vp)
+        assert d2.trace_used == dp.trace_used == fredholm.trace_system(
+            system, lam, g)
+
+
+def test_m1_form_keeps_its_system_sweep(monkeypatch):
+    """For m >= 1 the matrix kernel is a different discretization from the
+    scalar one, so det1 and the system orders take one sweep each, with
+    the values of the two separate engine runs bit for bit."""
+    problem = PANEL_PROBLEMS["deriv_order_1"][0]
+    system = wd.to_system(problem)
+    g = wd.build_grid(20.0, 200)
+    lams = [3.0 + 1.0j, 2.0 - 0.5j]
+    sweeps = []
+    sweep = fredholm._sweep
+    monkeypatch.setattr(fredholm, "_sweep",
+                        lambda blocks: sweeps.append(1) or sweep(blocks))
+    rows = fredholm.determinants_many(system, lams, g,
+                                      {"det1": 1, "det2": 2, "det3": 3})
+    assert len(sweeps) == 2
+    monkeypatch.undo()
+    (want2, want3), hints = _matrix_dets(system, lams, g, (2, 3))
+    for (d1, d2, d3), one, v2, v3, hint in zip(
+            rows, fredholm.det1_many(problem, lams, g), want2, want3,
+            hints):
+        assert (d1.value, d1.trace_used) == (one.value, one.trace_used)
+        assert (d2.value, d3.value) == (v2, v3)
+        assert d2.condition_hint == d3.condition_hint == hint
 
 
 # the parent's exact traces: one lambda, W at the sub-sub-nodes sampled

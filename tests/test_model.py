@@ -253,6 +253,21 @@ def test_to_system_pulse(pt):
     assert sysm.tail_norm(20.0) < 1e-15
 
 
+@pytest.mark.parametrize("name", ["poschl_teller", "biharmonic_demo",
+                                  "sech_pulse"])
+def test_tail_norm_matches_a_fine_rule(name):
+    """The tails of the sech-type pulses decay exponentially, and 12
+    panels of the 10-point Gauss rule per tail resolve them to rounding
+    against 1,200 panels."""
+    sysm = wd.to_system(wd.builtin_problem(name))
+    fine = wd.build_grid(15.0, 12000, panel_order=10)
+    for X in (5.0, 10.0, 20.0):
+        want = sum(np.sum(fine.weights * np.linalg.norm(
+            sysm.decaying_part(side * (fine.nodes + X + 15.0)),
+            axis=(-2, -1))) for side in (-1.0, 1.0))
+        assert sysm.tail_norm(X) == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_to_system_front_limits():
     front = wd.builtin_problem("tanh_front", offset=-2.5, amplitude=1.5,
                               well=8.0)
@@ -322,10 +337,12 @@ def test_array_perturbation_matches_pointwise(prob):
     assert np.max(np.abs(sysm.decaying_part(xs) - (want - limit))) \
         <= 1e-15 * scale
     assert sysm.perturbation(0.7).shape == (prob.order, prob.order)
-    nodes, weights = np.polynomial.legendre.leggauss(120)
-    points = [side * (17.0 + 15.0 * x) for side in (-1.0, 1.0) for x in nodes]
-    tail = sum(15.0 * w * np.linalg.norm(sysm.decaying_part(p))
-               for p, w in zip(points, np.tile(weights, 2)))
+    # 12 panels of the 10-point Gauss rule on [2, 32] and on [-32, -2]
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    points = [side * (3.25 + 2.5 * panel + 1.25 * x) for side in (-1.0, 1.0)
+              for panel in range(12) for x in nodes]
+    tail = sum(1.25 * w * np.linalg.norm(sysm.decaying_part(p))
+               for p, w in zip(points, np.tile(weights, 24)))
     assert sysm.tail_norm(2.0) == pytest.approx(tail, rel=1e-13)
 
 
