@@ -342,8 +342,8 @@ class Run:
                                                         self.grid)])
         # front_det2 is det2 under its own name, for a front as for a pulse
         return name, locate.Batched(lambda lams: [
-            res.value for res in fredholm.det2_many(self.system, lams,
-                                                    self.grid)])
+            res.value for res, in fredholm.determinants_many(
+                self.system, lams, self.grid, {"det2": 2})])
 
     def map(self, fn, items):
         return [fn(item) for item in items]

@@ -39,7 +39,7 @@ from .errors import ConfigError, StiffnessFailure, WavedetError
 from .greens import UnperturbedBasis
 # IntegrationParams lives in model, so a command validates it before
 # loading this module; it is re-exported here under its old name
-from .model import IntegrationParams, ScalarProblem, SystemProblem
+from .model import IntegrationParams, SystemProblem
 
 __all__ = [
     "IntegrationParams",
@@ -327,8 +327,10 @@ def _leftward(products: np.ndarray) -> np.ndarray:
 
 def _run(direction: str, basis: UnperturbedBasis, xs: np.ndarray,
          products: np.ndarray, adjoint: bool = False) -> tuple:
-    """The tuple that ``_sweep`` takes for a run from xs[0] (see
-    ``_propagate_columns``)."""
+    """The tuple that ``_sweep`` takes for a run from xs[0]: "minus" starts
+    at the left end from Y0-, "plus" at the right end from Y0+.  An adjoint
+    run starts from the dual rows Z0^T decaying at the same end, at rates
+    -kappa, and its products are the transposed steps of -Omega^T."""
     # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
     # decaying at the same end belong to the other group
     own = (slice(0, basis.k) if (direction == "minus") != adjoint
@@ -373,38 +375,6 @@ def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
     return out
 
 
-def _propagate_columns(system: SystemProblem, lam: complex,
-                       basis: UnperturbedBasis, direction: str,
-                       params: IntegrationParams,
-                       x_stop: Optional[float] = None,
-                       sample_points: Sequence[float] = (),
-                       adjoint: bool = False) -> JostSolution:
-    """Continue the decaying column block across the perturbation.
-
-    direction "minus" starts at -X from the data Y0-(-X) and runs right;
-    "plus" starts at +X from Y0+(+X) and runs left.  adjoint=True runs
-    the adjoint system instead: "plus" then starts from Z0+(+X)^T =
-    Pinv[:k]^T at rates -kappa+ ("minus" from Z0-(-X)^T), and every step
-    exponent is -Omega^T, the sixth-order Magnus exponent of -G^T term by
-    term.  A ``_sweep`` of one run.
-    """
-    if direction not in ("minus", "plus"):
-        raise ConfigError("direction must be 'minus' or 'plus'")
-    X = params.half_width
-    x_to = (X if direction == "minus" else -X) if x_stop is None \
-        else float(x_stop)
-    bounds = _boundaries(X, _segment_step(params, basis),
-                         (*sample_points, x_to))
-    j = _index_of(bounds, x_to)
-    bounds = bounds[:j + 1] if direction == "minus" else bounds[j:]
-    steps, at = _window_steps(system, lam, params, bounds)
-    products = _segment_products(steps, np.diff(at))[
-        int((direction == "plus") != adjoint)]
-    if direction == "plus":
-        bounds, products = bounds[::-1], _leftward(products)
-    return _sweep([_run(direction, basis, bounds, products, adjoint)])[0]
-
-
 def _pairing(rows: np.ndarray, row_log: np.ndarray, jost: JostSolution,
              i: int) -> np.ndarray:
     """rows scaled by exp(row_log) times the raw columns of a Jost run at
@@ -419,26 +389,6 @@ def _edge_transmission(jm: JostSolution) -> np.ndarray:
     basis = jm.basis
     kp = np.array(basis.roots.plus)
     return _pairing(basis.Pinv[:basis.k], -kp * jm.xs[-1], jm, -1)
-
-
-def jost_minus(system, lam: complex, params: Optional[IntegrationParams] = None,
-               basis: Optional[UnperturbedBasis] = None,
-               sample_points: Sequence[float] = ()) -> JostSolution:
-    """Solutions decaying at -infinity, continued from -X to +X."""
-    sysm = model.as_system(system)
-    return _propagate_columns(sysm, lam, basis or _side_bases(sysm, lam)[0],
-                              "minus", params or IntegrationParams(),
-                              sample_points=sample_points)
-
-
-def jost_plus(system, lam: complex, params: Optional[IntegrationParams] = None,
-              basis: Optional[UnperturbedBasis] = None,
-              sample_points: Sequence[float] = ()) -> JostSolution:
-    """Solutions decaying at +infinity, continued from +X to -X."""
-    sysm = model.as_system(system)
-    return _propagate_columns(sysm, lam, basis or _side_bases(sysm, lam)[1],
-                              "plus", params or IntegrationParams(),
-                              sample_points=sample_points)
 
 
 def _lambda_runs(system: SystemProblem, lam: complex,
@@ -461,6 +411,29 @@ def _lambda_runs(system: SystemProblem, lam: complex,
         runs.append(_run("plus", bp, bounds[j:][::-1], _leftward(right[j:]),
                          adjoint=True))
     return runs
+
+
+def _single_run(system, lam: complex, params: Optional[IntegrationParams],
+                at_end: bool) -> JostSolution:
+    """The minus run of ``_lambda_runs`` matched at +X (at_end), or the
+    plus run matched at -X, swept alone."""
+    sysm = model.as_system(system)
+    params = params or IntegrationParams()
+    x0 = params.half_width if at_end else -params.half_width
+    runs = _lambda_runs(sysm, lam, params, x0, False, *_side_bases(sysm, lam))
+    return _sweep([runs[0 if at_end else 1]])[0]
+
+
+def jost_minus(system, lam: complex,
+               params: Optional[IntegrationParams] = None) -> JostSolution:
+    """Solutions decaying at -infinity, continued from -X to +X."""
+    return _single_run(system, lam, params, True)
+
+
+def jost_plus(system, lam: complex,
+              params: Optional[IntegrationParams] = None) -> JostSolution:
+    """Solutions decaying at +infinity, continued from +X to -X."""
+    return _single_run(system, lam, params, False)
 
 
 # lambdas whose Jost runs share one QR sweep: their segment products and
@@ -581,7 +554,7 @@ def transmission_matrix(system, lam: complex,
     sysm = model.as_system(system)
     if sysm.is_front:
         raise ConfigError("transmission matrix needs a decaying perturbation")
-    return _edge_transmission(jost_minus(sysm, lam, params))
+    return evans_function(sysm, lam, params=params).transmission
 
 
 def swinton_matrix(system, lam: complex,
@@ -638,16 +611,9 @@ def identity_report(problem, lam: complex, grid=None,
     error.
     """
     from . import fredholm
-    if isinstance(problem, SystemProblem):
-        if problem.source is None or problem.is_front:
-            raise ConfigError("identity report needs a scalar-derived pulse")
-        sysm = problem
-    elif isinstance(problem, ScalarProblem):
-        if problem.profile.is_front:
-            raise ConfigError("identity report needs a pulse profile")
-        sysm = model.to_system(problem)
-    else:
-        raise ConfigError("expected a ScalarProblem or SystemProblem")
+    sysm = model.as_system(problem)
+    if sysm.source is None or sysm.is_front:
+        raise ConfigError("identity report needs a scalar-derived pulse")
     grid = grid if grid is not None else model.default_grid()
     d1, d2 = fredholm.determinants_many(sysm, [lam], grid,
                                         {"det1": 1, "det2": 2})[0]

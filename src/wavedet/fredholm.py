@@ -60,15 +60,13 @@ m >= 1 the two kernels are different discretizations; each keeps its own.
   order 1, with the analytic trace tau from the interface coefficients;
   det2 and detp are orders 2 <= p <= 4 of the matrix kernel.
 
-``det1_many``, ``det2_many``, ``det2_detp_many`` and
-``determinants_many`` evaluate a list of lambdas from one stacked root
-split.  The lambdas are grouped by their plus-root count k, and a
-refused lambda raises the typed error of the first one in input order.
-Each group goes through the engine (``_regularized``) in slices of at
-most _SLICE_BUDGET // (N c^2) lambdas, so the working set does not grow
-with the list.  ``det1``,
-``det2``, ``detp``, ``det2_detp`` and ``trace_power_*`` are batches of
-one.
+``det1_many`` and ``determinants_many`` evaluate a list of lambdas from
+one stacked root split.  The lambdas are grouped by their plus-root
+count k, and a refused lambda raises the typed error of the first one in
+input order.  Each group goes through the engine (``_regularized``) in
+slices of at most _SLICE_BUDGET // (N c^2) lambdas, so the working set
+does not grow with the list.  ``det1``, ``det2``, ``detp`` and
+``trace_power_*`` are batches of one.
 """
 
 from __future__ import annotations
@@ -93,10 +91,7 @@ __all__ = [
     "det1",
     "det1_many",
     "det2",
-    "det2_many",
     "detp",
-    "det2_detp",
-    "det2_detp_many",
     "determinants_many",
     "trace_scalar",
     "trace_system",
@@ -890,34 +885,11 @@ def det2(system: SystemProblem, lam: complex,
     return determinants_many(system, [lam], grid, {"det2": 2})[0][0]
 
 
-def det2_many(system: SystemProblem, lams: Sequence[complex],
-              grid: QuadratureGrid) -> list[DeterminantResult]:
-    """``det2`` of every lambda, in input order."""
-    return [row[0] for row in determinants_many(system, lams, grid,
-                                                {"det2": 2})]
-
-
 def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
          p: int = 2) -> DeterminantResult:
     """Order-p regularized determinant
     det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 4."""
     return determinants_many(system, [lam], grid, {"detp": p})[0][0]
-
-
-def det2_detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
-              p: int) -> tuple[DeterminantResult, DeterminantResult]:
-    """``det2`` and ``detp`` of one lambda from one set of block
-    generators, one QR sweep and one evaluation of each exact trace."""
-    return tuple(determinants_many(system, [lam], grid,
-                                   {"det2": 2, "detp": p})[0])
-
-
-def det2_detp_many(system: SystemProblem, lams: Sequence[complex],
-                   grid: QuadratureGrid, p: int
-                   ) -> list[tuple[DeterminantResult, DeterminantResult]]:
-    """``det2_detp`` of every lambda, in input order."""
-    return [tuple(row) for row in determinants_many(
-        system, lams, grid, {"det2": 2, "detp": p})]
 
 
 def series_coefficient(problem: ScalarProblem, lam: complex, order: int,

@@ -343,7 +343,12 @@ class SystemProblem:
 
     def tail_norm(self, half_width: float) -> float:
         """Estimate of the integral of ||R - R_inf|| over |x| > half_width:
-        12 panels of the 10-point Gauss rule on each tail of length 30."""
+        12 panels of the 10-point Gauss rule on each tail of length 30.
+
+        On a front R - R_inf is formed by subtracting the limits from
+        samples of R of order one, so where it falls below about
+        1e-16 ||R_inf|| the integrand is rounding: read a small front
+        estimate as an order of magnitude."""
         rule = build_grid(15.0, 120, panel_order=10)
         offset = half_width + 15.0
         pts = np.concatenate([rule.nodes - offset, rule.nodes + offset])

@@ -528,7 +528,8 @@ def test_front_determinant_via_cli(tmp_path, capsys):
     assert header[-2:] == ["re_det4", "im_det4"]
     front = wavedet.to_system(wavedet.builtin_problem(
         "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
-    _, d4 = fredholm.det2_detp(front, 2.0, wavedet.default_grid(), 4)
+    d4, = fredholm.determinants_many(front, [2.0], wavedet.default_grid(),
+                                     {"det4": 4})[0]
     assert complex(float(rows[0]["re_det4"]),
                    float(rows[0]["im_det4"])) == d4.value
 
@@ -536,14 +537,15 @@ def test_front_determinant_via_cli(tmp_path, capsys):
 def test_front_locate_and_scan_walk_batched_det2(tmp_path, capsys,
                                                  monkeypatch):
     """On a front, locate and scan evaluate det2 as lists through
-    det2_many, and their rows are those of the per-lambda front_det2."""
+    determinants_many, and their rows are those of the per-lambda
+    front_det2."""
     sizes = []
-    many = fredholm.det2_many
+    many = fredholm.determinants_many
 
-    def counted(system, lams, grid):
+    def counted(system, lams, grid, orders):
         sizes.append(len(lams))
-        return many(system, lams, grid)
-    monkeypatch.setattr(fredholm, "det2_many", counted)
+        return many(system, lams, grid, orders)
+    monkeypatch.setattr(fredholm, "determinants_many", counted)
     low, high = 3.1 - 0.3j, 3.6 + 0.3j
     rectangle = {"corner_low": _pairs([low])[0],
                  "corner_high": _pairs([high])[0]}

@@ -43,6 +43,23 @@ def test_jost_rejects_unsampled_point(pt_system):
         jm.raw_at(0.123456789)
 
 
+@pytest.mark.parametrize("name,params,lam", [
+    ("poschl_teller", {"N": 2}, 1.3 + 0.2j),
+    ("biharmonic_demo", {}, 3.0 + 2.0j),
+    ("tanh_front", {"amplitude": 1.5, "offset": -2.5, "well": 8.0},
+     2.0 + 1.0j),
+])
+def test_single_runs_give_the_evans_function(name, params, lam):
+    """det[Y-(0) Y+(0)] of the runs jost_minus and jost_plus return alone
+    is E of evans_function, whose runs share one sweep."""
+    sysm = wd.to_system(wd.builtin_problem(name, **params))
+    got = np.linalg.det(np.concatenate(
+        [evans.jost_minus(sysm, lam).raw_at(0.0),
+         evans.jost_plus(sysm, lam).raw_at(0.0)], axis=1))
+    want = wd.evans_function(sysm, lam).evans
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # the Magnus propagators
 
@@ -356,34 +373,33 @@ def test_gram_determinant_limit(pt_system):
 
 def test_adjoint_runs_pair_to_a_constant(bh_system):
     """Z(x) Y(x) is x-independent for a row solution Z of the adjoint
-    system and a column solution Y, in both directions: the dual rows of
-    Z0- run right from -X against the Y+ columns run left from +X."""
+    system and a column solution Y: the Swinton rows, run left from +X,
+    against the minus columns, run right from -X, at every stored point
+    the two runs share."""
     lam = 3.0 + 2.0j
     basis = wd.system_basis(bh_system, lam)
-    params = evans.IntegrationParams()
+    ym, _, zp = evans._sweep(evans._lambda_runs(
+        bh_system, lam, evans.IntegrationParams(), -2.0, True, basis, basis))
     pts = (0.0, -2.0)
-    zm = evans._propagate_columns(bh_system, lam, basis, "minus", params,
-                                  sample_points=pts, adjoint=True)
-    yp = evans._propagate_columns(bh_system, lam, basis, "plus", params,
-                                  sample_points=pts)
-    pairs = [zm.raw_at(x).T @ yp.raw_at(x) for x in pts]
+    pairs = [zp.raw_at(x).T @ ym.raw_at(x) for x in pts]
     assert pairs[0].shape == (2, 2)
     assert np.max(np.abs(pairs[0] - pairs[1])) <= 1e-10 * np.max(
         np.abs(pairs[0]))
 
 
-def _stepwise(system, lam, basis, direction, params, run, x_stop=None,
-              sample_points=(), adjoint=False):
+def _stepwise(system, lam, params, run, x0, direction, adjoint=False):
     """Reference propagation: each step propagator applied to the block in
     turn, with the QR renormalization of every segment.  It starts from
     the first sample of the run under test (the unperturbed data) and
-    returns the run's samples and the steps per segment."""
+    returns the run's samples and the steps per segment.  The grid holds
+    x0 and is sized by both end bases; a pulse's minus run spans it, a
+    plus run goes from +X to x0."""
     X = params.half_width
-    x_to = (X if direction == "minus" else -X) if x_stop is None else x_stop
-    bounds = evans._boundaries(X, evans._segment_step(params, basis),
-                               (*sample_points, x_to))
-    j = evans._index_of(bounds, x_to)
-    bounds = bounds[:j + 1] if direction == "minus" else bounds[j:]
+    bounds = evans._boundaries(
+        X, evans._segment_step(params, *evans._side_bases(system, lam)),
+        (x0,))
+    if direction == "plus":
+        bounds = bounds[evans._index_of(bounds, x0):]
     steps, at = evans._window_steps(system, lam, params, bounds)
     # a rightward step takes exp(Omega), or exp(-Omega^T) on the adjoint
     # system; a leftward step, whose exponent is -Omega, their transposes
@@ -426,8 +442,10 @@ def _front_system():
     ("biharmonic", 3.0 + 2.0j, False),
 ])
 def test_segment_products_match_stepwise_propagation(case, lam, entries):
-    """One product of the step propagators per segment, padded with
-    identities on ragged segments, reproduces the step-by-step run.
+    """One product of the step propagators per segment reproduces the
+    step-by-step run, for a run of each kind that ``_lambda_runs`` builds:
+    the minus run through 0.37, a front's plus run to -2.5 and the
+    Swinton adjoint run to -2.
 
     The spanned subspace and the determinant scale det(T) exp(sum log)
     always agree.  The samples themselves are compared where they are
@@ -439,21 +457,19 @@ def test_segment_products_match_stepwise_propagation(case, lam, entries):
     params = evans.IntegrationParams()
     if case == "poschl_teller":
         sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
-        direction, kwargs = "minus", {"sample_points": (0.37,)}
+        x0, which, direction = 0.37, 0, "minus"
     elif case == "front":
         # the plus run to -2.5 is cut at x = 0, where R jumps
         sysm = _front_system()
-        direction, kwargs = "plus", {"x_stop": -2.5}
+        x0, which, direction = -2.5, 1, "plus"
     else:
         sysm = wd.to_system(wd.builtin_problem("biharmonic_demo"))
-        direction = "plus"
-        kwargs = {"sample_points": (0.37, -2.0), "adjoint": True}
-    bm, bp = evans._side_bases(sysm, lam)
-    basis = bm if direction == "minus" else bp
-    run = evans._propagate_columns(sysm, lam, basis, direction, params,
-                                   **kwargs)
+        x0, which, direction = -2.0, 2, "plus"
+    adjoint = which == 2
+    run = evans._sweep(evans._lambda_runs(
+        sysm, lam, params, x0, adjoint, *evans._side_bases(sysm, lam)))[which]
     xs, values, transforms, logs, steps = _stepwise(
-        sysm, lam, basis, direction, params, run, **kwargs)
+        sysm, lam, params, run, x0, direction, adjoint)
     assert len(set(steps)) > 1   # ragged segments
     assert np.array_equal(run.xs, xs)
 
@@ -469,29 +485,6 @@ def test_segment_products_match_stepwise_propagation(case, lam, entries):
         assert np.max(np.abs(run.transform - transforms)) <= 1e-12
         assert np.max(np.abs(run.renorm_log - logs)) <= 1e-12 * np.max(
             np.abs(logs))
-
-
-def test_adjoint_run_shares_the_plus_exponents(bh_system):
-    """The minus run, the plus run on exp(-Omega) and its adjoint run on
-    the transposed exp(Omega) of one set of exponents, swept together,
-    equal the three runs built alone."""
-    lam = 3.0 + 2.0j
-    basis = wd.system_basis(bh_system, lam)
-    params = evans.IntegrationParams()
-    shared = evans._sweep(evans._lambda_runs(bh_system, lam, params, 0.37,
-                                             True, basis, basis))
-    alone = [evans._propagate_columns(bh_system, lam, basis, "minus",
-                                      params, sample_points=(0.37,))]
-    alone += [evans._propagate_columns(bh_system, lam, basis, "plus",
-                                       params, x_stop=0.37, adjoint=adjoint)
-              for adjoint in (False, True)]
-    for run, want in zip(shared, alone):
-        assert np.array_equal(run.xs, want.xs)
-        for got, value in ((run.values, want.values),
-                           (run.transform, want.transform),
-                           (run.renorm_log, want.renorm_log)):
-            assert np.max(np.abs(got - value)) <= 1e-14 * np.max(
-                np.abs(value))
 
 
 def test_evans_and_swinton_match_the_single_routes(bh_system):

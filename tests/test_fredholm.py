@@ -700,7 +700,8 @@ def test_structured_det2_det3_match_dense(grid_name):
     assert full.column_support == slice(0, 2)
     cases += [(full, 2.0 + 1.0j), (full, 5.0 - 1.5j)]
     for system, lam in cases:
-        d2, d3 = fredholm.det2_detp(system, lam, g, 3)
+        d2, d3 = fredholm.determinants_many(system, [lam], g,
+                                            {"det2": 2, "det3": 3})[0]
         want = _dense_system(system, lam, g, (2, 3))
         assert _close(d2.value, want[0]) and _close(d3.value, want[1]), lam
 
@@ -800,7 +801,8 @@ def test_default_path_assembles_no_dense_matrix(monkeypatch, pt):
         for lam in (2.0 + 1.0j, 3.0, 6.0 - 1.5j):
             wd.det1(pt2, lam, g)
             wd.det2(sysm, lam, g)
-            fredholm.det2_detp(sysm, lam, g, 3)
+            fredholm.determinants_many(sysm, [lam], g,
+                                       {"det2": 2, "det3": 3})
             wd.detp(sysm, lam, g, p=4)
     with pytest.raises(ConfigError):
         wd.detp(sysm, 2.0 + 1.0j, wd.build_grid(20.0, 200), p=5)
@@ -883,11 +885,13 @@ def test_system_batch_matches_one_lambda_at_a_time(grid_name):
              (wd.to_system(_DRIFT), _DRIFT_LAMBDAS)]
     for system, lams in cases:
         for p in (3, 4):
+            orders = {"det2": 2, "detp": p}
             _assert_rows_agree(
-                fredholm.det2_detp_many(system, lams, g, p),
-                [fredholm.det2_detp(system, lam, g, p) for lam in lams])
-        _assert_rows_agree([[res] for res in fredholm.det2_many(system, lams,
-                                                                g)],
+                fredholm.determinants_many(system, lams, g, orders),
+                [fredholm.determinants_many(system, [lam], g, orders)[0]
+                 for lam in lams])
+        _assert_rows_agree(fredholm.determinants_many(system, lams, g,
+                                                      {"det2": 2}),
                            [[wd.det2(system, lam, g)] for lam in lams])
 
 
@@ -903,7 +907,7 @@ def test_batch_refuses_like_its_first_failing_lambda():
         with pytest.raises(error):
             fredholm.det1_many(double, lams, g)
         with pytest.raises(error):
-            fredholm.det2_many(system, lams, g)
+            fredholm.determinants_many(system, lams, g, {"det2": 2})
     assert fredholm.det1_many(double, [], g) == []
 
 
@@ -949,10 +953,11 @@ def test_system_det_working_set_is_bounded():
     sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
     g = wd.build_grid(20.0, 800)
     lams = [6.2 + 1.3j, 7.7 - 0.8j]
-    fredholm.det2_detp_many(sysm, lams, g, 3)      # caches, lazy imports
+    orders = {"det2": 2, "det3": 3}
+    fredholm.determinants_many(sysm, lams, g, orders)  # caches, lazy imports
     tracemalloc.start()
     try:
-        fredholm.det2_detp_many(sysm, lams, g, 3)
+        fredholm.determinants_many(sysm, lams, g, orders)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

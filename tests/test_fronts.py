@@ -87,13 +87,14 @@ def test_front_det2_frozen_values(front_system, grid):
 
 def test_front_det2_is_reference_system_det2(front_system, grid):
     """front_det2 is det2 of the front, whose kernel is the reference
-    system's: the public det2, det2_many and trace_system of the front
+    system's: the public det2, determinants_many and trace_system of the
+    front
     give its value and trace bit for bit."""
     ref = fronts.reference_system(front_system)
     assert not ref.is_front
     lams = (2.0, 3.0 + 0.25j, 2.0 + 1.0j)
-    many = fredholm.det2_many(front_system, lams, grid)
-    for lam, batched in zip(lams, many):
+    many = fredholm.determinants_many(front_system, lams, grid, {"det2": 2})
+    for lam, (batched,) in zip(lams, many):
         res = fronts.front_det2(front_system, lam, grid)
         b = fredholm.det2(ref, lam, grid).value
         assert abs(res.value - b) < 1e-12
@@ -111,7 +112,8 @@ def test_front_det2_needs_panel_edge_at_zero(front_system):
     with pytest.raises(ConfigError):
         fredholm.det2(front_system, 2.0, lopsided)
     with pytest.raises(ConfigError):
-        fredholm.det2_many(front_system, [2.0, 3.0], lopsided)
+        fredholm.determinants_many(front_system, [2.0, 3.0], lopsided,
+                                   {"det2": 2})
     with pytest.raises(ConfigError):
         fredholm.trace_system(front_system, 2.0 + 1.0j, lopsided)
     with pytest.raises(ConfigError):
