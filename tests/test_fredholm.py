@@ -78,10 +78,8 @@ def _block_diagonal(diag):
 def _structured(blocks, orders):
     """Regularized determinants, without exact traces, and hint of the
     one lambda of the blocks from the QR sweep and the generator traces."""
-    sign, logabs, hint = fredholm._sweep(blocks)
-    values = fredholm._corrected_det(sign, logabs,
-                                     fredholm._block_traces(blocks), {},
-                                     orders)
+    sign, logabs, hint, traces = fredholm._sweep(blocks)
+    values = fredholm._corrected_det(sign, logabs, traces, {}, orders)
     return [value[0] for value in values], hint[0]
 
 
@@ -452,6 +450,44 @@ def test_det1_splits_the_roots_once(monkeypatch, pt):
     assert calls == lams
 
 
+def test_lagrange_table_is_the_per_node_product():
+    """One vectorised step per node gives the per-polynomial product bit
+    for bit: every factor is the same, taken in the same order."""
+    for q in range(2, 17):
+        t, _, sub = fredholm._panel_tables(q)[:3]
+        want = _lagrange_rows(t, sub.ravel()).reshape(sub.shape + (q,))
+        assert np.array_equal(fredholm._lagrange_at(t, sub), want)
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 10, 12, 16])
+def test_panel_samples_are_the_weight_at_every_point(q):
+    """W at the panel sub-nodes and sub-sub-nodes, evaluated once per
+    distinct reference coordinate and gathered, is W at every point bit
+    for bit: a scalar weight, an m = 1 system weight and a front's.  A
+    counting weight sees each distinct coordinate once per panel."""
+    grid = wd.build_grid(20.0, 8 * q, panel_order=q)
+    _, _, sub, _, _, sub2, _ = fredholm._panel_tables(q)
+    pt2 = fredholm._scalar_weight(wd.builtin_problem("poschl_teller", N=2))
+    m1 = wd.to_system(PANEL_PROBLEMS["deriv_order_1"][0])
+    front = wd.to_system(wd.builtin_problem(
+        "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
+    for weight in (pt2, fredholm._system_weight(m1, grid),
+                   fredholm._system_weight(front, grid)):
+        samples = fredholm._sample(weight, grid)
+        for got, table in ((samples.panel, sub),
+                           (fredholm._subsub(samples), sub2)):
+            want = weight(fredholm._panel_points(grid, table))
+            assert np.array_equal(got, want)
+    seen = []
+    fredholm._subsub(fredholm._sample(
+        lambda x: seen.append(x) or pt2(x), grid))
+    assert np.array_equal(seen[0], grid.nodes)
+    for points, table in zip(seen[1:], (sub, sub2)):
+        assert points.shape == (len(set(table.ravel().tolist())), 8)
+        assert (set(points.ravel().tolist()) == set(
+            fredholm._panel_points(grid, table).ravel().tolist()))
+
+
 # ---------------------------------------------------------------------------
 # vectorized iterated traces against the per-panel reference
 
@@ -760,11 +796,11 @@ def test_structured_logdet_and_traces_match_dense(case):
     S = _dense_matrix(kernel, grid)
     blocks = fredholm._blocks(terms, fredholm._sample(weight, grid))
     sign, logabs = _dense_logdet(S)
-    (got_sign,), (got_logabs,), (got_hint,) = fredholm._sweep(blocks)
+    (got_sign,), (got_logabs,), (got_hint,), got = fredholm._sweep(blocks)
     assert got_hint >= 0.0
     assert abs(got_logabs - logabs) <= 1e-12 * max(1.0, abs(logabs))
     assert abs(got_sign - sign) <= 1e-12
-    got, want = fredholm._block_traces(blocks), _dense_traces(S)
+    want = _dense_traces(S)
     scale = 1.0 + np.linalg.norm(S)
     for l in (1, 2, 3):
         assert abs(got[l][0] - want[l]) <= 1e-12 * scale ** l
@@ -783,7 +819,7 @@ def test_minus_only_kernel_is_the_block_product():
     S = _dense_matrix(kernel, grid)
     assert np.linalg.cond(S + np.eye(len(S))) > 1e7
     signs, logs = np.linalg.slogdet(blocks.diag[0] + np.eye(10))
-    (sign,), (logabs,), _ = fredholm._sweep(blocks)
+    (sign,), (logabs,), _, _ = fredholm._sweep(blocks)
     assert abs(logabs - np.sum(logs)) <= 1e-12 * max(1.0, abs(logabs))
     assert abs(sign - np.prod(signs)) <= 1e-12
 
@@ -945,9 +981,11 @@ def test_system_det_working_set_is_bounded():
     """det2 and det3 of poschl_teller N=2 at 800 nodes, two lambdas in one
     slice (c = 1).  The m = 0 form runs on the scalar terms, so R - R_inf
     is sampled at the nodes alone and v at the 80,000 sub-sub-nodes is
-    1.2 MiB: the traced peak is 2.75 MiB.  With the system terms, which
-    sample the 2 x 2 R there (4.9 MiB), it was 7.7 MiB.  The bound leaves
-    a 27% margin over 2.75 MiB."""
+    1.2 MiB, evaluated at the 30,160 distinct ones and gathered: the
+    traced peak is 2.38 MiB, set by the traces.  Evaluated at every point
+    it was 2.70 MiB; with the system terms, which sample the 2 x 2 R
+    there (4.9 MiB), 7.7 MiB.  The bound leaves a 47% margin over
+    2.38 MiB."""
     import tracemalloc
 
     sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
@@ -962,6 +1000,24 @@ def test_system_det_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 2 ** 20
+
+
+def test_system_det_samples_each_distinct_point_once(monkeypatch):
+    """det1, det2 and det3 of poschl_teller N=2 at 800 nodes (80 panels of
+    10), two lambdas: v at the nodes twice (the system trace and the
+    scalar samples) and once per panel at each distinct sub-node and
+    sub-sub-node coordinate, 43,120 points where every point took
+    97,600."""
+    points = []
+    potential = wd.ScalarProblem.potential
+    monkeypatch.setattr(wd.ScalarProblem, "potential", lambda self, x: (
+        points.append(np.size(x)) or potential(self, x)))
+    sysm = wd.to_system(wd.builtin_problem("poschl_teller", N=2))
+    g = wd.build_grid(20.0, 800)
+    fredholm.determinants_many(sysm, [6.2 + 1.3j, 7.7 - 0.8j], g,
+                               {"det1": 1, "det2": 2, "det3": 3})
+    sub, sub2 = (values.size for values, _ in fredholm._sample_points(10))
+    assert sum(points) == 2 * 800 + 80 * (sub + sub2) == 43120
 
 
 def _matrix_dets(system, lams, grid, orders):
