@@ -356,6 +356,16 @@ class Run:
 # i = integer, s = string
 
 
+def _cells(columns, row):
+    """The cells of one row converted per column kind: {re, im} for a
+    complex, float, int or str; None stays None."""
+    return [None if value is None else
+            _complex_pair(complex(value)) if kind == "c" else
+            float(value) if kind == "f" else
+            int(value) if kind == "i" else str(value)
+            for (_, kind), value in zip(columns, row)]
+
+
 def _csv_text(columns, rows, resolved):
     header = []
     for name, kind in columns:
@@ -369,38 +379,21 @@ def _csv_text(columns, rows, resolved):
              ",".join(header)]
     for row in rows:
         cells = []
-        for (name, kind), value in zip(columns, row):
-            if value is None:
-                cells.extend(("", "") if kind == "c" else ("",))
-            elif kind == "c":
-                z = complex(value)
-                cells.extend((repr(z.real), repr(z.imag)))
-            elif kind == "f":
-                cells.append(repr(float(value)))
-            elif kind == "i":
-                cells.append(str(int(value)))
+        for (_, kind), cell in zip(columns, _cells(columns, row)):
+            if kind != "c":
+                cells.append("" if cell is None else str(cell))
+            elif cell is None:
+                cells.extend(("", ""))
             else:
-                cells.append(str(value))
+                cells.extend((repr(cell["re"]), repr(cell["im"])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def _json_text(columns, rows, resolved, extras=None):
-    out_rows = []
-    for row in rows:
-        entry = {}
-        for (name, kind), value in zip(columns, row):
-            if value is None:
-                entry[name] = None
-            elif kind == "c":
-                entry[name] = _complex_pair(complex(value))
-            elif kind == "f":
-                entry[name] = float(value)
-            elif kind == "i":
-                entry[name] = int(value)
-            else:
-                entry[name] = str(value)
-        out_rows.append(entry)
+    out_rows = [{name: cell for (name, _), cell in zip(columns,
+                                                       _cells(columns, row))}
+                for row in rows]
     doc = {"version": __version__, "config": resolved, "rows": out_rows}
     if extras:
         doc.update(extras)
@@ -649,13 +642,6 @@ def main(argv=None):
         if args.output is not None:
             run.output["path"] = args.output
             run.resolved["output"]["path"] = args.output
-    except ConfigError as exc:
-        _emit_error("config", exc)
-        return 2
-    except WavedetError as exc:
-        _emit_error("numeric", exc)
-        return 3
-    try:
         text = _HANDLERS[args.command](run)
     except ConfigError as exc:
         _emit_error("config", exc)

@@ -61,13 +61,14 @@ m >= 1 the two kernels are different discretizations; each keeps its own.
   order 1, with the analytic trace tau from the interface coefficients;
   det2 and detp are orders 2 <= p <= 4 of the matrix kernel.
 
-``det1_many`` and ``determinants_many`` evaluate a list of lambdas from
-one stacked root split.  The lambdas are grouped by their plus-root
-count k, and a refused lambda raises the typed error of the first one in
-input order.  Each group goes through the engine (``_regularized``) in
-slices of at most _SLICE_BUDGET // (N c^2) lambdas, so the working set
-does not grow with the list.  ``det1``, ``det2``, ``detp`` and
-``trace_power_*`` are batches of one.
+``determinants_many`` is the one driver, and ``det1_many`` its det1
+column: a list of lambdas takes one stacked root split, whose inverse
+Vandermonde frames also give the scalar weights alpha.  The lambdas are
+grouped by their plus-root count k, and a refused lambda raises the typed
+error of the first one in input order.  Each group goes through the
+engine (``_regularized``) in slices of at most _SLICE_BUDGET // (N c^2)
+lambdas, so the working set does not grow with the list.  ``det1``,
+``det2``, ``detp`` and ``trace_power_*`` are batches of one.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import greens
+from . import greens, model
 from .errors import ConfigError, SignMismatch, raise_first
 # the grid lives in model, so a command validates it before loading this
 # module; it is re-exported here under its old names
@@ -251,14 +252,16 @@ def _scalar_weight(problem: ScalarProblem) -> Callable:
     return weight
 
 
-def _scalar_terms(problem: ScalarProblem, lams) -> list:
+def _scalar_terms(problem: ScalarProblem, lams, bases=None) -> list:
     """``_groups`` of the scalar kernels: u_j = 1, r_j = alpha_j kappa_j^m,
     W = v; the sign of the m-th derivative is folded in, so det(I + K) is
-    the determinant for every m.  One stacked root split; a refused lambda
-    raises the error of the first one in input order."""
-    kappa, k, alpha, refusals = greens.green_arrays(problem, lams)
+    the determinant for every m.  alpha is read off the inverse frames of
+    bases, the first-order form's ``greens.system_bases``, split here if
+    not given; a refused lambda raises the first one's error."""
+    bases = bases or greens.system_bases(model.to_system(problem), lams)
+    kappa, k, _, Pinv, refusals = bases
     raise_first(refusals)
-    r = alpha * kappa ** problem.deriv_order
+    r = greens._alpha(k, Pinv) * kappa ** problem.deriv_order
     return _groups(kappa, k, np.ones(kappa.shape + (1,)), r[..., None])
 
 
@@ -785,18 +788,10 @@ def _regularized(groups: list, samples: _Samples, exact: dict,
 
 def det1_many(problem: ScalarProblem, lams: Sequence[complex],
               grid: QuadratureGrid) -> list[DeterminantResult]:
-    """``det1`` of every lambda, in input order, from one stacked root
-    split and one set of weight samples.  A refused lambda raises the
-    typed error of the first one in input order."""
-    groups = _scalar_terms(problem, lams)
-    tau = _analytic_traces(problem, groups, len(lams))
-    samples = _sample(_scalar_weight(problem), grid)
-    (values,), hints = _regularized(groups, samples, {1: tau}, (1,))
-    return [DeterminantResult(value=complex(value), kind="det1",
-                              trace_used=complex(trace),
-                              grid_signature=grid.signature,
-                              condition_hint=float(hint))
-            for value, trace, hint in zip(values, tau, hints)]
+    """``det1`` of every lambda, in input order: the "det1" column of
+    ``determinants_many`` on the first-order form."""
+    return [res for res, in determinants_many(model.to_system(problem), lams,
+                                              grid, {"det1": 1})]
 
 
 def det1(problem: ScalarProblem, lam: complex,
@@ -871,33 +866,41 @@ def determinants_many(system: SystemProblem, lams: Sequence[complex],
                       grid: QuadratureGrid,
                       orders: dict) -> list[list[DeterminantResult]]:
     """Regularized determinants of every lambda, one per kind -> p entry
-    of orders: "det1" -> 1 is ``det1`` of system.source, any other kind
-    the order-p determinant of the matrix kernel, reported with the
-    analytic system trace, which validates the sign conventions.  A
-    refused lambda raises the typed error of the first one in input
-    order, the system's before the scalar's.  An m = 0 form runs every
-    order on the scalar terms, its reduced kernel (module docstring), and
-    samples W at the nodes alone; otherwise the system orders and det1
-    take one engine pass each."""
+    of orders: "det1" -> 1 is ``det1`` of system.source (refused up front
+    without one or on a front), any other kind the order-p determinant of
+    the matrix kernel, reported with the analytic system trace, which
+    validates the sign conventions.  One root split gives the bases of
+    both kernels, and a refused lambda raises the typed error of the
+    first one in input order.  An m = 0 form runs every order on the
+    scalar terms, its reduced kernel (module docstring), and samples W at
+    the nodes alone; otherwise the system orders and det1 take one engine
+    pass each."""
     _check_order(*(p for kind, p in orders.items() if kind != "det1"))
-    kappa, k, P, Pinv, refusals = greens.system_bases(system, lams)
-    cols = system.column_support
-    source, weight = system.source, _system_weight(system, grid)
+    source, cols = system.source, system.column_support
+    if 1 in orders.values():
+        if source is None:
+            raise ConfigError("det1 needs a scalar source problem")
+        source.potential_integral()     # refuses a front's potential
+    bases = greens.system_bases(system, lams)
+    kappa, k, P, Pinv, refusals = bases
     shared = (source is not None and source.deriv_order == 0
               and not system.is_front)
-    samples = None if shared else _sample(weight, grid)
-    tau, tau_minus = _trace_pairs(P, Pinv, k, grid, weight(grid.nodes)
-                                  if shared else samples.nodes, cols)
-    raise_first([refusal if refusal is not None else _sign_mismatch(a, b)
-                 for refusal, a, b in zip(refusals, tau, tau_minus)])
-    matrix = [] if shared else [p for p in orders.values() if p > 1]
+    matrix = [p for p in orders.values() if p > 1]
     scalar = [p for p in orders.values() if shared or p == 1]
-    runs = []
     if matrix:
+        weight = _system_weight(system, grid)
+        samples = None if shared else _sample(weight, grid)
+        tau, tau_minus = _trace_pairs(P, Pinv, k, grid, weight(grid.nodes)
+                                      if shared else samples.nodes, cols)
+        refusals = [refusal or _sign_mismatch(a, b)
+                    for refusal, a, b in zip(refusals, tau, tau_minus)]
+    raise_first(refusals)
+    runs = []
+    if matrix and not shared:
         runs.append((_system_terms(kappa, k, P, Pinv, cols), samples, {},
                      matrix))
     if scalar:
-        groups = _scalar_terms(source, lams)
+        groups = _scalar_terms(source, lams, bases)
         exact = ({1: _analytic_traces(source, groups, len(lams))}
                  if 1 in scalar else {})
         runs.append((groups, _sample(_scalar_weight(source), grid), exact,

@@ -8,8 +8,10 @@ into k roots with positive real part and n-k with negative real part.  The
 scalar Green's function is a two-sided exponential sum over that splitting
 with the interface weights alpha_j; the matrix Green's function of the
 companion system is assembled from the decaying solution bases and their
-duals.  Both are sums of rank-one terms per root, the data from which
-:mod:`wavedet.fredholm` builds its determinant-ready kernels.
+duals, the columns of the Vandermonde frame P of the roots and the rows of
+its inverse, off whose last column alpha is read.  Both are sums of
+rank-one terms per root, the data from which :mod:`wavedet.fredholm`
+builds its determinant-ready kernels.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "matrix_basis",
     "matrix_green",
     "green_data",
-    "green_arrays",
     "system_bases",
     "end_bases",
 ]
@@ -159,17 +160,21 @@ def _solved(M: np.ndarray, rhs: np.ndarray, what: str,
     return X, cond
 
 
-def _interface_weights(kappa: np.ndarray, k: np.ndarray, refusals: list
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """alpha (L, n) and the interface condition numbers (L,) of the
-    ``alpha_coefficients`` systems of L root splits."""
+def _vandermonde(kappa: np.ndarray, refusals: list) -> tuple:
+    """The frames P = kappa^i of L root splits (L, n, n), their inverses
+    and condition numbers (L,), refused (``_solved``) as "basis matrix"."""
     n = kappa.shape[-1]
-    signs = np.where(np.arange(n) < k[:, None], 1.0, -1.0)
-    M = kappa[:, None, :] ** np.arange(n)[:, None] * signs[:, None, :]
-    rhs = np.zeros((n, 1), dtype=complex)
-    rhs[-1] = -1.0
-    alpha, cond = _solved(M, rhs, "interface system", refusals)
-    return alpha[..., 0], cond
+    P = kappa[:, None, :] ** np.arange(n)[:, None]
+    Pinv, cond = _solved(P, np.eye(n, dtype=complex), "basis matrix",
+                         refusals)
+    return P, Pinv, cond
+
+
+def _alpha(k: np.ndarray, Pinv: np.ndarray) -> np.ndarray:
+    """The kernel weights alpha (L, n) of L splits with plus-root counts k
+    (L,), read off their inverse frames (``alpha_coefficients``)."""
+    last = Pinv[..., -1]
+    return np.where(np.arange(last.shape[-1]) < k[:, None], -last, last)
 
 
 def classify_roots(problem: ScalarProblem, lam: complex,
@@ -183,35 +188,27 @@ def classify_roots(problem: ScalarProblem, lam: complex,
 
 
 def alpha_coefficients(roots: RootSplit) -> GreenCoefficients:
-    """Solve the interface conditions for the kernel weights.
+    """The kernel weights, which solve the interface conditions.
 
     Row l of the system encodes continuity of the l-th x-derivative of the
     kernel across x = xi (l <= n-2) and the unit jump in the top one: the
     matrix column for a plus root kappa is (1, kappa, ..., kappa^(n-1)), for
-    a minus root the negative of that, and the right side is -e_{n-1}.
+    a minus root the negative of that, and the right side is -e_{n-1}.  So
+    the matrix is the Vandermonde frame P with its minus columns negated,
+    and alpha_j is -Pinv[j, n-1] for a plus root, +Pinv[j, n-1] for a minus
+    root, with the condition number of P.
     """
     refusals = [None]
-    alpha, cond = _interface_weights(np.array([roots.all]),
-                                     np.array([roots.k]), refusals)
+    _, Pinv, cond = _vandermonde(np.array([roots.all]), refusals)
     raise_first(refusals)
-    return GreenCoefficients(alpha=tuple(alpha[0]), condition=float(cond[0]))
+    alpha = _alpha(np.array([roots.k]), Pinv)[0]
+    return GreenCoefficients(alpha=tuple(alpha), condition=float(cond[0]))
 
 
 def green_data(problem: ScalarProblem, lam: complex,
                axis_tol: float = model.AXIS_TOL):
     roots = classify_roots(problem, lam, axis_tol)
     return roots, alpha_coefficients(roots)
-
-
-def green_arrays(problem: ScalarProblem, lams,
-                 axis_tol: float = model.AXIS_TOL) -> tuple:
-    """``green_data`` of every lambda as arrays, from one stacked root
-    split: kappa (L, n) with each row's plus roots first, k (L,), alpha
-    (L, n), and per lambda its refusal or None, in the order
-    ``green_data`` raises them."""
-    kappa, k, refusals = _split(problem, lams, axis_tol, model.SEP_TOL)
-    alpha, _ = _interface_weights(kappa, k, refusals)
-    return kappa, k, alpha, refusals
 
 
 def scalar_green(x: float, xi: float, lam: complex, roots: RootSplit,
@@ -291,8 +288,8 @@ def system_bases(system: SystemProblem, lams) -> tuple:
     place).  The one place that decides a system's basis:
 
     * a scalar-derived pulse: the constant part's characteristic roots,
-      from one stacked root split, so the root ordering (and every
-      downstream sign convention) matches the scalar path exactly;
+      from one stacked root split, and their Vandermonde frames, whose
+      inverses give the scalar kernel weights (``_alpha``);
     * a general pulse: a dense eigensplit of A0(lambda);
     * a front: the reference split, the left end's plus rates with the
       right end's minus rates (``end_bases``), in the Vandermonde frame
@@ -302,9 +299,7 @@ def system_bases(system: SystemProblem, lams) -> tuple:
     if system.source is not None and not front:
         kappa, k, refusals = _split(system.source, lams, model.AXIS_TOL,
                                     model.SEP_TOL)
-        P = kappa[:, None, :] ** np.arange(n)[:, None]
-        Pinv, _ = _solved(P, np.eye(n, dtype=complex), "basis matrix",
-                          refusals)
+        P, Pinv, _ = _vandermonde(kappa, refusals)
         return kappa, k, P, Pinv, refusals
     L = len(lams)
     kappa = np.zeros((L, n), dtype=complex)

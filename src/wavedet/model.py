@@ -181,17 +181,6 @@ def tabulated_profile(x: Sequence[float], values: Sequence[float],
     aL, muL = tail(values[0], values[1], limits[0], x[1] - x[0])
     x_lo, x_hi = x[0], x[-1]
 
-    def f0(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        lo = t < x_lo
-        hi = t > x_hi
-        mid = ~(lo | hi)
-        out[mid] = spline(t[mid])
-        out[lo] = limits[0] + aL * np.exp(-muL * (x_lo - t[lo]))
-        out[hi] = limits[1] + aR * np.exp(-muR * (t[hi] - x_hi))
-        return out
-
     def deriv(t, order):
         t = np.asarray(t, dtype=float)
         out = np.empty_like(t)
@@ -201,6 +190,9 @@ def tabulated_profile(x: Sequence[float], values: Sequence[float],
         out[mid] = spline(t[mid], order)
         out[lo] = aL * muL ** order * np.exp(-muL * (x_lo - t[lo]))
         out[hi] = aR * (-muR) ** order * np.exp(-muR * (t[hi] - x_hi))
+        if order == 0:
+            out[lo] += limits[0]
+            out[hi] += limits[1]
         return out
 
     body = spline.antiderivative()
@@ -211,8 +203,8 @@ def tabulated_profile(x: Sequence[float], values: Sequence[float],
     else:
         l1 = math.inf
     return WaveProfile(kind="tabulated", params={"n_samples": int(x.size)},
-                       fn=f0, deriv=deriv, limits=tuple(limits),
-                       l1_norm=l1, exact_integral=exact)
+                       fn=functools.partial(deriv, order=0), deriv=deriv,
+                       limits=tuple(limits), l1_norm=l1, exact_integral=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,7 @@ class ScalarProblem:
     def potential_integral(self) -> complex:
         """Signed integral of v over the line (exact where available)."""
         if self._potential_integral is None:
-            if self.profile.is_front:
+            if self.potential_limits != (0, 0):
                 raise ConfigError(
                     "potential integral undefined for front profiles")
             if self.jacobian is None and self.profile.exact_integral is not None:
@@ -448,40 +440,15 @@ def symbol_curve(problem: ScalarProblem, zeta) -> np.ndarray:
 def essential_spectrum_distance(problem: ScalarProblem, lam: complex) -> float:
     """Distance from lambda to the symbol curve over real frequencies.
 
-    Scans zeta in [-Z, Z] with Z grown until |P(iZ)| dominates |lambda|,
-    then refines the best sample by golden section.
+    |P(i zeta) - lambda|^2 is a real polynomial of degree 2n in zeta, so
+    its minimiser is among the real parts of the roots of its derivative,
+    where |P(i zeta) - lambda| is taken.
     """
-    lam = complex(lam)
-    target = 10.0 * (abs(lam) + 1.0)
-    Z = 2.0
-    while min(abs(symbol_curve(problem, Z)), abs(symbol_curve(problem, -Z))) <= target:
-        Z *= 2.0
-        if Z > 2.0 ** 40:
-            break
-    zs = np.linspace(-Z, Z, 4001)
-    vals = np.abs(symbol_curve(problem, zs) - lam)
-    i = int(np.argmin(vals))
-    lo = zs[max(i - 1, 0)]
-    hi = zs[min(i + 1, zs.size - 1)]
-
-    def f(z):
-        return abs(symbol_curve(problem, z) - lam)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return float(min(fc, fd))
+    poly = np.polynomial.polynomial
+    q = np.array([c * 1j ** j for j, c in enumerate(problem.coeffs + (1.0,))])
+    q[0] -= lam
+    zeta = poly.polyroots(poly.polyder(poly.polymul(q, q.conj()).real)).real
+    return float(np.min(np.abs(symbol_curve(problem, zeta) - lam)))
 
 
 # ---------------------------------------------------------------------------

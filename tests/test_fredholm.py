@@ -1095,6 +1095,39 @@ def test_m1_form_keeps_its_system_sweep(monkeypatch):
         assert d2.condition_hint == d3.condition_hint == hint
 
 
+def test_determinants_many_splits_each_lambda_once(monkeypatch):
+    """det1, det2 and det3 of an m = 0 and an m = 1 form take one stacked
+    root split of the lambda list: the scalar terms read alpha off the
+    bases that the system orders use."""
+    calls = []
+    split = greens._split
+    monkeypatch.setattr(greens, "_split",
+                        lambda *args: calls.append(1) or split(*args))
+    g = wd.build_grid(20.0, 200)
+    for problem in (wd.builtin_problem("poschl_teller", N=2),
+                    PANEL_PROBLEMS["deriv_order_1"][0]):
+        calls.clear()
+        fredholm.determinants_many(wd.to_system(problem),
+                                   [3.0 + 1.0j, 2.0 - 0.5j], g,
+                                   {"det1": 1, "det2": 2, "det3": 3})
+        assert len(calls) == 1
+
+
+def test_det1_is_refused_up_front_without_a_decaying_source(monkeypatch):
+    """det1 of a system with no scalar source, or of a front, is a
+    ConfigError raised before the bases are built."""
+    def no_bases(*args):
+        raise AssertionError("bases built before the refusal")
+
+    monkeypatch.setattr(greens, "system_bases", no_bases)
+    g = wd.build_grid(20.0, 200)
+    with pytest.raises(ConfigError, match="scalar source"):
+        fredholm.determinants_many(_full_weight_system(), [2.0 + 1.0j], g,
+                                   {"det1": 1, "det2": 2})
+    with pytest.raises(ConfigError, match="undefined for front profiles"):
+        wd.det1(wd.builtin_problem("tanh_front"), 2.0 + 1.0j, g)
+
+
 # the parent's exact traces: one lambda, W at the sub-sub-nodes sampled
 # inside, chain elements formed at every level
 

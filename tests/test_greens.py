@@ -37,13 +37,15 @@ def test_classify_roots_refusals(pt):
 
 
 def test_stacked_split_refuses_like_the_single_split(pt):
-    """Each lambda of one stacked split carries the refusal the single
-    split raises, a root on the imaginary axis or a double root, and the
-    others its roots and kernel weights."""
+    """Each lambda of the stacked split of ``system_bases`` carries the
+    refusal the single split raises, a root on the imaginary axis or a
+    double root, and the others its roots and kernel weights."""
     double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=pt.profile)
     for problem, lams in ((pt, [4.0, -1.0, 2.0 + 1.0j]),
                           (double, [3.0, 0.0, 1.0, 1.0 + 1e-13j])):
-        kappa, k, alpha, refusals = greens.green_arrays(problem, lams)
+        kappa, k, _, Pinv, refusals = greens.system_bases(
+            wd.to_system(problem), lams)
+        alpha = greens._alpha(k, Pinv)
         for lam, kap, kk, a, refusal in zip(lams, kappa, k, alpha,
                                             refusals):
             try:
@@ -114,6 +116,41 @@ def test_alpha_interface_identities(ab, lam):
     top_plus = np.sum(a[:roots.k] * kall[:roots.k] ** (n - 1))
     top_minus = np.sum(a[roots.k:] * kall[roots.k:] ** (n - 1))
     assert abs(top_plus - top_minus + 1.0) < 1e-12 * max(1.0, scale)
+
+
+complex_strategy = st.builds(complex, st.floats(-2.0, 2.0),
+                             st.floats(-2.0, 2.0))
+
+
+@given(coeffs=st.integers(2, 6).flatmap(
+           lambda n: st.lists(complex_strategy, min_size=n, max_size=n)),
+       lam=st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
+def test_alpha_is_read_off_the_inverse_frame(coeffs, lam):
+    """alpha read off the inverse Vandermonde frame, as
+    ``alpha_coefficients`` and the stacked bases of ``system_bases`` give
+    it, equals a solve of the signed interface system (the frame with its
+    minus columns negated, right side -e_(n-1)), and so does the
+    condition number."""
+    problem = wd.ScalarProblem(order=len(coeffs), coeffs=tuple(coeffs),
+                               profile=_free_problem().profile)
+    try:
+        roots = wd.classify_roots(problem, lam)
+        coeff = wd.alpha_coefficients(roots)
+    except (EssentialSpectrum, NearMultipleRoots, IllConditioned):
+        assume(False)
+    kall = np.array(roots.all)
+    n = kall.size
+    M = kall ** np.arange(n)[:, None] * np.where(np.arange(n) < roots.k,
+                                                 1.0, -1.0)
+    rhs = np.zeros(n, dtype=complex)
+    rhs[-1] = -1.0
+    want = np.linalg.solve(M, rhs)
+    assert np.array_equal(coeff.alpha, want)
+    assert coeff.condition == np.linalg.cond(M)
+    _, k, _, Pinv, refusals = greens.system_bases(wd.to_system(problem),
+                                                  [lam])
+    assert refusals == [None]
+    assert np.array_equal(greens._alpha(k, Pinv)[0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,22 @@ def test_potential_integral_exact_and_front(pt):
         front.potential_integral()
 
 
+def test_decaying_potential_of_a_front_profile_has_det1():
+    """V(phi) = 2 (phi^2 - 1) maps tanh_front onto the decaying potential
+    -2 sech^2: the potential integral and det1 are those of sech2 with
+    amplitude -2."""
+    front = wd.ScalarProblem(order=2, coeffs=(0.0, 0.0),
+                             profile=wd.make_profile("tanh_front"),
+                             jacobian=lambda phi: 2.0 * (phi ** 2 - 1.0))
+    well = wd.ScalarProblem(order=2, coeffs=(0.0, 0.0),
+                            profile=wd.make_profile("sech2", amplitude=-2.0))
+    assert front.potential_integral() == pytest.approx(-4.0, rel=1e-12)
+    g = wd.build_grid(20.0, 400)
+    for lam in (2.0 + 1.0j, 0.5 + 0.3j, 6.0 - 2.0j):
+        got, want = wd.det1(front, lam, g).value, wd.det1(well, lam, g).value
+        assert abs(got - want) <= 3e-13 * abs(want)
+
+
 def test_jacobian_reweights_potential(pt):
     prob = wd.ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=pt.profile,
                             jacobian=lambda p: 3.0 * p)
@@ -222,6 +238,28 @@ def test_essential_spectrum_distance(pt):
     # sigma_e of u'' = lambda u is the negative real axis
     assert wd.essential_spectrum_distance(pt, 4.0) == pytest.approx(4.0, rel=1e-6)
     assert wd.essential_spectrum_distance(pt, -9.0 + 4.0j) == pytest.approx(4.0, rel=1e-6)
+
+
+def test_essential_spectrum_distance_is_the_least_sampled_distance():
+    """Against a dense sample of the symbol curve over [-Z, Z], Z the
+    Cauchy bound of the zeta with |P(i zeta) - lambda| <= |P(0) - lambda|,
+    which holds the minimiser: never above the least sampled distance,
+    and below it by at most the largest step between samples."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        coeffs = tuple(rng.uniform(-2.0, 2.0, n)
+                       + 1j * rng.uniform(-2.0, 2.0, n))
+        problem = wd.ScalarProblem(order=n, coeffs=coeffs,
+                                   profile=wd.make_profile("sech2"))
+        lam = complex(*rng.uniform(-5.0, 5.0, 2))
+        Z = 1.0 + max(2.0 * abs(coeffs[0] - lam),
+                      *(abs(c) for c in coeffs[1:]))
+        curve = wd.symbol_curve(problem, np.linspace(-Z, Z, 200001))
+        sampled = float(np.min(np.abs(curve - lam)))
+        got = wd.essential_spectrum_distance(problem, lam)
+        assert got <= sampled + 1e-12 * max(1.0, sampled)
+        assert sampled - got <= np.max(np.abs(np.diff(curve)))
 
 
 def test_symbol_curve_second_order(pt):
