@@ -7,9 +7,9 @@ command:
                     {"order", "coeffs", "profile": {"kind", "params"},
                     "m", "asymptotics"} for a custom scalar problem
     domain          {"half_width", "quad_points", "rule", "panel_order"}
-    evans           {"rtol", "renorm_threshold", "orthogonalize_interval"};
-                    rtol is the accuracy target of E/c that sizes the
-                    Magnus steps from their own error estimate
+    evans           {"rtol"}: the accuracy target of E/c, in [1e-14,
+                    1e-2), that sizes the Magnus steps from their own
+                    error estimate
     matching_point  where the two Jost families are matched
     output          {"format": "csv" | "json", "path": null for stdout}
 
@@ -78,8 +78,7 @@ _ROUTES = {
 
 _DOMAIN_DEFAULTS = {"half_width": 20.0, "quad_points": 400,
                     "rule": "gauss_legendre", "panel_order": 10}
-_EVANS_DEFAULTS = {"rtol": 1e-10, "renorm_threshold": 1e8,
-                   "orthogonalize_interval": 1.0}
+_EVANS_DEFAULTS = {"rtol": 1e-10}
 _OUTPUT_DEFAULTS = {"format": "csv", "path": None}
 
 
@@ -279,12 +278,7 @@ class Run:
             _as_int(self.domain["panel_order"], "domain.panel_order"))
         self.params = model.IntegrationParams(
             half_width=float(self.domain["half_width"]),
-            rtol=_as_float(evans_block["rtol"], "evans.rtol"),
-            renorm_threshold=_as_float(evans_block["renorm_threshold"],
-                                       "evans.renorm_threshold"),
-            orthogonalize_interval=_as_float(
-                evans_block["orthogonalize_interval"],
-                "evans.orthogonalize_interval"))
+            rtol=_as_float(evans_block["rtol"], "evans.rtol"))
         self.extra = {key: config[key] for key in _COMMAND_KEYS[command]
                       if key in config}
         # the route module that the config selects

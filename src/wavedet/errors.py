@@ -50,7 +50,8 @@ class PhaseJump(WavedetError):
 
 
 class NoConvergence(WavedetError):
-    """Root refinement did not reach the residual target."""
+    """Root refinement, or a quadrature widened to its limit, did not
+    reach its target."""
 
 
 class CountMismatch(WavedetError):

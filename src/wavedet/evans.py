@@ -129,11 +129,12 @@ def _side_bases(system: SystemProblem, lam: complex):
     return greens.end_bases(A0 + system.r_minus, A0 + system.r_plus)
 
 
-def _segment_step(params: IntegrationParams,
-                  *bases: UnperturbedBasis) -> float:
+def _segment_step(*bases: UnperturbedBasis) -> float:
+    """The longest renormalization segment: at most 1 long, and short
+    enough that the fastest characteristic rate of the bases (plus 1)
+    grows a solution by at most 1e4 over it."""
     rate = max(abs(r.real) for b in bases for r in b.roots.all) + 1.0
-    return min(params.orthogonalize_interval,
-               math.log(params.renorm_threshold) / (2.0 * rate))
+    return min(1.0, math.log(1e8) / (2.0 * rate))
 
 
 def _boundaries(half_width: float, step: float,
@@ -399,8 +400,7 @@ def _lambda_runs(system: SystemProblem, lam: complex,
     with x0 among them and one set of Magnus steps.  A pulse's minus run
     spans the window, a front's stops at x0; the other two go from +X to
     x0 on exp(-Omega) and on the transposed exp(Omega)."""
-    bounds = _boundaries(params.half_width, _segment_step(params, bm, bp),
-                         (x0,))
+    bounds = _boundaries(params.half_width, _segment_step(bm, bp), (x0,))
     j = _index_of(bounds, x0)
     steps, at = _window_steps(system, lam, params, bounds)
     right, left = _segment_products(steps, np.diff(at))

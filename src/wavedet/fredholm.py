@@ -840,17 +840,17 @@ def _trace_pairs(P: np.ndarray, Pinv: np.ndarray, k: np.ndarray,
     return tau_plus, tau_minus
 
 
-def trace_system(system: SystemProblem, lam: complex, grid: QuadratureGrid,
-                 tol: float = 1e-8) -> complex:
+def trace_system(system: SystemProblem, lam: complex,
+                 grid: QuadratureGrid) -> complex:
     tau_plus, tau_minus = trace_system_pair(system, lam, grid)
-    raise_first([_sign_mismatch(tau_plus, tau_minus, tol)])
+    raise_first([_sign_mismatch(tau_plus, tau_minus)])
     return tau_plus
 
 
-def _sign_mismatch(tau_plus: complex, tau_minus: complex,
-                   tol: float = 1e-8) -> Optional[SignMismatch]:
+def _sign_mismatch(tau_plus: complex,
+                   tau_minus: complex) -> Optional[SignMismatch]:
     scale = max(1.0, abs(tau_plus), abs(tau_minus))
-    if abs(tau_plus - tau_minus) > tol * scale:
+    if abs(tau_plus - tau_minus) > 1e-8 * scale:
         return SignMismatch(
             f"trace sign choices disagree: {tau_plus} vs {tau_minus}; "
             "the perturbation has nonvanishing integrated diagonal")

@@ -123,15 +123,15 @@ class UnperturbedBasis:
         return self.P[:, self.k:] @ self.Pinv[self.k:, :]
 
 
-def _split(problem: ScalarProblem, lams, axis_tol: float,
-           sep_tol: float) -> tuple[np.ndarray, np.ndarray, list]:
+def _split(problem: ScalarProblem,
+           lams) -> tuple[np.ndarray, np.ndarray, list]:
     """Stacked root split of every lambda: kappa (L, n), each row its plus
     roots then its minus roots, each group by ascending real part, then
     ascending imaginary part; the plus-root counts k (L,); and per lambda
     its refusal (EssentialSpectrum, NearMultipleRoots), None if clean."""
     roots = model.char_roots(problem.coeffs,
                              np.asarray(lams, dtype=complex).reshape(-1))
-    on_axis, coincide = model._degeneracy(roots, axis_tol, sep_tol)
+    on_axis, coincide = model._degeneracy(roots)
     order = np.lexsort((roots.imag, roots.real, roots.real <= 0), axis=-1)
     kappa = np.take_along_axis(roots, order, axis=-1)
     refusals = [
@@ -177,11 +177,9 @@ def _alpha(k: np.ndarray, Pinv: np.ndarray) -> np.ndarray:
     return np.where(np.arange(last.shape[-1]) < k[:, None], -last, last)
 
 
-def classify_roots(problem: ScalarProblem, lam: complex,
-                   axis_tol: float = model.AXIS_TOL,
-                   sep_tol: float = model.SEP_TOL) -> RootSplit:
+def classify_roots(problem: ScalarProblem, lam: complex) -> RootSplit:
     """Split the characteristic roots at lambda, refusing degenerate cases."""
-    kappa, k, refusals = _split(problem, [lam], axis_tol, sep_tol)
+    kappa, k, refusals = _split(problem, [lam])
     raise_first(refusals)
     roots = [complex(z) for z in kappa[0]]
     return RootSplit(plus=tuple(roots[:k[0]]), minus=tuple(roots[k[0]:]))
@@ -205,9 +203,8 @@ def alpha_coefficients(roots: RootSplit) -> GreenCoefficients:
     return GreenCoefficients(alpha=tuple(alpha), condition=float(cond[0]))
 
 
-def green_data(problem: ScalarProblem, lam: complex,
-               axis_tol: float = model.AXIS_TOL):
-    roots = classify_roots(problem, lam, axis_tol)
+def green_data(problem: ScalarProblem, lam: complex):
+    roots = classify_roots(problem, lam)
     return roots, alpha_coefficients(roots)
 
 
@@ -297,8 +294,7 @@ def system_bases(system: SystemProblem, lams) -> tuple:
     """
     n, front = system.dimension, system.is_front
     if system.source is not None and not front:
-        kappa, k, refusals = _split(system.source, lams, model.AXIS_TOL,
-                                    model.SEP_TOL)
+        kappa, k, refusals = _split(system.source, lams)
         P, Pinv, _ = _vandermonde(kappa, refusals)
         return kappa, k, P, Pinv, refusals
     L = len(lams)

@@ -176,18 +176,19 @@ def winding_number(f: Callable[[complex], complex], contour: Contour,
 
 
 def refine_root(f: Callable[[complex], complex], lam0: complex,
-                tol: float = 1e-10, max_iter: int = 50) -> complex:
+                tol: float = 1e-10) -> complex:
     """Polish a root guess by Muller's method.
 
     Stops when |f| falls below tol times the reference scale max(1,
-    |f(lam0)|); a flat or non-decreasing function raises NoConvergence
-    instead of returning the starting point.
+    |f(lam0)|); a flat or non-decreasing function, or one still above
+    that after 50 steps, raises NoConvergence instead of returning the
+    starting point.
     """
     h = 1e-3 * max(1.0, abs(lam0))
     z0, z1, z2 = lam0 - h, lam0 + h, complex(lam0)
     f0, f1, f2 = _values(f, [z0, z1, z2])
     scale = max(1.0, abs(f2))
-    for _ in range(max_iter):
+    for _ in range(50):
         if abs(f2) < tol * scale:
             return z2
         h1, h2 = z1 - z0, z2 - z1
@@ -207,7 +208,7 @@ def refine_root(f: Callable[[complex], complex], lam0: complex,
         z2 = z2 + step
         f2 = complex(f(z2))
     raise NoConvergence(
-        f"no root to residual {tol:g} x scale within {max_iter} iterations "
+        f"no root to residual {tol:g} x scale within 50 iterations "
         f"(last |f| = {abs(f2):.3g})")
 
 
@@ -278,15 +279,14 @@ def _polish(f, seeds, contour: Contour, w: int) -> list:
     return roots
 
 
-def _scan_seeds(f, contour: Contour, w: int, interior_resolution: int = 7):
+def _scan_seeds(f, contour: Contour, w: int):
     """The fallback seeds, scanned only when first asked for: the points of
-    a coarse interior grid, its discrete local minima of |f| (no smaller
+    a 7 x 7 interior grid, its discrete local minima of |f| (no smaller
     value among the up to 8 neighbours) first, each group by ascending
     |f|, at most max(2 w, 4) of them."""
     pad = 0.05 * (contour.corner_high - contour.corner_low)
-    table = scan(f, contour.corner_low + pad, contour.corner_high - pad,
-                 interior_resolution)
-    mags = np.abs([val for _, val in table]).reshape(-1, interior_resolution)
+    table = scan(f, contour.corner_low + pad, contour.corner_high - pad, 7)
+    mags = np.abs([val for _, val in table]).reshape(-1, 7)
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(mags, 1, constant_values=np.inf), (3, 3))
     local_min = (mags <= windows.min(axis=(-2, -1))).ravel()
@@ -296,22 +296,21 @@ def _scan_seeds(f, contour: Contour, w: int, interior_resolution: int = 7):
 
 def locate_roots(f: Callable[[complex], complex], contour: Contour,
                  problem: Optional[ScalarProblem] = None,
-                 function_used: str = "det1",
-                 interior_resolution: int = 7) -> RootReport:
+                 function_used: str = "det1") -> RootReport:
     """Count zeros inside the contour, then hunt them down.
 
     The contour-moment seeds of the winding walk are polished first; only
     if they leave fewer than w distinct interior roots (a singular pencil,
     multiple or clustered zeros, a seed that does not converge) does the
-    interior scan of ``_scan_seeds`` run.  A shortfall is reported, not
+    7 x 7 interior scan of ``_scan_seeds`` run.  A shortfall is reported, not
     padded.
     """
     w, walk = _walk(f, contour, problem)
     if w == 0:
         return RootReport(winding=0, roots=(), function_used=function_used)
     seeds = _moment_seeds(walk, contour, w) if w > 0 else ()
-    roots = _polish(f, itertools.chain(seeds, _scan_seeds(
-        f, contour, w, interior_resolution)), contour, w)
+    roots = _polish(f, itertools.chain(seeds, _scan_seeds(f, contour, w)),
+                    contour, w)
     return RootReport(winding=w, roots=tuple(z for z, _ in roots),
                       function_used=function_used,
                       multiplicity_gap=len(roots) != w,

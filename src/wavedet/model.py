@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NoConvergence
 
 __all__ = [
     "WaveProfile",
@@ -224,7 +224,8 @@ class ScalarProblem:
     profile: WaveProfile
     deriv_order: int = 0
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _potential_integral: Optional[complex] = field(default=None, repr=False)
+    _potential_integral: Optional[complex] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.order
@@ -259,7 +260,11 @@ class ScalarProblem:
                 - self.potential_derivative(np.asarray(x) - h, order - 1)) / (2 * h)
 
     def potential_integral(self) -> complex:
-        """Signed integral of v over the line (exact where available)."""
+        """Signed integral of v over the line: exact where available, else
+        Gauss sums over [-X, X], from X = 40 doubling at 25 nodes per unit
+        length, until one doubling adds at most 1e-14 of the integral of
+        |v| so far.  Where that holds at X = 40, the value is the 2,000
+        point Gauss sum over [-40, 40]."""
         if self._potential_integral is None:
             if self.potential_limits != (0, 0):
                 raise ConfigError(
@@ -267,12 +272,25 @@ class ScalarProblem:
             if self.jacobian is None and self.profile.exact_integral is not None:
                 self._potential_integral = complex(self.profile.exact_integral)
             else:
-                xs, ws = np.polynomial.legendre.leggauss(2000)
-                xs = 40.0 * xs
-                ws = 40.0 * ws
-                self._potential_integral = complex(
-                    np.sum(ws * self.potential(xs)))
+                self._potential_integral = self._widening_integral()
         return self._potential_integral
+
+    def _widening_integral(self) -> complex:
+        t, w = np.polynomial.legendre.leggauss(50)
+        total, mass, edge = 0.0, 0.0, 0.0
+        while edge <= 10240.0:
+            # the band [edge, 2 edge] (first [0, 40]) and its mirror
+            x = np.arange(edge, max(2.0 * edge, 40.0), 2.0)[:, None] + t + 1.0
+            vs = w * self.potential(np.stack([-x, x]))
+            if edge and abs(np.sum(vs)) <= 1e-14 * mass:
+                if edge > 40.0:
+                    return complex(total)
+                xs, ws = np.polynomial.legendre.leggauss(2000)
+                return complex(np.sum(40.0 * ws * self.potential(40.0 * xs)))
+            total, mass = total + np.sum(vs), mass + np.sum(np.abs(vs))
+            edge = max(2.0 * edge, 40.0)
+        raise NoConvergence(
+            f"potential integral not converged on [-{edge:g}, {edge:g}]")
 
     @property
     def potential_limits(self) -> tuple[complex, complex]:
@@ -392,39 +410,34 @@ def char_roots(coeffs: Sequence[complex], lam) -> np.ndarray:
     return roots - np.divide(vals, dvals, out=np.zeros_like(vals), where=ok)
 
 
-def _degeneracy(roots: np.ndarray, axis_tol: float,
-                sep_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _degeneracy(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks over the leading axes of stacked roots (..., n): a root within
-    axis_tol of the imaginary axis, and two roots within sep_tol of each
+    AXIS_TOL of the imaginary axis, and two roots within SEP_TOL of each
     other, both relative to the largest root and absolute below 1, so a
     double root at 0 just off the essential spectrum is refused here."""
     scale = np.maximum(np.max(np.abs(roots), axis=-1), 1.0)
-    on_axis = np.min(np.abs(roots.real), axis=-1) <= axis_tol * scale
+    on_axis = np.min(np.abs(roots.real), axis=-1) <= AXIS_TOL * scale
     dist = np.abs(roots[..., :, None] - roots[..., None, :])
     n = roots.shape[-1]
     dist[..., np.arange(n), np.arange(n)] = np.inf
-    coincide = np.min(dist, axis=(-2, -1)) < sep_tol * scale
+    coincide = np.min(dist, axis=(-2, -1)) < SEP_TOL * scale
     return on_axis, coincide
 
 
-def classify_points(problem: ScalarProblem, lams: Sequence[complex],
-                    axis_tol: float = AXIS_TOL,
-                    sep_tol: float = SEP_TOL) -> list[SpectralPoint]:
+def classify_points(problem: ScalarProblem,
+                    lams: Sequence[complex]) -> list[SpectralPoint]:
     """``classify_point`` of every lambda, from one stacked root call."""
     lams = [complex(lam) for lam in lams]
-    on_axis, coincide = _degeneracy(char_roots(problem.coeffs, lams),
-                                    axis_tol, sep_tol)
+    on_axis, coincide = _degeneracy(char_roots(problem.coeffs, lams))
     return [SpectralPoint(lam=lam, domain_status=(
                 "essential" if axis else
                 "indeterminate" if close else "resolvent"))
             for lam, axis, close in zip(lams, on_axis, coincide)]
 
 
-def classify_point(problem: ScalarProblem, lam: complex,
-                   axis_tol: float = AXIS_TOL,
-                   sep_tol: float = SEP_TOL) -> SpectralPoint:
+def classify_point(problem: ScalarProblem, lam: complex) -> SpectralPoint:
     """Classify lambda by the real parts and separation of its roots."""
-    return classify_points(problem, [lam], axis_tol, sep_tol)[0]
+    return classify_points(problem, [lam])[0]
 
 
 def symbol_curve(problem: ScalarProblem, zeta) -> np.ndarray:
@@ -651,24 +664,19 @@ class IntegrationParams:
     is the accuracy target of E/c that sizes the Magnus steps: every piece
     between stored points takes the steps whose sixth-order local errors,
     estimated by one step against two half steps, add up to its share of
-    rtol over the window [-X, X].  renorm_threshold caps the growth allowed
-    between renormalizations (the segment length shrinks when the fastest
-    characteristic rate would exceed it), and orthogonalize_interval is the
-    largest x-distance between the QR sweeps that keep multi-column
-    solutions from collapsing onto the fastest-growing mode.
+    rtol over the window [-X, X].  No target below 1e-14 can be met in
+    float64, so one is refused.  The renormalization segments are fixed
+    (``evans._segment_step``).
     """
 
     half_width: float = 20.0
     rtol: float = 1e-10
-    renorm_threshold: float = 1e8
-    orthogonalize_interval: float = 1.0
 
     def __post_init__(self):
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
             raise ConfigError("half_width must be positive and finite")
         if not (0.0 < self.rtol < 1e-2):
             raise ConfigError("rtol out of range (0, 1e-2)")
-        if self.renorm_threshold < 1e2:
-            raise ConfigError("renorm_threshold too small to be useful")
-        if self.orthogonalize_interval <= 0:
-            raise ConfigError("orthogonalize_interval must be positive")
+        if self.rtol < 1e-14:
+            raise ConfigError("rtol below 1e-14, which float64 rounding "
+                              "cannot meet")

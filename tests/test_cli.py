@@ -263,15 +263,15 @@ _FRONT = {"order": 2, "coeffs": [0.0, 0.0],
                                  "well": 8.0}},
           "asymptotics": {"v_minus": -4.0, "v_plus": -1.0}}
 
-# biharmonic lambdas with different Magnus step and segment counts (the low
-# renorm_threshold shortens the segments of the fast-growing ones), an
-# order-3 problem, whose minus and plus blocks differ in width (k = 1 or 2
-# of 3 columns), and a front matched at 0.37
+# biharmonic lambdas with different Magnus step and segment counts (the
+# segments of the last three, whose characteristic rates are large, are
+# shorter than 1), an order-3 problem, whose minus and plus blocks differ
+# in width (k = 1 or 2 of 3 columns), and a front matched at 0.37
 _BATCHES = {
-    "biharmonic": ({"problem": {"name": "biharmonic_demo"},
-                    "evans": {"renorm_threshold": 100.0}},
+    "biharmonic": ({"problem": {"name": "biharmonic_demo"}},
                    [3.0 + 2.0j, -2.0 + 1.5j, -300.0 + 40.0j, 0.5 - 1.0j,
-                    60.0 - 90.0j]),
+                    60.0 - 90.0j, -20000.0 + 3000.0j, -50000.0 + 1000.0j,
+                    30000.0j]),
     "order3": ({"problem": {"order": 3, "coeffs": [0.5, 0.0, 0.0],
                             "profile": {"kind": "sech2",
                                         "params": {"amplitude": 1.0,
@@ -304,7 +304,7 @@ def test_evans_batch_rows_equal_batches_of_one(case, tmp_path, capsys,
     assert rows(lams, "sliced.json") == batch
     if case == "biharmonic":
         sysm = wavedet.to_system(wavedet.builtin_problem("biharmonic_demo"))
-        params = evans.IntegrationParams(renorm_threshold=100.0)
+        params = evans.IntegrationParams()
         steps = []
         window_steps = evans._window_steps
 
@@ -878,8 +878,15 @@ _COMMAND_CONFIGS = {
 @pytest.mark.parametrize("command", sorted(_COMMAND_CONFIGS))
 @pytest.mark.parametrize("override,message", [
     ("domain.quad_points=2", "need at least 4 quadrature points"),
-    ("evans.rtol=0.5", "rtol out of range (0, 1e-2)")],
-    ids=["quad_points", "rtol"])
+    ("evans.rtol=0.5", "rtol out of range (0, 1e-2)"),
+    ("evans.rtol=1e-40", "rtol below 1e-14, which float64 rounding cannot "
+                         "meet"),
+    ("evans.renorm_threshold=1e8", "unknown config key "
+                                   "evans.renorm_threshold"),
+    ("evans.orthogonalize_interval=1.0", "unknown config key "
+                                         "evans.orthogonalize_interval")],
+    ids=["quad_points", "rtol", "rtol_floor", "renorm_threshold",
+         "orthogonalize_interval"])
 def test_bad_grid_or_params_is_exit_2_before_any_lambda(
         tmp_path, capsys, monkeypatch, command, override, message):
     """Every command validates the grid and the Jost parameters with its
@@ -902,3 +909,35 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
                              str(tmp_path / "nope.json"))
     assert code == 2
     assert err_object(err)["kind"] == "config"
+
+
+# the resolved config that each command echoes, by key: a new config knob
+# shows up here as a test change
+_ECHO_COMMON = {"command", "problem", "domain", "evans", "matching_point",
+                "output"}
+_ECHO_BLOCKS = {"problem": {"name", "params"},
+                "domain": {"half_width", "quad_points", "rule",
+                           "panel_order"},
+                "evans": {"rtol"}, "output": {"format", "path"}}
+_ECHO_KEYS = {
+    "roots": {"lambdas"}, "det": {"lambdas", "p"}, "evans": {"lambdas"},
+    "compare": {"lambdas"},
+    "locate": {"rectangle", "samples_per_edge", "function"},
+    "scan": {"rectangle", "nx", "ny", "function"},
+    "converge": {"lambda", "quantity", "n_list", "x_list"}}
+_CHEAP = {"scan": {"nx": 2, "ny": 2},
+          "converge": {"n_list": [40, 80], "x_list": [10.0, 15.0]}}
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_KEYS))
+def test_echoed_config_keys_are_pinned(tmp_path, capsys, command):
+    path = write_config(tmp_path, dict(_COMMAND_CONFIGS[command],
+                                       **_CHEAP.get(command, {})),
+                        domain={"quad_points": 80})
+    code, out, err = run_cli(capsys, command, "--config", path,
+                             "--format", "json")
+    assert code == 0 and err == ""
+    echo = json.loads(out)["config"]
+    assert set(echo) == _ECHO_COMMON | _ECHO_KEYS[command]
+    for block, keys in _ECHO_BLOCKS.items():
+        assert set(echo[block]) == keys

@@ -396,8 +396,7 @@ def _stepwise(system, lam, params, run, x0, direction, adjoint=False):
     plus run goes from +X to x0."""
     X = params.half_width
     bounds = evans._boundaries(
-        X, evans._segment_step(params, *evans._side_bases(system, lam)),
-        (x0,))
+        X, evans._segment_step(*evans._side_bases(system, lam)), (x0,))
     if direction == "plus":
         bounds = bounds[evans._index_of(bounds, x0):]
     steps, at = evans._window_steps(system, lam, params, bounds)
@@ -625,12 +624,19 @@ def test_batch_working_set_is_flat(pt_system):
     {"half_width": float("inf")},
     {"rtol": 0.1},
     {"rtol": 0.0},
-    {"renorm_threshold": 10.0},
-    {"orthogonalize_interval": 0.0},
 ])
 def test_integration_params_validation(kwargs):
     with pytest.raises(ConfigError):
         evans.IntegrationParams(**kwargs)
+
+
+def test_rtol_below_float64_rounding_is_refused():
+    """The Magnus step count grows as rtol^(-1/6) and no target below
+    float64 rounding can be met, so rtol < 1e-14 is refused up front."""
+    for rtol in (9.9e-15, 1e-40):
+        with pytest.raises(ConfigError, match="rtol below 1e-14"):
+            evans.IntegrationParams(rtol=rtol)
+    assert evans.IntegrationParams(rtol=1e-14).rtol == 1e-14
 
 
 def test_params_thread_through(pt_system):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedet as wd
-from wavedet.errors import ConfigError
+from wavedet.errors import ConfigError, NoConvergence
 from wavedet import model
 
 
@@ -165,6 +165,40 @@ def test_decaying_potential_of_a_front_profile_has_det1():
     for lam in (2.0 + 1.0j, 0.5 + 0.3j, 6.0 - 2.0j):
         got, want = wd.det1(front, lam, g).value, wd.det1(well, lam, g).value
         assert abs(got - want) <= 3e-13 * abs(want)
+
+
+def test_potential_integral_is_a_cache_not_an_argument(pt):
+    with pytest.raises(TypeError):
+        wd.ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=pt.profile,
+                         _potential_integral=123.0)
+    filled = wd.ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=pt.profile)
+    filled.potential_integral()
+    assert filled == wd.ScalarProblem(order=2, coeffs=(0.0, 0.0),
+                                      profile=pt.profile)
+
+
+def test_jacobian_potential_integral_of_a_wide_profile():
+    """A jacobian potential wider than [-40, 40] is integrated over a
+    window that widens until it converges: sech2 of amplitude 0.5 and
+    width 15 has integral 15, so det1 with the identity jacobian is det1
+    without one."""
+    prof = wd.make_profile("sech2", amplitude=0.5, width=15.0)
+    plain = wd.ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof)
+    mapped = wd.ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof,
+                              jacobian=lambda phi: phi)
+    assert mapped.potential_integral() == pytest.approx(15.0, rel=1e-12)
+    g = wd.build_grid(60.0, 600)
+    for lam in (2.0 + 1.0j, 0.5 + 0.3j):
+        got, want = wd.det1(mapped, lam, g).value, wd.det1(plain, lam, g).value
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_jacobian_potential_integral_refuses_what_never_converges():
+    prof = wd.make_profile("sech2", amplitude=0.5, width=3000.0)
+    mapped = wd.ScalarProblem(order=2, coeffs=(0.0, 0.0), profile=prof,
+                              jacobian=lambda phi: phi)
+    with pytest.raises(NoConvergence):
+        mapped.potential_integral()
 
 
 def test_jacobian_reweights_potential(pt):
