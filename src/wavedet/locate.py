@@ -42,6 +42,7 @@ __all__ = [
 
 MAX_BISECTION_DEPTH = 12
 PENCIL_COND_LIMIT = 1e8   # a Hankel pencil this ill-conditioned is singular
+_MULLER_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def refine_root(f: Callable[[complex], complex], lam0: complex,
     z0, z1, z2 = lam0 - h, lam0 + h, complex(lam0)
     f0, f1, f2 = _values(f, [z0, z1, z2])
     scale = max(1.0, abs(f2))
-    for _ in range(50):
+    for _ in range(_MULLER_STEPS):
         if abs(f2) < tol * scale:
             return z2
         h1, h2 = z1 - z0, z2 - z1
@@ -208,8 +209,8 @@ def refine_root(f: Callable[[complex], complex], lam0: complex,
         z2 = z2 + step
         f2 = complex(f(z2))
     raise NoConvergence(
-        f"no root to residual {tol:g} x scale within 50 iterations "
-        f"(last |f| = {abs(f2):.3g})")
+        f"no root to residual {tol:g} x scale within {_MULLER_STEPS} "
+        f"iterations (last |f| = {abs(f2):.3g})")
 
 
 def scan(f: Callable[[complex], complex], corner_low: complex,
@@ -284,9 +285,10 @@ def _scan_seeds(f, contour: Contour, w: int):
     a 7 x 7 interior grid, its discrete local minima of |f| (no smaller
     value among the up to 8 neighbours) first, each group by ascending
     |f|, at most max(2 w, 4) of them."""
+    n = 7
     pad = 0.05 * (contour.corner_high - contour.corner_low)
-    table = scan(f, contour.corner_low + pad, contour.corner_high - pad, 7)
-    mags = np.abs([val for _, val in table]).reshape(-1, 7)
+    table = scan(f, contour.corner_low + pad, contour.corner_high - pad, n)
+    mags = np.abs([val for _, val in table]).reshape(-1, n)
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(mags, 1, constant_values=np.inf), (3, 3))
     local_min = (mags <= windows.min(axis=(-2, -1))).ravel()
