@@ -6,7 +6,7 @@ command:
     problem         {"name": ..., "params": {...}} for a builtin, or
                     {"order", "coeffs", "profile": {"kind", "params"},
                     "m", "asymptotics"} for a custom scalar problem
-    domain          {"half_width", "quad_points", "rule", "panel_order"}
+    domain          {"half_width", "quad_points", "panel_order"}
     evans           {"rtol"}: the accuracy target of E/c, in [1e-14,
                     1e-2), that sizes the Magnus steps from their own
                     error estimate
@@ -25,8 +25,8 @@ Complex numbers appear in configs and JSON output as {"re": ..., "im": ...}
 (bare numbers are accepted on input); CSV output splits every complex
 column into re_/im_ pairs.  Both formats embed the resolved configuration
 and the library version, and rows follow the input order.  Exit codes: 0
-success, 2 configuration problem, 3 numerical refusal; failures print one
-JSON error object to stderr.
+success, 2 configuration problem (a non-finite number, unwritable output),
+3 numerical refusal; failures print one JSON error object to stderr.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ _ROUTES = {
 }
 
 _DOMAIN_DEFAULTS = {"half_width": 20.0, "quad_points": 400,
-                    "rule": "gauss_legendre", "panel_order": 10}
+                    "panel_order": 10}
 _EVANS_DEFAULTS = {"rtol": 1e-10}
 _OUTPUT_DEFAULTS = {"format": "csv", "path": None}
 
@@ -106,21 +106,22 @@ def _as_complex(value, path):
     if isinstance(value, bool):
         raise ConfigError(f"{path} must be a number or {{re, im}}")
     if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
+        return complex(_as_float(value, path), 0.0)
     if isinstance(value, dict):
         _check_keys(value, ("re", "im"), path)
         try:
-            return complex(float(value.get("re", 0.0)),
-                           float(value.get("im", 0.0)))
+            z = complex(float(value.get("re", 0.0)),
+                        float(value.get("im", 0.0)))
         except (TypeError, ValueError):
             raise ConfigError(f"{path} fields must be numbers") from None
+        return complex(_as_float(z.real, path), _as_float(z.imag, path))
     raise ConfigError(f"{path} must be a number or {{re, im}}")
 
 
 def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    return float(value)
+    return model._number(value, path)
 
 
 def _as_int(value, path):
@@ -274,7 +275,6 @@ class Run:
         self.grid = model.build_grid(
             _as_float(self.domain["half_width"], "domain.half_width"),
             _as_int(self.domain["quad_points"], "domain.quad_points"),
-            self.domain["rule"],
             _as_int(self.domain["panel_order"], "domain.panel_order"))
         self.params = model.IntegrationParams(
             half_width=float(self.domain["half_width"]),
@@ -544,7 +544,6 @@ def cmd_converge(run):
     x_list = [_as_float(v, "x_list") for v in x_list]
     run.resolved.update({"lambda": _complex_pair(lam), "quantity": quantity,
                          "n_list": list(n_list), "x_list": list(x_list)})
-    rule = run.domain["rule"]
     porder = run.domain["panel_order"]
     base_n = run.domain["quad_points"]
     base_x = run.domain["half_width"]
@@ -553,7 +552,7 @@ def cmd_converge(run):
     def value(n_points, half_width):
         key = (n_points, half_width)
         if key not in cache:
-            grid = model.build_grid(half_width, n_points, rule, porder)
+            grid = model.build_grid(half_width, n_points, porder)
             if quantity == "det1":
                 cache[key] = fredholm.det1(run.problem, lam, grid).value
             else:
@@ -637,18 +636,21 @@ def main(argv=None):
             run.output["path"] = args.output
             run.resolved["output"]["path"] = args.output
         text = _HANDLERS[args.command](run)
+        path = run.output["path"]
+        if path:
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from None
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
     except WavedetError as exc:
         _emit_error("numeric", exc)
         return 3
-    path = run.output["path"]
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

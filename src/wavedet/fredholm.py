@@ -31,10 +31,10 @@ m >= 1 the two kernels are different discretizations; each keeps its own.
 * Diagonal-panel product integration: the kernel is only piecewise smooth
   across the diagonal, so entries whose row and column node share a panel
   integrate the two analytic branches separately against the panel's
-  Lagrange basis.  The panels of a composite Gauss grid are equal, so the
-  sub-rules and every offset inside a panel depend only on a node's index
-  within its panel: they are tabulated over one reference panel
-  (``_panel_tables``), and so are the branch exponentials.
+  Lagrange basis.  Every grid is composite Gauss-Legendre on N / q equal
+  panels, so the sub-rules and every offset inside a panel depend only on
+  a node's index within its panel: they are tabulated over one reference
+  panel (``_panel_tables``), and so are the branch exponentials.
 * Exact second and third traces as ordered integrals of the chain
   elements r_a W(x) u_b (``_traces``), all root pairs in one pass of the
   contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p, with the
@@ -45,13 +45,13 @@ m >= 1 the two kernels are different discretizations; each keeps its own.
   before the lambda's r_a, u_b are applied, so no chain element is
   formed there.  Off the nodes W is evaluated once per bitwise-distinct
   coordinate of the reference tables (``_sample_points``) and gathered.
-* The Nystrom matrix in quasiseparable form (``_blocks``): diagonal
-  blocks of panel_order nodes on every grid (the product-integration
-  panels on composite Gauss grids), the plus terms above them and the
-  minus terms below as generators anchored at the block edges, and the
-  contractive transitions e^(-kappa h) between blocks.  log det(I + S) is
-  one orthogonal elimination on the generators, backward stable without
-  pivoting, with one small stacked numpy QR per block (``_sweep``;
+* The Nystrom matrix in quasiseparable form (``_blocks``): the
+  product-integration panels as diagonal blocks, the plus terms above
+  them and the minus terms below as generators anchored at the block
+  edges, and the contractive transitions e^(-kappa h) between blocks.
+  log det(I + S) is one orthogonal elimination on the generators,
+  backward stable without pivoting, with one small stacked numpy QR per
+  block (``_sweep``;
   Chandrasekaran et al., SIAM J. Matrix Anal. Appl. 27 (2005); Eidelman
   and Gohberg, IEOT 34 (1999)), and tr S, tr S^2, tr S^3 come from a left
   and a right sweep over the same generators (``_block_traces``): the
@@ -121,18 +121,10 @@ class DeterminantResult:
     condition_hint: float
 
 
-def _gl_panels(grid: QuadratureGrid):
-    """Panel layout of a composite Gauss-Legendre grid, or None if the grid
-    does not decompose into full equal panels."""
-    if grid.rule != "gauss_legendre":
-        return None
-    q = grid.panel_order
-    N = grid.nodes.size
-    if N % q != 0:
-        return None
-    panels = N // q
-    edges = np.linspace(-grid.half_width, grid.half_width, panels + 1)
-    return edges, q
+def _panel_edges(grid: QuadratureGrid) -> np.ndarray:
+    """The edges of the N / q equal panels of a grid, ascending."""
+    return np.linspace(-grid.half_width, grid.half_width,
+                       grid.nodes.size // grid.panel_order + 1)
 
 
 def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -278,11 +270,9 @@ def _analytic_traces(problem: ScalarProblem, groups: list,
 
 def _system_weight(system: SystemProblem, grid: QuadratureGrid) -> Callable:
     """W_c = -(R - R_inf) on the column support, shape x.shape + (n, c), to
-    be integrated on grid.  A front's W jumps at x = 0, so a composite
-    Gauss grid must put a panel edge there."""
-    panels = _gl_panels(grid)
-    if (system.is_front and panels is not None
-            and float(np.min(np.abs(panels[0]))) > 1e-9):
+    be integrated on grid.  A front's W jumps at x = 0, so the grid must
+    put a panel edge there."""
+    if system.is_front and float(np.min(np.abs(_panel_edges(grid)))) > 1e-9:
         raise ConfigError("front quadrature needs a panel edge at x = 0; "
                           "use a node count divisible into an even panel "
                           "split")
@@ -309,22 +299,22 @@ def _system_terms(kappa: np.ndarray, k: np.ndarray, P: np.ndarray,
 @dataclass(frozen=True)
 class _Samples:
     """The weight W and its samples, the same for every lambda: at the
-    nodes, shape (N, b, c), and on composite Gauss grids the half width
-    rad of the equal panels and W at the ``_panel_tables`` sub-nodes of
-    every panel, shape (2, q, q, P, b, c) indexed [side, r, u, panel],
-    evaluated once per distinct coordinate (``_on_panels``)."""
+    nodes, shape (N, b, c), the half width rad of the equal panels, and W
+    at the ``_panel_tables`` sub-nodes of every panel, shape
+    (2, q, q, P, b, c) indexed [side, r, u, panel], evaluated once per
+    distinct coordinate (``_on_panels``)."""
 
     grid: QuadratureGrid
     weight: Callable[[np.ndarray], np.ndarray]
     nodes: np.ndarray
-    rad: Optional[float] = None
-    panel: Optional[np.ndarray] = None
+    rad: float
+    panel: np.ndarray
 
 
 def _panel_points(grid: QuadratureGrid, ref: np.ndarray) -> np.ndarray:
-    """Reference-panel points ref mapped onto every panel of a composite
-    Gauss grid, shape ref.shape + (P,)."""
-    edges = _gl_panels(grid)[0]
+    """Reference-panel points ref mapped onto every panel of a grid, shape
+    ref.shape + (P,)."""
+    edges = _panel_edges(grid)
     mid = (edges[1:] + edges[:-1]) / 2.0
     rad = (edges[1:] - edges[:-1]) / 2.0
     return mid + rad * ref[..., None]
@@ -340,12 +330,9 @@ def _on_panels(weight: Callable, grid: QuadratureGrid,
 
 
 def _sample(weight: Callable, grid: QuadratureGrid) -> _Samples:
-    W = weight(grid.nodes)
-    layout = _gl_panels(grid)
-    if layout is None:
-        return _Samples(grid, weight, W)
-    edges, q = layout
-    return _Samples(grid, weight, W, grid.half_width / (edges.size - 1),
+    q = grid.panel_order
+    return _Samples(grid, weight, weight(grid.nodes),
+                    grid.half_width / (grid.nodes.size // q),
                     _on_panels(weight, grid, _sample_points(q)[0]))
 
 
@@ -380,10 +367,10 @@ def _node_matrix(terms: _Terms, grid: QuadratureGrid,
 
 
 def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
-    """Diagonal-panel blocks of a composite Gauss grid by product
-    integration, shape (L, P, q, c, q, c).  The offsets between a node and
-    the sub-nodes of its panel are the same in every panel, so the branch
-    exponentials are taken over one reference panel."""
+    """Diagonal-panel blocks by product integration, shape
+    (L, P, q, c, q, c).  The offsets between a node and the sub-nodes of
+    its panel are the same in every panel, so the branch exponentials are
+    taken over one reference panel."""
     t, _, sub, sub_w, lagrange = _panel_tables(samples.grid.panel_order)[:5]
     rad = samples.rad
     d = rad * (t[:, None] - sub)
@@ -512,8 +499,6 @@ def _trace_power(terms: _Terms, weight: Callable, grid: QuadratureGrid,
                  power: int) -> complex:
     if power not in (2, 3):
         raise ConfigError("iterated traces implemented for powers 2 and 3")
-    if _gl_panels(grid) is None:
-        raise ConfigError("iterated traces need a composite Gauss grid")
     samples = _sample(weight, grid)
     return complex(_traces(terms, samples, _subsub(samples))[power - 2][0])
 
@@ -537,9 +522,8 @@ def trace_power_system(system: SystemProblem, lam: complex,
 
 @dataclass(frozen=True)
 class _Blocks:
-    """S of L lambdas in quasiseparable form over P blocks of q nodes,
-    m = q c rows each (a short last block is padded with zero rows and
-    columns):
+    """S of L lambdas in quasiseparable form over its P panels of q nodes,
+    m = q c rows each:
 
         S_ps = diag[p]                       p = s
              = gp[p] Phi_ps hp[s]            p < s, Phi_ps = prod ep[t]
@@ -565,28 +549,23 @@ class _Blocks:
 
 
 def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
-    """Generators of the Nystrom matrices of the terms on blocks of
+    """Generators of the Nystrom matrices of the terms on the panels of
     ``panel_order`` ascending nodes, without forming them.  The diagonal
-    blocks are the product-integration panels on composite Gauss grids and
-    node entries otherwise; block edges are the outer nodes and the
-    midpoints between neighbouring blocks."""
+    blocks are the product-integration panels; block edges are the outer
+    nodes and the midpoints between neighbouring panels."""
     grid = samples.grid
     x, q, k = grid.nodes, grid.panel_order, terms.k
-    N = x.size
     L, n, c = terms.u.shape
-    P = -(-N // q)
-    cut = np.arange(1, P) * q
-    edges = np.concatenate([x[:1], (x[cut - 1] + x[cut]) / 2.0, x[-1:]])
-    xs = np.pad(x, (0, P * q - N), mode="edge").reshape(P, q)
-    valid = (np.arange(P * q) < N).reshape(P, q)
+    xs = x.reshape(-1, q)
+    P = xs.shape[0]
+    edges = np.concatenate([x[:1], (xs[:-1, -1] + xs[1:, 0]) / 2.0, x[-1:]])
     rows = np.einsum("ljc,tcd->ljtd", terms.r,
                      samples.nodes * grid.weights[:, None, None])
-    rows = np.pad(rows, ((0, 0), (0, 0), (0, P * q - N), (0, 0)))
     rows = rows.reshape(L, n, P, q, c)
     kap = terms.kappa[:, None, None, :]
     left, right = edges[:-1, None, None], edges[1:, None, None]
-    e_gp = np.exp(kap[..., :k] * (xs[..., None] - right)) * valid[..., None]
-    e_gm = np.exp(kap[..., k:] * (xs[..., None] - left)) * valid[..., None]
+    e_gp = np.exp(kap[..., :k] * (xs[..., None] - right))
+    e_gm = np.exp(kap[..., k:] * (xs[..., None] - left))
     e_hp = np.exp(kap[..., :k] * (left - xs[..., None]))
     e_hm = np.exp(kap[..., k:] * (right - xs[..., None]))
     gp = np.einsum("lpij,lja->lpiaj", e_gp, terms.u[:, :k])
@@ -594,17 +573,7 @@ def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
     hp = np.einsum("lpij,ljpic->lpjic", e_hp, rows[:, :k])
     hm = np.einsum("lpij,ljpic->lpjic", e_hm, rows[:, k:])
     h = np.diff(edges)[:, None]
-    if samples.panel is not None:
-        diag = _panel_blocks(terms, samples)
-    else:
-        d = (xs[:, :, None] - xs[:, None, :])[..., None]
-        on = np.where(np.arange(n) < k, d < 0, d >= 0)
-        on &= valid[:, :, None, None]
-        E = np.exp(d * kap[:, :, None], out=np.zeros((L,) + on.shape,
-                                                     dtype=complex),
-                   where=on)
-        diag = np.einsum("xpicj,xja,xjpcd->xpiacd", E, terms.u, rows)
-    return _Blocks(diag.reshape(L, P, q * c, q * c),
+    return _Blocks(_panel_blocks(terms, samples).reshape(L, P, q * c, q * c),
                    gp.reshape(L, P, q * c, k), hp.reshape(L, P, k, q * c),
                    gm.reshape(L, P, q * c, n - k),
                    hm.reshape(L, P, n - k, q * c),
@@ -756,8 +725,8 @@ def _regularized(groups: list, samples: _Samples, exact: dict,
                  orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """``_corrected_det`` of the Nystrom matrix of every lambda of the
     groups, shape (len(orders), L), and the condition hints, shape (L,).
-    exact holds known exact traces, shape (L,) each; on composite Gauss
-    grids with an order <= 3, tr T^2 and tr T^3 join them.
+    exact holds known exact traces, shape (L,) each; with an order <= 3,
+    tr T^2 and tr T^3 join them.
 
     Each k-group goes through the engine in slices of at most
     _SLICE_BUDGET // (N c^2) lambdas, so the working set does not grow
@@ -769,7 +738,7 @@ def _regularized(groups: list, samples: _Samples, exact: dict,
     parts = [(idx[s:s + width], terms.take(slice(s, s + width)))
              for idx, terms in groups for s in range(0, idx.size, width)]
     exact = dict(exact)
-    if L and samples.panel is not None and min(orders) <= 3:
+    if L and min(orders) <= 3:
         subsub = _subsub(samples)
         exact[2], exact[3] = np.empty((2, L), dtype=complex)
         for idx, terms in parts:
@@ -797,9 +766,8 @@ def det1_many(problem: ScalarProblem, lams: Sequence[complex],
 def det1(problem: ScalarProblem, lam: complex,
          grid: QuadratureGrid) -> DeterminantResult:
     """Fredholm determinant of the scalar kernel, with the trace defect
-    of orders 1-3 compensated (order 1 only on grids without panels),
-    from one root split and one set of weight samples: ``det1_many`` of
-    one lambda."""
+    of orders 1-3 compensated, from one root split and one set of weight
+    samples: ``det1_many`` of one lambda."""
     return det1_many(problem, [lam], grid)[0]
 
 

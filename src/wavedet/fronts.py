@@ -150,9 +150,9 @@ def front_det2(system, lam: complex, grid=None):
     accuracy.  For a genuine front these need not coincide with the
     original problem's eigenvalues (they do in the pulse limit), so treat
     this as a determinant for the reference problem, and fall back on
-    ``evans_function`` for the front itself when locations matter.  A
-    composite Gauss grid must place a panel edge at x = 0, where Q jumps;
-    ``fredholm.det2`` refuses one that does not.
+    ``evans_function`` for the front itself when locations matter.  The
+    grid must place a panel edge at x = 0, where Q jumps, so its panel
+    count must be even; ``fredholm.det2`` refuses one that does not.
     """
     res = fredholm.det2(model.as_system(system), lam,
                         grid if grid is not None else fredholm.default_grid())

@@ -525,10 +525,13 @@ def _reject_extra(name, params):
 
 
 def _number(value, label) -> float:
+    """float(value), refusing NaN and +-inf, which json reads as numbers."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        if math.isfinite(float(value)):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{label} must be a number, not {value!r}") from None
+    raise ConfigError(f"{label} must be finite, not {value!r}")
 
 
 def _require_positive(value, label):
@@ -604,24 +607,19 @@ class QuadratureGrid:
     half_width: float
     nodes: np.ndarray
     weights: np.ndarray
-    rule: str
     panel_order: int = DEFAULT_PANEL_ORDER
 
     @property
     def signature(self) -> tuple:
-        return (self.half_width, int(self.nodes.size), self.rule)
+        return (self.half_width, int(self.nodes.size))
 
 
 def build_grid(half_width: float, n_points: int,
-               rule: str = "gauss_legendre",
                panel_order: int = DEFAULT_PANEL_ORDER) -> QuadratureGrid:
-    """Quadrature rule on [-X, X] with total weight 2X.
-
-    gauss_legendre: ceil(N / panel_order) equal panels with panel_order
-    points each (the node count is rounded up to a full panel).
-    trapezoid: N equally spaced nodes including the endpoints.
-    On either rule panel_order >= 1 is also the block size of the
-    determinant sweep.
+    """Composite Gauss-Legendre rule on [-X, X] with total weight 2X:
+    ceil(N / panel_order) equal panels with panel_order points each (the
+    node count is rounded up to a full panel).  The panels are also the
+    blocks of the determinant sweep.
     """
     X = float(half_width)
     if panel_order < 1:
@@ -630,14 +628,6 @@ def build_grid(half_width: float, n_points: int,
         raise ConfigError("half_width must be positive")
     if n_points < 4:
         raise ConfigError("need at least 4 quadrature points")
-    if rule == "trapezoid":
-        nodes = np.linspace(-X, X, n_points)
-        h = 2.0 * X / (n_points - 1)
-        weights = np.full(n_points, h)
-        weights[0] = weights[-1] = h / 2.0
-        return QuadratureGrid(X, nodes, weights, rule, panel_order)
-    if rule != "gauss_legendre":
-        raise ConfigError(f"unknown quadrature rule {rule!r}")
     panels = -(-n_points // panel_order)
     ref_x, ref_w = np.polynomial.legendre.leggauss(panel_order)
     edges = np.linspace(-X, X, panels + 1)
@@ -645,7 +635,7 @@ def build_grid(half_width: float, n_points: int,
     rad = (edges[1:] - edges[:-1]) / 2.0
     nodes = (mid[:, None] + rad[:, None] * ref_x[None, :]).ravel()
     weights = (rad[:, None] * ref_w[None, :]).ravel()
-    return QuadratureGrid(X, nodes, weights, rule, panel_order)
+    return QuadratureGrid(X, nodes, weights, panel_order)
 
 
 def default_grid() -> QuadratureGrid:

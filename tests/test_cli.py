@@ -884,9 +884,10 @@ _COMMAND_CONFIGS = {
     ("evans.renorm_threshold=1e8", "unknown config key "
                                    "evans.renorm_threshold"),
     ("evans.orthogonalize_interval=1.0", "unknown config key "
-                                         "evans.orthogonalize_interval")],
+                                         "evans.orthogonalize_interval"),
+    ("domain.rule=trapezoid", "unknown config key domain.rule")],
     ids=["quad_points", "rtol", "rtol_floor", "renorm_threshold",
-         "orthogonalize_interval"])
+         "orthogonalize_interval", "rule"])
 def test_bad_grid_or_params_is_exit_2_before_any_lambda(
         tmp_path, capsys, monkeypatch, command, override, message):
     """Every command validates the grid and the Jost parameters with its
@@ -911,13 +912,50 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert err_object(err)["kind"] == "config"
 
 
+def _sech(**params):
+    return {"problem": {"name": "sech_pulse", "params": params},
+            "lambdas": [4.0]}
+
+
+@pytest.mark.parametrize("command,extra,argv,message", [
+    ("det", {"lambdas": [math.nan]}, (),
+     "lambdas[0] must be finite, not nan"),
+    ("det", {"lambdas": [4.0]}, ("--override", "lambdas=[Infinity]"),
+     "lambdas[0] must be finite, not inf"),
+    ("locate", {"rectangle": {"corner_low": {"re": math.nan, "im": -0.5},
+                              "corner_high": {"re": 2.0, "im": 0.5}}}, (),
+     "rectangle.corner_low must be finite, not nan"),
+    ("evans", {"lambdas": [4.0], "matching_point": math.nan}, (),
+     "matching_point must be finite, not nan"),
+    ("det", _sech(amplitude=math.nan), (),
+     "sech amplitude must be finite, not nan"),
+    ("det", _sech(width=math.inf), (), "sech width must be finite, not inf"),
+    ("det", {"lambdas": [4.0]}, ("--output", "{tmp}/missing/out.csv"),
+     "cannot write {tmp}/missing/out.csv: "),
+], ids=["nan_lambda", "inf_lambda_override", "nan_corner",
+        "nan_matching_point", "nan_amplitude", "inf_width",
+        "unwritable_output"])
+def test_a_failure_prints_one_error_line_and_no_rows(
+        tmp_path, capsys, command, extra, argv, message):
+    """The CLI's failure contract: exit 2 or 3, nothing on stdout, and
+    exactly one JSON error object on stderr.  json reads NaN and Infinity
+    as numbers, so each is refused naming its key."""
+    path = write_config(tmp_path, extra, domain={"quad_points": 80})
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, command, "--config", path, *argv)
+    assert code in (2, 3) and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    obj = json.loads(err)["error"]
+    assert set(obj) == {"kind", "message", "type"}
+    assert obj["message"].startswith(message.replace("{tmp}", str(tmp_path)))
+
+
 # the resolved config that each command echoes, by key: a new config knob
 # shows up here as a test change
 _ECHO_COMMON = {"command", "problem", "domain", "evans", "matching_point",
                 "output"}
 _ECHO_BLOCKS = {"problem": {"name", "params"},
-                "domain": {"half_width", "quad_points", "rule",
-                           "panel_order"},
+                "domain": {"half_width", "quad_points", "panel_order"},
                 "evans": {"rtol"}, "output": {"format", "path"}}
 _ECHO_KEYS = {
     "roots": {"lambdas"}, "det": {"lambdas", "p"}, "evans": {"lambdas"},

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,8 +23,7 @@ def test_gauss_legendre_grid_totals():
     g = wd.build_grid(20.0, 400)
     assert g.nodes.size == 400
     assert np.sum(g.weights) == pytest.approx(40.0)
-    assert g.rule == "gauss_legendre"
-    assert g.signature == (20.0, 400, "gauss_legendre")
+    assert g.signature == (20.0, 400)
 
 
 def test_grid_rounds_up_to_full_panels():
@@ -34,24 +31,14 @@ def test_grid_rounds_up_to_full_panels():
     assert g.nodes.size == 100
 
 
-def test_trapezoid_grid():
-    g = wd.build_grid(5.0, 11, rule="trapezoid")
-    assert g.nodes.size == 11
-    assert np.sum(g.weights) == pytest.approx(10.0)
-    assert g.nodes[0] == -5.0 and g.nodes[-1] == 5.0
-
-
 def test_grid_validation():
     with pytest.raises(ConfigError):
         wd.build_grid(-1.0, 100)
     with pytest.raises(ConfigError):
         wd.build_grid(10.0, 3)
-    with pytest.raises(ConfigError):
-        wd.build_grid(10.0, 100, rule="simpson")
-    for rule in ("gauss_legendre", "trapezoid"):
-        for order in (0, -3):
-            with pytest.raises(ConfigError, match="panel_order"):
-                wd.build_grid(10.0, 100, rule=rule, panel_order=order)
+    for order in (0, -3):
+        with pytest.raises(ConfigError, match="panel_order"):
+            wd.build_grid(10.0, 100, panel_order=order)
 
 
 @given(n=st.integers(10, 300), x=st.floats(5.0, 30.0))
@@ -145,11 +132,6 @@ def test_det1_convergence_per_doubling(pt):
         g = wd.build_grid(20.0, n)
         errs.append(abs(wd.det1(pt, 4.0, g).value - 1.0 / 3.0))
     assert errs[0] > 10 * errs[1] > 100 * errs[2]
-
-
-def test_det1_trapezoid_agrees(pt):
-    g = wd.build_grid(20.0, 1200, rule="trapezoid")
-    assert abs(wd.det1(pt, 4.0, g).value - 1.0 / 3.0) < 1e-4
 
 
 def test_det1_rejects_essential_lambda(pt, grid):
@@ -599,15 +581,14 @@ def test_trace_power_matches_per_panel_reference(name, problem, lam):
 def _dense_matrix(kernel, grid):
     """The Nystrom matrix S of one lambda's kernel (terms, weight),
     assembled: the node matrix, with the diagonal panels by product
-    integration on composite Gauss grids."""
+    integration."""
     terms, weight = kernel
     samples = fredholm._sample(weight, grid)
     S = fredholm._node_matrix(terms, grid, samples.nodes)[0]
-    if samples.panel is not None:
-        blocks = fredholm._panel_blocks(terms, samples)[0]
-        P, q, b = blocks.shape[:3]
-        idx = np.arange(P)
-        S.reshape(P, q, b, P, q, b)[idx, :, :, idx] = blocks
+    blocks = fredholm._panel_blocks(terms, samples)[0]
+    P, q, b = blocks.shape[:3]
+    idx = np.arange(P)
+    S.reshape(P, q, b, P, q, b)[idx, :, :, idx] = blocks
     return S
 
 
@@ -641,8 +622,6 @@ def _dense_reference(kernel, grid, exact, orders):
 
 
 def _exact_traces(kernel, grid):
-    if fredholm._gl_panels(grid) is None:
-        return {}
     terms, weight = kernel
     samples = fredholm._sample(weight, grid)
     tr2, tr3 = fredholm._traces(terms, samples, fredholm._subsub(samples))
@@ -663,13 +642,10 @@ def _dense_system(system, lam, grid, orders):
 
 
 def _oracle_grids():
-    gauss = wd.build_grid(20.0, 200)
     return {
-        "gauss": gauss,
-        "trapezoid": wd.build_grid(20.0, 201, rule="trapezoid"),
-        # 200 = 28 * 7 + 4: no panel layout, a short last block
-        "short_block": fredholm.QuadratureGrid(
-            gauss.half_width, gauss.nodes, gauss.weights, gauss.rule, 7),
+        "gauss": wd.build_grid(20.0, 200),
+        # a non-default panel order; 30 panels, so a front has an edge at 0
+        "order_7": wd.build_grid(20.0, 210, panel_order=7),
     }
 
 
@@ -774,18 +750,14 @@ def _seeded_terms(n, k, b, seed):
 
 @st.composite
 def _random_terms(draw):
-    """``_seeded_terms`` on a Gauss or trapezoid grid whose blocks may be
-    panels, node blocks, or node blocks with a short last block."""
+    """``_seeded_terms`` on a Gauss grid of 20 to 60 nodes with panels of
+    1 to 9 nodes."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(0, n))
     b = draw(st.integers(1, 2))
     terms = _seeded_terms(n, k, b, draw(st.integers(0, 2 ** 32 - 1)))
-    rule = draw(st.sampled_from(["gauss_legendre", "trapezoid"]))
-    grid = wd.build_grid(6.0, draw(st.integers(20, 60)), rule=rule,
-                         panel_order=draw(st.integers(2, 8)))
-    blocks = draw(st.integers(1, 9))
-    if rule == "trapezoid" or grid.nodes.size % blocks:
-        grid = dataclasses.replace(grid, panel_order=blocks)
+    grid = wd.build_grid(6.0, draw(st.integers(20, 60)),
+                         panel_order=draw(st.integers(1, 9)))
     return terms, grid
 
 
@@ -809,12 +781,11 @@ def test_structured_logdet_and_traces_match_dense(case):
 def test_minus_only_kernel_is_the_block_product():
     """With only minus roots S is block lower triangular, and det(I + S)
     is the product of the det(I + D_p) of its diagonal blocks.  The
-    off-diagonal blocks of this draw alone make cond(I + S) about 1e8; a
+    off-diagonal blocks of this draw alone make cond(I + S) about 2e8; a
     sweep that mixed rows across blocks would lose about eps cond."""
-    kernel = _seeded_terms(2, 0, 2, 2627013787)
+    kernel = _seeded_terms(2, 0, 2, 564533598)
     terms, weight = kernel
-    grid = dataclasses.replace(wd.build_grid(6.0, 60, rule="trapezoid"),
-                               panel_order=5)
+    grid = wd.build_grid(6.0, 60, panel_order=5)
     blocks = fredholm._blocks(terms, fredholm._sample(weight, grid))
     S = _dense_matrix(kernel, grid)
     assert np.linalg.cond(S + np.eye(len(S))) > 1e7
@@ -1132,8 +1103,13 @@ def test_det1_is_refused_up_front_without_a_decaying_source(monkeypatch):
 # inside, chain elements formed at every level
 
 
+def _reference_edges(grid):
+    return np.linspace(-grid.half_width, grid.half_width,
+                       grid.nodes.size // grid.panel_order + 1)
+
+
 def _reference_panel_rule(grid):
-    edges, q = fredholm._gl_panels(grid)
+    edges, q = _reference_edges(grid), grid.panel_order
     t, _, sub, sub_w, _, sub2, sub2_w = fredholm._panel_tables(q)
     mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None, None]
     rad = ((edges[1:] - edges[:-1]) / 2.0)[:, None, None]
@@ -1146,7 +1122,7 @@ def _reference_panel_rule(grid):
 
 
 def _reference_cumulative(grid, mu, f, levels):
-    edges = fredholm._gl_panels(grid)[0]
+    edges = _reference_edges(grid)
     M, P = mu.size, edges.size - 1
     x, w = grid.nodes.reshape(P, -1), grid.weights.reshape(P, -1)
     moments = np.sum(f.reshape(M, P, -1) * w
