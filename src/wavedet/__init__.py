@@ -33,28 +33,24 @@ _HOMES = {
     **dict.fromkeys((
         "WaveProfile", "ScalarProblem", "SystemProblem", "SpectralPoint",
         "builtin_problem", "make_profile", "tabulated_profile", "to_system",
-        "essential_spectrum_distance", "symbol_curve", "classify_point",
-        "char_roots", "QuadratureGrid", "build_grid", "default_grid",
-        "IntegrationParams"), "model"),
+        "essential_spectrum_distance", "symbol_curve", "char_roots",
+        "QuadratureGrid", "build_grid", "default_grid", "IntegrationParams"),
+        "model"),
     **dict.fromkeys((
         "RootSplit", "GreenCoefficients", "UnperturbedBasis",
-        "classify_roots", "alpha_coefficients", "scalar_green",
-        "unperturbed_bases", "basis_from_roots", "system_basis",
-        "matrix_basis", "matrix_green"), "greens"),
+        "classify_roots", "alpha_coefficients", "basis_from_roots",
+        "system_basis", "matrix_basis"), "greens"),
     **dict.fromkeys((
-        "DeterminantResult", "det1", "det2", "detp", "trace_scalar",
-        "trace_system", "series_coefficient", "limit_normalization_check"),
-        "fredholm"),
+        "DeterminantResult", "det1", "det2", "detp"), "fredholm"),
     **dict.fromkeys((
-        "JostSolution", "EvansResult", "jost_minus", "jost_plus",
-        "evans_function", "evans_and_swinton", "transmission_matrix",
-        "swinton_matrix", "born_transmission", "identity_report"), "evans"),
+        "JostSolution", "EvansResult", "evans_function", "evans_and_swinton",
+        "swinton_matrix", "identity_report"), "evans"),
     **dict.fromkeys((
-        "FrontReference", "front_split", "front_reference", "front_basis",
-        "front_det2", "reference_system"), "fronts"),
+        "FrontReference", "front_reference", "front_det2",
+        "reference_system"), "fronts"),
     **dict.fromkeys((
-        "Contour", "RootReport", "winding_number", "refine_root", "scan",
-        "locate_roots"), "locate"),
+        "Contour", "RootReport", "refine_root", "scan", "locate_roots"),
+        "locate"),
 }
 _SUBMODULES = ("errors", "model", "greens", "fredholm", "evans", "fronts",
                "locate")

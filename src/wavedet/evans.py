@@ -45,15 +45,11 @@ __all__ = [
     "IntegrationParams",
     "JostSolution",
     "EvansResult",
-    "jost_minus",
-    "jost_plus",
     "evans_function",
     "evans_function_many",
     "evans_and_swinton",
     "evans_and_swinton_many",
-    "transmission_matrix",
     "swinton_matrix",
-    "born_transmission",
     "identity_report",
 ]
 
@@ -80,8 +76,10 @@ class JostSolution:
     product reproduces the unperturbed data at the starting boundary
     exactly.  renorm_log - renorm_log[0] is the growth removed during the
     run; its dominant entry approximates (fastest rate) x (distance run).
-    An adjoint run (``swinton_matrix``) holds the transposed dual rows in
-    the same layout.
+    The routes read the three factors at a stored point (``_index_of``)
+    and never form the raw solution, whose columns grow with the run.  An
+    adjoint run (``swinton_matrix``) holds the transposed dual rows in the
+    same layout.
     """
 
     direction: str
@@ -91,24 +89,18 @@ class JostSolution:
     renorm_log: np.ndarray
     basis: UnperturbedBasis
 
-    def raw_at(self, x: float) -> np.ndarray:
-        """Unscaled n x k solution matrix at a stored sample point."""
-        i = _index_of(self.xs, x)
-        scale = self.transform[i] * np.exp(self.renorm_log[i])[None, :]
-        return self.values[i] @ scale
-
-    @property
-    def growth_log(self) -> np.ndarray:
-        """Per-column log of the growth removed over the whole run."""
-        return self.renorm_log[-1] - self.renorm_log[0]
-
 
 @dataclass(frozen=True, slots=True)
 class EvansResult:
     """E(lambda), its normalizer c(lambda), and the transmission data.
 
     transmission / det_transmission are None for fronts, where only the
-    scaling-free ratio E/c is meaningful in this module.
+    scaling-free ratio E/c is meaningful in this module.  transmission is
+    the edge pairing Z0+(X) Y-(X), which is I_k + integral of Z0+ R Y-;
+    its determinant equals the Fredholm determinant.  Only that
+    determinant is accurate to rounding: an entry in the row of a slower
+    rate kappa_i is read off columns dominated by the fastest growth, so
+    it carries rounding of order eps e^((Re kappa_max - Re kappa_i) X).
     """
 
     evans: complex
@@ -413,29 +405,6 @@ def _lambda_runs(system: SystemProblem, lam: complex,
     return runs
 
 
-def _single_run(system, lam: complex, params: Optional[IntegrationParams],
-                at_end: bool) -> JostSolution:
-    """The minus run of ``_lambda_runs`` matched at +X (at_end), or the
-    plus run matched at -X, swept alone."""
-    sysm = model.as_system(system)
-    params = params or IntegrationParams()
-    x0 = params.half_width if at_end else -params.half_width
-    runs = _lambda_runs(sysm, lam, params, x0, False, *_side_bases(sysm, lam))
-    return _sweep([runs[0 if at_end else 1]])[0]
-
-
-def jost_minus(system, lam: complex,
-               params: Optional[IntegrationParams] = None) -> JostSolution:
-    """Solutions decaying at -infinity, continued from -X to +X."""
-    return _single_run(system, lam, params, True)
-
-
-def jost_plus(system, lam: complex,
-              params: Optional[IntegrationParams] = None) -> JostSolution:
-    """Solutions decaying at +infinity, continued from +X to -X."""
-    return _single_run(system, lam, params, False)
-
-
 # lambdas whose Jost runs share one QR sweep: their segment products and
 # samples are held together, so the working set stays flat in the length
 # of the lambda list
@@ -538,25 +507,6 @@ def evans_and_swinton(system, lam: complex, matching_point: float = 0.0,
     return evans_and_swinton_many(system, [lam], matching_point, params)[0]
 
 
-def transmission_matrix(system, lam: complex,
-                        params: Optional[IntegrationParams] = None
-                        ) -> np.ndarray:
-    """The pairing Z0+(X) Y-(X) of the unperturbed dual rows with the Jost
-    minus columns at the right end of the window, which is
-    I_k + integral of Z0+ R Y-; its determinant equals the Fredholm
-    determinant.
-
-    Only the determinant is accurate to rounding: an entry in the row of
-    a slower rate kappa_i is read off columns dominated by the fastest
-    growth, so it carries rounding of order
-    eps e^((Re kappa_max - Re kappa_i) X).
-    """
-    sysm = model.as_system(system)
-    if sysm.is_front:
-        raise ConfigError("transmission matrix needs a decaying perturbation")
-    return evans_function(sysm, lam, params=params).transmission
-
-
 def swinton_matrix(system, lam: complex,
                    params: Optional[IntegrationParams] = None,
                    matching_point: float = 0.0) -> np.ndarray:
@@ -564,9 +514,9 @@ def swinton_matrix(system, lam: complex,
 
     The product Z+(x) Y-(x) is x-independent, so the result does not
     depend on the matching point; for decaying perturbations it equals the
-    transmission matrix.  The rows Z+ are the transposed columns of an
-    adjoint run from +X to the matching point on the transposed exp(Omega)
-    of the minus run's steps (``_lambda_runs``).
+    transmission matrix ``EvansResult.transmission``.  The rows Z+ are the
+    transposed columns of an adjoint run from +X to the matching point on
+    the transposed exp(Omega) of the minus run's steps (``_lambda_runs``).
 
     Only the determinant is accurate to rounding: the off-diagonal entries
     differ from the transmission matrix's by about 6e-7 of the largest on
@@ -574,30 +524,6 @@ def swinton_matrix(system, lam: complex,
     its faster ones' rounding.
     """
     return evans_and_swinton(system, lam, matching_point, params)[1]
-
-
-def born_transmission(system, lam: complex, grid=None) -> np.ndarray:
-    """One-term weak-coupling approximation of the transmission matrix.
-
-    Replaces the Jost minus solution in the pairing integral by its
-    unperturbed limit and applies the quadrature rule directly.  Only a
-    diagnostic: accurate when the perturbation is small, quadratic cost in
-    the coupling otherwise.
-    """
-    sysm = model.as_system(system)
-    if sysm.is_front:
-        raise ConfigError("weak-coupling route needs a decaying perturbation")
-    grid = grid if grid is not None else model.default_grid()
-    basis = greens.system_basis(sysm, lam)
-    k = basis.k
-    kp = np.array(basis.roots.plus)
-    Zr = basis.Pinv[:k, :]
-    Pc = basis.P[:, :k]
-    x = grid.nodes[:, None, None]
-    core = Zr @ np.asarray(sysm.perturbation(grid.nodes), dtype=complex) @ Pc
-    phase = np.exp((kp[None, :] - kp[:, None]) * x)
-    return np.eye(k, dtype=complex) + np.einsum("t,tab->ab", grid.weights,
-                                                core * phase)
 
 
 def identity_report(problem, lam: complex, grid=None,

@@ -68,7 +68,7 @@ grouped by their plus-root count k, and a refused lambda raises the typed
 error of the first one in input order.  Each group goes through the
 engine (``_regularized``) in slices of at most _SLICE_BUDGET // (N c^2)
 lambdas, so the working set does not grow with the list.  ``det1``,
-``det2``, ``detp`` and ``trace_power_*`` are batches of one.
+``det2`` and ``detp`` are batches of one.
 """
 
 from __future__ import annotations
@@ -95,13 +95,6 @@ __all__ = [
     "det2",
     "detp",
     "determinants_many",
-    "trace_scalar",
-    "trace_system",
-    "trace_system_pair",
-    "trace_power_scalar",
-    "trace_power_system",
-    "series_coefficient",
-    "limit_normalization_check",
     "default_grid",
 ]
 
@@ -344,28 +337,6 @@ def _subsub(samples: _Samples) -> np.ndarray:
                       _sample_points(samples.grid.panel_order)[1])
 
 
-def _node_matrix(terms: _Terms, grid: QuadratureGrid,
-                 W: np.ndarray) -> np.ndarray:
-    """S_ij = K(x_i, x_j) W(x_j) w_j on the nodes, node-major, shape
-    (L, N c, N c), from W at the nodes; the diagonal takes the x >= xi
-    branch."""
-    xs, N = grid.nodes, grid.nodes.size
-    L, n, c = terms.u.shape
-    rows = np.einsum("ljc,tcd->ljtd", terms.r,
-                     W * grid.weights[:, None, None])
-    D = xs[:, None] - xs[None, :]
-    S = np.zeros((L, N, c, N, c), dtype=complex)
-    for j in range(n):
-        on = D < 0 if j < terms.k else D >= 0
-        # exp on this branch's side only, written in place: no gathered
-        # half-size copies, whose freed blocks stay resident in the heap
-        E = np.exp(terms.kappa[:, j, None, None] * D,
-                   out=np.zeros((L, N, N), dtype=complex), where=on)
-        S += np.einsum("xil,xa,xlc->xialc", E, terms.u[:, j], rows[:, j],
-                       optimize=True)
-    return S.reshape(L, N * c, N * c)
-
-
 def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
     """Diagonal-panel blocks by product integration, shape
     (L, P, q, c, q, c).  The offsets between a node and the sub-nodes of
@@ -493,31 +464,6 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     """The sum of each lambda's entries, shape (L,): one pairwise sum per
     row, the same for a lambda whatever the batch around it."""
     return np.sum(a.reshape(len(a), -1), axis=1)
-
-
-def _trace_power(terms: _Terms, weight: Callable, grid: QuadratureGrid,
-                 power: int) -> complex:
-    if power not in (2, 3):
-        raise ConfigError("iterated traces implemented for powers 2 and 3")
-    samples = _sample(weight, grid)
-    return complex(_traces(terms, samples, _subsub(samples))[power - 2][0])
-
-
-def trace_power_scalar(problem: ScalarProblem, lam: complex,
-                       grid: QuadratureGrid, power: int) -> complex:
-    """Exact second or third iterated trace of the scalar kernel."""
-    (_, terms), = _scalar_terms(problem, [lam])
-    return _trace_power(terms, _scalar_weight(problem), grid, power)
-
-
-def trace_power_system(system: SystemProblem, lam: complex,
-                       grid: QuadratureGrid, power: int) -> complex:
-    """Exact second or third iterated trace of the matrix kernel; on the
-    companion system of an m = 0 scalar problem it is the scalar result."""
-    *basis, refusals = greens.system_bases(system, [lam])
-    raise_first(refusals)
-    (_, terms), = _system_terms(*basis, system.column_support)
-    return _trace_power(terms, _system_weight(system, grid), grid, power)
 
 
 @dataclass(frozen=True)
@@ -771,48 +717,21 @@ def det1(problem: ScalarProblem, lam: complex,
     return det1_many(problem, [lam], grid)[0]
 
 
-def trace_scalar(problem: ScalarProblem, lam: complex) -> complex:
-    """Analytic trace: sum over plus roots of alpha_j kappa_j^m times the
-    integral of the potential."""
-    groups = _scalar_terms(problem, [lam])
-    return complex(_analytic_traces(problem, groups, 1)[0])
-
-
-def trace_system_pair(system: SystemProblem, lam: complex,
-                      grid: QuadratureGrid) -> tuple[complex, complex]:
-    """Both sign choices of the analytic system trace.
-
-    The kernel diagonal from the xi < x side is the constant projector
-    Y0+ Z0-, from the other side Y0- Z0+ with opposite sign; both traces
-    agree exactly when the integrated diagonal of R vanishes.
-    """
-    _, k, P, Pinv, refusals = greens.system_bases(system, [lam])
-    raise_first(refusals)
-    W = _system_weight(system, grid)(grid.nodes)
-    tau_plus, tau_minus = _trace_pairs(P, Pinv, k, grid, W,
-                                       system.column_support)
-    return complex(tau_plus[0]), complex(tau_minus[0])
-
-
 def _trace_pairs(P: np.ndarray, Pinv: np.ndarray, k: np.ndarray,
                  grid: QuadratureGrid, W: np.ndarray, cols: slice
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``trace_system_pair`` of L bases (P, Pinv, k) from W_c = -(R -
-    R_inf)[:, cols] at the nodes, shape (L,) each: tr(X M) with M = M_c E
-    is tr(X[cols, :] M_c)."""
+    """Both sign choices of the analytic system trace of L bases (P, Pinv,
+    k), shape (L,) each, from W_c = -(R - R_inf)[:, cols] at the nodes.
+    The kernel diagonal from the xi < x side is the constant projector
+    Y0+ Z0-, from the other side Y0- Z0+ with opposite sign; the two
+    agree when the integrated diagonal of R vanishes.  tr(X M) with
+    M = M_c E is tr(X[cols, :] M_c)."""
     M = np.einsum("t,tab->ab", grid.weights, W)
     minus = (np.arange(P.shape[-1]) >= k[:, None])[..., None]
     tau_plus = np.trace((P[:, cols] @ (minus * Pinv)) @ M, axis1=1, axis2=2)
     tau_minus = -np.trace((P[:, cols] @ (~minus * Pinv)) @ M, axis1=1,
                           axis2=2)
     return tau_plus, tau_minus
-
-
-def trace_system(system: SystemProblem, lam: complex,
-                 grid: QuadratureGrid) -> complex:
-    tau_plus, tau_minus = trace_system_pair(system, lam, grid)
-    raise_first([_sign_mismatch(tau_plus, tau_minus)])
-    return tau_plus
 
 
 def _sign_mismatch(tau_plus: complex,
@@ -901,38 +820,3 @@ def detp(system: SystemProblem, lam: complex, grid: QuadratureGrid,
     """Order-p regularized determinant
     det(I + S) exp(sum_{l=1}^{p-1} (-1)^l / l tr(S^l)), 2 <= p <= 4."""
     return determinants_many(system, [lam], grid, {"detp": p})[0][0]
-
-
-def series_coefficient(problem: ScalarProblem, lam: complex, order: int,
-                       grid: Optional[QuadratureGrid] = None) -> complex:
-    """Leading expansion coefficients of det(I + B) by direct quadrature.
-
-    order 1 is the quadrature trace; order 2 the double-integral of the
-    2 x 2 kernel minors, both read off the plain node matrix of the
-    kernel (no product integration).  Deliberately independent of the
-    determinant pipeline so it can serve as a cross-check on
-    small-potential problems.
-    """
-    if order not in (1, 2):
-        raise ConfigError("series coefficients implemented for orders 1 and 2")
-    if grid is None:
-        grid = default_grid()
-    (_, terms), = _scalar_terms(problem, [lam])
-    S = _node_matrix(terms, grid, _scalar_weight(problem)(grid.nodes))[0]
-    t1 = complex(np.trace(S))
-    if order == 1:
-        return t1
-    return complex(0.5 * (t1 * t1 - np.sum(S * S.T)))
-
-
-def limit_normalization_check(problem: ScalarProblem,
-                              lambdas: Sequence[float],
-                              grid: Optional[QuadratureGrid] = None
-                              ) -> list[float]:
-    """|det1 - 1| along the positive real axis; the caller asserts decay."""
-    if grid is None:
-        grid = default_grid()
-    lams = [complex(lam) for lam in lambdas]
-    if any(abs(lam.imag) > 0 or lam.real <= 0 for lam in lams):
-        raise ConfigError("normalization check expects positive real lambda")
-    return [abs(res.value - 1.0) for res in det1_many(problem, lams, grid)]

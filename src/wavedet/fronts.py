@@ -17,11 +17,10 @@ perturbations applies to that problem verbatim, so its determinant can be
 cross-checked against an Evans computation on the same reference system.
 
 The kernel basis of a front is decided with every other system's, in
-``greens.system_bases``, so ``fredholm.det2`` and its batched and traced
-relatives already run on B's kernel: ``front_basis`` is
-``greens.system_basis``, and ``front_det2`` is ``fredholm.det2``
-relabelled.  This module adds the split of explicit end matrices, B
-itself and the reference problem.
+``greens.system_bases``, whose ``end_bases`` split the two end matrices
+into the kept rates, so ``fredholm.det2`` and ``determinants_many``
+already run on B's kernel, and ``front_det2`` is ``fredholm.det2``
+relabelled.  This module adds B itself and the reference problem.
 
 What the reference spectrum says about the original front is a subtler
 matter.  In the pulse limit (both limits zero) B reduces to the constant
@@ -41,15 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fredholm, greens, model
-from .errors import ConfigError, IllConditioned
-from .greens import RootSplit, UnperturbedBasis
+from .errors import IllConditioned
+from .greens import RootSplit
 from .model import SystemProblem
 
 __all__ = [
     "FrontReference",
-    "front_split",
     "front_reference",
-    "front_basis",
     "front_det2",
     "reference_system",
 ]
@@ -62,33 +59,6 @@ class FrontReference:
     B: np.ndarray
     P: np.ndarray
     split: RootSplit
-
-
-def _end_matrix(a, lam: complex) -> np.ndarray:
-    A = a(lam) if callable(a) else a
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigError("end matrices must be square")
-    return A
-
-
-def front_split(a_minus, a_plus, lam: complex) -> RootSplit:
-    """Split the two end matrices into the rates the front kernel keeps.
-
-    Each argument is a constant n x n matrix or a callable lambda ->
-    matrix.  The number of unstable rates on the left must match the
-    number on the right so the combined list spans n dimensions.  The
-    kept rates come back as a RootSplit: plus holds kappa-, the rates of
-    the left-end matrix with positive real part (solutions decaying
-    towards -infinity), minus holds tau+, the rates of the right-end
-    matrix with negative real part (decaying towards +infinity).
-    """
-    Am = _end_matrix(a_minus, lam)
-    Ap = _end_matrix(a_plus, lam)
-    if Am.shape != Ap.shape:
-        raise ConfigError("end matrices must have matching dimensions")
-    bm, bp = greens.end_bases(Am, Ap)
-    return RootSplit(plus=bm.roots.plus, minus=bp.roots.minus)
 
 
 def front_reference(split: RootSplit) -> FrontReference:
@@ -108,12 +78,6 @@ def front_reference(split: RootSplit) -> FrontReference:
     basis = greens.basis_from_roots(split)
     B = basis.P @ (roots[:, None] * basis.Pinv)
     return FrontReference(B=B, P=basis.P, split=split)
-
-
-def front_basis(system, lam: complex) -> UnperturbedBasis:
-    """``greens.system_basis``: for a front the basis generated by the
-    reference matrix B(lambda), for a pulse that of the constant part."""
-    return greens.system_basis(model.as_system(system), lam)
 
 
 def reference_system(system) -> SystemProblem:

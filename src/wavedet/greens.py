@@ -1,4 +1,4 @@
-"""Characteristic roots, Green's functions and solution bases.
+"""Characteristic roots, kernel weights and solution bases.
 
 Everything downstream rests on the splitting of the characteristic roots of
 
@@ -7,11 +7,12 @@ Everything downstream rests on the splitting of the characteristic roots of
 into k roots with positive real part and n-k with negative real part.  The
 scalar Green's function is a two-sided exponential sum over that splitting
 with the interface weights alpha_j; the matrix Green's function of the
-companion system is assembled from the decaying solution bases and their
-duals, the columns of the Vandermonde frame P of the roots and the rows of
-its inverse, off whose last column alpha is read.  Both are sums of
-rank-one terms per root, the data from which :mod:`wavedet.fredholm`
-builds its determinant-ready kernels.
+companion system pairs the decaying solution bases with their duals, the
+columns of the Vandermonde frame P of the roots and the rows of its
+inverse, off whose last column alpha is read.  This module decides the
+splits, the weights and the bases; :mod:`wavedet.fredholm` assembles both
+kernels from them as sums of rank-one terms per root and never evaluates
+a Green's function pointwise.
 """
 
 from __future__ import annotations
@@ -32,13 +33,10 @@ __all__ = [
     "UnperturbedBasis",
     "classify_roots",
     "alpha_coefficients",
-    "scalar_green",
-    "unperturbed_bases",
     "basis_from_roots",
     "system_basis",
     "system_basis_list",
     "matrix_basis",
-    "matrix_green",
     "green_data",
     "system_bases",
     "end_bases",
@@ -85,8 +83,8 @@ class UnperturbedBasis:
     """Decaying solution bases of the unperturbed system and their duals.
 
     y_minus(x) is n x k (columns decay towards -infinity), y_plus(x) is
-    n x (n-k); z_plus / z_minus are the matching rows of the inverse
-    fundamental matrix, so z_plus(x) @ y_minus(x) = I_k at every x.
+    n x (n-k); the matching dual rows are those of Pinv, the inverse of
+    the fundamental matrix at x = 0, carried along by e^(-kappa x).
     """
 
     roots: RootSplit
@@ -104,23 +102,6 @@ class UnperturbedBasis:
     def y_plus(self, x: float) -> np.ndarray:
         km = np.array(self.roots.minus)
         return self.P[:, self.k:] * np.exp(km * x)[None, :]
-
-    def z_plus(self, x: float) -> np.ndarray:
-        kp = np.array(self.roots.plus)
-        return self.Pinv[:self.k, :] * np.exp(-kp * x)[:, None]
-
-    def z_minus(self, x: float) -> np.ndarray:
-        km = np.array(self.roots.minus)
-        return self.Pinv[self.k:, :] * np.exp(-km * x)[:, None]
-
-    def projector_plus(self) -> np.ndarray:
-        """Y0-(x) Z0+(x); constant in x."""
-        return self.P[:, :self.k] @ self.Pinv[:self.k, :]
-
-    def projector_minus(self) -> np.ndarray:
-        """Y0+(x) Z0-(x); constant in x; the diagonal convention for the
-        matrix kernel."""
-        return self.P[:, self.k:] @ self.Pinv[self.k:, :]
 
 
 def _split(problem: ScalarProblem,
@@ -206,35 +187,6 @@ def alpha_coefficients(roots: RootSplit) -> GreenCoefficients:
 def green_data(problem: ScalarProblem, lam: complex):
     roots = classify_roots(problem, lam)
     return roots, alpha_coefficients(roots)
-
-
-def scalar_green(x: float, xi: float, lam: complex, roots: RootSplit,
-                 alpha: GreenCoefficients) -> complex:
-    """Green's function of the unperturbed operator at (x, xi).
-
-    Uses the plus-root branch for x <= xi and the minus-root branch for
-    xi < x; both meet continuously on the diagonal.  lam is carried for
-    interface symmetry with the kernel evaluators and is not re-derived.
-    """
-    del lam
-    a = np.array(alpha.alpha)
-    k = roots.k
-    if x <= xi:
-        ks = np.array(roots.plus)
-        return complex(np.sum(a[:k] * np.exp(ks * (x - xi))))
-    ks = np.array(roots.minus)
-    return complex(np.sum(a[k:] * np.exp(ks * (x - xi))))
-
-
-def unperturbed_bases(problem: ScalarProblem, lam: complex) -> UnperturbedBasis:
-    """Solution bases of dY/dx = A0(lambda) Y from the root splitting.
-
-    Columns are (1, kappa, ..., kappa^(n-1))^T e^(kappa x); the dual rows
-    come from the inverse of the fundamental matrix at x = 0, carried along
-    exactly by the exponential factors.
-    """
-    roots = classify_roots(problem, lam)
-    return basis_from_roots(roots)
 
 
 def basis_from_roots(roots: RootSplit,
@@ -351,21 +303,3 @@ def matrix_basis(A: np.ndarray) -> UnperturbedBasis:
                       minus=tuple(complex(vals[i]) for i in minus))
     P = np.concatenate([vecs[:, plus], vecs[:, minus]], axis=1)
     return basis_from_roots(roots, P=P)
-
-
-def matrix_green(x: float, xi: float, lam: complex,
-                 basis: UnperturbedBasis) -> np.ndarray:
-    """Matrix Green's function -Y0-(x) Z0+(xi) for x <= xi and
-    +Y0+(x) Z0-(xi) for xi < x, with unit jump across the diagonal.
-
-    Exponentials are combined as e^(kappa (x - xi)) so every factor decays
-    on its own branch.  lam is fixed by the basis.
-    """
-    del lam
-    k = basis.k
-    if x <= xi:
-        kp = np.array(basis.roots.plus)
-        core = (basis.P[:, :k] * np.exp(kp * (x - xi))[None, :]) @ basis.Pinv[:k, :]
-        return -core
-    km = np.array(basis.roots.minus)
-    return (basis.P[:, k:] * np.exp(km * (x - xi))[None, :]) @ basis.Pinv[k:, :]

@@ -34,7 +34,6 @@ __all__ = [
     "Batched",
     "Contour",
     "RootReport",
-    "winding_number",
     "refine_root",
     "scan",
     "locate_roots",
@@ -144,8 +143,11 @@ def _phase_step(f, za, fa, zb, fb, depth, problem) -> list:
 
 def _walk(f, contour: Contour,
           problem: Optional[ScalarProblem]) -> tuple[int, list]:
-    """Winding number of f around the contour and the samples (z, f(z))
-    of its walk in contour order, bisection points included, closed."""
+    """Winding number of f around the contour (argument principle) and
+    the samples (z, f(z)) of its walk in contour order, bisection points
+    included, closed.  With a problem, every sample is checked to sit in
+    the resolvent region first; a phase that does not land within 0.1
+    turns of an integer is a PhaseJump, not rounded away."""
     pts = [complex(z) for z in contour.points()[:-1]]
     _check_resolvent(problem, pts)
     samples = list(zip(pts, _values(f, pts)))
@@ -162,18 +164,6 @@ def _walk(f, contour: Contour,
             f"accumulated phase is {turns:.4f} turns, not close to an "
             f"integer")
     return int(nearest), walk
-
-
-def winding_number(f: Callable[[complex], complex], contour: Contour,
-                   problem: Optional[ScalarProblem] = None) -> int:
-    """Number of zeros of f enclosed by the contour (argument principle).
-
-    With a problem supplied, every sample is checked to sit in the
-    resolvent region first.  The accumulated phase must land within 0.1
-    turns of an integer; anything else means the bookkeeping failed and is
-    reported as a PhaseJump rather than rounded away.
-    """
-    return _walk(f, contour, problem)[0]
 
 
 def refine_root(f: Callable[[complex], complex], lam0: complex,

@@ -46,7 +46,6 @@ __all__ = [
     "as_system",
     "essential_spectrum_distance",
     "symbol_curve",
-    "classify_point",
     "classify_points",
     "char_roots",
     "QuadratureGrid",
@@ -422,18 +421,14 @@ def _degeneracy(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def classify_points(problem: ScalarProblem,
                     lams: Sequence[complex]) -> list[SpectralPoint]:
-    """``classify_point`` of every lambda, from one stacked root call."""
+    """Classify every lambda by the real parts and separation of its
+    roots, from one stacked root call."""
     lams = [complex(lam) for lam in lams]
     on_axis, coincide = _degeneracy(char_roots(problem.coeffs, lams))
     return [SpectralPoint(lam=lam, domain_status=(
                 "essential" if axis else
                 "indeterminate" if close else "resolvent"))
             for lam, axis, close in zip(lams, on_axis, coincide)]
-
-
-def classify_point(problem: ScalarProblem, lam: complex) -> SpectralPoint:
-    """Classify lambda by the real parts and separation of its roots."""
-    return classify_points(problem, [lam])[0]
 
 
 def symbol_curve(problem: ScalarProblem, zeta) -> np.ndarray:
@@ -614,6 +609,17 @@ class QuadratureGrid:
         return (self.half_width, int(self.nodes.size))
 
 
+def _window(half_width: float) -> float:
+    """X of the window [-X, X], refused unless X > 0 and 2X is finite."""
+    X = float(half_width)
+    if not X > 0:
+        raise ConfigError("half_width must be positive")
+    if not math.isfinite(2.0 * X):
+        raise ConfigError("half_width is too large: the window width "
+                          "2 * half_width overflows")
+    return X
+
+
 def build_grid(half_width: float, n_points: int,
                panel_order: int = DEFAULT_PANEL_ORDER) -> QuadratureGrid:
     """Composite Gauss-Legendre rule on [-X, X] with total weight 2X:
@@ -621,11 +627,9 @@ def build_grid(half_width: float, n_points: int,
     node count is rounded up to a full panel).  The panels are also the
     blocks of the determinant sweep.
     """
-    X = float(half_width)
     if panel_order < 1:
         raise ConfigError("panel_order must be at least 1")
-    if not X > 0:
-        raise ConfigError("half_width must be positive")
+    X = _window(half_width)
     if n_points < 4:
         raise ConfigError("need at least 4 quadrature points")
     panels = -(-n_points // panel_order)
@@ -659,8 +663,7 @@ class IntegrationParams:
     rtol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ConfigError("half_width must be positive and finite")
+        _window(self.half_width)
         if not (0.0 < self.rtol < 1e-2):
             raise ConfigError("rtol out of range (0, 1e-2)")
         if self.rtol < 1e-14:

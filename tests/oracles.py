@@ -1,0 +1,124 @@
+"""Reference code the tests compare the package against, written straight
+from the formulas and independent of the batched engine: pointwise Green's
+functions, dual rows and projectors of a basis, the weak-coupling
+transmission matrix and the plain node matrix of a kernel.  Last, the
+single-lambda reads of engine internals that several test files share.
+"""
+
+import numpy as np
+
+from wavedet import fredholm, greens
+from wavedet.errors import raise_first
+from wavedet.model import SystemProblem
+
+
+def scalar_green(x, xi, roots, alpha):
+    """Green's function of the unperturbed scalar operator at (x, xi): the
+    plus-root branch for x <= xi, the minus-root branch for xi < x."""
+    k, a = roots.k, np.array(alpha.alpha)
+    ks, cs = (roots.plus, a[:k]) if x <= xi else (roots.minus, a[k:])
+    return complex(np.sum(cs * np.exp(np.array(ks) * (x - xi))))
+
+
+def matrix_green(x, xi, basis):
+    """Matrix Green's function -Y0-(x) Z0+(xi) for x <= xi and
+    +Y0+(x) Z0-(xi) for xi < x, with unit jump across the diagonal; the
+    exponentials are combined as e^(kappa (x - xi)), so every factor
+    decays on its own branch."""
+    side = slice(None, basis.k) if x <= xi else slice(basis.k, None)
+    kappa = np.array(basis.roots.all)[side]
+    core = (basis.P[:, side] * np.exp(kappa * (x - xi))) @ basis.Pinv[side]
+    return -core if x <= xi else core
+
+
+def dual_rows(basis, x):
+    """Z0+(x) and Z0-(x), the rows of the inverse fundamental matrix that
+    pair with y_minus(x) and y_plus(x): z_plus(x) @ y_minus(x) = I_k."""
+    Z = basis.Pinv * np.exp(-np.array(basis.roots.all) * x)[:, None]
+    return Z[:basis.k], Z[basis.k:]
+
+
+def projectors(basis):
+    """Y0-(x) Z0+(x) and Y0+(x) Z0-(x), both constant in x."""
+    k = basis.k
+    return basis.P[:, :k] @ basis.Pinv[:k], basis.P[:, k:] @ basis.Pinv[k:]
+
+
+def born_transmission(system, lam, grid):
+    """One-term weak-coupling approximation of the transmission matrix:
+    the Jost minus solution in the pairing integral I + int Z0+ R Y- is
+    replaced by its unperturbed limit, on the quadrature rule of grid."""
+    basis = greens.system_basis(system, lam)
+    k = basis.k
+    kp = np.array(basis.roots.plus)
+    x = grid.nodes[:, None, None]
+    core = (basis.Pinv[:k] @ np.asarray(system.perturbation(grid.nodes),
+                                        dtype=complex) @ basis.P[:, :k])
+    phase = np.exp((kp[None, :] - kp[:, None]) * x)
+    return np.eye(k, dtype=complex) + np.einsum("t,tab->ab", grid.weights,
+                                                core * phase)
+
+
+def node_matrix(terms, grid, W):
+    """S_ij = K(x_i, x_j) W(x_j) w_j of the terms on the nodes, node-major,
+    shape (L, N c, N c), from W at the nodes; the diagonal takes the
+    x >= xi branch."""
+    xs, N = grid.nodes, grid.nodes.size
+    L, n, c = terms.u.shape
+    rows = np.einsum("ljc,tcd->ljtd", terms.r,
+                     W * grid.weights[:, None, None])
+    D = xs[:, None] - xs[None, :]
+    S = np.zeros((L, N, c, N, c), dtype=complex)
+    for j in range(n):
+        on = D < 0 if j < terms.k else D >= 0
+        # exp on this branch's side only: the other side could overflow
+        E = np.exp(terms.kappa[:, j, None, None] * D,
+                   out=np.zeros((L, N, N), dtype=complex), where=on)
+        S += np.einsum("xil,xa,xlc->xialc", E, terms.u[:, j], rows[:, j],
+                       optimize=True)
+    return S.reshape(L, N * c, N * c)
+
+
+def series_coefficients(problem, lam, grid):
+    """The first two expansion coefficients of det(I + K) of a scalar
+    problem: the trace of the plain node matrix (no product integration)
+    and the sum of its 2 x 2 principal minors."""
+    (_, terms), = fredholm._scalar_terms(problem, [lam])
+    S = node_matrix(terms, grid, fredholm._scalar_weight(problem)(
+        grid.nodes))[0]
+    t1 = complex(np.trace(S))
+    return t1, complex(0.5 * (t1 * t1 - np.sum(S * S.T)))
+
+
+def kernel_traces(kernel, grid):
+    """The engine's exact tr T^2 and tr T^3 of one lambda's kernel, given
+    as its terms and weight."""
+    terms, weight = kernel
+    samples = fredholm._sample(weight, grid)
+    tr2, tr3 = fredholm._traces(terms, samples, fredholm._subsub(samples))
+    return complex(tr2[0]), complex(tr3[0])
+
+
+def trace_powers(problem, lam, grid):
+    """``kernel_traces`` of one lambda's kernel as the determinants take
+    it: the scalar kernel of a problem, the matrix kernel of a system on
+    its column support, refused as the determinants refuse."""
+    if not isinstance(problem, SystemProblem):
+        (_, terms), = fredholm._scalar_terms(problem, [lam])
+        return kernel_traces((terms, fredholm._scalar_weight(problem)), grid)
+    *basis, refusals = greens.system_bases(problem, [lam])
+    raise_first(refusals)
+    (_, terms), = fredholm._system_terms(*basis, problem.column_support)
+    return kernel_traces((terms, fredholm._system_weight(problem, grid)),
+                         grid)
+
+
+def sign_traces(system, lam, grid):
+    """Both sign choices of the analytic system trace of one lambda, which
+    agree when the integrated diagonal of R - R_inf vanishes."""
+    _, k, P, Pinv, refusals = greens.system_bases(system, [lam])
+    raise_first(refusals)
+    W = fredholm._system_weight(system, grid)(grid.nodes)
+    plus, minus = fredholm._trace_pairs(P, Pinv, k, grid, W,
+                                        system.column_support)
+    return complex(plus[0]), complex(minus[0])

@@ -1,6 +1,9 @@
+import ast
+import inspect
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -79,10 +82,8 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     set of generators and one block sweep on the scalar terms, no dense
     matrix is assembled, and R - R_inf is sampled once, at the nodes, for
     the analytic system trace and its sign check."""
-    calls = {"_blocks": 0, "_sweep": 0, "_node_matrix": 0,
-             "decaying_part": 0}
+    calls = {"_blocks": 0, "_sweep": 0, "decaying_part": 0}
     for owner, name in ((fredholm, "_blocks"), (fredholm, "_sweep"),
-                        (fredholm, "_node_matrix"),
                         (wavedet.SystemProblem, "decaying_part")):
         def counted(*args, _fn=getattr(owner, name), _name=name,
                     **kwargs):
@@ -97,8 +98,7 @@ def test_det_shares_one_system_discretization(tmp_path, capsys,
     code, out, err = run_cli(capsys, "det", "--config", path, "--format",
                              "json")
     assert code == 0
-    assert calls == {"_blocks": 1, "_sweep": 1, "_node_matrix": 0,
-                     "decaying_part": 1}
+    assert calls == {"_blocks": 1, "_sweep": 1, "decaying_part": 1}
     pt = wavedet.builtin_problem("poschl_teller")
     sysm = wavedet.to_system(pt)
     grid = wavedet.build_grid(20.0, 200)
@@ -709,18 +709,14 @@ _PUBLIC_DIR = [
     "UnperturbedBasis", "WaveProfile", "WavedetError", "__builtins__",
     "__cached__", "__doc__", "__file__", "__loader__", "__name__",
     "__package__", "__path__", "__spec__", "__version__",
-    "alpha_coefficients", "basis_from_roots", "born_transmission",
-    "build_grid", "builtin_problem", "char_roots", "classify_point",
-    "classify_roots", "default_grid", "det1", "det2", "detp", "errors",
-    "essential_spectrum_distance", "evans", "evans_and_swinton",
-    "evans_function", "fredholm", "front_basis", "front_det2",
-    "front_reference", "front_split", "fronts", "greens", "identity_report",
-    "jost_minus", "jost_plus", "limit_normalization_check", "locate",
-    "locate_roots", "make_profile", "matrix_basis", "matrix_green", "model",
-    "reference_system", "refine_root", "scalar_green", "scan",
-    "series_coefficient", "swinton_matrix", "symbol_curve", "system_basis",
-    "tabulated_profile", "to_system", "trace_scalar", "trace_system",
-    "transmission_matrix", "unperturbed_bases", "winding_number"]
+    "alpha_coefficients", "basis_from_roots", "build_grid",
+    "builtin_problem", "char_roots", "classify_roots", "default_grid",
+    "det1", "det2", "detp", "errors", "essential_spectrum_distance", "evans",
+    "evans_and_swinton", "evans_function", "fredholm", "front_det2",
+    "front_reference", "fronts", "greens", "identity_report", "locate",
+    "locate_roots", "make_profile", "matrix_basis", "model",
+    "reference_system", "refine_root", "scan", "swinton_matrix",
+    "symbol_curve", "system_basis", "tabulated_profile", "to_system"]
 
 
 def test_lazy_package_keeps_its_public_api():
@@ -747,6 +743,37 @@ def test_lazy_package_keeps_its_public_api():
     assert evans.IntegrationParams is wavedet.model.IntegrationParams
     with pytest.raises(AttributeError, match="no_such_name"):
         wavedet.no_such_name
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+# documented entry points that no command, script or workload calls
+_ENTRY_POINTS = {"detp", "swinton_matrix", "essential_spectrum_distance",
+                 "tabulated_profile"}
+
+
+def test_every_public_function_has_a_caller():
+    """Each function of a submodule's __all__ is used by the package
+    outside its own top-level definition, by a script or by a benchmark
+    workload, unless it is a documented entry point: a public function
+    that only the tests call belongs in the tests.  Names in __all__, in
+    _HOMES and in docstrings are strings, so they do not count."""
+    used = set()
+    for path in [*(_ROOT / "src" / "wavedet").glob("*.py"),
+                 *(_ROOT / "scripts").glob("*.py"),
+                 _ROOT / "perfbench" / "workloads.py"]:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                # a loaded or stored name, or an attribute read
+                name = getattr(node, "id", None) or getattr(node, "attr",
+                                                             None)
+                if name and name != getattr(top, "name", None):
+                    used.add(name)
+    uncalled = [f"{sub}.{name}" for sub in wavedet._SUBMODULES
+                for module in [getattr(wavedet, sub)]
+                for name in getattr(module, "__all__", ())
+                if inspect.isfunction(getattr(module, name))
+                and name not in used | _ENTRY_POINTS]
+    assert uncalled == []
 
 
 # ---------------------------------------------------------------------------
@@ -885,9 +912,11 @@ _COMMAND_CONFIGS = {
                                    "evans.renorm_threshold"),
     ("evans.orthogonalize_interval=1.0", "unknown config key "
                                          "evans.orthogonalize_interval"),
-    ("domain.rule=trapezoid", "unknown config key domain.rule")],
+    ("domain.rule=trapezoid", "unknown config key domain.rule"),
+    ("domain.half_width=1e308", "half_width is too large: the window "
+                                "width 2 * half_width overflows")],
     ids=["quad_points", "rtol", "rtol_floor", "renorm_threshold",
-         "orthogonalize_interval", "rule"])
+         "orthogonalize_interval", "rule", "half_width_overflow"])
 def test_bad_grid_or_params_is_exit_2_before_any_lambda(
         tmp_path, capsys, monkeypatch, command, override, message):
     """Every command validates the grid and the Jost parameters with its

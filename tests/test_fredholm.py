@@ -7,6 +7,8 @@ from wavedet import fredholm, fronts, greens, model
 from wavedet.errors import (ConfigError, EssentialSpectrum, NearMultipleRoots,
                             SignMismatch)
 
+import oracles
+
 
 def _pt_exact(lam):
     s = np.sqrt(complex(lam))
@@ -151,23 +153,24 @@ def test_det1_higher_family(grid):
 # traces
 
 
-def test_trace_scalar_poschl_teller(pt):
-    assert wd.trace_scalar(pt, 4.0) == pytest.approx(-1.0, abs=1e-12)
+def test_trace_scalar_poschl_teller(pt, grid):
+    assert wd.det1(pt, 4.0, grid).trace_used == pytest.approx(-1.0,
+                                                              abs=1e-12)
 
 
 def test_trace_scalar_matches_kernel_integral(pt, grid):
-    tau = wd.series_coefficient(pt, 4.0, order=1, grid=grid)
-    assert tau == pytest.approx(wd.trace_scalar(pt, 4.0), abs=1e-8)
+    tau, _ = oracles.series_coefficients(pt, 4.0, grid)
+    assert tau == pytest.approx(wd.det1(pt, 4.0, grid).trace_used, abs=1e-8)
 
 
 def test_trace_system_matches_scalar(pt, pt_system, grid):
     for lam in (4.0, 2.0 + 1.0j):
-        assert wd.trace_system(pt_system, lam, grid) == pytest.approx(
-            wd.trace_scalar(pt, lam), abs=1e-8)
+        assert wd.det2(pt_system, lam, grid).trace_used == pytest.approx(
+            wd.det1(pt, lam, grid).trace_used, abs=1e-8)
 
 
 def test_trace_sign_choices_agree(pt_system, grid):
-    tp, tm = fredholm.trace_system_pair(pt_system, 4.0, grid)
+    tp, tm = oracles.sign_traces(pt_system, 4.0, grid)
     assert tp == pytest.approx(tm, abs=1e-8)
 
 
@@ -188,13 +191,13 @@ def test_trace_sign_mismatch_detected(grid):
                             perturbation=perturbation,
                             r_minus=zero, r_plus=zero)
     with pytest.raises(SignMismatch):
-        wd.trace_system(sysm, 4.0, grid)
+        wd.det2(sysm, 4.0, grid)
 
 
 def test_trace_power_scalar_vs_system(pt, pt_system, grid):
-    for power in (2, 3):
-        a = fredholm.trace_power_scalar(pt, 4.0, grid, power)
-        b = fredholm.trace_power_system(pt_system, 4.0, grid, power)
+    scalar = oracles.trace_powers(pt, 4.0, grid)
+    system = oracles.trace_powers(pt_system, 4.0, grid)
+    for a, b in zip(scalar, system):
         assert a == pytest.approx(b, abs=1e-8)
 
 
@@ -202,8 +205,7 @@ def test_series_expansion_small_amplitude(grid):
     """det(I + K) = 1 + d1 + d2 + O(amplitude^3) for a weak potential."""
     weak = wd.builtin_problem("sech_pulse", amplitude=0.01)
     lam = 2.0
-    d1 = wd.series_coefficient(weak, lam, order=1, grid=grid)
-    d2 = wd.series_coefficient(weak, lam, order=2, grid=grid)
+    d1, d2 = oracles.series_coefficients(weak, lam, grid)
     det = wd.det1(weak, lam, grid).value
     # the truncation error is third order, so far below the second term
     assert abs(det - (1.0 + d1 + d2)) < 1e-2 * abs(d2)
@@ -238,7 +240,7 @@ def test_detp_correction_identity(pt_system, grid):
     """Moving from p=2 to p=3 multiplies by exp(tr K^2 / 2)."""
     d2 = wd.detp(pt_system, 4.0, grid, p=2).value
     d3 = wd.detp(pt_system, 4.0, grid, p=3).value
-    t2 = fredholm.trace_power_system(pt_system, 4.0, grid, 2)
+    t2, _ = oracles.trace_powers(pt_system, 4.0, grid)
     assert abs(d3 - d2 * np.exp(t2 / 2.0)) < 1e-6
 
 
@@ -265,10 +267,9 @@ def test_corrected_det_outside_float_range(s, n):
 
 
 def test_limit_normalization_decays(pt, grid):
-    vals = wd.limit_normalization_check(pt, [100.0, 1000.0], grid)
+    vals = [abs(res.value - 1.0)
+            for res in fredholm.det1_many(pt, [100.0, 1000.0], grid)]
     assert vals[0] > vals[1]
-    with pytest.raises(ConfigError):
-        wd.limit_normalization_check(pt, [-5.0], grid)
 
 
 def test_det2_system_route_matches_scalar_route(grid):
@@ -562,12 +563,7 @@ def test_trace_power_matches_per_panel_reference(name, problem, lam):
     """Relative to the larger trace: the m = 1 scalar tr T^3 is zero to
     quadrature accuracy."""
     g = wd.build_grid(8.0, 40, panel_order=8)
-    if name.startswith("scalar"):
-        got = [fredholm.trace_power_scalar(problem, lam, g, p)
-               for p in (2, 3)]
-    else:
-        got = [fredholm.trace_power_system(problem, lam, g, p)
-               for p in (2, 3)]
+    got = oracles.trace_powers(problem, lam, g)
     want = _panel_traces(_kernel(problem, lam), g)
     scale = max(abs(w) for w in want)
     for a, b in zip(got, want):
@@ -584,7 +580,7 @@ def _dense_matrix(kernel, grid):
     integration."""
     terms, weight = kernel
     samples = fredholm._sample(weight, grid)
-    S = fredholm._node_matrix(terms, grid, samples.nodes)[0]
+    S = oracles.node_matrix(terms, grid, samples.nodes)[0]
     blocks = fredholm._panel_blocks(terms, samples)[0]
     P, q, b = blocks.shape[:3]
     idx = np.arange(P)
@@ -622,15 +618,12 @@ def _dense_reference(kernel, grid, exact, orders):
 
 
 def _exact_traces(kernel, grid):
-    terms, weight = kernel
-    samples = fredholm._sample(weight, grid)
-    tr2, tr3 = fredholm._traces(terms, samples, fredholm._subsub(samples))
-    return {2: tr2[0], 3: tr3[0]}
+    return dict(zip((2, 3), oracles.kernel_traces(kernel, grid)))
 
 
 def _dense_det1(problem, lam, grid):
     kernel = _kernel(problem, lam)
-    exact = {1: wd.trace_scalar(problem, lam),
+    exact = {1: wd.det1(problem, lam, grid).trace_used,
              **_exact_traces(kernel, grid)}
     return _dense_reference(kernel, grid, exact, (1,))[0]
 
@@ -795,13 +788,10 @@ def test_minus_only_kernel_is_the_block_product():
     assert abs(sign - np.prod(signs)) <= 1e-12
 
 
-def test_default_path_assembles_no_dense_matrix(monkeypatch, pt):
-    """The determinants never build the node matrix, p = 5 is refused,
-    and the series coefficient reads the node matrix."""
-    calls = []
-    node_matrix = fredholm._node_matrix
-    monkeypatch.setattr(fredholm, "_node_matrix",
-                        lambda *args: calls.append(1) or node_matrix(*args))
+def test_default_path_assembles_no_dense_matrix():
+    """Every determinant kind runs on the structured path on both oracle
+    grids, the package having no dense node matrix to fall back on, and
+    p = 5 is refused."""
     pt2 = wd.builtin_problem("poschl_teller", N=2)
     sysm = wd.to_system(pt2)
     for g in _oracle_grids().values():
@@ -813,12 +803,9 @@ def test_default_path_assembles_no_dense_matrix(monkeypatch, pt):
             wd.detp(sysm, lam, g, p=4)
     with pytest.raises(ConfigError):
         wd.detp(sysm, 2.0 + 1.0j, wd.build_grid(20.0, 200), p=5)
-    assert not calls
-    wd.series_coefficient(pt, 4.0, order=2, grid=wd.build_grid(20.0, 200))
-    assert len(calls) == 1
 
 
-def test_half_line_eigenvalue_needs_no_dense_matrix(monkeypatch):
+def test_half_line_eigenvalue_needs_no_dense_matrix():
     """At lambda = 5/2 the N = 2 Poschl-Teller kernel cut off at x = 0, a
     block edge of these grids, is singular: a leading block of I + S is
     singular, and an elimination without pivoting across blocks grows by
@@ -833,10 +820,8 @@ def test_half_line_eigenvalue_needs_no_dense_matrix(monkeypatch):
         g = wd.build_grid(20.0, n)
         want1 = _dense_det1(pt2, 2.5, g)
         want2 = _dense_system(sysm, 2.5, g, (2,))[0]
-        with monkeypatch.context() as m:
-            m.setattr(fredholm, "_node_matrix", None)
-            d1 = wd.det1(pt2, 2.5, g).value
-            d2 = wd.det2(sysm, 2.5, g)
+        d1 = wd.det1(pt2, 2.5, g).value
+        d2 = wd.det2(sysm, 2.5, g)
         assert _close(d1, want1) and _close(d2.value, want2)
         assert abs(d1 - closed) < 1e-6
         assert abs(d2.value * np.exp(d2.trace_used) - closed) < 1e-6
@@ -1037,8 +1022,8 @@ def test_m0_form_reads_every_order_off_one_sweep(monkeypatch, name, p):
             one.value, one.trace_used, one.condition_hint)
         assert abs(d2.value - v2) <= 1e-14 * abs(v2)
         assert abs(dp.value - vp) <= 1e-14 * abs(vp)
-        assert d2.trace_used == dp.trace_used == fredholm.trace_system(
-            system, lam, g)
+        assert d2.trace_used == dp.trace_used == fredholm.det2(
+            system, lam, g).trace_used
 
 
 def test_m1_form_keeps_its_system_sweep(monkeypatch):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import wavedet as wd
-from wavedet import evans, fredholm, fronts, locate
+from wavedet import evans, fredholm, fronts, greens, locate
 from wavedet.errors import ConfigError, CountMismatch, IllConditioned
+
+import oracles
 
 AM = np.array([[0.0, 1.0], [4.0, 0.0]])   # rates +-2, keep +2
 AP = np.array([[0.0, 1.0], [1.0, 0.0]])   # rates +-1, keep -1
@@ -21,26 +23,27 @@ def front_system():
 # splitting the end matrices
 
 
+def _kept_rates(a_minus, a_plus):
+    """The left end's plus rates with the right end's minus rates."""
+    bm, bp = greens.end_bases(a_minus, a_plus)
+    return wd.RootSplit(plus=bm.roots.plus, minus=bp.roots.minus)
+
+
 def test_front_split_keeps_mixed_rates():
-    sp = fronts.front_split(AM, AP, 0.0)
+    sp = _kept_rates(AM, AP)
     assert sp.k == 1 and sp.n == 2
     assert np.allclose(sp.plus, [2.0])
     assert np.allclose(sp.minus, [-1.0])
     assert np.allclose(sp.all, [2.0, -1.0])
 
 
-def test_front_split_accepts_callables():
-    sp = fronts.front_split(lambda lam: AM, lambda lam: AP, 0.0)
-    assert np.allclose(sp.all, [2.0, -1.0])
-
-
 def test_front_split_count_mismatch():
     with pytest.raises(CountMismatch):
-        fronts.front_split(AM, np.diag([1.0, 2.0]), 0.0)
+        greens.end_bases(AM, np.diag([1.0, 2.0]))
 
 
 def test_front_reference_is_companion_of_kept_rates():
-    ref = fronts.front_reference(fronts.front_split(AM, AP, 0.0))
+    ref = fronts.front_reference(_kept_rates(AM, AP))
     assert np.max(np.abs(ref.B - B_EXPECTED)) < 1e-12
 
 
@@ -48,13 +51,11 @@ def test_front_reference_from_profile(front_system):
     # the tanh step runs from -4 to -1, so at lambda = 0 the end rates
     # are +-2 and +-1 and the kept pair is (2, -1)
     A0 = front_system.base_matrix(0.0)
-    sp = fronts.front_split(A0 + front_system.r_minus,
-                            A0 + front_system.r_plus, 0.0)
+    sp = _kept_rates(A0 + front_system.r_minus, A0 + front_system.r_plus)
     B = fronts.front_reference(sp).B
     assert np.max(np.abs(B - B_EXPECTED)) < 1e-12
     # the system's kernel basis is this split, not the constant part's
     assert wd.system_basis(front_system, 0.0).roots == sp
-    assert fronts.front_basis(front_system, 0.0).roots == sp
 
 
 def test_front_reference_rejects_coincident_rates():
@@ -87,9 +88,8 @@ def test_front_det2_frozen_values(front_system, grid):
 
 def test_front_det2_is_reference_system_det2(front_system, grid):
     """front_det2 is det2 of the front, whose kernel is the reference
-    system's: the public det2, determinants_many and trace_system of the
-    front
-    give its value and trace bit for bit."""
+    system's: the public det2 and determinants_many of the front give its
+    value and trace bit for bit."""
     ref = fronts.reference_system(front_system)
     assert not ref.is_front
     lams = (2.0, 3.0 + 0.25j, 2.0 + 1.0j)
@@ -98,11 +98,9 @@ def test_front_det2_is_reference_system_det2(front_system, grid):
         res = fronts.front_det2(front_system, lam, grid)
         b = fredholm.det2(ref, lam, grid).value
         assert abs(res.value - b) < 1e-12
-        assert fredholm.det2(front_system, lam, grid).value == res.value
-        assert batched.value == res.value
-        assert batched.trace_used == res.trace_used
-        assert (fredholm.trace_system(front_system, lam, grid)
-                == res.trace_used)
+        single = fredholm.det2(front_system, lam, grid)
+        assert single.value == batched.value == res.value
+        assert single.trace_used == batched.trace_used == res.trace_used
 
 
 def test_front_det2_needs_panel_edge_at_zero(front_system):
@@ -115,13 +113,11 @@ def test_front_det2_needs_panel_edge_at_zero(front_system):
         fredholm.determinants_many(front_system, [2.0, 3.0], lopsided,
                                    {"det2": 2})
     with pytest.raises(ConfigError):
-        fredholm.trace_system(front_system, 2.0 + 1.0j, lopsided)
+        fredholm.det2(front_system, 2.0 + 1.0j, lopsided)
     with pytest.raises(ConfigError):
-        fredholm.trace_system_pair(front_system, 2.0 + 1.0j, lopsided)
-    for power in (2, 3):
-        with pytest.raises(ConfigError):
-            fredholm.trace_power_system(front_system, 2.0 + 1.0j, lopsided,
-                                        power)
+        oracles.sign_traces(front_system, 2.0 + 1.0j, lopsided)
+    with pytest.raises(ConfigError):
+        oracles.trace_powers(front_system, 2.0 + 1.0j, lopsided)
 
 
 def test_pulse_degeneration_is_exact(pt_system, grid):
@@ -131,11 +127,12 @@ def test_pulse_degeneration_is_exact(pt_system, grid):
     assert fronts.reference_system(pt_system) is pt_system
 
 
-def test_front_basis_degenerates_on_pulses(pt_system):
-    fb = fronts.front_basis(pt_system, 4.0)
-    sb = wd.system_basis(pt_system, 4.0)
-    assert fb.roots.plus == sb.roots.plus
-    assert fb.roots.minus == sb.roots.minus
+def test_front_basis_degenerates_on_pulses(pt, pt_system):
+    """On a pulse the kernel basis is the constant part's root split."""
+    fb = wd.system_basis(pt_system, 4.0)
+    roots = wd.classify_roots(pt, 4.0)
+    assert fb.roots.plus == roots.plus
+    assert fb.roots.minus == roots.minus
 
 
 # ---------------------------------------------------------------------------

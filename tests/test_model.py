@@ -258,14 +258,15 @@ def test_classify_points_match_classify_point(pt):
     lams = [4.0, -1.0, 0.0, 2.0 + 1.0j, 1.0]
     for problem in (pt, double):
         points = model.classify_points(problem, lams)
-        assert points == [wd.classify_point(problem, lam) for lam in lams]
+        assert points == [model.classify_points(problem, [lam])[0]
+                          for lam in lams]
     assert [p.domain_status for p in points] == [
         "resolvent", "resolvent", "indeterminate", "resolvent", "essential"]
 
 
 def test_classify_point_statuses(pt):
-    assert wd.classify_point(pt, 4.0).domain_status == "resolvent"
-    assert wd.classify_point(pt, -1.0).domain_status == "essential"
+    assert [p.domain_status for p in model.classify_points(
+        pt, [4.0, -1.0])] == ["resolvent", "essential"]
 
 
 def test_essential_spectrum_distance(pt):
