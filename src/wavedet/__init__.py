@@ -37,8 +37,7 @@ _HOMES = {
         "QuadratureGrid", "build_grid", "default_grid", "IntegrationParams"),
         "model"),
     **dict.fromkeys((
-        "RootSplit", "GreenCoefficients", "UnperturbedBasis",
-        "classify_roots", "alpha_coefficients", "basis_from_roots",
+        "RootSplit", "UnperturbedBasis", "basis_from_roots",
         "system_basis", "matrix_basis"), "greens"),
     **dict.fromkeys((
         "DeterminantResult", "det1", "det2", "detp"), "fredholm"),

@@ -272,6 +272,8 @@ class Run:
                               "output")
         if self.output["format"] not in ("csv", "json"):
             raise ConfigError("output.format must be 'csv' or 'json'")
+        if not isinstance(self.output["path"], (str, type(None))):
+            raise ConfigError("output.path must be a string or null")
         self.grid = model.build_grid(
             _as_float(self.domain["half_width"], "domain.half_width"),
             _as_int(self.domain["quad_points"], "domain.quad_points"),
@@ -405,31 +407,29 @@ def _render(run, columns, rows, extras=None):
 
 
 def cmd_roots(run):
-    """Characteristic roots, kernel weights, and the interface residuals."""
+    """Characteristic roots, kernel weights and interface residuals of the
+    constant part (of a front too), from one ``greens.green_data`` call."""
     from . import greens
     lams = run.lambdas()
     n = run.problem.order
+    kappa, ks, alphas, conds = greens.green_data(run.problem, lams)
 
-    def one(lam):
-        roots, coeff = greens.green_data(run.problem, lam)
-        kall = np.array(roots.all)
-        alpha = np.array(coeff.alpha)
-        signs = np.array([1.0] * roots.k + [-1.0] * (n - roots.k))
+    def row(lam, kall, k, alpha, cond):
+        signs = np.array([1.0] * k + [-1.0] * (n - k))
         M = (kall[None, :] ** np.arange(n)[:, None]) * signs[None, :]
-        rhs = np.zeros(n, dtype=complex)
-        rhs[-1] = -1.0
-        resid = M @ alpha - rhs
+        resid = M @ alpha
+        resid[-1] += 1.0        # the right side is -e_(n-1)
         jump = float(abs(resid[-1]))
         moment = float(np.max(np.abs(resid[:-1]))) if n > 1 else 0.0
-        return ([lam, roots.k] + list(kall) + list(alpha)
-                + [jump, moment, coeff.condition])
+        return [lam, k] + list(kall) + list(alpha) + [jump, moment, cond]
 
     columns = ([("lambda", "c"), ("k", "i")]
                + [(f"root_{j + 1}", "c") for j in range(n)]
                + [(f"alpha_{j + 1}", "c") for j in range(n)]
                + [("jump_residual", "f"), ("moment_residual", "f"),
                   ("condition", "f")])
-    return _render(run, columns, run.map(one, lams))
+    return _render(run, columns, [row(*values) for values in zip(
+        lams, kappa, ks, alphas, conds)])
 
 
 def cmd_det(run):

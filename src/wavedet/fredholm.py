@@ -114,12 +114,6 @@ class DeterminantResult:
     condition_hint: float
 
 
-def _panel_edges(grid: QuadratureGrid) -> np.ndarray:
-    """The edges of the N / q equal panels of a grid, ascending."""
-    return np.linspace(-grid.half_width, grid.half_width,
-                       grid.nodes.size // grid.panel_order + 1)
-
-
 def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """L[..., j] = j-th Lagrange basis polynomial of panel_nodes at pts."""
     L = np.ones(pts.shape + (panel_nodes.size,))
@@ -265,7 +259,7 @@ def _system_weight(system: SystemProblem, grid: QuadratureGrid) -> Callable:
     """W_c = -(R - R_inf) on the column support, shape x.shape + (n, c), to
     be integrated on grid.  A front's W jumps at x = 0, so the grid must
     put a panel edge there."""
-    if system.is_front and float(np.min(np.abs(_panel_edges(grid)))) > 1e-9:
+    if system.is_front and float(np.min(np.abs(grid.edges))) > 1e-9:
         raise ConfigError("front quadrature needs a panel edge at x = 0; "
                           "use a node count divisible into an even panel "
                           "split")
@@ -307,9 +301,8 @@ class _Samples:
 def _panel_points(grid: QuadratureGrid, ref: np.ndarray) -> np.ndarray:
     """Reference-panel points ref mapped onto every panel of a grid, shape
     ref.shape + (P,)."""
-    edges = _panel_edges(grid)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    rad = (edges[1:] - edges[:-1]) / 2.0
+    mid = (grid.edges[1:] + grid.edges[:-1]) / 2.0
+    rad = (grid.edges[1:] - grid.edges[:-1]) / 2.0
     return mid + rad * ref[..., None]
 
 
@@ -325,7 +318,7 @@ def _on_panels(weight: Callable, grid: QuadratureGrid,
 def _sample(weight: Callable, grid: QuadratureGrid) -> _Samples:
     q = grid.panel_order
     return _Samples(grid, weight, weight(grid.nodes),
-                    grid.half_width / (grid.nodes.size // q),
+                    grid.half_width / grid.panels,
                     _on_panels(weight, grid, _sample_points(q)[0]))
 
 
@@ -403,8 +396,7 @@ def _traces(terms: _Terms, samples: _Samples,
     t, _, sub, sub_w, _, sub2, sub2_w = _panel_tables(grid.panel_order)
     kap, r, u, k = terms.kappa, terms.r, terms.u, terms.k
     L, n = kap.shape
-    q = t.size
-    P = grid.nodes.size // q
+    q, P = t.size, grid.panels
     wts = grid.weights.reshape(P, q).T
     E = terms.elements(samples.nodes).reshape(L, n, n, P, q).swapaxes(-1, -2)
     Ws = samples.panel[0]
@@ -502,8 +494,8 @@ def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
     grid = samples.grid
     x, q, k = grid.nodes, grid.panel_order, terms.k
     L, n, c = terms.u.shape
-    xs = x.reshape(-1, q)
-    P = xs.shape[0]
+    P = grid.panels
+    xs = x.reshape(P, q)
     edges = np.concatenate([x[:1], (xs[:-1, -1] + xs[1:, 0]) / 2.0, x[-1:]])
     rows = np.einsum("ljc,tcd->ljtd", terms.r,
                      samples.nodes * grid.weights[:, None, None])

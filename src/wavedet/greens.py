@@ -10,9 +10,11 @@ with the interface weights alpha_j; the matrix Green's function of the
 companion system pairs the decaying solution bases with their duals, the
 columns of the Vandermonde frame P of the roots and the rows of its
 inverse, off whose last column alpha is read.  This module decides the
-splits, the weights and the bases; :mod:`wavedet.fredholm` assembles both
-kernels from them as sums of rank-one terms per root and never evaluates
-a Green's function pointwise.
+splits, the weights and the bases of a whole lambda batch at once, from
+one stacked root split (``_split``): ``green_data`` gives a scalar
+problem's roots and weights, ``system_bases`` a system's bases.
+:mod:`wavedet.fredholm` assembles both kernels from them as sums of
+rank-one terms per root and never evaluates a Green's function pointwise.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ from .model import ScalarProblem, SystemProblem
 
 __all__ = [
     "RootSplit",
-    "GreenCoefficients",
     "UnperturbedBasis",
-    "classify_roots",
-    "alpha_coefficients",
     "basis_from_roots",
     "system_basis",
     "system_basis_list",
@@ -68,14 +67,6 @@ class RootSplit:
     @property
     def all(self) -> tuple:
         return self.plus + self.minus
-
-
-@dataclass(frozen=True)
-class GreenCoefficients:
-    """Weights alpha_1..alpha_n of the two-sided exponential kernel."""
-
-    alpha: tuple
-    condition: float
 
 
 @dataclass
@@ -153,40 +144,24 @@ def _vandermonde(kappa: np.ndarray, refusals: list) -> tuple:
 
 def _alpha(k: np.ndarray, Pinv: np.ndarray) -> np.ndarray:
     """The kernel weights alpha (L, n) of L splits with plus-root counts k
-    (L,), read off their inverse frames (``alpha_coefficients``)."""
+    (L,), read off their inverse frames.  The interface system (the kernel
+    and its first n-2 x-derivatives continuous across x = xi, a unit jump
+    in the next) is the frame P with its minus columns negated and right
+    side -e_(n-1), so alpha_j is -Pinv[j, n-1] for a plus root and
+    +Pinv[j, n-1] for a minus root."""
     last = Pinv[..., -1]
     return np.where(np.arange(last.shape[-1]) < k[:, None], -last, last)
 
 
-def classify_roots(problem: ScalarProblem, lam: complex) -> RootSplit:
-    """Split the characteristic roots at lambda, refusing degenerate cases."""
-    kappa, k, refusals = _split(problem, [lam])
+def green_data(problem: ScalarProblem, lams) -> tuple:
+    """The root split and kernel weights of every lambda from one stacked
+    pass: kappa (L, n), plus roots first, the plus-root counts k (L,), the
+    weights alpha (L, n) and the condition numbers of the frames (L,).
+    The first refused lambda in input order raises its refusal."""
+    kappa, k, refusals = _split(problem, lams)
+    _, Pinv, cond = _vandermonde(kappa, refusals)
     raise_first(refusals)
-    roots = [complex(z) for z in kappa[0]]
-    return RootSplit(plus=tuple(roots[:k[0]]), minus=tuple(roots[k[0]:]))
-
-
-def alpha_coefficients(roots: RootSplit) -> GreenCoefficients:
-    """The kernel weights, which solve the interface conditions.
-
-    Row l of the system encodes continuity of the l-th x-derivative of the
-    kernel across x = xi (l <= n-2) and the unit jump in the top one: the
-    matrix column for a plus root kappa is (1, kappa, ..., kappa^(n-1)), for
-    a minus root the negative of that, and the right side is -e_{n-1}.  So
-    the matrix is the Vandermonde frame P with its minus columns negated,
-    and alpha_j is -Pinv[j, n-1] for a plus root, +Pinv[j, n-1] for a minus
-    root, with the condition number of P.
-    """
-    refusals = [None]
-    _, Pinv, cond = _vandermonde(np.array([roots.all]), refusals)
-    raise_first(refusals)
-    alpha = _alpha(np.array([roots.k]), Pinv)[0]
-    return GreenCoefficients(alpha=tuple(alpha), condition=float(cond[0]))
-
-
-def green_data(problem: ScalarProblem, lam: complex):
-    roots = classify_roots(problem, lam)
-    return roots, alpha_coefficients(roots)
+    return kappa, k, _alpha(k, Pinv), cond
 
 
 def basis_from_roots(roots: RootSplit,

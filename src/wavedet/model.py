@@ -597,18 +597,6 @@ DEFAULT_POINTS = 400
 DEFAULT_PANEL_ORDER = 10
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    half_width: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    panel_order: int = DEFAULT_PANEL_ORDER
-
-    @property
-    def signature(self) -> tuple:
-        return (self.half_width, int(self.nodes.size))
-
-
 def _window(half_width: float) -> float:
     """X of the window [-X, X], refused unless X > 0 and 2X is finite."""
     X = float(half_width)
@@ -620,26 +608,50 @@ def _window(half_width: float) -> float:
     return X
 
 
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Composite Gauss-Legendre rule on [-X, X] with total weight 2X:
+    ``panels`` equal panels of ``panel_order`` points, also the blocks of
+    the determinant sweep.  Its edges, nodes and weights are derived when
+    it is built and take no part in ==, hash or repr."""
+
+    half_width: float
+    panels: int
+    panel_order: int = DEFAULT_PANEL_ORDER
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.panel_order < 1:
+            raise ConfigError("panel_order must be at least 1")
+        X = _window(self.half_width)
+        if self.panels * self.panel_order < 4:
+            raise ConfigError("need at least 4 quadrature points")
+        ref_x, ref_w = np.polynomial.legendre.leggauss(self.panel_order)
+        edges = np.linspace(-X, X, self.panels + 1)
+        mid = (edges[1:] + edges[:-1]) / 2.0
+        rad = (edges[1:] - edges[:-1]) / 2.0
+        for name, value in (
+                ("half_width", X), ("edges", edges),
+                ("nodes", (mid[:, None] + rad[:, None] * ref_x).ravel()),
+                ("weights", (rad[:, None] * ref_w).ravel())):
+            object.__setattr__(self, name, value)
+
+    @property
+    def signature(self) -> tuple:
+        return (self.half_width, self.panels * self.panel_order)
+
+
 def build_grid(half_width: float, n_points: int,
                panel_order: int = DEFAULT_PANEL_ORDER) -> QuadratureGrid:
-    """Composite Gauss-Legendre rule on [-X, X] with total weight 2X:
-    ceil(N / panel_order) equal panels with panel_order points each (the
-    node count is rounded up to a full panel).  The panels are also the
-    blocks of the determinant sweep.
-    """
+    """The grid of ceil(N / panel_order) panels on [-X, X]."""
     if panel_order < 1:
         raise ConfigError("panel_order must be at least 1")
     X = _window(half_width)
     if n_points < 4:
         raise ConfigError("need at least 4 quadrature points")
-    panels = -(-n_points // panel_order)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(panel_order)
-    edges = np.linspace(-X, X, panels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    rad = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + rad[:, None] * ref_x[None, :]).ravel()
-    weights = (rad[:, None] * ref_w[None, :]).ravel()
-    return QuadratureGrid(X, nodes, weights, panel_order)
+    return QuadratureGrid(X, -(-n_points // panel_order), panel_order)
 
 
 def default_grid() -> QuadratureGrid:

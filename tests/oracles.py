@@ -12,12 +12,13 @@ from wavedet.errors import raise_first
 from wavedet.model import SystemProblem
 
 
-def scalar_green(x, xi, roots, alpha):
-    """Green's function of the unperturbed scalar operator at (x, xi): the
-    plus-root branch for x <= xi, the minus-root branch for xi < x."""
-    k, a = roots.k, np.array(alpha.alpha)
-    ks, cs = (roots.plus, a[:k]) if x <= xi else (roots.minus, a[k:])
-    return complex(np.sum(cs * np.exp(np.array(ks) * (x - xi))))
+def scalar_green(x, xi, kappa, k, alpha):
+    """Green's function of the unperturbed scalar operator at (x, xi) from
+    one lambda's roots kappa (plus roots first), plus-root count k and
+    weights alpha: the plus-root branch for x <= xi, the minus-root branch
+    for xi < x."""
+    side = slice(None, k) if x <= xi else slice(k, None)
+    return complex(np.sum(alpha[side] * np.exp(kappa[side] * (x - xi))))
 
 
 def matrix_green(x, xi, basis):
@@ -77,6 +78,13 @@ def node_matrix(terms, grid, W):
         S += np.einsum("xil,xa,xlc->xialc", E, terms.u[:, j], rows[:, j],
                        optimize=True)
     return S.reshape(L, N * c, N * c)
+
+
+def green_row(problem, lam):
+    """``greens.green_data`` of one lambda: its roots kappa (plus roots
+    first), plus-root count k, weights alpha and frame condition number."""
+    kappa, k, alpha, cond = greens.green_data(problem, [lam])
+    return kappa[0], int(k[0]), alpha[0], float(cond[0])
 
 
 def series_coefficients(problem, lam, grid):

@@ -68,15 +68,12 @@ def test_interface_identities_random_battery():
         problem = wd.ScalarProblem(order=n, coeffs=coeffs, profile=prof)
         lam = complex(rng.uniform(0.5, 6.0), rng.uniform(-3.0, 3.0))
         try:
-            roots = wd.classify_roots(problem, lam)
-            coeff = wd.alpha_coefficients(roots)
-            basis = wd.basis_from_roots(roots)
+            kall, k, alpha, _ = oracles.green_row(problem, lam)
+            basis = wd.basis_from_roots(greens.RootSplit(
+                plus=tuple(kall[:k]), minus=tuple(kall[k:])))
         except (EssentialSpectrum, NearMultipleRoots, IllConditioned):
             continue
         done += 1
-        k = roots.k
-        kall = np.array(roots.all)
-        alpha = np.array(coeff.alpha)
         signs = np.array([1.0] * k + [-1.0] * (n - k))
         M = (kall[None, :] ** np.arange(n)[:, None]) * signs[None, :]
         rhs = np.zeros(n, dtype=complex)
@@ -121,8 +118,8 @@ def test_free_kernel_closed_form():
     for _ in range(20):
         x, xi = rng.uniform(-3.0, 3.0, 2)
         lam = complex(rng.uniform(0.5, 8.0), rng.uniform(-2.0, 2.0))
-        roots, coeff = greens.green_data(free, lam)
-        got = oracles.scalar_green(float(x), float(xi), roots, coeff)
+        got = oracles.scalar_green(float(x), float(xi),
+                                   *oracles.green_row(free, lam)[:3])
         s = np.sqrt(lam)
         if s.real < 0:
             s = -s

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wavedet
-from wavedet import cli, evans, fredholm, fronts, locate
+from wavedet import cli, evans, fredholm, fronts, greens, locate
 from wavedet.errors import WavedetError
 
 PT = {"problem": {"name": "poschl_teller"}}
@@ -419,6 +419,72 @@ def test_roots_row_layout(tmp_path, capsys):
     assert float(row["moment_residual"]) < 1e-12
 
 
+# wavedet roots on poschl_teller N=2 at lambda = 4, 2.5 and 3 + 1.5i
+_ROOTS_PT2 = "\n".join((
+    "# wavedet 0.1.0",
+    '# config {"command":"roots","domain":{"half_width":20.0,'
+    '"panel_order":10,"quad_points":400},"evans":{"rtol":1e-10},'
+    '"lambdas":[{"im":0.0,"re":4.0},{"im":0.0,"re":2.5},{"im":1.5,'
+    '"re":3.0}],"matching_point":0.0,"output":{"format":"csv",'
+    '"path":null},"problem":{"name":"poschl_teller","params":{"N":2}}}',
+    "re_lambda,im_lambda,k,re_root_1,im_root_1,re_root_2,im_root_2,"
+    "re_alpha_1,im_alpha_1,re_alpha_2,im_alpha_2,jump_residual,"
+    "moment_residual,condition",
+    "4.0,0.0,1,2.0,-0.0,-2.0,0.0,-0.25,-0.0,-0.25,0.0,0.0,0.0,"
+    "1.9999999999999993",
+    "2.5,0.0,1,1.5811388300841898,-0.0,-1.5811388300841898,0.0,"
+    "-0.31622776601683794,-0.0,-0.31622776601683794,0.0,0.0,0.0,"
+    "1.58113883008419",
+    "3.0,1.5,1,1.7824283949502269,0.4207742662340965,-1.7824283949502269,"
+    "-0.4207742662340965,-0.2657087370756367,0.06272532416546894,"
+    "-0.2657087370756367,0.06272532416546894,1.7956614500671822e-17,0.0,"
+    "1.8314207507423532",
+    ""))
+
+
+def test_roots_prints_its_pinned_bytes(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "problem": {"name": "poschl_teller", "params": {"N": 2}},
+        "lambdas": [4.0, 2.5, {"re": 3.0, "im": 1.5}]})
+    assert run_cli(capsys, "roots", "--config", path) == (0, _ROOTS_PT2, "")
+
+
+def test_roots_splits_the_lambda_batch_once(tmp_path, capsys, monkeypatch):
+    """The roots command reads every lambda row off one stacked root
+    split."""
+    calls = []
+    split = greens._split
+
+    def counted(problem, lams):
+        calls.append(len(lams))
+        return split(problem, lams)
+
+    monkeypatch.setattr(greens, "_split", counted)
+    path = write_config(tmp_path, {"lambdas": [4.0, 9.0, {"re": 2.0,
+                                                          "im": 1.0}, 0.5]})
+    code, out, err = run_cli(capsys, "roots", "--config", path)
+    assert code == 0 and err == "" and len(csv_rows(out)[1]) == 4
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("lams,kind,lam", [
+    ([3.0, 1.0, 0.0], "EssentialSpectrum", "(1+0j)"),
+    ([3.0, 0.0, 1.0], "NearMultipleRoots", "0j")])
+def test_roots_refuses_with_the_first_failing_lambda(tmp_path, capsys, lams,
+                                                     kind, lam):
+    """kappa^2 + 2 kappa + 1 - lambda has a root at 0 for lambda = 1 and a
+    double root at -1 for lambda = 0: the batch fails like its first
+    failing lambda in input order."""
+    path = write_config(tmp_path, {
+        "problem": {"order": 2, "coeffs": [1.0, 2.0],
+                    "profile": {"kind": "sech2"}},
+        "lambdas": lams})
+    code, out, err = run_cli(capsys, "roots", "--config", path)
+    obj = err_object(err)
+    assert code == 3 and out == "" and obj["type"] == kind
+    assert f"lambda={lam} " in obj["message"]
+
+
 def test_locate_finds_the_bound_state(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -702,15 +768,15 @@ def test_front_commands_load_no_fronts_module(command, extra, tmp_path):
 _PUBLIC_DIR = [
     "ConfigError", "Contour", "CountMismatch", "DeterminantResult",
     "EssentialSpectrum", "EvansResult", "FrontReference",
-    "GreenCoefficients", "IllConditioned", "IntegrationParams",
+    "IllConditioned", "IntegrationParams",
     "JostSolution", "NearMultipleRoots", "NoConvergence", "PhaseJump",
     "QuadratureGrid", "RootReport", "RootSplit", "ScalarProblem",
     "SignMismatch", "SpectralPoint", "StiffnessFailure", "SystemProblem",
     "UnperturbedBasis", "WaveProfile", "WavedetError", "__builtins__",
     "__cached__", "__doc__", "__file__", "__loader__", "__name__",
     "__package__", "__path__", "__spec__", "__version__",
-    "alpha_coefficients", "basis_from_roots", "build_grid",
-    "builtin_problem", "char_roots", "classify_roots", "default_grid",
+    "basis_from_roots", "build_grid",
+    "builtin_problem", "char_roots", "default_grid",
     "det1", "det2", "detp", "errors", "essential_spectrum_distance", "evans",
     "evans_and_swinton", "evans_function", "fredholm", "front_det2",
     "front_reference", "fronts", "greens", "identity_report", "locate",
@@ -914,9 +980,11 @@ _COMMAND_CONFIGS = {
                                          "evans.orthogonalize_interval"),
     ("domain.rule=trapezoid", "unknown config key domain.rule"),
     ("domain.half_width=1e308", "half_width is too large: the window "
-                                "width 2 * half_width overflows")],
+                                "width 2 * half_width overflows"),
+    ('output.path=["x"]', "output.path must be a string or null")],
     ids=["quad_points", "rtol", "rtol_floor", "renorm_threshold",
-         "orthogonalize_interval", "rule", "half_width_overflow"])
+         "orthogonalize_interval", "rule", "half_width_overflow",
+         "output_path_list"])
 def test_bad_grid_or_params_is_exit_2_before_any_lambda(
         tmp_path, capsys, monkeypatch, command, override, message):
     """Every command validates the grid and the Jost parameters with its
@@ -932,6 +1000,27 @@ def test_bad_grid_or_params_is_exit_2_before_any_lambda(
                                         "message": message,
                                         "type": "ConfigError"}},
                              sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("output,argv", [
+    ({"path": 2}, ()), ({"path": True}, ()),
+    ({}, ("--override", "output.path=2"))],
+    ids=["int", "bool", "override_int"])
+def test_output_path_that_is_not_a_string_is_exit_2(tmp_path, output, argv):
+    """An integer path would be opened as a file descriptor (a boolean as
+    fd 0 or 1) and closed after the rows went to it, so each case runs in
+    a fresh interpreter, whose stdout and stderr it would close."""
+    path = write_config(tmp_path, {"lambdas": [4.0], "output": output})
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wavedet.__file__)))
+    done = subprocess.run([sys.executable, "-m", "wavedet.cli", "det",
+                           "--config", path, *argv], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == json.dumps(
+        {"error": {"kind": "config",
+                   "message": "output.path must be a string or null",
+                   "type": "ConfigError"}}, sort_keys=True) + "\n"
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

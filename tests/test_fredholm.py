@@ -43,6 +43,53 @@ def test_grid_validation():
             wd.build_grid(10.0, 100, panel_order=order)
 
 
+def test_equal_layouts_are_equal_grids():
+    """A grid is its panel layout: equal (X, panels, q) compare equal and
+    hash alike, and the derived arrays stay out of ==, hash and repr."""
+    a, b = wd.build_grid(20.0, 95), model.QuadratureGrid(20.0, 10, 10)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert repr(a) == ("QuadratureGrid(half_width=20.0, panels=10, "
+                       "panel_order=10)")
+    assert a != model.QuadratureGrid(20.0, 10, 9)
+    assert a != model.QuadratureGrid(20.5, 10, 10)
+
+
+@pytest.mark.parametrize("layout,message", [
+    ((10.0, 0, 10), "need at least 4 quadrature points"),
+    ((10.0, -2, 10), "need at least 4 quadrature points"),
+    ((10.0, 10, 0), "panel_order must be at least 1"),
+    ((10.0, 10, -3), "panel_order must be at least 1"),
+    ((10.0, 1, 3), "need at least 4 quadrature points"),
+    ((10.0, 3, 1), "need at least 4 quadrature points"),
+    ((1e308, 10, 10), "half_width is too large"),
+    ((-1.0, 10, 10), "half_width must be positive")])
+def test_grid_refuses_a_layout_it_cannot_build(layout, message):
+    with pytest.raises(ConfigError, match=message):
+        model.QuadratureGrid(*layout)
+
+
+@pytest.mark.parametrize("x,n,q", [
+    (20.0, 400, 10), (20.0, 41, 10), (10.0, 95, 10), (8.0, 42, 7),
+    (8.0, 40, 8), (5.0, 9, 1), (3.0, 4, 1), (1e5, 400, 10),
+    (0.25, 13, 5)])
+def test_grid_layout_is_the_composite_rule(x, n, q):
+    """build_grid's layout and its nodes and weights, bit for bit, against
+    the composite Gauss-Legendre rule on ceil(N / q) equal panels."""
+    panels = -(-n // q)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(q)
+    edges = np.linspace(-x, x, panels + 1)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    rad = (edges[1:] - edges[:-1]) / 2.0
+    g = wd.build_grid(x, n, q)
+    assert (g.half_width, g.panels, g.panel_order) == (x, panels, q)
+    assert g.signature == (x, panels * q)
+    assert np.array_equal(g.edges, edges)
+    assert np.array_equal(
+        g.nodes, (mid[:, None] + rad[:, None] * ref_x[None, :]).ravel())
+    assert np.array_equal(g.weights, (rad[:, None] * ref_w[None, :]).ravel())
+
+
 @given(n=st.integers(10, 300), x=st.floats(5.0, 30.0))
 def test_grid_weight_sum_is_interval_length(n, x):
     g = wd.build_grid(x, n)
@@ -334,15 +381,14 @@ def _diagonal_panel_rows(matrix, grid, n):
 
 
 def _scalar_branch(problem, lam):
-    roots, coeff = greens.green_data(problem, lam)
-    a = np.array(coeff.alpha)
+    kappa, k, a, _ = oracles.green_row(problem, lam)
     m = problem.deriv_order
 
     def branch(x, pts, side):
         if side == "right":
-            ks, cs = roots.plus, a[:roots.k]
+            ks, cs = kappa[:k], a[:k]
         else:
-            ks, cs = roots.minus, a[roots.k:]
+            ks, cs = kappa[k:], a[k:]
         return sum(c * kap ** m * np.exp(kap * (x - pts))
                    for c, kap in zip(cs, ks))
     return branch

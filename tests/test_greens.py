@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, strategies as st
 import wavedet as wd
 from wavedet import fredholm, greens
 from wavedet.errors import (EssentialSpectrum, IllConditioned,
-                            NearMultipleRoots)
+                            NearMultipleRoots, raise_first)
 
 import oracles
 from test_fredholm import _dense_matrix, _kernel
@@ -26,26 +26,27 @@ def _basis(problem, lam):
 
 
 def test_classify_roots_poschl_teller(pt):
-    roots = wd.classify_roots(pt, 4.0)
-    assert roots.k == 1
-    assert roots.plus == (2.0 + 0.0j,)
-    assert roots.minus == (-2.0 + 0.0j,)
+    kappa, k, _, _ = oracles.green_row(pt, 4.0)
+    assert k == 1
+    assert tuple(kappa[:k]) == (2.0 + 0.0j,)
+    assert tuple(kappa[k:]) == (-2.0 + 0.0j,)
 
 
 def test_classify_roots_refusals(pt):
     with pytest.raises(EssentialSpectrum):
-        wd.classify_roots(pt, -1.0)
+        greens.green_data(pt, [-1.0])
     # discriminant zero: both roots at -1
     prof = pt.profile
     double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=prof)
     with pytest.raises(NearMultipleRoots):
-        wd.classify_roots(double, 0.0)
+        greens.green_data(double, [0.0])
 
 
 def test_stacked_split_refuses_like_the_single_split(pt):
     """Each lambda of the stacked split of ``system_bases`` carries the
-    refusal the single split raises, a root on the imaginary axis or a
-    double root, and the others its roots and kernel weights."""
+    refusal that the split of its batch of one raises, a root on the
+    imaginary axis or a double root, and the others its roots and kernel
+    weights."""
     double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=pt.profile)
     for problem, lams in ((pt, [4.0, -1.0, 2.0 + 1.0j]),
                           (double, [3.0, 0.0, 1.0, 1.0 + 1e-13j])):
@@ -55,21 +56,22 @@ def test_stacked_split_refuses_like_the_single_split(pt):
         for lam, kap, kk, a, refusal in zip(lams, kappa, k, alpha,
                                             refusals):
             try:
-                roots, coeff = greens.green_data(problem, lam)
+                one_kappa, one_k, one_alpha, _ = oracles.green_row(problem,
+                                                                   lam)
             except (EssentialSpectrum, NearMultipleRoots,
                     IllConditioned) as exc:
                 assert type(refusal) is type(exc) and str(refusal) == str(exc)
                 continue
             assert refusal is None
-            assert kk == roots.k and np.array_equal(kap, roots.all)
-            assert np.allclose(a, coeff.alpha, rtol=1e-14, atol=0.0)
+            assert kk == one_k and np.array_equal(kap, one_kappa)
+            assert np.allclose(a, one_alpha, rtol=1e-14, atol=0.0)
         assert any(refusals) and not all(refusals)
 
 
 def test_root_groups_are_sorted():
     p = _free_problem(order=4)
-    roots = wd.classify_roots(p, 3.0 + 1.0j)
-    for group in (roots.plus, roots.minus):
+    kappa, k, _, _ = oracles.green_row(p, 3.0 + 1.0j)
+    for group in (kappa[:k], kappa[k:]):
         keys = [(r.real, r.imag) for r in group]
         assert keys == sorted(keys)
 
@@ -79,16 +81,16 @@ def test_root_groups_are_sorted():
 
 
 def test_alpha_poschl_teller_exact(pt):
-    roots = wd.classify_roots(pt, 4.0)
-    coeff = wd.alpha_coefficients(roots)
-    assert np.allclose(coeff.alpha, [-0.25, -0.25])
+    _, _, alpha, _ = oracles.green_row(pt, 4.0)
+    assert np.allclose(alpha, [-0.25, -0.25])
 
 
 def test_alpha_ill_conditioned():
-    roots = greens.RootSplit(plus=(1.0 + 0j, 1.0 + 1e-12 + 0j),
-                             minus=(-1.0 + 0j,))
+    kappa = np.array([[1.0 + 0j, 1.0 + 1e-12 + 0j, -1.0 + 0j]])
+    refusals = [None]
+    greens._vandermonde(kappa, refusals)
     with pytest.raises(IllConditioned):
-        wd.alpha_coefficients(roots)
+        raise_first(refusals)
 
 
 coeff_strategy = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -107,20 +109,17 @@ def test_alpha_interface_identities(ab, lam):
     p = wd.ScalarProblem(order=2, coeffs=tuple(map(complex, ab)),
                          profile=_free_problem().profile)
     try:
-        roots = wd.classify_roots(p, lam)
+        kall, k, a, _ = oracles.green_row(p, lam)
     except (EssentialSpectrum, NearMultipleRoots):
         assume(False)
-    coeff = wd.alpha_coefficients(roots)
-    a = np.array(coeff.alpha)
-    kall = np.array(roots.all)
     scale = float(np.max(np.abs(a)))
     n = 2
     for ell in range(n - 1):
-        plus = np.sum(a[:roots.k] * kall[:roots.k] ** ell)
-        minus = np.sum(a[roots.k:] * kall[roots.k:] ** ell)
+        plus = np.sum(a[:k] * kall[:k] ** ell)
+        minus = np.sum(a[k:] * kall[k:] ** ell)
         assert abs(plus - minus) < 1e-10 * max(1.0, scale)
-    top_plus = np.sum(a[:roots.k] * kall[:roots.k] ** (n - 1))
-    top_minus = np.sum(a[roots.k:] * kall[roots.k:] ** (n - 1))
+    top_plus = np.sum(a[:k] * kall[:k] ** (n - 1))
+    top_minus = np.sum(a[k:] * kall[k:] ** (n - 1))
     assert abs(top_plus - top_minus + 1.0) < 1e-12 * max(1.0, scale)
 
 
@@ -132,27 +131,23 @@ complex_strategy = st.builds(complex, st.floats(-2.0, 2.0),
            lambda n: st.lists(complex_strategy, min_size=n, max_size=n)),
        lam=st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
 def test_alpha_is_read_off_the_inverse_frame(coeffs, lam):
-    """alpha read off the inverse Vandermonde frame, as
-    ``alpha_coefficients`` and the stacked bases of ``system_bases`` give
-    it, equals a solve of the signed interface system (the frame with its
-    minus columns negated, right side -e_(n-1)), and so does the
-    condition number."""
+    """alpha read off the inverse Vandermonde frame, as ``green_data``
+    and the stacked bases of ``system_bases`` give it, equals a solve of
+    the signed interface system (the frame with its minus columns negated,
+    right side -e_(n-1)), and so does the condition number."""
     problem = wd.ScalarProblem(order=len(coeffs), coeffs=tuple(coeffs),
                                profile=_free_problem().profile)
     try:
-        roots = wd.classify_roots(problem, lam)
-        coeff = wd.alpha_coefficients(roots)
+        kall, k, alpha, cond = oracles.green_row(problem, lam)
     except (EssentialSpectrum, NearMultipleRoots, IllConditioned):
         assume(False)
-    kall = np.array(roots.all)
     n = kall.size
-    M = kall ** np.arange(n)[:, None] * np.where(np.arange(n) < roots.k,
-                                                 1.0, -1.0)
+    M = kall ** np.arange(n)[:, None] * np.where(np.arange(n) < k, 1.0, -1.0)
     rhs = np.zeros(n, dtype=complex)
     rhs[-1] = -1.0
     want = np.linalg.solve(M, rhs)
-    assert np.array_equal(coeff.alpha, want)
-    assert coeff.condition == np.linalg.cond(M)
+    assert np.array_equal(alpha, want)
+    assert cond == np.linalg.cond(M)
     _, k, _, Pinv, refusals = greens.system_bases(wd.to_system(problem),
                                                   [lam])
     assert refusals == [None]
@@ -170,8 +165,7 @@ def test_scalar_green_matches_closed_form():
     for _ in range(10):
         lam = complex(rng.uniform(0.5, 9.0), rng.uniform(-3.0, 3.0))
         x, xi = rng.uniform(-5, 5, size=2)
-        roots, coeff = greens.green_data(p, lam)
-        got = oracles.scalar_green(x, xi, roots, coeff)
+        got = oracles.scalar_green(x, xi, *oracles.green_row(p, lam)[:3])
         s = np.sqrt(lam)
         if s.real < 0:
             s = -s
@@ -185,23 +179,23 @@ def test_scalar_green_continuous_at_diagonal(ab, lam, x):
     p = wd.ScalarProblem(order=2, coeffs=tuple(map(complex, ab)),
                          profile=_free_problem().profile)
     try:
-        roots, coeff = greens.green_data(p, lam)
+        kappa, k, alpha, _ = oracles.green_row(p, lam)
     except (EssentialSpectrum, NearMultipleRoots):
         assume(False)
-    below = oracles.scalar_green(x, x + 1e-13, roots, coeff)
-    above = oracles.scalar_green(x, x - 1e-13, roots, coeff)
+    below = oracles.scalar_green(x, x + 1e-13, kappa, k, alpha)
+    above = oracles.scalar_green(x, x - 1e-13, kappa, k, alpha)
     assert abs(below - above) < 1e-9 * max(1.0, abs(below))
 
 
 def test_scalar_green_derivative_jump(pt):
     """d/dx G jumps by one across x = xi for a second-order operator."""
     lam = 5.0
-    roots, coeff = greens.green_data(pt, lam)
+    row = oracles.green_row(pt, lam)[:3]
     xi, h = 0.3, 1e-6
-    up = (oracles.scalar_green(xi + 2 * h, xi, roots, coeff)
-          - oracles.scalar_green(xi + h, xi, roots, coeff)) / h
-    dn = (oracles.scalar_green(xi - h, xi, roots, coeff)
-          - oracles.scalar_green(xi - 2 * h, xi, roots, coeff)) / h
+    up = (oracles.scalar_green(xi + 2 * h, xi, *row)
+          - oracles.scalar_green(xi + h, xi, *row)) / h
+    dn = (oracles.scalar_green(xi - h, xi, *row)
+          - oracles.scalar_green(xi - 2 * h, xi, *row)) / h
     assert up - dn == pytest.approx(1.0, abs=1e-4)
 
 
