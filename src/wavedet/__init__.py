@@ -31,8 +31,8 @@ _HOMES = {
         "StiffnessFailure", "PhaseJump", "NoConvergence", "CountMismatch"),
         "errors"),
     **dict.fromkeys((
-        "WaveProfile", "ScalarProblem", "SystemProblem", "SpectralPoint",
-        "builtin_problem", "make_profile", "tabulated_profile", "to_system",
+        "WaveProfile", "ScalarProblem", "SystemProblem", "builtin_problem",
+        "make_profile", "tabulated_profile", "to_system",
         "essential_spectrum_distance", "symbol_curve", "char_roots",
         "QuadratureGrid", "build_grid", "default_grid", "IntegrationParams"),
         "model"),
@@ -42,7 +42,7 @@ _HOMES = {
     **dict.fromkeys((
         "DeterminantResult", "det1", "det2", "detp"), "fredholm"),
     **dict.fromkeys((
-        "JostSolution", "EvansResult", "evans_function", "evans_and_swinton",
+        "EvansResult", "evans_function", "evans_and_swinton",
         "swinton_matrix", "identity_report"), "evans"),
     **dict.fromkeys((
         "FrontReference", "front_reference", "front_det2",

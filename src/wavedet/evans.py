@@ -43,7 +43,6 @@ from .model import IntegrationParams, SystemProblem
 
 __all__ = [
     "IntegrationParams",
-    "JostSolution",
     "EvansResult",
     "evans_function",
     "evans_function_many",
@@ -64,7 +63,10 @@ def _index_of(xs: np.ndarray, x: float) -> int:
 
 @dataclass(frozen=True)
 class JostSolution:
-    """Scaled samples of a Jost solution along one integration run.
+    """Scaled samples of a Jost solution along one integration run of
+    ``_sweep``, at the stored points xs in the order run (a plus run's xs
+    decrease).  It stays inside this module: the routes return values
+    read off it, never the run.
 
     The raw solution at sample i is
 
@@ -82,7 +84,6 @@ class JostSolution:
     same layout.
     """
 
-    direction: str
     xs: np.ndarray
     values: np.ndarray
     transform: np.ndarray
@@ -330,7 +331,7 @@ def _run(direction: str, basis: UnperturbedBasis, xs: np.ndarray,
            else slice(basis.k, None))
     kappa = np.array(basis.roots.all)[own]
     cols = basis.Pinv[own].T if adjoint else basis.P[:, own]
-    return (direction, basis, xs, np.array(cols, dtype=complex),
+    return (basis, xs, np.array(cols, dtype=complex),
             (-kappa if adjoint else kappa) * xs[0], products)
 
 
@@ -340,16 +341,16 @@ def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
     one block shape share one stacked ``np.linalg.qr`` per segment; shorter
     runs are padded with identity segments, whose samples are dropped."""
     out: list = [None] * len(runs)
-    for shape in sorted({run[3].shape for run in runs}):
-        group = [i for i, run in enumerate(runs) if run[3].shape == shape]
-        counts = [len(runs[i][5]) for i in group]
+    for shape in sorted({run[2].shape for run in runs}):
+        group = [i for i, run in enumerate(runs) if run[2].shape == shape]
+        counts = [len(runs[i][4]) for i in group]
         (n, c), G = shape, len(group)
         products = np.tile(np.eye(n, dtype=complex), (max(counts), G, 1, 1))
         for g, i in enumerate(group):
-            products[:counts[g], g] = runs[i][5]
-        cur = np.stack([runs[i][3] for i in group])
+            products[:counts[g], g] = runs[i][4]
+        cur = np.stack([runs[i][2] for i in group])
         T = np.tile(np.eye(c, dtype=complex), (G, 1, 1))
-        sig = np.stack([runs[i][4] for i in group])
+        sig = np.stack([runs[i][3] for i in group])
         steps = [(cur, T, sig)]
         for P in products:
             Q, Rtri = np.linalg.qr(P @ cur)
@@ -361,10 +362,9 @@ def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
         values, transforms, logs = (np.stack(x, axis=1) for x in zip(*steps))
         for g, i in enumerate(group):
             keep = slice(counts[g] + 1)
-            out[i] = JostSolution(direction=runs[i][0], xs=runs[i][2],
-                                  values=values[g, keep],
+            out[i] = JostSolution(xs=runs[i][1], values=values[g, keep],
                                   transform=transforms[g, keep],
-                                  renorm_log=logs[g, keep], basis=runs[i][1])
+                                  renorm_log=logs[g, keep], basis=runs[i][0])
     return out
 
 

@@ -49,13 +49,14 @@ m >= 1 the two kernels are different discretizations; each keeps its own.
   product-integration panels as diagonal blocks, the plus terms above
   them and the minus terms below as generators anchored at the block
   edges, and the contractive transitions e^(-kappa h) between blocks.
-  log det(I + S) is one orthogonal elimination on the generators,
-  backward stable without pivoting, with one small stacked numpy QR per
-  block (``_sweep``;
-  Chandrasekaran et al., SIAM J. Matrix Anal. Appl. 27 (2005); Eidelman
-  and Gohberg, IEOT 34 (1999)), and tr S, tr S^2, tr S^3 come from a left
-  and a right sweep over the same generators (``_block_traces``): the
-  dense N c x N c matrix is never formed.
+  The sign and log|det(I + S)| come from one orthogonal elimination on
+  the generators, backward stable without pivoting, with one small
+  stacked numpy QR per block (``_sweep``; Chandrasekaran et al., SIAM J.
+  Matrix Anal. Appl. 27 (2005); Eidelman and Gohberg, IEOT 34 (1999)), so
+  their error is about eps cond(I + S), which no result reports.  tr S,
+  tr S^2, tr S^3 come from a left and a right sweep over the same
+  generators (``_block_traces``): the dense N c x N c matrix is never
+  formed.
 * Regularized determinants (``_corrected_det``) that compensate the trace
   defect of det(I + S) with the exact traces, in the log domain.  det1 is
   order 1, with the analytic trace tau from the interface coefficients;
@@ -109,9 +110,6 @@ class DeterminantResult:
     kind: str                 # det1 | det2 | detp
     trace_used: Optional[complex]
     grid_signature: tuple
-    # sum of the column Hadamard ratios log(||R[:i+1, i]|| / |R_ii|) of the
-    # QR sweep's triangular factor, >= 0, inf if singular
-    condition_hint: float
 
 
 def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -519,10 +517,9 @@ def _blocks(terms: _Terms, samples: _Samples) -> _Blocks:
                    np.exp(terms.kappa[:, None, k:] * h))
 
 
-def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      dict]:
-    """Per lambda the sign and log|det(I + S)| and the condition hint, shape
-    (L,) each, by Householder QR of a block-bidiagonal embedding of S, and
+def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Per lambda the sign and log|det(I + S)|, shape (L,) each, by
+    Householder QR of a block-bidiagonal embedding of S, and
     ``_block_traces``, taken first: the generators are released once the
     stacks hold them, so a caller that passes the only reference does not
     keep them through the QR loop.
@@ -532,9 +529,8 @@ def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     lambdas of the (M + l) x 2M stack of the rows that reach block column
     p, M = q c + n; its last l = n - k rows carry on.  The sign multiplies
     the pivot phases and the (unitary) reflector determinants
-    1 - tau ||v||^2 = -tau / conj(tau).  The hint sums the column Hadamard
-    ratios log(||R[:i+1, i]|| / |R_ii|) (>= 0); a zero pivot gives the
-    sign 0, log|det| -inf and the hint inf.
+    1 - tau ||v||^2 = -tau / conj(tau).  A zero pivot gives the sign 0 and
+    log|det| -inf.
     """
     traces = _block_traces(blocks)
     if blocks.em.shape[-1] > blocks.ep.shape[-1]:
@@ -583,20 +579,9 @@ def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     reflectors[unit] = 1.0
     sign = np.prod(d / pivots, axis=1) * np.prod(reflectors, axis=1)
     sign[~regular] = 1.0
-    # |R[r, c]|^2 summed over r <= c, from the real view of raw: no
-    # temporary of its size
-    parts = raw.view(float)
-    upper = np.repeat(np.tril(np.ones((M, M + l))), 2, axis=1)
-    columns = np.einsum("lpcr,lpcr,cr->lpc", parts[:, :, :M],
-                        parts[:, :, :M], upper)
-    below = parts[:, :-1, M:, :2 * M]
-    columns[:, 1:] += np.einsum("lpcr,lpcr->lpc", below, below)
-    hint = np.sum(np.log(np.maximum(1.0, np.sqrt(columns.reshape(L, -1))
-                                    / pivots)), axis=1)
     logabs = np.sum(np.log(pivots), axis=1)
     return (np.where(regular, sign / np.abs(sign), 0.0),
-            np.where(regular, logabs, -np.inf),
-            np.where(regular, hint, np.inf), traces)
+            np.where(regular, logabs, -np.inf), traces)
 
 
 def _block_traces(blocks: _Blocks) -> dict:
@@ -660,11 +645,10 @@ def _corrected_det(sign: np.ndarray, logabs: np.ndarray, t: dict,
 
 
 def _regularized(groups: list, samples: _Samples, exact: dict,
-                 orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+                 orders: Sequence[int]) -> np.ndarray:
     """``_corrected_det`` of the Nystrom matrix of every lambda of the
-    groups, shape (len(orders), L), and the condition hints, shape (L,).
-    exact holds known exact traces, shape (L,) each; with an order <= 3,
-    tr T^2 and tr T^3 join them.
+    groups, shape (len(orders), L).  exact holds known exact traces, shape
+    (L,) each; with an order <= 3, tr T^2 and tr T^3 join them.
 
     Each k-group goes through the engine in slices of at most
     _SLICE_BUDGET // (N c^2) lambdas, so the working set does not grow
@@ -683,14 +667,13 @@ def _regularized(groups: list, samples: _Samples, exact: dict,
             exact[2][idx], exact[3][idx] = _traces(terms, samples, subsub)
         del subsub
     values = np.empty((len(orders), L), dtype=complex)
-    hints = np.empty(L)
     for idx, terms in parts:
         # the sweep holds the only reference to the generators
-        sign, logabs, hints[idx], t = _sweep(_blocks(terms, samples))
+        sign, logabs, t = _sweep(_blocks(terms, samples))
         values[:, idx] = _corrected_det(
             sign, logabs, t, {l: trace[idx] for l, trace in exact.items()},
             orders)
-    return values, hints
+    return values
 
 
 def det1_many(problem: ScalarProblem, lams: Sequence[complex],
@@ -786,13 +769,12 @@ def determinants_many(system: SystemProblem, lams: Sequence[complex],
                      scalar))
     out = {}
     for groups, samp, exact, ps in runs:
-        values, hints = _regularized(groups, samp, exact, ps)
-        out.update({p: (value, exact[1] if p == 1 else tau, hints)
+        values = _regularized(groups, samp, exact, ps)
+        out.update({p: (value, exact[1] if p == 1 else tau)
                     for p, value in zip(ps, values)})
     return [[DeterminantResult(value=complex(out[p][0][i]), kind=kind,
                                trace_used=complex(out[p][1][i]),
-                               grid_signature=grid.signature,
-                               condition_hint=float(out[p][2][i]))
+                               grid_signature=grid.signature)
              for kind, p in orders.items()] for i in range(len(lams))]
 
 

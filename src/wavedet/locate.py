@@ -114,11 +114,14 @@ def _values(f, lams: list) -> list:
 def _check_resolvent(problem: Optional[ScalarProblem], lams: list):
     if problem is None:
         return
-    for point in model.classify_points(problem, lams):
-        if point.domain_status != "resolvent":
-            raise EssentialSpectrum(f"contour sample {point.lam} is "
-                                    f"{point.domain_status} for the given "
-                                    "problem")
+    lams = [complex(lam) for lam in lams]
+    on_axis, coincide = model._degeneracy(model.char_roots(problem.coeffs,
+                                                           lams))
+    for lam, axis, close in zip(lams, on_axis, coincide):
+        if axis or close:
+            status = "essential" if axis else "indeterminate"
+            raise EssentialSpectrum(f"contour sample {lam} is {status} for "
+                                    "the given problem")
 
 
 def _phase_step(f, za, fa, zb, fb, depth, problem) -> list:

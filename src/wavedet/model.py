@@ -38,7 +38,6 @@ __all__ = [
     "WaveProfile",
     "ScalarProblem",
     "SystemProblem",
-    "SpectralPoint",
     "builtin_problem",
     "make_profile",
     "tabulated_profile",
@@ -46,7 +45,6 @@ __all__ = [
     "as_system",
     "essential_spectrum_distance",
     "symbol_curve",
-    "classify_points",
     "char_roots",
     "QuadratureGrid",
     "build_grid",
@@ -70,8 +68,8 @@ class WaveProfile:
     order-l derivative, exact at every order for the built-in kinds
     (polynomials in tanh and sech, Hermite functions) and the spline's for
     a tabulated profile.  ``limits`` holds (phi(-inf), phi(+inf)); both are 0
-    for pulses.  ``l1_norm`` is the integral of |phi| (inf for fronts) and
-    ``exact_integral`` the signed integral of phi when a closed form exists.
+    for pulses.  ``exact_integral`` is the signed integral of phi over the
+    line when a closed form exists (None for fronts).
     """
 
     kind: str
@@ -79,7 +77,6 @@ class WaveProfile:
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray, int], np.ndarray]
     limits: tuple[float, float] = (0.0, 0.0)
-    l1_norm: float = math.nan
     exact_integral: Optional[float] = None
 
     def __call__(self, x):
@@ -147,9 +144,7 @@ def _builtin_profile(kind: str, label: str, params: dict, amplitude: float,
         exact = None
     return WaveProfile(kind=label, params=params,
                        fn=functools.partial(deriv, order=0), deriv=deriv,
-                       limits=limits,
-                       l1_norm=math.inf if exact is None else abs(exact),
-                       exact_integral=exact)
+                       limits=limits, exact_integral=exact)
 
 
 def tabulated_profile(x: Sequence[float], values: Sequence[float],
@@ -194,16 +189,13 @@ def tabulated_profile(x: Sequence[float], values: Sequence[float],
             out[hi] += limits[1]
         return out
 
-    body = spline.antiderivative()
     exact = None
     if limits == (0.0, 0.0):
-        l1 = float(np.trapezoid(np.abs(values), x) + abs(aL) / muL + abs(aR) / muR)
+        body = spline.antiderivative()
         exact = float(body(x_hi) - body(x_lo) + aL / muL + aR / muR)
-    else:
-        l1 = math.inf
     return WaveProfile(kind="tabulated", params={"n_samples": int(x.size)},
                        fn=functools.partial(deriv, order=0), deriv=deriv,
-                       limits=tuple(limits), l1_norm=l1, exact_integral=exact)
+                       limits=tuple(limits), exact_integral=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +353,6 @@ class SystemProblem:
         return float(np.sum(np.tile(rule.weights, 2) * norms))
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A spectral parameter together with its domain classification."""
-
-    lam: complex
-    domain_status: str  # resolvent | essential | indeterminate
-
-
 # ---------------------------------------------------------------------------
 # characteristic roots and the essential spectrum
 
@@ -417,18 +401,6 @@ def _degeneracy(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dist[..., np.arange(n), np.arange(n)] = np.inf
     coincide = np.min(dist, axis=(-2, -1)) < SEP_TOL * scale
     return on_axis, coincide
-
-
-def classify_points(problem: ScalarProblem,
-                    lams: Sequence[complex]) -> list[SpectralPoint]:
-    """Classify every lambda by the real parts and separation of its
-    roots, from one stacked root call."""
-    lams = [complex(lam) for lam in lams]
-    on_axis, coincide = _degeneracy(char_roots(problem.coeffs, lams))
-    return [SpectralPoint(lam=lam, domain_status=(
-                "essential" if axis else
-                "indeterminate" if close else "resolvent"))
-            for lam, axis, close in zip(lams, on_axis, coincide)]
 
 
 def symbol_curve(problem: ScalarProblem, zeta) -> np.ndarray:
@@ -611,9 +583,10 @@ def _window(half_width: float) -> float:
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Composite Gauss-Legendre rule on [-X, X] with total weight 2X:
-    ``panels`` equal panels of ``panel_order`` points, also the blocks of
-    the determinant sweep.  Its edges, nodes and weights are derived when
-    it is built and take no part in ==, hash or repr."""
+    ``panels`` equal panels of ``panel_order`` points (both ints, not
+    bools), also the blocks of the determinant sweep.  Its edges, nodes
+    and weights are derived when it is built and take no part in ==, hash
+    or repr."""
 
     half_width: float
     panels: int
@@ -623,6 +596,11 @@ class QuadratureGrid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("panel_order", "panels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, not "
+                                  f"{value!r}")
         if self.panel_order < 1:
             raise ConfigError("panel_order must be at least 1")
         X = _window(self.half_width)

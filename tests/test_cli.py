@@ -316,7 +316,7 @@ def test_evans_batch_rows_equal_batches_of_one(case, tmp_path, capsys,
         runs = [evans._lambda_runs(sysm, lam, params, 0.0, False,
                                    *evans._side_bases(sysm, lam))[0]
                 for lam in lams]
-        assert len({len(run[5]) for run in runs}) > 2
+        assert len({len(run[4]) for run in runs}) > 2
         assert len(set(steps)) == len(lams)
 
 
@@ -769,9 +769,9 @@ _PUBLIC_DIR = [
     "ConfigError", "Contour", "CountMismatch", "DeterminantResult",
     "EssentialSpectrum", "EvansResult", "FrontReference",
     "IllConditioned", "IntegrationParams",
-    "JostSolution", "NearMultipleRoots", "NoConvergence", "PhaseJump",
+    "NearMultipleRoots", "NoConvergence", "PhaseJump",
     "QuadratureGrid", "RootReport", "RootSplit", "ScalarProblem",
-    "SignMismatch", "SpectralPoint", "StiffnessFailure", "SystemProblem",
+    "SignMismatch", "StiffnessFailure", "SystemProblem",
     "UnperturbedBasis", "WaveProfile", "WavedetError", "__builtins__",
     "__cached__", "__doc__", "__file__", "__loader__", "__name__",
     "__package__", "__path__", "__spec__", "__version__",
@@ -1097,3 +1097,60 @@ def test_echoed_config_keys_are_pinned(tmp_path, capsys, command):
     assert set(echo) == _ECHO_COMMON | _ECHO_KEYS[command]
     for block, keys in _ECHO_BLOCKS.items():
         assert set(echo[block]) == keys
+
+
+# ---------------------------------------------------------------------------
+# the output bytes of the benchmarked commands
+
+_PT2 = {"name": "poschl_teller", "params": {"N": 2}}
+
+
+def _box(lo, hi):
+    return {"corner_low": {"re": lo.real, "im": lo.imag},
+            "corner_high": {"re": hi.real, "im": hi.imag}}
+
+
+def _locate_pt2(lo, hi):
+    return ("locate", {"problem": _PT2, "domain": {"quad_points": 200},
+                       "rectangle": _box(lo, hi), "samples_per_edge": 6,
+                       "function": "det1"})
+
+
+# the seed-1 inputs of the benchmark workloads det_pt800, evans_bh and
+# locate_pt2, written out: name -> (command, config)
+_PINNED = {
+    "det_pt800": ("det", {"problem": _PT2, "domain": {"quad_points": 800},
+                          "lambdas": _pairs([
+                              7.6962594321504625 + 1.205854565609484j,
+                              7.418068605587132 - 1.9473466578360876j])}),
+    "evans_bh": ("evans", {"problem": {"name": "biharmonic_demo"},
+                           "lambdas": _pairs([
+                               0.6489688709356246 + 3.154920832897885j,
+                               0.2455887929741328 + 3.653538516260178j,
+                               -3.89229933375147 - 1.2009794565486038j,
+                               0.48718971293353347 + 4.664989323732414j])}),
+    "locate_pt2_1": _locate_pt2(
+        0.5790706033274334 - 0.47768660426233894j,
+        1.6378919824672669 + 0.49829306386281425j),
+    "locate_pt2_4": _locate_pt2(
+        3.0771072060739177 - 0.4604250597211418j,
+        4.852256232291487 + 0.5050271133079713j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_benchmark_commands_print_pinned_bytes(tmp_path, name):
+    """A new process running the command with --format json prints the
+    bytes of tests/pinned/<name>.json to stdout, nothing to stderr, and
+    exits 0: a change that moves any printed number fails here."""
+    command, config = _PINNED[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wavedet.__file__)))
+    done = subprocess.run([sys.executable, "-m", "wavedet.cli", command,
+                           "--config", str(path), "--format", "json"],
+                          env=env, capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (_ROOT / "tests" / "pinned"
+                           / f"{name}.json").read_bytes()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedet as wd
-from wavedet.errors import ConfigError, NoConvergence
-from wavedet import model
+from wavedet.errors import ConfigError, EssentialSpectrum, NoConvergence
+from wavedet import locate, model
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,6 @@ def test_tanh_front_limits():
     assert prof.limits == (-4.0, -1.0)
     assert prof(-40.0) == pytest.approx(-4.0, abs=1e-12)
     assert prof(40.0) == pytest.approx(-1.0, abs=1e-12)
-    assert prof.l1_norm == math.inf
 
 
 def test_make_profile_rejects_unknown():
@@ -253,20 +252,40 @@ def test_stacked_roots_match_per_lambda_roots(n):
         assert np.array_equal(wd.char_roots(coeffs, lam), got)
 
 
-def test_classify_points_match_classify_point(pt):
+def _statuses(problem, lams):
+    """The domain status of every lambda from the stacked masks of
+    ``model._degeneracy``: essential (a root on the imaginary axis),
+    indeterminate (two roots together) or resolvent."""
+    on_axis, coincide = model._degeneracy(model.char_roots(problem.coeffs,
+                                                           lams))
+    return ["essential" if axis else "indeterminate" if close
+            else "resolvent" for axis, close in zip(on_axis, coincide)]
+
+
+def test_degeneracy_masks_match_per_lambda_masks(pt):
     double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=pt.profile)
     lams = [4.0, -1.0, 0.0, 2.0 + 1.0j, 1.0]
     for problem in (pt, double):
-        points = model.classify_points(problem, lams)
-        assert points == [model.classify_points(problem, [lam])[0]
-                          for lam in lams]
-    assert [p.domain_status for p in points] == [
+        statuses = _statuses(problem, lams)
+        assert statuses == [_statuses(problem, [lam])[0] for lam in lams]
+    assert statuses == [
         "resolvent", "resolvent", "indeterminate", "resolvent", "essential"]
 
 
-def test_classify_point_statuses(pt):
-    assert [p.domain_status for p in model.classify_points(
-        pt, [4.0, -1.0])] == ["resolvent", "essential"]
+def test_resolvent_check_statuses(pt):
+    """The contour's resolvent check refuses the first sample that is not
+    in the resolvent set, naming its status."""
+    assert _statuses(pt, [4.0, -1.0]) == ["resolvent", "essential"]
+    locate._check_resolvent(pt, [4.0, 2.0 + 1.0j])
+    with pytest.raises(EssentialSpectrum) as err:
+        locate._check_resolvent(pt, [4.0, -1.0, -2.0])
+    assert str(err.value) == ("contour sample (-1+0j) is essential for the "
+                              "given problem")
+    double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=pt.profile)
+    with pytest.raises(EssentialSpectrum) as err:
+        locate._check_resolvent(double, [4.0, 0.0])
+    assert str(err.value) == ("contour sample 0j is indeterminate for the "
+                              "given problem")
 
 
 def test_essential_spectrum_distance(pt):
