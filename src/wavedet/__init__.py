@@ -37,9 +37,6 @@ _HOMES = {
         "QuadratureGrid", "build_grid", "default_grid", "IntegrationParams"),
         "model"),
     **dict.fromkeys((
-        "RootSplit", "UnperturbedBasis", "basis_from_roots",
-        "system_basis", "matrix_basis"), "greens"),
-    **dict.fromkeys((
         "DeterminantResult", "det1", "det2", "detp"), "fredholm"),
     **dict.fromkeys((
         "EvansResult", "evans_function", "evans_and_swinton",

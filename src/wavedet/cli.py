@@ -76,9 +76,10 @@ _ROUTES = {
     "converge": ("fredholm",),
 }
 
-_DOMAIN_DEFAULTS = {"half_width": 20.0, "quad_points": 400,
-                    "panel_order": 10}
-_EVANS_DEFAULTS = {"rtol": 1e-10}
+_DOMAIN_DEFAULTS = {"half_width": model.DEFAULT_HALF_WIDTH,
+                    "quad_points": model.DEFAULT_POINTS,
+                    "panel_order": model.DEFAULT_PANEL_ORDER}
+_EVANS_DEFAULTS = {"rtol": model.IntegrationParams.rtol}
 _OUTPUT_DEFAULTS = {"format": "csv", "path": None}
 
 
@@ -498,9 +499,9 @@ def cmd_locate(run):
     name, fn = run.target_function()
     contour = locate.Contour(corner_low=low, corner_high=high,
                              samples_per_edge=samples)
-    problem = None if run.system.is_front else run.problem
-    report = locate.locate_roots(fn, contour, problem=problem,
-                                 function_used=name)
+    # every evaluator refuses a sample off the resolvent set through its
+    # own root split, as scan's do
+    report = locate.locate_roots(fn, contour, function_used=name)
     columns = [("winding", "i"), ("root", "c"), ("abs_value", "f"),
                ("multiplicity_gap", "i")]
     rows = [[report.winding, root, value, int(report.multiplicity_gap)]

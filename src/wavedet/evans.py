@@ -15,9 +15,10 @@ the least degree its own norm needs (Higham, SIAM J. Matrix Anal. Appl. 26
 pairwise to one matrix per segment.  Growth is stripped on the fly: the
 columns are kept O(1) by a QR renormalization after every segment, every
 removed factor is logged, and E(lambda)/c(lambda) is reassembled from the
-logs.  The runs of a slice of lambdas share one sweep of stacked QRs.  The
-transmission matrix is the edge pairing D = Z0+(X) Y-(X), which equals
-I + integral of Z0+ R Y- exactly.  The perturbed dual rows of the Swinton
+logs.  The runs of a slice of lambdas share one sweep of stacked QRs and
+start from the rows of one stacked ``greens.end_bases`` call, whose two
+ends are one basis for a pulse.  The transmission matrix is the edge
+pairing D = Z0+(X) Y-(X), which equals I + integral of Z0+ R Y- exactly.  The perturbed dual rows of the Swinton
 pairing are the transposed columns of the adjoint system
 W' = -(A0 + R)^T W, run leftwards from Z0+(X)^T.  So a pulse takes three
 runs per lambda on one set of exponents Omega: the minus run over the whole
@@ -35,8 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import greens, model
-from .errors import ConfigError, StiffnessFailure, WavedetError
-from .greens import UnperturbedBasis
+from .errors import ConfigError, StiffnessFailure
 # IntegrationParams lives in model, so a command validates it before
 # loading this module; it is re-exported here under its old name
 from .model import IntegrationParams, SystemProblem
@@ -88,7 +88,6 @@ class JostSolution:
     values: np.ndarray
     transform: np.ndarray
     renorm_log: np.ndarray
-    basis: UnperturbedBasis
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,21 +112,12 @@ class EvansResult:
     truncation_error: float
 
 
-def _side_bases(system: SystemProblem, lam: complex):
-    """Decaying bases at the two ends (identical for pulses)."""
-    if not system.is_front:
-        b = greens.system_basis(system, lam)
-        return b, b
-    A0 = system.base_matrix(lam)
-    return greens.end_bases(A0 + system.r_minus, A0 + system.r_plus)
-
-
-def _segment_step(*bases: UnperturbedBasis) -> float:
+def _segment_step(*bases: tuple) -> float:
     """The longest renormalization segment: at most 1 long, and short
-    enough that the fastest characteristic rate of the bases (plus 1)
-    grows a solution by at most 1e4 over it."""
-    rate = max(abs(r.real) for b in bases for r in b.roots.all) + 1.0
-    return min(1.0, math.log(1e8) / (2.0 * rate))
+    enough that the fastest rate of the end bases (plus 1) grows a
+    solution by at most 1e4 over it."""
+    rate = max(float(np.max(np.abs(kappa.real))) for kappa, *_ in bases)
+    return min(1.0, math.log(1e8) / (2.0 * (rate + 1.0)))
 
 
 def _boundaries(half_width: float, step: float,
@@ -319,20 +309,21 @@ def _leftward(products: np.ndarray) -> np.ndarray:
     return np.swapaxes(products[::-1], -1, -2)
 
 
-def _run(direction: str, basis: UnperturbedBasis, xs: np.ndarray,
+def _run(direction: str, basis: tuple, xs: np.ndarray,
          products: np.ndarray, adjoint: bool = False) -> tuple:
-    """The tuple that ``_sweep`` takes for a run from xs[0]: "minus" starts
-    at the left end from Y0-, "plus" at the right end from Y0+.  An adjoint
-    run starts from the dual rows Z0^T decaying at the same end, at rates
-    -kappa, and its products are the transposed steps of -Omega^T."""
+    """The tuple that ``_sweep`` takes for a run from xs[0], given one
+    lambda's rows (kappa, k, P, Pinv) of ``greens.end_bases`` at the end it
+    starts from: "minus" starts at the left end from Y0-, "plus" at the
+    right end from Y0+.  An adjoint run starts from the dual rows Z0^T
+    decaying at the same end, at rates -kappa, and its products are the
+    transposed steps of -Omega^T."""
+    kappa, k, P, Pinv = basis
     # Y0- takes the plus roots and Y0+ the minus roots; the dual rows
     # decaying at the same end belong to the other group
-    own = (slice(0, basis.k) if (direction == "minus") != adjoint
-           else slice(basis.k, None))
-    kappa = np.array(basis.roots.all)[own]
-    cols = basis.Pinv[own].T if adjoint else basis.P[:, own]
-    return (basis, xs, np.array(cols, dtype=complex),
-            (-kappa if adjoint else kappa) * xs[0], products)
+    own = slice(0, k) if (direction == "minus") != adjoint else slice(k, None)
+    cols = Pinv[own].T if adjoint else P[:, own]
+    return (xs, np.array(cols, dtype=complex),
+            (-kappa[own] if adjoint else kappa[own]) * xs[0], products)
 
 
 def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
@@ -341,16 +332,16 @@ def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
     one block shape share one stacked ``np.linalg.qr`` per segment; shorter
     runs are padded with identity segments, whose samples are dropped."""
     out: list = [None] * len(runs)
-    for shape in sorted({run[2].shape for run in runs}):
-        group = [i for i, run in enumerate(runs) if run[2].shape == shape]
-        counts = [len(runs[i][4]) for i in group]
+    for shape in sorted({run[1].shape for run in runs}):
+        group = [i for i, run in enumerate(runs) if run[1].shape == shape]
+        counts = [len(runs[i][3]) for i in group]
         (n, c), G = shape, len(group)
         products = np.tile(np.eye(n, dtype=complex), (max(counts), G, 1, 1))
         for g, i in enumerate(group):
-            products[:counts[g], g] = runs[i][4]
-        cur = np.stack([runs[i][2] for i in group])
+            products[:counts[g], g] = runs[i][3]
+        cur = np.stack([runs[i][1] for i in group])
         T = np.tile(np.eye(c, dtype=complex), (G, 1, 1))
-        sig = np.stack([runs[i][3] for i in group])
+        sig = np.stack([runs[i][2] for i in group])
         steps = [(cur, T, sig)]
         for P in products:
             Q, Rtri = np.linalg.qr(P @ cur)
@@ -362,9 +353,9 @@ def _sweep(runs: Sequence[tuple]) -> list[JostSolution]:
         values, transforms, logs = (np.stack(x, axis=1) for x in zip(*steps))
         for g, i in enumerate(group):
             keep = slice(counts[g] + 1)
-            out[i] = JostSolution(xs=runs[i][1], values=values[g, keep],
+            out[i] = JostSolution(xs=runs[i][0], values=values[g, keep],
                                   transform=transforms[g, keep],
-                                  renorm_log=logs[g, keep], basis=runs[i][0])
+                                  renorm_log=logs[g, keep])
     return out
 
 
@@ -376,19 +367,29 @@ def _pairing(rows: np.ndarray, row_log: np.ndarray, jost: JostSolution,
     return _scaled_entries(M, row_log, jost.renorm_log[i])
 
 
-def _edge_transmission(jm: JostSolution) -> np.ndarray:
+def _edge_transmission(jm: JostSolution, basis: tuple) -> np.ndarray:
     """The transmission matrix D = Z0+(X) Y-(X) at the right end of a
-    minus run over the whole window."""
-    basis = jm.basis
-    kp = np.array(basis.roots.plus)
-    return _pairing(basis.Pinv[:basis.k], -kp * jm.xs[-1], jm, -1)
+    minus run over the whole window, from the pulse's basis rows."""
+    kappa, k, _, Pinv = basis
+    return _pairing(Pinv[:k], -kappa[:k] * jm.xs[-1], jm, -1)
+
+
+def _normalizer(bm: tuple, bp: tuple, x: float) -> complex:
+    """c(lambda) = det[y0-(x) y0+(x)]: the columns of the minus end's basis
+    that decay towards -infinity beside those of the plus end's that decay
+    towards +infinity, at x."""
+    (km, k, Pm, _), (kp, j, Pp, _) = bm, bp
+    return complex(np.linalg.det(np.concatenate(
+        [Pm[:, :k] * np.exp(km[:k] * x), Pp[:, j:] * np.exp(kp[j:] * x)],
+        axis=1)))
 
 
 def _lambda_runs(system: SystemProblem, lam: complex,
                  params: IntegrationParams, x0: float, swinton: bool,
-                 bm: UnperturbedBasis, bp: UnperturbedBasis) -> list[tuple]:
+                 bm: tuple, bp: tuple) -> list[tuple]:
     """The minus run, the plus run and (with swinton) the plus run's
-    adjoint of one lambda, on one grid of stored points over the window
+    adjoint of one lambda, from its minus-end and plus-end rows bm and bp
+    of ``greens.end_bases``, on one grid of stored points over the window
     with x0 among them and one set of Magnus steps.  A pulse's minus run
     spans the window, a front's stops at x0; the other two go from +X to
     x0 on exp(-Omega) and on the transposed exp(Omega)."""
@@ -425,20 +426,20 @@ def _jost_routes(system, lams: Sequence[complex], matching_point: float,
     truncation = sysm.tail_norm(params.half_width)
     out = []
     for start in range(0, len(lams), _SWEEP_SLICE):
-        runs = []
         some = lams[start:start + _SWEEP_SLICE]
-        # a pulse's bases come from one stacked root split, refused in turn
-        shared = ([None] * len(some) if sysm.is_front
-                  else greens.system_basis_list(sysm, some))
-        for lam, b in zip(some, shared):
-            if isinstance(b, WavedetError):
-                raise b
-            bm, bp = _side_bases(sysm, lam) if b is None else (b, b)
-            runs += _lambda_runs(sysm, lam, params, x0, swinton, bm, bp)
+        # the slice's end bases come from one stacked split, refused in turn
+        minus, plus, refusals = greens.end_bases(sysm, some)
+        ends, runs = [], []
+        for i, lam in enumerate(some):
+            if refusals[i] is not None:
+                raise refusals[i]
+            ends.append([tuple(rows[i] for rows in side)
+                         for side in (minus, plus)])
+            runs += _lambda_runs(sysm, lam, params, x0, swinton, *ends[-1])
         sols = _sweep(runs)
-        for r in range(0, len(sols), 2 + swinton):
+        for (bm, bp), r in zip(ends, range(0, len(sols), 2 + swinton)):
             jm, jp, *adj = sols[r:r + 2 + swinton]
-            trans = None if sysm.is_front else _edge_transmission(jm)
+            trans = None if sysm.is_front else _edge_transmission(jm, bm)
             im = _index_of(jm.xs, x0)
             ip = _index_of(jp.xs, x0)
             combined = np.concatenate([jm.values[im], jp.values[ip]], axis=1)
@@ -446,8 +447,7 @@ def _jost_routes(system, lams: Sequence[complex], matching_point: float,
                   * np.linalg.det(jm.transform[im])
                   * np.linalg.det(jp.transform[ip]))
             ssum = jm.renorm_log[im].sum() + jp.renorm_log[ip].sum()
-            c_lam = complex(np.linalg.det(np.concatenate(
-                [jm.basis.y_minus(x0), jp.basis.y_plus(x0)], axis=1)))
+            c_lam = _normalizer(bm, bp, x0)
             result = EvansResult(
                 evans=_exp_scaled(d0, ssum), c_lambda=c_lam,
                 ratio=_exp_scaled(d0 / c_lam, ssum), transmission=trans,

@@ -16,9 +16,10 @@ exposed here as ``reference_system``.  Everything proved for decaying
 perturbations applies to that problem verbatim, so its determinant can be
 cross-checked against an Evans computation on the same reference system.
 
-The kernel basis of a front is decided with every other system's, in
-``greens.system_bases``, whose ``end_bases`` split the two end matrices
-into the kept rates, so ``fredholm.det2`` and ``determinants_many``
+The kernel basis of a front is decided with every other system's, as
+stacked arrays: ``greens.end_bases`` splits the two end matrices of a
+whole lambda batch, and ``greens.system_bases`` pairs the kept rates in
+their Vandermonde frame, so ``fredholm.det2`` and ``determinants_many``
 already run on B's kernel, and ``front_det2`` is ``fredholm.det2``
 relabelled.  This module adds B itself and the reference problem.
 
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fredholm, greens, model
-from .errors import IllConditioned
-from .greens import RootSplit
+from .errors import IllConditioned, raise_first
 from .model import SystemProblem
 
 __all__ = [
@@ -54,30 +54,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrontReference:
-    """The surrogate constant matrix B and its eigenvector frame."""
+    """The surrogate constant matrix B, its eigenvector frame and the kept
+    rates that are its eigenvalues."""
 
     B: np.ndarray
     P: np.ndarray
-    split: RootSplit
+    split: np.ndarray
 
 
-def front_reference(split: RootSplit) -> FrontReference:
+def front_reference(rates) -> FrontReference:
     """Constant matrix with the prescribed mixed spectrum.
 
-    B = P diag(kappa-_1..kappa-_k, tau+_{k+1}..tau+_n) P^-1 with P the
-    Vandermonde frame of the combined rates, so B is the companion matrix
-    of the polynomial with exactly those roots.
+    rates holds the kept rates, the left end's unstable ones first, as the
+    kernel roots of a front in ``greens.system_bases``.  B = P
+    diag(kappa-_1..kappa-_k, tau+_{k+1}..tau+_n) P^-1 with P the
+    Vandermonde frame of the rates, so B is the companion matrix of the
+    polynomial with exactly those roots.
     """
-    roots = np.array(split.all, dtype=complex)
+    roots = np.asarray(rates, dtype=complex)
     n = roots.size
     for i in range(n):
         for j in range(i + 1, n):
             if abs(roots[i] - roots[j]) < 1e-12 * max(1.0, abs(roots[i])):
                 raise IllConditioned(
                     f"coincident front rates {roots[i]} and {roots[j]}")
-    basis = greens.basis_from_roots(split)
-    B = basis.P @ (roots[:, None] * basis.Pinv)
-    return FrontReference(B=B, P=basis.P, split=split)
+    refusals = [None]
+    P, Pinv, _ = greens._vandermonde(roots[None], refusals)
+    raise_first(refusals)
+    return FrontReference(B=P[0] @ (roots[:, None] * Pinv[0]), P=P[0],
+                          split=roots)
 
 
 def reference_system(system) -> SystemProblem:
@@ -96,7 +101,9 @@ def reference_system(system) -> SystemProblem:
         return sysm
 
     def base(lam: complex) -> np.ndarray:
-        return front_reference(greens.system_basis(sysm, lam).roots).B
+        kappa, _, _, _, refusals = greens.system_bases(sysm, [lam])
+        raise_first(refusals)
+        return front_reference(kappa[0]).B
 
     n = sysm.dimension
     zero = np.zeros((n, n), dtype=complex)

@@ -10,89 +10,34 @@ with the interface weights alpha_j; the matrix Green's function of the
 companion system pairs the decaying solution bases with their duals, the
 columns of the Vandermonde frame P of the roots and the rows of its
 inverse, off whose last column alpha is read.  This module decides the
-splits, the weights and the bases of a whole lambda batch at once, from
-one stacked root split (``_split``): ``green_data`` gives a scalar
-problem's roots and weights, ``system_bases`` a system's bases.
-:mod:`wavedet.fredholm` assembles both kernels from them as sums of
-rank-one terms per root and never evaluates a Green's function pointwise.
+splits, the weights and the bases of a whole lambda batch at once, as
+stacked arrays: one root split (``_split``) of a scalar-derived pulse, one
+eigensplit (``_eigensplit``) of A0(lambda) for a general system, and one
+per end, of A0 + R- and A0 + R+, for a front.  ``green_data`` gives a
+scalar problem's roots and weights, ``end_bases`` the bases at the two
+ends of a system, which the Jost runs of :mod:`wavedet.evans` start from,
+and ``system_bases`` the kernel basis: a pulse's end basis, or a front's
+reference split of the kept rates.  :mod:`wavedet.fredholm` assembles
+both kernels from it as sums of rank-one terms per root and never
+evaluates a Green's function pointwise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import model
 from .errors import (CountMismatch, EssentialSpectrum, IllConditioned,
-                     NearMultipleRoots, WavedetError, raise_first)
+                     NearMultipleRoots, raise_first)
 from .model import ScalarProblem, SystemProblem
 
 __all__ = [
-    "RootSplit",
-    "UnperturbedBasis",
-    "basis_from_roots",
-    "system_basis",
-    "system_basis_list",
-    "matrix_basis",
     "green_data",
-    "system_bases",
     "end_bases",
+    "system_bases",
 ]
 
 COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class RootSplit:
-    """Characteristic roots split by sign of the real part.
-
-    plus holds the k roots with Re > 0 (they generate the solutions decaying
-    towards -infinity), minus the n-k roots with Re < 0.  Each group is
-    sorted by ascending real part, then ascending imaginary part.
-    """
-
-    plus: tuple
-    minus: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.plus)
-
-    @property
-    def n(self) -> int:
-        return len(self.plus) + len(self.minus)
-
-    @property
-    def all(self) -> tuple:
-        return self.plus + self.minus
-
-
-@dataclass
-class UnperturbedBasis:
-    """Decaying solution bases of the unperturbed system and their duals.
-
-    y_minus(x) is n x k (columns decay towards -infinity), y_plus(x) is
-    n x (n-k); the matching dual rows are those of Pinv, the inverse of
-    the fundamental matrix at x = 0, carried along by e^(-kappa x).
-    """
-
-    roots: RootSplit
-    P: np.ndarray
-    Pinv: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.roots.k
-
-    def y_minus(self, x: float) -> np.ndarray:
-        kp = np.array(self.roots.plus)
-        return self.P[:, :self.k] * np.exp(kp * x)[None, :]
-
-    def y_plus(self, x: float) -> np.ndarray:
-        km = np.array(self.roots.minus)
-        return self.P[:, self.k:] * np.exp(km * x)[None, :]
 
 
 def _split(problem: ScalarProblem,
@@ -164,117 +109,84 @@ def green_data(problem: ScalarProblem, lams) -> tuple:
     return kappa, k, _alpha(k, Pinv), cond
 
 
-def basis_from_roots(roots: RootSplit,
-                     P: Optional[np.ndarray] = None) -> UnperturbedBasis:
-    """Basis from an explicit root splitting.
-
-    P defaults to the Vandermonde matrix of the combined roots (the
-    eigenvector matrix of any companion-form system); a non-companion
-    eigenvector matrix may be passed instead with the same column order.
-    """
-    kall = np.array(roots.all)
-    n = kall.size
-    if P is None:
-        P = kall[None, :] ** np.arange(n)[:, None]
-    P = np.asarray(P, dtype=complex)
-    refusals = [None]
-    Pinv, _ = _solved(P[None], np.eye(n, dtype=complex), "basis matrix",
+def _eigensplit(A: np.ndarray) -> tuple:
+    """The stacked eigensplit of L constant matrices A (L, n, n): rates
+    kappa (L, n), those with Re > 0 first (they play the role of the
+    kappa+ roots), each group by ascending real part, then ascending
+    imaginary part; their counts k (L,); the eigenvector frames P and
+    their inverses Pinv (L, n, n); and per matrix its refusal or None.  A
+    rate within the axis tolerance of the imaginary axis puts lambda on
+    the essential spectrum; an ill-conditioned frame is refused as
+    ``_solved`` refuses it."""
+    vals, vecs = np.linalg.eig(A)
+    scale = np.maximum(np.max(np.abs(vals), axis=-1), 1e-12)
+    on_axis = np.min(np.abs(vals.real), axis=-1) <= model.AXIS_TOL * scale
+    refusals = [EssentialSpectrum("constant matrix has an eigenvalue on the "
+                                  "imaginary axis") if axis else None
+                for axis in on_axis]
+    order = np.lexsort((vals.imag, vals.real, vals.real <= 0), axis=-1)
+    P = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    Pinv, _ = _solved(P, np.eye(A.shape[-1], dtype=complex), "basis matrix",
                       refusals)
-    raise_first(refusals)
-    return UnperturbedBasis(roots=roots, P=P, Pinv=Pinv[0])
+    kappa = np.take_along_axis(vals, order, axis=-1)
+    return kappa, np.count_nonzero(kappa.real > 0, axis=-1), P, Pinv, refusals
 
 
-def system_basis(system: SystemProblem, lam: complex) -> UnperturbedBasis:
-    """The kernel basis of a system at lambda: ``system_basis_list`` of one
-    lambda, raising its refusal."""
-    basis, = system_basis_list(system, [lam])
-    if isinstance(basis, WavedetError):
-        raise basis
-    return basis
+def end_bases(system: SystemProblem, lams) -> tuple:
+    """The bases at the two ends of every lambda: the minus end's and the
+    plus end's, each the arrays kappa (L, n), plus rates first, k (L,), P
+    and Pinv (L, n, n), and per lambda its refusal or None.  The one place
+    that decides a system's bases:
 
+    * a scalar-derived pulse: the constant part's characteristic roots,
+      from one stacked root split, and their Vandermonde frames, whose
+      inverses give the scalar kernel weights (``_alpha``); both ends
+      share them;
+    * a general pulse: the stacked eigensplit of A0(lambda), both ends;
+    * a front: the eigensplits of A0 + R- and of A0 + R+, refused when they
+      disagree about how many rates have positive real part.
 
-def system_basis_list(system: SystemProblem, lams) -> list:
-    """The kernel basis of every lambda from one ``system_bases`` call,
-    with a refused lambda's error in place of its basis."""
-    kappa, k, P, Pinv, refusals = system_bases(system, lams)
-    out = []
-    for i, refusal in enumerate(refusals):
-        roots = tuple(complex(z) for z in kappa[i])
-        out.append(refusal or UnperturbedBasis(
-            roots=RootSplit(plus=roots[:k[i]], minus=roots[k[i]:]),
-            P=P[i], Pinv=Pinv[i]))
-    return out
+    Within one lambda a root on the axis comes first, then an
+    ill-conditioned frame (the minus end before the plus end), then
+    unequal counts."""
+    if system.source is not None and not system.is_front:
+        kappa, k, refusals = _split(system.source, lams)
+        basis = (kappa, k, *_vandermonde(kappa, refusals)[:2])
+        return basis, basis, refusals
+    n = system.dimension
+    A0 = np.array([system.base_matrix(lam) for lam in lams],
+                  dtype=complex).reshape(len(lams), n, n)
+    if not system.is_front:
+        *basis, refusals = _eigensplit(A0)
+        return tuple(basis), tuple(basis), refusals
+    *minus, left = _eigensplit(A0 + system.r_minus)
+    *plus, right = _eigensplit(A0 + system.r_plus)
+    minus, plus = tuple(minus), tuple(plus)
+    refusals = [
+        a or b or (CountMismatch(f"unstable counts differ between the ends: "
+                                 f"{km} vs {kp}") if km != kp else None)
+        for a, b, km, kp in zip(left, right, minus[1], plus[1])]
+    return minus, plus, refusals
 
 
 def system_bases(system: SystemProblem, lams) -> tuple:
     """The kernel basis of every lambda as arrays, kappa (L, n), k (L,), P
-    and Pinv (L, n, n), and per lambda its refusal or None (zeros in its
-    place).  The one place that decides a system's basis:
-
-    * a scalar-derived pulse: the constant part's characteristic roots,
-      from one stacked root split, and their Vandermonde frames, whose
-      inverses give the scalar kernel weights (``_alpha``);
-    * a general pulse: a dense eigensplit of A0(lambda);
-    * a front: the reference split, the left end's plus rates with the
-      right end's minus rates (``end_bases``), in the Vandermonde frame
-      of the reference matrix B(lambda) of ``fronts.front_reference``.
-    """
-    n, front = system.dimension, system.is_front
-    if system.source is not None and not front:
-        kappa, k, refusals = _split(system.source, lams)
+    and Pinv (L, n, n), and per lambda its refusal or None, from one
+    ``end_bases`` call.  A pulse's kernel basis is its end basis.  A
+    front's is the reference split, the left end's plus rates with the
+    right end's minus rates, in their Vandermonde frame, that of the
+    reference matrix B(lambda) of ``fronts.front_reference``, refused after
+    the ends when ill-conditioned.  A refused lambda's Pinv is zero, and so
+    are its other rows unless the system is a scalar-derived pulse."""
+    minus, plus, refusals = end_bases(system, lams)
+    if system.source is not None and not system.is_front:
+        return *minus, refusals
+    kappa, k, P, Pinv = minus
+    if system.is_front:
+        kappa = np.where(np.arange(system.dimension) < k[:, None], kappa,
+                         plus[0])
         P, Pinv, _ = _vandermonde(kappa, refusals)
-        return kappa, k, P, Pinv, refusals
-    L = len(lams)
-    kappa = np.zeros((L, n), dtype=complex)
-    k = np.zeros(L, dtype=int)
-    P = np.zeros((L, n, n), dtype=complex)
-    Pinv = np.zeros((L, n, n), dtype=complex)
-    refusals = [None] * L
-    for i, lam in enumerate(lams):
-        A0 = system.base_matrix(lam)
-        try:
-            if front:
-                bm, bp = end_bases(A0 + system.r_minus, A0 + system.r_plus)
-                basis = basis_from_roots(RootSplit(plus=bm.roots.plus,
-                                                   minus=bp.roots.minus))
-            else:
-                basis = matrix_basis(A0)
-        except WavedetError as exc:
-            refusals[i] = exc
-            continue
-        kappa[i], k[i] = basis.roots.all, basis.k
-        P[i], Pinv[i] = basis.P, basis.Pinv
+    refused = [i for i, refusal in enumerate(refusals) if refusal is not None]
+    for rows in (kappa, k, P):
+        rows[refused] = 0
     return kappa, k, P, Pinv, refusals
-
-
-def end_bases(A_minus: np.ndarray, A_plus: np.ndarray
-              ) -> tuple[UnperturbedBasis, UnperturbedBasis]:
-    """``matrix_basis`` of the two end matrices of a front, refused when
-    they disagree about how many rates have positive real part."""
-    bm, bp = matrix_basis(A_minus), matrix_basis(A_plus)
-    if bm.k != bp.k:
-        raise CountMismatch(
-            f"unstable counts differ between the ends: {bm.k} vs {bp.k}")
-    return bm, bp
-
-
-def matrix_basis(A: np.ndarray) -> UnperturbedBasis:
-    """Eigensplit basis of an explicit constant matrix.
-
-    Eigenvalues with positive real part come first (they play the role of
-    the kappa+ roots); an eigenvalue within the axis tolerance of the
-    imaginary axis means lambda sits on the essential spectrum of the
-    corresponding constant-coefficient operator.
-    """
-    A = np.asarray(A, dtype=complex)
-    vals, vecs = np.linalg.eig(A)
-    scale = max(float(np.max(np.abs(vals))), 1e-12)
-    if float(np.min(np.abs(vals.real))) <= model.AXIS_TOL * scale:
-        raise EssentialSpectrum(
-            "constant matrix has an eigenvalue on the imaginary axis")
-    plus = [i for i in np.lexsort((vals.imag, vals.real)) if vals[i].real > 0]
-    minus = [i for i in np.lexsort((vals.imag, vals.real)) if vals[i].real < 0]
-    roots = RootSplit(plus=tuple(complex(vals[i]) for i in plus),
-                      minus=tuple(complex(vals[i]) for i in minus))
-    P = np.concatenate([vecs[:, plus], vecs[:, minus]], axis=1)
-    return basis_from_roots(roots, P=P)

@@ -87,10 +87,6 @@ class WaveProfile:
             return self(x)
         return self.deriv(np.asarray(x, dtype=float), order)
 
-    @property
-    def is_front(self) -> bool:
-        return max(abs(self.limits[0]), abs(self.limits[1])) > 0.0
-
 
 def _tanh_sech(terms: dict, w: float, x: np.ndarray,
                order: int) -> np.ndarray:
@@ -569,6 +565,13 @@ DEFAULT_POINTS = 400
 DEFAULT_PANEL_ORDER = 10
 
 
+def _count(name: str, value) -> int:
+    """value, refused unless it is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _window(half_width: float) -> float:
     """X of the window [-X, X], refused unless X > 0 and 2X is finite."""
     X = float(half_width)
@@ -596,11 +599,8 @@ class QuadratureGrid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("panel_order", "panels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, not "
-                                  f"{value!r}")
+        _count("panel_order", self.panel_order)
+        _count("panels", self.panels)
         if self.panel_order < 1:
             raise ConfigError("panel_order must be at least 1")
         X = _window(self.half_width)
@@ -624,7 +624,8 @@ class QuadratureGrid:
 def build_grid(half_width: float, n_points: int,
                panel_order: int = DEFAULT_PANEL_ORDER) -> QuadratureGrid:
     """The grid of ceil(N / panel_order) panels on [-X, X]."""
-    if panel_order < 1:
+    _count("n_points", n_points)
+    if _count("panel_order", panel_order) < 1:
         raise ConfigError("panel_order must be at least 1")
     X = _window(half_width)
     if n_points < 4:
@@ -649,7 +650,7 @@ class IntegrationParams:
     (``evans._segment_step``).
     """
 
-    half_width: float = 20.0
+    half_width: float = DEFAULT_HALF_WIDTH
     rtol: float = 1e-10
 
     def __post_init__(self):

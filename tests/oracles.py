@@ -2,14 +2,65 @@
 from the formulas and independent of the batched engine: pointwise Green's
 functions, dual rows and projectors of a basis, the weak-coupling
 transmission matrix and the plain node matrix of a kernel.  Last, the
-single-lambda reads of engine internals that several test files share.
+single-lambda reads of engine internals that several test files share,
+among them one lambda's rows of the stacked bases.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from wavedet import fredholm, greens
 from wavedet.errors import raise_first
 from wavedet.model import SystemProblem
+
+
+class Basis(NamedTuple):
+    """One lambda's rows of a stacked basis: the rates kappa (plus rates
+    first), the plus count k, the frame P and its inverse Pinv.  It
+    unpacks as the rows that ``evans._lambda_runs`` takes."""
+
+    kappa: np.ndarray
+    k: int
+    P: np.ndarray
+    Pinv: np.ndarray
+
+    def y_minus(self, x):
+        """The n x k columns decaying towards -infinity, at x."""
+        return self.P[:, :self.k] * np.exp(self.kappa[:self.k] * x)
+
+    def y_plus(self, x):
+        """The n x (n-k) columns decaying towards +infinity, at x."""
+        return self.P[:, self.k:] * np.exp(self.kappa[self.k:] * x)
+
+
+def basis(system, lam):
+    """The kernel basis of one lambda, ``greens.system_bases`` of [lam],
+    raising its refusal."""
+    *rows, refusals = greens.system_bases(system, [lam])
+    raise_first(refusals)
+    return Basis(*(a[0] for a in rows))
+
+
+def constant_front(a_minus, a_plus):
+    """A general front whose end matrices at lambda are a_minus + lambda I
+    and a_plus + lambda I, with a step between them at x = 0."""
+    n = len(a_minus)
+
+    def perturbation(x):
+        left = (np.asarray(x) <= 0)[..., None, None]
+        return np.where(left, a_minus, a_plus).astype(complex)
+    return SystemProblem(dimension=n, base_matrix=lambda lam: lam * np.eye(n),
+                         perturbation=perturbation, r_minus=a_minus,
+                         r_plus=a_plus)
+
+
+def end_bases(system, lam):
+    """The minus end's and the plus end's basis of one lambda,
+    ``greens.end_bases`` of [lam], raising its refusal."""
+    minus, plus, refusals = greens.end_bases(system, [lam])
+    raise_first(refusals)
+    return tuple(Basis(*(a[0] for a in side)) for side in (minus, plus))
 
 
 def scalar_green(x, xi, kappa, k, alpha):
@@ -27,7 +78,7 @@ def matrix_green(x, xi, basis):
     exponentials are combined as e^(kappa (x - xi)), so every factor
     decays on its own branch."""
     side = slice(None, basis.k) if x <= xi else slice(basis.k, None)
-    kappa = np.array(basis.roots.all)[side]
+    kappa = basis.kappa[side]
     core = (basis.P[:, side] * np.exp(kappa * (x - xi))) @ basis.Pinv[side]
     return -core if x <= xi else core
 
@@ -35,7 +86,7 @@ def matrix_green(x, xi, basis):
 def dual_rows(basis, x):
     """Z0+(x) and Z0-(x), the rows of the inverse fundamental matrix that
     pair with y_minus(x) and y_plus(x): z_plus(x) @ y_minus(x) = I_k."""
-    Z = basis.Pinv * np.exp(-np.array(basis.roots.all) * x)[:, None]
+    Z = basis.Pinv * np.exp(-basis.kappa * x)[:, None]
     return Z[:basis.k], Z[basis.k:]
 
 
@@ -49,12 +100,11 @@ def born_transmission(system, lam, grid):
     """One-term weak-coupling approximation of the transmission matrix:
     the Jost minus solution in the pairing integral I + int Z0+ R Y- is
     replaced by its unperturbed limit, on the quadrature rule of grid."""
-    basis = greens.system_basis(system, lam)
-    k = basis.k
-    kp = np.array(basis.roots.plus)
+    kappa, k, P, Pinv = basis(system, lam)
+    kp = kappa[:k]
     x = grid.nodes[:, None, None]
-    core = (basis.Pinv[:k] @ np.asarray(system.perturbation(grid.nodes),
-                                        dtype=complex) @ basis.P[:, :k])
+    core = (Pinv[:k] @ np.asarray(system.perturbation(grid.nodes),
+                                  dtype=complex) @ P[:, :k])
     phase = np.exp((kp[None, :] - kp[:, None]) * x)
     return np.eye(k, dtype=complex) + np.einsum("t,tab->ab", grid.weights,
                                                 core * phase)

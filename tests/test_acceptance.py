@@ -69,8 +69,7 @@ def test_interface_identities_random_battery():
         lam = complex(rng.uniform(0.5, 6.0), rng.uniform(-3.0, 3.0))
         try:
             kall, k, alpha, _ = oracles.green_row(problem, lam)
-            basis = wd.basis_from_roots(greens.RootSplit(
-                plus=tuple(kall[:k]), minus=tuple(kall[k:])))
+            basis = oracles.basis(wd.to_system(problem), lam)
         except (EssentialSpectrum, NearMultipleRoots, IllConditioned):
             continue
         done += 1
@@ -276,10 +275,9 @@ def test_front_pipeline(pt_system, grid):
                     - fredholm.det2(pt_system, 4.0, grid).value)
 
     # reference matrix for step ends with rates (+-2, +-1)
-    bm, bp = greens.end_bases(np.array([[0.0, 1.0], [4.0, 0.0]]),
-                              np.array([[0.0, 1.0], [1.0, 0.0]]))
-    B = fronts.front_reference(wd.RootSplit(plus=bm.roots.plus,
-                                            minus=bp.roots.minus)).B
+    steps = oracles.constant_front(np.array([[0.0, 1.0], [4.0, 0.0]]),
+                                   np.array([[0.0, 1.0], [1.0, 0.0]]))
+    B = fronts.front_reference(oracles.basis(steps, 0.0).kappa).B
     b_gap = float(np.max(np.abs(B - np.array([[0.0, 1.0], [2.0, 1.0]]))))
 
     # determinant zero vs Evans zero of the problem the determinant

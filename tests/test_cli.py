@@ -14,6 +14,8 @@ import wavedet
 from wavedet import cli, evans, fredholm, fronts, greens, locate
 from wavedet.errors import WavedetError
 
+import oracles
+
 PT = {"problem": {"name": "poschl_teller"}}
 
 
@@ -314,9 +316,9 @@ def test_evans_batch_rows_equal_batches_of_one(case, tmp_path, capsys,
             return pairs, at
         monkeypatch.setattr(evans, "_window_steps", counted)
         runs = [evans._lambda_runs(sysm, lam, params, 0.0, False,
-                                   *evans._side_bases(sysm, lam))[0]
+                                   *oracles.end_bases(sysm, lam))[0]
                 for lam in lams]
-        assert len({len(run[4]) for run in runs}) > 2
+        assert len({len(run[3]) for run in runs}) > 2
         assert len(set(steps)) == len(lams)
 
 
@@ -570,6 +572,34 @@ def test_converge_sweeps(tmp_path, capsys):
     assert rows[2]["gap"] < 1e-8
 
 
+def test_converge_det2_values_and_gaps(tmp_path, capsys):
+    """quantity det2: each value is fredholm.det2 of the first-order form
+    on its grid, and each gap is |v(N) - v(2N)| or |v(X) - v(X + 5)|."""
+    path = write_config(tmp_path, {"lambda": {"re": 3.0, "im": 0.5},
+                                   "quantity": "det2", "n_list": [40, 80],
+                                   "x_list": [10.0, 15.0]},
+                        domain={"quad_points": 80, "panel_order": 8})
+    code, out, err = run_cli(capsys, "converge", "--config", path,
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    system = wavedet.to_system(wavedet.builtin_problem("poschl_teller"))
+
+    def det2(half_width, n_points):
+        grid = wavedet.build_grid(half_width, n_points, 8)
+        return fredholm.det2(system, 3.0 + 0.5j, grid).value
+
+    want = [("N", 40.0, det2(20.0, 40), det2(20.0, 80)),
+            ("N", 80.0, det2(20.0, 80), det2(20.0, 160)),
+            ("X", 10.0, det2(10.0, 80), det2(15.0, 80)),
+            ("X", 15.0, det2(15.0, 80), det2(20.0, 80))]
+    assert len(rows) == len(want)
+    for row, (sweep, parameter, v, v2) in zip(rows, want):
+        assert (row["sweep"], row["parameter"]) == (sweep, parameter)
+        assert complex(row["value"]["re"], row["value"]["im"]) == v
+        assert row["gap"] == abs(v - v2)
+
+
 def test_front_determinant_via_cli(tmp_path, capsys):
     cfg = {"problem": {"order": 2, "coeffs": [0.0, 0.0],
                        "profile": {"kind": "tanh_front",
@@ -770,19 +800,19 @@ _PUBLIC_DIR = [
     "EssentialSpectrum", "EvansResult", "FrontReference",
     "IllConditioned", "IntegrationParams",
     "NearMultipleRoots", "NoConvergence", "PhaseJump",
-    "QuadratureGrid", "RootReport", "RootSplit", "ScalarProblem",
+    "QuadratureGrid", "RootReport", "ScalarProblem",
     "SignMismatch", "StiffnessFailure", "SystemProblem",
-    "UnperturbedBasis", "WaveProfile", "WavedetError", "__builtins__",
+    "WaveProfile", "WavedetError", "__builtins__",
     "__cached__", "__doc__", "__file__", "__loader__", "__name__",
     "__package__", "__path__", "__spec__", "__version__",
-    "basis_from_roots", "build_grid",
+    "build_grid",
     "builtin_problem", "char_roots", "default_grid",
     "det1", "det2", "detp", "errors", "essential_spectrum_distance", "evans",
     "evans_and_swinton", "evans_function", "fredholm", "front_det2",
     "front_reference", "fronts", "greens", "identity_report", "locate",
-    "locate_roots", "make_profile", "matrix_basis", "model",
+    "locate_roots", "make_profile", "model",
     "reference_system", "refine_root", "scan", "swinton_matrix",
-    "symbol_curve", "system_basis", "tabulated_profile", "to_system"]
+    "symbol_curve", "tabulated_profile", "to_system"]
 
 
 def test_lazy_package_keeps_its_public_api():
@@ -817,13 +847,24 @@ _ENTRY_POINTS = {"detp", "swinton_matrix", "essential_spectrum_distance",
                  "tabulated_profile"}
 
 
+def _public_members(cls):
+    """The public methods and properties that cls defines itself."""
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (property, staticmethod, classmethod)))]
+
+
 def test_every_public_function_has_a_caller():
-    """Each function of a submodule's __all__ is used by the package
-    outside its own top-level definition, by a script or by a benchmark
-    workload, unless it is a documented entry point: a public function
-    that only the tests call belongs in the tests.  Names in __all__, in
+    """Each function and class of a submodule's __all__ is used by the
+    package outside its own top-level definition, by a script or by a
+    benchmark workload, unless it is a documented entry point, and so is
+    each public method and property of such a class: read as an attribute
+    outside its own definition.  A public name that only the tests use
+    belongs in the tests.  Two public classes may not define one member
+    name, as a read by name cannot tell them apart.  Names in __all__, in
     _HOMES and in docstrings are strings, so they do not count."""
-    used = set()
+    used, reads = set(), []
     for path in [*(_ROOT / "src" / "wavedet").glob("*.py"),
                  *(_ROOT / "scripts").glob("*.py"),
                  _ROOT / "perfbench" / "workloads.py"]:
@@ -834,12 +875,30 @@ def test_every_public_function_has_a_caller():
                                                              None)
                 if name and name != getattr(top, "name", None):
                     used.add(name)
-    uncalled = [f"{sub}.{name}" for sub in wavedet._SUBMODULES
-                for module in [getattr(wavedet, sub)]
-                for name in getattr(module, "__all__", ())
-                if inspect.isfunction(getattr(module, name))
-                and name not in used | _ENTRY_POINTS]
+            # every attribute read, with the member definition it sits in
+            parts = ([(part, (top.name, getattr(part, "name", None)))
+                      for part in top.body]
+                     if isinstance(top, ast.ClassDef) else [(top, None)])
+            reads += [(node.attr, where) for part, where in parts
+                      for node in ast.walk(part)
+                      if isinstance(node, ast.Attribute)]
+    uncalled, owners = [], {}
+    for sub in wavedet._SUBMODULES:
+        module = getattr(wavedet, sub)
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            # a class re-exported from another submodule is checked there
+            homed = inspect.isclass(obj) and obj.__module__ == module.__name__
+            if ((inspect.isfunction(obj) or homed)
+                    and name not in used | _ENTRY_POINTS):
+                uncalled.append(f"{sub}.{name}")
+            for member in _public_members(obj) if homed else ():
+                owners.setdefault(member, []).append(f"{sub}.{name}")
+                if not any(attr == member and where != (name, member)
+                           for attr, where in reads):
+                    uncalled.append(f"{sub}.{name}.{member}")
     assert uncalled == []
+    assert {m: o for m, o in owners.items() if len(o) > 1} == {}
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +948,52 @@ def test_tolerances_block_is_exit_2(tmp_path, capsys):
     assert obj["message"] == "unknown config key config.tolerances"
 
 
+# the limits of R for _FRONT: -v(-inf) = 4 and -v(+inf) = 1 in the bottom
+# row of its first-order form
+_FRONT_R = {"R_minus": [[0.0, 0.0], [4.0, 0.0]],
+            "R_plus": [[0.0, 0.0], [{"re": 1.0, "im": 0.0}, 0.0]]}
+
+
+def test_matrix_asymptotics_that_match_run(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "problem": dict(_FRONT, asymptotics=_FRONT_R), "lambdas": [2.0]},
+        domain={"quad_points": 100})
+    code, out, err = run_cli(capsys, "det", "--config", path, "--format",
+                             "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["problem"]["asymptotics"] == _FRONT_R
+
+
+@pytest.mark.parametrize("block,message", [
+    (dict(_FRONT_R, R_minus=[[0.0, 0.0], [5.0, 0.0]]),
+     "problem.asymptotics.R_minus disagrees with the limit the profile "
+     "reaches"),
+    (dict(_FRONT_R, R_plus=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+     "problem.asymptotics.R_plus disagrees with the limit the profile "
+     "reaches"),
+    (dict(_FRONT_R, R_minus=4.0),
+     "problem.asymptotics.R_minus must be a matrix (list of lists)"),
+    (dict(_FRONT_R, R_plus=[1.0, 0.0]),
+     "problem.asymptotics.R_plus must be a matrix (list of lists)"),
+    ({"R_minus": _FRONT_R["R_minus"]},
+     "problem.asymptotics needs both R_minus and R_plus"),
+    ({"R_plus": _FRONT_R["R_plus"]},
+     "problem.asymptotics needs both R_minus and R_plus"),
+    (dict(_FRONT_R, v_minus=-4.0),
+     "problem.asymptotics: give v_minus/v_plus or R_minus/R_plus, not "
+     "both"),
+], ids=["disagrees", "wrong-shape", "number", "flat-list", "minus-alone",
+        "plus-alone", "both-forms"])
+def test_matrix_asymptotics_refusals_are_exit_2(tmp_path, capsys, block,
+                                                message):
+    path = write_config(tmp_path, {
+        "problem": dict(_FRONT, asymptotics=block), "lambdas": [2.0]})
+    code, out, err = run_cli(capsys, "det", "--config", path)
+    assert (code, out) == (2, "")
+    assert err_object(err) == {"kind": "config", "type": "ConfigError",
+                               "message": message}
+
+
 def test_wrong_asymptotics_is_exit_2(tmp_path, capsys):
     cfg = {"problem": {"order": 2, "coeffs": [0.0, 0.0],
                        "profile": {"kind": "tanh_front",
@@ -914,6 +1019,42 @@ def test_compare_on_front_is_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compare", "--config", str(path))
     assert code == 2
     assert err_object(err)["kind"] == "config"
+
+
+def test_locate_refuses_an_essential_sample_as_scan_does(tmp_path, capsys):
+    """The contour and the scan grid of this rectangle both hold -1, on
+    the essential spectrum: each command's evaluator refuses it through its
+    own root split, so both print one error line."""
+    path = write_config(tmp_path, {"problem": _PT2,
+                                   "domain": {"quad_points": 200},
+                                   "rectangle": _box(-1 - 0.5j, 1 + 0.5j)})
+    errs = []
+    for command in ("locate", "scan"):
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (3, "")
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert err_object(errs[0]) == {
+        "kind": "numeric", "type": "EssentialSpectrum",
+        "message": "lambda=(-1+0j) has a characteristic root on the "
+                   "imaginary axis"}
+
+
+def test_locate_reports_a_near_double_root_as_the_root_split_does(
+        tmp_path, capsys):
+    """kappa^2 + 2 kappa + 1 - lambda has a double root at -1 for lambda =
+    0, off the imaginary axis, on the left edge of this contour: locate
+    refuses it as the evaluator's root split does, exit 3."""
+    path = write_config(tmp_path, {
+        "problem": {"order": 2, "coeffs": [1.0, 2.0],
+                    "profile": {"kind": "sech2"}},
+        "domain": {"quad_points": 100},
+        "rectangle": _box(complex(0.0, -0.5), 0.5 + 0.5j)})
+    code, out, err = run_cli(capsys, "locate", "--config", path)
+    assert (code, out) == (3, "")
+    assert err_object(err) == {
+        "kind": "numeric", "type": "NearMultipleRoots",
+        "message": "characteristic roots at lambda=0j nearly coincide"}
 
 
 def test_essential_spectrum_is_exit_3(tmp_path, capsys):
@@ -1138,12 +1279,40 @@ _PINNED = {
 }
 
 
+_TANH_FRONT = {"name": "tanh_front",
+               "params": {"amplitude": 1.5, "offset": -2.5, "well": 8.0}}
+
+# the front paths of the two routes: the reference kernel of det (p = 3)
+# and det2, and the end bases of the Jost runs; the locate rectangle holds
+# the det2 zero 3.327988 of the reference problem
+_PINNED_FRONT = {
+    "det_front": ("det", {"problem": _TANH_FRONT,
+                          "lambdas": _pairs([2.0 + 0.5j, 3.5 - 0.25j])}),
+    "evans_front": ("evans", {"problem": _TANH_FRONT,
+                              "lambdas": _pairs([2.0 + 0.5j, 3.5 - 0.25j])}),
+    "locate_front_det2": ("locate", {
+        "problem": _TANH_FRONT, "domain": {"quad_points": 200},
+        "rectangle": _box(3.0 - 0.3j, 3.7 + 0.3j), "samples_per_edge": 6,
+        "function": "det2"}),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_benchmark_commands_print_pinned_bytes(tmp_path, name):
     """A new process running the command with --format json prints the
     bytes of tests/pinned/<name>.json to stdout, nothing to stderr, and
     exits 0: a change that moves any printed number fails here."""
-    command, config = _PINNED[name]
+    _assert_pinned(tmp_path, name, *_PINNED[name])
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FRONT))
+def test_front_commands_print_pinned_bytes(tmp_path, name):
+    """``test_benchmark_commands_print_pinned_bytes`` of the front
+    commands."""
+    _assert_pinned(tmp_path, name, *_PINNED_FRONT[name])
+
+
+def _assert_pinned(tmp_path, name, command, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     env = dict(os.environ,

@@ -25,7 +25,7 @@ def _jost(system, lam, direction):
     minus = direction == "minus"
     x0 = params.half_width if minus else -params.half_width
     runs = evans._lambda_runs(system, lam, params, x0, False,
-                              *evans._side_bases(system, lam))
+                              *oracles.end_bases(system, lam))
     return evans._sweep([runs[0 if minus else 1]])[0]
 
 
@@ -396,7 +396,7 @@ def test_adjoint_runs_pair_to_a_constant(bh_system):
     against the minus columns, run right from -X, at every stored point
     the two runs share."""
     lam = 3.0 + 2.0j
-    basis = wd.system_basis(bh_system, lam)
+    basis = oracles.basis(bh_system, lam)
     ym, _, zp = evans._sweep(evans._lambda_runs(
         bh_system, lam, evans.IntegrationParams(), -2.0, True, basis, basis))
     pts = (0.0, -2.0)
@@ -415,7 +415,7 @@ def _stepwise(system, lam, params, run, x0, direction, adjoint=False):
     plus run goes from +X to x0."""
     X = params.half_width
     bounds = evans._boundaries(
-        X, evans._segment_step(*evans._side_bases(system, lam)), (x0,))
+        X, evans._segment_step(*oracles.end_bases(system, lam)), (x0,))
     if direction == "plus":
         bounds = bounds[evans._index_of(bounds, x0):]
     steps, at = evans._window_steps(system, lam, params, bounds)
@@ -485,7 +485,7 @@ def test_segment_products_match_stepwise_propagation(case, lam, entries):
         x0, which, direction = -2.0, 2, "plus"
     adjoint = which == 2
     run = evans._sweep(evans._lambda_runs(
-        sysm, lam, params, x0, adjoint, *evans._side_bases(sysm, lam)))[which]
+        sysm, lam, params, x0, adjoint, *oracles.end_bases(sysm, lam)))[which]
     xs, values, transforms, logs, steps = _stepwise(
         sysm, lam, params, run, x0, direction, adjoint)
     assert len(set(steps)) > 1   # ragged segments
@@ -545,9 +545,9 @@ def test_born_transmission_matches_pointwise_sum():
     bs = wd.to_system(wd.builtin_problem("biharmonic_demo"))
     grid = wd.build_grid(20.0, 200)
     lam = 3.0 + 2.0j
-    basis = wd.system_basis(bs, lam)
+    basis = oracles.basis(bs, lam)
     k = basis.k
-    kp = np.array(basis.roots.plus)
+    kp = basis.kappa[:k]
     want = np.eye(k, dtype=complex)
     for x, w in zip(grid.nodes, grid.weights):
         core = basis.Pinv[:k, :] @ bs.perturbation(float(x)) @ basis.P[:, :k]

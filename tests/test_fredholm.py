@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -68,10 +69,22 @@ def test_equal_layouts_are_equal_grids():
     ((-1.0, 10, 10), "half_width must be positive"),
     ((20.0, 2.5, 10), "panels must be an integer"),
     ((20.0, 8, 10.0), "panel_order must be an integer"),
-    ((20.0, True, 10), "panels must be an integer")])
+    ((20.0, True, 10), "panels must be an integer"),
+    (("build_grid", 20.0, 400.0), "n_points must be an integer, not 400.0"),
+    (("build_grid", 20.0, True), "n_points must be an integer, not True"),
+    (("build_grid", 20.0, "400"), "n_points must be an integer, not '400'"),
+    (("build_grid", 20.0, 400, 10.0),
+     "panel_order must be an integer, not 10.0"),
+    (("build_grid", 20.0, 400, False),
+     "panel_order must be an integer, not False")])
 def test_grid_refuses_a_layout_it_cannot_build(layout, message):
-    with pytest.raises(ConfigError, match=message):
-        model.QuadratureGrid(*layout)
+    """QuadratureGrid refuses each layout, and build_grid the arguments of
+    a row that names it, with the count that the caller passed."""
+    build = model.QuadratureGrid
+    if layout[0] == "build_grid":
+        build, layout = model.build_grid, layout[1:]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        build(*layout)
 
 
 @pytest.mark.parametrize("x,n,q", [
@@ -417,14 +430,14 @@ def test_discretize_scalar_matches_per_row_reference(name):
 def test_discretize_system_matches_per_row_reference(pt_system):
     lam = 2.0 + 1.0j
     g = wd.build_grid(8.0, 40, panel_order=8)
-    basis = greens.system_basis(pt_system, lam)
+    basis = oracles.basis(pt_system, lam)
     k = basis.k
 
     def integrand(x, pts, side):
-        sel = range(k) if side == "right" else range(k, basis.roots.n)
+        sel = range(k) if side == "right" else range(k, basis.kappa.size)
         sign = -1.0 if side == "right" else 1.0
         green = sign * sum(
-            np.exp(basis.roots.all[j] * (x - pts))[:, None, None]
+            np.exp(basis.kappa[j] * (x - pts))[:, None, None]
             * np.outer(basis.P[:, j], basis.Pinv[j, :]) for j in sel)
         W = np.array([-pt_system.decaying_part(float(t)) for t in pts])
         return green @ W

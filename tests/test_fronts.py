@@ -24,44 +24,69 @@ def front_system():
 
 
 def _kept_rates(a_minus, a_plus):
-    """The left end's plus rates with the right end's minus rates."""
-    bm, bp = greens.end_bases(a_minus, a_plus)
-    return wd.RootSplit(plus=bm.roots.plus, minus=bp.roots.minus)
+    """The left end's plus rates with the right end's minus rates, the
+    kernel basis at lambda = 0 of a front with these end matrices."""
+    basis = oracles.basis(oracles.constant_front(a_minus, a_plus), 0.0)
+    return basis.kappa, basis.k
 
 
 def test_front_split_keeps_mixed_rates():
-    sp = _kept_rates(AM, AP)
-    assert sp.k == 1 and sp.n == 2
-    assert np.allclose(sp.plus, [2.0])
-    assert np.allclose(sp.minus, [-1.0])
-    assert np.allclose(sp.all, [2.0, -1.0])
+    kappa, k = _kept_rates(AM, AP)
+    assert k == 1 and kappa.size == 2
+    assert np.allclose(kappa, [2.0, -1.0])
 
 
 def test_front_split_count_mismatch():
+    """At lambda = 0 the left end keeps one unstable rate and the right
+    end two (refused); at -1.5 both keep one (split)."""
+    system = oracles.constant_front(AM, np.diag([1.0, 2.0]))
+    for bases in (greens.end_bases, greens.system_bases):
+        *_, refusals = bases(system, [0.0, -1.5])
+        assert type(refusals[0]) is CountMismatch and refusals[1] is None
+        assert str(refusals[0]) == ("unstable counts differ between the "
+                                    "ends: 1 vs 2")
     with pytest.raises(CountMismatch):
-        greens.end_bases(AM, np.diag([1.0, 2.0]))
+        oracles.end_bases(system, 0.0)
 
 
 def test_front_reference_is_companion_of_kept_rates():
-    ref = fronts.front_reference(_kept_rates(AM, AP))
+    ref = fronts.front_reference(_kept_rates(AM, AP)[0])
     assert np.max(np.abs(ref.B - B_EXPECTED)) < 1e-12
 
 
 def test_front_reference_from_profile(front_system):
     # the tanh step runs from -4 to -1, so at lambda = 0 the end rates
     # are +-2 and +-1 and the kept pair is (2, -1)
-    A0 = front_system.base_matrix(0.0)
-    sp = _kept_rates(A0 + front_system.r_minus, A0 + front_system.r_plus)
-    B = fronts.front_reference(sp).B
-    assert np.max(np.abs(B - B_EXPECTED)) < 1e-12
+    minus, plus = oracles.end_bases(front_system, 0.0)
+    assert np.allclose(minus.kappa, [2.0, -2.0])
+    assert np.allclose(plus.kappa, [1.0, -1.0])
     # the system's kernel basis is this split, not the constant part's
-    assert wd.system_basis(front_system, 0.0).roots == sp
+    basis = oracles.basis(front_system, 0.0)
+    assert basis.k == 1
+    assert np.array_equal(basis.kappa, [minus.kappa[0], plus.kappa[1]])
+    B = fronts.front_reference(basis.kappa).B
+    assert np.max(np.abs(B - B_EXPECTED)) < 1e-12
 
 
 def test_front_reference_rejects_coincident_rates():
-    sp = wd.RootSplit(plus=(1.0 + 0j,), minus=(1.0 + 0j,))
     with pytest.raises(IllConditioned):
-        fronts.front_reference(sp)
+        fronts.front_reference([1.0 + 0j, 1.0 + 0j])
+
+
+def test_coincident_kept_rates_refuse_the_reference_frame():
+    """Both ends keep two unstable rates and their frames are the identity,
+    but the left end's two coincide: the kernel basis refuses the singular
+    Vandermonde frame of the kept rates, while the end bases alone, which
+    the Jost runs take, are clean."""
+    system = oracles.constant_front(np.diag([1.0, 1.0, -1.0]),
+                                    np.diag([3.0, 2.0, -2.0]))
+    kappa, k, P, Pinv, refusals = greens.system_bases(system, [0.0])
+    assert type(refusals[0]) is IllConditioned
+    assert str(refusals[0]).startswith("basis matrix condition ")
+    assert not (kappa.any() or k.any() or P.any() or Pinv.any())
+    minus, plus = oracles.end_bases(system, 0.0)
+    assert np.array_equal(minus.kappa, [1.0, 1.0, -1.0])
+    assert np.array_equal(plus.kappa, [2.0, 3.0, -2.0])
 
 
 def test_recentred_potential_jump_and_decay(front_system):
@@ -128,11 +153,13 @@ def test_pulse_degeneration_is_exact(pt_system, grid):
 
 
 def test_front_basis_degenerates_on_pulses(pt, pt_system):
-    """On a pulse the kernel basis is the constant part's root split."""
-    fb = wd.system_basis(pt_system, 4.0)
+    """On a pulse the kernel basis is the constant part's root split, and
+    so are both end bases."""
+    fb = oracles.basis(pt_system, 4.0)
     kappa, k, _, _ = oracles.green_row(pt, 4.0)
-    assert fb.roots.plus == tuple(kappa[:k])
-    assert fb.roots.minus == tuple(kappa[k:])
+    assert fb.k == k and np.array_equal(fb.kappa, kappa)
+    for end in oracles.end_bases(pt_system, 4.0):
+        assert all(np.array_equal(a, b) for a, b in zip(end, fb))
 
 
 # ---------------------------------------------------------------------------

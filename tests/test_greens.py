@@ -18,7 +18,17 @@ def _free_problem(order=2):
 
 def _basis(problem, lam):
     """The kernel basis of a scalar problem's first-order form."""
-    return wd.system_basis(wd.to_system(problem), lam)
+    return oracles.basis(wd.to_system(problem), lam)
+
+
+def _general(base_matrix, n=2):
+    """A general system, with no scalar source, of constant part
+    base_matrix(lambda) and no perturbation."""
+    zero = np.zeros((n, n))
+    return wd.SystemProblem(
+        dimension=n, base_matrix=base_matrix,
+        perturbation=lambda x: np.zeros(np.shape(x) + (n, n)),
+        r_minus=zero, r_plus=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +251,33 @@ def test_projectors_complement(pt):
 
 
 def test_matrix_basis_agrees_with_vandermonde(pt):
-    """Eigen-decomposition route reproduces the companion-matrix basis."""
+    """The eigensplit of a general system's constant part reproduces the
+    companion-matrix basis of the scalar problem it was built from."""
     lam = 4.0 + 0.3j
-    sysm = wd.to_system(pt)
-    b_eig = wd.matrix_basis(sysm.base_matrix(lam))
+    b_eig = oracles.basis(_general(wd.to_system(pt).base_matrix), lam)
     b_van = _basis(pt, lam)
-    assert np.allclose(sorted(np.array(b_eig.roots.all).round(10)),
-                       sorted(np.array(b_van.roots.all).round(10)))
+    assert np.allclose(sorted(b_eig.kappa.round(10)),
+                       sorted(b_van.kappa.round(10)))
     assert np.allclose(oracles.projectors(b_eig)[0],
                        oracles.projectors(b_van)[0], atol=1e-10)
 
 
 def test_matrix_basis_rejects_rotation():
-    with pytest.raises(EssentialSpectrum):
-        wd.matrix_basis(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    """A0(lambda) = [[0, 1], [lambda - 1, 0]] is a rotation at lambda = 0,
+    with eigenvalues +-i: the stacked eigensplit refuses that lambda alone,
+    leaves its rows zero, and splits the others."""
+    system = _general(lambda lam: np.array([[0.0, 1.0], [lam - 1.0, 0.0]]))
+    kappa, k, P, Pinv, refusals = greens.system_bases(system,
+                                                      [5.0, 0.0, 2.0])
+    assert refusals[0] is None and refusals[2] is None
+    assert type(refusals[1]) is EssentialSpectrum
+    assert str(refusals[1]) == ("constant matrix has an eigenvalue on the "
+                                "imaginary axis")
+    assert not (kappa[1].any() or k[1] or P[1].any() or Pinv[1].any())
+    assert np.allclose(kappa[[0, 2]], [[2.0, -2.0], [1.0, -1.0]])
+    assert list(k[[0, 2]]) == [1, 1]
+    with pytest.raises(EssentialSpectrum, match="imaginary axis"):
+        oracles.basis(system, 0.0)
 
 
 # ---------------------------------------------------------------------------
