@@ -41,6 +41,10 @@ class SignMismatch(WavedetError):
     perturbation with nonvanishing integrated diagonal."""
 
 
+class OutOfRange(WavedetError):
+    """A determinant or its trace correction left the float64 range."""
+
+
 class StiffnessFailure(WavedetError):
     """The Jost propagation produced non-finite values."""
 

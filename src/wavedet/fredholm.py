@@ -37,14 +37,13 @@ m >= 1 the two kernels are different discretizations; each keeps its own.
   panel (``_panel_tables``), and so are the branch exponentials.
 * Exact second and third traces as ordered integrals of the chain
   elements r_a W(x) u_b (``_traces``), all root pairs in one pass of the
-  contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p, with the
-  exponentials tabulated per panel.  W does not depend on lambda: it is
-  sampled once per call at the nodes and the panel sub-nodes
-  (``_Samples``), shared with the discretization, and at the panel
-  sub-sub-nodes (``_subsub``), where it is contracted against the table
-  before the lambda's r_a, u_b are applied, so no chain element is
-  formed there.  Off the nodes W is evaluated once per bitwise-distinct
-  coordinate of the reference tables (``_sample_points``) and gathered.
+  contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p, on
+  exponentially fitted panel weights (``_fitted_rules``, within 2e-14 of
+  a 30-digit reference up to |mu| h / 2 = 1e3): exact at large |mu| h,
+  from W at the nodes only.  W does not depend on lambda: it is sampled
+  once per call at the nodes and the panel sub-nodes (``_Samples``), the
+  latter once per bitwise-distinct coordinate of the reference table
+  (``_panel_tables``) and gathered.
 * The Nystrom matrix in quasiseparable form (``_blocks``): the
   product-integration panels as diagonal blocks, the plus terms above
   them and the minus terms below as generators anchored at the block
@@ -75,13 +74,14 @@ lambdas, so the working set does not grow with the list.  ``det1``,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import greens, model
-from .errors import ConfigError, SignMismatch, raise_first
+from .errors import ConfigError, OutOfRange, SignMismatch, raise_first
 # the grid lives in model, so a command validates it before loading this
 # module; it is re-exported here under its old names
 from .model import (QuadratureGrid, ScalarProblem, SystemProblem, build_grid,
@@ -128,50 +128,99 @@ def _lagrange_at(panel_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _panel_tables(q: int) -> tuple[np.ndarray, ...]:
-    """Product-integration and partial-panel rules of the reference panel
-    [-1, 1] of order q.
+    """Product-integration rules of the reference panel [-1, 1] of order q.
 
-    Returns its Gauss rule t, w, shape (q,).  Row node t_r splits the panel
-    into a left part [-1, t_r] (side 0) and a right part [t_r, 1] (side
-    1), each carrying a q-point Gauss rule: the sub-nodes and sub-weights,
-    shape (2, q, q) indexed [side, r, u], and the Lagrange table
-    L[side, r, u, j] of the panel's j-th basis polynomial at those
-    sub-nodes.  Last, the Gauss rule of [-1, s] for every side-0 sub-node
-    s, shape (q, q, q) indexed [r, u, v].  Read-only, shared by every grid
-    of this panel order: the panels of a grid are equal, so every offset
-    inside a panel is one of these times the half panel width.  Many
-    sub-node and sub-sub-node coordinates are bitwise equal; W is
-    evaluated at the distinct ones (``_sample_points``).
+    Returns its Gauss rule t, w, shape (q,) (``model.gauss_rule``).  Row
+    node t_r splits the panel into a left part [-1, t_r] (side 0) and a
+    right part [t_r, 1] (side 1), each carrying a q-point Gauss rule: the
+    sub-nodes and sub-weights, shape (2, q, q) indexed [side, r, u], and
+    the Lagrange table L[side, r, u, j] of the panel's j-th basis
+    polynomial at those sub-nodes.  Last, the distinct sub-node
+    coordinates, ascending, and the index that gathers the table from
+    them: they are products of (t + 1) factors, many bitwise equal (at
+    q = 10, 142 of 200), so W is evaluated once per distinct one.
+    Collected by a set, not np.unique, whose first call imports numpy.ma.
+    Read-only, shared by every grid of this panel order: the panels of a
+    grid are equal, so every offset inside a panel is one of these times
+    the half panel width.
     """
-    t, w = np.polynomial.legendre.leggauss(q)
+    t, w = model.gauss_rule(q)
     lo = np.stack([np.full(q, -1.0), t])
     hi = np.stack([t, np.full(q, 1.0)])
     half = ((hi - lo) / 2.0)[..., None]
     sub = ((lo + hi) / 2.0)[..., None] + half * t
-    half2 = ((sub[0] + 1.0) / 2.0)[..., None]
-    sub2 = ((sub[0] - 1.0) / 2.0)[..., None] + half2 * t
-    tables = (t, w, sub, half * w, _lagrange_at(t, sub), sub2, half2 * w)
+    values = np.array(sorted(set(sub.ravel().tolist())))
+    tables = (sub, half * w, _lagrange_at(t, sub), values,
+              np.searchsorted(values, sub))
+    for arr in tables:
+        arr.flags.writeable = False
+    return (t, w) + tables
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted_tables(q: int) -> tuple[np.ndarray, ...]:
+    """The read-only tables of ``_fitted_rules`` of order q.  With the
+    points s = (-1, t_1, ..., t_q, 1) and steps h_r = s_(r+1) - s_r: h;
+    the Taylor coefficients h_r^(k+1) l_j^(k)(s_r) / k! of each Lagrange
+    polynomial on each step, [r, k, j], multiplied out from its linear
+    factors; the offsets s_r - s_r' of the points r >= 1, clipped at 0,
+    and their mask r' <= r; and the Taylor table (18 terms), doubling
+    matrix and scales of e^y and psi_k(y)."""
+    t = model.gauss_rule(q)[0]
+    s = np.concatenate([[-1.0], t, [1.0]])
+    h = np.diff(s)
+    c = np.zeros((q + 1, q, q))
+    c[:, 0] = h[:, None]
+    for m in range(q):
+        gap = np.where(np.arange(q) == m, np.inf, t - t[m])
+        # (s_r - t_m + h_r u) / (t_j - t_m) for j != m, 1 for j = m
+        const = np.where(np.isinf(gap), 1.0, (s[:-1, None] - t[m]) / gap)
+        c = c * const[:, None] + np.pad(c[:, :-1], ((0, 0), (1, 0), (0, 0))
+                                        ) * (h[:, None] / gap)[:, None]
+    off = s[1:, None] - s
+    fact = [math.factorial(i) for i in range(18 + q)]
+    taylor = np.array([[1.0 / fact[i]] + [fact[k] / fact[i + k + 1]
+                                          for k in range(q)]
+                       for i in range(18)])
+    double = np.zeros((q + 1, q + 1))
+    for k in range(q):
+        double[1:k + 2, k + 1] = [math.comb(k, i) for i in range(k + 1)]
+    tables = (h, c, off.clip(0.0), off >= 0.0, taylor, double,
+              0.5 ** np.arange(q + 1))
     for arr in tables:
         arr.flags.writeable = False
     return tables
 
 
-@functools.lru_cache(maxsize=None)
-def _sample_points(q: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The distinct floats of the sub-node and of the sub-sub-node table of
-    ``_panel_tables(q)``, ascending, each with the index that gathers the
-    table from them.  The coordinates are products of (t + 1) factors,
-    many bitwise equal (at q = 10, 142 of 200 and 377 of 1,000 distinct),
-    so W is evaluated once per distinct one.  Collected by a set, not
-    np.unique, whose first call imports numpy.ma.  Read-only."""
-    tables = _panel_tables(q)
-    points = []
-    for table in (tables[2], tables[5]):
-        values = np.array(sorted(set(table.ravel().tolist())))
-        index = np.searchsorted(values, table)
-        values.flags.writeable = index.flags.writeable = False
-        points.append((values, index))
-    return tuple(points)
+def _fitted_rules(z: np.ndarray, q: int) -> np.ndarray:
+    """Exponentially fitted rules of the reference panel of order q at
+    rates z, Re z >= 0, shape z.shape + (q + 1, q + 1): row r < q for the
+    node t_r, row q for the edge 1; column j < q the weight
+    omega_rj(z) = integral_(-1)^(s_r) e^(z (s - s_r)) l_j(s) ds of the j-th
+    Lagrange polynomial, column q the anchor e^(-z (s_r + 1)).  The smooth
+    factor is interpolated, the exponential integrated exactly (Filon;
+    Iserles and Norsett, Proc. R. Soc. A 461 (2005)).
+
+    Step h takes the Taylor expansion of l_j against psi_k(x) =
+    integral_0^1 e^(x (1 - u)) u^k du = k! phi_(k+1)(x), x = -z h, bounded
+    for Re x <= 0: the series at y = x / 2^s, |y| <= 1/2, doubled back by
+    psi_k(2y) = 2^-(k+1) (e^y psi_k(y) + sum_(i<=k) C(k, i) psi_i(y)), the
+    scaling and squaring of phi-functions (Hochbruck and Ostermann, Acta
+    Numerica 19 (2010)).  The steps add up with their decays, so no sum
+    grows with |z|."""
+    h, c, off, mask, taylor, double, scale = _fitted_tables(q)
+    x = -z[..., None] * h
+    s = np.ceil(np.log2(np.abs(x) / 0.5 + 1e-300)).clip(0).astype(int)
+    y = (x / 2.0 ** s)[..., None]
+    # e^y and psi_k(y) in the columns
+    psi = np.cumprod(np.concatenate([np.ones_like(y), np.repeat(
+        y, len(taylor) - 1, -1)], -1), -1) @ taylor
+    for j in range(int(s.max(initial=0))):
+        psi = np.where((s > j)[..., None],
+                       (psi[..., :1] * psi + psi @ double) * scale, psi)
+    steps = np.einsum("...rk,rkj->...rj", psi[..., 1:], c)
+    decay = np.exp(-z[..., None, None] * off) * mask
+    return np.concatenate([decay[..., 1:] @ steps, decay[..., :1]], -1)
 
 
 @dataclass(frozen=True)
@@ -283,14 +332,12 @@ def _system_terms(kappa: np.ndarray, k: np.ndarray, P: np.ndarray,
 
 @dataclass(frozen=True)
 class _Samples:
-    """The weight W and its samples, the same for every lambda: at the
-    nodes, shape (N, b, c), the half width rad of the equal panels, and W
-    at the ``_panel_tables`` sub-nodes of every panel, shape
-    (2, q, q, P, b, c) indexed [side, r, u, panel], evaluated once per
-    distinct coordinate (``_on_panels``)."""
+    """The weight W, the same for every lambda, at the nodes, shape
+    (N, b, c), the half width rad of the equal panels, and W at the
+    ``_panel_tables`` sub-nodes of every panel, shape (2, q, q, P, b, c)
+    indexed [side, r, u, panel]."""
 
     grid: QuadratureGrid
-    weight: Callable[[np.ndarray], np.ndarray]
     nodes: np.ndarray
     rad: float
     panel: np.ndarray
@@ -304,28 +351,10 @@ def _panel_points(grid: QuadratureGrid, ref: np.ndarray) -> np.ndarray:
     return mid + rad * ref[..., None]
 
 
-def _on_panels(weight: Callable, grid: QuadratureGrid,
-               points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """W at a ``_sample_points`` table mapped onto every panel, shape
-    table.shape + (P, b, c): evaluated at its distinct coordinates, then
-    gathered."""
-    values, index = points
-    return weight(_panel_points(grid, values))[index]
-
-
 def _sample(weight: Callable, grid: QuadratureGrid) -> _Samples:
-    q = grid.panel_order
-    return _Samples(grid, weight, weight(grid.nodes),
-                    grid.half_width / grid.panels,
-                    _on_panels(weight, grid, _sample_points(q)[0]))
-
-
-def _subsub(samples: _Samples) -> np.ndarray:
-    """W at the sub-sub-nodes of ``_panel_tables``, shape (q, q, q, P, b, c)
-    indexed [r, u, v, panel], evaluated once per distinct coordinate;
-    read by the traces alone."""
-    return _on_panels(samples.weight, samples.grid,
-                      _sample_points(samples.grid.panel_order)[1])
+    values, index = _panel_tables(grid.panel_order)[5:]
+    return _Samples(grid, weight(grid.nodes), grid.half_width / grid.panels,
+                    weight(_panel_points(grid, values))[index])
 
 
 def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
@@ -344,107 +373,62 @@ def _panel_blocks(terms: _Terms, samples: _Samples) -> np.ndarray:
                      lagrange, optimize=["einsum_path", (0, 2), (0, 1)])
 
 
-def _cumulative(rad: float, mu: np.ndarray, f: np.ndarray,
-                levels: Sequence[tuple]) -> list[np.ndarray]:
+def _cumulative(rad: float, rules: np.ndarray,
+                f: np.ndarray) -> np.ndarray:
     """Volterra cumulatives F_m(t) = integral_{-X}^{t} e^(mu_m (x - t))
-    f_m(x) dx of M chains of L lambdas at once, Re(mu) > 0, mu of shape
-    (L, M), on equal panels of half width rad, from f at the nodes, shape
-    (L, M, q, P) indexed [node within panel, panel].  Each level
-    (anchor, partial) asks for F at points given by their offsets anchor
-    = e_p - t from their panel's left edge, the same in every panel, and
-    partial, shape (L, M) + anchor.shape + (P,), the integral from e_p to
-    t, which is completed in place and returned.  The panel sums C_p
-    anchored at left edges obey C_(p+1) = e^(-2 mu rad) C_p + m_p, so
-    every exponential decays.
-    """
-    L, M, q, P = f.shape
-    t, w = _panel_tables(q)[:2]
-    moments = np.einsum("lmip,lmi->lmp", f,
-                        rad * w * np.exp(mu[..., None] * (rad * (t - 1.0))))
-    decay = np.exp(-2.0 * rad * mu)
-    C = np.zeros((L, M, P), dtype=complex)
+    f_m(x) dx of M chains of L lambdas at the nodes, Re(mu) > 0, on equal
+    panels of half width rad, from f at the nodes and the
+    ``_fitted_rules`` at z = mu rad, shapes (L, M, q, P) indexed [node
+    within panel, panel] and (L, M, q + 1, q + 1).  The rules give each
+    panel's part from its left edge to its nodes and its moment m_p; the
+    panel sums C_p anchored at left edges obey C_(p+1) = e^(-2 mu rad) C_p
+    + m_p, so every exponential decays."""
+    q, P = f.shape[2:]
+    part = rad * (rules[..., :q] @ f)
+    decay = rules[..., q, q]
+    C = np.zeros(part.shape[:2] + (P,), dtype=complex)
     for p in range(1, P):
-        C[..., p] = decay * C[..., p - 1] + moments[..., p - 1]
-    out = []
-    for anchor, partial in levels:
-        lift = (1,) * anchor.ndim
-        grow = np.exp(mu.reshape(L, M, *lift) * anchor)
-        partial += grow[..., None] * C.reshape(L, M, *lift, P)
-        out.append(partial)
-    return out
+        C[..., p] = decay * C[..., p - 1] + part[..., q, p - 1]
+    return part[..., :q, :] + rules[..., :q, q, None] * C[..., None, :]
 
 
-def _traces(terms: _Terms, samples: _Samples,
-            subsub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _traces(terms: _Terms,
+            samples: _Samples) -> tuple[np.ndarray, np.ndarray]:
     """Exact tr(T^2) and tr(T^3) of the kernels of the terms, shape (L,)
     each, as ordered integrals of the chain elements r_a W(x) u_b at rates
-    that are differences of plus and minus roots: smooth decaying
-    integrands, so the composite rule is spectrally accurate.  Chain
-    (j, i), j plus and i minus, has the cumulative F_ji of r_i W u_j at
-    rate kappa_j - kappa_i; tr(T^2) integrates it against r_j W u_i, and
-    tr(T^3) takes one more cumulative of each chain (j, i, c).
+    that are differences of plus and minus roots.  Chain (j, i), j plus and
+    i minus, has the cumulative F_ji of r_i W u_j at rate kappa_j -
+    kappa_i; tr(T^2) integrates it against r_j W u_i, and tr(T^3) takes
+    one more cumulative of each chain (j, i, c).
 
-    The offsets inside a panel are the same in every panel, so every
-    exponential is tabulated over one reference panel.  Off the nodes the
-    chain elements are never formed: each partial-panel integral contracts
-    the lambda-free samples of W against the table and the lambda's r_a,
-    u_b in one pass, at the sub-sub-nodes (subsub, ``_subsub``) the table
-    first."""
+    The cumulatives take the fitted rules of every rate at once, exact
+    however fast the exponential decays across a panel, from the chain
+    elements at the nodes.  A cumulative is smooth (about f / mu for large
+    mu), so the last integrals take the Gauss weights."""
     grid, rad = samples.grid, samples.rad
-    t, _, sub, sub_w, _, sub2, sub2_w = _panel_tables(grid.panel_order)
-    kap, r, u, k = terms.kappa, terms.r, terms.u, terms.k
+    kap, k = terms.kappa, terms.k
     L, n = kap.shape
-    q, P = t.size, grid.panels
+    q, P = grid.panel_order, grid.panels
     wts = grid.weights.reshape(P, q).T
     E = terms.elements(samples.nodes).reshape(L, n, n, P, q).swapaxes(-1, -2)
-    Ws = samples.panel[0]
-    nodes, subs = -rad * (t + 1.0), -rad * (sub[0] + 1.0)
-
-    def rule(mu):
-        """The partial-panel rule from e_p to each node times the
-        exponential, shape mu.shape + (q, q) indexed [node, u]."""
-        return rad * sub_w[0] * np.exp(mu[..., None, None]
-                                       * (rad * (sub[0] - t[:, None])))
-
-    def subsub_partial(mu):
-        """The partial-panel integrals from e_p to each sub-node, shape
-        mu.shape + (q, q, P): the sub-sub-node rule times the exponential,
-        shape (q, q, L, M, q) indexed [node, u, lambda, chain, v], against
-        the samples, then the factors of the chains.  Lambda is a batch
-        axis of the matmul, so no lambda's sums depend on the others."""
-        lift = (slice(None), slice(None), None, None)
-        T = (rad * (sub2 - sub[0][..., None]))[lift] * mu.reshape(L, -1, 1)
-        np.exp(T, out=T)
-        T *= (rad * sub2_w)[lift]
-        G = T @ subsub.reshape(q, q, 1, q, -1)
-        del T
-        return np.einsum("xuljipef,lie,ljf->ljixup",
-                         G.reshape(q, q, *mu.shape, P, *subsub.shape[-2:]),
-                         r[:, k:], u[:, :k])
-
     j, i = np.ogrid[:k, k:n]
-    mu = kap[:, j] - kap[:, i]
-    F, Fs = _cumulative(rad, mu.reshape(L, -1), E[:, i, j].reshape(
-        L, -1, q, P), [
-        (nodes, np.einsum("ljixu,lie,xupef,ljf->ljixp", rule(mu), r[:, k:],
-                          Ws, u[:, :k]).reshape(L, -1, q, P)),
-        (subs, subsub_partial(mu).reshape(L, -1, q, q, P))])
-    tr2 = 2.0 * _row_sums(E[:, j, i].reshape(L, -1, q, P) * F * wts)
+    mu2 = kap[:, j] - kap[:, i]
     # chain (j, i, c): c plus at rate kappa_c - kappa_i with middle
     # element r_j W u_c and last r_c W u_i; c minus at rate
     # kappa_j - kappa_c with middle r_c W u_i and last r_j W u_c
-    j, i, c = np.ogrid[:k, k:n, :n]
+    j3, i3, c = np.ogrid[:k, k:n, :n]
     plus = c < k
-    mu = np.where(plus, kap[:, c] - kap[:, i], kap[:, j] - kap[:, c])
-    mid = np.where(plus, j, c), np.where(plus, c, i)
-    last = np.where(plus, c, j), np.where(plus, i, c)
-    F = F.reshape(L, k, n - k, 1, q, P)
-    Fs = Fs.reshape(L, k, n - k, q, q, P)
-    G, = _cumulative(rad, mu.reshape(L, -1), (E[:, mid[0], mid[1]] * F
-                                              ).reshape(L, -1, q, P), [
-        (nodes, np.einsum("ljicxu,ljixup,ljice,xupef,ljicf->ljicxp",
-                          rule(mu), Fs, r[:, mid[0]], Ws, u[:, mid[1]]
-                          ).reshape(L, -1, q, P))])
+    mu3 = np.where(plus, kap[:, c] - kap[:, i3], kap[:, j3] - kap[:, c])
+    rules = _fitted_rules(rad * np.concatenate(
+        [mu2.reshape(L, -1), mu3.reshape(L, -1)], 1), q)
+    F = _cumulative(rad, rules[:, :mu2[0].size],
+                    E[:, i, j].reshape(L, -1, q, P))
+    tr2 = 2.0 * _row_sums(E[:, j, i].reshape(L, -1, q, P) * F * wts)
+    mid = np.where(plus, j3, c), np.where(plus, c, i3)
+    last = np.where(plus, c, j3), np.where(plus, i3, c)
+    G = _cumulative(rad, rules[:, mu2[0].size:], (
+        E[:, mid[0], mid[1]] * F.reshape(L, k, n - k, 1, q, P)
+    ).reshape(L, -1, q, P))
     tr3 = 3.0 * _row_sums(E[:, last[0], last[1]].reshape(L, -1, q, P) * G
                           * wts)
     return tr2, tr3
@@ -634,13 +618,19 @@ def _corrected_det(sign: np.ndarray, logabs: np.ndarray, t: dict,
 
     The correction is added to log|det(I + S)| before exponentiating, so a
     det(I + S) outside the float64 range still gives every value in range.
+    A value (or correction) that is not finite, or a value that underflows
+    to 0, comes back NaN, for ``determinants_many`` to refuse.
     """
     values = []
-    for p in orders:
-        correction = sum((-1.0) ** l / l * t[l] for l in range(1, p))
-        correction += sum((-1.0) ** (l + 1) / l * (exact[l] - t[l])
-                          for l in exact if l >= p)
-        values.append(sign * np.exp(logabs + correction))
+    with np.errstate(all="ignore"):
+        for p in orders:
+            correction = sum((-1.0) ** l / l * t[l] for l in range(1, p))
+            correction += sum((-1.0) ** (l + 1) / l * (exact[l] - t[l])
+                              for l in exact if l >= p)
+            value = sign * np.exp(logabs + correction)
+            value[~np.isfinite(value) | (value == 0.0)
+                  & np.isfinite(logabs)] = np.nan
+            values.append(value)
     return values
 
 
@@ -652,27 +642,20 @@ def _regularized(groups: list, samples: _Samples, exact: dict,
 
     Each k-group goes through the engine in slices of at most
     _SLICE_BUDGET // (N c^2) lambdas, so the working set does not grow
-    with the batch: first the traces of every slice, while W at the
-    sub-sub-nodes is held, then the generators and one sweep per slice."""
+    with the batch."""
     L = sum(idx.size for idx, _ in groups)
     N, c = samples.nodes.shape[0], samples.nodes.shape[-1]
     width = max(1, _SLICE_BUDGET // (N * c * c))
-    parts = [(idx[s:s + width], terms.take(slice(s, s + width)))
-             for idx, terms in groups for s in range(0, idx.size, width)]
-    exact = dict(exact)
-    if L and min(orders) <= 3:
-        subsub = _subsub(samples)
-        exact[2], exact[3] = np.empty((2, L), dtype=complex)
-        for idx, terms in parts:
-            exact[2][idx], exact[3][idx] = _traces(terms, samples, subsub)
-        del subsub
     values = np.empty((len(orders), L), dtype=complex)
-    for idx, terms in parts:
-        # the sweep holds the only reference to the generators
-        sign, logabs, t = _sweep(_blocks(terms, samples))
-        values[:, idx] = _corrected_det(
-            sign, logabs, t, {l: trace[idx] for l, trace in exact.items()},
-            orders)
+    for idx, terms in groups:
+        for s in range(0, idx.size, width):
+            part, sl = idx[s:s + width], terms.take(slice(s, s + width))
+            known = {l: trace[part] for l, trace in exact.items()}
+            if min(orders) <= 3:
+                known[2], known[3] = _traces(sl, samples)
+            # the sweep holds the only reference to the generators
+            sign, logabs, t = _sweep(_blocks(sl, samples))
+            values[:, part] = _corrected_det(sign, logabs, t, known, orders)
     return values
 
 
@@ -772,6 +755,10 @@ def determinants_many(system: SystemProblem, lams: Sequence[complex],
         values = _regularized(groups, samp, exact, ps)
         out.update({p: (value, exact[1] if p == 1 else tau)
                     for p, value in zip(ps, values)})
+    bad = np.isnan([value for value, _ in out.values()]).any(axis=0)
+    raise_first([OutOfRange(f"lambda={lam}: a determinant or its trace "
+                            "correction is outside the float64 range")
+                 if b else None for lam, b in zip(lams, bad)])
     return [[DeterminantResult(value=complex(out[p][0][i]), kind=kind,
                                trace_used=complex(out[p][1][i]),
                                grid_signature=grid.signature)

@@ -262,7 +262,7 @@ class ScalarProblem:
         return self._potential_integral
 
     def _widening_integral(self) -> complex:
-        t, w = np.polynomial.legendre.leggauss(50)
+        t, w = gauss_rule(50)
         total, mass, edge = 0.0, 0.0, 0.0
         while edge <= 10240.0:
             # the band [edge, 2 edge] (first [0, 40]) and its mirror
@@ -583,6 +583,15 @@ def _window(half_width: float) -> float:
     return X
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's q-point Gauss-Legendre rule on [-1, 1], built once per
+    order and read-only: every grid and panel table shares it."""
+    t, w = np.polynomial.legendre.leggauss(q)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Composite Gauss-Legendre rule on [-X, X] with total weight 2X:
@@ -606,7 +615,7 @@ class QuadratureGrid:
         X = _window(self.half_width)
         if self.panels * self.panel_order < 4:
             raise ConfigError("need at least 4 quadrature points")
-        ref_x, ref_w = np.polynomial.legendre.leggauss(self.panel_order)
+        ref_x, ref_w = gauss_rule(self.panel_order)
         edges = np.linspace(-X, X, self.panels + 1)
         mid = (edges[1:] + edges[:-1]) / 2.0
         rad = (edges[1:] - edges[:-1]) / 2.0

@@ -1,11 +1,14 @@
 """Reference code the tests compare the package against, written straight
 from the formulas and independent of the batched engine: pointwise Green's
 functions, dual rows and projectors of a basis, the weak-coupling
-transmission matrix and the plain node matrix of a kernel.  Last, the
+transmission matrix, the plain node matrix of a kernel and the closed
+forms of the reflectionless Poschl-Teller determinants.  Last, the
 single-lambda reads of engine internals that several test files share,
 among them one lambda's rows of the stacked bases.
 """
 
+import cmath
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -148,12 +151,53 @@ def series_coefficients(problem, lam, grid):
     return t1, complex(0.5 * (t1 * t1 - np.sum(S * S.T)))
 
 
+def _sqrt_right(lam):
+    s = cmath.sqrt(complex(lam))
+    return -s if s.real < 0 else s
+
+
+def pt_det1(n, lam):
+    """det1 of Poschl-Teller N = n: prod_(j<=n) (s - j) / (s + j), with
+    s = sqrt(lam), Re s > 0."""
+    s = _sqrt_right(lam)
+    return math.prod((s - j) / (s + j) for j in range(1, n + 1))
+
+
+def pt_det2(n, lam):
+    """det2 = det1 exp(-tr T), with tr T = -n (n + 1) / s."""
+    return pt_det1(n, lam) * cmath.exp(n * (n + 1) / _sqrt_right(lam))
+
+
+def pt_trace_t2(n, lam):
+    """tr T^2 = (2 pi)^-1 integral of v_hat(k)^2 / (s (4 s^2 + k^2)) over
+    the line, v_hat(k) = n (n + 1) pi k / sinh(pi k / 2); the integrand is
+    even and decays like k^2 e^(-pi k), so [0, 60] is the line."""
+    from scipy.integrate import quad
+
+    s, c = _sqrt_right(lam), n * (n + 1)
+
+    def integrand(k):
+        vhat = 2.0 * c if k == 0.0 else c * math.pi * k / math.sinh(
+            math.pi * k / 2.0)
+        return vhat ** 2 / (s * (4.0 * s * s + k * k))
+
+    parts = [quad(lambda k: part(integrand(k)), 0.0, 60.0, limit=200,
+                  epsabs=1e-15, epsrel=1e-13)[0]
+             for part in (lambda z: z.real, lambda z: z.imag)]
+    return complex(*parts) / math.pi
+
+
+def pt_det3(n, lam):
+    """det3 = det2 exp(tr T^2 / 2)."""
+    return pt_det2(n, lam) * cmath.exp(0.5 * pt_trace_t2(n, lam))
+
+
 def kernel_traces(kernel, grid):
     """The engine's exact tr T^2 and tr T^3 of one lambda's kernel, given
     as its terms and weight."""
     terms, weight = kernel
     samples = fredholm._sample(weight, grid)
-    tr2, tr3 = fredholm._traces(terms, samples, fredholm._subsub(samples))
+    tr2, tr3 = fredholm._traces(terms, samples)
     return complex(tr2[0]), complex(tr3[0])
 
 

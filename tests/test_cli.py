@@ -132,6 +132,30 @@ def test_det_refuses_like_its_first_failing_lambda(tmp_path, capsys, name,
                    "imaginary axis"}}
 
 
+@pytest.mark.parametrize("command", ["det", "compare"])
+@pytest.mark.parametrize("im", [1e-7, 1e-9])
+def test_determinant_outside_the_float_range_is_refused(tmp_path, command,
+                                                        im):
+    """Near lambda = 0 of Poschl-Teller N=2, det2 = det1 e^(-tau) with
+    |tau| about 6 / |sqrt(lambda)| is outside the float64 range: a new
+    process exits 3 with one JSON error line and nothing else, no row and
+    no RuntimeWarning, where it printed inf, NaN and 0.0 under exit 0."""
+    path = write_config(tmp_path, {
+        "problem": {"name": "poschl_teller", "params": {"N": 2}},
+        "lambdas": [{"re": 0.0, "im": im}]})
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wavedet.__file__)))
+    done = subprocess.run([sys.executable, "-m", "wavedet.cli", command,
+                           "--config", path], env=env, capture_output=True)
+    assert done.returncode == 3 and done.stdout == b""
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {
+        "kind": "numeric", "type": "OutOfRange",
+        "message": f"lambda={complex(0.0, im)}: a determinant or its trace "
+                   "correction is outside the float64 range"}}
+
+
 def test_compare_rows_are_frozen(tmp_path, capsys):
     """compare on Poschl-Teller N=1 at 200 nodes, with det1 and det2 from
     one engine call, prints the rows of the two separate calls byte for
@@ -141,11 +165,11 @@ def test_compare_rows_are_frozen(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compare", "--config", path)
     assert code == 0 and err == ""
     assert out.strip().split("\n")[3:] == [
-        "4.0,0.0,0.3333333340977716,0.0,0.3333333333328206,0.0,"
-        "0.3333333333328215,0.0,0.3333333341003478,0.0,7.675272084561868e-10",
-        "2.5,0.5,0.2303279960233245,0.04677489357388784,0.2303279954675542,"
+        "4.0,0.0,0.3333333341508321,0.0,0.3333333333328206,0.0,"
+        "0.3333333333328215,0.0,0.3333333341534083,0.0,8.205877088940383e-10",
+        "2.5,0.5,0.2303279961170935,0.04677489355606522,0.2303279954675542,"
         "0.046774893472056184,0.23032799546755092,0.046774893472055525,"
-        "0.23032799602558804,0.046774893574118744,5.67293860428153e-10"]
+        "0.230327996119357,0.04677489355629611,6.572272393262508e-10"]
 
 
 def test_det_p2_writes_det2_once(tmp_path, capsys):
@@ -1303,6 +1327,39 @@ def test_benchmark_commands_print_pinned_bytes(tmp_path, name):
     bytes of tests/pinned/<name>.json to stdout, nothing to stderr, and
     exits 0: a change that moves any printed number fails here."""
     _assert_pinned(tmp_path, name, *_PINNED[name])
+
+
+def _pinned(name):
+    return json.loads((_ROOT / "tests" / "pinned" / f"{name}.json"
+                       ).read_text())
+
+
+def _cplx(pair):
+    return complex(pair["re"], pair["im"])
+
+
+def test_pinned_det_rows_meet_the_closed_forms():
+    """Every row of tests/pinned/det_pt800.json is within 1e-10 relative
+    of the closed-form det1, det2 and det3 of Poschl-Teller N=2, so a
+    re-pin can only carry values that still pass."""
+    rows = _pinned("det_pt800")["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        lam = _cplx(row["lambda"])
+        for kind, exact in (("det1", oracles.pt_det1),
+                            ("det2", oracles.pt_det2),
+                            ("det3", oracles.pt_det3)):
+            want = exact(2, lam)
+            assert abs(_cplx(row[kind]) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("name,eigenvalue", [("locate_pt2_1", 1.0),
+                                             ("locate_pt2_4", 4.0)])
+def test_pinned_locate_roots_are_the_eigenvalues(name, eigenvalue):
+    """The one root of each pinned locate_pt2 rectangle is within 1e-6 of
+    the Poschl-Teller N=2 eigenvalue inside it."""
+    roots = [_cplx(r) for r in _pinned(name)["report"]["roots"]]
+    assert len(roots) == 1 and abs(roots[0] - eigenvalue) <= 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_FRONT))
