@@ -1,25 +1,30 @@
 """Config-driven command line for the determinant and Evans pipelines.
 
-A run is one JSON document plus a command name.  Keys shared by every
-command:
+A run is one JSON document plus a command name.  Its keys by dotted path
+(_COMMON and _COMMANDS below hold their checks and defaults):
 
-    problem         {"name": ..., "params": {...}} for a builtin, or
-                    {"order", "coeffs", "profile": {"kind", "params"},
-                    "m", "asymptotics"} for a custom scalar problem
-    domain          {"half_width", "quad_points", "panel_order"}
-    evans           {"rtol"}: the accuracy target of E/c, in [1e-14,
+    problem         a builtin, ``problem.name`` and ``problem.params``, or a
+                    custom scalar problem: ``problem.order``,
+                    ``problem.coeffs``, ``problem.m``, ``problem.profile``
+                    (``problem.profile.kind``, ``problem.profile.params``)
+                    and the optional ``problem.asymptotics``, the declared
+                    limits of the profile ({"v_minus", "v_plus"} or
+                    {"R_minus", "R_plus"}), refused if it disagrees
+    domain          ``domain.half_width``, ``domain.quad_points``,
+                    ``domain.panel_order``
+    evans           ``evans.rtol``: the accuracy target of E/c, in [1e-14,
                     1e-2), that sizes the Magnus steps from their own
                     error estimate
-    matching_point  where the two Jost families are matched
-    output          {"format": "csv" | "json", "path": null for stdout}
+    output          ``output.format`` ("csv" or "json") and
+                    ``output.path`` (null for stdout)
 
-Command-specific keys: ``lambdas`` (roots / det / evans / compare), ``p``
-(det), ``rectangle`` / ``samples_per_edge`` / ``function`` (locate, scan),
-``nx`` / ``ny`` (scan), ``lambda`` / ``quantity`` / ``n_list`` / ``x_list``
-(converge).  The optional ``asymptotics`` block declares the limits the
-profile is expected to reach ({"v_minus", "v_plus"} or matrix-valued
-{"R_minus", "R_plus"}); a declaration that disagrees with the profile is
-refused.  Unknown keys anywhere are rejected before any computation runs.
+with ``matching_point``, where the two Jost families are matched, and per
+command ``lambdas`` (roots / det / evans / compare), ``p`` (det),
+``rectangle`` (``rectangle.corner_low``, ``rectangle.corner_high``),
+``function`` (locate, scan), ``samples_per_edge`` (locate), ``nx`` /
+``ny`` (scan), ``lambda`` / ``quantity`` / ``n_list`` / ``x_list``
+(converge).  Unknown keys anywhere are rejected before any computation
+runs.
 
 Complex numbers appear in configs and JSON output as {"re": ..., "im": ...}
 (bare numbers are accepted on input); CSV output splits every complex
@@ -32,6 +37,7 @@ success, 2 configuration problem (a non-finite number, unwritable output),
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import sys
@@ -46,68 +52,38 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema
+#
+# A table maps each key of a config block to (check, default).  The check
+# is a leaf, check(path, value) -> the parsed value (None keeps the value
+# as given), or the table of a nested block: a dict, or ("name", with_it,
+# without_it) for a block whose table depends on whether it holds that
+# key.  A _Required default refuses a missing key, _ABSENT leaves it out,
+# and a callable one is computed from the keys parsed before it.  A run
+# echoes its parsed config.
 
 
-_COMMON_KEYS = ("problem", "domain", "evans", "matching_point", "output")
-
-_COMMAND_KEYS = {
-    "roots": ("lambdas",),
-    "det": ("lambdas", "p"),
-    "evans": ("lambdas",),
-    "compare": ("lambdas",),
-    "locate": ("rectangle", "samples_per_edge", "function"),
-    "scan": ("rectangle", "nx", "ny", "function"),
-    "converge": ("lambda", "quantity", "n_list", "x_list"),
-}
-
-# the modules that each command's handler runs.  ``main`` loads them right
-# after the arguments are parsed: outside the handler's work, and before
-# the config is read, so their compilation does not sit on its heap.  The
-# route modules that a config selects are loaded by ``Run``.  A handler
-# still imports what it calls, which is a no-op once loaded.
-_ROUTES = {
-    "roots": ("greens",),
-    "det": ("fredholm",),
-    "evans": ("evans",),
-    "compare": ("evans", "fredholm"),
-    "locate": ("fredholm", "locate"),
-    "scan": ("fredholm", "locate"),
-    "converge": ("fredholm",),
-}
-
-_DOMAIN_DEFAULTS = {"half_width": model.DEFAULT_HALF_WIDTH,
-                    "quad_points": model.DEFAULT_POINTS,
-                    "panel_order": model.DEFAULT_PANEL_ORDER}
-_EVANS_DEFAULTS = {"rtol": model.IntegrationParams.rtol}
-_OUTPUT_DEFAULTS = {"format": "csv", "path": None}
+class _Required(str):
+    """A key's refusal when it is missing; {} stands for its path."""
 
 
-def _load(*names):
-    for name in names:
-        importlib.import_module(f"{__package__}.{name}")
+_REQUIRED = _Required("{} is required")
+_ABSENT = object()
+
+
+def _object(path, value):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    return value
 
 
 def _check_keys(block, allowed, path):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path} must be an object")
-    for key in block:
+    for key in _object(path, block):
         if key not in allowed:
             raise ConfigError(f"unknown config key {path}.{key}")
 
 
-def _merged(defaults, block, path):
-    _check_keys(block, tuple(defaults), path)
-    out = dict(defaults)
-    out.update(block)
-    return out
-
-
-def _as_complex(value, path):
-    if isinstance(value, bool):
-        raise ConfigError(f"{path} must be a number or {{re, im}}")
-    if isinstance(value, (int, float)):
-        return complex(_as_float(value, path), 0.0)
+def _as_complex(path, value):
     if isinstance(value, dict):
         _check_keys(value, ("re", "im"), path)
         try:
@@ -115,71 +91,160 @@ def _as_complex(value, path):
                         float(value.get("im", 0.0)))
         except (TypeError, ValueError):
             raise ConfigError(f"{path} fields must be numbers") from None
-        return complex(_as_float(z.real, path), _as_float(z.imag, path))
-    raise ConfigError(f"{path} must be a number or {{re, im}}")
+        return complex(_as_float(path, z.real), _as_float(path, z.imag))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number or {{re, im}}")
+    return complex(_as_float(path, value), 0.0)
 
 
-def _as_float(value, path):
+def _as_float(path, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
     return model._number(value, path)
 
 
-def _as_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer")
+def _finite(path, value):
+    """A number, kept (and echoed) as the config gave it."""
+    _as_float(path, value)
     return value
 
 
-def _complex_pair(z):
-    return {"re": float(z.real), "im": float(z.imag)}
+def _string_or_null(path, value):
+    if not isinstance(value, (str, type(None))):
+        raise ConfigError(f"{path} must be a string or null")
+    return value
+
+
+def _scan_side(path, value):
+    if model._count(path, value) < 2:
+        raise ConfigError("scan needs nx, ny >= 2")
+    return value
+
+
+def _list(item, refusal="{} must be a list"):
+    def check(path, value):
+        if not isinstance(value, list):
+            raise ConfigError(refusal.format(path))
+        return [item(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    return check
+
+
+def _one_of(*choices, shown=None):
+    shown = shown or choices
+    either = ", ".join(shown[:-1]) + " or " + shown[-1]
+
+    def check(path, value):
+        if value not in choices:
+            raise ConfigError(f"{path} must be {either}")
+        return value
+    return check
+
+
+def _walk(table, path, block):
+    """The parsed block: each key of its table checked in table order,
+    with its default filled in, after any unknown key is refused."""
+    if isinstance(table, tuple):
+        key, with_key, without_key = table
+        table = with_key if key in _object(path, block) else without_key
+    _check_keys(block, table, path or "config")
+    parsed = {}
+    for key, (check, default) in table.items():
+        sub = f"{path}.{key}" if path else key
+        value = block.get(key, default)
+        if isinstance(value, _Required):
+            raise ConfigError(value.format(sub))
+        if value is _ABSENT:
+            continue
+        if callable(value):
+            value = value(parsed)
+        parsed[key] = (_walk(check, sub, value)
+                       if isinstance(check, (dict, tuple)) else
+                       value if check is None else check(sub, value))
+    return parsed
+
+
+_COMMON = {
+    "problem": (("name",
+                 {"name": (None, _REQUIRED), "params": (_object, {})},
+                 {"order": (model._count, _REQUIRED),
+                  "coeffs": (_list(_as_complex), _REQUIRED),
+                  "profile": ({"kind": (None, _REQUIRED),
+                               "params": (_object, {})}, _REQUIRED),
+                  "m": (model._count, 0),
+                  "asymptotics": (None, _ABSENT)}), _REQUIRED),
+    "domain": ({"half_width": (_finite, model.DEFAULT_HALF_WIDTH),
+                "quad_points": (model._count, model.DEFAULT_POINTS),
+                "panel_order": (model._count, model.DEFAULT_PANEL_ORDER)},
+               {}),
+    "evans": ({"rtol": (_finite, model.IntegrationParams.rtol)}, {}),
+    "matching_point": (_as_float, 0.0),
+    "output": ({"format": (_one_of("csv", "json", shown=("'csv'", "'json'")),
+                           "csv"),
+                "path": (_string_or_null, None)}, {}),
+}
+_LAMBDAS = {"lambdas": (_list(_as_complex), [])}
+_CORNER = (_as_complex, _Required("rectangle needs corner_low and "
+                                  "corner_high"))
+_AREA = {"rectangle": ({"corner_low": _CORNER, "corner_high": _CORNER},
+                       _REQUIRED),
+         "function": (_one_of("det1", "det2", "front_det2", "evans"), "det1")}
+_LISTS = "n_list and x_list must be lists"
+
+# command -> (its --help text, the modules that its handler runs, its own
+# keys).  ``main`` loads the modules before the config is read, so their
+# compilation does not sit on its heap; ``Run`` loads the route that a
+# config selects.
+_COMMANDS = {
+    "roots": ("characteristic roots, kernel weights, residuals", ("greens",),
+              _LAMBDAS),
+    "det": ("Fredholm determinants per lambda", ("fredholm",),
+            {"p": (model._count, 3), **_LAMBDAS}),
+    "evans": ("Evans function, transmission determinants per lambda",
+              ("evans",), _LAMBDAS),
+    "compare": ("cross-pipeline identity report per lambda",
+                ("evans", "fredholm"), _LAMBDAS),
+    "locate": ("winding number and refined roots in a rectangle",
+               ("fredholm", "locate"),
+               {**_AREA, "samples_per_edge": (model._count, 16)}),
+    "scan": ("function samples on a rectangular grid", ("fredholm", "locate"),
+             {**_AREA, "nx": (_scan_side, 7),
+              "ny": (_scan_side, lambda keys: keys["nx"])}),
+    "converge": ("node-count and window self-convergence sweeps",
+                 ("fredholm",),
+                 {"lambda": (_as_complex, 4.0),
+                  "quantity": (_one_of("det1", "det2"), "det1"),
+                  "n_list": (_list(model._count, _LISTS), [100, 200, 400]),
+                  "x_list": (_list(_as_float, _LISTS), [15.0, 20.0, 25.0])}),
+}
+
+
+def _echo(value):
+    """A parsed value as printed: complex numbers as {re, im}."""
+    if isinstance(value, complex):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, dict):
+        return {key: _echo(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return value
 
 
 def _build_problem(block):
-    """ScalarProblem from a config block, plus its deterministic echo."""
-    if not isinstance(block, dict):
-        raise ConfigError("problem must be an object")
+    """The ScalarProblem of a parsed problem block, whose params then hold
+    all the profile parameters that the problem resolved."""
     if "name" in block:
-        _check_keys(block, ("name", "params"), "problem")
-        params = block.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("problem.params must be an object")
-        problem = model.builtin_problem(block["name"], **params)
-        echo = {"name": block["name"], "params": dict(problem.profile.params)}
-        return problem, echo
-    _check_keys(block, ("order", "coeffs", "profile", "m", "asymptotics"),
-                "problem")
-    for key in ("order", "coeffs", "profile"):
-        if key not in block:
-            raise ConfigError(f"problem.{key} is required")
-    prof_block = block["profile"]
-    _check_keys(prof_block, ("kind", "params"), "problem.profile")
-    if "kind" not in prof_block:
-        raise ConfigError("problem.profile.kind is required")
-    params = prof_block.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("problem.profile.params must be an object")
-    profile = model.make_profile(prof_block["kind"], **params)
-    coeffs = block["coeffs"]
-    if not isinstance(coeffs, list):
-        raise ConfigError("problem.coeffs must be a list")
-    coeffs = tuple(_as_complex(c, f"problem.coeffs[{i}]")
-                   for i, c in enumerate(coeffs))
-    m = _as_int(block.get("m", 0), "problem.m")
-    problem = model.ScalarProblem(order=_as_int(block["order"],
-                                                "problem.order"),
-                                  coeffs=coeffs, profile=profile,
-                                  deriv_order=m)
+        problem = model.builtin_problem(block["name"], **block["params"])
+        block["params"] = dict(problem.profile.params)
+        return problem
+    prof = block["profile"]
+    profile = model.make_profile(prof["kind"], **prof["params"])
+    prof["params"] = dict(profile.params)
+    problem = model.ScalarProblem(order=block["order"],
+                                  coeffs=tuple(block["coeffs"]),
+                                  profile=profile, deriv_order=block["m"])
     if "asymptotics" in block:
         _check_asymptotics(block["asymptotics"], problem)
-    echo = {"order": problem.order,
-            "coeffs": [_complex_pair(c) for c in problem.coeffs],
-            "profile": {"kind": prof_block["kind"],
-                        "params": dict(profile.params)},
-            "m": m}
-    if "asymptotics" in block:
-        echo["asymptotics"] = block["asymptotics"]
-    return problem, echo
+    return problem
 
 
 def _check_asymptotics(block, problem):
@@ -194,11 +259,9 @@ def _check_asymptotics(block, problem):
     if scalar:
         if scalar != {"v_minus", "v_plus"}:
             raise ConfigError(f"{path} needs both v_minus and v_plus")
-        lo, hi = problem.potential_limits
-        declared = (_as_complex(block["v_minus"], f"{path}.v_minus"),
-                    _as_complex(block["v_plus"], f"{path}.v_plus"))
-        for label, want, have in (("v_minus", declared[0], lo),
-                                  ("v_plus", declared[1], hi)):
+        for label, have in zip(("v_minus", "v_plus"),
+                               problem.potential_limits):
+            want = _as_complex(f"{path}.{label}", block[label])
             if abs(want - have) > 1e-8 * max(1.0, abs(have)):
                 raise ConfigError(
                     f"{path}.{label} = {want} but the profile reaches {have}")
@@ -207,13 +270,9 @@ def _check_asymptotics(block, problem):
         raise ConfigError(f"{path} needs both R_minus and R_plus")
     sysm = model.to_system(problem)
     for label, have in (("R_minus", sysm.r_minus), ("R_plus", sysm.r_plus)):
-        raw = block[label]
-        if (not isinstance(raw, list)
-                or any(not isinstance(row, list) for row in raw)):
-            raise ConfigError(f"{path}.{label} must be a matrix (list of "
-                              "lists)")
-        want = np.array([[_as_complex(v, f"{path}.{label}") for v in row]
-                         for row in raw], dtype=complex)
+        refusal = f"{path}.{label} must be a matrix (list of lists)"
+        want = np.array(_list(_list(_as_complex, refusal), refusal)(
+            f"{path}.{label}", block[label]), dtype=complex)
         if want.shape != have.shape or not np.allclose(want, have, atol=1e-8):
             raise ConfigError(f"{path}.{label} disagrees with the limit the "
                               "profile reaches")
@@ -253,84 +312,36 @@ def _apply_overrides(config, pairs):
 
 
 class Run:
-    """Everything a command handler needs, resolved once up front."""
+    """Everything a command handler needs, resolved once up front: the
+    config checked against its command's tables, with the defaults filled
+    in, and the problem, grid and Jost parameters that it sets."""
 
     def __init__(self, command, config):
-        allowed = _COMMON_KEYS + _COMMAND_KEYS[command]
-        _check_keys(config, allowed, "config")
-        if "problem" not in config:
-            raise ConfigError("problem is required")
-        self.command = command
-        self.problem, problem_echo = _build_problem(config["problem"])
+        self.config = {"command": command, **_walk(
+            {**_COMMON, **_COMMANDS[command][2]}, "", config)}
+        self.problem = _build_problem(self.config["problem"])
         self.system = model.to_system(self.problem)
-        self.domain = _merged(_DOMAIN_DEFAULTS, config.get("domain", {}),
-                              "domain")
-        evans_block = _merged(_EVANS_DEFAULTS, config.get("evans", {}),
-                              "evans")
-        self.matching_point = _as_float(config.get("matching_point", 0.0),
-                                        "matching_point")
-        self.output = _merged(_OUTPUT_DEFAULTS, config.get("output", {}),
-                              "output")
-        if self.output["format"] not in ("csv", "json"):
-            raise ConfigError("output.format must be 'csv' or 'json'")
-        if not isinstance(self.output["path"], (str, type(None))):
-            raise ConfigError("output.path must be a string or null")
-        self.grid = model.build_grid(
-            _as_float(self.domain["half_width"], "domain.half_width"),
-            _as_int(self.domain["quad_points"], "domain.quad_points"),
-            _as_int(self.domain["panel_order"], "domain.panel_order"))
+        domain = self.config["domain"]
+        self.grid = model.build_grid(domain["half_width"],
+                                     domain["quad_points"],
+                                     domain["panel_order"])
         self.params = model.IntegrationParams(
-            half_width=float(self.domain["half_width"]),
-            rtol=_as_float(evans_block["rtol"], "evans.rtol"))
-        self.extra = {key: config[key] for key in _COMMAND_KEYS[command]
-                      if key in config}
-        # the route module that the config selects
-        if self.extra.get("function") == "evans":
-            _load("evans")
-        self.resolved = {
-            "command": command,
-            "problem": problem_echo,
-            "domain": dict(self.domain),
-            "evans": dict(evans_block),
-            "matching_point": self.matching_point,
-            "output": dict(self.output),
-        }
-
-    def lambdas(self):
-        raw = self.extra.get("lambdas", [])
-        if not isinstance(raw, list):
-            raise ConfigError("lambdas must be a list")
-        lams = [_as_complex(v, f"lambdas[{i}]") for i, v in enumerate(raw)]
-        self.resolved["lambdas"] = [_complex_pair(z) for z in lams]
-        return lams
-
-    def rectangle(self):
-        block = self.extra.get("rectangle")
-        if block is None:
-            raise ConfigError("rectangle is required")
-        _check_keys(block, ("corner_low", "corner_high"), "rectangle")
-        if "corner_low" not in block or "corner_high" not in block:
-            raise ConfigError("rectangle needs corner_low and corner_high")
-        low = _as_complex(block["corner_low"], "rectangle.corner_low")
-        high = _as_complex(block["corner_high"], "rectangle.corner_high")
-        self.resolved["rectangle"] = {"corner_low": _complex_pair(low),
-                                      "corner_high": _complex_pair(high)}
-        return low, high
+            half_width=float(domain["half_width"]),
+            rtol=self.config["evans"]["rtol"])
+        if self.config.get("function") == "evans":    # its route module
+            importlib.import_module(f"{__package__}.evans")
 
     def target_function(self):
         """The map lambda -> value that locate / scan walk; the Fredholm
         determinants are ``locate.Batched``, evaluated a list at a time."""
         from . import locate
-        name = self.extra.get("function", "det1")
-        if name not in ("det1", "det2", "front_det2", "evans"):
-            raise ConfigError("function must be det1, det2, front_det2 or "
-                              "evans")
-        self.resolved["function"] = name
+        name = self.config["function"]
         if name == "evans":
             from . import evans
             return name, locate.Batched(lambda lams: [
                 res.ratio for res in evans.evans_function_many(
-                    self.system, lams, matching_point=self.matching_point,
+                    self.system, lams,
+                    matching_point=self.config["matching_point"],
                     params=self.params)])
         from . import fredholm
         if name == "det1":
@@ -357,50 +368,35 @@ def _cells(columns, row):
     """The cells of one row converted per column kind: {re, im} for a
     complex, float, int or str; None stays None."""
     return [None if value is None else
-            _complex_pair(complex(value)) if kind == "c" else
+            _echo(complex(value)) if kind == "c" else
             float(value) if kind == "f" else
             int(value) if kind == "i" else str(value)
             for (_, kind), value in zip(columns, row)]
 
 
 def _csv_text(columns, rows, resolved):
-    header = []
-    for name, kind in columns:
-        if kind == "c":
-            header.extend((f"re_{name}", f"im_{name}"))
-        else:
-            header.append(name)
+    parts = [("re", "im") if kind == "c" else (None,) for _, kind in columns]
+    header = [name if part is None else f"{part}_{name}"
+              for (name, _), split in zip(columns, parts) for part in split]
     lines = [f"# wavedet {__version__}",
              "# config " + json.dumps(resolved, sort_keys=True,
                                       separators=(",", ":")),
              ",".join(header)]
-    for row in rows:
-        cells = []
-        for (_, kind), cell in zip(columns, _cells(columns, row)):
-            if kind != "c":
-                cells.append("" if cell is None else str(cell))
-            elif cell is None:
-                cells.extend(("", ""))
-            else:
-                cells.extend((repr(cell["re"]), repr(cell["im"])))
-        lines.append(",".join(cells))
+    lines += [",".join("" if cell is None else
+                       str(cell if part is None else cell[part])
+                       for cell, split in zip(_cells(columns, row), parts)
+                       for part in split) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _json_text(columns, rows, resolved, extras=None):
-    out_rows = [{name: cell for (name, _), cell in zip(columns,
-                                                       _cells(columns, row))}
-                for row in rows]
-    doc = {"version": __version__, "config": resolved, "rows": out_rows}
-    if extras:
-        doc.update(extras)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _render(run, columns, rows, extras=None):
-    if run.output["format"] == "json":
-        return _json_text(columns, rows, run.resolved, extras)
-    return _csv_text(columns, rows, run.resolved)
+    resolved = _echo(run.config)
+    if run.config["output"]["format"] == "csv":
+        return _csv_text(columns, rows, resolved)
+    doc = {"version": __version__, "config": resolved, **(extras or {}),
+           "rows": [{name: cell for (name, _), cell in zip(
+               columns, _cells(columns, row))} for row in rows]}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +407,7 @@ def cmd_roots(run):
     """Characteristic roots, kernel weights and interface residuals of the
     constant part (of a front too), from one ``greens.green_data`` call."""
     from . import greens
-    lams = run.lambdas()
+    lams = run.config["lambdas"]
     n = run.problem.order
     kappa, ks, alphas, conds = greens.green_data(run.problem, lams)
 
@@ -437,10 +433,8 @@ def cmd_det(run):
     """det1 / det2 / detp per lambda (front problems: no det1), from one
     batched ``fredholm.determinants_many`` call."""
     from . import fredholm
-    p = _as_int(run.extra.get("p", 3), "p")
+    p, lams = run.config["p"], run.config["lambdas"]
     fredholm._check_order(p)
-    run.resolved["p"] = p
-    lams = run.lambdas()
     kinds = {"det2": 2, f"det{p}": p}      # p = 2: one column
     if not run.system.is_front:
         kinds = {"det1": 1, **kinds}
@@ -454,10 +448,11 @@ def cmd_evans(run):
     """E, c, E/c and, for decaying perturbations, the transmission dets,
     from one batched call over the lambda rows."""
     from . import evans
-    lams = run.lambdas()
+    lams = run.config["lambdas"]
     columns = [("lambda", "c"), ("evans", "c"), ("c_lambda", "c"),
                ("ratio", "c")]
-    kwargs = {"matching_point": run.matching_point, "params": run.params}
+    kwargs = {"matching_point": run.config["matching_point"],
+              "params": run.params}
     if run.system.is_front:
         pairs = [(res, None) for res in evans.evans_function_many(
             run.system, lams, **kwargs)]
@@ -475,7 +470,7 @@ def cmd_evans(run):
 def cmd_compare(run):
     """Scalar determinant, transmission determinant, Evans ratio, det2."""
     from . import evans
-    lams = run.lambdas()
+    lams = run.config["lambdas"]
     columns = [("lambda", "c"), ("det1", "c"), ("det_transmission", "c"),
                ("evans_ratio", "c"), ("det2_product", "c"),
                ("max_gap", "f")]
@@ -492,13 +487,9 @@ def cmd_compare(run):
 def cmd_locate(run):
     """Winding number of the chosen function plus refined interior roots."""
     from . import locate
-    low, high = run.rectangle()
-    samples = _as_int(run.extra.get("samples_per_edge", 16),
-                      "samples_per_edge")
-    run.resolved["samples_per_edge"] = samples
     name, fn = run.target_function()
-    contour = locate.Contour(corner_low=low, corner_high=high,
-                             samples_per_edge=samples)
+    contour = locate.Contour(**run.config["rectangle"],
+                             samples_per_edge=run.config["samples_per_edge"])
     # every evaluator refuses a sample off the resolvent set through its
     # own root split, as scan's do
     report = locate.locate_roots(fn, contour, function_used=name)
@@ -511,76 +502,50 @@ def cmd_locate(run):
     extras = {"report": {"winding": report.winding,
                          "function_used": report.function_used,
                          "multiplicity_gap": report.multiplicity_gap,
-                         "roots": [_complex_pair(r) for r in report.roots]}}
+                         "roots": _echo(list(report.roots))}}
     return _render(run, columns, rows, extras)
 
 
 def cmd_scan(run):
     """Grid samples of the chosen function over a rectangle."""
     from . import locate
-    low, high = run.rectangle()
-    nx = _as_int(run.extra.get("nx", 7), "nx")
-    ny = _as_int(run.extra.get("ny", nx), "ny")
-    run.resolved["nx"] = nx
-    run.resolved["ny"] = ny
     name, fn = run.target_function()
-    if nx < 2 or ny < 2:
-        raise ConfigError("scan needs nx, ny >= 2")
-    rows = [list(pair) for pair in locate.scan(fn, low, high, nx, ny)]
+    rect = run.config["rectangle"]
+    rows = [list(pair) for pair in locate.scan(
+        fn, rect["corner_low"], rect["corner_high"], run.config["nx"],
+        run.config["ny"])]
     return _render(run, [("lambda", "c"), (name, "c")], rows)
 
 
 def cmd_converge(run):
     """Self-convergence sweeps: halve the node spacing, widen the window."""
     from . import fredholm
-    lam = _as_complex(run.extra.get("lambda", 4.0), "lambda")
-    quantity = run.extra.get("quantity", "det1")
-    if quantity not in ("det1", "det2"):
-        raise ConfigError("quantity must be det1 or det2")
-    n_list = run.extra.get("n_list", [100, 200, 400])
-    x_list = run.extra.get("x_list", [15.0, 20.0, 25.0])
-    if not isinstance(n_list, list) or not isinstance(x_list, list):
-        raise ConfigError("n_list and x_list must be lists")
-    n_list = [_as_int(v, "n_list") for v in n_list]
-    x_list = [_as_float(v, "x_list") for v in x_list]
-    run.resolved.update({"lambda": _complex_pair(lam), "quantity": quantity,
-                         "n_list": list(n_list), "x_list": list(x_list)})
-    porder = run.domain["panel_order"]
-    base_n = run.domain["quad_points"]
-    base_x = run.domain["half_width"]
-    cache = {}
+    lam, quantity = run.config["lambda"], run.config["quantity"]
+    domain = run.config["domain"]
+    base_x, base_n = domain["half_width"], domain["quad_points"]
 
+    @functools.cache
     def value(n_points, half_width):
-        key = (n_points, half_width)
-        if key not in cache:
-            grid = model.build_grid(half_width, n_points, porder)
-            if quantity == "det1":
-                cache[key] = fredholm.det1(run.problem, lam, grid).value
-            else:
-                cache[key] = fredholm.det2(run.system, lam, grid).value
-        return cache[key]
+        grid = model.build_grid(half_width, n_points, domain["panel_order"])
+        if quantity == "det1":
+            return fredholm.det1(run.problem, lam, grid).value
+        return fredholm.det2(run.system, lam, grid).value
 
     columns = [("sweep", "s"), ("parameter", "f"), ("value", "c"),
                ("gap", "f")]
     rows = []
-    for n_points in n_list:
+    for n_points in run.config["n_list"]:
         v, v2 = value(n_points, base_x), value(2 * n_points, base_x)
         rows.append(["N", float(n_points), v, abs(v - v2)])
-    for half_width in x_list:
+    for half_width in run.config["x_list"]:
         v, v2 = value(base_n, half_width), value(base_n, half_width + 5.0)
         rows.append(["X", float(half_width), v, abs(v - v2)])
     return _render(run, columns, rows)
 
 
-_HANDLERS = {
-    "roots": cmd_roots,
-    "det": cmd_det,
-    "evans": cmd_evans,
-    "compare": cmd_compare,
-    "locate": cmd_locate,
-    "scan": cmd_scan,
-    "converge": cmd_converge,
-}
+_HANDLERS = {"roots": cmd_roots, "det": cmd_det, "evans": cmd_evans,
+             "compare": cmd_compare, "locate": cmd_locate, "scan": cmd_scan,
+             "converge": cmd_converge}
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +568,7 @@ def _build_parser():
         description="Fredholm determinants and Evans functions for "
                     "travelling-wave spectral problems")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "roots": "characteristic roots, kernel weights, residuals",
-        "det": "Fredholm determinants per lambda",
-        "evans": "Evans function, transmission determinants per lambda",
-        "compare": "cross-pipeline identity report per lambda",
-        "locate": "winding number and refined roots in a rectangle",
-        "scan": "function samples on a rectangular grid",
-        "converge": "node-count and window self-convergence sweeps",
-    }
-    for name, text in helps.items():
+    for name, (text, _, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text)
     return parser
 
@@ -625,19 +581,18 @@ def _emit_error(kind, exc):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    _load(*_ROUTES[args.command])
+    for name in _COMMANDS[args.command][1]:
+        importlib.import_module(f"{__package__}.{name}")
     try:
         config = _load_config(args.config)
         _apply_overrides(config, args.override)
         run = Run(args.command, config)
-        if args.format is not None:
-            run.output["format"] = args.format
-            run.resolved["output"]["format"] = args.format
-        if args.output is not None:
-            run.output["path"] = args.output
-            run.resolved["output"]["path"] = args.output
+        # the flags replace what the config's output block passed
+        for key, flag in (("format", args.format), ("path", args.output)):
+            if flag is not None:
+                run.config["output"][key] = flag
         text = _HANDLERS[args.command](run)
-        path = run.output["path"]
+        path = run.config["output"]["path"]
         if path:
             try:
                 with open(path, "w", encoding="utf-8", newline="") as fh:

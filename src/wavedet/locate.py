@@ -26,9 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import model
-from .errors import ConfigError, EssentialSpectrum, NoConvergence, PhaseJump
-from .model import ScalarProblem
+from .errors import ConfigError, NoConvergence, PhaseJump
 
 __all__ = [
     "Batched",
@@ -111,20 +109,7 @@ def _values(f, lams: list) -> list:
     return [complex(value) for value in values]
 
 
-def _check_resolvent(problem: Optional[ScalarProblem], lams: list):
-    if problem is None:
-        return
-    lams = [complex(lam) for lam in lams]
-    on_axis, coincide = model._degeneracy(model.char_roots(problem.coeffs,
-                                                           lams))
-    for lam, axis, close in zip(lams, on_axis, coincide):
-        if axis or close:
-            status = "essential" if axis else "indeterminate"
-            raise EssentialSpectrum(f"contour sample {lam} is {status} for "
-                                    "the given problem")
-
-
-def _phase_step(f, za, fa, zb, fb, depth, problem) -> list:
+def _phase_step(f, za, fa, zb, fb, depth) -> list:
     """The samples (z, f(z)) strictly between za and zb, in order, from
     bisecting until each phase step is below pi/2."""
     if fb == 0 or not np.isfinite(abs(fb)):
@@ -138,27 +123,23 @@ def _phase_step(f, za, fa, zb, fb, depth, problem) -> list:
             f"phase still jumps by {dphi:.3f} rad between {za} and {zb} "
             f"after {depth} bisections - a zero may sit on the contour")
     zm = 0.5 * (za + zb)
-    _check_resolvent(problem, [zm])
     fm = complex(f(zm))
-    return (_phase_step(f, za, fa, zm, fm, depth + 1, problem) + [(zm, fm)]
-            + _phase_step(f, zm, fm, zb, fb, depth + 1, problem))
+    return (_phase_step(f, za, fa, zm, fm, depth + 1) + [(zm, fm)]
+            + _phase_step(f, zm, fm, zb, fb, depth + 1))
 
 
-def _walk(f, contour: Contour,
-          problem: Optional[ScalarProblem]) -> tuple[int, list]:
+def _walk(f, contour: Contour) -> tuple[int, list]:
     """Winding number of f around the contour (argument principle) and
     the samples (z, f(z)) of its walk in contour order, bisection points
-    included, closed.  With a problem, every sample is checked to sit in
-    the resolvent region first; a phase that does not land within 0.1
-    turns of an integer is a PhaseJump, not rounded away."""
+    included, closed.  A phase that does not land within 0.1 turns of an
+    integer is a PhaseJump, not rounded away."""
     pts = [complex(z) for z in contour.points()[:-1]]
-    _check_resolvent(problem, pts)
     samples = list(zip(pts, _values(f, pts)))
     if any(v == 0 or not np.isfinite(abs(v)) for _, v in samples):
         raise PhaseJump("evaluator vanished or blew up on the contour")
     walk = samples[:1]
     for (za, fa), (zb, fb) in zip(samples, samples[1:] + samples[:1]):
-        walk += _phase_step(f, za, fa, zb, fb, 0, problem) + [(zb, fb)]
+        walk += _phase_step(f, za, fa, zb, fb, 0) + [(zb, fb)]
     turns = sum(cmath.phase(fb / fa) for (_, fa), (_, fb)
                 in zip(walk, walk[1:])) / (2.0 * math.pi)
     nearest = round(turns)
@@ -290,7 +271,6 @@ def _scan_seeds(f, contour: Contour, w: int):
 
 
 def locate_roots(f: Callable[[complex], complex], contour: Contour,
-                 problem: Optional[ScalarProblem] = None,
                  function_used: str = "det1") -> RootReport:
     """Count zeros inside the contour, then hunt them down.
 
@@ -300,7 +280,7 @@ def locate_roots(f: Callable[[complex], complex], contour: Contour,
     7 x 7 interior scan of ``_scan_seeds`` run.  A shortfall is reported, not
     padded.
     """
-    w, walk = _walk(f, contour, problem)
+    w, walk = _walk(f, contour)
     if w == 0:
         return RootReport(winding=0, roots=(), function_used=function_used)
     seeds = _moment_seeds(walk, contour, w) if w > 0 else ()

@@ -256,8 +256,8 @@ def test_winding_numbers_agree(pt, pt_system, coarse_grid):
     results = {}
     for label, contour in (("around the eigenvalue", inside),
                            ("zero-free region", outside)):
-        wd_det = locate._walk(f_det, contour, pt)[0]
-        wd_ev = locate._walk(f_ev, contour, None)[0]
+        wd_det = locate._walk(f_det, contour)[0]
+        wd_ev = locate._walk(f_ev, contour)[0]
         results[label] = (wd_det, wd_ev)
     ok = (results["around the eigenvalue"] == (1, 1)
           and results["zero-free region"] == (0, 0))

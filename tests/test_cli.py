@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -414,8 +415,7 @@ def test_locate_evans_batched_matches_the_loop(tmp_path, capsys,
     sysm = wavedet.to_system(pt2)
     want = locate.locate_roots(
         lambda lam: evans.evans_function(sysm, lam).ratio,
-        locate.Contour(low, high, samples_per_edge=6), problem=pt2,
-        function_used="evans")
+        locate.Contour(low, high, samples_per_edge=6), function_used="evans")
     assert report["winding"] == want.winding == 1
     got = [complex(r["re"], r["im"]) for r in report["roots"]]
     assert len(got) == len(want.roots) == 1
@@ -1262,6 +1262,30 @@ def test_echoed_config_keys_are_pinned(tmp_path, capsys, command):
     assert set(echo) == _ECHO_COMMON | _ECHO_KEYS[command]
     for block, keys in _ECHO_BLOCKS.items():
         assert set(echo[block]) == keys
+
+
+def _table_paths(table, prefix=""):
+    """The dotted key paths of a config table of cli.py, with its nested
+    blocks and both tables of a union."""
+    if isinstance(table, tuple):
+        return _table_paths(table[1], prefix) | _table_paths(table[2], prefix)
+    paths = set()
+    for key, (check, _) in table.items():
+        paths.add(prefix + key)
+        if isinstance(check, (dict, tuple)):
+            paths |= _table_paths(check, f"{prefix}{key}.")
+    return paths
+
+
+def test_docstring_names_every_config_key():
+    """cli.py's module docstring names every key path of its config
+    tables, in double backquotes or at the head of a row of its key list,
+    and no key that the tables lack."""
+    tables = [cli._COMMON] + [keys for _, _, keys in cli._COMMANDS.values()]
+    paths = set().union(*map(_table_paths, tables))
+    named = (set(re.findall(r"``([\w.]+)``", cli.__doc__))
+             | set(re.findall(r"^    (\w+) ", cli.__doc__, re.M)))
+    assert named == paths
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 runs ``cli.main`` in process and must give the pinned exit code, stdout,
 stderr and ``{tmp}/out.csv`` (null when no file is written), byte for
 byte.  The cases cover every command succeeding in csv and json, and one
-config for each refusal that ``cli.py`` raises itself.  ``{tmp}`` in a case stands for the case's own temporary folder.
+config for each refusal that ``cli.py`` raises itself.  ``{tmp}`` in a
+case stands for the case's own temporary folder.
 
 Run this file as a script (``PYTHONPATH=src python
 tests/test_cli_battery.py``) to pin the outputs of the current code.

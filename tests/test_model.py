@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedet as wd
-from wavedet.errors import ConfigError, EssentialSpectrum, NoConvergence
-from wavedet import locate, model
+from wavedet.errors import (ConfigError, EssentialSpectrum, NearMultipleRoots,
+                            NoConvergence)
+from wavedet import greens, model
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +274,20 @@ def test_degeneracy_masks_match_per_lambda_masks(pt):
 
 
 def test_resolvent_check_statuses(pt):
-    """The contour's resolvent check refuses the first sample that is not
-    in the resolvent set, naming its status."""
+    """The root split that every evaluator runs, and that a locate contour
+    relies on, refuses the first lambda that is not in the resolvent set,
+    naming its status."""
     assert _statuses(pt, [4.0, -1.0]) == ["resolvent", "essential"]
-    locate._check_resolvent(pt, [4.0, 2.0 + 1.0j])
+    greens.green_data(pt, [4.0, 2.0 + 1.0j])
     with pytest.raises(EssentialSpectrum) as err:
-        locate._check_resolvent(pt, [4.0, -1.0, -2.0])
-    assert str(err.value) == ("contour sample (-1+0j) is essential for the "
-                              "given problem")
+        greens.green_data(pt, [4.0, -1.0, -2.0])
+    assert str(err.value) == ("lambda=-1.0 has a characteristic root on the "
+                              "imaginary axis")
     double = wd.ScalarProblem(order=2, coeffs=(1.0, 2.0), profile=pt.profile)
-    with pytest.raises(EssentialSpectrum) as err:
-        locate._check_resolvent(double, [4.0, 0.0])
-    assert str(err.value) == ("contour sample 0j is indeterminate for the "
-                              "given problem")
+    with pytest.raises(NearMultipleRoots) as err:
+        greens.green_data(double, [4.0, 0.0])
+    assert str(err.value) == ("characteristic roots at lambda=0.0 nearly "
+                              "coincide")
 
 
 def test_essential_spectrum_distance(pt):
