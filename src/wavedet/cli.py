@@ -20,7 +20,7 @@ A run is one JSON document plus a command name.  Its keys by dotted path
 
 with ``matching_point``, where the two Jost families are matched, and per
 command ``lambdas`` (roots / det / evans / compare), ``p`` (det),
-``rectangle`` (``rectangle.corner_low``, ``rectangle.corner_high``),
+``rectangle`` (``rectangle.corner_low``, ``rectangle.corner_high``) and
 ``function`` (locate, scan), ``samples_per_edge`` (locate), ``nx`` /
 ``ny`` (scan), ``lambda`` / ``quantity`` / ``n_list`` / ``x_list``
 (converge).  Unknown keys anywhere are rejected before any computation
@@ -59,8 +59,7 @@ __all__ = ["main"]
 # as given), or the table of a nested block: a dict, or ("name", with_it,
 # without_it) for a block whose table depends on whether it holds that
 # key.  A _Required default refuses a missing key, _ABSENT leaves it out,
-# and a callable one is computed from the keys parsed before it.  A run
-# echoes its parsed config.
+# and a callable one is computed from the keys parsed before it.
 
 
 class _Required(str):
@@ -543,9 +542,15 @@ def cmd_converge(run):
     return _render(run, columns, rows)
 
 
-_HANDLERS = {"roots": cmd_roots, "det": cmd_det, "evans": cmd_evans,
-             "compare": cmd_compare, "locate": cmd_locate, "scan": cmd_scan,
-             "converge": cmd_converge}
+_HANDLERS = {
+    "roots": cmd_roots,
+    "det": cmd_det,
+    "evans": cmd_evans,
+    "compare": cmd_compare,
+    "locate": cmd_locate,
+    "scan": cmd_scan,
+    "converge": cmd_converge,
+}
 
 
 # ---------------------------------------------------------------------------
