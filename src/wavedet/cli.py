@@ -270,8 +270,11 @@ def _check_asymptotics(block, problem):
     sysm = model.to_system(problem)
     for label, have in (("R_minus", sysm.r_minus), ("R_plus", sysm.r_plus)):
         refusal = f"{path}.{label} must be a matrix (list of lists)"
-        want = np.array(_list(_list(_as_complex, refusal), refusal)(
-            f"{path}.{label}", block[label]), dtype=complex)
+        rows = _list(_list(_as_complex, refusal), refusal)(f"{path}.{label}",
+                                                           block[label])
+        if len({len(row) for row in rows}) > 1:
+            raise ConfigError(refusal)
+        want = np.array(rows, dtype=complex)
         if want.shape != have.shape or not np.allclose(want, have, atol=1e-8):
             raise ConfigError(f"{path}.{label} disagrees with the limit the "
                               "profile reaches")

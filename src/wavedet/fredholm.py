@@ -36,8 +36,9 @@ m >= 1 the two kernels are different discretizations; each keeps its own.
   a node's index within its panel: they are tabulated over one reference
   panel (``_panel_tables``), and so are the branch exponentials.
 * Exact second and third traces as ordered integrals of the chain
-  elements r_a W(x) u_b (``_traces``), all root pairs in one pass of the
-  contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p, on
+  elements r_a W(x) u_b (``_traces``), all root pairs at once through the
+  contractive panel recurrence C_(p+1) = e^(-mu h) C_p + m_p in
+  ceil(log2 P) vectorised steps of recursive doubling (``_scan``), on
   exponentially fitted panel weights (``_fitted_rules``, within 2e-14 of
   a 30-digit reference up to |mu| h / 2 = 1e3): exact at large |mu| h,
   from W at the nodes only.  W does not depend on lambda: it is sampled
@@ -169,14 +170,14 @@ def _fitted_tables(q: int) -> tuple[np.ndarray, ...]:
     t = model.gauss_rule(q)[0]
     s = np.concatenate([[-1.0], t, [1.0]])
     h = np.diff(s)
-    c = np.zeros((q + 1, q, q))
-    c[:, 0] = h[:, None]
+    c = np.zeros((q + 1, q + 1, q))     # [r, 1 + k, j]; 0 at k = -1
+    c[:, 1] = h[:, None]
     for m in range(q):
         gap = np.where(np.arange(q) == m, np.inf, t - t[m])
         # (s_r - t_m + h_r u) / (t_j - t_m) for j != m, 1 for j = m
         const = np.where(np.isinf(gap), 1.0, (s[:-1, None] - t[m]) / gap)
-        c = c * const[:, None] + np.pad(c[:, :-1], ((0, 0), (1, 0), (0, 0))
-                                        ) * (h[:, None] / gap)[:, None]
+        c[:, 1:] = (c[:, 1:] * const[:, None]
+                    + c[:, :-1] * (h[:, None] / gap)[:, None])
     off = s[1:, None] - s
     fact = [math.factorial(i) for i in range(18 + q)]
     taylor = np.array([[1.0 / fact[i]] + [fact[k] / fact[i + k + 1]
@@ -185,7 +186,7 @@ def _fitted_tables(q: int) -> tuple[np.ndarray, ...]:
     double = np.zeros((q + 1, q + 1))
     for k in range(q):
         double[1:k + 2, k + 1] = [math.comb(k, i) for i in range(k + 1)]
-    tables = (h, c, off.clip(0.0), off >= 0.0, taylor, double,
+    tables = (h, c[:, 1:].copy(), off.clip(0.0), off >= 0.0, taylor, double,
               0.5 ** np.arange(q + 1))
     for arr in tables:
         arr.flags.writeable = False
@@ -383,13 +384,25 @@ def _cumulative(rad: float, rules: np.ndarray,
     panel's part from its left edge to its nodes and its moment m_p; the
     panel sums C_p anchored at left edges obey C_(p+1) = e^(-2 mu rad) C_p
     + m_p, so every exponential decays."""
-    q, P = f.shape[2:]
-    part = rad * (rules[..., :q] @ f)
-    decay = rules[..., q, q]
-    C = np.zeros(part.shape[:2] + (P,), dtype=complex)
-    for p in range(1, P):
-        C[..., p] = decay * C[..., p - 1] + part[..., q, p - 1]
-    return part[..., :q, :] + rules[..., :q, q, None] * C[..., None, :]
+    part = rad * (rules[..., :-1] @ f)
+    C = _scan(rules[..., -1, -1, None], part[..., -1, :], -1)
+    return part[..., :-1, :] + rules[..., :-1, -1, None] * C[..., None, :]
+
+
+def _scan(decay: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """C_0 = 0, C_p = decay_(p-1) C_(p-1) + b_(p-1) for p < P along axis,
+    shape b.shape, with decay of length P or 1 there.  Recursive doubling
+    (Kogge and Stone, IEEE Trans. Comput. C-22, 1973): step s composes each
+    partial recurrence with the one s entries before it, ceil(log2 P)
+    vectorised steps with no temporary beyond b's size."""
+    C = np.zeros_like(b)
+    a = np.moveaxis(np.broadcast_to(decay, b.shape), axis, 0)[:-1].copy()
+    c = np.moveaxis(C, axis, 0)[1:]         # a view: c_i = C_(i+1)
+    c[...] = np.moveaxis(b, axis, 0)[:-1]
+    for s in 2 ** np.arange((len(c) - 1).bit_length()):
+        c[s:] += a[s:] * c[:-s]
+        a[s:] *= a[:-s]
+    return C
 
 
 def _traces(terms: _Terms,
@@ -550,8 +563,8 @@ def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, dict]:
     carried = np.triu(np.ones((l, M), dtype=bool))
     for p in range(P):
         if p:
-            carry = raw[:, p - 1, M:, M:].swapaxes(-1, -2)
-            stacks[:, p, :l, :M] = carry * carried
+            np.multiply(raw[:, p - 1, M:, M:].swapaxes(-1, -2), carried,
+                        out=stacks[:, p, :l, :M])
         raw[:, p], tau[:, p] = np.linalg.qr(stacks[:, p], mode="raw")
     d = raw[..., np.arange(M), np.arange(M)].reshape(L, -1)
     pivots = np.abs(d)
@@ -576,23 +589,18 @@ def _block_traces(blocks: _Blocks) -> dict:
     L U)) + 3 tr(U U L + U L L).  The off-block parts of the diagonal
     blocks of S^2 are gp_p R_p hm_p + gm_p L_p hp_p, from the left sweep
     L_(p+1) = em L_p ep + hm_p gp_p and the right sweep
-    R_(p-1) = ep R_p em + hp_p gm_p; the triple products pass through one
-    middle block each.
+    R_(p-1) = ep R_p em + hp_p gm_p, both by ``_scan``; the triple
+    products pass through one middle block each.
     """
     D, gp, hp, gm, hm, ep, em = (blocks.diag, blocks.gp, blocks.hp,
                                  blocks.gm, blocks.hm, blocks.ep, blocks.em)
     t = {1: _row_sums(np.trace(D, axis1=-2, axis2=-1))}
-    P = D.shape[1]
     DT = D.swapaxes(-1, -2)
     decay = em[..., :, None] * ep[..., None, :]
     alpha, beta = hm @ gp, hp @ gm
-    L = np.zeros_like(alpha)
-    for p in range(1, P):
-        L[:, p] = decay[:, p - 1] * L[:, p - 1] + alpha[:, p - 1]
+    L = _scan(decay, alpha, 1)
     t[2] = _row_sums(D * DT) + 2.0 * _row_sums(beta.swapaxes(-1, -2) * L)
-    R = np.zeros_like(beta)
-    for p in range(P - 1, 0, -1):
-        R[:, p - 1] = decay[:, p].swapaxes(-1, -2) * R[:, p] + beta[:, p]
+    R = _scan(decay[:, ::-1].swapaxes(-1, -2), beta[:, ::-1], 1)[:, ::-1]
     LT = L.swapaxes(-1, -2)
     tr_d3 = _row_sums((D @ D) * DT)
     tr_do = (_row_sums((hm @ D @ gp).swapaxes(-1, -2) * R)
@@ -732,30 +740,32 @@ def determinants_many(system: SystemProblem, lams: Sequence[complex],
               and not system.is_front)
     matrix = [p for p in orders.values() if p > 1]
     scalar = [p for p in orders.values() if shared or p == 1]
-    if matrix:
-        weight = _system_weight(system, grid)
-        samples = None if shared else _sample(weight, grid)
-        tau, tau_minus = _trace_pairs(P, Pinv, k, grid, weight(grid.nodes)
-                                      if shared else samples.nodes, cols)
-        refusals = [refusal or _sign_mismatch(a, b)
-                    for refusal, a, b in zip(refusals, tau, tau_minus)]
-    raise_first(refusals)
-    runs = []
-    if matrix and not shared:
-        runs.append((_system_terms(kappa, k, P, Pinv, cols), samples, {},
-                     matrix))
-    if scalar:
-        groups = _scalar_terms(source, lams, bases)
-        exact = ({1: _analytic_traces(source, groups, len(lams))}
-                 if 1 in scalar else {})
-        runs.append((groups, _sample(_scalar_weight(source), grid), exact,
-                     scalar))
-    out = {}
-    for groups, samp, exact, ps in runs:
-        values = _regularized(groups, samp, exact, ps)
-        out.update({p: (value, exact[1] if p == 1 else tau)
-                    for p, value in zip(ps, values)})
-    bad = np.isnan([value for value, _ in out.values()]).any(axis=0)
+    # a value out of the float64 range passes silently to the refusal below
+    with np.errstate(all="ignore"):
+        if matrix:
+            weight = _system_weight(system, grid)
+            samples = None if shared else _sample(weight, grid)
+            tau, tau_minus = _trace_pairs(P, Pinv, k, grid, weight(grid.nodes)
+                                          if shared else samples.nodes, cols)
+            refusals = [refusal or _sign_mismatch(a, b)
+                        for refusal, a, b in zip(refusals, tau, tau_minus)]
+        raise_first(refusals)
+        runs = []
+        if matrix and not shared:
+            runs.append((_system_terms(kappa, k, P, Pinv, cols), samples, {},
+                         matrix))
+        if scalar:
+            groups = _scalar_terms(source, lams, bases)
+            exact = ({1: _analytic_traces(source, groups, len(lams))}
+                     if 1 in scalar else {})
+            runs.append((groups, _sample(_scalar_weight(source), grid), exact,
+                         scalar))
+        out = {}
+        for groups, samp, exact, ps in runs:
+            values = _regularized(groups, samp, exact, ps)
+            out.update({p: (value, exact[1] if p == 1 else tau)
+                        for p, value in zip(ps, values)})
+    bad = ~np.isfinite(list(out.values())).all(axis=(0, 1))
     raise_first([OutOfRange(f"lambda={lam}: a determinant or its trace "
                             "correction is outside the float64 range")
                  if b else None for lam, b in zip(lams, bad)])

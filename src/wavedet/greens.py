@@ -28,7 +28,7 @@ import numpy as np
 
 from . import model
 from .errors import (CountMismatch, EssentialSpectrum, IllConditioned,
-                     NearMultipleRoots, raise_first)
+                     NearMultipleRoots, OutOfRange, raise_first)
 from .model import ScalarProblem, SystemProblem
 
 __all__ = [
@@ -45,18 +45,24 @@ def _split(problem: ScalarProblem,
     """Stacked root split of every lambda: kappa (L, n), each row its plus
     roots then its minus roots, each group by ascending real part, then
     ascending imaginary part; the plus-root counts k (L,); and per lambda
-    its refusal (EssentialSpectrum, NearMultipleRoots), None if clean."""
+    its refusal (OutOfRange, EssentialSpectrum, NearMultipleRoots), None if
+    clean.  A lambda with a root out of the float64 range is split on the
+    placeholder roots 1, ..., n."""
     roots = model.char_roots(problem.coeffs,
                              np.asarray(lams, dtype=complex).reshape(-1))
+    finite = np.isfinite(roots).all(axis=-1)
+    roots[~finite] = np.arange(1.0, roots.shape[-1] + 1)
     on_axis, coincide = model._degeneracy(roots)
     order = np.lexsort((roots.imag, roots.real, roots.real <= 0), axis=-1)
     kappa = np.take_along_axis(roots, order, axis=-1)
     refusals = [
+        OutOfRange(f"lambda={lam}: a characteristic root is outside the "
+                   "float64 range") if not ok else
         EssentialSpectrum(f"lambda={lam} has a characteristic root on the "
                           "imaginary axis") if axis else
         NearMultipleRoots(f"characteristic roots at lambda={lam} nearly "
                           "coincide") if close else None
-        for lam, axis, close in zip(lams, on_axis, coincide)]
+        for lam, ok, axis, close in zip(lams, finite, on_axis, coincide)]
     return kappa, np.count_nonzero(roots.real > 0, axis=-1), refusals
 
 

@@ -366,7 +366,9 @@ def char_roots(coeffs: Sequence[complex], lam) -> np.ndarray:
     """Roots of kappa^n + a_{n-1} kappa^(n-1) + ... + a_0 - lambda, shape
     lam.shape + (n,) for a scalar or an array of lambdas: one stacked
     eigenvalue call on the companion matrices (``numpy.roots``' form), then
-    one vectorized Newton polish step."""
+    one vectorized Newton polish step.  A root where the polynomial or its
+    derivative leaves the float64 range comes back NaN, without a
+    warning."""
     a = np.array([complex(c) for c in coeffs])
     n = a.size
     lam = np.asarray(lam, dtype=complex)
@@ -378,11 +380,14 @@ def char_roots(coeffs: Sequence[complex], lam) -> np.ndarray:
     companion[..., 0, :] = -poly[..., 1:]
     companion[..., np.arange(1, n), np.arange(n - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
-    vals = _polyval(poly, roots)
-    # the derivative drops the constant a_0 - lambda: one for every lambda
-    dvals = _polyval(np.polyder(np.concatenate([[1.0], a[::-1]])), roots)
-    ok = np.abs(dvals) > 1e-14 * np.maximum(1.0, np.abs(vals))
-    return roots - np.divide(vals, dvals, out=np.zeros_like(vals), where=ok)
+    with np.errstate(all="ignore"):
+        vals = _polyval(poly, roots)
+        # the derivative drops the constant a_0 - lambda: one for every lambda
+        dvals = _polyval(np.polyder(np.concatenate([[1.0], a[::-1]])), roots)
+        ok = np.abs(dvals) > 1e-14 * np.maximum(1.0, np.abs(vals))
+        roots -= np.divide(vals, dvals, out=np.zeros_like(vals), where=ok)
+    roots[~(np.isfinite(vals) & np.isfinite(dvals))] = np.nan
+    return roots
 
 
 def _degeneracy(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1223,6 +1223,34 @@ def test_lean_traces_match_the_chain_element_traces(name, problem, lam):
         assert abs(got[3] - want[1]) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("P", [1, 2, 3, 7, 20, 80, 81])
+@pytest.mark.parametrize("axis", [-1, 1])
+@pytest.mark.parametrize("per_panel", [False, True],
+                         ids=["row_decay", "panel_decay"])
+def test_scan_is_the_sequential_recurrence(P, axis, per_panel):
+    """``_scan`` against C_p = decay_(p-1) C_(p-1) + b_(p-1), one p at a
+    time, within 1e-14 of the sum of |terms| of each C_p: complex decays
+    with |decay| <= 1, one per row or one per panel, along the panel axis
+    of ``_cumulative`` (last) and of ``_block_traces`` (1)."""
+    rng = np.random.default_rng(P)
+    shape = (2, 3, 2, 4)
+    shape = shape[:axis] + (P,) + shape[axis:] if axis > 0 else shape + (P,)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    decay = np.sqrt(rng.uniform(size=shape)) * np.exp(
+        2j * np.pi * rng.uniform(size=shape))
+    if not per_panel:
+        decay = np.take(decay, [0], axis=axis)
+    got = np.moveaxis(fredholm._scan(decay, b, axis), axis, 0)
+    b, decay = np.moveaxis(b, axis, 0), np.moveaxis(decay, axis, 0)
+    want, size = np.zeros_like(b), np.zeros(b.shape)
+    for p in range(1, P):
+        d = decay[p - 1 if per_panel else 0]
+        want[p] = d * want[p - 1] + b[p - 1]
+        size[p] = np.abs(d) * size[p - 1] + np.abs(b[p - 1])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+
 # ---------------------------------------------------------------------------
 # exponentially fitted panel rules, and the exact traces at large |lambda|
 
