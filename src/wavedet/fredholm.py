@@ -172,12 +172,12 @@ def _fitted_tables(q: int) -> tuple[np.ndarray, ...]:
     h = np.diff(s)
     c = np.zeros((q + 1, q + 1, q))     # [r, 1 + k, j]; 0 at k = -1
     c[:, 1] = h[:, None]
+    # (s_r - t_m + h_r u) / (t_j - t_m) for j != m, 1 for j = m; [m, r, 1, j]
+    same, tm = np.eye(q, dtype=bool)[:, None, None], t[:, None, None, None]
+    gap = np.where(same, np.inf, t - tm)
+    base = np.where(same, 1.0, (s[:-1, None, None] - tm) / gap)
     for m in range(q):
-        gap = np.where(np.arange(q) == m, np.inf, t - t[m])
-        # (s_r - t_m + h_r u) / (t_j - t_m) for j != m, 1 for j = m
-        const = np.where(np.isinf(gap), 1.0, (s[:-1, None] - t[m]) / gap)
-        c[:, 1:] = (c[:, 1:] * const[:, None]
-                    + c[:, :-1] * (h[:, None] / gap)[:, None])
+        c[:, 1:] = c[:, 1:] * base[m] + c[:, :-1] * (h[:, None, None] / gap[m])
     off = s[1:, None] - s
     fact = [math.factorial(i) for i in range(18 + q)]
     taylor = np.array([[1.0 / fact[i]] + [fact[k] / fact[i + k + 1]
