@@ -80,6 +80,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import greens, model
 from .errors import ConfigError, OutOfRange, SignMismatch, raise_first
@@ -555,18 +556,17 @@ def _sweep(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, dict]:
     stacks[:, :-1, M:, :l] = -blocks.em[:, :-1, :, None] * np.eye(l)
     stacks[:, :-1, M:, x] = -blocks.hm[:, :-1]
     del blocks
-    # numpy's raw QR is transposed: raw[..., c, r] is R[r, c] for r <= c
-    # and the reflector vectors below the diagonal of R.  Step p's output
-    # overwrites its own stack, which it has consumed.
-    raw = stacks.reshape(L, P, 2 * M, M + l)
+    # LAPACK's QR by the gufunc behind numpy.linalg.qr(mode="raw"), minus
+    # the wrapper's per-call copies: it overwrites its input with R on and
+    # above the diagonal and the reflector vectors below it.
     tau = np.empty((L, P, M + l), dtype=complex)
     carried = np.triu(np.ones((l, M), dtype=bool))
     for p in range(P):
         if p:
-            np.multiply(raw[:, p - 1, M:, M:].swapaxes(-1, -2), carried,
+            np.multiply(stacks[:, p - 1, M:, M:], carried,
                         out=stacks[:, p, :l, :M])
-        raw[:, p], tau[:, p] = np.linalg.qr(stacks[:, p], mode="raw")
-    d = raw[..., np.arange(M), np.arange(M)].reshape(L, -1)
+        tau[:, p] = _umath_linalg.qr_r_raw(stacks[:, p], signature="D->D")
+    d = stacks[..., np.arange(M), np.arange(M)].reshape(L, -1)
     pivots = np.abs(d)
     regular = pivots.all(axis=1)
     pivots[~regular] = 1.0      # placeholders; these rows are overwritten
