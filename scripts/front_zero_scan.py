@@ -39,7 +39,7 @@ def main():
     print(f"{'lambda':>8}  {'front det2':>15}  {'evans (front)':>15}")
     rows = []
     for lam in np.linspace(lo, hi, args.samples):
-        d = fronts.front_det2(front, lam, grid).value
+        d = wd.det2(front, lam, grid).value
         e = wd.evans_function(front, lam).ratio
         rows.append((lam, d, e))
         print(f"{lam:8.3f}  {d.real:+15.8f}  {e.real:+15.8f}")
@@ -57,7 +57,7 @@ def main():
         return
 
     z_det = locate.refine_root(
-        lambda lam: fronts.front_det2(front, lam, grid).value, det_guess,
+        lambda lam: wd.det2(front, lam, grid).value, det_guess,
         tol=1e-12)
     z_ref = locate.refine_root(
         lambda lam: wd.evans_function(ref, lam).ratio, det_guess,

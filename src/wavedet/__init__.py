@@ -41,9 +41,7 @@ _HOMES = {
     **dict.fromkeys((
         "EvansResult", "evans_function", "evans_and_swinton",
         "swinton_matrix", "identity_report"), "evans"),
-    **dict.fromkeys((
-        "FrontReference", "front_reference", "front_det2",
-        "reference_system"), "fronts"),
+    "reference_system": "fronts",
     **dict.fromkeys((
         "Contour", "RootReport", "refine_root", "scan", "locate_roots"),
         "locate"),

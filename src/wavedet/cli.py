@@ -186,7 +186,7 @@ _CORNER = (_as_complex, _Required("rectangle needs corner_low and "
                                   "corner_high"))
 _AREA = {"rectangle": ({"corner_low": _CORNER, "corner_high": _CORNER},
                        _REQUIRED),
-         "function": (_one_of("det1", "det2", "front_det2", "evans"), "det1")}
+         "function": (_one_of("det1", "det2", "evans"), "det1")}
 _LISTS = "n_list and x_list must be lists"
 
 # command -> (its --help text, the modules that its handler runs, its own
@@ -350,7 +350,6 @@ class Run:
             return name, locate.Batched(lambda lams: [
                 res.value for res in fredholm.det1_many(self.problem, lams,
                                                         self.grid)])
-        # front_det2 is det2 under its own name, for a front as for a pulse
         return name, locate.Batched(lambda lams: [
             res.value for res, in fredholm.determinants_many(
                 self.system, lams, self.grid, {"det2": 2})])

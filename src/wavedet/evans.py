@@ -120,6 +120,11 @@ def _segment_step(*bases: tuple) -> float:
     return min(1.0, math.log(1e8) / (2.0 * (rate + 1.0)))
 
 
+# the most renormalization segments a window takes, refused before its
+# stored points are formed: every step array grows with the count
+MAX_SEGMENTS = 100_000
+
+
 def _boundaries(half_width: float, step: float,
                 extra: Sequence[float] = ()) -> np.ndarray:
     """Stored points of the window [-X, X], ascending: equal segments of
@@ -127,7 +132,12 @@ def _boundaries(half_width: float, step: float,
     extra = np.asarray(extra, dtype=float)
     if np.any(np.abs(extra) > half_width + 1e-9):
         raise ConfigError(f"sample point outside the window {extra}")
-    n_seg = max(1, int(math.ceil(2.0 * half_width / step - 1e-12)))
+    segments = 2.0 * half_width / step - 1e-12
+    if not segments <= MAX_SEGMENTS:
+        raise ConfigError(f"half_width {half_width:g} needs {segments:.3g} "
+                          f"renormalization segments of length {step:.3g}, "
+                          f"more than {MAX_SEGMENTS}")
+    n_seg = max(1, math.ceil(segments))
     pts = np.sort(np.concatenate([
         np.linspace(-half_width, half_width, n_seg + 1), extra]))
     pts = pts[np.concatenate(([True], np.diff(pts) > 1e-10))]
@@ -173,23 +183,22 @@ def _norm1(A: np.ndarray) -> np.ndarray:
     return np.max(np.sum(np.abs(A), axis=-2), axis=-1)
 
 
-def _expm(A: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """exp of every matrix of a stack (..., d, d), each from the Pade
-    approximant r_m = (V - U)^-1 (V + U) of the least degree m in 3, 5, 7,
-    9 whose theta_m bounds its own 1-norm; the matrices of one degree go
-    through together.  Above theta_9 it is degree 13, each matrix scaled
-    by its own power of two and squared back.
-
-    With adjoint the result is the pair [exp(A), exp(-A^T)], shape
-    (2,) + A.shape: U is odd in A and V even, so r_m(-A^T) is
-    ((V + U)^-1 (V - U))^T, one more solve on the same U and V."""
+def _expm(A: np.ndarray) -> np.ndarray:
+    """The pair [exp(A), exp(-A^T)] of every matrix of a stack (..., d, d),
+    shape (2,) + A.shape, each from the Pade approximant
+    r_m = (V - U)^-1 (V + U) of the least degree m in 3, 5, 7, 9 whose
+    theta_m bounds its own 1-norm; the matrices of one degree go through
+    together.  Above theta_9 it is degree 13, each matrix scaled by its
+    own power of two and squared back.  U is odd in A and V even, so
+    r_m(-A^T) is ((V + U)^-1 (V - U))^T, one more solve on the same U and
+    V."""
     A = np.asarray(A, dtype=complex)
     norm = _norm1(A)
     degree = np.select([norm <= _THETA[m] for m in (3, 5, 7, 9)],
                        [3, 5, 7, 9], 13)
     s = np.ceil(np.log2(norm / _THETA[13] + 1e-300)).clip(0).astype(int)
     A = A / (2.0 ** s)[..., None, None]
-    X = np.empty((1 + adjoint,) + A.shape, dtype=complex)
+    X = np.empty((2,) + A.shape, dtype=complex)
     for m in set(degree.ravel().tolist()):
         group = degree == m
         B = A[group]
@@ -199,12 +208,11 @@ def _expm(A: np.ndarray, adjoint: bool = False) -> np.ndarray:
         U = B @ sum(_PADE[m][2 * j + 1] * P for j, P in enumerate(powers))
         V = sum(_PADE[m][2 * j] * P for j, P in enumerate(powers))
         X[0][group] = np.linalg.solve(V - U, V + U)
-        if adjoint:
-            X[1][group] = np.swapaxes(np.linalg.solve(V + U, V - U), -1, -2)
+        X[1][group] = np.swapaxes(np.linalg.solve(V + U, V - U), -1, -2)
     for j in range(int(s.max(initial=0))):
         sq = s > j
         X[:, sq] = X[:, sq] @ X[:, sq]
-    return X if adjoint else X[0]
+    return X
 
 
 def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -264,7 +272,7 @@ def _window_steps(system: SystemProblem, lam: complex,
     x, L, n = pts[:-1], np.diff(pts), pts.size - 1
     pilot = _expm(_step_exponents(system, A0,
                                   np.concatenate([x, x, x + L / 2]),
-                                  np.concatenate([L, L / 2, L / 2])), True)
+                                  np.concatenate([L, L / 2, L / 2])))
     halves = pilot[0, 2 * n:] @ pilot[0, n:2 * n]
     gap = _norm1(pilot[0, :n] - halves) / _norm1(halves)
     if not np.all(np.isfinite(gap)):
@@ -278,7 +286,7 @@ def _window_steps(system: SystemProblem, lam: complex,
     h = L[piece[own]] / count[piece[own]]
     steps = np.empty((2, piece.size) + A0.shape, dtype=complex)
     steps[:, own] = _expm(_step_exponents(
-        system, A0, x[piece[own]] + j[own] * h, h), True)
+        system, A0, x[piece[own]] + j[own] * h, h))
     steps[:, ~own] = pilot[:, (1 + j[~own]) * n + piece[~own]]
     if not np.all(np.isfinite(steps)):
         raise StiffnessFailure(f"non-finite step propagator at {lam}")

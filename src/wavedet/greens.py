@@ -180,9 +180,10 @@ def system_bases(system: SystemProblem, lams) -> tuple:
     and Pinv (L, n, n), and per lambda its refusal or None, from one
     ``end_bases`` call.  A pulse's kernel basis is its end basis.  A
     front's is the reference split, the left end's plus rates with the
-    right end's minus rates, in their Vandermonde frame, that of the
-    reference matrix B(lambda) of ``fronts.front_reference``, refused after
-    the ends when ill-conditioned.  A refused lambda's Pinv is zero, and so
+    right end's minus rates, in their Vandermonde frame, which
+    diagonalises the reference matrix B(lambda) of
+    ``fronts.reference_system``, refused after the ends when
+    ill-conditioned.  A refused lambda's Pinv is zero, and so
     are its other rows unless the system is a scalar-derived pulse."""
     minus, plus, refusals = end_bases(system, lams)
     if system.source is not None and not system.is_front:

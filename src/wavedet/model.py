@@ -64,7 +64,7 @@ SEP_TOL = 1e-6
 class WaveProfile:
     """A wave profile phi with enough structure for both pipelines.
 
-    ``fn`` evaluates phi on scalars or arrays; ``deriv`` evaluates the
+    Calling it evaluates phi on scalars or arrays; ``deriv`` evaluates the
     order-l derivative, exact at every order for the built-in kinds
     (polynomials in tanh and sech, Hermite functions) and the spline's for
     a tabulated profile.  ``limits`` holds (phi(-inf), phi(+inf)); both are 0
@@ -74,17 +74,14 @@ class WaveProfile:
 
     kind: str
     params: dict
-    fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray, int], np.ndarray]
     limits: tuple[float, float] = (0.0, 0.0)
     exact_integral: Optional[float] = None
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        return self.deriv(np.asarray(x, dtype=float), 0)
 
     def derivative(self, x, order: int = 1):
-        if order == 0:
-            return self(x)
         return self.deriv(np.asarray(x, dtype=float), order)
 
 
@@ -104,7 +101,8 @@ def _tanh_sech(terms: dict, w: float, x: np.ndarray,
         terms = d
     if not terms:
         return np.zeros_like(x)
-    s = 1.0 / np.cosh(x / w)
+    with np.errstate(over="ignore"):    # cosh overflows where sech is 0
+        s = 1.0 / np.cosh(x / w)
     t = np.tanh(x / w) if any(i for i, _ in terms) else None
     values = [functools.reduce(operator.mul, [t] * i + [s] * j, c)
               for (i, j), c in terms.items()]
@@ -138,8 +136,7 @@ def _builtin_profile(kind: str, label: str, params: dict, amplitude: float,
     limits = (offset - a, offset + a) if kind == "tanh_front" else (0.0, 0.0)
     if limits != (0.0, 0.0):
         exact = None
-    return WaveProfile(kind=label, params=params,
-                       fn=functools.partial(deriv, order=0), deriv=deriv,
+    return WaveProfile(kind=label, params=params, deriv=deriv,
                        limits=limits, exact_integral=exact)
 
 
@@ -190,8 +187,7 @@ def tabulated_profile(x: Sequence[float], values: Sequence[float],
         body = spline.antiderivative()
         exact = float(body(x_hi) - body(x_lo) + aL / muL + aR / muR)
     return WaveProfile(kind="tabulated", params={"n_samples": int(x.size)},
-                       fn=functools.partial(deriv, order=0), deriv=deriv,
-                       limits=tuple(limits), exact_integral=exact)
+                       deriv=deriv, limits=tuple(limits), exact_integral=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +564,9 @@ def as_system(obj) -> SystemProblem:
 DEFAULT_HALF_WIDTH = 20.0
 DEFAULT_POINTS = 400
 DEFAULT_PANEL_ORDER = 10
+# the most quadrature nodes a grid takes: far beyond any grid that shows a
+# quadrature error above rounding, and refused before an array is formed
+MAX_NODES = 100_000
 
 
 def _count(name: str, value) -> int:
@@ -620,6 +619,9 @@ class QuadratureGrid:
         X = _window(self.half_width)
         if self.panels * self.panel_order < 4:
             raise ConfigError("need at least 4 quadrature points")
+        if self.panels * self.panel_order > MAX_NODES:
+            raise ConfigError(f"need at most {MAX_NODES} quadrature points, "
+                              f"not {self.panels * self.panel_order}")
         ref_x, ref_w = gauss_rule(self.panel_order)
         edges = np.linspace(-X, X, self.panels + 1)
         mid = (edges[1:] + edges[:-1]) / 2.0

@@ -271,13 +271,14 @@ def test_winding_numbers_agree(pt, pt_system, coarse_grid):
 
 def test_front_pipeline(pt_system, grid):
     # pulse limit: the front route must reproduce the pulse det2 exactly
-    pulse_gap = abs(fronts.front_det2(pt_system, 4.0, grid).value
+    pulse_gap = abs(fredholm.det2(fronts.reference_system(pt_system), 4.0,
+                                  grid).value
                     - fredholm.det2(pt_system, 4.0, grid).value)
 
     # reference matrix for step ends with rates (+-2, +-1)
     steps = oracles.constant_front(np.array([[0.0, 1.0], [4.0, 0.0]]),
                                    np.array([[0.0, 1.0], [1.0, 0.0]]))
-    B = fronts.front_reference(oracles.basis(steps, 0.0).kappa).B
+    B = fronts.reference_system(steps).base_matrix(0.0)
     b_gap = float(np.max(np.abs(B - np.array([[0.0, 1.0], [2.0, 1.0]]))))
 
     # determinant zero vs Evans zero of the problem the determinant
@@ -286,7 +287,7 @@ def test_front_pipeline(pt_system, grid):
                                             offset=-2.5, well=8.0))
     ref = fronts.reference_system(front)
     z_det = locate.refine_root(
-        lambda lam: fronts.front_det2(front, lam, grid).value, 3.3,
+        lambda lam: fredholm.det2(front, lam, grid).value, 3.3,
         tol=1e-12)
     z_ev = locate.refine_root(lambda lam: wd.evans_function(ref, lam).ratio,
                               3.3, tol=1e-12)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wavedet
-from wavedet import cli, evans, fredholm, fronts, greens, locate
+from wavedet import cli, evans, fredholm, greens, locate
 from wavedet.errors import WavedetError
 
 import oracles
@@ -658,7 +658,7 @@ def test_front_locate_and_scan_walk_batched_det2(tmp_path, capsys,
                                                  monkeypatch):
     """On a front, locate and scan evaluate det2 as lists through
     determinants_many, and their rows are those of the per-lambda
-    front_det2."""
+    det2."""
     sizes = []
     many = fredholm.determinants_many
 
@@ -673,8 +673,8 @@ def test_front_locate_and_scan_walk_batched_det2(tmp_path, capsys,
         "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
     grid = wavedet.build_grid(20.0, 200)
 
-    def front_det2(lam):
-        return fronts.front_det2(front, lam, grid).value
+    def det2(lam):
+        return fredholm.det2(front, lam, grid).value
 
     base = {"problem": _FRONT, "rectangle": rectangle, "function": "det2"}
     path = write_config(tmp_path, dict(base, samples_per_edge=6),
@@ -685,7 +685,7 @@ def test_front_locate_and_scan_walk_batched_det2(tmp_path, capsys,
     assert max(sizes) == 24
     doc = json.loads(out)
     want = locate.locate_roots(
-        front_det2, locate.Contour(low, high, samples_per_edge=6),
+        det2, locate.Contour(low, high, samples_per_edge=6),
         function_used="det2")
     assert doc["report"]["winding"] == want.winding == 1
     got = [complex(r["re"], r["im"]) for r in doc["report"]["roots"]]
@@ -705,7 +705,7 @@ def test_front_locate_and_scan_walk_batched_det2(tmp_path, capsys,
     for row in rows:
         lam = complex(row["lambda"]["re"], row["lambda"]["im"])
         got = complex(row["det2"]["re"], row["det2"]["im"])
-        assert got == front_det2(lam)
+        assert got == det2(lam)
 
 
 def test_output_file_and_overrides(tmp_path, capsys):
@@ -821,8 +821,8 @@ def test_front_commands_load_no_fronts_module(command, extra, tmp_path):
 # dir(wavedet) of the package that imported every submodule eagerly
 _PUBLIC_DIR = [
     "ConfigError", "Contour", "CountMismatch", "DeterminantResult",
-    "EssentialSpectrum", "EvansResult", "FrontReference",
-    "IllConditioned", "IntegrationParams",
+    "EssentialSpectrum", "EvansResult", "IllConditioned",
+    "IntegrationParams",
     "NearMultipleRoots", "NoConvergence", "PhaseJump",
     "QuadratureGrid", "RootReport", "ScalarProblem",
     "SignMismatch", "StiffnessFailure", "SystemProblem",
@@ -832,8 +832,8 @@ _PUBLIC_DIR = [
     "build_grid",
     "builtin_problem", "char_roots", "default_grid",
     "det1", "det2", "detp", "errors", "essential_spectrum_distance", "evans",
-    "evans_and_swinton", "evans_function", "fredholm", "front_det2",
-    "front_reference", "fronts", "greens", "identity_report", "locate",
+    "evans_and_swinton", "evans_function", "fredholm", "fronts", "greens",
+    "identity_report", "locate",
     "locate_roots", "make_profile", "model",
     "reference_system", "refine_root", "scan", "swinton_matrix",
     "symbol_curve", "tabulated_profile", "to_system"]

@@ -116,10 +116,9 @@ def test_batched_exponential_matches_scipy(dim, top, degree, monkeypatch):
             return dict.__getitem__(self, m)
 
     monkeypatch.setattr(evans, "_PADE", Recorded(evans._PADE))
-    got, got_adjoint = evans._expm(A, adjoint=True)
+    got, got_adjoint = evans._expm(A)
     assert max(used) == degree
     assert used == {_least_degree(norm) for norm in norms}
-    assert np.array_equal(evans._expm(A), got)
     for g, ga, a in zip(got, got_adjoint, A):
         for value, want in ((g, scipy_linalg.expm(a)),
                             (ga, scipy_linalg.expm(-a.T))):
@@ -137,9 +136,9 @@ def test_exponential_of_a_mixed_stack_is_that_of_each_matrix():
     A = (rng.standard_normal((norms.size, 4, 4))
          + 1j * rng.standard_normal((norms.size, 4, 4)))
     A *= (norms / np.linalg.norm(A, ord=1, axis=(1, 2)))[:, None, None]
-    got = evans._expm(A, adjoint=True)
+    got = evans._expm(A)
     for i in range(norms.size):
-        alone = evans._expm(A[i:i + 1], adjoint=True)[:, 0]
+        alone = evans._expm(A[i:i + 1])[:, 0]
         for half in (0, 1):
             assert np.linalg.norm(got[half, i] - alone[half]) <= \
                 1e-15 * np.linalg.norm(alone[half])
@@ -159,8 +158,9 @@ def test_non_finite_adjoint_propagator_is_refused(bh_system, monkeypatch):
     """exp(Omega) can stay finite where exp(-Omega^T) overflows; the
     finiteness check covers both halves of the Pade pair."""
     steep = _flat_steps(-800.0)
-    assert np.all(np.isfinite(evans._expm(steep(None, None, np.zeros(3),
-                                                None))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = evans._expm(steep(None, None, np.zeros(3), None))
+    assert np.all(np.isfinite(pair[0])) and not np.all(np.isfinite(pair[1]))
     monkeypatch.setattr(evans, "_step_exponents", steep)
     bounds = evans._boundaries(20.0, 1.0, (0.37,))
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -208,6 +208,15 @@ def test_boundaries_match_the_loop(half_width, step, extra):
         evans._boundaries(half_width, step, (25.0,))
 
 
+def test_boundaries_refuse_too_many_segments():
+    """MAX_SEGMENTS segments are stored; one more, or a count that
+    overflows to inf, is refused before any point is formed."""
+    assert evans._boundaries(5e4, 1.0).size == evans.MAX_SEGMENTS + 1
+    for half_width, step in ((5e4 + 0.5, 1.0), (1e300, 1e-10)):
+        with pytest.raises(ConfigError, match="renormalization segments"):
+            evans._boundaries(half_width, step)
+
+
 def _reference_window_steps(system, lam, params, bounds):
     """The Magnus steps piece by piece: each piece cut at x = 0, its pilot
     of one step and two half steps alone, then the two half steps or m
@@ -219,7 +228,7 @@ def _reference_window_steps(system, lam, params, bounds):
     def pair(x, h):
         Omega = evans._step_exponents(system, A0, np.array([x]),
                                       np.array([h]))
-        return evans._expm(Omega, adjoint=True)[:, 0]
+        return evans._expm(Omega)[:, 0]
 
     steps, at, edges = [], [0], []
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -275,7 +284,7 @@ def test_plus_steps_are_the_minus_steps_reversed(bh_system):
     steps, _ = evans._window_steps(bh_system, lam, params, bounds)
     _, _, (x, h) = _reference_window_steps(bh_system, lam, params, bounds)
     own = evans._expm(evans._step_exponents(
-        bh_system, bh_system.base_matrix(lam), x + h, -h))
+        bh_system, bh_system.base_matrix(lam), x + h, -h))[0]
     scale = np.linalg.norm(own, axis=(1, 2))
     inverse = np.swapaxes(steps[1], -1, -2)
     assert np.max(np.linalg.norm(inverse - own, axis=(1, 2))

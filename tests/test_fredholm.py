@@ -77,7 +77,11 @@ def test_equal_layouts_are_equal_grids():
     (("build_grid", 20.0, 400, 10.0),
      "panel_order must be an integer, not 10.0"),
     (("build_grid", 20.0, 400, False),
-     "panel_order must be an integer, not False")])
+     "panel_order must be an integer, not False"),
+    ((20.0, 10 ** 8, 10), "need at most 100000 quadrature points, not "
+                          "1000000000"),
+    (("build_grid", 20.0, 100_001),
+     "need at most 100000 quadrature points, not 100010")])
 def test_grid_refuses_a_layout_it_cannot_build(layout, message):
     """QuadratureGrid refuses each layout, and build_grid the arguments of
     a row that names it, with the count that the caller passed."""
@@ -793,7 +797,7 @@ def test_structured_front_det2_matches_dense(grid_name):
     front = wd.to_system(wd.builtin_problem(
         "tanh_front", amplitude=1.5, offset=-2.5, well=8.0))
     for lam in (2.0 + 0.5j, 3.3, 6.0 - 1.0j):
-        got = fronts.front_det2(front, lam, g).value
+        got = fredholm.det2(front, lam, g).value
         want, = _dense_system(front, lam, g, (2,))
         assert _close(got, want), lam
 

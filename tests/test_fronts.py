@@ -50,8 +50,8 @@ def test_front_split_count_mismatch():
 
 
 def test_front_reference_is_companion_of_kept_rates():
-    ref = fronts.front_reference(_kept_rates(AM, AP)[0])
-    assert np.max(np.abs(ref.B - B_EXPECTED)) < 1e-12
+    ref = fronts.reference_system(oracles.constant_front(AM, AP))
+    assert np.max(np.abs(ref.base_matrix(0.0) - B_EXPECTED)) < 1e-12
 
 
 def test_front_reference_from_profile(front_system):
@@ -64,13 +64,30 @@ def test_front_reference_from_profile(front_system):
     basis = oracles.basis(front_system, 0.0)
     assert basis.k == 1
     assert np.array_equal(basis.kappa, [minus.kappa[0], plus.kappa[1]])
-    B = fronts.front_reference(basis.kappa).B
+    B = fronts.reference_system(front_system).base_matrix(0.0)
     assert np.max(np.abs(B - B_EXPECTED)) < 1e-12
 
 
 def test_front_reference_rejects_coincident_rates():
+    """The left end keeps two unstable rates at 1: the reference matrix
+    refuses their singular Vandermonde frame."""
+    system = oracles.constant_front(np.diag([1.0, 1.0, -1.0]),
+                                    np.diag([3.0, 2.0, -2.0]))
     with pytest.raises(IllConditioned):
-        fronts.front_reference([1.0 + 0j, 1.0 + 0j])
+        fronts.reference_system(system).base_matrix(0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 3.0 + 0.25j, 8.0])
+def test_reference_matrix_is_the_kernel_basis(front_system, lam):
+    """B(lambda) is P diag(kappa) P^-1 of the front's kernel basis bit for
+    bit, so its eigenvalues are the kept rates."""
+    basis = oracles.basis(front_system, lam)
+    B = fronts.reference_system(front_system).base_matrix(lam)
+    assert np.array_equal(
+        B, basis.P @ (basis.kappa[:, None] * basis.Pinv))
+    got = np.linalg.eigvals(B)
+    assert np.allclose(got[np.argsort(-got.real)], basis.kappa,
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_coincident_kept_rates_refuse_the_reference_frame():
@@ -106,21 +123,21 @@ def test_front_det2_frozen_values(front_system, grid):
             3.0: -0.09938847162067697,
             3.5: 0.04658918519493962}
     for lam, val in want.items():
-        res = fronts.front_det2(front_system, lam, grid)
-        assert res.kind == "front_det2"
+        res = fredholm.det2(front_system, lam, grid)
         assert abs(res.value - val) < 1e-9
 
 
 def test_front_det2_is_reference_system_det2(front_system, grid):
-    """front_det2 is det2 of the front, whose kernel is the reference
-    system's: the public det2 and determinants_many of the front give its
-    value and trace bit for bit."""
+    """det2 of the front, whose kernel is the reference system's, is det2
+    of the reference system to rounding: the public det2 and
+    determinants_many of the front give its value and trace bit for
+    bit."""
     ref = fronts.reference_system(front_system)
     assert not ref.is_front
     lams = (2.0, 3.0 + 0.25j, 2.0 + 1.0j)
     many = fredholm.determinants_many(front_system, lams, grid, {"det2": 2})
     for lam, (batched,) in zip(lams, many):
-        res = fronts.front_det2(front_system, lam, grid)
+        res = fredholm.det2(front_system, lam, grid)
         b = fredholm.det2(ref, lam, grid).value
         assert abs(res.value - b) < 1e-12
         single = fredholm.det2(front_system, lam, grid)
@@ -130,8 +147,6 @@ def test_front_det2_is_reference_system_det2(front_system, grid):
 
 def test_front_det2_needs_panel_edge_at_zero(front_system):
     lopsided = wd.build_grid(20.0, 50)  # 5 panels, edges miss the origin
-    with pytest.raises(ConfigError):
-        fronts.front_det2(front_system, 2.0, lopsided)
     with pytest.raises(ConfigError):
         fredholm.det2(front_system, 2.0, lopsided)
     with pytest.raises(ConfigError):
@@ -146,7 +161,7 @@ def test_front_det2_needs_panel_edge_at_zero(front_system):
 
 
 def test_pulse_degeneration_is_exact(pt_system, grid):
-    a = fronts.front_det2(pt_system, 4.0, grid).value
+    a = fredholm.det2(fronts.reference_system(pt_system), 4.0, grid).value
     b = fredholm.det2(pt_system, 4.0, grid).value
     assert a == b
     assert fronts.reference_system(pt_system) is pt_system
@@ -167,11 +182,11 @@ def test_front_basis_degenerates_on_pulses(pt, pt_system):
 
 
 def test_determinant_zero_matches_reference_evans(front_system, grid):
-    """front_det2 and the Evans function of the reference problem locate
+    """The front's det2 and the Evans function of the reference problem locate
     the same eigenvalue; this is the meaningful cross-check."""
     ref = fronts.reference_system(front_system)
     z_det = locate.refine_root(
-        lambda lam: fronts.front_det2(front_system, lam, grid).value,
+        lambda lam: fredholm.det2(front_system, lam, grid).value,
         3.3, tol=1e-12)
     z_ev = locate.refine_root(
         lambda lam: wd.evans_function(ref, lam).ratio, 3.3, tol=1e-12)
@@ -197,7 +212,7 @@ def test_front_spectrum_differs_from_reference(front_system, grid):
     Swapping both ends for the single reference matrix changes the
     operator, and for this profile the bound state moves from about
     3.2277 (original, via the Evans function) to about 3.3280
-    (reference, via the determinant).  Anyone using front_det2 to locate
+    (reference, via the determinant).  Anyone using a front's det2 to locate
     eigenvalues of the front itself would be off by 0.1 here.
     """
     z_orig = locate.refine_root(
@@ -205,6 +220,6 @@ def test_front_spectrum_differs_from_reference(front_system, grid):
         3.2, tol=1e-12)
     assert abs(z_orig - 3.2276704) < 1e-5
     z_det = locate.refine_root(
-        lambda lam: fronts.front_det2(front_system, lam, grid).value,
+        lambda lam: fredholm.det2(front_system, lam, grid).value,
         3.3, tol=1e-12)
     assert abs(z_orig - z_det) > 0.05
