@@ -190,8 +190,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     theta_m bounds its own 1-norm; the matrices of one degree go through
     together.  Above theta_9 it is degree 13, each matrix scaled by its
     own power of two and squared back.  U is odd in A and V even, so
-    r_m(-A^T) is ((V + U)^-1 (V - U))^T, one more solve on the same U and
-    V."""
+    r_m(-A^T) = ((V + U)^-1 (V - U))^T takes one more solve."""
     A = np.asarray(A, dtype=complex)
     norm = _norm1(A)
     degree = np.select([norm <= _THETA[m] for m in (3, 5, 7, 9)],

@@ -564,8 +564,8 @@ def as_system(obj) -> SystemProblem:
 DEFAULT_HALF_WIDTH = 20.0
 DEFAULT_POINTS = 400
 DEFAULT_PANEL_ORDER = 10
-# the most quadrature nodes a grid takes: far beyond any grid that shows a
-# quadrature error above rounding, and refused before an array is formed
+# the most quadrature nodes a grid takes, refused before an array is
+# formed: the determinant's working set grows with the count
 MAX_NODES = 100_000
 
 
